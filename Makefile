@@ -47,9 +47,11 @@ tune-smoke:
 # distinct candidates on the matmul shape).  The stream must drain
 # through the successive-halving funnel under the default scale budget
 # (wall-clock well under a minute, ranking memory O(top-K)) and still
-# rediscover the conflict-free swizzle at -j 2.
+# rediscover the conflict-free swizzle at -j 2.  The transpose line is
+# the benchmark's tune-scale workload (57,725 candidates).
 tune-scale:
 	dune exec bin/legoc.exe -- tune matmul --scale -j 2 --expect-conflict-free
+	dune exec bin/legoc.exe -- tune transpose --scale -j 2 --expect-conflict-free
 
 # Compile-service smoke test: boots the daemon on a scratch socket and
 # db, drives a scripted client through cold misses, an in-batch

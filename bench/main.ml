@@ -348,6 +348,10 @@ module T = Lego_tune
    beating row-major for NW. *)
 let tune () =
   header "Autotune: layout search against the simulator (lib/tune)";
+  (* Throughputs only compare between hosts with the same core count. *)
+  let cores = Domain.recommended_domain_count () in
+  row "host cores: %d\n" cores;
+  record ~experiment:"tune" ~metric:"host_cores" (float_of_int cores);
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let jn = max 2 !jobs in

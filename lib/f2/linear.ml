@@ -144,7 +144,7 @@ let piece_memo : (string, t option) Hashtbl.t Domain.DLS.key =
 
 let of_piece piece =
   let tbl = Domain.DLS.get piece_memo in
-  let key = Format.asprintf "%a" L.Piece.pp piece in
+  let key = L.Piece.to_string piece in
   match Hashtbl.find_opt tbl key with
   | Some r -> r
   | None ->

@@ -4,13 +4,11 @@ module Seg = Set.Make (struct
   let compare = compare
 end)
 
-(* A warp batch is at most [warp_size] (= 32) addresses, so distinct
-   counting is done by quadratic scan over two small scratch arrays —
-   no hashing, no allocation beyond the scratch.  These two functions
-   are the hot inner loop of both the simulator's warp rounds and the
-   tuner's static phase scoring (thousands of calls per candidate).
-   The array variants are the implementation; the list variants wrap
-   them, so there is exactly one copy of each counting rule. *)
+(* These two counters are the hot inner loop of both the simulator's
+   warp rounds and the tuner's static phase scoring (thousands of calls
+   per candidate).  The array variants are the implementation; the list
+   variants wrap them, so there is exactly one copy of each counting
+   rule. *)
 
 (* Bank and segment geometry is power-of-two on every real device, so
    the per-address divisions strength-reduce to shifts; the division
@@ -29,38 +27,105 @@ let log2 x =
   done;
   !k
 
+(* Distinct counting uses a per-domain set with generation stamps: a
+   value is in the current batch's set iff its stamp equals the batch's
+   generation, so starting a batch is one increment — no clearing, no
+   allocation.  Small non-negative values (every shared-memory word of
+   a tile) index a stamp array directly; the rest (global segments of
+   large buffers, negative words) go to an open-addressed table of at
+   least twice the warp size.  A batch inserts at most [warp_size + 1]
+   distinct values before the overflow check fires, so probing always
+   finds a free slot.  Bank degrees are stamped the same way. *)
+let direct_cap = 1 lsl 14
+
+type scratch = {
+  mutable gen : int;
+  direct : int array;
+  mutable keys : int array;
+  mutable used : int array;
+  mutable degree : int array;
+  mutable degree_gen : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        gen = 0;
+        direct = Array.make direct_cap 0;
+        keys = [||];
+        used = [||];
+        degree = [||];
+        degree_gen = [||];
+      })
+
+let start_batch (device : Device.t) =
+  let s = Domain.DLS.get scratch_key in
+  let want = 2 * device.Device.warp_size in
+  if Array.length s.used < want then begin
+    let cap = ref 64 in
+    while !cap < want do
+      cap := 2 * !cap
+    done;
+    s.keys <- Array.make !cap 0;
+    s.used <- Array.make !cap 0
+  end;
+  let nbanks = device.Device.smem_banks in
+  if Array.length s.degree < nbanks then begin
+    s.degree <- Array.make nbanks 0;
+    s.degree_gen <- Array.make nbanks 0
+  end;
+  s.gen <- s.gen + 1;
+  s
+
+(* Insert [x] into the batch's set; true iff it was not yet there. *)
+let add s x =
+  let g = s.gen in
+  if x >= 0 && x < direct_cap then
+    if Array.unsafe_get s.direct x = g then false
+    else begin
+      Array.unsafe_set s.direct x g;
+      true
+    end
+  else begin
+    let mask = Array.length s.used - 1 in
+    let rec probe h =
+      if Array.unsafe_get s.used h <> g then begin
+        Array.unsafe_set s.used h g;
+        Array.unsafe_set s.keys h x;
+        true
+      end
+      else if Array.unsafe_get s.keys h = x then false
+      else probe ((h + 1) land mask)
+    in
+    probe (((x * 0x1E3779B97F4A7C15) lsr 29) land mask)
+  end
+
 let bank_cycles_arr (device : Device.t) ~elem_bytes addrs n =
   let nbanks = device.Device.smem_banks in
   let bb = device.Device.smem_bank_bytes in
   let shift = if pow2 bb then log2 bb else -1 in
   let bmask = if pow2 nbanks then nbanks - 1 else -1 in
-  let words = Array.make device.Device.warp_size 0 in
-  let degree = Array.make nbanks 0 in
-  let nw = ref 0 in
-  (* Unsafe accesses below are bounded by construction: [i < !nw <=
-     warp_size] (the explicit batch check guards the only growth), and
-     [bank < nbanks] because it is a remainder by [nbanks]. *)
+  let warp = device.Device.warp_size in
+  let s = start_batch device in
+  let g = s.gen in
+  let nw = ref 0 and worst = ref 1 in
   for k = 0 to n - 1 do
     let b = Array.unsafe_get addrs k * elem_bytes in
     let word = if shift >= 0 && b >= 0 then b lsr shift else b / bb in
     (* Distinct words only: same-word lanes broadcast in one cycle. *)
-    let dup = ref false in
-    for i = 0 to !nw - 1 do
-      if Array.unsafe_get words i = word then dup := true
-    done;
-    if not !dup then begin
-      if !nw >= Array.length words then invalid_arg "Access: batch > warp";
-      Array.unsafe_set words !nw word;
+    if add s word then begin
+      if !nw >= warp then invalid_arg "Access: batch > warp";
       incr nw;
       let bank =
         if bmask >= 0 && word >= 0 then word land bmask else word mod nbanks
       in
-      degree.(bank) <- degree.(bank) + 1
+      (* Bounds-checked on purpose: a negative word's remainder is
+         negative and must raise, as indexing a per-bank array does. *)
+      let d = if s.degree_gen.(bank) = g then s.degree.(bank) + 1 else 1 in
+      s.degree_gen.(bank) <- g;
+      s.degree.(bank) <- d;
+      if d > !worst then worst := d
     end
-  done;
-  let worst = ref 1 in
-  for b = 0 to nbanks - 1 do
-    if Array.unsafe_get degree b > !worst then worst := Array.unsafe_get degree b
   done;
   !worst
 
@@ -78,18 +143,14 @@ let segments (device : Device.t) accesses =
 let txn_count_arr (device : Device.t) ~elem_bytes addrs n =
   let tb = device.Device.global_txn_bytes in
   let shift = if pow2 tb then log2 tb else -1 in
-  let segs = Array.make device.Device.warp_size 0 in
+  let warp = device.Device.warp_size in
+  let s = start_batch device in
   let ns = ref 0 in
   for k = 0 to n - 1 do
     let b = Array.unsafe_get addrs k * elem_bytes in
     let seg = if shift >= 0 && b >= 0 then b lsr shift else b / tb in
-    let dup = ref false in
-    for i = 0 to !ns - 1 do
-      if Array.unsafe_get segs i = seg then dup := true
-    done;
-    if not !dup then begin
-      if !ns >= Array.length segs then invalid_arg "Access: batch > warp";
-      Array.unsafe_set segs !ns seg;
+    if add s seg then begin
+      if !ns >= warp then invalid_arg "Access: batch > warp";
       incr ns
     end
   done;

@@ -49,15 +49,29 @@ let equal a b =
   List.equal Shape.equal a.shapes b.shapes
   && List.equal Order_by.equal a.chain b.chain
 
-let pp ppf t =
-  List.iter (fun o -> Format.fprintf ppf "%a." Order_by.pp o) t.chain;
-  let suffix =
-    match List.sort_uniq Int.compare (List.map Shape.rank t.shapes) with
-    | [ d ] -> string_of_int d
-    | _ -> ""
-  in
-  Format.fprintf ppf "GroupBy%s(%a)" suffix
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Shape.pp)
-    t.shapes
+let to_buffer buf t =
+  List.iter
+    (fun o ->
+      Order_by.to_buffer buf o;
+      Buffer.add_char buf '.')
+    t.chain;
+  Buffer.add_string buf "GroupBy";
+  (match t.shapes with
+  | s :: rest
+    when List.for_all (fun s' -> Shape.rank s' = Shape.rank s) rest ->
+    Buffer.add_string buf (Int.to_string (Shape.rank s))
+  | _ -> ());
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun k s ->
+      if k > 0 then Buffer.add_string buf ", ";
+      Shape.to_buffer buf s)
+    t.shapes;
+  Buffer.add_char buf ')'
+
+let to_string t =
+  let buf = Buffer.create 128 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

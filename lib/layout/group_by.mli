@@ -39,4 +39,13 @@ val apply_ints : t -> int list -> int
 val inv_ints : t -> int -> int list
 
 val equal : t -> t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the dotted notation [O1.O2.GroupBy(shapes)]. *)
+
+val to_string : t -> string
+(** {!to_buffer} into a fresh string: the full structural text every
+    fingerprint, dedup key and store key is derived from, so its bytes
+    are a stable contract. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!to_string}'s text. *)

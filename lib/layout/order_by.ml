@@ -51,16 +51,26 @@ let apply_ints t idx = apply (module Domain.Int) t idx
 let inv_ints t flat = inv (module Domain.Int) t flat
 let equal a b = List.equal Piece.equal a b
 
-let pp ppf t =
+let to_buffer buf t =
+  Buffer.add_string buf "OrderBy";
   (* The paper's subscript is the shared per-tile dimensionality, when
      there is one. *)
-  let suffix =
-    match List.sort_uniq Int.compare (List.map Piece.rank t) with
-    | [ d ] -> string_of_int d
-    | _ -> ""
-  in
-  Format.fprintf ppf "OrderBy%s(%a)" suffix
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Piece.pp)
-    t
+  (match t with
+  | p :: rest
+    when List.for_all (fun q -> Piece.rank q = Piece.rank p) rest ->
+    Buffer.add_string buf (Int.to_string (Piece.rank p))
+  | _ -> ());
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun k p ->
+      if k > 0 then Buffer.add_string buf ", ";
+      Piece.to_buffer buf p)
+    t;
+  Buffer.add_char buf ')'
+
+let to_string t =
+  let buf = Buffer.create 64 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

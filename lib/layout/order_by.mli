@@ -23,4 +23,9 @@ val apply_ints : t -> int list -> int
 val inv_ints : t -> int -> int list
 
 val equal : t -> t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the paper notation, e.g. [OrderBy2(RegP([4, 8], [2, 1]))]. *)
+
+val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+(** {!to_string}'s text. *)

@@ -49,8 +49,22 @@ let equal a b =
     Shape.equal d1 d2 && Sigma.equal s1 s2
   | Gen _, Reg _ | Reg _, Gen _ -> false
 
-let pp ppf = function
+let to_buffer buf = function
   | Gen { dims; name; _ } ->
-    Format.fprintf ppf "GenP(%s%a)" name Shape.pp dims
+    Buffer.add_string buf "GenP(";
+    Buffer.add_string buf name;
+    Shape.to_buffer buf dims;
+    Buffer.add_char buf ')'
   | Reg { dims; sigma } ->
-    Format.fprintf ppf "RegP(%a, %a)" Shape.pp dims Sigma.pp sigma
+    Buffer.add_string buf "RegP(";
+    Shape.to_buffer buf dims;
+    Buffer.add_string buf ", ";
+    Sigma.to_buffer buf sigma;
+    Buffer.add_char buf ')'
+
+let to_string p =
+  let buf = Buffer.create 48 in
+  to_buffer buf p;
+  Buffer.contents buf
+
+let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -44,4 +44,13 @@ val inv_ints : t -> int -> int list
 val equal : t -> t -> bool
 (** Structural equality; [Gen] pieces compare by [name] and [dims]. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the paper notation: [GenP(name[dims])] or
+    [RegP([dims], [sigma])]. *)
+
+val to_string : t -> string
+(** {!to_buffer} into a fresh string — the printed identity that names
+    a piece in fingerprints and memo keys. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!to_string}'s text. *)

@@ -12,12 +12,28 @@ let numel dims = List.fold_left ( * ) 1 dims
 let rank = List.length
 let equal (a : t) (b : t) = a = b
 
+(* Decimal digits without [string_of_int]'s format-string round trip:
+   fingerprinting prints every extent of every streamed candidate. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (Int.to_string n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let to_buffer buf dims =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun k n ->
+      if k > 0 then Buffer.add_string buf ", ";
+      add_int buf n)
+    dims;
+  Buffer.add_char buf ']'
+
 let pp ppf dims =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    dims
+  let buf = Buffer.create 16 in
+  to_buffer buf dims;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 let flatten (type a) (module D : Domain.S with type t = a) dims (idx : a list)
     : a =

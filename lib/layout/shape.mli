@@ -17,7 +17,11 @@ val numel : t -> int
 val rank : t -> int
 
 val equal : t -> t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the printed form, e.g. [[4, 8]]. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!to_buffer}'s text. *)
 
 val flatten :
   (module Domain.S with type t = 'a) -> t -> 'a list -> 'a

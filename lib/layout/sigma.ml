@@ -48,12 +48,12 @@ let apply s k =
   if k < 0 || k >= rank s then invalid_arg "Sigma.apply: out of range";
   s.(k)
 
+let to_buffer buf s = Shape.to_buffer buf (to_one_based s)
+
 let pp ppf s =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    (to_one_based s)
+  let buf = Buffer.create 16 in
+  to_buffer buf s;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 let all d =
   let rec perms = function

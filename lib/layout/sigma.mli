@@ -40,8 +40,11 @@ val permute : t -> 'a list -> 'a list
 val apply : t -> int -> int
 (** [apply s k] is the logical position stored at physical position [k]. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the 1-based paper notation, e.g. [[2, 1]]. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints in 1-based paper notation, e.g. [[2, 1]]. *)
+(** {!to_buffer}'s text. *)
 
 val all : int -> t list
 (** Every permutation of rank [d] (use only for small [d], e.g. tests). *)

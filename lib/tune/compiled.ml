@@ -83,7 +83,7 @@ let gen_tables : (string, int array) Hashtbl.t Domain.DLS.key =
 
 let compile_gen piece dims m =
   let tables = Domain.DLS.get gen_tables in
-  let key = Format.asprintf "%a" L.Piece.pp piece in
+  let key = L.Piece.to_string piece in
   let tbl =
     match Hashtbl.find_opt tables key with
     | Some t -> t
@@ -115,7 +115,7 @@ let compile_piece piece =
    element counts; the stage output re-assembles the mapped digits on
    the same strides: [sum_i g_i(c_i) * D_i] (figure 7's traversal,
    without materializing the logical index). *)
-let compile_stage o =
+let stage o =
   match List.map compile_piece (L.Order_by.pieces o) with
   | [ (g, _) ] -> g
   | gs ->
@@ -133,21 +133,24 @@ let compile_stage o =
       done;
       !acc
 
+(* The chain acts last-to-first (figure 7), so its stages run in
+   reverse list order. *)
+let chain c =
+  let stages = Array.of_list (List.rev_map stage c) in
+  match Array.length stages with
+  | 0 -> Fun.id
+  | 1 -> stages.(0)
+  | 2 ->
+    let s0 = stages.(0) and s1 = stages.(1) in
+    fun flat -> s1 (s0 flat)
+  | _ -> fun flat -> Array.fold_left (fun f stage -> stage f) flat stages
+
 let compile g =
-  let dims = L.Group_by.dims g in
-  let stages =
-    Array.of_list (List.map compile_stage (List.rev (L.Group_by.chain g)))
-  in
-  let apply_flat =
-    match Array.length stages with
-    | 0 -> Fun.id
-    | 1 -> stages.(0)
-    | 2 ->
-      let s0 = stages.(0) and s1 = stages.(1) in
-      fun flat -> s1 (s0 flat)
-    | _ -> fun flat -> Array.fold_left (fun f stage -> stage f) flat stages
-  in
-  { dims; numel = L.Group_by.numel g; apply_flat }
+  {
+    dims = L.Group_by.dims g;
+    numel = L.Group_by.numel g;
+    apply_flat = chain (L.Group_by.chain g);
+  }
 
 (* Fingerprint-keyed memo, domain-local so tuner worker domains never
    share the (mutably filled) Gen tables. *)

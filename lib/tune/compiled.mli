@@ -19,6 +19,18 @@ val numel : t -> int
 
 val compile : Lego_layout.Group_by.t -> t
 
+val stage : Lego_layout.Order_by.t -> int -> int
+(** One chain stage's flat-to-flat map.  A layout's map is the
+    composition of its stages ([apply_flat (compile g)] is
+    [chain (Group_by.chain g)]), which is what lets a scorer evaluate a
+    shared chain tail once and map each candidate's outer stage over
+    the result. *)
+
+val chain : Lego_layout.Order_by.t list -> int -> int
+(** The flat-to-flat map of a whole chain: its {!stage}s applied last
+    element first, as [Group_by.apply] traverses them ([[]] is the
+    identity). *)
+
 val of_layout : Lego_layout.Group_by.t -> t
 (** {!compile} memoized per {!Fingerprint} in domain-local storage —
     the "compile once per fingerprint" half of the fast path. *)

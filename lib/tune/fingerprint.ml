@@ -1,13 +1,12 @@
 module L = Lego_layout
 
-(* [Group_by.pp] prints the full dotted notation — every OrderBy, every
-   piece name (GenP parameters are encoded in their names, see
+(* [Group_by.to_string] prints the full dotted notation — every OrderBy,
+   every piece name (GenP parameters are encoded in their names, see
    {!Lego_layout.Gallery.xor_swizzle_masked}) and every sigma — so the
    rendered text is a faithful structural key.  Two layouts with equal
-   fingerprints are [Group_by.equal]; the converse holds because [pp] is
-   deterministic. *)
-let of_layout (g : L.Group_by.t) : string =
-  Format.asprintf "%a" L.Group_by.pp g
+   fingerprints are [Group_by.equal]; the converse holds because the
+   printer is deterministic. *)
+let of_layout (g : L.Group_by.t) : string = L.Group_by.to_string g
 
 let compare = String.compare
 

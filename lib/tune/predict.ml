@@ -55,12 +55,12 @@ let interpret_score ~device ~apply ~ops phases =
 (* Phase lanes are a property of the {e slot}, not the candidate: every
    candidate in a space shares the same logical dims, so each shared
    phase's active-lane logical indices flatten to the same int array
-   once, and scoring a candidate is then one compiled-closure call per
-   lane.  Global phases never route through the candidate at all, so
+   once, and scoring a candidate is then one evaluation per distinct
+   index.  Global phases never route through the candidate at all, so
    their transaction total is a constant of the phase list.  One-entry
-   cache, keyed by physical equality of the phase list (the slot record
-   holds one list for the whole search), domain-local because scoring
-   runs inside [Exec.map] workers. *)
+   cache ([precomp_for] names its key; the slot record holds one phase
+   list for the whole search), domain-local because scoring runs inside
+   [Exec.map] workers. *)
 type shared_phase = {
   sp_elem : int;
   sp_pos : int array;
@@ -79,6 +79,7 @@ type precomp = {
   p_phases : phase list;
   p_dims : L.Shape.t;
   p_warp : int;
+  p_txn_bytes : int;
   p_uniq : int array;  (** Distinct flat logical indices, all phases. *)
   p_shared : shared_phase list;
   p_gmem_txns : int;
@@ -154,6 +155,7 @@ let precompute ~(device : G.Device.t) ~dims phases =
     p_phases = phases;
     p_dims = dims;
     p_warp = device.warp_size;
+    p_txn_bytes = device.global_txn_bytes;
     p_uniq = Array.of_list (List.rev !uniq);
     p_shared = List.rev shared;
     p_gmem_txns = txns;
@@ -176,12 +178,14 @@ let batch_get n =
   if Array.length !r < n then r := Array.make n 0;
   !r
 
+(* Keyed on every input [precompute] reads: the phase list, the dims,
+   and the two device fields (warp width and global segment size). *)
 let precomp_for ~(device : G.Device.t) ~dims phases =
   let cache = Domain.DLS.get precomp_cache in
   match !cache with
   | Some pc
     when pc.p_phases == phases && pc.p_warp = device.warp_size
-         && pc.p_dims = dims ->
+         && pc.p_txn_bytes = device.global_txn_bytes && pc.p_dims = dims ->
     pc
   | _ ->
     let pc = precompute ~device ~dims phases in
@@ -230,11 +234,43 @@ let fold_shared ~(device : G.Device.t) ~eval_vals ~cycles_of ~ops pc =
     }
     pc.p_shared
 
-let compiled_score ~(device : G.Device.t) c ~ops phases =
-  let pc = precomp_for ~device ~dims:(Compiled.dims c) phases in
+(* Staged evaluation.  A candidate [o :: rest] maps a logical index
+   through [rest] first and [o] last, so its value vector is [o]'s
+   compiled stage applied to [rest]'s vector.  Streams emit each base
+   tiling followed by its whole swizzle grid, every member sharing the
+   base's chain list physically, so [rest]'s vector is kept in a
+   one-entry memo keyed on the physical identity of [rest] and of the
+   precomputation (which fixes the indices): consecutive candidates
+   then pay one table lookup per index for their outer stage.  A miss
+   recomputes, so the key decides the hit rate, never a value. *)
+let tail_memo : (L.Order_by.t list * precomp * int array) option ref
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let tail_vals pc rest =
+  match rest with
+  | [] -> pc.p_uniq
+  | _ -> (
+    let memo = Domain.DLS.get tail_memo in
+    match !memo with
+    | Some (r, p, v) when r == rest && p == pc -> v
+    | _ ->
+      let v = Array.map (Compiled.chain rest) pc.p_uniq in
+      memo := Some (rest, pc, v);
+      v)
+
+let staged_score ~(device : G.Device.t) g ~ops phases =
+  let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
   fold_shared ~device ~ops pc
     ~eval_vals:(fun vals ->
-      Array.iteri (fun i u -> vals.(i) <- Compiled.apply_flat c u) pc.p_uniq)
+      match L.Group_by.chain g with
+      | [] -> Array.blit pc.p_uniq 0 vals 0 (Array.length pc.p_uniq)
+      | o :: rest ->
+        let base = tail_vals pc rest in
+        let f = Compiled.stage o in
+        for i = 0 to Array.length base - 1 do
+          Array.unsafe_set vals i (f (Array.unsafe_get base i))
+        done)
     ~cycles_of:(fun _ -> None)
 
 (* Closed-form scoring of an F₂-linear candidate: each full-warp affine
@@ -244,7 +280,7 @@ let compiled_score ~(device : G.Device.t) c ~ops phases =
    lane maps, odd geometry) fall back to evaluating the candidate {e
    through the matrix} and counting with the simulator's own
    {!Lego_gpusim.Access} arithmetic, so the score stays exact — and
-   bit-identical to {!compiled_score} — in every case. *)
+   bit-identical to {!staged_score} — in every case. *)
 let oracle_score ~(device : G.Device.t) lin ~ops ~dims phases =
   let pc = precomp_for ~device ~dims phases in
   fold_shared ~device ~ops pc
@@ -290,12 +326,12 @@ let stage_memo : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let stage_ops (o : L.Order_by.t) =
-  let wrap = L.Group_by.make ~chain:[ o ] [ [ L.Order_by.numel o ] ] in
-  let key = Fingerprint.of_layout wrap in
+  let key = L.Order_by.to_string o in
   let tbl = Domain.DLS.get stage_memo in
   match Hashtbl.find_opt tbl key with
   | Some n -> n
   | None ->
+    let wrap = L.Group_by.make ~chain:[ o ] [ [ L.Order_by.numel o ] ] in
     let n = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply wrap) in
     Hashtbl.add tbl key n;
     n
@@ -315,9 +351,7 @@ let score ?(device = G.Device.a100) ?(compiled = true) ?(oracle = false)
   match if oracle then linear_of ~memoize g else None with
   | Some lin -> oracle_score ~device lin ~ops ~dims:(L.Group_by.dims g) phases
   | None ->
-    if compiled then
-      let c = if memoize then Compiled.of_layout g else Compiled.compile g in
-      compiled_score ~device c ~ops phases
+    if compiled then staged_score ~device g ~ops phases
     else interpret_score ~device ~apply:(L.Group_by.apply_ints g) ~ops phases
 
 (* Total order used for pruning and beam survival: fewest conflict cycles

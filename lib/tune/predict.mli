@@ -53,7 +53,8 @@ val linear_of :
 val stage_ops : Lego_layout.Order_by.t -> int
 (** Symbolic op count of one chain stage in isolation (default
     {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
-    printed form.  The building block of {!decomposed_ops}. *)
+    printed form ({!Lego_layout.Order_by.to_string}).  The building
+    block of {!decomposed_ops}. *)
 
 val decomposed_ops : Lego_layout.Group_by.t -> int
 (** Per-dimension decomposition of the op count: the sum of
@@ -78,10 +79,16 @@ val score :
   Lego_layout.Group_by.t ->
   phase list ->
   score
-(** [compiled] (default true) evaluates the candidate's addresses
-    through {!Compiled.of_layout}; [~compiled:false] keeps the
-    interpreter ([Group_by.apply_ints]) — same score either way, kept
-    for before/after benchmarking of the fast path.
+(** [compiled] (default true) evaluates the candidate's addresses in
+    stages: a candidate [o :: rest] maps the value vector of [rest] over
+    the slot's distinct indices through [o]'s {!Compiled.stage}, and that
+    vector is kept in a one-entry domain-local memo keyed on the
+    physical identity of [rest] (and of the phase precomputation), so
+    the members of a swizzle grid, which share their base's chain,
+    evaluate the base once.  A memo miss recomputes; the score never
+    depends on the hit rate.  [~compiled:false] keeps the interpreter
+    ([Group_by.apply_ints]) — same score either way, kept for
+    before/after benchmarking of the fast path.
 
     [oracle] (default false) scores F₂-linear candidates in closed form
     ({!Lego_f2.Oracle}): every full-warp affine phase costs two rank
@@ -93,12 +100,11 @@ val score :
     the test suite).
 
     [memoize] (default true) controls the domain-local per-candidate
-    tables ({!linear_of}, [Compiled.of_layout]); [~memoize:false]
-    compiles and linearizes directly, for streaming callers that visit
-    each candidate once and must keep memory bounded.  [ops], when
-    given, replaces the symbolic op count (use {!decomposed_ops} for
-    the shared-prefix fast path); the bank/transaction arithmetic is
-    unaffected. *)
+    table of {!linear_of}; [~memoize:false] linearizes directly, for
+    streaming callers that visit each candidate once and must keep
+    memory bounded.  [ops], when given, replaces the symbolic op count
+    (use {!decomposed_ops} for the shared-prefix fast path); the
+    bank/transaction arithmetic is unaffected. *)
 
 val compare_ranked : score * string -> score * string -> int
 (** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total

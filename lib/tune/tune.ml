@@ -176,10 +176,10 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
       when (not options.oracle) || linear <> None ->
       (fp, dg, s, options.oracle && linear = Some true, true)
     | _ ->
-      (* [memoize:false] at scale: the per-domain compiled/linear memo
-         tables would grow with the stream while the stream never
-         revisits a fingerprint.  [decomposed_ops] at scale: candidates
-         share chain stages heavily, so the symbolic op count becomes a
+      (* [memoize:false] at scale: the per-domain linear memo table
+         would grow with the stream while the stream never revisits a
+         fingerprint.  [decomposed_ops] at scale: candidates share
+         chain stages heavily, so the symbolic op count becomes a
          per-stage table hit instead of the dominant per-candidate
          cost. *)
       let memoize = not options.scale in

@@ -544,9 +544,61 @@ let test_l2_lru_matches_tick_scan_reference () =
         | _ -> false))
     [ 0; -3 ]
 
+(* The stamped O(n) counters against the quadratic-scan reference they
+   replaced, outcome for outcome — including which [Invalid_argument]
+   fires: more distinct values than warp lanes ("batch > warp"), and a
+   negative word whose bank remainder is negative.  Values are small,
+   very large, or negative; entries past [n] must be ignored; and the
+   per-domain set carries over from call to call across devices, element
+   widths and both counters. *)
+let prop_counters_match_quadratic_reference =
+  (* One value kind per batch: a negative word usually raises before a
+     batch can overflow, so mixing kinds in every batch would starve
+     the overflow case. *)
+  let value =
+    QCheck2.Gen.(
+      let large = map (fun k -> (max_int / 16) - k) (int_range 0 1000)
+      and tiny = map (fun k -> min_int + k) (int_range 0 1000) in
+      oneofl
+        [
+          int_range 0 64;
+          oneof [ int_range 0 200_000; large ];
+          oneof [ int_range 0 64; int_range (-64) (-1); tiny ];
+        ])
+  in
+  let print (d, eb, a, n) =
+    Printf.sprintf "%s elem_bytes=%d n=%d [%s]" d eb n
+      (String.concat "; " (Array.to_list (Array.map string_of_int a)))
+  in
+  QCheck2.Test.make ~name:"O(n) counters = quadratic reference" ~count:3000
+    ~print
+    QCheck2.Gen.(
+      oneofl (List.map fst Device.presets) >>= fun d ->
+      oneofl [ 1; 2; 4; 8; 16 ] >>= fun eb ->
+      value >>= fun value ->
+      array_size (int_range 1 48) value >>= fun pool ->
+      (* Either draws from the pool (duplicates) or the pool itself
+         (mostly distinct: past 32 values, the overflow case). *)
+      let draw = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+      oneof
+        [ pure pool; int_range 0 48 >>= fun len -> array_size (pure len) draw ]
+      >>= fun a ->
+      int_range 0 (Array.length a) >>= fun n -> pure (d, eb, a, n))
+    (fun (d, elem_bytes, a, n) ->
+      let device = List.assoc d Device.presets in
+      let outcome f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      outcome (fun () -> Access.bank_cycles_arr device ~elem_bytes a n)
+      = outcome (fun () -> Reference.bank_cycles_arr device ~elem_bytes a n)
+      && outcome (fun () -> Access.txn_count_arr device ~elem_bytes a n)
+         = outcome (fun () -> Reference.txn_count_arr device ~elem_bytes a n))
+
 let suite =
   ( "gpusim",
     [
+      QCheck_alcotest.to_alcotest ~long:false
+        prop_counters_match_quadratic_reference;
       Alcotest.test_case "L2 O(1) LRU = tick-scan reference" `Quick
         test_l2_lru_matches_tick_scan_reference;
       Alcotest.test_case "buffers" `Quick test_buffer_basics;

@@ -786,6 +786,213 @@ let test_oracle_search_reduction () =
         = T.Predict.score ~oracle:true sc.T.Tune.layout slot.T.Slot.phases))
     [ pr6.T.Tune.winner; f2.T.Tune.winner ]
 
+(* --- Direct printers and pinned store keys --------------------------------- *)
+
+let slot_space ?(scale = false) ?(composed = false) ?(seed = 0)
+    (slot : T.Slot.t) =
+  T.Space.make ~seed ~scale ~composed ~elem_bytes:(slot_elem_bytes slot)
+    ~rows:slot.T.Slot.rows ~cols:slot.T.Slot.cols ()
+
+(* The Buffer printers must reproduce the Format printers they replaced
+   byte for byte: fingerprints are the ranking tie-break, the dedup key
+   and the store key.  Inputs: every slot's default, --scale and
+   --composed streams, plus the seed-7 random and algebra layouts. *)
+let test_printers_match_format_reference () =
+  let check what g =
+    let got = L.Group_by.to_string g in
+    let want = Reference.group_by_to_string g in
+    if got <> want then
+      Alcotest.failf "%s: printed %S, reference %S" what got want
+  in
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      List.iter
+        (fun (mode, sp) ->
+          Seq.iter (check (slot.T.Slot.name ^ " " ^ mode)) (T.Space.stream sp))
+        [
+          ("default", slot_space slot);
+          ("--scale", slot_space ~scale:true slot);
+          ("--composed", slot_space ~composed:true slot);
+        ])
+    (T.Slot.all ());
+  let module Lgen = Lego_conform.Lgen in
+  let lgen =
+    List.init 2000 (fun index -> Lgen.layout_of_seed ~seed:7 ~index)
+    @ List.init 300 (fun index -> Lgen.algebra_layout_of_seed ~seed:7 ~index)
+  in
+  List.iter
+    (fun g ->
+      check "lgen seed 7" g;
+      List.iter
+        (fun o ->
+          Alcotest.(check string)
+            "OrderBy text" (Reference.order_by_to_string o)
+            (L.Order_by.to_string o);
+          List.iter
+            (fun p ->
+              Alcotest.(check string)
+                "piece text" (Reference.piece_to_string p)
+                (L.Piece.to_string p))
+            (L.Order_by.pieces o))
+        (L.Group_by.chain g))
+    lgen
+
+(* Store keys are MD5s of the printed text; any byte change to the
+   printer must fail here (and bump the store version), never silently
+   orphan a store. *)
+let test_fingerprint_digest_pinned () =
+  let swizzled =
+    prepend_swizzle ~mask:31 ~shift:0
+      (T.Slot.row_major ~rows:128 ~cols:32)
+      ~rows:128 ~cols:32
+  in
+  let tiled =
+    L.Group_by.make
+      ~chain:
+        (L.Sugar.tile_order_by
+           [
+             L.Piece.reg ~dims:[ 4; 8 ] ~sigma:(L.Sigma.of_list [ 1; 0 ]);
+             L.Piece.reg ~dims:[ 8; 4 ] ~sigma:(L.Sigma.identity 2);
+           ])
+      [ [ 32; 32 ] ]
+  in
+  List.iter
+    (fun (g, text, hex) ->
+      Alcotest.(check string) "fingerprint" text (T.Fingerprint.of_layout g);
+      Alcotest.(check string)
+        "digest" hex
+        (Digest.to_hex (T.Fingerprint.digest g)))
+    [
+      ( swizzled,
+        "OrderBy2(GenP(swizzlex_m31_s0[128, 32])).OrderBy2(RegP([128, 32], \
+         [1, 2])).GroupBy2([128, 32])",
+        "37ed2302cd04d55b04f93bfc4a01f0f4" );
+      ( tiled,
+        "OrderBy2(RegP([4, 8], [2, 1]), RegP([8, 4], [1, \
+         2])).OrderBy4(RegP([4, 8, 8, 4], [1, 3, 2, 4])).GroupBy2([32, 32])",
+        "72652944be4b7492cda11fa728807ef2" );
+    ]
+
+(* --- Staged static scoring ------------------------------------------------- *)
+
+(* Regression: the phase precomputation counts global transactions with
+   the device's segment size, but its cache was keyed on the phase list,
+   warp size and dims only — so a score under a 128-byte-segment device
+   was replayed for the 32-byte A100. *)
+let test_precomp_keyed_on_device () =
+  let module G = Lego_gpusim in
+  let g = T.Slot.row_major ~rows:32 ~cols:32 in
+  let phases =
+    [ T.Predict.Global { elem_bytes = 4; addrs = (fun t -> Some (4 * t)) } ]
+  in
+  let addrs = List.init 32 (fun t -> 4 * t) in
+  let wide = { G.Device.a100 with global_txn_bytes = 128 } in
+  List.iter
+    (fun device ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-byte segments" device.G.Device.global_txn_bytes)
+        (T.Predict.txn_count device ~elem_bytes:4 addrs)
+        (T.Predict.score ~device ~ops:0 g phases).T.Predict.gmem_txns)
+    [ wide; G.Device.a100; wide ]
+
+(* The staged path (shared-tail vector memo + outer-stage lookup) must
+   score every candidate exactly as the interpreter does — in stream
+   order, where the memo hits on almost every candidate, and in a
+   seeded shuffle, where consecutive candidates rarely share a tail and
+   the memo misses; then alternating with diagonal sweeps (other
+   indices in another order) on candidates that share a tail, where a
+   memo keyed on the tail alone would serve the first list's values.
+   The interpreter costs ~4 ms a candidate, so its reference scores are
+   computed on two domains. *)
+let test_staged_score_matches_interpreter () =
+  let slot = T.Slot.transpose_smem () in
+  let phases = slot.T.Slot.phases in
+  let cands =
+    Array.of_seq (Seq.take 3000 (T.Space.stream (slot_space ~scale:true slot)))
+  in
+  let interpret phases cands =
+    Lego_exec.Exec.with_pool ~jobs:2 (fun pool ->
+        Lego_exec.Exec.map ~pool cands (fun g ->
+            T.Predict.score ~compiled:false ~ops:0 g phases))
+  in
+  let interp = interpret phases cands in
+  let check order =
+    Array.iter
+      (fun i ->
+        let got = T.Predict.score ~memoize:false ~ops:0 cands.(i) phases in
+        if got <> interp.(i) then
+          Alcotest.failf "%s: staged %s <> interpreted %s"
+            (T.Fingerprint.of_layout cands.(i))
+            (Format.asprintf "%a" T.Predict.pp got)
+            (Format.asprintf "%a" T.Predict.pp interp.(i)))
+      order
+  in
+  let order = Array.init (Array.length cands) Fun.id in
+  check order;
+  let st = Random.State.make [| 14 |] in
+  for i = Array.length order - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  check order;
+  let diagonal =
+    List.init 32 (fun d ->
+        T.Predict.Shared
+          { elem_bytes = 4; lanes = (fun t -> Some [ t; (t + d) mod 32 ]) })
+  in
+  let first = 1100 in
+  let window = Array.sub cands first 200 in
+  let interp_diagonal = interpret diagonal window in
+  Array.iteri
+    (fun k g ->
+      Alcotest.(check bool)
+        (T.Fingerprint.of_layout g ^ ": alternating phase lists")
+        true
+        (T.Predict.score ~ops:0 g diagonal = interp_diagonal.(k)
+        && T.Predict.score ~ops:0 g phases = interp.(first + k)))
+    window
+
+let test_scale_search_deterministic_across_jobs () =
+  let slot = T.Slot.transpose_smem () in
+  let opts jobs =
+    { (search_opts jobs) with budget = 4000; scale = true; seed = 2 }
+  in
+  let r1 = T.Tune.search ~options:(opts 1) slot in
+  let r2 = T.Tune.search ~options:(opts 2) slot in
+  Alcotest.(check bool) "-j1 = -j2 (winner, top-K, counters)" true
+    (result_key r1 = result_key r2)
+
+(* The staged scorer's gain rests on stream order: a base is followed by
+   its whole swizzle grid, so consecutive candidates share their chain
+   tail (physically — the memo's key).  A space change that interleaves
+   bases must fail here rather than silently lose the gain. *)
+let test_scale_stream_tail_locality () =
+  let slot = T.Slot.transpose_smem () in
+  List.iter
+    (fun seed ->
+      let tail g =
+        match L.Group_by.chain g with [] -> [] | _ :: rest -> rest
+      in
+      let pairs = ref 0 and shared = ref 0 and prev = ref None in
+      Seq.iter
+        (fun g ->
+          let t = tail g in
+          (match !prev with
+          | Some p ->
+            incr pairs;
+            if p == t then incr shared
+          | None -> ());
+          prev := Some t)
+        (T.Space.stream (slot_space ~scale:true ~seed slot));
+      let ratio = float_of_int !shared /. float_of_int !pairs in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d of %d pairs share a tail (%.3f >= 0.95)"
+           seed !shared !pairs ratio)
+        true (ratio >= 0.95))
+    [ 0; 5 ]
+
 (* --- legoc CLI overview ---------------------------------------------------- *)
 
 let legoc_exe =
@@ -880,6 +1087,18 @@ let suite =
         test_composed_space_rediscovers_swizzle;
       Alcotest.test_case "bad options rejected" `Quick
         test_search_rejects_bad_options;
+      Alcotest.test_case "printers = Format reference" `Quick
+        test_printers_match_format_reference;
+      Alcotest.test_case "fingerprint digests pinned" `Quick
+        test_fingerprint_digest_pinned;
+      Alcotest.test_case "precomputation keyed on device" `Quick
+        test_precomp_keyed_on_device;
+      Alcotest.test_case "staged score = interpreter" `Quick
+        test_staged_score_matches_interpreter;
+      Alcotest.test_case "scale search deterministic across -j" `Quick
+        test_scale_search_deterministic_across_jobs;
+      Alcotest.test_case "scale stream tail locality" `Quick
+        test_scale_stream_tail_locality;
       Alcotest.test_case "CLI overview lists subcommands" `Quick
         test_cli_overview_lists_subcommands;
     ] )
