@@ -1,9 +1,9 @@
 # Tier-1 gate: the repo must build and its test suite must pass.
 .PHONY: check build test conform conform-serial f2-conform algebra-conform \
-	tune-smoke tune-scale serve-smoke bench bench-json clean
+	tune-smoke tune-scale serve-smoke bench bench-json perfbench-check clean
 
 check: build test conform f2-conform algebra-conform tune-smoke tune-scale \
-	serve-smoke bench-json
+	serve-smoke bench-json perfbench-check
 
 build:
 	dune build
@@ -64,14 +64,20 @@ bench:
 	dune exec bench/main.exe
 
 # Autotune + compile-service benchmarks with machine-readable output:
-# refreshes BENCH_tune.json (candidates/s on the fast path vs the
-# effect-handler path, plus winner timings) and BENCH_serve.json
-# (daemon req/s, cold/warm hit rates, batch p50/p99, warm-tune
-# speedup), enforcing each harness's assertions — the >= 10x floors
-# among them.
+# refreshes BENCH_tune.json (candidates/s per slot at -j 1 and -j 2,
+# winner timings, F2 class counts, the --scale space and rate) and
+# BENCH_serve.json (daemon req/s, cold/warm hit rates, batch p50/p99,
+# warm-tune speedup), enforcing each harness's assertions — the
+# warm-tune >= 10x floor among them.
 bench-json:
 	dune exec bench/main.exe -- tune -j 2 --json BENCH_tune.json
 	dune exec bench/main.exe -- serve -j 2 --json BENCH_serve.json
+
+# The benchmark harness's own self-tests (perfbench/): it drives the
+# tune and serve APIs end to end, so API changes must keep it building
+# and passing.
+perfbench-check:
+	python3 perfbench/test_perfbench.py
 
 clean:
 	dune clean

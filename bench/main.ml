@@ -338,14 +338,13 @@ let conform () =
 
 module T = Lego_tune
 
-(* Runs the lib/tune search three times per slot (-j 1, -j N, and -j 1
-   with the fast path off) and asserts the determinism contract
-   (identical winner, identical score at any -j), the fast-path contract
-   (bit-identical ranking and counters against the effect-handler
-   reference, >= 4x aggregate candidates/s at -j 1), plus the paper's
-   qualitative claims: a conflict-free swizzle for the matmul staging
-   tile, >= 2x over the naive transpose, and the anti-diagonal family
-   beating row-major for NW. *)
+(* Runs the lib/tune search per slot at -j 1 and -j N (plus the F₂
+   class space at -j 1 where it applies) and asserts the determinism
+   contract (identical winner, identical score at any -j), that the
+   class space finds a winner no slower than the default space, plus
+   the paper's qualitative claims: a conflict-free swizzle for the
+   matmul staging tile, a speedup over the naive transpose, and the
+   anti-diagonal family beating row-major for NW. *)
 let tune () =
   header "Autotune: layout search against the simulator (lib/tune)";
   (* Throughputs only compare between hosts with the same core count. *)
@@ -355,22 +354,17 @@ let tune () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let jn = max 2 !jobs in
-  let fast_wall = ref 0.0 and slow_wall = ref 0.0 in
   List.iter
     (fun (slot : T.Slot.t) ->
       (* Tune.search builds its own pool; it must run from the main
          domain (never inside [pmap]) because pools don't nest. *)
-      let search ~fastpath jobs =
+      let search ?(classes = false) jobs =
         T.Tune.search
-          ~options:{ T.Tune.default_options with jobs; fastpath }
+          ~options:{ T.Tune.default_options with jobs; classes }
           slot
       in
-      let r = search ~fastpath:true 1 in
-      let r' = search ~fastpath:true jn in
-      (* The "before" reference: interpreted addresses in stage one, the
-         effect-handler simulator in stage two — the pre-fast-path
-         engine, same search, same decisions. *)
-      let rs = search ~fastpath:false 1 in
+      let r = search 1 in
+      let r' = search jn in
       let name = slot.T.Slot.name in
       let w = r.T.Tune.winner and w' = r'.T.Tune.winner in
       row "-- %s: %s --\n" name slot.T.Slot.descr;
@@ -397,55 +391,29 @@ let tune () =
       record ~experiment:"tune"
         ~metric:(Printf.sprintf "%s_cand_per_s_j%d" name jn)
         r'.T.Tune.candidates_per_s;
-      (* Fast path vs effect-handler reference: identical decisions and
-         bit-identical simulated counters, wall-clock apart. *)
-      row "effect-handler path: %.0f cand/s -j1 (fast path x%.1f)\n"
-        rs.T.Tune.candidates_per_s
-        (r.T.Tune.candidates_per_s /. rs.T.Tune.candidates_per_s);
-      record ~experiment:"tune"
-        ~metric:(name ^ "_cand_per_s_j1_effectpath")
-        rs.T.Tune.candidates_per_s;
-      record ~experiment:"tune"
-        ~metric:(name ^ "_fastpath_speedup_j1")
-        (r.T.Tune.candidates_per_s /. rs.T.Tune.candidates_per_s);
-      (* F2 oracle mode (lib/f2): closed-form conflict/coalescing
-         scoring over GL(n,F2) cost-equivalence classes.  Engages only
-         on power-of-two slots; elsewhere it degrades to the sampled
-         space and the comparison is skipped. *)
-      let ro =
-        T.Tune.search
-          ~options:{ T.Tune.default_options with jobs = 1; oracle = true }
-          slot
+      (* F₂ class space ([--oracle]): one representative per GL(n,F₂)
+         cost-equivalence class covers the whole masked-swizzle grid.
+         Defined only on power-of-two slots; elsewhere the class list
+         is empty and the comparison is skipped. *)
+      let elem_bytes =
+        List.fold_left
+          (fun acc -> function
+            | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
+            | T.Predict.Global _ -> acc)
+          1 slot.T.Slot.phases
       in
-      if ro.T.Tune.oracle_scored > 0 then begin
-        let elem_bytes =
-          List.fold_left
-            (fun acc -> function
-              | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
-              | T.Predict.Global _ -> acc)
-            1 slot.T.Slot.phases
-        in
-        let sp =
-          T.Space.make ~classes:true ~elem_bytes ~rows:slot.T.Slot.rows
-            ~cols:slot.T.Slot.cols ()
-        in
+      let sp =
+        T.Space.make ~classes:true ~elem_bytes ~rows:slot.T.Slot.rows
+          ~cols:slot.T.Slot.cols ()
+      in
+      let nclasses = List.length (T.Space.swizzle_classes sp) in
+      if nclasses > 0 then begin
         let family = List.length (T.Space.swizzle_family sp) in
-        let nclasses = List.length (T.Space.swizzle_classes sp) in
+        let ro = search ~classes:true 1 in
         row
-          "oracle path: %d/%d closed-form; %d address-level sims vs %d \
-           (x%.1f fewer); %d swizzle classes cover %d (mask,shift) pairs\n"
-          ro.T.Tune.oracle_scored ro.T.Tune.explored ro.T.Tune.sim_scored
-          r.T.Tune.sim_scored
-          (float_of_int r.T.Tune.sim_scored
-          /. float_of_int (max 1 ro.T.Tune.sim_scored))
-          nclasses family;
-        record ~experiment:"tune" ~metric:(name ^ "_sim_scored_sampled")
-          (float_of_int r.T.Tune.sim_scored);
-        record ~experiment:"tune" ~metric:(name ^ "_sim_scored_f2")
-          (float_of_int ro.T.Tune.sim_scored);
-        record ~experiment:"tune" ~metric:(name ^ "_f2_sim_reduction")
-          (float_of_int r.T.Tune.sim_scored
-          /. float_of_int (max 1 ro.T.Tune.sim_scored));
+          "class space: %d swizzle classes cover %d (mask,shift) pairs; \
+           %.0f cand/s -j1\n"
+          nclasses family ro.T.Tune.candidates_per_s;
         record ~experiment:"tune" ~metric:(name ^ "_f2_swizzle_family")
           (float_of_int family);
         record ~experiment:"tune" ~metric:(name ^ "_f2_swizzle_classes")
@@ -455,36 +423,15 @@ let tune () =
         let wo = ro.T.Tune.winner in
         let wotime = (Option.get wo.T.Tune.sim).T.Slot.time_s in
         if wotime > wtime then
-          fail "%s: oracle-mode winner %s is slower than sampled-mode %s" name
+          fail "%s: class-space winner %s is slower than default-space %s" name
             wo.T.Tune.fingerprint w.T.Tune.fingerprint;
         if name = "matmul" then begin
           if not (T.Predict.conflict_free wo.T.Tune.static_score) then
-            fail "matmul: oracle-mode winner is not predicted conflict-free";
+            fail "matmul: class-space winner is not predicted conflict-free";
           if not (T.Slot.sim_conflict_free (Option.get wo.T.Tune.sim)) then
-            fail "matmul: oracle-mode winner is not conflict-free in simulation";
-          if 10 * ro.T.Tune.sim_scored > r.T.Tune.sim_scored then
-            fail
-              "matmul: oracle path simulated %d candidates, sampled path %d \
-               (< 10x reduction)"
-              ro.T.Tune.sim_scored r.T.Tune.sim_scored
+            fail "matmul: class-space winner is not conflict-free in simulation"
         end
       end;
-      fast_wall := !fast_wall +. r.T.Tune.static_seconds +. r.T.Tune.sim_seconds;
-      slow_wall :=
-        !slow_wall +. rs.T.Tune.static_seconds +. rs.T.Tune.sim_seconds;
-      let sim_key (sc : T.Tune.scored) =
-        let s = Option.get sc.T.Tune.sim in
-        ( sc.T.Tune.fingerprint,
-          s.T.Slot.time_s,
-          s.T.Slot.s_accesses,
-          s.T.Slot.s_cycles )
-      in
-      if
-        List.map sim_key r.T.Tune.ranking
-        <> List.map sim_key rs.T.Tune.ranking
-      then
-        fail "%s: fast-path ranking/counters differ from effect-handler path"
-          name;
       (* Determinism: bit-identical winner and score at any -j. *)
       if w.T.Tune.fingerprint <> w'.T.Tune.fingerprint then
         fail "%s: winners differ across -j1/-j%d (%s vs %s)" name jn
@@ -549,9 +496,9 @@ let tune () =
   (* Mega-space scale mode: the full product space (three-level tilings
      x vectorization x the whole masked-swizzle grid) streamed through
      the successive-halving funnel with O(top-K) ranking memory.  The
-     per-candidate throughput floor tracks the F2 closed-form rate — the
-     funnel's static pass must stay at least that cheap per candidate
-     even though this space is ~100x larger. *)
+     per-candidate throughput floor keeps the static pass at least as
+     cheap per candidate as on the default space, even though this
+     space is ~100x larger. *)
   let rscale =
     T.Tune.search
       ~options:
@@ -586,18 +533,6 @@ let tune () =
     not
       (T.Slot.sim_conflict_free (Option.get rscale.T.Tune.winner.T.Tune.sim))
   then fail "matmul --scale: winner is not conflict-free in simulation";
-  (* Aggregate over the three slots: same candidate set both ways, so
-     the candidates/s ratio is the wall-clock ratio. *)
-  let overall = if !fast_wall > 0.0 then !slow_wall /. !fast_wall else 0.0 in
-  row "fast path aggregate speedup at -j1: %.1fx\n" overall;
-  record ~experiment:"tune" ~metric:"fastpath_speedup_overall_j1" overall;
-  (* The floor was 10x under the beam search, whose explored set was
-     dominated by swizzle children — the candidates where the
-     interpreter is slowest.  The streamed funnel scores a broader
-     tiling-heavy prefix (cheap for the interpreter too), compressing
-     the aggregate to ~7x; per-candidate fast-path cost is unchanged. *)
-  if overall < 4.0 then
-    fail "fast path only %.1fx over the effect-handler path (< 4x)" overall;
   match !failures with
   | [] -> row "all tuning assertions hold\n"
   | fs ->

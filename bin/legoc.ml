@@ -265,9 +265,13 @@ let slots_arg =
 let tune_budget_arg =
   Arg.(
     value
-    & opt int T.Tune.default_options.T.Tune.budget
+    & opt (some int) None
     & info [ "budget" ] ~docv:"N"
-        ~doc:"Maximum candidates scored by the static pre-filter.")
+        ~doc:
+          (Printf.sprintf
+             "Maximum candidates scored by the static pre-filter (default \
+              %d, or 250000 with --scale)."
+             T.Tune.default_options.T.Tune.budget))
 
 let tune_top_arg =
   Arg.(
@@ -278,16 +282,6 @@ let tune_top_arg =
           "Size of the bounded top-K retained by the static pass and \
            run through the full simulator.")
 
-let tune_sample_arg =
-  Arg.(
-    value
-    & opt int T.Tune.default_options.T.Tune.sample
-    & info [ "sample" ] ~docv:"W"
-        ~doc:
-          "Width of the sampled-simulation rung of the funnel; 0 \
-           (default) selects 4*K in --scale mode and disables the rung \
-           otherwise.")
-
 let scale_flag =
   Arg.(
     value
@@ -296,8 +290,9 @@ let scale_flag =
         ~doc:
           "Mega-space mode: cross the full tiling x vectorization x \
            swizzle product axes (~1.8e5 candidates on matmul), stream \
-           them through the staged funnel with O(K) ranking memory.  \
-           Unless --budget is given explicitly, raises it to 250000.")
+           them through the staged funnel with O(K) ranking memory and \
+           a 4*K-wide sampled-simulation rung.  Unless --budget is \
+           given explicitly, raises it to 250000.")
 
 let tune_seed_arg =
   let env =
@@ -333,9 +328,9 @@ let oracle_flag =
     & flag
     & info [ "oracle" ]
         ~doc:
-          "F2 mode: score affine-linear candidates in closed form and \
-           enumerate the swizzle family by GF(2) cost-equivalence class \
-           — same verdicts, far fewer address-level evaluations.")
+          "F2 mode: enumerate the swizzle family by GF(2) \
+           cost-equivalence class — one representative per class \
+           covers the whole masked-swizzle grid.")
 
 let composed_flag =
   Arg.(
@@ -358,15 +353,17 @@ let device_arg =
   in
   Arg.(value & opt string "a100" & info [ "device" ] ~docv:"PRESET" ~doc)
 
-let run_tune slot_names device budget top sample seed jobs expect_cf no_conform
+let run_tune slot_names device budget top seed jobs expect_cf no_conform
     oracle composed scale =
   let jobs = resolve_jobs jobs in
   let device_name = String.lowercase_ascii device in
   (* --scale without an explicit --budget would silently search a tiny
      prefix of the mega-space; raise the default to cover it. *)
   let budget =
-    if scale && budget = T.Tune.default_options.T.Tune.budget then 250_000
-    else budget
+    match budget with
+    | Some n -> n
+    | None when scale -> 250_000
+    | None -> T.Tune.default_options.T.Tune.budget
   in
   let slots =
     match Lego_gpusim.Device.find device_name with
@@ -397,14 +394,12 @@ let run_tune slot_names device budget top sample seed jobs expect_cf no_conform
   | Ok slots ->
     let options =
       {
-        T.Tune.default_options with
         T.Tune.budget;
         top;
-        sample;
         seed;
         jobs;
         conform = not no_conform;
-        oracle;
+        classes = oracle;
         composed;
         scale;
       }
@@ -429,7 +424,7 @@ let run_tune slot_names device budget top sample seed jobs expect_cf no_conform
             (not s.T.Slot.full_warps)
             ||
             match r.T.Tune.winner.T.Tune.sim with
-            | Some sim -> T.Slot.sim_conflict_free sim
+            | Some sim -> T.Slot.sim_conflict_free ~device:s.T.Slot.device sim
             | None -> false
           in
           if not (pred_cf && sim_cf) then begin
@@ -464,7 +459,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:tune_doc ~man)
     Term.(
       const run_tune $ slots_arg $ device_arg $ tune_budget_arg $ tune_top_arg
-      $ tune_sample_arg $ tune_seed_arg $ jobs_arg $ expect_cf_flag
+      $ tune_seed_arg $ jobs_arg $ expect_cf_flag
       $ no_conform_flag $ oracle_flag $ composed_flag $ scale_flag)
 
 (* ---- legoc serve / client / fingerprint: the compile service ---------- *)

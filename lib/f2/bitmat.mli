@@ -3,7 +3,7 @@
     A matrix is stored column-wise, one [int] bitmask per column (bit
     [i] of column [j] is entry [(i, j)]), so a matrix-vector product is
     an xor-fold over the set bits of the input — the representation the
-    F₂ layout engine and its rank/coset oracle run on.  Row and column
+    F₂ layout engine runs on.  Row and column
     counts are bounded by the OCaml int width ([Sys.int_size - 1]),
     far beyond any layout this repo addresses (offsets are < 2^40). *)
 

@@ -5,8 +5,9 @@
     swizzles, [reverse], Morton order) acts on the {e bits} of the flat
     index: [apply g] is an affine map [x -> Mx lxor c] over GF(2).
     This module compiles such layouts into that explicit form, so bank
-    conflicts and coalescing become rank computations ({!Oracle}) and
-    layout composition becomes matrix multiplication.
+    conflicts and coalescing become rank computations (the test suite's
+    closed-form oracle) and layout composition becomes matrix
+    multiplication.
 
     Compilation is exact, not heuristic: piece matrices are built
     analytically from the piece's published definition (strides for

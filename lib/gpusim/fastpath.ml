@@ -110,10 +110,16 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
   let ws = device.Device.warp_size in
   let nwarps = (nthreads + ws - 1) / ws in
   let st = Domain.DLS.get cache in
+  (* A summary also depends on what the run costs it with: the warp
+     width, the bank geometry, the element size and the block shape
+     (which threads share a warp), so the interned key covers them. *)
   let kid =
     match key with
     | Some k when Array.length prog < 16384 && nwarps <= 64 ->
-      Some (key_id st k)
+      Some
+        (key_id st
+           (Printf.sprintf "%s|%d/%d/%d/%d/%dx%d" k ws device.Device.smem_banks
+              device.Device.smem_bank_bytes elem_bytes bdx bdy))
     | _ -> None
   in
   let sbuf = Array.make ws 0 in

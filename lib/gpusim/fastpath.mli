@@ -28,13 +28,15 @@
 
     When [~key] is passed to {!run}, shared-memory summaries and the
     active-lane counts of predicated [Alu]/[Flops] ops are cached per
-    [(key, op index, warp)] in domain-local storage.  This is sound
-    only if the program's shared addresses and masks are {e
-    block-independent} (functions of [tx]/[ty] alone) and [key]
+    [(key, op index, warp)] in domain-local storage, where the key is
+    extended with the run's warp width, bank geometry, element size and
+    block shape, so runs on different devices never share a summary.
+    This is sound only if the program's shared addresses and masks are
+    {e block-independent} (functions of [tx]/[ty] alone) and [key]
     uniquely identifies the program's shared-access and predication
-    structure (e.g. ["slot:" ^ layout fingerprint]).  Global addresses may depend on
-    the block freely — they are never cached because the L2 state is
-    launch-wide. *)
+    structure (e.g. ["slot:" ^ layout fingerprint]).  Global addresses
+    may depend on the block freely — they are never cached because the
+    L2 state is launch-wide. *)
 
 type addr = Simt.ctx -> int
 type mask = Simt.ctx -> bool

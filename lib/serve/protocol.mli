@@ -44,6 +44,8 @@ type tune_params = {
   top : int option;
   seed : int;
   oracle : bool;
+      (** Enumerate the swizzle family by F₂ cost-equivalence class
+          ({!Lego_tune.Tune.options}'s [classes]). *)
   conform : bool;  (** Winner conformance check (default off: latency). *)
 }
 

@@ -267,7 +267,7 @@ let tune_options t (p : Protocol.tune_params) =
     seed = p.Protocol.seed;
     jobs = t.jobs;
     conform = p.Protocol.conform;
-    oracle = p.Protocol.oracle;
+    classes = p.Protocol.oracle;
   }
 
 (* The content address of one search: slot identity (name, device,
@@ -279,9 +279,9 @@ let tune_store_key slot (o : T.Tune.options) =
     [
       "tune";
       T.Slot.identity slot;
-      Printf.sprintf "budget=%d;top=%d;sample=%d;seed=%d;oracle=%b;composed=%b;scale=%b;conform=%b"
-        o.T.Tune.budget o.T.Tune.top o.T.Tune.sample o.T.Tune.seed
-        o.T.Tune.oracle o.T.Tune.composed o.T.Tune.scale o.T.Tune.conform;
+      Printf.sprintf "budget=%d;top=%d;seed=%d;oracle=%b;composed=%b;scale=%b;conform=%b"
+        o.T.Tune.budget o.T.Tune.top o.T.Tune.seed o.T.Tune.classes
+        o.T.Tune.composed o.T.Tune.scale o.T.Tune.conform;
     ]
 
 let tune_value slot (r : T.Tune.result) =
@@ -317,9 +317,7 @@ let tune_value slot (r : T.Tune.result) =
         ("explored", Json.Int r.T.Tune.explored);
         ("space_size", Json.Int r.T.Tune.space_size);
         ("exhaustive", Json.Bool r.T.Tune.exhaustive);
-        ("oracle_scored", Json.Int r.T.Tune.oracle_scored);
         ("sampled_scored", Json.Int r.T.Tune.sampled_scored);
-        ("sim_scored", Json.Int r.T.Tune.sim_scored);
         ( "conform_ok",
           match T.Tune.conform_ok r with
           | Some b -> Json.Bool b
@@ -476,8 +474,14 @@ let handle_batch t batch =
 let serve t ~socket =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* A client that hangs up before reading its reply must not kill the
+     process: with SIGPIPE ignored, the write fails with EPIPE instead,
+     which the per-connection handler below treats as a dropped
+     client. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
       (try Unix.close srv with Unix.Unix_error _ -> ());
       try Unix.unlink socket with Unix.Unix_error _ -> ())
     (fun () ->

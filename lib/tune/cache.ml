@@ -17,12 +17,6 @@
 
 type entry = {
   mutable static_ : Predict.score option;
-  mutable linear : bool option;
-      (* [Some l]: F₂-linearity was decided, and [static_] came from the
-         oracle path iff [l].  A static score cached by a non-oracle
-         search is still exact for an oracle search (the paths are
-         bit-identical) — but only reusable once linearity is known,
-         because the oracle search counts oracle-scored candidates. *)
   mutable sampled : Slot.sim option;
   mutable full : Slot.sim option;
 }
@@ -42,7 +36,7 @@ let create ?(max_entries = default_max_entries) () =
 
 let find t ~slot ~fp_digest = Hashtbl.find_opt t.tbl (slot, fp_digest)
 
-let fresh () = { static_ = None; linear = None; sampled = None; full = None }
+let fresh () = { static_ = None; sampled = None; full = None }
 
 (* At capacity the returned entry is transient (filled by the caller,
    then dropped): the cache degrades to a no-op rather than growing

@@ -2,17 +2,13 @@
 
     One {!t} passed to successive [Tune.search] calls (the CLI creates
     one per run) lets later searches reuse what earlier ones computed:
-    static {!Predict.score}s, F₂-linearity verdicts, and sampled/full
-    simulator results, keyed by (slot {e identity}, fingerprint digest).
-    The identity string is {!Slot.identity} — name, device preset and
-    shared-memory dtype — so distinct slots never collide, and neither
-    does the same slot tuned under different devices or dtypes (scores
-    and sims depend on both).  Cached sims are valid across
-    fast-path modes (interpreter and compiled runs are bit-identical by
-    contract) and cached static scores across oracle modes (oracle and
-    compiled scoring agree exactly) — the cache can change only
-    wall-clock, never results or the reported counters, which the tuner
-    derives from its own per-search tallies.
+    static {!Predict.score}s and sampled/full simulator results, keyed
+    by (slot {e identity}, fingerprint digest).  The identity string is
+    {!Slot.identity} — name, device preset and shared-memory dtype — so
+    distinct slots never collide, and neither does the same slot tuned
+    under different devices or dtypes (scores and sims depend on both).
+    The cache can change only wall-clock, never results or the reported
+    counters, which the tuner derives from its own per-search tallies.
 
     Concurrency: {!find} is a pure read, safe from inside [Exec.map]
     tasks; everything else mutates and must be called only between
@@ -23,12 +19,6 @@
 
 type entry = {
   mutable static_ : Predict.score option;
-  mutable linear : bool option;
-      (** [Some l] once F₂-linearity is decided; [static_] was scored
-          through the oracle iff [l].  An oracle-mode search treats a
-          static score with [linear = None] as a miss (it needs the
-          verdict for its oracle-scored counter), a non-oracle search
-          reuses it directly. *)
   mutable sampled : Slot.sim option;
   mutable full : Slot.sim option;
 }

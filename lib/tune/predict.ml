@@ -1,6 +1,5 @@
 module L = Lego_layout
 module G = Lego_gpusim
-module F2 = Lego_f2
 
 type phase =
   | Shared of { elem_bytes : int; lanes : int -> int list option }
@@ -26,32 +25,6 @@ let bank_cycles (device : G.Device.t) ~elem_bytes addrs =
 let txn_count (device : G.Device.t) ~elem_bytes addrs =
   G.Access.txn_count device ~elem_bytes addrs
 
-let interpret_score ~device ~apply ~ops phases =
-  let lanes_of f =
-    List.filter_map f (List.init device.G.Device.warp_size Fun.id)
-  in
-  List.fold_left
-    (fun acc phase ->
-      match phase with
-      | Shared { elem_bytes; lanes } ->
-        let addrs = List.map apply (lanes_of lanes) in
-        if addrs = [] then acc
-        else
-          {
-            acc with
-            smem_phases = acc.smem_phases + 1;
-            smem_accesses = acc.smem_accesses + List.length addrs;
-            smem_cycles =
-              acc.smem_cycles + bank_cycles device ~elem_bytes addrs;
-          }
-      | Global { elem_bytes; addrs } ->
-        let addrs = lanes_of addrs in
-        if addrs = [] then acc
-        else
-          { acc with gmem_txns = acc.gmem_txns + txn_count device ~elem_bytes addrs })
-    { smem_phases = 0; smem_accesses = 0; smem_cycles = 0; gmem_txns = 0; ops }
-    phases
-
 (* Phase lanes are a property of the {e slot}, not the candidate: every
    candidate in a space shares the same logical dims, so each shared
    phase's active-lane logical indices flatten to the same int array
@@ -68,11 +41,6 @@ type shared_phase = {
           sweep and a load sweep cover the same tile), so each distinct
           index is evaluated through the candidate once and the phases
           gather from the shared value buffer. *)
-  sp_lane : (F2.Bitmat.t * int) option;
-      (** The lane-to-flat-logical-index map as an affine F₂ form, when
-          the phase drives a full warp and the map is affine — the
-          precondition for the closed-form oracle.  A property of the
-          slot, so it is recognized here, once, not per candidate. *)
 }
 
 type precomp = {
@@ -109,46 +77,18 @@ let precompute ~(device : G.Device.t) ~dims phases =
       (fun (shared, txns) phase ->
         match phase with
         | Shared { elem_bytes; lanes } ->
-          let flats =
+          let pos =
             List.map
-              (fun idx -> L.Shape.flatten_ints dims idx)
+              (fun idx -> position (L.Shape.flatten_ints dims idx))
               (lanes_of lanes)
           in
-          let pos = List.map position flats in
-          let lane =
-            if List.length flats = device.warp_size then
-              F2.Oracle.of_lanes (Array.of_list flats)
-            else None
-          in
-          ( { sp_elem = elem_bytes; sp_pos = Array.of_list pos; sp_lane = lane }
-            :: shared,
-            txns )
+          ({ sp_elem = elem_bytes; sp_pos = Array.of_list pos } :: shared, txns)
         | Global { elem_bytes; addrs } ->
+          (* Global patterns never route through the candidate, so they
+             are counted once here. *)
           let addrs = lanes_of addrs in
-          let t =
-            if addrs = [] then 0
-            else begin
-              (* Global patterns never route through the candidate, so
-                 they are counted once here — in closed form when the
-                 warp pattern is affine (2^rank of the segment map,
-                 exactly {!Lego_gpusim.Access.txn_count}'s distinct-
-                 segment count), by enumeration otherwise. *)
-              let arr = Array.of_list addrs in
-              let closed =
-                if Array.length arr = device.warp_size then
-                  match F2.Oracle.of_lanes arr with
-                  | Some (a, _) ->
-                    F2.Oracle.txn_count ~txn_bytes:device.global_txn_bytes
-                      ~elem_bytes a
-                  | None -> None
-                else None
-              in
-              match closed with
-              | Some t -> t
-              | None -> txn_count device ~elem_bytes addrs
-            end
-          in
-          (shared, txns + t))
+          if addrs = [] then (shared, txns)
+          else (shared, txns + txn_count device ~elem_bytes addrs))
       ([], 0) phases
   in
   {
@@ -192,48 +132,6 @@ let precomp_for ~(device : G.Device.t) ~dims phases =
     cache := Some pc;
     pc
 
-let fold_shared ~(device : G.Device.t) ~eval_vals ~cycles_of ~ops pc =
-  let batch = batch_get device.warp_size in
-  let vals_ready = ref false in
-  let vals () =
-    let v = scratch_get (Array.length pc.p_uniq) in
-    if not !vals_ready then begin
-      eval_vals v;
-      vals_ready := true
-    end;
-    v
-  in
-  List.fold_left
-    (fun acc sp ->
-      let n = Array.length sp.sp_pos in
-      if n = 0 then acc
-      else begin
-        let cycles =
-          match cycles_of sp with
-          | Some c -> c
-          | None ->
-            let v = vals () in
-            for i = 0 to n - 1 do
-              batch.(i) <- v.(sp.sp_pos.(i))
-            done;
-            G.Access.bank_cycles_arr device ~elem_bytes:sp.sp_elem batch n
-        in
-        {
-          acc with
-          smem_phases = acc.smem_phases + 1;
-          smem_accesses = acc.smem_accesses + n;
-          smem_cycles = acc.smem_cycles + cycles;
-        }
-      end)
-    {
-      smem_phases = 0;
-      smem_accesses = 0;
-      smem_cycles = 0;
-      gmem_txns = pc.p_gmem_txns;
-      ops;
-    }
-    pc.p_shared
-
 (* Staged evaluation.  A candidate [o :: rest] maps a logical index
    through [rest] first and [o] last, so its value vector is [o]'s
    compiled stage applied to [rest]'s vector.  Streams emit each base
@@ -258,57 +156,6 @@ let tail_vals pc rest =
       let v = Array.map (Compiled.chain rest) pc.p_uniq in
       memo := Some (rest, pc, v);
       v)
-
-let staged_score ~(device : G.Device.t) g ~ops phases =
-  let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
-  fold_shared ~device ~ops pc
-    ~eval_vals:(fun vals ->
-      match L.Group_by.chain g with
-      | [] -> Array.blit pc.p_uniq 0 vals 0 (Array.length pc.p_uniq)
-      | o :: rest ->
-        let base = tail_vals pc rest in
-        let f = Compiled.stage o in
-        for i = 0 to Array.length base - 1 do
-          Array.unsafe_set vals i (f (Array.unsafe_get base i))
-        done)
-    ~cycles_of:(fun _ -> None)
-
-(* Closed-form scoring of an F₂-linear candidate: each full-warp affine
-   phase composes its lane map with the candidate matrix and reads the
-   conflict multiplicity off two ranks — no per-lane evaluation at all.
-   Phases outside the affine precondition (partial warps, non-affine
-   lane maps, odd geometry) fall back to evaluating the candidate {e
-   through the matrix} and counting with the simulator's own
-   {!Lego_gpusim.Access} arithmetic, so the score stays exact — and
-   bit-identical to {!staged_score} — in every case. *)
-let oracle_score ~(device : G.Device.t) lin ~ops ~dims phases =
-  let pc = precomp_for ~device ~dims phases in
-  fold_shared ~device ~ops pc
-    ~eval_vals:(fun vals ->
-      Array.iteri (fun i u -> vals.(i) <- F2.Linear.apply lin u) pc.p_uniq)
-    ~cycles_of:(fun sp ->
-      match sp.sp_lane with
-      | Some lane ->
-        let a, _ = F2.Oracle.compose_warp lin lane in
-        F2.Oracle.bank_cycles ~nbanks:device.smem_banks
-          ~bank_bytes:device.smem_bank_bytes ~elem_bytes:sp.sp_elem a
-      | None -> None)
-
-let linear_memo : (string, F2.Linear.t option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let linear_of ?(memoize = true) g =
-  if not memoize then F2.Linear.of_layout g
-  else begin
-    let tbl = Domain.DLS.get linear_memo in
-    let fp = Fingerprint.of_layout g in
-    match Hashtbl.find_opt tbl fp with
-    | Some r -> r
-    | None ->
-      let r = F2.Linear.of_layout g in
-      Hashtbl.add tbl fp r;
-      r
-  end
 
 (* Per-dimension decomposition of the symbolic op count.  A chain stage
    contributes the same index arithmetic whatever the other stages are,
@@ -341,18 +188,54 @@ let decomposed_ops (g : L.Group_by.t) =
   | [] -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
   | chain -> List.fold_left (fun acc o -> acc + stage_ops o) 0 chain
 
-let score ?(device = G.Device.a100) ?(compiled = true) ?(oracle = false)
-    ?(memoize = true) ?ops ?weights (g : L.Group_by.t) phases =
+(* Every candidate's addresses come from the staged evaluation above:
+   its outer stage applied to the memoized value vector of its chain
+   tail, gathered per phase and counted with the simulator's own
+   {!Lego_gpusim.Access} arithmetic.  [memoize] is accepted and
+   ignored; scoring keeps no per-candidate table. *)
+let score ?(device = G.Device.a100) ?memoize:_ ?ops (g : L.Group_by.t) phases =
   let ops =
     match ops with
     | Some n -> n
-    | None -> Lego_symbolic.Cost.ops ?weights (Lego_symbolic.Sym.apply g)
+    | None -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
   in
-  match if oracle then linear_of ~memoize g else None with
-  | Some lin -> oracle_score ~device lin ~ops ~dims:(L.Group_by.dims g) phases
-  | None ->
-    if compiled then staged_score ~device g ~ops phases
-    else interpret_score ~device ~apply:(L.Group_by.apply_ints g) ~ops phases
+  let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
+  let n = Array.length pc.p_uniq in
+  let vals = scratch_get n in
+  (match L.Group_by.chain g with
+  | [] -> Array.blit pc.p_uniq 0 vals 0 n
+  | o :: rest ->
+    let base = tail_vals pc rest in
+    let f = Compiled.stage o in
+    for i = 0 to n - 1 do
+      Array.unsafe_set vals i (f (Array.unsafe_get base i))
+    done);
+  let batch = batch_get device.warp_size in
+  List.fold_left
+    (fun acc sp ->
+      let n = Array.length sp.sp_pos in
+      if n = 0 then acc
+      else begin
+        for i = 0 to n - 1 do
+          batch.(i) <- vals.(sp.sp_pos.(i))
+        done;
+        {
+          acc with
+          smem_phases = acc.smem_phases + 1;
+          smem_accesses = acc.smem_accesses + n;
+          smem_cycles =
+            acc.smem_cycles
+            + G.Access.bank_cycles_arr device ~elem_bytes:sp.sp_elem batch n;
+        }
+      end)
+    {
+      smem_phases = 0;
+      smem_accesses = 0;
+      smem_cycles = 0;
+      gmem_txns = pc.p_gmem_txns;
+      ops;
+    }
+    pc.p_shared
 
 (* Total order used for pruning and beam survival: fewest conflict cycles
    first, then fewest global transactions, then cheapest index

@@ -41,15 +41,6 @@ val bank_cycles : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 val txn_count : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 (** {!Lego_gpusim.Access.txn_count}, likewise. *)
 
-val linear_of :
-  ?memoize:bool -> Lego_layout.Group_by.t -> Lego_f2.Linear.t option
-(** The candidate's affine F₂ form ({!Lego_f2.Linear.of_layout}),
-    fingerprint-memoized per domain — [Some] exactly when the oracle
-    path of {!score} applies to it.  [~memoize:false] bypasses the
-    table in both directions (no lookup, no insert): at mega-space
-    scale the per-candidate memo would grow without bound while almost
-    never hitting (the stream visits each fingerprint once). *)
-
 val stage_ops : Lego_layout.Order_by.t -> int
 (** Symbolic op count of one chain stage in isolation (default
     {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
@@ -71,39 +62,26 @@ val decomposed_ops : Lego_layout.Group_by.t -> int
 
 val score :
   ?device:Lego_gpusim.Device.t ->
-  ?compiled:bool ->
-  ?oracle:bool ->
   ?memoize:bool ->
   ?ops:int ->
-  ?weights:Lego_symbolic.Cost.weights ->
   Lego_layout.Group_by.t ->
   phase list ->
   score
-(** [compiled] (default true) evaluates the candidate's addresses in
-    stages: a candidate [o :: rest] maps the value vector of [rest] over
-    the slot's distinct indices through [o]'s {!Compiled.stage}, and that
-    vector is kept in a one-entry domain-local memo keyed on the
-    physical identity of [rest] (and of the phase precomputation), so
-    the members of a swizzle grid, which share their base's chain,
-    evaluate the base once.  A memo miss recomputes; the score never
-    depends on the hit rate.  [~compiled:false] keeps the interpreter
-    ([Group_by.apply_ints]) — same score either way, kept for
-    before/after benchmarking of the fast path.
+(** Scores one candidate on [device] (default A100).  Addresses are
+    evaluated in stages: a candidate [o :: rest] maps the value vector
+    of [rest] over the slot's distinct indices through [o]'s
+    {!Compiled.stage}, and that vector is kept in a one-entry
+    domain-local memo keyed on the physical identity of [rest] (and of
+    the phase precomputation), so the members of a swizzle grid, which
+    share their base's chain, evaluate the base once.  A memo miss
+    recomputes; the score never depends on the hit rate.  The test
+    suite keeps two differential references for this scorer: the
+    structural interpreter and, on F₂-linear candidates, a closed-form
+    rank oracle; both must agree with it exactly.
 
-    [oracle] (default false) scores F₂-linear candidates in closed form
-    ({!Lego_f2.Oracle}): every full-warp affine phase costs two rank
-    computations instead of 32 address evaluations plus a conflict
-    count, and non-linear candidates (or phases outside the affine
-    precondition) silently take the [compiled]-selected path.  Scores
-    are bit-identical across all three paths — the oracle is exact, not
-    an approximation (asserted against measured simulator counters by
-    the test suite).
-
-    [memoize] (default true) controls the domain-local per-candidate
-    table of {!linear_of}; [~memoize:false] linearizes directly, for
-    streaming callers that visit each candidate once and must keep
-    memory bounded.  [ops], when given, replaces the symbolic op count
-    (use {!decomposed_ops} for the shared-prefix fast path); the
+    [memoize] is accepted and ignored (the scorer keeps no
+    per-candidate table).  [ops], when given, replaces the symbolic op
+    count (use {!decomposed_ops} for the shared-prefix fast path); the
     bank/transaction arithmetic is unaffected. *)
 
 val compare_ranked : score * string -> score * string -> int

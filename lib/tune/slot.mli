@@ -37,7 +37,9 @@ type t = {
   simulate : fast:bool -> Lego_layout.Group_by.t -> sim;
       (** Full simulation of the kernel with the candidate layout;
           [fast] selects the warp-vectorized path or the effect-handler
-          reference (bit-identical counters). *)
+          reference (bit-identical counters).  {!Tune.search} always
+          runs [~fast:true]; [~fast:false] is the reference the tests
+          compare it against. *)
   simulate_sampled : (fast:bool -> Lego_layout.Group_by.t -> sim) option;
       (** Cheap sampled simulation for the funnel's middle rung: the
           same kernel on a grid / launch subset chosen so the shared

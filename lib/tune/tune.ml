@@ -4,13 +4,10 @@ module Exec = Lego_exec.Exec
 type options = {
   budget : int;
   top : int;
-  sample : int;
   seed : int;
   jobs : int;
   conform : bool;
-  conform_points : int;
-  fastpath : bool;
-  oracle : bool;
+  classes : bool;
   composed : bool;
   scale : bool;
 }
@@ -19,13 +16,10 @@ let default_options =
   {
     budget = 256;
     top = 8;
-    sample = 0;
     seed = 0;
     jobs = 1;
     conform = true;
-    conform_points = 2048;
-    fastpath = true;
-    oracle = false;
+    classes = false;
     composed = false;
     scale = false;
   }
@@ -44,9 +38,7 @@ type result = {
   explored : int;
   space_size : int;
   exhaustive : bool;
-  oracle_scored : int;
   sampled_scored : int;
-  sim_scored : int;
   static_seconds : float;
   sim_seconds : float;
   candidates_per_s : float;
@@ -103,14 +95,13 @@ let cmp_sim (a, sa) (b, sb) =
      retained set is order-independent under a total comparator;
    - the {!Cache} is read inside parallel sections (pure [find]) and
      written only between them, and every reported counter tallies the
-     funnel's structure (rung sizes, linearity verdicts), not cache
-     traffic — so a warm cache changes wall-clock only.
+     funnel's structure (rung sizes), not cache traffic — so a warm
+     cache changes wall-clock only.
 
    Only the [*_seconds] / [candidates_per_s] timings may vary. *)
 let search ?(options = default_options) ?cache (slot : Slot.t) =
   if options.budget < 1 then invalid_arg "Tune.search: budget must be >= 1";
   if options.top < 1 then invalid_arg "Tune.search: top must be >= 1";
-  if options.sample < 0 then invalid_arg "Tune.search: sample must be >= 0";
   let cache =
     match cache with Some c -> c | None -> Cache.create ~max_entries:0 ()
   in
@@ -119,10 +110,10 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
      width, so "matmul" tuned under a100 must never satisfy a lookup
      for the same layout under h100. *)
   let cache_slot = Slot.identity slot in
-  (* Oracle mode also switches the space to F₂ class enumeration; the
-     class key must use the widest shared element among the slot's
-     phases (sub-word key bits for that element width are cost-inert
-     for every narrower one too, so the partition stays sound). *)
+  (* F₂ class enumeration keys on the widest shared element among the
+     slot's phases (sub-word key bits for that element width are
+     cost-inert for every narrower one too, so the partition stays
+     sound). *)
   let elem_bytes =
     List.fold_left
       (fun acc phase ->
@@ -132,21 +123,15 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
       1 slot.phases
   in
   let sp =
-    Space.make ~seed:options.seed ~classes:options.oracle
+    Space.make ~seed:options.seed ~classes:options.classes
       ~composed:options.composed ~elem_bytes ~scale:options.scale
       ~rows:slot.rows ~cols:slot.cols ()
   in
-  (* Successive-halving geometry: the sampled rung is [sample] wide when
-     requested, 4 x [top] by default in scale mode (so the full-sim rung
-     sees a 4:1 halving), and absent otherwise — which reproduces the
-     pre-funnel two-stage search exactly. *)
-  let sample_eff =
-    if options.sample > 0 then options.sample
-    else if options.scale then 4 * options.top
-    else 0
-  in
-  let use_sampled = slot.simulate_sampled <> None && sample_eff > options.top in
-  let heap_cap = if use_sampled then max options.top sample_eff else options.top in
+  (* Successive-halving geometry: in scale mode the sampled rung is
+     4 x [top] wide, so the full-sim rung sees a 4:1 halving; otherwise
+     the rung is absent and the search is two-stage. *)
+  let use_sampled = options.scale && slot.simulate_sampled <> None in
+  let heap_cap = if use_sampled then 4 * options.top else options.top in
   (* Caching policy: static scores are cached only on non-scale spaces
      (small, revisited by re-tuning); at mega-space scale per-candidate
      static entries would blow the memory bound for near-zero hit rate.
@@ -164,7 +149,6 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   in
   let heap = Topk.create ~cap:heap_cap ~cmp:cmp_static in
   let explored = ref 0
-  and oracle_scored = ref 0
   and hits = ref 0
   and drained = ref false in
   let stream = ref (Space.stream sp) in
@@ -172,25 +156,14 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     let fp = Fingerprint.of_layout g in
     let dg = Digest.string fp in
     match Cache.find cache ~slot:cache_slot ~fp_digest:dg with
-    | Some ({ static_ = Some s; linear; _ } : Cache.entry)
-      when (not options.oracle) || linear <> None ->
-      (fp, dg, s, options.oracle && linear = Some true, true)
+    | Some ({ static_ = Some s; _ } : Cache.entry) -> (fp, dg, s, true)
     | _ ->
-      (* [memoize:false] at scale: the per-domain linear memo table
-         would grow with the stream while the stream never revisits a
-         fingerprint.  [decomposed_ops] at scale: candidates share
-         chain stages heavily, so the symbolic op count becomes a
-         per-stage table hit instead of the dominant per-candidate
-         cost. *)
-      let memoize = not options.scale in
+      (* [decomposed_ops] at scale: candidates share chain stages
+         heavily, so the symbolic op count becomes a per-stage table
+         hit instead of the dominant per-candidate cost. *)
       let ops = if options.scale then Some (Predict.decomposed_ops g) else None
       in
-      let s =
-        Predict.score ~compiled:options.fastpath ~oracle:options.oracle
-          ~memoize ?ops g slot.phases
-      in
-      let lin = options.oracle && Predict.linear_of ~memoize g <> None in
-      (fp, dg, s, lin, false)
+      (fp, dg, Predict.score ~device:slot.device ?ops g slot.phases, false)
   in
   while (not !drained) && !explored < options.budget do
     let want = min chunk_len (options.budget - !explored) in
@@ -202,14 +175,11 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
       let scoresd = Exec.map ~pool arr score_candidate in
       (* Sequential merge: tallies, top-K retention, cache writes. *)
       Array.iteri
-        (fun i (fp, dg, s, lin, hit) ->
-          if lin then incr oracle_scored;
+        (fun i (fp, dg, s, hit) ->
           if hit then incr hits
-          else if cache_static then begin
-            let e = Cache.ensure cache ~slot:cache_slot ~fp_digest:dg in
-            e.Cache.static_ <- Some s;
-            if options.oracle then e.Cache.linear <- Some lin
-          end;
+          else if cache_static then
+            (Cache.ensure cache ~slot:cache_slot ~fp_digest:dg).Cache.static_
+            <- Some s;
           Topk.add heap
             { layout = arr.(i); fingerprint = fp; static_score = s; sim = None })
         scoresd;
@@ -241,7 +211,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
         (fun (sc, dg) ->
           match Cache.find cache ~slot:cache_slot ~fp_digest:dg with
           | Some e when get e <> None -> (Option.get (get e), true)
-          | _ -> (simulate ~fast:options.fastpath sc.layout, false))
+          | _ -> (simulate ~fast:true sc.layout, false))
     in
     let hits = ref 0 in
     Array.iteri
@@ -295,9 +265,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   let space_size = if !drained then explored else Space.count sp in
   let conform =
     if options.conform then
-      Some
-        (Lego_conform.Conform.check_layout ~max_points:options.conform_points
-           winner.layout)
+      Some (Lego_conform.Conform.check_layout winner.layout)
     else None
   in
   let baselines = List.map (fun (n, s) -> (n, Lazy.force s)) slot.baselines in
@@ -309,16 +277,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     explored;
     space_size;
     exhaustive = !drained;
-    oracle_scored = !oracle_scored;
     sampled_scored;
-    (* Candidates whose score involved address-level simulation: stage
-       one's non-oracle evaluations plus both sim rungs.  The headline
-       economy of the F₂ path — [sim_scored] drops by the number of
-       candidates the closed form absorbed (and the class space shrinks
-       [explored] itself).  Counts rung membership, not sim calls, so a
-       warm {!Cache} cannot change it. *)
-    sim_scored =
-      explored - !oracle_scored + sampled_scored + List.length ranking;
     static_seconds;
     sim_seconds;
     candidates_per_s = (if wall > 0.0 then float_of_int explored /. wall else 0.0);
@@ -351,9 +310,6 @@ let pp_result ppf r =
   if r.sampled_scored > 0 then
     Format.fprintf ppf "funnel: %d streamed -> %d sampled -> %d simulated@,"
       r.explored r.sampled_scored (List.length r.ranking);
-  if r.oracle_scored > 0 then
-    Format.fprintf ppf "oracle: %d closed-form, %d address-level@,"
-      r.oracle_scored r.sim_scored;
   List.iter
     (fun (n, s) ->
       Format.fprintf ppf "baseline %-14s %.3f us@," n (s.Slot.time_s *. 1e6))

@@ -9,10 +9,9 @@
       chunks scored in parallel, under a candidate budget; only a
       bounded top-K heap of the best survivors plus counters are
       retained, so ranking memory is O(K) at 10⁵–10⁶ candidates;
-    + {b sampled rung} (successive halving; active when the slot has a
-      [simulate_sampled] and the rung is wider than [top]) — every heap
-      survivor runs the cheap sampled simulation, the best [top]
-      promote;
+    + {b sampled rung} (successive halving; active in scale mode when
+      the slot has a [simulate_sampled]) — every heap survivor runs the
+      cheap sampled simulation, the best [top] promote;
     + {b full rung} — the promoted finalists run the slot's full
       {!Lego_gpusim.Simt} simulation and are ranked by roofline time;
     + the winner is cross-checked through the {!Lego_conform.Conform}
@@ -29,28 +28,17 @@
 type options = {
   budget : int;  (** Max candidates scored by the static pass (256). *)
   top : int;  (** Finalists fully simulated (default 8). *)
-  sample : int;
-      (** Width of the sampled rung; 0 (default) = automatic — [4 * top]
-          in scale mode, disabled otherwise (which reproduces the
-          pre-funnel two-stage search exactly). *)
   seed : int;  (** Space-enumeration seed; 0 = canonical order. *)
   jobs : int;  (** {!Lego_exec.Exec} pool size (default 1). *)
-  conform : bool;  (** Four-semantics check of the winner (default on). *)
-  conform_points : int;  (** Points for that check (default 2048). *)
-  fastpath : bool;
-      (** Use compiled layout closures in the static pass and the
-          warp-vectorized {!Lego_gpusim.Fastpath} in the sim rungs
-          (default on).  [false] keeps the interpreter + effect-handler
-          reference path — same scores, same counters, same ranking;
-          only the wall-clock (and so [candidates_per_s]) differs.
-          Kept for before/after benchmarking. *)
-  oracle : bool;
-      (** F₂ mode (default off): the static pass scores affine-linear
-          candidates in closed form ({!Predict.score}'s [~oracle], exact
-          — bit-identical scores), and the swizzle family is enumerated
-          by GL(n, F₂) cost-equivalence class ({!Space.swizzle_classes})
-          instead of mask/shift sampling, so the {e whole} masked-swizzle
-          grid is covered with a fraction of the candidates. *)
+  conform : bool;
+      (** Four-semantics check of the winner (default on, at
+          {!Lego_conform.Conform.check_layout}'s default 2048 points). *)
+  classes : bool;
+      (** F₂ class enumeration (default off): the swizzle family is
+          enumerated by GL(n, F₂) cost-equivalence class
+          ({!Space.swizzle_classes}) instead of mask/shift sampling, so
+          the {e whole} masked-swizzle grid is covered with one
+          representative per class.  Scoring is unchanged. *)
   composed : bool;
       (** Include the {!Space.composed} roots (default off): candidates
           built by the prover-discharged layout algebra — masked
@@ -60,9 +48,8 @@ type options = {
       (** Mega-space mode (default off): the {!Space} crosses its scale
           product axes (three-level tilings x vectorization widths x
           the full masked-swizzle grid — ~1.8 x 10⁵ candidates on the
-          matmul shape), the sampled rung turns on, per-candidate memo
-          tables are bypassed ({!Predict.score}'s [~memoize:false]) and
-          the symbolic op count switches to the shared-prefix
+          matmul shape), the sampled rung turns on at [4 * top] wide,
+          and the symbolic op count switches to the shared-prefix
           {!Predict.decomposed_ops} surrogate.  Raise [budget]
           accordingly ([legoc tune --scale] uses 250000). *)
 }
@@ -87,17 +74,9 @@ type result = {
           {!Space.count} traversal, outside the timed sections, when
           the budget truncated the stream. *)
   exhaustive : bool;  (** The stream drained within the budget. *)
-  oracle_scored : int;
-      (** Candidates the static pass scored purely in closed form (0
-          unless [options.oracle]). *)
   sampled_scored : int;
       (** Candidates the sampled rung simulated (0 when the rung is
           inactive). *)
-  sim_scored : int;
-      (** Candidates whose score involved address-level evaluation:
-          static-pass non-oracle scores plus both sim rungs — the
-          denominator the F₂ path shrinks.  Counts rung membership, not
-          sim invocations, so it is independent of cache warmth. *)
   static_seconds : float;
   sim_seconds : float;
   candidates_per_s : float;  (** [explored / (static + sim)] wall time. *)
@@ -107,12 +86,13 @@ type result = {
 
 val search : ?options:options -> ?cache:Cache.t -> Slot.t -> result
 (** Runs the funnel.  [cache], when given, persists static scores
-    (non-scale spaces only), F₂-linearity verdicts and both rungs' sim
-    results across searches in a run — re-tuning the same slot (wider
-    budget, different [top], before/after comparisons) reuses instead
-    of recomputing; see {!Cache} for the exact reuse and soundness
-    rules.  Raises [Invalid_argument] when [budget] or [top] is < 1, or
-    [sample] < 0. *)
+    (non-scale spaces only) and both rungs' sim results across searches
+    in a run — re-tuning the same slot (wider budget, different [top],
+    before/after comparisons) reuses instead of recomputing; see
+    {!Cache} for the exact reuse and soundness rules.  Static scores come from {!Predict.score} on the slot's
+    device, sims from the slot's {!Lego_gpusim.Fastpath} kernels
+    ([simulate ~fast:true]).  Raises [Invalid_argument] when [budget]
+    or [top] is < 1. *)
 
 val conform_ok : result -> bool option
 (** [Some true] = checked clean, [Some false] = mismatch found, [None] =

@@ -1,3 +1,8 @@
+(* The closed-form F₂ cost oracle: the test suite's exactness reference
+   for affine warp access patterns (see oracle.mli). *)
+
+open Lego_f2
+
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let log2 n =

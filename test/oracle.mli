@@ -24,6 +24,8 @@
     The offset [a0] never enters: translating a coset permutes words
     within banks and segments without changing any multiplicity. *)
 
+open Lego_f2
+
 val of_lanes : int array -> (Bitmat.t * int) option
 (** [of_lanes addrs] recognizes [addrs] (indexed by lane id, length a
     power of two, entries non-negative) as an affine map: probes the

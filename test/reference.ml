@@ -1,10 +1,11 @@
 (* Reference implementations kept as differential oracles: the library's
-   direct layout printers and O(n) warp-access counters replaced these,
-   and the tests assert the replacements agree with them byte for byte
-   and count for count. *)
+   direct layout printers, O(n) warp-access counters and staged static
+   scorer replaced these, and the tests assert the replacements agree
+   with them byte for byte and count for count. *)
 
 module L = Lego_layout
 module G = Lego_gpusim
+module P = Lego_tune.Predict
 
 (* ---- Format-based layout printers --------------------------------------- *)
 
@@ -119,3 +120,86 @@ let txn_count_arr (device : G.Device.t) ~elem_bytes addrs n =
     end
   done;
   !ns
+
+(* ---- Static scorers ----------------------------------------------------- *)
+
+let lanes_of (device : G.Device.t) f =
+  List.filter_map f (List.init device.warp_size Fun.id)
+
+let exact_ops g = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
+
+(* Sum one phase at a time: [shared] returns a non-empty shared phase's
+   bank cycles, [global] a non-empty global phase's transactions. *)
+let fold_phases ~device ~ops ~shared ~global phases =
+  List.fold_left
+    (fun (acc : P.score) phase ->
+      match phase with
+      | P.Shared { elem_bytes; lanes } -> (
+        match lanes_of device lanes with
+        | [] -> acc
+        | idxs ->
+          {
+            acc with
+            smem_phases = acc.smem_phases + 1;
+            smem_accesses = acc.smem_accesses + List.length idxs;
+            smem_cycles = acc.smem_cycles + shared ~elem_bytes idxs;
+          })
+      | P.Global { elem_bytes; addrs } -> (
+        match lanes_of device addrs with
+        | [] -> acc
+        | addrs ->
+          { acc with gmem_txns = acc.gmem_txns + global ~elem_bytes addrs }))
+    { P.smem_phases = 0; smem_accesses = 0; smem_cycles = 0; gmem_txns = 0; ops }
+    phases
+
+(* {!Lego_tune.Predict.score} by direct interpretation: every active
+   lane's address through [Group_by.apply_ints], counted with the
+   simulator's own [Access] arithmetic. *)
+let interpret_score ?(device = G.Device.a100) ?ops g phases =
+  let ops = match ops with Some n -> n | None -> exact_ops g in
+  fold_phases ~device ~ops phases
+    ~shared:(fun ~elem_bytes idxs ->
+      G.Access.bank_cycles device ~elem_bytes
+        (List.map (L.Group_by.apply_ints g) idxs))
+    ~global:(fun ~elem_bytes addrs -> G.Access.txn_count device ~elem_bytes addrs)
+
+(* The F₂ closed form of {!Lego_tune.Predict.score} on an affine-linear
+   candidate ([None] otherwise).  A full-warp phase whose lane map is
+   affine composes with the candidate's matrix and reads its conflict
+   multiplicity off two ranks, and a full affine global warp counts
+   [2^rank] segments ({!Oracle}); any other phase evaluates the
+   candidate through its matrix and counts with [Access], so the score
+   is exact in every case. *)
+let closed_form_score ?(device = G.Device.a100) ?ops g phases =
+  match Lego_f2.Linear.of_layout g with
+  | None -> None
+  | Some lin ->
+    let ops = match ops with Some n -> n | None -> exact_ops g in
+    let affine addrs =
+      if List.length addrs = device.warp_size then
+        Oracle.of_lanes (Array.of_list addrs)
+      else None
+    in
+    let dims = L.Group_by.dims g in
+    Some
+      (fold_phases ~device ~ops phases
+         ~shared:(fun ~elem_bytes idxs ->
+           let flats = List.map (L.Shape.flatten_ints dims) idxs in
+           match
+             Option.bind (affine flats) (fun lane ->
+                 Oracle.bank_cycles ~nbanks:device.smem_banks
+                   ~bank_bytes:device.smem_bank_bytes ~elem_bytes
+                   (fst (Oracle.compose_warp lin lane)))
+           with
+           | Some c -> c
+           | None ->
+             G.Access.bank_cycles device ~elem_bytes
+               (List.map (Lego_f2.Linear.apply lin) flats))
+         ~global:(fun ~elem_bytes addrs ->
+           match
+             Option.bind (affine addrs) (fun (a, _) ->
+                 Oracle.txn_count ~txn_bytes:device.global_txn_bytes
+                   ~elem_bytes a)
+           with
+           | Some t -> t
+           | None -> G.Access.txn_count device ~elem_bytes addrs))

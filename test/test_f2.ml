@@ -236,16 +236,16 @@ let prop_oracle_matches_access =
     gen_affine_warp
     (fun (addrs, elem_bytes) ->
       let device = G.Device.a100 in
-      match F2.Oracle.of_lanes addrs with
+      match Oracle.of_lanes addrs with
       | None -> false (* affine by construction; must be recognized *)
       | Some (a, _) ->
         let cyc =
           Option.get
-            (F2.Oracle.bank_cycles ~nbanks:device.G.Device.smem_banks
+            (Oracle.bank_cycles ~nbanks:device.G.Device.smem_banks
                ~bank_bytes:device.G.Device.smem_bank_bytes ~elem_bytes a)
         and txn =
           Option.get
-            (F2.Oracle.txn_count ~txn_bytes:device.G.Device.global_txn_bytes
+            (Oracle.txn_count ~txn_bytes:device.G.Device.global_txn_bytes
                ~elem_bytes a)
         in
         let l = Array.to_list addrs in
@@ -256,9 +256,9 @@ let test_of_lanes_rejects_non_affine () =
   (* Identity on the probe basis, broken at the last lane: the verify
      sweep must catch it. *)
   let addrs = Array.init 32 (fun t -> if t = 31 then 0 else t) in
-  Alcotest.(check bool) "non-affine rejected" true (F2.Oracle.of_lanes addrs = None);
+  Alcotest.(check bool) "non-affine rejected" true (Oracle.of_lanes addrs = None);
   (* And the unbroken pattern is accepted with zero constant. *)
-  match F2.Oracle.of_lanes (Array.init 32 Fun.id) with
+  match Oracle.of_lanes (Array.init 32 Fun.id) with
   | Some (a, 0) -> Alcotest.(check int) "identity rank" 5 (F2.Bitmat.rank a)
   | _ -> Alcotest.fail "identity warp not recognized"
 

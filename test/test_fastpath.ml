@@ -200,6 +200,22 @@ let test_summary_cache_consistent () =
   in
   check_counters "warm = slow" warm slow
 
+(* Regression: summaries were cached per key alone, so a keyed run on a
+   16-bank device replayed the bank cycles an A100 run had cached for
+   the same key (and vice versa). *)
+let test_summary_cache_keyed_on_device () =
+  let g = snd (List.hd Lego_conform.Corpus.all) in
+  let n = L.Group_by.numel g in
+  let prog = layout_program g in
+  let narrow = { Device.a100 with smem_banks = 16 } in
+  Fastpath.clear_cache ();
+  List.iter
+    (fun (name, device) ->
+      ignore
+        (differential ~device ~key:"test:device" ~msg:name ~grid:(4, 1)
+           ~block:(32, 2) ~smem_words:n prog))
+    [ ("a100", Device.a100); ("16 banks", narrow); ("a100 again", Device.a100) ]
+
 let test_masked_sync_rejected () =
   Alcotest.check_raises "masked sync"
     (Invalid_argument "Fastpath: sync must be uniform, not masked") (fun () ->
@@ -234,6 +250,8 @@ let suite =
       Alcotest.test_case "lgen layouts bit-identical" `Quick test_lgen_layouts;
       Alcotest.test_case "summary cache consistent" `Quick
         test_summary_cache_consistent;
+      Alcotest.test_case "summary cache keyed on device" `Quick
+        test_summary_cache_keyed_on_device;
       Alcotest.test_case "masked sync rejected" `Quick test_masked_sync_rejected;
       Alcotest.test_case "oob rejected before costing" `Quick
         test_oob_rejected_before_costing;

@@ -1,8 +1,9 @@
 (* lib/serve: the persistent compile service.  JSON codec round-trips,
    frame framing, store durability (QCheck2 round-trip plus truncation /
    corruption recovery), the (slot, device) cache-identity regression,
-   the warm-path contract (zero tuner invocations, >= 10x latency), and
-   batch byte-identity across pool widths. *)
+   the warm-path contract (zero tuner invocations, >= 10x latency),
+   batch byte-identity across pool widths, and a spawned daemon that
+   outlives a client hanging up early. *)
 
 module Sv = Lego_serve
 module T = Lego_tune
@@ -526,6 +527,76 @@ let test_fingerprint_key_matches_server () =
   | _ -> Alcotest.fail "fingerprint round-trip");
   Sv.Server.shutdown t
 
+(* ---- daemon process ---------------------------------------------------- *)
+
+let legoc_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/legoc.exe"
+
+(* Regression: a client that sends a batch and hangs up before reading
+   the reply killed [legoc serve] with SIGPIPE.  The daemon must drop
+   that client and answer the next one. *)
+let test_daemon_survives_early_hangup () =
+  let dir = Filename.temp_dir "lego-test-hangup" "" in
+  let socket = Filename.concat dir "legoc.sock" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process legoc_exe
+      [| legoc_exe; "serve"; "--socket"; socket; "--no-db"; "-j"; "1" |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let stats_ok () =
+    match Sv.Client.connect ~retries:500 ~socket () with
+    | Error e -> Error e
+    | Ok c ->
+      let r = Sv.Client.batch c [ Sv.Protocol.Stats ] in
+      Sv.Client.close c;
+      (match r with
+      | Ok [ r ] when Sv.Json.mem_bool "ok" r = Some true -> Ok ()
+      | Ok _ -> Error "malformed stats reply"
+      | Error e -> Error e)
+  in
+  let finish () =
+    (match Sv.Client.connect ~socket () with
+    | Ok c ->
+      ignore (Sv.Client.batch c [ Sv.Protocol.Shutdown ]);
+      Sv.Client.close c
+    | Error _ -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+    let _, status = Unix.waitpid [] pid in
+    (try Sys.remove socket with Sys_error _ -> ());
+    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+    status
+  in
+  (* The daemon is up once it answers a first client. *)
+  let up = stats_ok () in
+  if up = Ok () then begin
+    let batch =
+      Sv.Json.List
+        (List.init 64 (fun index ->
+             Sv.Protocol.json_of_request
+               (Sv.Protocol.Compile
+                  {
+                    layout =
+                      Format.asprintf "%a" Lego_layout.Group_by.pp
+                        (Lego_conform.Lgen.layout_of_seed ~seed:1 ~index);
+                    emit = [];
+                    device = "a100";
+                  })))
+    in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    Sv.Protocol.write_frame fd batch;
+    Unix.close fd
+  end;
+  let after = if up = Ok () then stats_ok () else up in
+  let status = finish () in
+  Alcotest.(check (result unit string)) "daemon answers first client" (Ok ())
+    up;
+  Alcotest.(check (result unit string)) "daemon answers after a hang-up"
+    (Ok ()) after;
+  Alcotest.(check bool) "daemon exits 0 on shutdown" true
+    (status = Unix.WEXITED 0)
+
 let suite =
   ( "serve",
     [
@@ -553,4 +624,6 @@ let suite =
         test_server_batch_semantics;
       Alcotest.test_case "fingerprint op key = server store key" `Quick
         test_fingerprint_key_matches_server;
+      Alcotest.test_case "daemon survives a client hanging up early" `Quick
+        test_daemon_survives_early_hangup;
     ] )

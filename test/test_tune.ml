@@ -344,6 +344,59 @@ let test_slot_fast_matches_slow () =
 let search_opts jobs =
   { T.Tune.default_options with budget = 48; top = 4; jobs; conform = false }
 
+(* The search simulates only on the slots' fast path; the Simt effect
+   handler stays the reference.  A copy of each slot whose simulations
+   always run [~fast:false] must lead the same search (both rungs, via
+   scale mode) to the same ranking, sim counters and winner. *)
+let test_search_fast_matches_effect_handler () =
+  let sim_key (sc : T.Tune.scored) =
+    let s = Option.get sc.T.Tune.sim in
+    ( sc.T.Tune.fingerprint,
+      s.T.Slot.time_s,
+      s.T.Slot.s_accesses,
+      s.T.Slot.s_cycles,
+      s.T.Slot.g_txns )
+  in
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      let slow =
+        {
+          slot with
+          T.Slot.simulate = (fun ~fast:_ g -> slot.T.Slot.simulate ~fast:false g);
+          simulate_sampled =
+            Option.map
+              (fun sim ~fast:_ g -> sim ~fast:false g)
+              slot.T.Slot.simulate_sampled;
+        }
+      in
+      let options = { (search_opts 2) with scale = true } in
+      let r = T.Tune.search ~options slot in
+      let rs = T.Tune.search ~options slow in
+      let name = slot.T.Slot.name in
+      Alcotest.(check int) (name ^ ": sampled rung") r.T.Tune.sampled_scored
+        rs.T.Tune.sampled_scored;
+      Alcotest.(check bool) (name ^ ": ranking and sim counters") true
+        (List.map sim_key r.T.Tune.ranking = List.map sim_key rs.T.Tune.ranking);
+      Alcotest.(check bool) (name ^ ": winner") true
+        (sim_key r.T.Tune.winner = sim_key rs.T.Tune.winner))
+    (T.Slot.all ())
+
+(* Regression: the static pass scored every candidate on the default
+   A100, so a slot built on a 16-bank device had its winner reported
+   conflict-free at 64 cycles while that device runs it at 128. *)
+let test_static_pass_uses_slot_device () =
+  let device = { Lego_gpusim.Device.a100 with smem_banks = 16 } in
+  let slot = T.Slot.transpose_smem ~device () in
+  let r = T.Tune.search ~options:{ (search_opts 1) with budget = 64 } slot in
+  let pp = Format.asprintf "%a" T.Predict.pp in
+  List.iter
+    (fun (sc : T.Tune.scored) ->
+      Alcotest.(check string)
+        (sc.T.Tune.fingerprint ^ ": static score on the slot's device")
+        (pp (T.Predict.score ~device sc.T.Tune.layout slot.T.Slot.phases))
+        (pp sc.T.Tune.static_score))
+    r.T.Tune.ranking
+
 let test_search_deterministic_across_jobs () =
   let slot = T.Slot.matmul_smem () in
   let r1 = T.Tune.search ~options:(search_opts 1) slot in
@@ -372,34 +425,35 @@ let result_key (r : T.Tune.result) =
   ( scored_key r.T.Tune.winner,
     List.map scored_key r.T.Tune.ranking,
     r.T.Tune.explored,
-    r.T.Tune.oracle_scored,
-    r.T.Tune.sampled_scored,
-    r.T.Tune.sim_scored )
+    r.T.Tune.sampled_scored )
 
 let test_funnel_sampled_rung_accounting () =
   let slot = T.Slot.matmul_smem () in
-  let options = { (search_opts 1) with sample = 16 } in
+  let options = { (search_opts 1) with scale = true } in
   let r = T.Tune.search ~options slot in
   Alcotest.(check int) "explored = budget" 48 r.T.Tune.explored;
-  Alcotest.(check int) "sampled rung width" 16 r.T.Tune.sampled_scored;
+  Alcotest.(check int) "sampled rung width = 4 * top" 16
+    r.T.Tune.sampled_scored;
   Alcotest.(check int) "full rung width" options.T.Tune.top
     (List.length r.T.Tune.ranking);
-  Alcotest.(check int) "sim_scored = static + both rungs"
-    (48 + 16 + options.T.Tune.top)
-    r.T.Tune.sim_scored;
   (* Successive halving widens what reaches simulation (16 sampled
      instead of 4 full), so the funnel's winner can only improve on the
-     two-stage search's: the matmul sampled sim scales every counter by
-     the block count exactly, so promotion by sampled time finds the
-     true best-by-time of the whole retained heap. *)
-  let r0 = T.Tune.search ~options:(search_opts 1) slot in
+     two-stage search's over the same stream: the matmul sampled sim
+     scales every counter by the block count exactly, so promotion by
+     sampled time finds the true best-by-time of the whole retained
+     heap. *)
+  let r0 =
+    T.Tune.search ~options { slot with T.Slot.simulate_sampled = None }
+  in
+  Alcotest.(check int) "no sampled rung without simulate_sampled" 0
+    r0.T.Tune.sampled_scored;
   let time r = (Option.get r.T.Tune.winner.T.Tune.sim).T.Slot.time_s in
   Alcotest.(check bool) "funnel winner no slower than two-stage winner" true
     (time r <= time r0)
 
 let test_funnel_deterministic_across_jobs_and_runs () =
   let slot = T.Slot.matmul_smem () in
-  let opts jobs = { (search_opts jobs) with sample = 16; seed = 3 } in
+  let opts jobs = { (search_opts jobs) with scale = true; seed = 3 } in
   let r1 = T.Tune.search ~options:(opts 1) slot in
   let r4 = T.Tune.search ~options:(opts 4) slot in
   let r1' = T.Tune.search ~options:(opts 1) slot in
@@ -566,7 +620,6 @@ let test_search_rejects_bad_options () =
     [
       { T.Tune.default_options with budget = 0 };
       { T.Tune.default_options with top = 0 };
-      { T.Tune.default_options with sample = -1 };
     ]
 
 (* --- Swizzle-name parsing: canonical decimal only -------------------------- *)
@@ -609,7 +662,7 @@ let test_parse_swizzlex_decimal_only () =
   | None -> ()
   | Some _ -> Alcotest.fail "underscore alias must not resolve in the gallery"
 
-(* --- F2 oracle vs compiled scoring and measured counters ------------------- *)
+(* --- F2 closed form vs staged scoring and measured counters --------------- *)
 
 let pow2_slots () =
   List.filter
@@ -637,32 +690,34 @@ let family_layouts (slot : T.Slot.t) =
             ~cols ))
       (T.Space.swizzle_family sp) )
 
+(* The closed-form score of an F₂-linear family member; every member
+   is affine, so the closed form must engage (not be skipped). *)
+let closed_form (slot : T.Slot.t) ((mask, shift), g) =
+  match Reference.closed_form_score g slot.T.Slot.phases with
+  | Some s -> s
+  | None ->
+    Alcotest.failf "%s m%d_s%d: not F2-linear" slot.T.Slot.name mask shift
+
 (* Over the {e entire} masked-swizzle family of each power-of-two slot,
-   the closed-form oracle score must equal the compiled address-level
-   score bit for bit — the oracle is exact, not approximate. *)
+   the closed-form score must equal the staged address-level score bit
+   for bit — the closed form is exact, not approximate. *)
 let test_oracle_score_matches_compiled_full_family () =
   List.iter
     (fun (slot : T.Slot.t) ->
       let _, fam = family_layouts slot in
       List.iter
-        (fun ((mask, shift), g) ->
-          let compiled = T.Predict.score g slot.T.Slot.phases in
-          let oracle = T.Predict.score ~oracle:true g slot.T.Slot.phases in
-          if compiled <> oracle then
-            Alcotest.failf "%s m%d_s%d: compiled %s <> oracle %s"
+        (fun (((mask, shift), g) as m) ->
+          let staged = T.Predict.score g slot.T.Slot.phases in
+          let closed = closed_form slot m in
+          if staged <> closed then
+            Alcotest.failf "%s m%d_s%d: staged %s <> closed form %s"
               slot.T.Slot.name mask shift
-              (Format.asprintf "%a" T.Predict.pp compiled)
-              (Format.asprintf "%a" T.Predict.pp oracle);
-          (* Every family member is affine, so the oracle path must
-             actually engage (not silently fall back). *)
-          Alcotest.(check bool)
-            (Printf.sprintf "%s m%d_s%d linear" slot.T.Slot.name mask shift)
-            true
-            (T.Predict.linear_of g <> None))
+              (Format.asprintf "%a" T.Predict.pp staged)
+              (Format.asprintf "%a" T.Predict.pp closed))
         fam)
     (pow2_slots ())
 
-(* The oracle's per-phase cycle counts, summed over the slot's phase
+(* The closed form's per-phase cycle counts, summed over the slot's phase
    list, must reproduce the measured simulator counters exactly: each
    slot kernel runs every predicted phase a fixed number of times (the
    warp-round multiplier, a structural constant of the kernel), so
@@ -674,8 +729,8 @@ let test_oracle_matches_measured_counters () =
       let _, fam = family_layouts slot in
       let k = ref 0 in
       List.iter
-        (fun ((mask, shift), g) ->
-          let sc = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+        (fun (((mask, shift), g) as m) ->
+          let sc = closed_form slot m in
           let sim = slot.T.Slot.simulate ~fast:true g in
           let name = Printf.sprintf "%s m%d_s%d" slot.T.Slot.name mask shift in
           let acc = int_of_float sim.T.Slot.s_accesses in
@@ -694,9 +749,9 @@ let test_oracle_matches_measured_counters () =
          by contract (and tested above), but pin a few members to the
          reference interpreter directly. *)
       List.iter
-        (fun ((mask, shift), g) ->
+        (fun (((mask, shift), g) as m) ->
           if (mask, shift) = (0, 0) || (mask = 7 && shift = 2) then begin
-            let sc = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+            let sc = closed_form slot m in
             let sim = slot.T.Slot.simulate ~fast:false g in
             Alcotest.(check int)
               (Printf.sprintf "%s m%d_s%d: Simt cycles" slot.T.Slot.name mask
@@ -736,8 +791,8 @@ let test_swizzle_classes_partition_and_cost_constancy () =
       let score_of =
         let tbl = Hashtbl.create 256 in
         List.iter
-          (fun (ms, g) ->
-            let s = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+          (fun ((ms, _) as m) ->
+            let s = closed_form slot m in
             Hashtbl.add tbl ms (s.T.Predict.smem_cycles, s.T.Predict.gmem_txns))
           fam;
         Hashtbl.find tbl
@@ -755,36 +810,28 @@ let test_swizzle_classes_partition_and_cost_constancy () =
         classes)
     (pow2_slots ())
 
-(* --- Oracle-mode search ----------------------------------------------------- *)
+(* --- Class-space search ------------------------------------------------------ *)
 
-let test_oracle_search_reduction () =
+let test_oracle_search_class_space () =
   let slot = T.Slot.matmul_smem () in
   let base = { T.Tune.default_options with jobs = 2; conform = false } in
-  let pr6 = T.Tune.search ~options:base slot in
-  let f2 = T.Tune.search ~options:{ base with oracle = true } slot in
-  (* Both paths find a conflict-free swizzle... *)
-  Alcotest.(check bool) "f2 winner conflict-free" true
+  let sampled = T.Tune.search ~options:base slot in
+  let f2 = T.Tune.search ~options:{ base with classes = true } slot in
+  (* One representative per cost class covers the whole family, so the
+     class space's winner is conflict-free and simulates no slower than
+     the sampled space's. *)
+  Alcotest.(check bool) "class-space winner conflict-free" true
     (T.Slot.sim_conflict_free (Option.get f2.T.Tune.winner.T.Tune.sim));
-  Alcotest.(check bool) "f2 winner as good as sampled path" true
+  Alcotest.(check bool) "class-space winner as good as sampled space" true
     ((Option.get f2.T.Tune.winner.T.Tune.sim).T.Slot.time_s
-    <= (Option.get pr6.T.Tune.winner.T.Tune.sim).T.Slot.time_s);
-  (* ...but the F2 path simulates an order of magnitude fewer candidates
-     at address level: stage one is entirely closed-form. *)
-  Alcotest.(check int) "sampled path scores nothing in closed form" 0
-    pr6.T.Tune.oracle_scored;
-  Alcotest.(check bool)
-    (Printf.sprintf "f2 sim_scored %d is >= 10x below sampled %d"
-       f2.T.Tune.sim_scored pr6.T.Tune.sim_scored)
-    true
-    (10 * f2.T.Tune.sim_scored <= pr6.T.Tune.sim_scored);
-  (* Oracle mode changes the economics, never the verdicts: winners of
-     both searches score identically under both scorers. *)
+    <= (Option.get sampled.T.Tune.winner.T.Tune.sim).T.Slot.time_s);
+  (* Both winners' static scores are what the closed form computes. *)
   List.iter
     (fun (sc : T.Tune.scored) ->
-      Alcotest.(check bool) "winner scores agree across paths" true
-        (T.Predict.score sc.T.Tune.layout slot.T.Slot.phases
-        = T.Predict.score ~oracle:true sc.T.Tune.layout slot.T.Slot.phases))
-    [ pr6.T.Tune.winner; f2.T.Tune.winner ]
+      Alcotest.(check bool) "winner static score = closed form" true
+        (Some sc.T.Tune.static_score
+        = Reference.closed_form_score sc.T.Tune.layout slot.T.Slot.phases))
+    [ sampled.T.Tune.winner; f2.T.Tune.winner ]
 
 (* --- Direct printers and pinned store keys --------------------------------- *)
 
@@ -913,7 +960,7 @@ let test_staged_score_matches_interpreter () =
   let interpret phases cands =
     Lego_exec.Exec.with_pool ~jobs:2 (fun pool ->
         Lego_exec.Exec.map ~pool cands (fun g ->
-            T.Predict.score ~compiled:false ~ops:0 g phases))
+            Reference.interpret_score ~ops:0 g phases))
   in
   let interp = interpret phases cands in
   let check order =
@@ -1013,14 +1060,14 @@ let run_legoc args =
   let status = Unix.close_process_in ic in
   (status, Buffer.contents buf)
 
-let test_cli_overview_lists_subcommands () =
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
+  go 0
+
+let test_cli_overview_lists_subcommands () =
   List.iter
     (fun args ->
       let status, out = run_legoc args in
@@ -1035,6 +1082,20 @@ let test_cli_overview_lists_subcommands () =
             true (contains out sub))
         [ "conform"; "tune"; "serve"; "client"; "fingerprint"; "LAYOUT" ])
     [ []; [ "--help" ] ]
+
+(* Regression: under --scale, a --budget equal to the default 256 read
+   as "no budget given" and drained the whole 57,725-candidate
+   transpose space. *)
+let test_cli_scale_explicit_budget () =
+  let status, out =
+    run_legoc
+      [ "tune"; "transpose"; "--scale"; "--budget"; "256"; "--no-conform"; "-j"; "1" ]
+  in
+  Alcotest.(check bool) "legoc tune exits 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "explores exactly the budget:\n%s" out)
+    true
+    (contains out "explored 256 of")
 
 let suite =
   ( "tune",
@@ -1061,6 +1122,10 @@ let suite =
         test_predict_arithmetic_matches_simt_costs;
       Alcotest.test_case "slot fast path = effect-handler path" `Quick
         test_slot_fast_matches_slow;
+      Alcotest.test_case "search: fast path = effect handler" `Quick
+        test_search_fast_matches_effect_handler;
+      Alcotest.test_case "static pass scores on the slot's device" `Quick
+        test_static_pass_uses_slot_device;
       Alcotest.test_case "swizzlex names parse canonical decimal only" `Quick
         test_parse_swizzlex_decimal_only;
       Alcotest.test_case "oracle score = compiled score (full family)" `Quick
@@ -1069,8 +1134,8 @@ let suite =
         test_oracle_matches_measured_counters;
       Alcotest.test_case "swizzle classes partition + cost constancy" `Quick
         test_swizzle_classes_partition_and_cost_constancy;
-      Alcotest.test_case "oracle search: 10x fewer simulations" `Quick
-        test_oracle_search_reduction;
+      Alcotest.test_case "oracle search: class-space winner" `Quick
+        test_oracle_search_class_space;
       Alcotest.test_case "search deterministic across -j" `Quick
         test_search_deterministic_across_jobs;
       Alcotest.test_case "funnel: sampled-rung accounting" `Quick
@@ -1101,4 +1166,6 @@ let suite =
         test_scale_stream_tail_locality;
       Alcotest.test_case "CLI overview lists subcommands" `Quick
         test_cli_overview_lists_subcommands;
+      Alcotest.test_case "CLI --scale honours an explicit --budget" `Quick
+        test_cli_scale_explicit_budget;
     ] )
