@@ -1,9 +1,10 @@
 # Tier-1 gate: the repo must build and its test suite must pass.
 .PHONY: check build test conform conform-serial f2-conform algebra-conform \
-	tune-smoke tune-scale serve-smoke bench bench-json perfbench-check clean
+	tune-smoke tune-scale serve-smoke bench bench-json bench-check \
+	perfbench-check clean
 
 check: build test conform f2-conform algebra-conform tune-smoke tune-scale \
-	serve-smoke bench-json perfbench-check
+	serve-smoke bench-check perfbench-check
 
 build:
 	dune build
@@ -63,15 +64,24 @@ serve-smoke:
 bench:
 	dune exec bench/main.exe
 
-# Autotune + compile-service benchmarks with machine-readable output:
-# refreshes BENCH_tune.json (candidates/s per slot at -j 1 and -j 2,
-# winner timings, F2 class counts, the --scale space and rate) and
-# BENCH_serve.json (daemon req/s, cold/warm hit rates, batch p50/p99,
-# warm-tune speedup), enforcing each harness's assertions — the
+# Autotune + compile-service benchmarks with machine-readable output,
+# written to $(1)/BENCH_tune.json (candidates/s per slot at -j 1 and
+# -j 2, winner timings, F2 class counts, the --scale space and rate) and
+# $(1)/BENCH_serve.json (daemon req/s, cold/warm hit rates, batch
+# p50/p99, warm-tune speedup), enforcing each harness's assertions — the
 # warm-tune >= 10x floor among them.
+bench_harnesses = \
+	dune exec bench/main.exe -- tune -j 2 --json $(1)/BENCH_tune.json && \
+	dune exec bench/main.exe -- serve -j 2 --json $(1)/BENCH_serve.json
+
+# Refreshes the tracked BENCH_tune.json and BENCH_serve.json.
 bench-json:
-	dune exec bench/main.exe -- tune -j 2 --json BENCH_tune.json
-	dune exec bench/main.exe -- serve -j 2 --json BENCH_serve.json
+	$(call bench_harnesses,.)
+
+# The same harnesses and assertions for `make check`, with the JSON
+# under _build/ so the check leaves the git tree clean.
+bench-check:
+	$(call bench_harnesses,_build)
 
 # The benchmark harness's own self-tests (perfbench/): it drives the
 # tune and serve APIs end to end, so API changes must keep it building

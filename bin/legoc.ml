@@ -367,6 +367,8 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
   in
   let slots =
     match Lego_gpusim.Device.find device_name with
+    | _ when budget < 1 -> Error "--budget must be >= 1"
+    | _ when top < 1 -> Error "--top must be >= 1"
     | None ->
       Error
         (Printf.sprintf "unknown device %S (known: %s)" device
@@ -405,8 +407,8 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
       }
     in
     (* One cache for the whole invocation: re-tuned slots (repeated on
-       the command line, or shared across modes) reuse static scores
-       and sim results instead of recomputing. *)
+       the command line, or shared across modes) reuse sim results
+       instead of re-simulating. *)
     let cache = T.Cache.create () in
     let ok = ref true in
     List.iter

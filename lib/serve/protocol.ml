@@ -91,16 +91,22 @@ let request_of_json j =
       in
       Ok (Compile { layout; emit; device = device () }))
   | Some "tune" -> (
-    match Json.mem_string "slot" j with
-    | None -> Error "tune: missing \"slot\""
-    | Some slot ->
+    let positive k =
+      match Json.mem_int k j with
+      | Some n when n < 1 -> Error (Printf.sprintf "tune: %S must be >= 1" k)
+      | v -> Ok v
+    in
+    match (Json.mem_string "slot" j, positive "budget", positive "top") with
+    | None, _, _ -> Error "tune: missing \"slot\""
+    | _, Error e, _ | _, _, Error e -> Error e
+    | Some slot, Ok budget, Ok top ->
       Ok
         (Tune
            {
              slot;
              device = device ();
-             budget = Json.mem_int "budget" j;
-             top = Json.mem_int "top" j;
+             budget;
+             top;
              seed = Option.value ~default:0 (Json.mem_int "seed" j);
              oracle = Option.value ~default:false (Json.mem_bool "oracle" j);
              conform = Option.value ~default:false (Json.mem_bool "conform" j);

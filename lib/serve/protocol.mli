@@ -17,7 +17,8 @@
       always keeps all of them.
     - [{"op":"tune","slot":S,"device":D,"budget":N,"top":K,...}] — run
       (or answer from the store) the autotune search for a kernel slot
-      under a device preset.
+      under a device preset.  ["budget"] and ["top"] are optional; a
+      value below 1 is a request error.
     - [{"op":"fingerprint","layout":L,"device":D}] — the layout's
       canonical fingerprint and content-address store key, for
       inspecting and correlating cache entries by hand.

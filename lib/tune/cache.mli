@@ -1,33 +1,30 @@
-(** Reusable scoring cache for incremental re-tuning.
+(** Reusable simulation cache for incremental re-tuning.
 
     One {!t} passed to successive [Tune.search] calls (the CLI creates
-    one per run) lets later searches reuse what earlier ones computed:
-    static {!Predict.score}s and sampled/full simulator results, keyed
-    by (slot {e identity}, fingerprint digest).  The identity string is
-    {!Slot.identity} — name, device preset and shared-memory dtype — so
-    distinct slots never collide, and neither does the same slot tuned
-    under different devices or dtypes (scores and sims depend on both).
-    The cache can change only wall-clock, never results or the reported
-    counters, which the tuner derives from its own per-search tallies.
+    one per run, the compile service one per daemon) lets later
+    searches reuse the sampled- and full-rung simulator results earlier
+    ones computed, keyed by (slot {e identity}, fingerprint digest).
+    The identity string is {!Slot.identity} — name, device preset and
+    shared-memory dtype — so distinct slots never collide, and neither
+    does the same slot tuned under different devices or dtypes (sims
+    depend on both).  The cache can change only wall-clock, never
+    results or the reported counters, which the tuner derives from its
+    own per-search tallies.  Static scores are not cached: every
+    search recomputes them.
 
     Concurrency: {!find} is a pure read, safe from inside [Exec.map]
     tasks; everything else mutates and must be called only between
     parallel sections (the tuner's existing memo discipline).  The
-    table stops growing at [max_entries] — {!ensure} then returns
-    transient entries — so a mega-space stream cannot make the cache
-    itself the memory hog the bounded top-K avoided. *)
+    table stops growing at [max_entries] (default 2¹⁸) — {!ensure} then
+    returns transient entries — so a warm-started daemon cannot make
+    the cache the memory hog the bounded top-K avoided. *)
 
 type entry = {
-  mutable static_ : Predict.score option;
   mutable sampled : Slot.sim option;
   mutable full : Slot.sim option;
 }
 
 type t
-
-val default_max_entries : int
-(** 2¹⁸ = 262144 — a few tens of MB at worst, far above the retained
-    rung sizes, far below a 10⁶-candidate space. *)
 
 val create : ?max_entries:int -> unit -> t
 val find : t -> slot:string -> fp_digest:string -> entry option

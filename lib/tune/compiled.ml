@@ -166,7 +166,3 @@ let of_layout g =
     let c = compile g in
     Hashtbl.add tbl fp c;
     c
-
-let clear_memo () =
-  Hashtbl.reset (Domain.DLS.get memo);
-  Hashtbl.reset (Domain.DLS.get gen_tables)

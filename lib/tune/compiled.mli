@@ -40,6 +40,3 @@ val apply_flat : t -> int -> int
 
 val apply : t -> int list -> int
 (** [apply c idx] = [Group_by.apply_ints g idx]. *)
-
-val clear_memo : unit -> unit
-(** Drop this domain's fingerprint memo (tests / benchmarks). *)

@@ -161,14 +161,12 @@ let tail_vals pc rest =
    contributes the same index arithmetic whatever the other stages are,
    so the op cost of a candidate decomposes (up to the constant glue the
    default weights assign to composition, which is identical for every
-   candidate of a family) into a sum of per-stage costs.  At mega-space
-   scale candidates share stages heavily — every member of a swizzle
-   grid shares its base tiling, every tiling shares pieces — so
-   memoizing per {e stage} instead of per candidate turns the dominant
-   [Sym.apply]+[Cost.ops] cost into a table hit for all but the first
-   carrier of each stage.  The decomposition is a ranking surrogate, not
-   the exact whole-layout count; [score ?ops] lets the funnel choose it
-   explicitly while every other caller keeps the exact count. *)
+   candidate of a family) into a sum of per-stage costs.  Candidates
+   share stages heavily — every member of a swizzle grid shares its base
+   tiling, every tiling shares pieces — so memoizing per {e stage}
+   instead of per candidate turns the [Sym.apply]+[Cost.ops] cost into a
+   table hit for all but the first carrier of each stage.  It is the
+   static pass's op count in every tune mode. *)
 let stage_memo : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
@@ -194,11 +192,7 @@ let decomposed_ops (g : L.Group_by.t) =
    {!Lego_gpusim.Access} arithmetic.  [memoize] is accepted and
    ignored; scoring keeps no per-candidate table. *)
 let score ?(device = G.Device.a100) ?memoize:_ ?ops (g : L.Group_by.t) phases =
-  let ops =
-    match ops with
-    | Some n -> n
-    | None -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
-  in
+  let ops = match ops with Some n -> n | None -> decomposed_ops g in
   let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
   let n = Array.length pc.p_uniq in
   let vals = scratch_get n in

@@ -27,7 +27,7 @@ type score = {
   smem_accesses : int;  (** Total active lanes across shared phases. *)
   smem_cycles : int;  (** Summed bank-conflict degree (1 = no conflict). *)
   gmem_txns : int;  (** Summed coalescing transaction count. *)
-  ops : int;  (** {!Lego_symbolic.Cost.ops} of the symbolic offset. *)
+  ops : int;  (** Symbolic op count ({!decomposed_ops} by default). *)
 }
 
 val conflict_free : score -> bool
@@ -41,24 +41,17 @@ val bank_cycles : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 val txn_count : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 (** {!Lego_gpusim.Access.txn_count}, likewise. *)
 
-val stage_ops : Lego_layout.Order_by.t -> int
-(** Symbolic op count of one chain stage in isolation (default
-    {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
-    printed form ({!Lego_layout.Order_by.to_string}).  The building
-    block of {!decomposed_ops}. *)
-
 val decomposed_ops : Lego_layout.Group_by.t -> int
-(** Per-dimension decomposition of the op count: the sum of
-    {!stage_ops} over the candidate's chain (the exact whole-layout
-    count when the chain is empty).  Candidates sharing a tile prefix —
-    every member of a swizzle grid over one base tiling, every tiling
-    sharing pieces — reuse each stage's cost from the table, so at
-    mega-space scale the dominant symbolic evaluation happens once per
-    {e stage} instead of once per candidate.  A ranking surrogate: it
-    drops the constant cross-stage glue cost (identical across a
-    family, so family-internal order is preserved) — feed it to [score
-    ?ops] where throughput matters, keep the default exact count
-    elsewhere. *)
+(** The static pass's op count: the sum, over the candidate's chain, of
+    each stage's {!Lego_symbolic.Cost.ops} in isolation (default
+    {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
+    printed form; the exact whole-layout count when the chain is empty.
+    It drops the cross-stage glue the whole-layout count adds, so it
+    can differ from [Cost.ops (Sym.apply g)].  Candidates sharing a
+    tile prefix — every member of a swizzle grid over one base tiling,
+    every tiling sharing pieces — reuse each stage's cost, so the
+    symbolic evaluation happens once per {e stage} instead of once per
+    candidate. *)
 
 val score :
   ?device:Lego_gpusim.Device.t ->
@@ -79,10 +72,9 @@ val score :
     structural interpreter and, on F₂-linear candidates, a closed-form
     rank oracle; both must agree with it exactly.
 
-    [memoize] is accepted and ignored (the scorer keeps no
-    per-candidate table).  [ops], when given, replaces the symbolic op
-    count (use {!decomposed_ops} for the shared-prefix fast path); the
-    bank/transaction arithmetic is unaffected. *)
+    The op count is {!decomposed_ops} unless [ops] gives one; the
+    bank/transaction arithmetic does not depend on it.  [memoize] is
+    accepted and ignored (the scorer keeps no per-candidate table). *)
 
 val compare_ranked : score * string -> score * string -> int
 (** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total

@@ -3,23 +3,24 @@
    A binary max-heap (array-backed, worst-at-root) of capacity K: while
    fewer than K elements are held, [add] is a plain heap insert; once
    full, an element better than the current worst replaces the root and
-   sifts down, and anything else is dropped in O(1).  Memory is K slots
-   whatever the stream length, and the retained {e set} is a pure
-   function of the multiset of added elements — independent of arrival
-   order — because the comparator is total (the funnel's comparators
-   all end in a fingerprint tie-break), so "the K smallest" is
-   unambiguous. *)
+   sifts down, and anything else is dropped in O(1).  The array grows
+   by doubling as elements arrive, never past K, so memory is
+   O(min(K, elements added)) and a K as large as [max_int] costs nothing
+   up front.  The retained {e set} is a pure function of the multiset
+   of added elements — independent of arrival order — because the
+   comparator is total (the funnel's comparators all end in a
+   fingerprint tie-break), so "the K smallest" is unambiguous. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;  (* total order; keep the [cmp]-smallest K *)
   cap : int;
-  heap : 'a option array;  (* [0 .. size-1] live; root = worst kept *)
+  mutable heap : 'a option array;  (* [0 .. size-1] live; root = worst kept *)
   mutable size : int;
 }
 
 let create ~cap ~cmp =
   if cap < 1 then invalid_arg "Topk.create: cap must be >= 1";
-  { cmp; cap; heap = Array.make cap None; size = 0 }
+  { cmp; cap; heap = Array.make (min cap 16) None; size = 0 }
 
 let capacity t = t.cap
 let size t = t.size
@@ -55,6 +56,12 @@ let rec sift_down t i =
 
 let add t x =
   if t.size < t.cap then begin
+    let n = Array.length t.heap in
+    if t.size = n then begin
+      let grown = Array.make (if n > t.cap / 2 then t.cap else 2 * n) None in
+      Array.blit t.heap 0 grown 0 n;
+      t.heap <- grown
+    end;
     t.heap.(t.size) <- Some x;
     t.size <- t.size + 1;
     sift_up t (t.size - 1)

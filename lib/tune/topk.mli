@@ -4,10 +4,10 @@
     [add] keeps the [cmp]-{e smallest} [cap] elements seen so far in a
     binary max-heap — O(log cap) when an element is retained, O(1) when
     it is dropped against the current worst — so ranking memory is
-    O(cap) over a 10⁵–10⁶-candidate stream.  With a {e total} [cmp]
-    (the tuner's comparators all end in a fingerprint tie-break) the
-    retained set, and hence {!sorted}, is a pure function of the
-    multiset of added elements: [sorted] equals
+    O(min(cap, elements added)) over a 10⁵–10⁶-candidate stream.  With
+    a {e total} [cmp] (the tuner's comparators all end in a fingerprint
+    tie-break) the retained set, and hence {!sorted}, is a pure function
+    of the multiset of added elements: [sorted] equals
     [List.sort cmp all |> take cap] whatever the arrival order — the
     property the determinism tests assert. *)
 

@@ -93,10 +93,10 @@ let cmp_sim (a, sa) (b, sb) =
      [(time_s, s_cycles, static, fingerprint)] for the sim rungs) — the
      chunk size only groups work, never reorders it, and the top-K
      retained set is order-independent under a total comparator;
-   - the {!Cache} is read inside parallel sections (pure [find]) and
-     written only between them, and every reported counter tallies the
-     funnel's structure (rung sizes), not cache traffic — so a warm
-     cache changes wall-clock only.
+   - the {!Cache} of sim results is read inside parallel sections
+     (pure [find]) and written only between them, and every reported
+     counter tallies the funnel's structure (rung sizes), not cache
+     traffic — so a warm cache changes wall-clock only.
 
    Only the [*_seconds] / [candidates_per_s] timings may vary. *)
 let search ?(options = default_options) ?cache (slot : Slot.t) =
@@ -106,9 +106,9 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     match cache with Some c -> c | None -> Cache.create ~max_entries:0 ()
   in
   (* Cache keys carry the full slot identity (name, device preset, smem
-     dtype): scores and sims depend on the device model and element
-     width, so "matmul" tuned under a100 must never satisfy a lookup
-     for the same layout under h100. *)
+     dtype): sims depend on the device model and element width, so
+     "matmul" tuned under a100 must never satisfy a lookup for the same
+     layout under h100. *)
   let cache_slot = Slot.identity slot in
   (* F₂ class enumeration keys on the widest shared element among the
      slot's phases (sub-word key bits for that element width are
@@ -129,15 +129,14 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   in
   (* Successive-halving geometry: in scale mode the sampled rung is
      4 x [top] wide, so the full-sim rung sees a 4:1 halving; otherwise
-     the rung is absent and the search is two-stage. *)
+     the rung is absent and the search is two-stage.  The heap never
+     holds more than [budget] candidates, so that caps it too, whatever
+     [top] a caller asks for. *)
   let use_sampled = options.scale && slot.simulate_sampled <> None in
-  let heap_cap = if use_sampled then 4 * options.top else options.top in
-  (* Caching policy: static scores are cached only on non-scale spaces
-     (small, revisited by re-tuning); at mega-space scale per-candidate
-     static entries would blow the memory bound for near-zero hit rate.
-     Sim results (both rungs) are always cached — there are at most
-     [heap_cap] per search and they dominate re-tuning cost. *)
-  let cache_static = not options.scale in
+  let heap_cap =
+    min options.budget
+      (if use_sampled then 4 * min options.top (max_int / 4) else options.top)
+  in
   Exec.with_pool ~jobs:(max 1 options.jobs) @@ fun pool ->
   let t0 = Unix.gettimeofday () in
   (* Stage one: stream the space through the static predictor in
@@ -148,22 +147,15 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     max 64 (min 8192 (options.budget / (4 * max 1 options.jobs)))
   in
   let heap = Topk.create ~cap:heap_cap ~cmp:cmp_static in
-  let explored = ref 0
-  and hits = ref 0
-  and drained = ref false in
+  let explored = ref 0 and drained = ref false in
   let stream = ref (Space.stream sp) in
   let score_candidate g =
-    let fp = Fingerprint.of_layout g in
-    let dg = Digest.string fp in
-    match Cache.find cache ~slot:cache_slot ~fp_digest:dg with
-    | Some ({ static_ = Some s; _ } : Cache.entry) -> (fp, dg, s, true)
-    | _ ->
-      (* [decomposed_ops] at scale: candidates share chain stages
-         heavily, so the symbolic op count becomes a per-stage table
-         hit instead of the dominant per-candidate cost. *)
-      let ops = if options.scale then Some (Predict.decomposed_ops g) else None
-      in
-      (fp, dg, Predict.score ~device:slot.device ?ops g slot.phases, false)
+    {
+      layout = g;
+      fingerprint = Fingerprint.of_layout g;
+      static_score = Predict.score ~device:slot.device g slot.phases;
+      sim = None;
+    }
   in
   while (not !drained) && !explored < options.budget do
     let want = min chunk_len (options.budget - !explored) in
@@ -171,23 +163,12 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     stream := rest;
     if ended then drained := true;
     if batch <> [] then begin
-      let arr = Array.of_list batch in
-      let scoresd = Exec.map ~pool arr score_candidate in
-      (* Sequential merge: tallies, top-K retention, cache writes. *)
-      Array.iteri
-        (fun i (fp, dg, s, hit) ->
-          if hit then incr hits
-          else if cache_static then
-            (Cache.ensure cache ~slot:cache_slot ~fp_digest:dg).Cache.static_
-            <- Some s;
-          Topk.add heap
-            { layout = arr.(i); fingerprint = fp; static_score = s; sim = None })
-        scoresd;
-      explored := !explored + Array.length scoresd
+      (* Sequential merge: top-K retention in submission order. *)
+      let scored = Exec.map ~pool (Array.of_list batch) score_candidate in
+      Array.iter (Topk.add heap) scored;
+      explored := !explored + Array.length scored
     end
   done;
-  Cache.note_hits cache !hits;
-  Cache.note_misses cache (!explored - !hits);
   (* Peek once past the budget so [exhaustive] reflects the space, not
      the budget, when the budget lands exactly on the last candidate. *)
   if not !drained then begin

@@ -48,10 +48,10 @@ type options = {
       (** Mega-space mode (default off): the {!Space} crosses its scale
           product axes (three-level tilings x vectorization widths x
           the full masked-swizzle grid — ~1.8 x 10⁵ candidates on the
-          matmul shape), the sampled rung turns on at [4 * top] wide,
-          and the symbolic op count switches to the shared-prefix
-          {!Predict.decomposed_ops} surrogate.  Raise [budget]
-          accordingly ([legoc tune --scale] uses 250000). *)
+          matmul shape) and the sampled rung turns on at [4 * top]
+          wide.  The static pass is the same as in every other mode.
+          Raise [budget] accordingly ([legoc tune --scale] uses
+          250000). *)
 }
 
 val default_options : options
@@ -85,18 +85,19 @@ type result = {
 }
 
 val search : ?options:options -> ?cache:Cache.t -> Slot.t -> result
-(** Runs the funnel.  [cache], when given, persists static scores
-    (non-scale spaces only) and both rungs' sim results across searches
-    in a run — re-tuning the same slot (wider budget, different [top],
-    before/after comparisons) reuses instead of recomputing; see
-    {!Cache} for the exact reuse and soundness rules.  Static scores come from {!Predict.score} on the slot's
-    device, sims from the slot's {!Lego_gpusim.Fastpath} kernels
-    ([simulate ~fast:true]).  Raises [Invalid_argument] when [budget]
+(** Runs the funnel.  Static scores come from {!Predict.score} on the
+    slot's device, with its default {!Predict.decomposed_ops} op count,
+    in every mode; sims come from the slot's {!Lego_gpusim.Fastpath}
+    kernels ([simulate ~fast:true]).  [cache], when given, persists
+    both rungs' sim results across searches in a run — re-tuning the
+    same slot (wider budget, different [top], before/after comparisons)
+    reuses instead of re-simulating; see {!Cache} for the reuse and
+    soundness rules.  Any [top] >= 1 is accepted (the retained heap
+    never exceeds [budget]); raises [Invalid_argument] when [budget]
     or [top] is < 1. *)
 
 val conform_ok : result -> bool option
 (** [Some true] = checked clean, [Some false] = mismatch found, [None] =
     check disabled. *)
 
-val pp_scored : Format.formatter -> scored -> unit
 val pp_result : Format.formatter -> result -> unit

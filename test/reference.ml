@@ -126,8 +126,6 @@ let txn_count_arr (device : G.Device.t) ~elem_bytes addrs n =
 let lanes_of (device : G.Device.t) f =
   List.filter_map f (List.init device.warp_size Fun.id)
 
-let exact_ops g = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
-
 (* Sum one phase at a time: [shared] returns a non-empty shared phase's
    bank cycles, [global] a non-empty global phase's transactions. *)
 let fold_phases ~device ~ops ~shared ~global phases =
@@ -156,7 +154,7 @@ let fold_phases ~device ~ops ~shared ~global phases =
    lane's address through [Group_by.apply_ints], counted with the
    simulator's own [Access] arithmetic. *)
 let interpret_score ?(device = G.Device.a100) ?ops g phases =
-  let ops = match ops with Some n -> n | None -> exact_ops g in
+  let ops = match ops with Some n -> n | None -> P.decomposed_ops g in
   fold_phases ~device ~ops phases
     ~shared:(fun ~elem_bytes idxs ->
       G.Access.bank_cycles device ~elem_bytes
@@ -174,7 +172,7 @@ let closed_form_score ?(device = G.Device.a100) ?ops g phases =
   match Lego_f2.Linear.of_layout g with
   | None -> None
   | Some lin ->
-    let ops = match ops with Some n -> n | None -> exact_ops g in
+    let ops = match ops with Some n -> n | None -> P.decomposed_ops g in
     let affine addrs =
       if List.length addrs = device.warp_size then
         Oracle.of_lanes (Array.of_list addrs)

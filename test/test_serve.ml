@@ -3,7 +3,7 @@
    corruption recovery), the (slot, device) cache-identity regression,
    the warm-path contract (zero tuner invocations, >= 10x latency),
    batch byte-identity across pool widths, and a spawned daemon that
-   outlives a client hanging up early. *)
+   outlives a client hanging up early and a tune request with [top] 0. *)
 
 module Sv = Lego_serve
 module T = Lego_tune
@@ -501,6 +501,36 @@ let test_server_batch_semantics () =
   | _ -> Alcotest.fail "batch response not an array");
   Sv.Server.shutdown t
 
+(* Regression: a tune request with [top] 0 raised [Invalid_argument]
+   out of [handle_batch], killing the daemon, and [top] 2⁴⁰ raised
+   [Out_of_memory] from the heap's up-front allocation.  A [top] or
+   [budget] below 1 is now a request error, the rest of the batch is
+   served, and a huge [top] is an ordinary search. *)
+let test_server_out_of_range_tune () =
+  let t = Sv.Server.create ~jobs:1 () in
+  let batch =
+    match
+      Sv.Json.of_string
+        {|[{"op":"tune","slot":"matmul","top":0},
+           {"op":"compile","layout":"TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])"},
+           {"op":"tune","slot":"nw","budget":-1},
+           {"op":"tune","slot":"nw","top":1099511627776},
+           {"op":"tune","slot":"nw","top":4611686018427387903},
+           {"op":"stats"}]|}
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  (match Sv.Server.handle_batch t batch with
+  | Sv.Json.List rs ->
+    Alcotest.(check (list (option bool))) "ok flags"
+      [ Some false; Some true; Some false; Some true; Some true; Some true ]
+      (List.map (Sv.Json.mem_bool "ok") rs);
+    Alcotest.(check (option int)) "stats counts the 2 errors" (Some 2)
+      (Sv.Json.mem_int "errors" (List.nth rs 5))
+  | _ -> Alcotest.fail "batch response not an array");
+  Sv.Server.shutdown t
+
 let test_fingerprint_key_matches_server () =
   (* The debug subcommand's key must be the daemon's address. *)
   let layout = "TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])" in
@@ -533,8 +563,10 @@ let legoc_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/legoc.exe"
 
 (* Regression: a client that sends a batch and hangs up before reading
-   the reply killed [legoc serve] with SIGPIPE.  The daemon must drop
-   that client and answer the next one. *)
+   the reply killed [legoc serve] with SIGPIPE, and so did a tune
+   request with [top] 0 (an uncaught [Invalid_argument]).  The daemon
+   must drop the first client, answer the second with an error, and
+   answer the next one. *)
 let test_daemon_survives_early_hangup () =
   let dir = Filename.temp_dir "lego-test-hangup" "" in
   let socket = Filename.concat dir "legoc.sock" in
@@ -588,10 +620,38 @@ let test_daemon_survives_early_hangup () =
     Sv.Protocol.write_frame fd batch;
     Unix.close fd
   end;
+  let top0 =
+    if up <> Ok () then up
+    else
+      match Sv.Client.connect ~socket () with
+      | Error e -> Error e
+      | Ok c -> (
+        let r =
+          Sv.Client.batch c
+            [
+              Sv.Protocol.Tune
+                {
+                  Sv.Protocol.slot = "matmul";
+                  device = "a100";
+                  budget = None;
+                  top = Some 0;
+                  seed = 0;
+                  oracle = false;
+                  conform = false;
+                };
+            ]
+        in
+        Sv.Client.close c;
+        match r with
+        | Ok [ r ] when Sv.Json.mem_bool "ok" r = Some false -> Ok ()
+        | Ok _ -> Error "top 0 not answered with ok:false"
+        | Error e -> Error e)
+  in
   let after = if up = Ok () then stats_ok () else up in
   let status = finish () in
   Alcotest.(check (result unit string)) "daemon answers first client" (Ok ())
     up;
+  Alcotest.(check (result unit string)) "daemon rejects top 0" (Ok ()) top0;
   Alcotest.(check (result unit string)) "daemon answers after a hang-up"
     (Ok ()) after;
   Alcotest.(check bool) "daemon exits 0 on shutdown" true
@@ -622,6 +682,8 @@ let suite =
         test_server_byte_identical_across_jobs;
       Alcotest.test_case "server: batch semantics (dup, emit, errors)" `Quick
         test_server_batch_semantics;
+      Alcotest.test_case "server: out-of-range tune top/budget" `Quick
+        test_server_out_of_range_tune;
       Alcotest.test_case "fingerprint op key = server store key" `Quick
         test_fingerprint_key_matches_server;
       Alcotest.test_case "daemon survives a client hanging up early" `Quick

@@ -194,7 +194,9 @@ let prop_topk_equals_sort_take =
       Printf.sprintf "k=%d xs=[%s]" k
         (String.concat ";" (List.map string_of_int xs)))
     QCheck2.Gen.(
-      pair (int_range 1 20) (list_size (int_range 0 200) (int_range (-50) 50)))
+      pair
+        (oneof [ int_range 1 80; return max_int ])
+        (list_size (int_range 0 200) (int_range (-50) 50)))
     (fun (k, xs) ->
       let tk = T.Topk.create ~cap:k ~cmp:compare in
       List.iter (T.Topk.add tk) xs;
@@ -426,6 +428,50 @@ let result_key (r : T.Tune.result) =
     List.map scored_key r.T.Tune.ranking,
     r.T.Tune.explored,
     r.T.Tune.sampled_scored )
+
+(* The static pass has one op count in every mode: each finalist's
+   [ops] is {!Predict.decomposed_ops} of its layout, in the default
+   space as under [scale]. *)
+let test_static_ops_decomposed_in_every_mode () =
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      List.iter
+        (fun scale ->
+          let r = T.Tune.search ~options:{ (search_opts 2) with scale } slot in
+          List.iter
+            (fun (sc : T.Tune.scored) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s (scale %b) %s: ops" slot.T.Slot.name scale
+                   sc.T.Tune.fingerprint)
+                (T.Predict.decomposed_ops sc.T.Tune.layout)
+                sc.T.Tune.static_score.T.Predict.ops)
+            r.T.Tune.ranking)
+        [ false; true ])
+    (T.Slot.all ())
+
+(* Regression: the heap was allocated [top] (or [4 * top]) slots up
+   front, so [top = 2⁴⁰] raised [Out_of_memory] and [top = max_int]
+   overflowed [4 * top] in scale mode.  Any [top] at least the space
+   size ranks the whole 5-candidate nw space. *)
+let test_huge_top_ranks_whole_space () =
+  let slot = T.Slot.nw_smem () in
+  List.iter
+    (fun scale ->
+      let options =
+        { T.Tune.default_options with conform = false; scale }
+      in
+      let want = T.Tune.search ~options slot in
+      Alcotest.(check int) "nw ranks its whole space" want.T.Tune.space_size
+        (List.length want.T.Tune.ranking);
+      List.iter
+        (fun top ->
+          let r = T.Tune.search ~options:{ options with top } slot in
+          Alcotest.(check bool)
+            (Printf.sprintf "top %d, scale %b: same ranking" top scale)
+            true
+            (result_key r = result_key want))
+        [ 1 lsl 40; max_int ])
+    [ false; true ]
 
 let test_funnel_sampled_rung_accounting () =
   let slot = T.Slot.matmul_smem () in
@@ -1097,6 +1143,22 @@ let test_cli_scale_explicit_budget () =
     true
     (contains out "explored 256 of")
 
+(* Regression: [--top 0] and [--budget 0] reached [Tune.search]'s
+   [Invalid_argument] and exited 125 with "internal error, uncaught
+   exception". *)
+let test_cli_rejects_non_positive_top_and_budget () =
+  List.iter
+    (fun flag ->
+      let status, out =
+        run_legoc [ "tune"; "nw"; flag; "0"; "--no-conform"; "-j"; "1" ]
+      in
+      let msg = Printf.sprintf "error: %s must be >= 1" flag in
+      Alcotest.(check bool) (flag ^ " 0 exits 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s 0 prints %S:\n%s" flag msg out)
+        true (contains out msg))
+    [ "--top"; "--budget" ]
+
 let suite =
   ( "tune",
     [
@@ -1126,6 +1188,8 @@ let suite =
         test_search_fast_matches_effect_handler;
       Alcotest.test_case "static pass scores on the slot's device" `Quick
         test_static_pass_uses_slot_device;
+      Alcotest.test_case "static ops = decomposed_ops in every mode" `Quick
+        test_static_ops_decomposed_in_every_mode;
       Alcotest.test_case "swizzlex names parse canonical decimal only" `Quick
         test_parse_swizzlex_decimal_only;
       Alcotest.test_case "oracle score = compiled score (full family)" `Quick
@@ -1152,6 +1216,8 @@ let suite =
         test_composed_space_rediscovers_swizzle;
       Alcotest.test_case "bad options rejected" `Quick
         test_search_rejects_bad_options;
+      Alcotest.test_case "huge top ranks the whole space" `Quick
+        test_huge_top_ranks_whole_space;
       Alcotest.test_case "printers = Format reference" `Quick
         test_printers_match_format_reference;
       Alcotest.test_case "fingerprint digests pinned" `Quick
@@ -1168,4 +1234,6 @@ let suite =
         test_cli_overview_lists_subcommands;
       Alcotest.test_case "CLI --scale honours an explicit --budget" `Quick
         test_cli_scale_explicit_budget;
+      Alcotest.test_case "CLI rejects --top 0 and --budget 0" `Quick
+        test_cli_rejects_non_positive_top_and_budget;
     ] )
