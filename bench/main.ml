@@ -498,41 +498,47 @@ let tune () =
      the successive-halving funnel with O(top-K) ranking memory.  The
      per-candidate throughput floor keeps the static pass at least as
      cheap per candidate as on the default space, even though this
-     space is ~100x larger. *)
-  let rscale =
-    T.Tune.search
-      ~options:
-        {
-          T.Tune.default_options with
-          scale = true;
-          budget = 250_000;
-          jobs = 1;
-          conform = false;
-        }
-      (T.Slot.matmul_smem ())
-  in
-  row
-    "matmul --scale: %d of %d candidates (%s); funnel %d -> %d sampled -> %d \
-     simulated; %.0f cand/s -j1\n"
-    rscale.T.Tune.explored rscale.T.Tune.space_size
-    (if rscale.T.Tune.exhaustive then "exhaustive" else "budget-truncated")
-    rscale.T.Tune.explored rscale.T.Tune.sampled_scored
-    (List.length rscale.T.Tune.ranking)
-    rscale.T.Tune.candidates_per_s;
-  record ~experiment:"tune" ~metric:"matmul_scale_space_size"
-    (float_of_int rscale.T.Tune.space_size);
-  record ~experiment:"tune" ~metric:"matmul_cand_per_s_scaled"
-    rscale.T.Tune.candidates_per_s;
-  if rscale.T.Tune.space_size < 100_000 then
-    fail "matmul --scale: space only %d candidates (< 1e5)"
-      rscale.T.Tune.space_size;
-  if rscale.T.Tune.candidates_per_s < 2000.0 then
-    fail "matmul --scale: only %.0f cand/s (< 2000)"
-      rscale.T.Tune.candidates_per_s;
-  if
-    not
-      (T.Slot.sim_conflict_free (Option.get rscale.T.Tune.winner.T.Tune.sim))
-  then fail "matmul --scale: winner is not conflict-free in simulation";
+     space is ~100x larger.  The transpose row is perfbench's
+     tune-scale input. *)
+  List.iter
+    (fun ((slot : T.Slot.t), min_space) ->
+      let name = slot.T.Slot.name in
+      let rscale =
+        T.Tune.search
+          ~options:
+            {
+              T.Tune.default_options with
+              scale = true;
+              budget = 250_000;
+              jobs = 1;
+              conform = false;
+            }
+          slot
+      in
+      row
+        "%s --scale: %d of %d candidates (%s); funnel %d -> %d sampled -> %d \
+         simulated; %.0f cand/s -j1\n"
+        name rscale.T.Tune.explored rscale.T.Tune.space_size
+        (if rscale.T.Tune.exhaustive then "exhaustive" else "budget-truncated")
+        rscale.T.Tune.explored rscale.T.Tune.sampled_scored
+        (List.length rscale.T.Tune.ranking)
+        rscale.T.Tune.candidates_per_s;
+      record ~experiment:"tune" ~metric:(name ^ "_scale_space_size")
+        (float_of_int rscale.T.Tune.space_size);
+      record ~experiment:"tune" ~metric:(name ^ "_cand_per_s_scaled")
+        rscale.T.Tune.candidates_per_s;
+      if rscale.T.Tune.space_size < min_space then
+        fail "%s --scale: space only %d candidates (< %d)" name
+          rscale.T.Tune.space_size min_space;
+      if rscale.T.Tune.candidates_per_s < 2000.0 then
+        fail "%s --scale: only %.0f cand/s (< 2000)" name
+          rscale.T.Tune.candidates_per_s;
+      if
+        not
+          (T.Slot.sim_conflict_free
+             (Option.get rscale.T.Tune.winner.T.Tune.sim))
+      then fail "%s --scale: winner is not conflict-free in simulation" name)
+    [ (T.Slot.matmul_smem (), 100_000); (T.Slot.transpose_smem (), 50_000) ];
   match !failures with
   | [] -> row "all tuning assertions hold\n"
   | fs ->

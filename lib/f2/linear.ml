@@ -194,21 +194,25 @@ let of_stage o =
         c = !c;
       }
 
+(* The chain acts last-to-first (figure 7), so [o :: rest] is [o]'s
+   stage after [rest]'s map, and the empty chain is the identity.
+   Stages compile head first and the walk stops at the first one with
+   no linear form, so a non-linear layout compiles no further stage. *)
 let of_layout g =
   let numel = L.Group_by.numel g in
   if not (is_pow2 numel) then None
-  else begin
-    let bits = log2 numel in
-    let rec compose_chain acc = function
-      | [] -> Some acc
+  else
+    let rec chain = function
+      | [] -> Some (identity (log2 numel))
       | o :: rest -> (
         match of_stage o with
         | None -> None
-        | Some stage ->
-          if stage.bits <> bits then None else compose_chain (compose acc stage) rest)
+        | Some stage -> (
+          match chain rest with
+          | Some t when t.bits = stage.bits -> Some (compose stage t)
+          | _ -> None))
     in
-    compose_chain (identity bits) (L.Group_by.chain g)
-  end
+    chain (L.Group_by.chain g)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>F2(%d bits, c=%d)@,%a@]" t.bits t.c Bitmat.pp t.mat

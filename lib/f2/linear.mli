@@ -49,11 +49,20 @@ val of_piece : Lego_layout.Piece.t -> t option
     [morton]).  Results are memoized per piece identity and per
     domain. *)
 
+val of_stage : Lego_layout.Order_by.t -> t option
+(** One [Order_by] stage's flat-to-flat map: the block-diagonal assembly
+    of its piece matrices ({!of_piece}) on the stage's suffix-product bit
+    fields.  [None] when any piece has no linear form.  This is the one
+    stage compiler; {!of_layout} composes it over a chain, and the
+    tuner's scorer composes a candidate's outer stage with its memoized
+    chain tail's map. *)
+
 val of_layout : Lego_layout.Group_by.t -> t option
-(** The whole layout's affine form: each [Order_by] stage is the
-    block-diagonal assembly of its piece matrices on the stage's
-    suffix-product bit fields, and the chain composes by matrix
-    multiplication in application order.  [None] as soon as any stage
-    holds a non-linear piece. *)
+(** The whole layout's affine form: {!of_stage} composed over the chain
+    in application order, so [of_layout] of a chain [o :: rest] is
+    [compose s t] for [Some s = of_stage o] and [Some t] the map of
+    [rest] (the empty chain is the identity).  [None] exactly when some
+    stage has no linear form, or, for the empty chain, when the element
+    count is not a power of two. *)
 
 val pp : Format.formatter -> t -> unit

@@ -43,6 +43,17 @@ type shared_phase = {
           gather from the shared value buffer. *)
 }
 
+(* Keys of the F₂ memo ({!score}): the four device fields the memory
+   part reads, then the map's constant and matrix columns.  The generic
+   [Hashtbl.hash] reads only the first ten elements of an array, so the
+   hash covers every one. *)
+module Map_memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Hashtbl.hash_param 256 256 a
+end)
+
 type precomp = {
   p_phases : phase list;
   p_dims : L.Shape.t;
@@ -51,6 +62,10 @@ type precomp = {
   p_uniq : int array;  (** Distinct flat logical indices, all phases. *)
   p_shared : shared_phase list;
   p_gmem_txns : int;
+  p_memo : score Map_memo.t;
+      (** Memory part of a score by F₂ map ({!score}), [ops = 0]; it
+          lives and dies with the precomputation, whose indices it was
+          evaluated on. *)
 }
 
 let precomp_cache : precomp option ref Domain.DLS.key =
@@ -99,6 +114,7 @@ let precompute ~(device : G.Device.t) ~dims phases =
     p_uniq = Array.of_list (List.rev !uniq);
     p_shared = List.rev shared;
     p_gmem_txns = txns;
+    p_memo = Map_memo.create 1024;
   }
 
 (* Scratch buffers for the scoring loop — per domain, grown to the
@@ -132,31 +148,6 @@ let precomp_for ~(device : G.Device.t) ~dims phases =
     cache := Some pc;
     pc
 
-(* Staged evaluation.  A candidate [o :: rest] maps a logical index
-   through [rest] first and [o] last, so its value vector is [o]'s
-   compiled stage applied to [rest]'s vector.  Streams emit each base
-   tiling followed by its whole swizzle grid, every member sharing the
-   base's chain list physically, so [rest]'s vector is kept in a
-   one-entry memo keyed on the physical identity of [rest] and of the
-   precomputation (which fixes the indices): consecutive candidates
-   then pay one table lookup per index for their outer stage.  A miss
-   recomputes, so the key decides the hit rate, never a value. *)
-let tail_memo : (L.Order_by.t list * precomp * int array) option ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let tail_vals pc rest =
-  match rest with
-  | [] -> pc.p_uniq
-  | _ -> (
-    let memo = Domain.DLS.get tail_memo in
-    match !memo with
-    | Some (r, p, v) when r == rest && p == pc -> v
-    | _ ->
-      let v = Array.map (Compiled.chain rest) pc.p_uniq in
-      memo := Some (rest, pc, v);
-      v)
-
 (* Per-dimension decomposition of the symbolic op count.  A chain stage
    contributes the same index arithmetic whatever the other stages are,
    so the op cost of a candidate decomposes (up to the constant glue the
@@ -181,29 +172,77 @@ let stage_ops (o : L.Order_by.t) =
     Hashtbl.add tbl key n;
     n
 
+(* Staged evaluation.  A candidate [o :: rest] maps a logical index
+   through [rest] first and [o] last, so its F₂ map is [o]'s stage map
+   after [rest]'s, its op count [o]'s plus [rest]'s, and its value
+   vector [o]'s compiled stage applied to [rest]'s.  Streams emit each
+   base tiling followed by its whole swizzle grid, every member sharing
+   the base's chain list physically, so all three are kept for [rest]
+   in one entry of a one-entry memo keyed on the physical identity of
+   [rest]: consecutive candidates then compile, print and evaluate only
+   their outer stage.  The value vector is built only when a candidate
+   misses the F₂ memo, for the precomputation whose indices it covers.
+   A miss recomputes, so the key decides the hit rate, never a value.
+   The empty tail (identity map, no ops, the indices themselves) is
+   never stored: its map's width depends on the layout. *)
+type tail = {
+  t_chain : L.Order_by.t list;
+  t_lin : Lego_f2.Linear.t option;  (** [None]: some stage is not F₂. *)
+  t_ops : int;  (** Summed {!stage_ops}. *)
+  mutable t_vals : (precomp * int array) option;
+}
+
+let tail_memo : tail option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let tail_of g rest =
+  let memo = Domain.DLS.get tail_memo in
+  match !memo with
+  | Some t when t.t_chain == rest -> t
+  | _ ->
+    let t =
+      {
+        t_chain = rest;
+        t_lin =
+          Lego_f2.Linear.of_layout
+            (L.Group_by.make ~chain:rest (L.Group_by.shapes g));
+        t_ops = List.fold_left (fun acc o -> acc + stage_ops o) 0 rest;
+        t_vals = None;
+      }
+    in
+    if rest <> [] then memo := Some t;
+    t
+
+let tail_vals pc t =
+  match (t.t_chain, t.t_vals) with
+  | [], _ -> pc.p_uniq
+  | _, Some (p, v) when p == pc -> v
+  | rest, _ ->
+    let v = Array.map (Compiled.chain rest) pc.p_uniq in
+    t.t_vals <- Some (pc, v);
+    v
+
+(* A candidate's value at each distinct index: its outer stage's
+   compiled map over the tail's vector, in the domain's scratch buffer. *)
+let values pc t o =
+  let base = tail_vals pc t in
+  let n = Array.length base in
+  let vals = scratch_get n in
+  let f = Compiled.stage o in
+  for i = 0 to n - 1 do
+    Array.unsafe_set vals i (f (Array.unsafe_get base i))
+  done;
+  vals
+
 let decomposed_ops (g : L.Group_by.t) =
   match L.Group_by.chain g with
   | [] -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
-  | chain -> List.fold_left (fun acc o -> acc + stage_ops o) 0 chain
+  | o :: rest -> stage_ops o + (tail_of g rest).t_ops
 
-(* Every candidate's addresses come from the staged evaluation above:
-   its outer stage applied to the memoized value vector of its chain
-   tail, gathered per phase and counted with the simulator's own
-   {!Lego_gpusim.Access} arithmetic.  [memoize] is accepted and
-   ignored; scoring keeps no per-candidate table. *)
-let score ?(device = G.Device.a100) ?memoize:_ ?ops (g : L.Group_by.t) phases =
-  let ops = match ops with Some n -> n | None -> decomposed_ops g in
-  let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
-  let n = Array.length pc.p_uniq in
-  let vals = scratch_get n in
-  (match L.Group_by.chain g with
-  | [] -> Array.blit pc.p_uniq 0 vals 0 n
-  | o :: rest ->
-    let base = tail_vals pc rest in
-    let f = Compiled.stage o in
-    for i = 0 to n - 1 do
-      Array.unsafe_set vals i (f (Array.unsafe_get base i))
-    done);
+(* The memory part of a score (every field but [ops]) from the
+   candidate's value at each distinct index, gathered per phase and
+   counted with the simulator's own {!Lego_gpusim.Access} arithmetic. *)
+let memory (device : G.Device.t) pc vals =
   let batch = batch_get device.warp_size in
   List.fold_left
     (fun acc sp ->
@@ -227,9 +266,50 @@ let score ?(device = G.Device.a100) ?memoize:_ ?ops (g : L.Group_by.t) phases =
       smem_accesses = 0;
       smem_cycles = 0;
       gmem_txns = pc.p_gmem_txns;
-      ops;
+      ops = 0;
     }
     pc.p_shared
+
+let map_key (device : G.Device.t) lin =
+  let bits = Lego_f2.Linear.bits lin and m = Lego_f2.Linear.mat lin in
+  let k = Array.make (5 + bits) 0 in
+  k.(0) <- device.warp_size;
+  k.(1) <- device.smem_banks;
+  k.(2) <- device.smem_bank_bytes;
+  k.(3) <- device.global_txn_bytes;
+  k.(4) <- Lego_f2.Linear.const lin;
+  for j = 0 to bits - 1 do
+    k.(5 + j) <- Lego_f2.Bitmat.col m j
+  done;
+  k
+
+(* The memory part depends on the candidate only through its values at
+   the precomputation's indices, which its F₂ map fixes: candidates with
+   one map share one [memory] evaluation, and only the op count is per
+   text.  Candidates with no F₂ form evaluate every time, and so does
+   the empty chain, whose values are the indices themselves. *)
+let score ?(device = G.Device.a100) ?memoize:_ ?ops g phases =
+  let pc = precomp_for ~device ~dims:(L.Group_by.dims g) phases in
+  match L.Group_by.chain g with
+  | [] ->
+    let ops = match ops with Some n -> n | None -> decomposed_ops g in
+    { (memory device pc pc.p_uniq) with ops }
+  | o :: rest ->
+    let tail = tail_of g rest in
+    let ops = match ops with Some n -> n | None -> stage_ops o + tail.t_ops in
+    let mem =
+      match (Lego_f2.Linear.of_stage o, tail.t_lin) with
+      | Some s, Some t -> (
+        let key = map_key device (Lego_f2.Linear.compose s t) in
+        match Map_memo.find_opt pc.p_memo key with
+        | Some m -> m
+        | None ->
+          let m = memory device pc (values pc tail o) in
+          Map_memo.add pc.p_memo key m;
+          m)
+      | _ -> memory device pc (values pc tail o)
+    in
+    { mem with ops }
 
 (* Total order used for pruning and beam survival: fewest conflict cycles
    first, then fewest global transactions, then cheapest index

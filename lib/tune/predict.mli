@@ -47,11 +47,11 @@ val decomposed_ops : Lego_layout.Group_by.t -> int
     {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
     printed form; the exact whole-layout count when the chain is empty.
     It drops the cross-stage glue the whole-layout count adds, so it
-    can differ from [Cost.ops (Sym.apply g)].  Candidates sharing a
-    tile prefix — every member of a swizzle grid over one base tiling,
-    every tiling sharing pieces — reuse each stage's cost, so the
-    symbolic evaluation happens once per {e stage} instead of once per
-    candidate. *)
+    can differ from [Cost.ops (Sym.apply g)].  The chain tail's sum is
+    kept in {!score}'s one-entry tail memo, so a candidate [o :: rest]
+    whose [rest] is physically the previous candidate's tail prints and
+    looks up only [o]; every member of a swizzle grid over one base
+    tiling pays for one stage. *)
 
 val score :
   ?device:Lego_gpusim.Device.t ->
@@ -63,18 +63,28 @@ val score :
 (** Scores one candidate on [device] (default A100).  Addresses are
     evaluated in stages: a candidate [o :: rest] maps the value vector
     of [rest] over the slot's distinct indices through [o]'s
-    {!Compiled.stage}, and that vector is kept in a one-entry
-    domain-local memo keyed on the physical identity of [rest] (and of
-    the phase precomputation), so the members of a swizzle grid, which
-    share their base's chain, evaluate the base once.  A memo miss
-    recomputes; the score never depends on the hit rate.  The test
-    suite keeps two differential references for this scorer: the
-    structural interpreter and, on F₂-linear candidates, a closed-form
-    rank oracle; both must agree with it exactly.
+    {!Compiled.stage}.  A one-entry domain-local memo keyed on the
+    physical identity of [rest] holds the tail's F₂ map, its op-count
+    sum and (built on first need) that vector, so the members of a
+    swizzle grid, which share their base's chain, compile, print and
+    evaluate only their outer stage.
 
-    The op count is {!decomposed_ops} unless [ops] gives one; the
-    bank/transaction arithmetic does not depend on it.  [memoize] is
-    accepted and ignored (the scorer keeps no per-candidate table). *)
+    The memory part of the score (every field but [ops]) is memoized
+    by the candidate's F₂ map: [Lego_f2.Linear.of_stage o] composed
+    with the tail's map, keyed together with [warp_size], [smem_banks],
+    [smem_bank_bytes] and [global_txn_bytes].  The table is
+    domain-local and belongs to the phase precomputation, so it lives
+    and dies with it.  Equal maps are equal functions, so a hit is
+    exactly what an evaluation would give; candidates with no F₂ form
+    evaluate every time.  No memo ever decides a value, only whether
+    it is recomputed.  The test suite keeps two differential
+    references for this scorer: the structural interpreter and, on
+    F₂-linear candidates, a closed-form rank oracle; both must agree
+    with it exactly.
+
+    The op count is {!decomposed_ops} unless [ops] gives one; it is
+    per text and never taken from the F₂ memo.  [memoize] is accepted
+    and ignored. *)
 
 val compare_ranked : score * string -> score * string -> int
 (** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total

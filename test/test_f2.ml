@@ -215,6 +215,89 @@ let test_composition_homomorphism () =
       (o_reg (List.hd (List.rev (L.Sigma.all 2))), o_sw 6 1);
     ]
 
+(* --- One stage compiler: the layout map is its composition ---------------- *)
+
+let same_map a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> F2.Linear.equal a b
+  | _ -> false
+
+let gen_lgen_layout =
+  let open QCheck2.Gen in
+  bool >>= fun algebra ->
+  int_bound 4999 >|= fun index ->
+  if algebra then Lego_conform.Lgen.algebra_layout_of_seed ~seed:2027 ~index
+  else Lego_conform.Lgen.layout_of_seed ~seed:2027 ~index
+
+(* [of_layout (o :: rest) = compose (of_stage o) (of_layout rest)], and
+   the map is [None] exactly when some stage has none (or, for the
+   empty chain, when the element count is not a power of two). *)
+let prop_layout_is_stage_composition =
+  QCheck2.Test.make
+    ~name:"of_layout = of_stage composed over the chain; None iff a stage is"
+    ~count:300 ~print:pp_layout gen_lgen_layout
+    (fun g ->
+      let lin = F2.Linear.of_layout g in
+      let numel = L.Group_by.numel g in
+      match L.Group_by.chain g with
+      | [] -> (
+        match lin with
+        | None -> numel land (numel - 1) <> 0
+        | Some l ->
+          1 lsl F2.Linear.bits l = numel
+          && F2.Linear.equal l (F2.Linear.identity (F2.Linear.bits l)))
+      | o :: rest as chain ->
+        let tail =
+          F2.Linear.of_layout (L.Group_by.make ~chain:rest (L.Group_by.shapes g))
+        in
+        same_map lin
+          (match (F2.Linear.of_stage o, tail) with
+          | Some s, Some t -> Some (F2.Linear.compose s t)
+          | _ -> None)
+        && Option.is_none lin
+           = List.exists (fun o -> F2.Linear.of_stage o = None) chain)
+
+(* Every F₂-linear candidate of the transpose slot's default and
+   --composed spaces: the map must agree with the compiled closures the
+   scorer evaluates, at every point of the tile. *)
+let test_layout_map_matches_compiled () =
+  let module T = Lego_tune in
+  let slot = T.Slot.transpose_smem () in
+  let elem_bytes =
+    List.fold_left
+      (fun acc -> function
+        | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
+        | T.Predict.Global _ -> acc)
+      1 slot.T.Slot.phases
+  in
+  List.iter
+    (fun composed ->
+      let sp =
+        T.Space.make ~composed ~elem_bytes ~rows:slot.T.Slot.rows
+          ~cols:slot.T.Slot.cols ()
+      in
+      let linear = ref 0 in
+      Seq.iter
+        (fun g ->
+          match F2.Linear.of_layout g with
+          | None -> ()
+          | Some lin ->
+            incr linear;
+            let c = T.Compiled.compile g in
+            for x = 0 to T.Compiled.numel c - 1 do
+              let want = T.Compiled.apply_flat c x in
+              let got = F2.Linear.apply lin x in
+              if got <> want then
+                Alcotest.failf "%s at %d: compiled %d, F2 %d" (pp_layout g) x
+                  want got
+            done)
+        (T.Space.stream sp);
+      Alcotest.(check bool)
+        (Printf.sprintf "composed %b: %d linear candidates" composed !linear)
+        true (!linear > 500))
+    [ false; true ]
+
 (* --- The cost oracle vs the simulator's arithmetic ------------------------ *)
 
 let gen_affine_warp =
@@ -273,6 +356,8 @@ let suite =
         test_composition_homomorphism;
       Alcotest.test_case "of_lanes verifies every lane" `Quick
         test_of_lanes_rejects_non_affine;
+      Alcotest.test_case "layout map = compiled closures (tune spaces)" `Quick
+        test_layout_map_matches_compiled;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)
@@ -284,5 +369,6 @@ let suite =
           prop_mul_is_composition;
           prop_transpose;
           prop_layout_matrix_agrees;
+          prop_layout_is_stage_composition;
           prop_oracle_matches_access;
         ] )

@@ -1047,10 +1047,174 @@ let test_staged_score_matches_interpreter () =
         && T.Predict.score ~ops:0 g phases = interp.(first + k)))
     window
 
+(* --- The F₂ memo: the memory part of a score, by layout map -------------- *)
+
+let check_score what (want : T.Predict.score) (got : T.Predict.score) =
+  if got <> want then
+    Alcotest.failf "%s: scored %s (%d accesses), reference %s (%d accesses)"
+      what
+      (Format.asprintf "%a" T.Predict.pp got)
+      got.T.Predict.smem_accesses
+      (Format.asprintf "%a" T.Predict.pp want)
+      want.T.Predict.smem_accesses
+
+(* The phase precomputation is keyed on warp width and segment size,
+   not on bank geometry, so a memo keyed on the precomputation alone
+   would replay the A100's cycles for a 16-bank device ({!Fastpath}'s
+   summary cache once mixed devices the same way). *)
+let test_map_memo_keyed_on_bank_geometry () =
+  let module G = Lego_gpusim in
+  let phases = (T.Slot.transpose_smem ()).T.Slot.phases in
+  let g =
+    prepend_swizzle ~mask:31 ~shift:0
+      (T.Slot.row_major ~rows:32 ~cols:32)
+      ~rows:32 ~cols:32
+  in
+  let banks16 = { G.Device.a100 with smem_banks = 16 } in
+  let want device = Reference.interpret_score ~device g phases in
+  Alcotest.(check bool) "the two geometries score differently" true
+    (want G.Device.a100 <> want banks16);
+  List.iter
+    (fun device ->
+      check_score
+        (Printf.sprintf "%d banks" device.G.Device.smem_banks)
+        (want device)
+        (T.Predict.score ~device g phases))
+    [ G.Device.a100; banks16; G.Device.a100 ]
+
+(* Two texts of one map: the swizzle's top mask bit shifts past the
+   32 rows, so m19 and m3 are one piece matrix over the same tiling,
+   but the printed stages differ and so do their op counts.  Each order
+   starts from an empty memo (a fresh phase list is a fresh
+   precomputation), so the second text always hits the first's entry:
+   the memory fields must agree with the interpreter and each text must
+   keep its own ops. *)
+let test_map_memo_keeps_ops_per_text () =
+  let slot = T.Slot.transpose_smem () in
+  let layout mask =
+    let text =
+      Printf.sprintf
+        "OrderBy2(GenP(swizzlex_m%d_s1[32, 32])).OrderBy2(RegP([16, 16], [1, \
+         2]), RegP([2, 2], [1, 2])).OrderBy4(RegP([16, 2, 16, 2], [1, 3, 2, \
+         4])).GroupBy2([32, 32])"
+        mask
+    in
+    match Lego_lang.Elab.layout_of_string text with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "%S: %s" text e
+  in
+  let a = layout 19 and b = layout 3 in
+  Alcotest.(check bool) "one F2 map" true
+    (match (Lego_f2.Linear.of_layout a, Lego_f2.Linear.of_layout b) with
+    | Some la, Some lb -> Lego_f2.Linear.equal la lb
+    | _ -> false);
+  Alcotest.(check (pair int int)) "per-text op counts" (142, 148)
+    (T.Predict.decomposed_ops a, T.Predict.decomposed_ops b);
+  let want = Reference.interpret_score ~ops:0 a slot.T.Slot.phases in
+  List.iter
+    (fun order ->
+      let phases = List.map Fun.id slot.T.Slot.phases in
+      List.iter
+        (fun (name, g, ops) ->
+          check_score name { want with ops } (T.Predict.score g phases))
+        order)
+    [
+      [ ("m19 first", a, 142); ("m3 second", b, 148) ];
+      [ ("m3 first", b, 148); ("m19 second", a, 142) ];
+    ]
+
+(* Every memo hit must be exact.  The whole transpose --scale stream is
+   scored in stream order on one domain, so both memos see the search's
+   hit pattern.  Every F₂-linear candidate's score must equal
+   {!Reference.closed_form_score}, which reads a candidate only through
+   its map and its op count, so it is computed once per distinct map;
+   every op count must be the sum of its stages' counts, each taken
+   alone; and a seeded sample of candidates whose map was first scored
+   under another text must equal the interpreter (~4 ms each, so the
+   references run on two domains). *)
+let test_map_memo_hits_are_exact () =
+  let module F2 = Lego_f2 in
+  let slot = T.Slot.transpose_smem () in
+  let phases = List.map Fun.id slot.T.Slot.phases in
+  let cands = Array.of_seq (T.Space.stream (slot_space ~scale:true slot)) in
+  let scores = Array.map (fun g -> T.Predict.score g phases) cands in
+  let stage_sum g =
+    List.fold_left
+      (fun acc o ->
+        acc
+        + T.Predict.decomposed_ops
+            (L.Group_by.make ~chain:[ o ] [ [ L.Order_by.numel o ] ]))
+      0 (L.Group_by.chain g)
+  in
+  let key lin =
+    ( F2.Linear.const lin,
+      List.init (F2.Linear.bits lin) (F2.Bitmat.col (F2.Linear.mat lin)) )
+  in
+  let first = Hashtbl.create 16384 in
+  let map_of = Array.make (Array.length cands) (-1) in
+  let repeats = ref [] and reps = ref [] in
+  Array.iteri
+    (fun i g ->
+      match F2.Linear.of_layout g with
+      | None -> ()
+      | Some lin -> (
+        let k = key lin in
+        match Hashtbl.find_opt first k with
+        | Some r ->
+          map_of.(i) <- r;
+          repeats := i :: !repeats
+        | None ->
+          let r = List.length !reps in
+          Hashtbl.add first k r;
+          map_of.(i) <- r;
+          reps := i :: !reps))
+    cands;
+  let reps = Array.of_list (List.rev !reps) in
+  let st = Random.State.make [| 17 |] in
+  let sample =
+    Array.of_list
+      (take_k 256
+         (List.map snd
+            (List.sort compare
+               (List.map (fun i -> (Random.State.bits st, i)) !repeats))))
+  in
+  let closed, interp =
+    Lego_exec.Exec.with_pool ~jobs:2 (fun pool ->
+        ( Lego_exec.Exec.map ~pool reps (fun i ->
+              Option.get
+                (Reference.closed_form_score ~ops:0 cands.(i)
+                   slot.T.Slot.phases)),
+          Lego_exec.Exec.map ~pool sample (fun i ->
+              Reference.interpret_score ~ops:0 cands.(i) slot.T.Slot.phases) ))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct maps, %d repeats, %d sampled"
+       (Array.length reps) (List.length !repeats) (Array.length sample))
+    true
+    (Array.length reps > 1000 && Array.length sample = 256);
+  Array.iteri
+    (fun i g ->
+      let what = T.Fingerprint.of_layout g in
+      Alcotest.(check int) (what ^ ": ops") (stage_sum g) scores.(i).T.Predict.ops;
+      if map_of.(i) >= 0 then
+        check_score (what ^ ": closed form")
+          { (closed.(map_of.(i))) with ops = scores.(i).T.Predict.ops }
+          scores.(i))
+    cands;
+  Array.iteri
+    (fun k i ->
+      check_score
+        (T.Fingerprint.of_layout cands.(i) ^ ": interpreter")
+        { (interp.(k)) with ops = scores.(i).T.Predict.ops }
+        scores.(i))
+    sample
+
+(* Drains the whole 57,725-candidate space: each domain's F₂ memo sees
+   a different hit pattern at each -j, and none may change a result. *)
 let test_scale_search_deterministic_across_jobs () =
   let slot = T.Slot.transpose_smem () in
   let opts jobs =
-    { (search_opts jobs) with budget = 4000; scale = true; seed = 2 }
+    { (search_opts jobs) with budget = 250_000; scale = true; seed = 2 }
   in
   let r1 = T.Tune.search ~options:(opts 1) slot in
   let r2 = T.Tune.search ~options:(opts 2) slot in
@@ -1236,4 +1400,10 @@ let suite =
         test_cli_scale_explicit_budget;
       Alcotest.test_case "CLI rejects --top 0 and --budget 0" `Quick
         test_cli_rejects_non_positive_top_and_budget;
+      Alcotest.test_case "F2 memo keyed on bank geometry" `Quick
+        test_map_memo_keyed_on_bank_geometry;
+      Alcotest.test_case "F2 memo keeps ops per text" `Quick
+        test_map_memo_keeps_ops_per_text;
+      Alcotest.test_case "F2 memo hits are exact" `Quick
+        test_map_memo_hits_are_exact;
     ] )
