@@ -66,7 +66,7 @@ bench:
 
 # Autotune + compile-service benchmarks with machine-readable output,
 # written to $(1)/BENCH_tune.json (candidates/s per slot at -j 1 and
-# -j 2, winner timings, F2 class counts, the --scale space and rate) and
+# -j 2, winner timings, the --scale space and rate) and
 # $(1)/BENCH_serve.json (daemon req/s, cold/warm hit rates, batch
 # p50/p99, warm-tune speedup), enforcing each harness's assertions — the
 # warm-tune >= 10x floor among them.

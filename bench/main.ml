@@ -338,11 +338,9 @@ let conform () =
 
 module T = Lego_tune
 
-(* Runs the lib/tune search per slot at -j 1 and -j N (plus the F₂
-   class space at -j 1 where it applies) and asserts the determinism
-   contract (identical winner, identical score at any -j), that the
-   class space finds a winner no slower than the default space, plus
-   the paper's qualitative claims: a conflict-free swizzle for the
+(* Runs the lib/tune search per slot at -j 1 and -j N and asserts the
+   determinism contract (identical winner, identical score at any -j),
+   plus the paper's qualitative claims: a conflict-free swizzle for the
    matmul staging tile, a speedup over the naive transpose, and the
    anti-diagonal family beating row-major for NW. *)
 let tune () =
@@ -358,10 +356,8 @@ let tune () =
     (fun (slot : T.Slot.t) ->
       (* Tune.search builds its own pool; it must run from the main
          domain (never inside [pmap]) because pools don't nest. *)
-      let search ?(classes = false) jobs =
-        T.Tune.search
-          ~options:{ T.Tune.default_options with jobs; classes }
-          slot
+      let search jobs =
+        T.Tune.search ~options:{ T.Tune.default_options with jobs } slot
       in
       let r = search 1 in
       let r' = search jn in
@@ -391,47 +387,6 @@ let tune () =
       record ~experiment:"tune"
         ~metric:(Printf.sprintf "%s_cand_per_s_j%d" name jn)
         r'.T.Tune.candidates_per_s;
-      (* F₂ class space ([--oracle]): one representative per GL(n,F₂)
-         cost-equivalence class covers the whole masked-swizzle grid.
-         Defined only on power-of-two slots; elsewhere the class list
-         is empty and the comparison is skipped. *)
-      let elem_bytes =
-        List.fold_left
-          (fun acc -> function
-            | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
-            | T.Predict.Global _ -> acc)
-          1 slot.T.Slot.phases
-      in
-      let sp =
-        T.Space.make ~classes:true ~elem_bytes ~rows:slot.T.Slot.rows
-          ~cols:slot.T.Slot.cols ()
-      in
-      let nclasses = List.length (T.Space.swizzle_classes sp) in
-      if nclasses > 0 then begin
-        let family = List.length (T.Space.swizzle_family sp) in
-        let ro = search ~classes:true 1 in
-        row
-          "class space: %d swizzle classes cover %d (mask,shift) pairs; \
-           %.0f cand/s -j1\n"
-          nclasses family ro.T.Tune.candidates_per_s;
-        record ~experiment:"tune" ~metric:(name ^ "_f2_swizzle_family")
-          (float_of_int family);
-        record ~experiment:"tune" ~metric:(name ^ "_f2_swizzle_classes")
-          (float_of_int nclasses);
-        record ~experiment:"tune" ~metric:(name ^ "_oracle_cand_per_s_j1")
-          ro.T.Tune.candidates_per_s;
-        let wo = ro.T.Tune.winner in
-        let wotime = (Option.get wo.T.Tune.sim).T.Slot.time_s in
-        if wotime > wtime then
-          fail "%s: class-space winner %s is slower than default-space %s" name
-            wo.T.Tune.fingerprint w.T.Tune.fingerprint;
-        if name = "matmul" then begin
-          if not (T.Predict.conflict_free wo.T.Tune.static_score) then
-            fail "matmul: class-space winner is not predicted conflict-free";
-          if not (T.Slot.sim_conflict_free (Option.get wo.T.Tune.sim)) then
-            fail "matmul: class-space winner is not conflict-free in simulation"
-        end
-      end;
       (* Determinism: bit-identical winner and score at any -j. *)
       if w.T.Tune.fingerprint <> w'.T.Tune.fingerprint then
         fail "%s: winners differ across -j1/-j%d (%s vs %s)" name jn

@@ -322,16 +322,6 @@ let no_conform_flag =
     & info [ "no-conform" ]
         ~doc:"Skip the four-semantics conformance check of the winners.")
 
-let oracle_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "oracle" ]
-        ~doc:
-          "F2 mode: enumerate the swizzle family by GF(2) \
-           cost-equivalence class — one representative per class \
-           covers the whole masked-swizzle grid.")
-
 let composed_flag =
   Arg.(
     value
@@ -354,7 +344,7 @@ let device_arg =
   Arg.(value & opt string "a100" & info [ "device" ] ~docv:"PRESET" ~doc)
 
 let run_tune slot_names device budget top seed jobs expect_cf no_conform
-    oracle composed scale =
+    composed scale =
   let jobs = resolve_jobs jobs in
   let device_name = String.lowercase_ascii device in
   (* --scale without an explicit --budget would silently search a tiny
@@ -401,7 +391,6 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
         seed;
         jobs;
         conform = not no_conform;
-        classes = oracle;
         composed;
         scale;
       }
@@ -446,10 +435,11 @@ let tune_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Searches a seeded, deterministic space of LEGO layouts (sigma \
-         permutations, tilings, XOR-swizzle families — with --scale, \
-         the full tiling x vectorization x swizzle product space, \
-         streamed lazily) for each kernel slot: a cheap static \
+        "Searches a seeded, deterministic space of LEGO layouts (bases \
+         — sigma permutations, gallery bijections, tilings — each \
+         crossed with a sampled XOR-swizzle family; with --scale, the \
+         full tiling x vectorization x swizzle product space, streamed \
+         lazily) for each kernel slot: a cheap static \
          bank-conflict/coalescing predictor prunes the stream into a \
          bounded top-K, a sampled-simulation rung halves the survivors, \
          the finalists run the full SIMT simulator, and the winner is \
@@ -462,7 +452,7 @@ let tune_cmd =
     Term.(
       const run_tune $ slots_arg $ device_arg $ tune_budget_arg $ tune_top_arg
       $ tune_seed_arg $ jobs_arg $ expect_cf_flag
-      $ no_conform_flag $ oracle_flag $ composed_flag $ scale_flag)
+      $ no_conform_flag $ composed_flag $ scale_flag)
 
 (* ---- legoc serve / client / fingerprint: the compile service ---------- *)
 

@@ -74,50 +74,105 @@ type request =
 
 let default_device = "a100"
 
+(* Each op's fields and their JSON types.  A request may omit any
+   optional field, but every field it sends must be one its op accepts,
+   with the expected type. *)
+type field = Str | Int | Bool | Strs
+
+let schema = function
+  | "compile" -> Some [ ("layout", Str); ("emit", Strs); ("device", Str) ]
+  | "tune" ->
+    Some
+      [
+        ("slot", Str); ("device", Str); ("budget", Int); ("top", Int);
+        ("seed", Int); ("oracle", Bool); ("conform", Bool);
+      ]
+  | "fingerprint" -> Some [ ("layout", Str); ("device", Str) ]
+  | "stats" | "shutdown" -> Some []
+  | _ -> None
+
+let has_type kind v =
+  match (kind, v) with
+  | Str, Json.Str _ | Int, Json.Int _ | Bool, Json.Bool _ -> true
+  | Strs, Json.List xs ->
+    List.for_all (function Json.Str _ -> true | _ -> false) xs
+  | _ -> false
+
+let type_name = function
+  | Str -> "a string"
+  | Int -> "an integer"
+  | Bool -> "a boolean"
+  | Strs -> "an array of strings"
+
+(* The first field of [j] that [op] does not accept, or that has the
+   wrong type, as an error naming it. *)
+let check_fields op fields j =
+  let bad (name, v) =
+    if name = "op" then None
+    else
+      match List.assoc_opt name fields with
+      | None -> Some (Printf.sprintf "%s: unknown field %S" op name)
+      | Some kind when not (has_type kind v) ->
+        Some (Printf.sprintf "%s: %S must be %s" op name (type_name kind))
+      | Some _ -> None
+  in
+  match j with
+  | Json.Obj fs ->
+    Option.fold ~none:(Ok ()) ~some:Result.error (List.find_map bad fs)
+  | _ -> Ok ()
+
 let request_of_json j =
   let device () =
     Option.value ~default:default_device (Json.mem_string "device" j)
   in
+  let parse = function
+    | "compile" -> (
+      match Json.mem_string "layout" j with
+      | None -> Error "compile: missing \"layout\""
+      | Some layout ->
+        let emit =
+          match Json.member "emit" j with
+          | Some (Json.List xs) -> List.filter_map Json.get_string xs
+          | _ -> []
+        in
+        Ok (Compile { layout; emit; device = device () }))
+    | "tune" -> (
+      let positive k =
+        match Json.mem_int k j with
+        | Some n when n < 1 -> Error (Printf.sprintf "tune: %S must be >= 1" k)
+        | v -> Ok v
+      in
+      match (Json.mem_string "slot" j, positive "budget", positive "top") with
+      | None, _, _ -> Error "tune: missing \"slot\""
+      | _, Error e, _ | _, _, Error e -> Error e
+      | _ when Json.mem_bool "oracle" j = Some true ->
+        Error "tune: \"oracle\": true is not supported (class mode was removed)"
+      | Some slot, Ok budget, Ok top ->
+        Ok
+          (Tune
+             {
+               slot;
+               device = device ();
+               budget;
+               top;
+               seed = Option.value ~default:0 (Json.mem_int "seed" j);
+               oracle = false;
+               conform = Option.value ~default:false (Json.mem_bool "conform" j);
+             }))
+    | "fingerprint" -> (
+      match Json.mem_string "layout" j with
+      | None -> Error "fingerprint: missing \"layout\""
+      | Some layout -> Ok (Fingerprint { layout; device = device () }))
+    | "stats" -> Ok Stats
+    | _ (* "shutdown": [schema] admits no other op *) -> Ok Shutdown
+  in
   match Json.mem_string "op" j with
   | None -> Error "request has no \"op\" field"
-  | Some "compile" -> (
-    match Json.mem_string "layout" j with
-    | None -> Error "compile: missing \"layout\""
-    | Some layout ->
-      let emit =
-        match Json.member "emit" j with
-        | Some (Json.List xs) -> List.filter_map Json.get_string xs
-        | _ -> []
-      in
-      Ok (Compile { layout; emit; device = device () }))
-  | Some "tune" -> (
-    let positive k =
-      match Json.mem_int k j with
-      | Some n when n < 1 -> Error (Printf.sprintf "tune: %S must be >= 1" k)
-      | v -> Ok v
-    in
-    match (Json.mem_string "slot" j, positive "budget", positive "top") with
-    | None, _, _ -> Error "tune: missing \"slot\""
-    | _, Error e, _ | _, _, Error e -> Error e
-    | Some slot, Ok budget, Ok top ->
-      Ok
-        (Tune
-           {
-             slot;
-             device = device ();
-             budget;
-             top;
-             seed = Option.value ~default:0 (Json.mem_int "seed" j);
-             oracle = Option.value ~default:false (Json.mem_bool "oracle" j);
-             conform = Option.value ~default:false (Json.mem_bool "conform" j);
-           }))
-  | Some "fingerprint" -> (
-    match Json.mem_string "layout" j with
-    | None -> Error "fingerprint: missing \"layout\""
-    | Some layout -> Ok (Fingerprint { layout; device = device () }))
-  | Some "stats" -> Ok Stats
-  | Some "shutdown" -> Ok Shutdown
-  | Some op -> Error (Printf.sprintf "unknown op %S" op)
+  | Some op -> (
+    match schema op with
+    | None -> Error (Printf.sprintf "unknown op %S" op)
+    | Some fields ->
+      Result.bind (check_fields op fields j) (fun () -> parse op))
 
 let json_of_request = function
   | Compile { layout; emit; device } ->

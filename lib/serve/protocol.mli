@@ -15,15 +15,22 @@
       simplified symbolic offset and generated C/Triton/MLIR text.
       ["emit"] (optional) selects backends for the response; the store
       always keeps all of them.
-    - [{"op":"tune","slot":S,"device":D,"budget":N,"top":K,...}] — run
-      (or answer from the store) the autotune search for a kernel slot
-      under a device preset.  ["budget"] and ["top"] are optional; a
-      value below 1 is a request error.
+    - [{"op":"tune","slot":S,"device":D,"budget":N,"top":K,"seed":N,
+      "conform":B}] — run (or answer from the store) the autotune search
+      for a kernel slot under a device preset.  ["budget"] and ["top"]
+      are optional; a value below 1 is a request error.  ["oracle"]
+      (F₂ class mode) was removed: [false] is accepted, [true] is a
+      request error.
     - [{"op":"fingerprint","layout":L,"device":D}] — the layout's
       canonical fingerprint and content-address store key, for
       inspecting and correlating cache entries by hand.
     - [{"op":"stats"}] — deterministic server counters (no wall-clock).
     - [{"op":"shutdown"}] — reply, then stop the server cleanly.
+
+    Each op accepts exactly the fields shown, each optional unless the
+    op needs it.  A field the op does not accept, or one with the wrong
+    JSON type (["budget":"64"], ["emit":"c"]), is a request error that
+    names the field — never a silent fall-back to the default.
 
     {b Responses} are objects with ["ok"] first: [true] followed by the
     op's payload fields, or [false] with ["error"]. *)
@@ -45,8 +52,9 @@ type tune_params = {
   top : int option;
   seed : int;
   oracle : bool;
-      (** Enumerate the swizzle family by F₂ cost-equivalence class
-          ({!Lego_tune.Tune.options}'s [classes]). *)
+      (** Always [false] from {!request_of_json}: F₂ class mode was
+          removed, and ["oracle": true] is a request error.  The field
+          stays because [perfbench/] builds this record. *)
   conform : bool;  (** Winner conformance check (default off: latency). *)
 }
 
@@ -58,6 +66,9 @@ type request =
   | Shutdown
 
 val request_of_json : Json.t -> (request, string) result
+(** [Error] says what is wrong, naming the offending field where there
+    is one (see {b Requests} above). *)
+
 val json_of_request : request -> Json.t
 (** Inverse of {!request_of_json} (used by the client and tests). *)
 

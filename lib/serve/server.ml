@@ -267,7 +267,6 @@ let tune_options t (p : Protocol.tune_params) =
     seed = p.Protocol.seed;
     jobs = t.jobs;
     conform = p.Protocol.conform;
-    classes = p.Protocol.oracle;
   }
 
 (* The content address of one search: slot identity (name, device,
@@ -279,9 +278,9 @@ let tune_store_key slot (o : T.Tune.options) =
     [
       "tune";
       T.Slot.identity slot;
-      Printf.sprintf "budget=%d;top=%d;seed=%d;oracle=%b;composed=%b;scale=%b;conform=%b"
-        o.T.Tune.budget o.T.Tune.top o.T.Tune.seed o.T.Tune.classes
-        o.T.Tune.composed o.T.Tune.scale o.T.Tune.conform;
+      Printf.sprintf "budget=%d;top=%d;seed=%d;composed=%b;scale=%b;conform=%b"
+        o.T.Tune.budget o.T.Tune.top o.T.Tune.seed o.T.Tune.composed
+        o.T.Tune.scale o.T.Tune.conform;
     ]
 
 let tune_value slot (r : T.Tune.result) =

@@ -4,19 +4,17 @@ type t = {
   rows : int;
   cols : int;
   seed : int;
-  classes : bool;
   composed : bool;
-  elem_bytes : int;
   scale : bool;
 }
 
-let make ?(seed = 0) ?(classes = false) ?(composed = false) ?(elem_bytes = 4)
-    ?(scale = false) ~rows ~cols () =
+let make ?(seed = 0) ?(composed = false) ?(elem_bytes = 4) ?(scale = false)
+    ~rows ~cols () =
   if rows <= 0 || cols <= 0 then
     invalid_arg "Space.make: extents must be positive";
   if elem_bytes <= 0 then
     invalid_arg "Space.make: elem_bytes must be positive";
-  { rows; cols; seed; classes; composed; elem_bytes; scale }
+  { rows; cols; seed; composed; scale }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -97,9 +95,9 @@ let gallery_roots sp =
    logical divide of the row-major space by a column tile.  The row tile
    [(cols):(1)] divides to the identity, so its composites are the plain
    swizzles routed through the algebra; the column tiles [(ri):(cols)]
-   interleave sub-columns under the swizzle.  Every candidate carries a
-   GenP piece, so the family is a set of leaves in the refinement dag
-   (no swizzle stacks on it). *)
+   interleave sub-columns under the swizzle.  A bare divided layout
+   without a GenP piece is a base like any other, and {!sampled} crosses
+   it with the sampled swizzles; no swizzle stacks on the rest. *)
 let composed sp =
   if (not sp.composed) || (not (is_pow2 sp.cols)) || sp.cols = 1 then []
   else begin
@@ -149,11 +147,6 @@ let composed sp =
       tiles
   end
 
-let roots sp =
-  shuffle sp ~tag:"roots" (sigma_roots sp) @
-  shuffle sp ~tag:"gallery" (gallery_roots sp) @
-  shuffle sp ~tag:"composed" (composed sp)
-
 (* Non-trivial factorizations [outer * inner = n, both > 1]. *)
 let divisor_pairs n =
   let rec go d acc =
@@ -186,21 +179,8 @@ let tilings sp =
         cols_splits)
     rows_splits
 
-(* Bank geometry shared by every device preset (A100/H100): 32 banks of
-   4-byte words, 32-lane warps.  The class key below only needs the word
-   size and the warp width; both are fixed across the presets, so the
-   space stays a pure function of [(rows, cols, seed, elem_bytes)]. *)
-let bank_bytes = 4
-let warp_lanes = 32
-
 (* The number of bits indexing [0 .. n-1]. *)
 let num_bits n = if n <= 1 then 0 else log2 (n - 1) + 1
-
-type swizzle_class = {
-  sw_mask : int;
-  sw_shift : int;
-  sw_members : (int * int) list;
-}
 
 (* The full masked-swizzle grid for this shape: every legal mask crossed
    with every shift that can still reach a row bit (larger shifts clear
@@ -214,154 +194,31 @@ let swizzle_family sp =
       (List.init shifts Fun.id)
   end
 
-(* Provable cost-equivalence classes of the masked-swizzle family over
-   GF(2) (DESIGN.md section 12).  The swizzle xors [key(i) = (i >> shift)
-   land mask] into the column bits; as an F₂ map [K] from row bits to
-   column bits, only the rows of [K] that reach a distinct bank {e word}
-   matter — key bits below [log2 (bank_bytes / elem_bytes)] land in
-   sub-word address bits and cannot change any bank or transaction count.
-   Two members with the same pair of images
-
-     (im K̃ restricted to the warp-sweep lane bits,  im K̃)
-
-   differ by an invertible change of row-space basis that fixes the lane
-   subspace — a relabeling of which row activates which key, under which
-   every warp sweep (full-row phases are key-independent; full-column
-   phases see the same rank, hence the same coset multiplicity) costs
-   identically.  One canonical representative per class is enough for
-   the search; the collapse is exact, not heuristic (the test suite
-   checks every member of every class scores identically on the slot
-   phase lists). *)
-let swizzle_class_key sp (mask, shift) =
-  let rbits = log2 sp.rows and vbits = min (log2 sp.rows) (log2 warp_lanes) in
-  let wshift = max 0 (log2 bank_bytes - log2 sp.elem_bytes) in
-  let im limit =
-    let acc = ref 0 in
-    for b = wshift to log2 sp.cols - 1 do
-      if mask land (1 lsl b) <> 0 && b + shift < limit then
-        acc := !acc lor (1 lsl b)
-    done;
-    !acc
-  in
-  (im vbits, im rbits)
-
-let popcount x =
-  let c = ref 0 and v = ref x in
-  while !v <> 0 do
-    incr c;
-    v := !v land (!v - 1)
-  done;
-  !c
-
-let swizzle_classes sp =
-  if
-    (not (is_pow2 sp.cols))
-    || sp.cols = 1
-    || (not (is_pow2 sp.rows))
-    || not (is_pow2 sp.elem_bytes)
-  then []
+(* The sampled swizzle family: prefix masks only, widest (the classic
+   full-column swizzle) first, each with shifts 0..2, so a tiny budget
+   meets the known-good layout early. *)
+let sampled_swizzles sp =
+  if (not (is_pow2 sp.cols)) || sp.cols = 1 then []
   else begin
-    (* Iterate shifts-then-masks ascending: the first member of each
-       class is its lexicographic (shift, mask) minimum — the canonical
-       representative. *)
-    let order = Hashtbl.create 64 and members = Hashtbl.create 64 in
-    let keys = ref [] in
-    List.iter
-      (fun shift ->
-        List.iter
-          (fun mask ->
-            let key = swizzle_class_key sp (mask, shift) in
-            if not (Hashtbl.mem order key) then begin
-              Hashtbl.add order key (List.length !keys);
-              keys := key :: !keys
-            end;
-            Hashtbl.add members key (mask, shift))
-          (List.init sp.cols Fun.id))
-      (List.init (max 1 (num_bits sp.rows)) Fun.id);
-    let classes =
-      List.rev_map
-        (fun key ->
-          let ms = List.rev (Hashtbl.find_all members key) in
-          let mask, shift = List.hd ms in
-          (key, { sw_mask = mask; sw_shift = shift; sw_members = ms }))
-        !keys
-    in
-    (* Highest-rank (fewest-conflict) classes first, so a tiny budget
-       still meets the conflict-free swizzle early; ties in canonical
-       representative order. *)
-    List.map snd
-      (List.stable_sort
-         (fun ((v1, f1), c1) ((v2, f2), c2) ->
-           let c = compare (popcount v2) (popcount v1) in
-           if c <> 0 then c
-           else
-             let c = compare (popcount f2) (popcount f1) in
-             if c <> 0 then c
-             else compare (c1.sw_shift, c1.sw_mask) (c2.sw_shift, c2.sw_mask))
-         classes)
+    let rec masks m = if m < 1 then [] else m :: masks (m / 2) in
+    List.concat_map
+      (fun mask -> List.map (fun shift -> (mask, shift)) [ 0; 1; 2 ])
+      (masks (sp.cols - 1))
   end
 
-(* XOR-swizzle refinements: prepend a [swizzlex] GenP as the outermost
-   reordering of a swizzle-free candidate.  The default family samples
-   prefix masks only, widest (the classic full-column swizzle) first, so
-   a tiny budget meets the known-good layout early; [classes] mode
-   instead enumerates one canonical representative per provable
-   F₂ cost-equivalence class of the {e full} mask/shift grid — complete
-   coverage of the family with far fewer candidates. *)
-let swizzles sp g =
-  if (not (is_pow2 sp.cols)) || sp.cols = 1 || has_gen g then []
-  else begin
-    let pairs =
-      let class_reps =
-        if sp.classes then
-          List.filter_map
-            (fun c ->
-              (* The trivial class (no word-relevant key bit) is the
-                 parent itself, cost-wise; skip it. *)
-              if swizzle_class_key sp (c.sw_mask, c.sw_shift) = (0, 0) then None
-              else Some (c.sw_mask, c.sw_shift))
-            (swizzle_classes sp)
-        else []
-      in
-      if class_reps <> [] then class_reps
-      else
-        let masks =
-          let rec go m acc =
-            if m < 1 then List.rev acc else go (m / 2) (m :: acc)
-          in
-          go (sp.cols - 1) []
-        in
-        List.concat_map
-          (fun mask -> List.map (fun shift -> (mask, shift)) [ 0; 1; 2 ])
-          masks
-    in
-    List.map
-      (fun (mask, shift) ->
-        L.Group_by.prepend
-          (L.Order_by.make
-             [
-               L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
-                 ~shift;
-             ])
-          g)
-      pairs
-  end
-
-(* Is [g] a bare sigma root (single chain entry, single RegP covering the
-   whole space)?  Only those refine into tilings; every swizzle-free
-   candidate refines into swizzles. *)
-let is_sigma_root g =
-  match L.Group_by.chain g with
-  | [ o ] -> (
-    match L.Order_by.pieces o with
-    | [ L.Piece.Reg { dims; _ } ] -> List.length dims = 2
-    | _ -> false)
-  | _ -> false
-
-let children sp g =
-  let sw = shuffle sp ~tag:"swizzles" (swizzles sp g) in
-  let tl = if is_sigma_root g then shuffle sp ~tag:"tilings" (tilings sp) else [] in
-  sw @ tl
+(* [base] crossed with a swizzle list: each [(mask, shift)] prepends a
+   [swizzlex] GenP as the outermost reordering. *)
+let swizzled sp pairs base =
+  Seq.map
+    (fun (mask, shift) ->
+      L.Group_by.prepend
+        (L.Order_by.make
+           [
+             L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
+               ~shift;
+           ])
+        base)
+    (List.to_seq pairs)
 
 (* ---- Streaming enumeration (the mega-space path) ----------------------
 
@@ -373,23 +230,29 @@ let children sp g =
    the start rebuilds a fresh dedup table inside the outer thunk, so
    every traversal yields the identical sequence. *)
 
-(* Breadth-first levels of the refinement dag, as a lazy sequence,
-   duplicates included.  Unlike the old eager closure this expands the
-   children of duplicate frontier entries too — [children] is a pure
-   function of the candidate, so those children are themselves
-   duplicates of ones generated earlier in the level and the {e
-   deduplicated} sequence is unchanged; levels still empty out because
-   only swizzle-free candidates have children and no child is
-   swizzle-free. *)
-let rec bfs_levels sp frontier =
-  fun () ->
-    match frontier with
-    | [] -> Seq.Nil
-    | _ ->
-      Seq.append
-        (List.to_seq frontier)
-        (fun () -> bfs_levels sp (List.concat_map (children sp) frontier) ())
-        ()
+(* The default space: the roots, then every swizzle-free base crossed
+   with the sampled swizzles, in a fixed order — each sigma root's
+   swizzles followed by the tilings, then the swizzles of the
+   swizzle-free composed roots, then each tiling's swizzles.  The
+   tilings follow {e each} sigma root; the dedup wrapper drops the
+   second copy.  A budget-truncated search scores a prefix of this
+   order, so it is part of the determinism contract. *)
+let sampled sp () =
+  let l = List.to_seq in
+  let pairs = shuffle sp ~tag:"swizzles" (sampled_swizzles sp) in
+  let swizzles g = if has_gen g then Seq.empty else swizzled sp pairs g in
+  let sigmas = shuffle sp ~tag:"roots" (sigma_roots sp) in
+  let composed = shuffle sp ~tag:"composed" (composed sp) in
+  let tilings = l (shuffle sp ~tag:"tilings" (tilings sp)) in
+  Seq.concat
+    (l
+       [
+         l (sigmas @ shuffle sp ~tag:"gallery" (gallery_roots sp) @ composed);
+         Seq.concat_map (fun g -> Seq.append (swizzles g) tilings) (l sigmas);
+         Seq.concat_map swizzles (l composed);
+         Seq.concat_map swizzles tilings;
+       ])
+    ()
 
 (* Ordered factorizations of [n] into exactly [k] factors, all > 1
    (level-major: the head is the outermost tile extent). *)
@@ -464,8 +327,8 @@ let vector_tilings sp =
 (* The scale product axes: every swizzle-free base (sigma roots,
    two-level, three-level and vectorization tilings) crossed with the
    {e full} masked-swizzle grid (every mask >= 1, every shift — not the
-   prefix-mask sample [swizzles] takes).  Generated lazily base by
-   base; overlaps with the sampled closure are removed by the dedup
+   prefix-mask sample {!sampled} takes).  Generated lazily base by
+   base; overlaps with the default space are removed by the dedup
    wrapper downstream.  Mask 0 is excluded: it prepends a stage that is
    the identity map under a new name, a structural near-duplicate with
    no cost signal. *)
@@ -481,18 +344,7 @@ let scale_stream sp =
         (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp))
     in
     Seq.concat_map
-      (fun base ->
-        Seq.cons base
-          (Seq.map
-             (fun (mask, shift) ->
-               L.Group_by.prepend
-                 (L.Order_by.make
-                    [
-                      L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols
-                        ~mask ~shift;
-                    ])
-                 base)
-             (List.to_seq pairs)))
+      (fun base -> Seq.cons base (swizzled sp pairs base))
       (List.to_seq bases)
   end
 
@@ -518,8 +370,7 @@ let dedup seq =
     in
     go seq ()
 
-let stream sp =
-  dedup (Seq.append (bfs_levels sp (roots sp)) (scale_stream sp))
+let stream sp = dedup (Seq.append (sampled sp) (scale_stream sp))
 
 let count sp = Seq.length (stream sp)
 let closure sp = List.of_seq (stream sp)

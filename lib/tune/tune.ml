@@ -7,7 +7,6 @@ type options = {
   seed : int;
   jobs : int;
   conform : bool;
-  classes : bool;
   composed : bool;
   scale : bool;
 }
@@ -19,7 +18,6 @@ let default_options =
     seed = 0;
     jobs = 1;
     conform = true;
-    classes = false;
     composed = false;
     scale = false;
   }
@@ -83,7 +81,8 @@ let cmp_sim (a, sa) (b, sb) =
 
 (* The search is deterministic at any [jobs] by construction:
 
-   - candidate generation is a pure function of [(shape, seed, scale)]
+   - candidate generation is a pure function of
+     [(shape, seed, composed, scale)]
      ({!Space}'s contract), and the stream arrives pre-deduplicated;
    - every parallel step is an {!Exec.map}, whose submission-order merge
      returns exactly the sequential result;
@@ -110,22 +109,9 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
      "matmul" tuned under a100 must never satisfy a lookup for the same
      layout under h100. *)
   let cache_slot = Slot.identity slot in
-  (* F₂ class enumeration keys on the widest shared element among the
-     slot's phases (sub-word key bits for that element width are
-     cost-inert for every narrower one too, so the partition stays
-     sound). *)
-  let elem_bytes =
-    List.fold_left
-      (fun acc phase ->
-        match phase with
-        | Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
-        | Predict.Global _ -> acc)
-      1 slot.phases
-  in
   let sp =
-    Space.make ~seed:options.seed ~classes:options.classes
-      ~composed:options.composed ~elem_bytes ~scale:options.scale
-      ~rows:slot.rows ~cols:slot.cols ()
+    Space.make ~seed:options.seed ~composed:options.composed
+      ~scale:options.scale ~rows:slot.rows ~cols:slot.cols ()
   in
   (* Successive-halving geometry: in scale mode the sampled rung is
      4 x [top] wide, so the full-sim rung sees a 4:1 halving; otherwise

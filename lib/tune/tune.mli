@@ -33,12 +33,6 @@ type options = {
   conform : bool;
       (** Four-semantics check of the winner (default on, at
           {!Lego_conform.Conform.check_layout}'s default 2048 points). *)
-  classes : bool;
-      (** F₂ class enumeration (default off): the swizzle family is
-          enumerated by GL(n, F₂) cost-equivalence class
-          ({!Space.swizzle_classes}) instead of mask/shift sampling, so
-          the {e whole} masked-swizzle grid is covered with one
-          representative per class.  Scoring is unchanged. *)
   composed : bool;
       (** Include the {!Space.composed} roots (default off): candidates
           built by the prover-discharged layout algebra — masked

@@ -1,7 +1,9 @@
 (* Reference implementations kept as differential oracles: the library's
    direct layout printers, O(n) warp-access counters and staged static
    scorer replaced these, and the tests assert the replacements agree
-   with them byte for byte and count for count. *)
+   with them byte for byte and count for count.  The F₂ swizzle-class
+   partition at the end is the reference the class tests check the
+   tuner's swizzle coverage against. *)
 
 module L = Lego_layout
 module G = Lego_gpusim
@@ -201,3 +203,107 @@ let closed_form_score ?(device = G.Device.a100) ?ops g phases =
            with
            | Some t -> t
            | None -> G.Access.txn_count device ~elem_bytes addrs))
+
+(* ---- F₂ cost-equivalence classes of the masked-swizzle family --------- *)
+
+(* Bank geometry shared by every device preset: 32 banks of 4-byte
+   words, 32-lane warps.  The class key only needs the word size and the
+   warp width. *)
+let bank_bytes = 4
+let warp_lanes = 32
+
+(* The number of bits indexing [0 .. n-1]. *)
+let num_bits n = if n <= 1 then 0 else log2 (n - 1) + 1
+
+type swizzle_class = {
+  sw_mask : int;  (* canonical representative: the (shift, mask)- *)
+  sw_shift : int;  (* lexicographic minimum of the class *)
+  sw_members : (int * int) list;  (* shift-major ascending, rep first *)
+}
+
+(* Provable cost-equivalence classes of the masked-swizzle family over
+   GF(2) (DESIGN.md section 12).  The swizzle xors [key(i) = (i >> shift)
+   land mask] into the column bits; as an F₂ map [K] from row bits to
+   column bits, only the rows of [K] that reach a distinct bank {e word}
+   matter — key bits below [log2 (bank_bytes / elem_bytes)] land in
+   sub-word address bits and cannot change any bank or transaction count.
+   Two members with the same pair of images
+
+     (im K̃ restricted to the warp-sweep lane bits,  im K̃)
+
+   differ by an invertible change of row-space basis that fixes the lane
+   subspace — a relabeling of which row activates which key, under which
+   every warp sweep (full-row phases are key-independent; full-column
+   phases see the same rank, hence the same coset multiplicity) costs
+   identically.  The key [(0, 0)] is the trivial class: no word-relevant
+   key bit, so its members cost what the unswizzled base costs. *)
+let swizzle_class_key ~rows ~cols ~elem_bytes (mask, shift) =
+  let rbits = log2 rows and vbits = min (log2 rows) (log2 warp_lanes) in
+  let wshift = max 0 (log2 bank_bytes - log2 elem_bytes) in
+  let im limit =
+    let acc = ref 0 in
+    for b = wshift to log2 cols - 1 do
+      if mask land (1 lsl b) <> 0 && b + shift < limit then
+        acc := !acc lor (1 lsl b)
+    done;
+    !acc
+  in
+  (im vbits, im rbits)
+
+let popcount x =
+  let c = ref 0 and v = ref x in
+  while !v <> 0 do
+    incr c;
+    v := !v land (!v - 1)
+  done;
+  !c
+
+(* The full mask/shift grid ({!Lego_tune.Space.swizzle_family})
+   partitioned by {!swizzle_class_key}; highest warp-image rank (fewest
+   conflicts) first, then highest full rank, then canonical
+   representative.  Empty unless [rows], [cols] and [elem_bytes] are
+   powers of two with [cols > 1]. *)
+let swizzle_classes ~rows ~cols ~elem_bytes =
+  if (not (pow2 cols)) || cols = 1 || (not (pow2 rows)) || not (pow2 elem_bytes)
+  then []
+  else begin
+    (* Iterate shifts-then-masks ascending: the first member of each
+       class is its lexicographic (shift, mask) minimum. *)
+    let members = Hashtbl.create 64 in
+    let keys = ref [] in
+    for shift = 0 to max 1 (num_bits rows) - 1 do
+      for mask = 0 to cols - 1 do
+        let key = swizzle_class_key ~rows ~cols ~elem_bytes (mask, shift) in
+        if not (Hashtbl.mem members key) then keys := key :: !keys;
+        Hashtbl.add members key (mask, shift)
+      done
+    done;
+    let classes =
+      List.rev_map
+        (fun key ->
+          let ms = List.rev (Hashtbl.find_all members key) in
+          let mask, shift = List.hd ms in
+          (key, { sw_mask = mask; sw_shift = shift; sw_members = ms }))
+        !keys
+    in
+    List.map snd
+      (List.stable_sort
+         (fun ((v1, f1), c1) ((v2, f2), c2) ->
+           let c = compare (popcount v2) (popcount v1) in
+           if c <> 0 then c
+           else
+             let c = compare (popcount f2) (popcount f1) in
+             if c <> 0 then c
+             else compare (c1.sw_shift, c1.sw_mask) (c2.sw_shift, c2.sw_mask))
+         classes)
+  end
+
+(* One representative per non-trivial class: the swizzles the tuner's
+   former class mode prepended to every swizzle-free candidate. *)
+let class_representatives ~rows ~cols ~elem_bytes =
+  List.filter_map
+    (fun c ->
+      let key = swizzle_class_key ~rows ~cols ~elem_bytes in
+      if key (c.sw_mask, c.sw_shift) = (0, 0) then None
+      else Some (c.sw_mask, c.sw_shift))
+    (swizzle_classes ~rows ~cols ~elem_bytes)

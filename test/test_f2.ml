@@ -264,18 +264,10 @@ let prop_layout_is_stage_composition =
 let test_layout_map_matches_compiled () =
   let module T = Lego_tune in
   let slot = T.Slot.transpose_smem () in
-  let elem_bytes =
-    List.fold_left
-      (fun acc -> function
-        | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
-        | T.Predict.Global _ -> acc)
-      1 slot.T.Slot.phases
-  in
   List.iter
     (fun composed ->
       let sp =
-        T.Space.make ~composed ~elem_bytes ~rows:slot.T.Slot.rows
-          ~cols:slot.T.Slot.cols ()
+        T.Space.make ~composed ~rows:slot.T.Slot.rows ~cols:slot.T.Slot.cols ()
       in
       let linear = ref 0 in
       Seq.iter

@@ -135,7 +135,7 @@ let test_request_round_trip () =
           budget = Some 64;
           top = None;
           seed = 7;
-          oracle = true;
+          oracle = false;
           conform = true;
         };
       Sv.Protocol.Fingerprint { layout = "Col(2, 3)"; device = "rtx4090" };
@@ -150,10 +150,24 @@ let test_request_round_trip () =
         Alcotest.(check bool) "request round-trips" true (r = r')
       | Error e -> Alcotest.fail e)
     reqs;
-  match Sv.Protocol.request_of_json (Sv.Json.Obj [ ("op", Sv.Json.Str "frob") ])
+  (match
+     Sv.Protocol.request_of_json (Sv.Json.Obj [ ("op", Sv.Json.Str "frob") ])
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown op accepted");
+  (* F₂ class mode is gone: asking for it is an error, not a default
+     search. *)
+  match
+    Sv.Protocol.request_of_json
+      (Sv.Json.Obj
+         [
+           ("op", Sv.Json.Str "tune");
+           ("slot", Sv.Json.Str "matmul");
+           ("oracle", Sv.Json.Bool true);
+         ])
   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op accepted"
+  | Ok _ -> Alcotest.fail "\"oracle\": true accepted"
 
 (* ---- store ------------------------------------------------------------- *)
 
@@ -531,6 +545,60 @@ let test_server_out_of_range_tune () =
   | _ -> Alcotest.fail "batch response not an array");
   Sv.Server.shutdown t
 
+(* Regression: an ill-typed or unknown request field fell back to the
+   default — ["budget":"64"] searched the default 256 candidates,
+   ["scale":true] ran a default search, ["device":5, "emit":"c"]
+   compiled for a100 with every backend, and a misspelt ["devcie"]
+   compiled for a100.  Each is now a request error naming the field;
+   the well-formed requests of the same batch still succeed. *)
+let test_server_rejects_bad_fields () =
+  let t = Sv.Server.create ~jobs:1 () in
+  let batch =
+    match
+      Sv.Json.of_string
+        {|[{"op":"tune","slot":"nw","budget":"64"},
+           {"op":"tune","slot":"nw","scale":true},
+           {"op":"compile","layout":"GroupBy([4,4])","device":5,"emit":"c"},
+           {"op":"compile","layout":"GroupBy([4,4])","devcie":"h100"},
+           {"op":"tune","slot":"nw","oracle":true},
+           {"op":"compile","layout":"GroupBy([4,4])","emit":["c",1]},
+           {"op":"fingerprint","layout":"GroupBy([4,4])","seed":1},
+           {"op":"stats","verbose":true},
+           {"op":"tune","slot":"matmul","budget":8,"top":2,"oracle":false},
+           {"op":"compile","layout":"GroupBy([4,4])","device":"h100","emit":["c"]},
+           {"op":"fingerprint","layout":"GroupBy([4,4])"},
+           {"op":"stats"}]|}
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  (match Sv.Server.handle_batch t batch with
+  | Sv.Json.List rs ->
+    Alcotest.(check (list (option bool))) "ok flags"
+      (List.init 8 (fun _ -> Some false) @ List.init 4 (fun _ -> Some true))
+      (List.map (Sv.Json.mem_bool "ok") rs);
+    List.iter2
+      (fun field r ->
+        let err = Option.value ~default:"" (Sv.Json.mem_string "error" r) in
+        Alcotest.(check bool)
+          (Printf.sprintf "error %S names %S" err field)
+          true
+          (Str.string_match (Str.regexp (".*\"" ^ field ^ "\"")) err 0))
+      [ "budget"; "scale"; "device"; "devcie"; "oracle"; "emit"; "seed"; "verbose" ]
+      (List.filteri (fun i _ -> i < 8) rs);
+    let nth = List.nth rs in
+    Alcotest.(check (option string)) "the well-formed compile is for h100"
+      (Some "h100") (Sv.Json.mem_string "device" (nth 9));
+    Alcotest.(check bool) "and honours its emit" true
+      (Sv.Json.mem_string "mlir" (nth 9) = None
+      && Sv.Json.mem_string "c" (nth 9) <> None);
+    Alcotest.(check (option int)) "the well-formed tune explores its budget"
+      (Some 8) (Sv.Json.mem_int "explored" (nth 8));
+    Alcotest.(check (option int)) "stats counts the 8 errors" (Some 8)
+      (Sv.Json.mem_int "errors" (nth 11))
+  | _ -> Alcotest.fail "batch response not an array");
+  Sv.Server.shutdown t
+
 let test_fingerprint_key_matches_server () =
   (* The debug subcommand's key must be the daemon's address. *)
   let layout = "TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])" in
@@ -688,4 +756,6 @@ let suite =
         test_fingerprint_key_matches_server;
       Alcotest.test_case "daemon survives a client hanging up early" `Quick
         test_daemon_survives_early_hangup;
+      Alcotest.test_case "server: unknown or ill-typed fields rejected" `Quick
+        test_server_rejects_bad_fields;
     ] )

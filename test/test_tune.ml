@@ -96,73 +96,102 @@ let test_space_closure_dedup_and_seed_stability () =
             has 0)
           odd))
 
-(* --- Streaming enumerator vs legacy eager closure -------------------------- *)
+(* --- Pinned stream order ------------------------------------------------ *)
 
-(* The pre-streaming eager closure, reconstructed from the public dag
-   primitives: breadth-first levels over [children], de-duplicated by
-   printed fingerprint.  The stream must reproduce it element for
-   element on every non-scale space — the satellite regression guard
-   for the Seq rewrite. *)
-let legacy_closure sp =
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let push g =
-    let fp = T.Fingerprint.of_layout g in
-    if Hashtbl.mem seen fp then false
-    else begin
-      Hashtbl.add seen fp ();
-      out := g :: !out;
-      true
-    end
-  in
-  let rec levels frontier =
-    match List.filter push frontier with
-    | [] -> ()
-    | fresh -> levels (List.concat_map (T.Space.children sp) fresh)
-  in
-  levels (T.Space.roots sp);
-  List.rev !out
+(* A stream's count and the MD5 of its fingerprints, one per line. *)
+let stream_digest sp =
+  let buf = Buffer.create 4096 and n = ref 0 in
+  Seq.iter
+    (fun g ->
+      incr n;
+      Buffer.add_string buf (T.Fingerprint.of_layout g);
+      Buffer.add_char buf '\n')
+    (T.Space.stream sp);
+  (!n, Digest.string (Buffer.contents buf))
 
+(* The candidate order is part of the determinism contract: a
+   budget-truncated search scores a prefix of it.  These values were
+   produced by the breadth-first refinement closure the generator
+   replaced (roots, then each candidate's swizzles and tilings, level
+   by level); the bases x swizzles generator must reproduce them
+   element for element. *)
 let test_stream_matches_legacy_closure () =
   List.iter
-    (fun (label, sp) ->
-      let want = List.map T.Fingerprint.of_layout (legacy_closure sp) in
-      let got = List.map T.Fingerprint.of_layout (T.Space.closure sp) in
-      Alcotest.(check bool) (label ^ ": same sequence") true (want = got);
-      Alcotest.(check int) (label ^ ": count agrees") (List.length want)
-        (T.Space.count sp))
+    (fun (label, sp, count, md5) ->
+      let n, d = stream_digest sp in
+      Alcotest.(check int) (label ^ ": count") count n;
+      Alcotest.(check int) (label ^ ": Space.count") count (T.Space.count sp);
+      Alcotest.(check string)
+        (label ^ ": fingerprint MD5") md5 (Digest.to_hex d))
     [
-      ("16x8", T.Space.make ~rows:16 ~cols:8 ());
-      ("16x8 seed5", T.Space.make ~seed:5 ~rows:16 ~cols:8 ());
-      ("9x9", T.Space.make ~rows:9 ~cols:9 ());
-      ("16x8 classes", T.Space.make ~classes:true ~rows:16 ~cols:8 ());
-      ("16x8 composed", T.Space.make ~composed:true ~rows:16 ~cols:8 ());
+      ( "16x8", T.Space.make ~rows:16 ~cols:8 (), 261,
+        "a4872f53b898d74ccef5072e098453a1" );
+      ( "16x8 seed5", T.Space.make ~seed:5 ~rows:16 ~cols:8 (), 261,
+        "f2d6b4267e237cf8fadb840c2ae271b6" );
+      ( "9x9", T.Space.make ~rows:9 ~cols:9 (), 9,
+        "e6f6f5e16c6b168bed0872c6d33b1a5b" );
+      ( "16x8 composed", T.Space.make ~composed:true ~rows:16 ~cols:8 (), 299,
+        "3cfa76c71ac27b6bf8cf14a1fc34a2e1" );
+      ( "128x32", T.Space.make ~rows:128 ~cols:32 (), 1569,
+        "99266fb4028d34f4155c73692a7d7a1f" );
+      ( "32x32 scale", T.Space.make ~scale:true ~rows:32 ~cols:32 (), 57725,
+        "68acde1ca2a3afd02a89ae91100b95ea" );
     ]
+
+let stream_domain_rows = [ 2; 3; 4; 6; 8; 9; 12; 16 ]
+let stream_domain_cols = [ 2; 3; 4; 6; 8; 9; 16 ]
 
 let prop_stream_no_duplicate_fingerprints =
   QCheck2.Test.make ~name:"stream yields no duplicate fingerprints" ~count:25
-    ~print:(fun (r, c, seed, scale, classes, composed) ->
-      Printf.sprintf "rows=%d cols=%d seed=%d scale=%b classes=%b composed=%b"
-        r c seed scale classes composed)
+    ~print:(fun (r, c, seed, scale, composed) ->
+      Printf.sprintf "rows=%d cols=%d seed=%d scale=%b composed=%b" r c seed
+        scale composed)
     QCheck2.Gen.(
-      oneofl [ 2; 3; 4; 6; 8; 9; 12; 16 ] >>= fun rows ->
-      oneofl [ 2; 3; 4; 6; 8; 9; 16 ] >>= fun cols ->
+      oneofl stream_domain_rows >>= fun rows ->
+      oneofl stream_domain_cols >>= fun cols ->
       int_range 0 7 >>= fun seed ->
       bool >>= fun scale ->
-      bool >>= fun classes ->
-      bool >>= fun composed ->
-      pure (rows, cols, seed, scale, classes, composed))
-    (fun (rows, cols, seed, scale, classes, composed) ->
-      let sp =
-        T.Space.make ~seed ~classes ~composed ~scale ~rows ~cols ()
-      in
+      bool >>= fun composed -> pure (rows, cols, seed, scale, composed))
+    (fun (rows, cols, seed, scale, composed) ->
+      let sp = T.Space.make ~seed ~composed ~scale ~rows ~cols () in
       let fps =
         List.of_seq (Seq.map T.Fingerprint.of_layout (T.Space.stream sp))
       in
       List.length fps = List.length (List.sort_uniq compare fps)
-      && T.Space.count sp = List.length fps
-      && (scale
-         || fps = List.map T.Fingerprint.of_layout (legacy_closure sp)))
+      && T.Space.count sp = List.length fps)
+
+(* Every space of the property's domain, in a fixed nesting (rows, then
+   cols, seed, scale, composed; [false] before [true]), chained as
+   [ctx := MD5(ctx ^ MD5(stream))] over raw 16-byte digests from
+   [MD5("")]: 1,792 spaces, 565,744 candidates, one pinned value from
+   the same breadth-first closure as above. *)
+let test_stream_digests_pinned_over_domain () =
+  let ctx = ref (Digest.string "") and spaces = ref 0 and total = ref 0 in
+  List.iter
+    (fun rows ->
+      List.iter
+        (fun cols ->
+          for seed = 0 to 7 do
+            List.iter
+              (fun scale ->
+                List.iter
+                  (fun composed ->
+                    let n, d =
+                      stream_digest
+                        (T.Space.make ~seed ~scale ~composed ~rows ~cols ())
+                    in
+                    incr spaces;
+                    total := !total + n;
+                    ctx := Digest.string (!ctx ^ d))
+                  [ false; true ])
+              [ false; true ]
+          done)
+        stream_domain_cols)
+    stream_domain_rows;
+  Alcotest.(check int) "spaces" 1792 !spaces;
+  Alcotest.(check int) "candidates" 565_744 !total;
+  Alcotest.(check string) "chained MD5" "7ae99efa1d66ce05db9aa8d3817b8c66"
+    (Digest.to_hex !ctx)
 
 let test_scale_space_product_axes () =
   let base = T.Space.make ~rows:32 ~cols:8 () in
@@ -725,16 +754,16 @@ let slot_elem_bytes (slot : T.Slot.t) =
 
 let family_layouts (slot : T.Slot.t) =
   let rows = slot.T.Slot.rows and cols = slot.T.Slot.cols in
-  let sp =
-    T.Space.make ~classes:true ~elem_bytes:(slot_elem_bytes slot) ~rows ~cols ()
-  in
-  ( sp,
-    List.map
-      (fun (mask, shift) ->
-        ( (mask, shift),
-          prepend_swizzle ~mask ~shift (T.Slot.row_major ~rows ~cols) ~rows
-            ~cols ))
-      (T.Space.swizzle_family sp) )
+  List.map
+    (fun (mask, shift) ->
+      ( (mask, shift),
+        prepend_swizzle ~mask ~shift (T.Slot.row_major ~rows ~cols) ~rows ~cols
+      ))
+    (T.Space.swizzle_family (T.Space.make ~rows ~cols ()))
+
+let slot_classes (slot : T.Slot.t) =
+  Reference.swizzle_classes ~rows:slot.T.Slot.rows ~cols:slot.T.Slot.cols
+    ~elem_bytes:(slot_elem_bytes slot)
 
 (* The closed-form score of an F₂-linear family member; every member
    is affine, so the closed form must engage (not be skipped). *)
@@ -750,7 +779,7 @@ let closed_form (slot : T.Slot.t) ((mask, shift), g) =
 let test_oracle_score_matches_compiled_full_family () =
   List.iter
     (fun (slot : T.Slot.t) ->
-      let _, fam = family_layouts slot in
+      let fam = family_layouts slot in
       List.iter
         (fun (((mask, shift), g) as m) ->
           let staged = T.Predict.score g slot.T.Slot.phases in
@@ -772,7 +801,7 @@ let test_oracle_score_matches_compiled_full_family () =
 let test_oracle_matches_measured_counters () =
   List.iter
     (fun (slot : T.Slot.t) ->
-      let _, fam = family_layouts slot in
+      let fam = family_layouts slot in
       let k = ref 0 in
       List.iter
         (fun (((mask, shift), g) as m) ->
@@ -813,11 +842,11 @@ let test_oracle_matches_measured_counters () =
 let test_swizzle_classes_partition_and_cost_constancy () =
   List.iter
     (fun (slot : T.Slot.t) ->
-      let sp, fam = family_layouts slot in
-      let classes = T.Space.swizzle_classes sp in
+      let fam = family_layouts slot in
+      let classes = slot_classes slot in
       (* The classes partition the full family. *)
       let members =
-        List.concat_map (fun c -> c.T.Space.sw_members) classes
+        List.concat_map (fun c -> c.Reference.sw_members) classes
       in
       Alcotest.(check int)
         (slot.T.Slot.name ^ ": classes cover the family")
@@ -845,46 +874,101 @@ let test_swizzle_classes_partition_and_cost_constancy () =
       in
       List.iter
         (fun c ->
-          let rep = score_of (c.T.Space.sw_mask, c.T.Space.sw_shift) in
+          let rep = score_of (c.Reference.sw_mask, c.Reference.sw_shift) in
           List.iter
             (fun m ->
               if score_of m <> rep then
                 Alcotest.failf "%s: class (m%d,s%d) member (m%d,s%d) scores differently"
-                  slot.T.Slot.name c.T.Space.sw_mask c.T.Space.sw_shift (fst m)
+                  slot.T.Slot.name c.Reference.sw_mask c.Reference.sw_shift (fst m)
                   (snd m))
-            c.T.Space.sw_members)
+            c.Reference.sw_members)
         classes)
     (pow2_slots ())
 
-(* --- Class-space search ------------------------------------------------------ *)
+(* --- Class-space coverage ---------------------------------------------- *)
 
+(* The tuner's F₂ class mode searched one representative per non-trivial
+   class ({!Reference.class_representatives}) prepended to every
+   swizzle-free candidate of the default space.  It was deleted because
+   the other modes cover it: on matmul and transpose the default
+   search's winner simulates no slower than the best class
+   representative over row-major, and every class-space candidate is in
+   the [--scale] stream. *)
 let test_oracle_search_class_space () =
-  let slot = T.Slot.matmul_smem () in
-  let base = { T.Tune.default_options with jobs = 2; conform = false } in
-  let sampled = T.Tune.search ~options:base slot in
-  let f2 = T.Tune.search ~options:{ base with classes = true } slot in
-  (* One representative per cost class covers the whole family, so the
-     class space's winner is conflict-free and simulates no slower than
-     the sampled space's. *)
-  Alcotest.(check bool) "class-space winner conflict-free" true
-    (T.Slot.sim_conflict_free (Option.get f2.T.Tune.winner.T.Tune.sim));
-  Alcotest.(check bool) "class-space winner as good as sampled space" true
-    ((Option.get f2.T.Tune.winner.T.Tune.sim).T.Slot.time_s
-    <= (Option.get sampled.T.Tune.winner.T.Tune.sim).T.Slot.time_s);
-  (* Both winners' static scores are what the closed form computes. *)
   List.iter
-    (fun (sc : T.Tune.scored) ->
-      Alcotest.(check bool) "winner static score = closed form" true
-        (Some sc.T.Tune.static_score
-        = Reference.closed_form_score sc.T.Tune.layout slot.T.Slot.phases))
-    [ sampled.T.Tune.winner; f2.T.Tune.winner ]
+    (fun ((slot : T.Slot.t), class_space) ->
+      let rows = slot.T.Slot.rows and cols = slot.T.Slot.cols in
+      let name = slot.T.Slot.name in
+      let reps =
+        Reference.class_representatives ~rows ~cols
+          ~elem_bytes:(slot_elem_bytes slot)
+      in
+      let r =
+        T.Tune.search
+          ~options:{ T.Tune.default_options with jobs = 2; conform = false }
+          slot
+      in
+      let w = r.T.Tune.winner in
+      let wtime = (Option.get w.T.Tune.sim).T.Slot.time_s in
+      let rm = T.Slot.row_major ~rows ~cols in
+      let best =
+        List.fold_left
+          (fun acc (mask, shift) ->
+            let g = prepend_swizzle ~mask ~shift rm ~rows ~cols in
+            min acc (slot.T.Slot.simulate ~fast:true g).T.Slot.time_s)
+          infinity reps
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: default winner %.3f us <= best class rep %.3f us"
+           name (wtime *. 1e6) (best *. 1e6))
+        true (wtime <= best);
+      Alcotest.(check bool)
+        (name ^ ": winner static score = closed form")
+        true
+        (Some w.T.Tune.static_score
+        = Reference.closed_form_score w.T.Tune.layout slot.T.Slot.phases);
+      (* The class space: the default space's unswizzled candidates,
+         plus every representative over every swizzle-free one. *)
+      let default = T.Space.closure (T.Space.make ~rows ~cols ()) in
+      let unswizzled =
+        List.filter
+          (fun g ->
+            not
+              (String.starts_with ~prefix:"OrderBy2(GenP(swizzlex"
+                 (T.Fingerprint.of_layout g)))
+          default
+      in
+      let classes = Hashtbl.create 4096 in
+      let add g = Hashtbl.replace classes (T.Fingerprint.digest g) g in
+      List.iter add unswizzled;
+      List.iter
+        (fun base ->
+          if not (T.Space.has_gen base) then
+            List.iter
+              (fun (mask, shift) ->
+                add (prepend_swizzle ~mask ~shift base ~rows ~cols))
+              reps)
+        unswizzled;
+      Alcotest.(check int) (name ^ ": class space size") class_space
+        (Hashtbl.length classes);
+      let scale = Hashtbl.create (1 lsl 16) in
+      Seq.iter
+        (fun g -> Hashtbl.replace scale (T.Fingerprint.digest g) ())
+        (T.Space.stream (T.Space.make ~scale:true ~rows ~cols ()));
+      Hashtbl.iter
+        (fun d g ->
+          if not (Hashtbl.mem scale d) then
+            Alcotest.failf "%s: class-space candidate %s not in --scale" name
+              (T.Fingerprint.of_layout g))
+        classes)
+    [ (T.Slot.matmul_smem (), 3725); (T.Slot.transpose_smem (), 2117) ]
 
 (* --- Direct printers and pinned store keys --------------------------------- *)
 
 let slot_space ?(scale = false) ?(composed = false) ?(seed = 0)
     (slot : T.Slot.t) =
-  T.Space.make ~seed ~scale ~composed ~elem_bytes:(slot_elem_bytes slot)
-    ~rows:slot.T.Slot.rows ~cols:slot.T.Slot.cols ()
+  T.Space.make ~seed ~scale ~composed ~rows:slot.T.Slot.rows
+    ~cols:slot.T.Slot.cols ()
 
 (* The Buffer printers must reproduce the Format printers they replaced
    byte for byte: fingerprints are the ranking tie-break, the dedup key
@@ -1323,6 +1407,17 @@ let test_cli_rejects_non_positive_top_and_budget () =
         true (contains out msg))
     [ "--top"; "--budget" ]
 
+(* F₂ class mode is gone: [--oracle] is an unknown option, a usage
+   error (cmdliner's exit code 124), not a silent default search. *)
+let test_cli_rejects_oracle () =
+  let status, out =
+    run_legoc [ "tune"; "matmul"; "--oracle"; "--no-conform"; "-j"; "1" ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "legoc tune matmul --oracle exits 124:\n%s" out)
+    true
+    (status = Unix.WEXITED 124)
+
 let suite =
   ( "tune",
     [
@@ -1406,4 +1501,8 @@ let suite =
         test_map_memo_keeps_ops_per_text;
       Alcotest.test_case "F2 memo hits are exact" `Quick
         test_map_memo_hits_are_exact;
+      Alcotest.test_case "stream digests pinned over the domain" `Quick
+        test_stream_digests_pinned_over_domain;
+      Alcotest.test_case "CLI rejects the deleted --oracle" `Quick
+        test_cli_rejects_oracle;
     ] )
