@@ -69,22 +69,17 @@ let write_json () =
       Printf.printf "\nwrote %d results to %s\n" (List.length items) path)
     !json_file
 
-(* Hit/miss/eviction counters of the memoized symbolic engine (process
-   lifetime; see lib/symbolic). *)
+(* Hit/miss/eviction counters of the memoized symbolic engine, one line
+   per {!Lego_symbolic.Memo} instance (process lifetime; see
+   lib/symbolic), then the prover's goal counts. *)
 let engine_counters () =
-  let i = S.Expr.intern_stats () in
-  row "expr intern:  %d hits / %d misses / %d evictions (%d live nodes)\n"
-    i.S.Expr.hits i.S.Expr.misses i.S.Expr.evictions (S.Expr.intern_size ());
-  let rc = S.Range.cache_stats () in
-  row "range cache:  %d hits / %d misses / %d evictions\n" rc.S.Range.hits
-    rc.S.Range.misses rc.S.Range.evictions;
+  List.iter
+    (fun (name, s) ->
+      row "%-18s %d hits / %d misses / %d evictions\n" (name ^ ":")
+        s.S.Memo.hits s.S.Memo.misses s.S.Memo.evictions)
+    (S.Memo.all ());
   let p = S.Prover.snapshot () in
-  row "prover cache: %d hits / %d misses; %d/%d goals proved\n"
-    p.S.Prover.cache_hits p.S.Prover.cache_misses p.S.Prover.proved
-    p.S.Prover.queries;
-  let sc = S.Simplify.cache_stats () in
-  row "simplify memo: %d hits / %d misses / %d evictions\n" sc.S.Simplify.hits
-    sc.S.Simplify.misses sc.S.Simplify.evictions
+  row "prover goals:      %d/%d proved\n" p.S.Prover.proved p.S.Prover.queries
 
 (* ---- Table 1: simplification rules ----------------------------------- *)
 

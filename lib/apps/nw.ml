@@ -11,10 +11,17 @@ type config = {
   compute_values : bool;
 }
 
+let check cfg =
+  let fail fmt = Printf.ksprintf invalid_arg ("Nw: " ^^ fmt) in
+  if cfg.b <= 0 then fail "b (%d) must be positive" cfg.b;
+  if cfg.length <= 0 then fail "length (%d) must be positive" cfg.length;
+  if cfg.length mod cfg.b <> 0 then
+    fail "length (%d) must be a multiple of b (%d)" cfg.length cfg.b
+
 let default_config ?(b = 16) ?(penalty = 10) length =
-  if length mod b <> 0 then
-    invalid_arg "Nw.default_config: length must be a multiple of b";
-  { length; b; penalty; compute_values = false }
+  let cfg = { length; b; penalty; compute_values = false } in
+  check cfg;
+  cfg
 
 type result = {
   time_s : float;
@@ -117,11 +124,13 @@ let tile_kernel cfg ~sbuff ~addr_cost scores ~wrap ~d ~ti_lo (ctx : Simt.ctx)
     Simt.gstore scores (wrap (((base_i + i) * n) + base_j + j)) v
   done
 
-(* Fully parameterized driver: [sbuff] maps logical [(i, j)] of the
-   [(b+1) x (b+1)] score buffer to a shared-memory word, [addr_cost] is
-   the per-access ALU charge of evaluating that map on a GPU.  The
-   autotuner calls this directly with candidate layouts. *)
-let run_custom ?(device = Device.a100) ~sbuff ~addr_cost cfg =
+let run ?(device = Device.a100) kind cfg =
+  check cfg;
+  (* [sbuff] maps logical [(i, j)] of the [(b+1) x (b+1)] score buffer
+     to a shared-memory word; [addr_cost] is the per-access ALU charge of
+     evaluating that map on a GPU. *)
+  let sbuff = buff_index kind ~b:cfg.b in
+  let addr_cost = if kind = AntiDiagonal then 8 else 2 in
   let n = cfg.length + 1 in
   let nb = cfg.length / cfg.b in
   let cap = if cfg.compute_values then n * n else 1 lsl 22 in
@@ -147,12 +156,6 @@ let run_custom ?(device = Device.a100) ~sbuff ~addr_cost cfg =
   let time_s = Metrics.sum_times_s reports in
   let cells = float_of_int cfg.length *. float_of_int cfg.length in
   { time_s; cells_per_s = cells /. time_s; reports; scores }
-
-let run ?device kind cfg =
-  run_custom ?device
-    ~sbuff:(buff_index kind ~b:cfg.b)
-    ~addr_cost:(if kind = AntiDiagonal then 8 else 2)
-    cfg
 
 let check_numerics kind cfg =
   let cfg = { cfg with compute_values = true } in

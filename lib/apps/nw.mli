@@ -13,13 +13,15 @@
 type layout_kind = RowMajor | AntiDiagonal
 
 type config = {
-  length : int;  (** sequence length; must be a multiple of [b] *)
+  length : int;  (** sequence length; a positive multiple of [b] *)
   b : int;  (** CUDA block edge (Rodinia uses 16) *)
   penalty : int;
   compute_values : bool;
 }
 
 val default_config : ?b:int -> ?penalty:int -> int -> config
+(** Raises [Invalid_argument] naming the field unless [b] and [length]
+    are positive and [b] divides [length]. *)
 
 type result = {
   time_s : float;
@@ -35,19 +37,11 @@ val buff_index : layout_kind -> b:int -> int -> int -> int
 
 val run :
   ?device:Lego_gpusim.Device.t -> layout_kind -> config -> result
-
-val run_custom :
-  ?device:Lego_gpusim.Device.t ->
-  sbuff:(int -> int -> int) ->
-  addr_cost:int ->
-  config ->
-  result
-(** [run_custom ~sbuff ~addr_cost cfg] runs the same kernel with an
-    arbitrary shared score-buffer layout: [sbuff i j] is the shared word
-    of logical [(i, j)] over the [(b+1) x (b+1)] space and [addr_cost]
-    the per-access ALU charge of that address computation.  [run] is the
-    special case using {!buff_index} (cost 2 row-major, 8 anti-diagonal);
-    the autotuner feeds candidate layouts through this entry point. *)
+(** The score buffer is indexed through {!buff_index}, charged 2 ALU ops
+    per access row-major and 8 anti-diagonal.  The autotuner's NW slot
+    ([Lego_tune.Slot]) searches arbitrary buffer layouts with its own
+    warp program of this kernel.  Raises [Invalid_argument] naming the
+    field, as {!default_config} does. *)
 
 val cpu_reference : config -> int array
 (** Sequential DP over the same random inputs. *)

@@ -2,11 +2,7 @@ module L = Lego_layout
 module G = Lego_gpusim
 open G
 
-type smem_layout =
-  | Unpadded
-  | Padded
-  | Swizzled
-  | Layout of L.Group_by.t
+type smem_layout = Unpadded | Padded | Swizzled
 
 type config = { m : int; n : int; tile : int; compute_values : bool }
 
@@ -19,9 +15,21 @@ type result = {
   reports : Simt.report list;
 }
 
+(* A block is [tile x (256 / tile)] threads whose rows sweep the tile,
+   so the tile must divide 256 and be at least 16 (16 x 16 = 256). *)
+let tiles = [ 16; 32; 64; 128; 256 ]
+
 let check cfg =
-  if cfg.m mod cfg.tile <> 0 || cfg.n mod cfg.tile <> 0 then
-    invalid_arg "Transpose: matrix must be divisible into tiles"
+  let fail fmt = Printf.ksprintf invalid_arg ("Transpose: " ^^ fmt) in
+  if cfg.m <= 0 then fail "m (%d) must be positive" cfg.m;
+  if cfg.n <= 0 then fail "n (%d) must be positive" cfg.n;
+  if not (List.mem cfg.tile tiles) then
+    fail "tile (%d) must be one of %s" cfg.tile
+      (String.concat ", " (List.map string_of_int tiles));
+  if cfg.m mod cfg.tile <> 0 then
+    fail "m (%d) must be divisible by the tile (%d)" cfg.m cfg.tile;
+  if cfg.n mod cfg.tile <> 0 then
+    fail "n (%d) must be divisible by the tile (%d)" cfg.n cfg.tile
 
 (* Both offsets are LEGO views indexed by the INPUT coordinates (i, j):
    the input is the row-major [m x n] view, and the output offset is the
@@ -48,10 +56,26 @@ let finish cfg reports =
 
 let arena_cap = 1 lsl 22
 
+(* Sampled runs fold both matrices into bounded arenas and run a few
+   blocks; under [compute_values] the buffers are full size, the input
+   holds its own offsets and every block runs. *)
+let buffers cfg =
+  let size = cfg.m * cfg.n in
+  let cap = if cfg.compute_values then size else arena_cap in
+  let inp, wi = Mem.create_arena ~label:"in" Mem.F32 size ~cap in
+  let out, wo = Mem.create_arena ~label:"out" Mem.F32 size ~cap in
+  if cfg.compute_values then
+    for a = 0 to size - 1 do
+      Mem.set inp a (float_of_int a)
+    done;
+  (inp, wi, out, wo)
+
+let blocks cfg sample_blocks =
+  if cfg.compute_values then None else Some sample_blocks
+
 let run_naive ?(device = Device.a100) ?(sample_blocks = 4) cfg =
   check cfg;
-  let inp, wi = Mem.create_arena ~label:"in" Mem.F32 (cfg.m * cfg.n) ~cap:arena_cap in
-  let out, wo = Mem.create_arena ~label:"out" Mem.F32 (cfg.m * cfg.n) ~cap:arena_cap in
+  let inp, wi, out, wo = buffers cfg in
   let li = in_layout cfg and lo = out_layout cfg in
   let t = cfg.tile in
   let kern (ctx : Simt.ctx) =
@@ -67,7 +91,8 @@ let run_naive ?(device = Device.a100) ?(sample_blocks = 4) cfg =
     done
   in
   let report =
-    Simt.run ~device ~sample_blocks
+    Simt.run ~device
+      ?sample_blocks:(blocks cfg sample_blocks)
       ~grid:(cfg.n / t, cfg.m / t)
       ~block:(t, 256 / t) ~smem_words:0 kern
   in
@@ -83,16 +108,12 @@ let smem_view cfg layout =
   | Swizzled ->
     let piece = L.Gallery.xor_swizzle ~rows:t ~cols:t in
     ((fun i j -> L.Piece.apply_ints piece [ i; j ]), t * t)
-  | Layout g ->
-    if L.Group_by.shapes g <> [ [ t; t ] ] then
-      invalid_arg "Transpose: custom shared layout must view [tile; tile]";
-    ((fun i j -> L.Group_by.apply_ints g [ i; j ]), L.Group_by.numel g)
 
-let run_shared ?(device = Device.a100) ?(sample_blocks = 4)
+(* The shared-tile kernel, with the buffers it moved. *)
+let shared ?(device = Device.a100) ?(sample_blocks = 4)
     ?(smem_layout = Swizzled) cfg =
   check cfg;
-  let inp, wi = Mem.create_arena ~label:"in" Mem.F32 (cfg.m * cfg.n) ~cap:arena_cap in
-  let out, wo = Mem.create_arena ~label:"out" Mem.F32 (cfg.m * cfg.n) ~cap:arena_cap in
+  let inp, wi, out, wo = buffers cfg in
   let li = in_layout cfg and lo = out_layout cfg in
   let t = cfg.tile in
   let saddr, swords = smem_view cfg smem_layout in
@@ -120,42 +141,23 @@ let run_shared ?(device = Device.a100) ?(sample_blocks = 4)
     done
   in
   let report =
-    Simt.run ~device ~sample_blocks
+    Simt.run ~device
+      ?sample_blocks:(blocks cfg sample_blocks)
       ~grid:(cfg.n / t, cfg.m / t)
       ~block:(t, rows_per_iter) ~smem_words:swords kern
   in
-  finish cfg [ report ]
+  (finish cfg [ report ], inp, out)
 
-let check_numerics ?(smem_layout = Swizzled) cfg =
-  check cfg;
+let run_shared ?device ?sample_blocks ?smem_layout cfg =
+  let r, _, _ = shared ?device ?sample_blocks ?smem_layout cfg in
+  r
+
+let check_numerics ?smem_layout cfg =
   let cfg = { cfg with compute_values = true } in
-  let inp = Mem.init ~label:"in" Mem.F32 (cfg.m * cfg.n) (fun i -> float_of_int i) in
-  let out = Mem.create ~label:"out" Mem.F32 (cfg.m * cfg.n) in
-  let li = in_layout cfg and lo = out_layout cfg in
-  let t = cfg.tile in
-  let saddr, swords = smem_view cfg smem_layout in
-  let rows_per_iter = 256 / t in
-  let kern (ctx : Simt.ctx) =
-    for r = 0 to (t / rows_per_iter) - 1 do
-      let ti = ctx.ty + (r * rows_per_iter) in
-      let i = (ctx.by * t) + ti and j = (ctx.bx * t) + ctx.tx in
-      let v = Simt.gload inp (L.Group_by.apply_ints li [ i; j ]) in
-      Simt.sstore (saddr ti ctx.tx) v
-    done;
-    Simt.sync ();
-    for r = 0 to (t / rows_per_iter) - 1 do
-      let tj = ctx.ty + (r * rows_per_iter) in
-      let oi = (ctx.bx * t) + tj and oj = (ctx.by * t) + ctx.tx in
-      let v = Simt.sload (saddr ctx.tx tj) in
-      Simt.gstore out (L.Group_by.apply_ints lo [ oj; oi ]) v
-    done
-  in
-  let _ =
-    Simt.run ~grid:(cfg.n / t, cfg.m / t) ~block:(t, rows_per_iter)
-      ~smem_words:swords kern
-  in
+  let _, inp, out = shared ?smem_layout cfg in
   (* Same logical (i, j), two views: the output under the column-major
      view must equal the input under the row-major view. *)
+  let li = in_layout cfg and lo = out_layout cfg in
   let worst = ref 0.0 in
   for i = 0 to cfg.m - 1 do
     for j = 0 to cfg.n - 1 do

@@ -8,19 +8,19 @@
     conflicts, an XOR-swizzled layout (from {!Lego_layout.Gallery}) does
     not. *)
 
-type smem_layout =
-  | Unpadded
-  | Padded
-  | Swizzled
-  | Layout of Lego_layout.Group_by.t
-      (** Any LEGO view of the [tile x tile] logical space — the hook the
-          autotuner uses to try arbitrary shared-memory candidates. *)
+type smem_layout = Unpadded | Padded | Swizzled
+(** The shared tile's layout.  The autotuner's transpose slot
+    ([Lego_tune.Slot]) searches this choice over arbitrary LEGO views
+    with its own warp program. *)
 
 type config = {
   m : int;
   n : int;
-  tile : int;  (** square tile edge, default 32 *)
+  tile : int;  (** square tile edge, default 32: one of 16, 32, 64, 128, 256 *)
   compute_values : bool;
+      (** full-size buffers and every block simulated, for
+          {!check_numerics}; otherwise a few sampled blocks over folded
+          buffers *)
 }
 
 val default_config : ?tile:int -> int -> config
@@ -33,7 +33,10 @@ type result = {
 
 val run_naive :
   ?device:Lego_gpusim.Device.t -> ?sample_blocks:int -> config -> result
-(** Direct [out[j][i] = in[i][j]]: reads coalesce, writes do not. *)
+(** Direct [out[j][i] = in[i][j]]: reads coalesce, writes do not.
+    Raises [Invalid_argument] naming the field when [m] or [n] is not
+    positive, or [tile] is not one of 16, 32, 64, 128, 256 dividing
+    both (as do {!run_shared} and {!check_numerics}). *)
 
 val run_shared :
   ?device:Lego_gpusim.Device.t ->
@@ -44,3 +47,5 @@ val run_shared :
 (** Tile staged through shared memory; both global accesses coalesce. *)
 
 val check_numerics : ?smem_layout:smem_layout -> config -> (unit, string) Stdlib.result
+(** Run {!run_shared}'s kernel under [compute_values] and compare every
+    transposed element with its source. *)

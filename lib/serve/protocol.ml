@@ -121,6 +121,9 @@ let check_fields op fields j =
     Option.fold ~none:(Ok ()) ~some:Result.error (List.find_map bad fs)
   | _ -> Ok ()
 
+(* The artifact fields a compile request may select. *)
+let emit_names = [ "simplified"; "c"; "triton"; "mlir" ]
+
 let request_of_json j =
   let device () =
     Option.value ~default:default_device (Json.mem_string "device" j)
@@ -129,13 +132,18 @@ let request_of_json j =
     | "compile" -> (
       match Json.mem_string "layout" j with
       | None -> Error "compile: missing \"layout\""
-      | Some layout ->
+      | Some layout -> (
         let emit =
           match Json.member "emit" j with
           | Some (Json.List xs) -> List.filter_map Json.get_string xs
           | _ -> []
         in
-        Ok (Compile { layout; emit; device = device () }))
+        match List.find_opt (fun e -> not (List.mem e emit_names)) emit with
+        | Some e ->
+          Error
+            (Printf.sprintf "compile: \"emit\" entry %S is not one of %s" e
+               (String.concat ", " (List.map (Printf.sprintf "%S") emit_names)))
+        | None -> Ok (Compile { layout; emit; device = device () })))
     | "tune" -> (
       let positive k =
         match Json.mem_int k j with

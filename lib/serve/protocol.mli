@@ -13,8 +13,10 @@
     - [{"op":"compile","layout":L,"emit":[...],"device":D}] — parse the
       layout expression, return its canonical form, fingerprint,
       simplified symbolic offset and generated C/Triton/MLIR text.
-      ["emit"] (optional) selects backends for the response; the store
-      always keeps all of them.
+      ["emit"] (optional) selects which of ["simplified"], ["c"],
+      ["triton"] and ["mlir"] the response carries (all four when it is
+      absent or empty); any other entry is a request error that names
+      it.  The store always keeps all of them.
     - [{"op":"tune","slot":S,"device":D,"budget":N,"top":K,"seed":N,
       "conform":B}] — run (or answer from the store) the autotune search
       for a kernel slot under a device preset.  ["budget"] and ["top"]

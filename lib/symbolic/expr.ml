@@ -57,57 +57,26 @@ let equal a b = a == b || compare a b = 0
    Children are interned before their parents, so both the polymorphic
    hash (depth-bounded) and the polymorphic equality used by [Hashtbl]
    short-circuit on physical identity, making each intern O(1).  The
-   table is bounded: when it fills up it is flushed (counted as an
-   eviction), after which [==] stays sound but loses completeness — which
+   table is a one-environment {!Memo} instance: when it fills up it is
+   flushed, after which [==] stays sound but loses completeness — which
    is why [equal]/[compare] keep a structural fallback.
 
-   The table (and its counters) are domain-local: each domain of the
-   execution layer (lib/exec) owns a private unique table, so interning
-   is lock-free and [==] completeness holds within a domain.  Nodes that
-   cross domains (e.g. built inside a worker task and returned) are
-   still sound — [equal]/[compare]'s structural fallback covers pairs
-   interned by different domains. *)
+   Like every memo, the table is domain-local, so interning is lock-free
+   and [==] completeness holds within a domain.  Nodes that cross domains
+   (e.g. built inside a worker task and returned) are still sound —
+   [equal]/[compare]'s structural fallback covers pairs interned by
+   different domains. *)
 
-type intern_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-type intern_state = { tbl : (t, t) Hashtbl.t; counters : intern_stats }
-
-let intern_capacity = 1 lsl 17
-
-let intern_key =
-  Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 4096; counters = { hits = 0; misses = 0; evictions = 0 } })
+let memo : (unit, t, t) Memo.t =
+  Memo.create ~name:"Expr.intern" ~capacity:(1 lsl 17) ~initial:4096 ()
 
 let intern e =
-  let st = Domain.DLS.get intern_key in
-  match Hashtbl.find_opt st.tbl e with
-  | Some e' ->
-    st.counters.hits <- st.counters.hits + 1;
-    e'
+  let tbl = Memo.table memo () in
+  match Memo.find tbl e with
+  | Some e' -> e'
   | None ->
-    st.counters.misses <- st.counters.misses + 1;
-    if Hashtbl.length st.tbl >= intern_capacity then begin
-      Hashtbl.reset st.tbl;
-      st.counters.evictions <- st.counters.evictions + 1
-    end;
-    Hashtbl.add st.tbl e e;
+    Memo.add tbl e e;
     e
-
-let intern_stats () =
-  let c = (Domain.DLS.get intern_key).counters in
-  { hits = c.hits; misses = c.misses; evictions = c.evictions }
-
-let reset_intern_stats () =
-  let c = (Domain.DLS.get intern_key).counters in
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0
-
-let intern_size () = Hashtbl.length (Domain.DLS.get intern_key).tbl
 
 let const n = intern (Const n)
 let var name = intern (Var name)
@@ -322,8 +291,6 @@ let map_children f e =
   | Isqrt a ->
     let a' = f a in
     if a' == a then e else isqrt a'
-
-let rec rebuild e = map_children rebuild e
 
 let vars e =
   let rec go acc = function

@@ -61,22 +61,9 @@ val equal : t -> t -> bool
 (** [equal a b] is [a == b || compare a b = 0]; with hash-consing the
     physical test decides almost every call in O(1). *)
 
-type intern_stats = {
-  mutable hits : int;  (** constructions resolved to an existing node *)
-  mutable misses : int;  (** fresh nodes added to the unique table *)
-  mutable evictions : int;  (** table flushes on reaching capacity *)
-}
-
-val intern_stats : unit -> intern_stats
-(** Snapshot of the process-lifetime hash-consing counters. *)
-
-val reset_intern_stats : unit -> unit
-val intern_size : unit -> int
-(** Current number of live nodes in the unique table. *)
-
-val rebuild : t -> t
-(** Re-apply all smart constructors bottom-up (used after surgical rule
-    rewrites). *)
+val memo : (unit, t, t) Memo.t
+(** The hash-consing unique table (capacity 2^17, flushed when full),
+    exposed for its {!Memo.stats}. *)
 
 val map_children : (t -> t) -> t -> t
 (** Apply [f] to immediate children and rebuild the node with smart

@@ -1,55 +1,16 @@
-type stats = {
-  mutable queries : int;
-  mutable proved : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-}
+type stats = { mutable queries : int; mutable proved : int }
 
-let stats () = { queries = 0; proved = 0; cache_hits = 0; cache_misses = 0 }
+let stats () = { queries = 0; proved = 0 }
 
-(* Counters and the query cache are domain-local (like the {!Range}
-   caches): each domain of the execution layer proves and counts its own
-   goals without contention. *)
-
-type state = {
-  counters : stats;
-  mutable env_caches : (Range.env * (int * Expr.t * Expr.t, bool) Hashtbl.t) list;
-}
-
-let state_key =
-  Domain.DLS.new_key (fun () -> { counters = stats (); env_caches = [] })
-
-let global_stats () = (Domain.DLS.get state_key).counters
+(* Goal counters are domain-local (like every {!Memo}): each domain of
+   the execution layer proves and counts its own goals without
+   contention. *)
+let counters = Domain.DLS.new_key stats
+let global_stats () = Domain.DLS.get counters
 
 let snapshot () =
   let g = global_stats () in
-  {
-    queries = g.queries;
-    proved = g.proved;
-    cache_hits = g.cache_hits;
-    cache_misses = g.cache_misses;
-  }
-
-let reset () =
-  let g = global_stats () in
-  g.queries <- 0;
-  g.proved <- 0;
-  g.cache_hits <- 0;
-  g.cache_misses <- 0
-
-let diff a b =
-  {
-    queries = a.queries - b.queries;
-    proved = a.proved - b.proved;
-    cache_hits = a.cache_hits - b.cache_hits;
-    cache_misses = a.cache_misses - b.cache_misses;
-  }
-
-let record ok =
-  let g = global_stats () in
-  g.queries <- g.queries + 1;
-  if ok then g.proved <- g.proved + 1;
-  ok
+  { queries = g.queries; proved = g.proved }
 
 (* ---- Query cache ------------------------------------------------------ *)
 
@@ -60,20 +21,23 @@ let record ok =
    key hashes and compares in O(1).  A cached verdict still counts as a
    query in [global_stats] so proved/failed totals keep their meaning. *)
 
-let max_cached_envs = 8
-let max_cache_entries = 1 lsl 16
+let memo : (Range.env, int * Expr.t * Expr.t, bool) Memo.t =
+  Memo.create ~name:"Prover.goals" ~envs:8 ~capacity:(1 lsl 16) ~initial:256
+    ()
 
-let clear_cache () = (Domain.DLS.get state_key).env_caches <- []
+let reset () =
+  let g = global_stats () in
+  g.queries <- 0;
+  g.proved <- 0;
+  Memo.reset_stats memo
 
-let cache_for env =
-  let st = Domain.DLS.get state_key in
-  match List.find_opt (fun (e, _) -> e == env) st.env_caches with
-  | Some (_, tbl) -> tbl
-  | None ->
-    let tbl = Hashtbl.create 256 in
-    let kept = List.filteri (fun i _ -> i < max_cached_envs - 1) st.env_caches in
-    st.env_caches <- (env, tbl) :: kept;
-    tbl
+let diff a b = { queries = a.queries - b.queries; proved = a.proved - b.proved }
+
+let record ok =
+  let g = global_stats () in
+  g.queries <- g.queries + 1;
+  if ok then g.proved <- g.proved + 1;
+  ok
 
 let goal_nonneg = 0
 let goal_positive = 1
@@ -82,17 +46,12 @@ let goal_le = 3
 let goal_lt = 4
 
 let query goal env a b decide =
-  let tbl = cache_for env in
-  let g = global_stats () in
-  match Hashtbl.find_opt tbl (goal, a, b) with
-  | Some ok ->
-    g.cache_hits <- g.cache_hits + 1;
-    record ok
+  let tbl = Memo.table memo env in
+  match Memo.find tbl (goal, a, b) with
+  | Some ok -> record ok
   | None ->
-    g.cache_misses <- g.cache_misses + 1;
     let ok = decide () in
-    if Hashtbl.length tbl >= max_cache_entries then Hashtbl.reset tbl;
-    Hashtbl.add tbl (goal, a, b) ok;
+    Memo.add tbl (goal, a, b) ok;
     record ok
 
 let nonneg env e =

@@ -12,28 +12,24 @@
 type stats = {
   mutable queries : int;  (** all goals asked, cached or not *)
   mutable proved : int;  (** goals that held (failed = queries - proved) *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
 }
 
 val stats : unit -> stats
 val global_stats : unit -> stats
 (** The calling domain's live counter record, reported by the Table-1
-    benchmark.  Counters (and the query cache) are domain-local: each
-    execution-layer domain proves and counts its own goals. *)
+    benchmark.  Counters (and the verdict memo, a {!Memo} instance) are
+    domain-local: each execution-layer domain proves and counts its own
+    goals. *)
 
 val snapshot : unit -> stats
 (** Copy of [global_stats ()], for per-experiment deltas. *)
 
 val reset : unit -> unit
-(** Zero the calling domain's counters (the query cache is kept:
-    verdicts stay valid). *)
+(** Zero the calling domain's counters and its verdict memo's
+    {!Memo.stats} (the verdicts are kept: they stay valid). *)
 
 val diff : stats -> stats -> stats
 (** [diff after before] — field-wise difference of two snapshots. *)
-
-val clear_cache : unit -> unit
-(** Drop every cached environment's verdict table. *)
 
 val nonneg : Range.env -> Expr.t -> bool
 (** [nonneg env e]: is [0 <= e] valid under [env]? *)

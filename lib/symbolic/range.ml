@@ -30,7 +30,6 @@ let of_extent n =
   if n <= 0 then invalid_arg "Range.of_extent: extent must be positive";
   make ~lo:0 ~hi:(n - 1)
 
-let is_bottom_free r = r.lo <= r.hi
 let contains r v = r.lo <= v && v <= r.hi
 
 let pp ppf r =
@@ -109,80 +108,29 @@ let empty_env = StringMap.empty
 let env_of_list l = StringMap.of_seq (List.to_seq l)
 let env_add = StringMap.add
 let env_find v env = Option.value ~default:top (StringMap.find_opt v env)
-let env_bindings env = StringMap.bindings env
 
 (* ---- Memoized range analysis ------------------------------------------ *)
 
 (* [of_expr] results are cached per environment, keyed by physical env
    identity (envs are persistent maps, so [env_add] yields a new identity
-   and thereby invalidates).  A small LRU of recent envs each owns a
-   bounded table keyed by (hash-consed) expression nodes, so repeated
-   prover side-condition queries over shared subtrees are O(1). *)
+   and thereby invalidates).  The 8 most recent envs each own a bounded
+   table keyed by (hash-consed) expression nodes, so repeated prover
+   side-condition queries over shared subtrees are O(1). *)
 
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-(* Caches and counters are domain-local (like the {!Expr} unique table):
-   each domain of the execution layer keeps its own LRU of environments,
-   so parallel range analysis never contends or races. *)
-
-type cache_state = {
-  counters : cache_stats;
-  mutable env_caches : (env * (Expr.t, t) Hashtbl.t) list;
-}
-
-let cache_key =
-  Domain.DLS.new_key (fun () ->
-      { counters = { hits = 0; misses = 0; evictions = 0 }; env_caches = [] })
-
-let cache_stats () =
-  let c = (Domain.DLS.get cache_key).counters in
-  { hits = c.hits; misses = c.misses; evictions = c.evictions }
-
-let reset_cache_stats () =
-  let c = (Domain.DLS.get cache_key).counters in
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0
-
-let max_cached_envs = 8
-let max_cache_entries = 1 lsl 16
-
-let clear_cache () = (Domain.DLS.get cache_key).env_caches <- []
-
-let cache_for env =
-  let st = Domain.DLS.get cache_key in
-  match List.find_opt (fun (e, _) -> e == env) st.env_caches with
-  | Some (_, tbl) -> tbl
-  | None ->
-    let tbl = Hashtbl.create 256 in
-    let kept = List.filteri (fun i _ -> i < max_cached_envs - 1) st.env_caches in
-    if List.compare_length_with st.env_caches (max_cached_envs - 1) > 0 then
-      st.counters.evictions <- st.counters.evictions + 1;
-    st.env_caches <- (env, tbl) :: kept;
-    tbl
+let memo : (env, Expr.t, t) Memo.t =
+  Memo.create ~name:"Range.of_expr" ~envs:8 ~capacity:(1 lsl 16) ~initial:256
+    ()
 
 let rec cached env tbl (e : Expr.t) =
   match e with
   | Const n -> exact n
   | Var v -> env_find v env
   | _ -> (
-    let counters = (Domain.DLS.get cache_key).counters in
-    match Hashtbl.find_opt tbl e with
-    | Some r ->
-      counters.hits <- counters.hits + 1;
-      r
+    match Memo.find tbl e with
+    | Some r -> r
     | None ->
-      counters.misses <- counters.misses + 1;
       let r = compute env tbl e in
-      if Hashtbl.length tbl >= max_cache_entries then begin
-        Hashtbl.reset tbl;
-        counters.evictions <- counters.evictions + 1
-      end;
-      Hashtbl.add tbl e r;
+      Memo.add tbl e r;
       r)
 
 and compute env tbl (e : Expr.t) =
@@ -206,4 +154,4 @@ and compute env tbl (e : Expr.t) =
   | Eq (a, b) -> eq (of_expr a) (of_expr b)
   | Isqrt a -> isqrt (of_expr a)
 
-let of_expr env e = cached env (cache_for env) e
+let of_expr env e = cached env (Memo.table memo env) e

@@ -22,7 +22,6 @@ val of_extent : int -> t
 (** [of_extent n] is [0 .. n-1] — the range of an index over a dimension
     of extent [n]. *)
 
-val is_bottom_free : t -> bool
 val contains : t -> int -> bool
 val pp : Format.formatter -> t -> unit
 
@@ -34,27 +33,11 @@ val env_add : string -> t -> env -> env
 val env_find : string -> env -> t
 (** Unknown variables get {!top}. *)
 
-val env_bindings : env -> (string * t) list
-
 val of_expr : env -> Expr.t -> t
 (** Range of an expression under variable ranges [env].  Sound
     over-approximation: evaluation under any environment consistent with
     [env] (and not raising) lands in the result.
 
     Results are memoized per environment (keyed by physical env identity,
-    so any [env_add] invalidates) in a bounded cache over hash-consed
+    so any [env_add] invalidates) in a {!Memo} instance over hash-consed
     expression nodes. *)
-
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;  (** env LRU drops and per-env table flushes *)
-}
-
-val cache_stats : unit -> cache_stats
-(** Snapshot of the process-lifetime {!of_expr} cache counters. *)
-
-val reset_cache_stats : unit -> unit
-
-val clear_cache : unit -> unit
-(** Drop every cached environment table (counters are kept). *)

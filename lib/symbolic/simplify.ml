@@ -216,85 +216,39 @@ let default_fuel = 64
    The memo is bypassed when the caller asks for a [stats] record, so
    reported rule counts stay exact and deterministic. *)
 
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+let rewrites : (Range.env, Expr.t, Expr.t) Memo.t =
+  Memo.create ~name:"Simplify.rewrites" ~envs:8 ~capacity:(1 lsl 16)
+    ~initial:256 ()
 
-type env_cache = {
-  rewrites : (Expr.t, Expr.t) Hashtbl.t;  (* one rewrite_once pass *)
-  results : (Expr.t, Expr.t) Hashtbl.t;  (* full fixpoint, default fuel *)
-}
+(* Full fixpoints at the default fuel. *)
+let results : (Range.env, Expr.t, Expr.t) Memo.t =
+  Memo.create ~name:"Simplify.results" ~envs:8 ~capacity:(1 lsl 16)
+    ~initial:64 ()
 
-(* Memo tables and counters are domain-local (like the {!Range} and
-   {!Prover} caches): each execution-layer domain rewrites against its
-   own memo, lock-free. *)
-
-type cache_state = {
-  counters : cache_stats;
-  mutable env_caches : (Range.env * env_cache) list;
-}
-
-let cache_key =
-  Domain.DLS.new_key (fun () ->
-      { counters = { hits = 0; misses = 0; evictions = 0 }; env_caches = [] })
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int }
 
 let cache_stats () =
-  let c = (Domain.DLS.get cache_key).counters in
-  { hits = c.hits; misses = c.misses; evictions = c.evictions }
+  let a = Memo.stats rewrites and b = Memo.stats results in
+  {
+    hits = a.hits + b.hits;
+    misses = a.misses + b.misses;
+    evictions = a.evictions + b.evictions;
+  }
 
 let reset_cache_stats () =
-  let c = (Domain.DLS.get cache_key).counters in
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0
+  Memo.reset_stats rewrites;
+  Memo.reset_stats results
 
-let max_cached_envs = 8
-let max_cache_entries = 1 lsl 16
-
-let clear_cache () = (Domain.DLS.get cache_key).env_caches <- []
-
-let cache_for env =
-  let st = Domain.DLS.get cache_key in
-  match List.find_opt (fun (e, _) -> e == env) st.env_caches with
-  | Some (_, c) -> c
-  | None ->
-    let c = { rewrites = Hashtbl.create 256; results = Hashtbl.create 64 } in
-    let kept = List.filteri (fun i _ -> i < max_cached_envs - 1) st.env_caches in
-    if List.compare_length_with st.env_caches (max_cached_envs - 1) > 0 then
-      st.counters.evictions <- st.counters.evictions + 1;
-    st.env_caches <- (env, c) :: kept;
-    c
-
-let memo_find tbl e =
-  let counters = (Domain.DLS.get cache_key).counters in
-  match Hashtbl.find_opt tbl e with
-  | Some r ->
-    counters.hits <- counters.hits + 1;
-    Some r
-  | None ->
-    counters.misses <- counters.misses + 1;
-    None
-
-let memo_add tbl e r =
-  if Hashtbl.length tbl >= max_cache_entries then begin
-    Hashtbl.reset tbl;
-    let counters = (Domain.DLS.get cache_key).counters in
-    counters.evictions <- counters.evictions + 1
-  end;
-  Hashtbl.add tbl e r
-
-let rec rewrite_memo env cache (e : Expr.t) =
+let rec rewrite_memo env tbl (e : Expr.t) =
   match e with
   | Expr.Const _ | Expr.Var _ -> e
   | _ -> (
-    match memo_find cache.rewrites e with
+    match Memo.find tbl e with
     | Some r -> r
     | None ->
-      let e' = Expr.map_children (rewrite_memo env cache) e in
+      let e' = Expr.map_children (rewrite_memo env tbl) e in
       let r = rewrite_node env e' in
-      memo_add cache.rewrites e r;
+      Memo.add tbl e r;
       r)
 
 let run_fixpoint ?stats ~fuel ~pass e =
@@ -317,22 +271,22 @@ let simplify ?stats ?(fuel = default_fuel) ~env e =
   match stats with
   | Some _ -> run_fixpoint ?stats ~fuel ~pass:(rewrite_once ?stats env) e
   | None ->
-    let cache = cache_for env in
+    let pass = rewrite_memo env (Memo.table rewrites env) in
+    (* Taken at every fuel, so both memos see the same environments. *)
+    let fixpoints = Memo.table results env in
     if fuel = default_fuel then
-      match memo_find cache.results e with
+      match Memo.find fixpoints e with
       | Some r -> r
       | None ->
-        let r = run_fixpoint ~fuel ~pass:(rewrite_memo env cache) e in
-        memo_add cache.results e r;
+        let r = run_fixpoint ~fuel ~pass e in
+        Memo.add fixpoints e r;
         r
-    else run_fixpoint ~fuel ~pass:(rewrite_memo env cache) e
-
-let simplify_closed ?stats ?fuel e =
-  simplify ?stats ?fuel ~env:Range.empty_env e
+    else run_fixpoint ~fuel ~pass e
 
 let set_test_only_break_rule enabled =
   Atomic.set test_only_break_rule enabled;
   (* Cached fixpoints were computed under the other rule set.  Only the
      calling domain's memo is flushed — flip the flag before spawning
      execution-layer domains, never while they run. *)
-  clear_cache ()
+  Memo.clear rewrites;
+  Memo.clear results

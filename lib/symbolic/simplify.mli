@@ -47,24 +47,17 @@ val simplify : ?stats:stats -> ?fuel:int -> env:Range.env -> Expr.t -> Expr.t
     [stats.fuel_exhausted].
 
     When no [stats] record is passed, per-pass rewrites and full fixpoint
-    results are memoized per environment (physical env identity, like the
-    {!Range} cache); passing [stats] bypasses the memo so the reported
-    rule counts stay exact. *)
+    results are memoized per environment in two {!Memo} instances
+    (physical env identity, like the {!Range} cache); passing [stats]
+    bypasses them so the reported rule counts stay exact. *)
 
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int }
 
 val cache_stats : unit -> cache_stats
-(** Snapshot of the process-lifetime simplify-memo counters. *)
+(** The calling domain's counters of the two simplify memos (per-pass
+    rewrites and fixpoint results), summed. *)
 
 val reset_cache_stats : unit -> unit
-val clear_cache : unit -> unit
-
-val simplify_closed : ?stats:stats -> ?fuel:int -> Expr.t -> Expr.t
-(** {!simplify} under the empty range environment. *)
 
 val set_test_only_break_rule : bool -> unit
 (** TEST ONLY.  When enabled, rule 4's side condition is deliberately

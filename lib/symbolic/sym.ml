@@ -30,17 +30,16 @@ let index_vars ?prefix g = List.map Expr.var (var_names ?prefix g)
    ranges — yet each rebuilt env threw the caches away.  Interning the
    env per (prefix, dims) keeps one physical env per logical space, so
    sub-expression rewrites shared across candidates actually hit.
-   Domain-local (envs are immutable maps; the interning table itself
-   must not be shared).  Growth is bounded by the number of distinct
-   (prefix, dims) a process ever queries. *)
-let ranges_memo : (string * int list, Range.env) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+   Domain-local like every {!Memo}; at 4,096 distinct (prefix, dims) the
+   table is flushed, which only costs the next envs a cold start. *)
+let envs : (unit, string * int list, Range.env) Memo.t =
+  Memo.create ~name:"Sym.ranges_of" ~capacity:4096 ~initial:16 ()
 
 let ranges_of ?(prefix = "i") g =
   let dims = L.Group_by.dims g in
-  let tbl = Domain.DLS.get ranges_memo in
+  let tbl = Memo.table envs () in
   let key = (prefix, dims) in
-  match Hashtbl.find_opt tbl key with
+  match Memo.find tbl key with
   | Some env -> env
   | None ->
     let env =
@@ -49,7 +48,7 @@ let ranges_of ?(prefix = "i") g =
            (fun name extent -> (name, Range.of_extent extent))
            (var_names ~prefix g) dims)
     in
-    Hashtbl.add tbl key env;
+    Memo.add tbl key env;
     env
 
 let apply_to ?(simplify = true) ?(env = Range.empty_env) g idx =
@@ -59,17 +58,9 @@ let apply_to ?(simplify = true) ?(env = Range.empty_env) g idx =
 let apply ?simplify ?prefix g =
   apply_to ?simplify ~env:(ranges_of ?prefix g) g (index_vars ?prefix g)
 
-let inv ?(simplify = true) ?(var = "p") ?(extra = Range.empty_env) g =
+let inv ?(simplify = true) ?(var = "p") g =
   let env =
-    List.fold_left
-      (fun env (name, r) -> Range.env_add name r env)
-      (Range.env_add var (Range.of_extent (L.Group_by.numel g)) extra)
-      []
-  in
-  let env =
-    List.fold_left
-      (fun env (name, r) -> Range.env_add name r env)
-      env (Range.env_bindings extra)
+    Range.env_add var (Range.of_extent (L.Group_by.numel g)) Range.empty_env
   in
   let raw = L.Group_by.inv (module Dom) g (Expr.var var) in
   if simplify then List.map (Simplify.simplify ~env) raw else raw

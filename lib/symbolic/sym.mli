@@ -16,7 +16,10 @@ val index_vars : ?prefix:string -> Lego_layout.Group_by.t -> Expr.t list
 val ranges_of :
   ?prefix:string -> Lego_layout.Group_by.t -> Range.env
 (** Each logical index component ranges over [0 .. extent - 1]; this is
-    the paper's "range information propagated through the layout". *)
+    the paper's "range information propagated through the layout".  The
+    env is interned per [(prefix, dims)] in a {!Memo} instance (capacity
+    4,096), so calls on one logical space share one physical env and
+    with it the engine's per-env memos. *)
 
 val apply :
   ?simplify:bool ->
@@ -37,14 +40,9 @@ val apply_to :
     and constants); the environment defaults to empty. *)
 
 val inv :
-  ?simplify:bool ->
-  ?var:string ->
-  ?extra:Range.env ->
-  Lego_layout.Group_by.t ->
-  Expr.t list
+  ?simplify:bool -> ?var:string -> Lego_layout.Group_by.t -> Expr.t list
 (** [inv g] is the symbolic logical index of physical offset [var]
-    (default ["p"], ranged over [0 .. numel-1]).  [extra] adds variable
-    ranges for free variables of user pieces. *)
+    (default ["p"], ranged over [0 .. numel-1]). *)
 
 val check_roundtrip :
   Lego_layout.Group_by.t -> samples:int -> (unit, string) result

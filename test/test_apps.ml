@@ -160,6 +160,44 @@ let test_fill_input_roundtrip () =
     (Lego_gpusim.Mem.get buf
        (Lego_layout.Group_by.apply_ints ls.Matmul.dla idx))
 
+(* Regression: a transpose tile of 0 or a NW block of 0 raised
+   [Division_by_zero]; tile 512 died in [Simt.run] ("empty block");
+   tiles 8 and 12 timed a kernel that moved nothing, and its numerics
+   check failed; [Nw.default_config (-16)] was accepted and reported
+   [cells_per_s = inf] with numerics [Ok ()].  Each must now die up front
+   with [Invalid_argument] naming the app. *)
+let test_apps_reject_bad_configs () =
+  let rejected app name f =
+    match f () with
+    | exception Invalid_argument msg ->
+      let prefix = app ^ ":" in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: unexpected message %S" name msg
+    | _ -> Alcotest.failf "%s: bad config accepted" name
+  in
+  List.iter
+    (fun (tile, size) ->
+      let cfg = Transpose.default_config ~tile size in
+      let name what = Printf.sprintf "transpose tile %d: %s" tile what in
+      rejected "Transpose" (name "naive") (fun () -> Transpose.run_naive cfg);
+      rejected "Transpose" (name "shared") (fun () -> Transpose.run_shared cfg);
+      rejected "Transpose" (name "numerics") (fun () ->
+          Transpose.check_numerics cfg))
+    [ (0, 64); (8, 64); (12, 96); (512, 1024); (32, 48) ];
+  rejected "Transpose" "negative extent" (fun () ->
+      Transpose.run_shared { (Transpose.default_config 64) with m = -64 });
+  rejected "Nw" "b = 0" (fun () -> Nw.default_config ~b:0 64);
+  rejected "Nw" "negative length" (fun () -> Nw.default_config (-16));
+  rejected "Nw" "hand-built b = 0" (fun () ->
+      Nw.run Nw.RowMajor { (Nw.default_config 64) with b = 0 });
+  rejected "Nw" "hand-built negative length" (fun () ->
+      Nw.check_numerics Nw.AntiDiagonal
+        { (Nw.default_config 64) with length = -16 });
+  (* The boundary cases stay accepted. *)
+  ok "transpose tile 16" (Transpose.check_numerics (Transpose.default_config ~tile:16 32));
+  ok "transpose tile 256" (Transpose.check_numerics (Transpose.default_config ~tile:256 256));
+  ok "nw b = length" (Nw.check_numerics Nw.AntiDiagonal (Nw.default_config ~b:16 16))
+
 let suite =
   ( "apps",
     [
@@ -188,4 +226,6 @@ let suite =
       Alcotest.test_case "NW buffer indexing" `Quick test_nw_buff_index;
       Alcotest.test_case "fill_input respects layout" `Quick
         test_fill_input_roundtrip;
+      Alcotest.test_case "transpose and NW reject bad configs" `Quick
+        test_apps_reject_bad_configs;
     ] )

@@ -296,6 +296,27 @@ let test_mlir_interp_errors () =
     (fun () ->
       ignore (Lego_mlirsim.Minterp.run_func m "f" [ Mem (Array.make 4 0) ]))
 
+(* Every backend's text for the layouts of
+   {!Test_symbolic.digest_layouts}, pinned. *)
+let test_emitted_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun g ->
+      let apply = Sym.apply g in
+      List.iter
+        (fun s ->
+          Buffer.add_string b s;
+          Buffer.add_char b '\n')
+        [
+          CG.C_printer.expr apply;
+          CG.Triton_printer.expr apply;
+          CG.Mlir_gen.layout_apply_func ~name:"apply" g;
+          CG.Mlir_gen.layout_inv_func ~name:"inv" g;
+        ])
+    Test_symbolic.digest_layouts;
+  Test_symbolic.check_digest "C/Triton/MLIR text" ~bytes:961_051
+    ~md5:"1de91cbcc8ebe7bf06ac146da3689ed3" (Buffer.contents b)
+
 let suite =
   ( "codegen",
     [
@@ -320,4 +341,8 @@ let suite =
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_cse_eval; prop_mlir_roundtrip ] )
+        [ prop_cse_eval; prop_mlir_roundtrip ]
+    @ [
+        Alcotest.test_case "emitted text pinned over 513 layouts" `Quick
+          test_emitted_digest;
+      ] )

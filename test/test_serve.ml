@@ -549,8 +549,10 @@ let test_server_out_of_range_tune () =
    default — ["budget":"64"] searched the default 256 candidates,
    ["scale":true] ran a default search, ["device":5, "emit":"c"]
    compiled for a100 with every backend, and a misspelt ["devcie"]
-   compiled for a100.  Each is now a request error naming the field;
-   the well-formed requests of the same batch still succeed. *)
+   compiled for a100.  An unknown emit entry (["C"]) answered with no
+   code, and ["kind"] leaked the store-internal field.  Each is now a
+   request error naming the field or entry; the well-formed requests of
+   the same batch still succeed. *)
 let test_server_rejects_bad_fields () =
   let t = Sv.Server.create ~jobs:1 () in
   let batch =
@@ -564,6 +566,8 @@ let test_server_rejects_bad_fields () =
            {"op":"compile","layout":"GroupBy([4,4])","emit":["c",1]},
            {"op":"fingerprint","layout":"GroupBy([4,4])","seed":1},
            {"op":"stats","verbose":true},
+           {"op":"compile","layout":"OrderBy(GenP(antidiag[3,3])).GroupBy([3,3])","emit":["C"]},
+           {"op":"compile","layout":"OrderBy(GenP(antidiag[3,3])).GroupBy([3,3])","emit":["kind"]},
            {"op":"tune","slot":"matmul","budget":8,"top":2,"oracle":false},
            {"op":"compile","layout":"GroupBy([4,4])","device":"h100","emit":["c"]},
            {"op":"fingerprint","layout":"GroupBy([4,4])"},
@@ -575,7 +579,7 @@ let test_server_rejects_bad_fields () =
   (match Sv.Server.handle_batch t batch with
   | Sv.Json.List rs ->
     Alcotest.(check (list (option bool))) "ok flags"
-      (List.init 8 (fun _ -> Some false) @ List.init 4 (fun _ -> Some true))
+      (List.init 10 (fun _ -> Some false) @ List.init 4 (fun _ -> Some true))
       (List.map (Sv.Json.mem_bool "ok") rs);
     List.iter2
       (fun field r ->
@@ -584,18 +588,19 @@ let test_server_rejects_bad_fields () =
           (Printf.sprintf "error %S names %S" err field)
           true
           (Str.string_match (Str.regexp (".*\"" ^ field ^ "\"")) err 0))
-      [ "budget"; "scale"; "device"; "devcie"; "oracle"; "emit"; "seed"; "verbose" ]
-      (List.filteri (fun i _ -> i < 8) rs);
+      [ "budget"; "scale"; "device"; "devcie"; "oracle"; "emit"; "seed"; "verbose";
+        "C"; "kind" ]
+      (List.filteri (fun i _ -> i < 10) rs);
     let nth = List.nth rs in
     Alcotest.(check (option string)) "the well-formed compile is for h100"
-      (Some "h100") (Sv.Json.mem_string "device" (nth 9));
+      (Some "h100") (Sv.Json.mem_string "device" (nth 11));
     Alcotest.(check bool) "and honours its emit" true
-      (Sv.Json.mem_string "mlir" (nth 9) = None
-      && Sv.Json.mem_string "c" (nth 9) <> None);
+      (Sv.Json.mem_string "mlir" (nth 11) = None
+      && Sv.Json.mem_string "c" (nth 11) <> None);
     Alcotest.(check (option int)) "the well-formed tune explores its budget"
-      (Some 8) (Sv.Json.mem_int "explored" (nth 8));
-    Alcotest.(check (option int)) "stats counts the 8 errors" (Some 8)
-      (Sv.Json.mem_int "errors" (nth 11))
+      (Some 8) (Sv.Json.mem_int "explored" (nth 10));
+    Alcotest.(check (option int)) "stats counts the 10 errors" (Some 10)
+      (Sv.Json.mem_int "errors" (nth 13))
   | _ -> Alcotest.fail "batch response not an array");
   Sv.Server.shutdown t
 

@@ -61,9 +61,9 @@ let test_hash_consing () =
   let b = E.(add (mul (const 3) x) y) in
   Alcotest.(check bool) "physically equal" true (a == b);
   Alcotest.(check bool) "equal" true (E.equal a b);
-  let stats = E.intern_stats () in
-  Alcotest.(check bool) "intern hits recorded" true (stats.E.hits > 0);
-  Alcotest.(check bool) "live nodes tracked" true (E.intern_size () > 0)
+  let stats = Memo.stats E.memo in
+  Alcotest.(check bool) "intern hits recorded" true (stats.Memo.hits > 0);
+  Alcotest.(check bool) "intern misses recorded" true (stats.Memo.misses > 0)
 
 let test_div_mod_units () =
   check_str "x/1" "x" (E.to_string E.(div x (const 1)));
@@ -396,6 +396,120 @@ let prop_range_sound =
 
 let props = [ prop_simplify_sound; prop_expand_sound; prop_range_sound ]
 
+(* --- Memo ------------------------------------------------------------- *)
+
+(* Test instances, created at module initialisation like the engine's. *)
+let memo_envs : (int ref, int, int) Memo.t =
+  Memo.create ~name:"test envs" ~envs:8 ~capacity:16 ~initial:4 ()
+
+let memo_small : (unit, int, int) Memo.t =
+  Memo.create ~name:"test capacity" ~capacity:4 ~initial:4 ()
+
+let memo_stats =
+  Alcotest.testable
+    (fun ppf (s : Memo.stats) ->
+      Format.fprintf ppf "%d hits / %d misses / %d evictions" s.hits s.misses
+        s.evictions)
+    ( = )
+
+let no_stats = { Memo.hits = 0; misses = 0; evictions = 0 }
+
+let test_memo_drops_oldest_env () =
+  Memo.clear memo_envs;
+  Memo.reset_stats memo_envs;
+  let envs = List.init 9 (fun k -> ref k) in
+  let found env = Memo.find (Memo.table memo_envs env) 0 in
+  List.iteri
+    (fun k env ->
+      Memo.add (Memo.table memo_envs env) 0 k;
+      check_int
+        (Printf.sprintf "evictions after env %d" (k + 1))
+        (if k < 8 then 0 else 1)
+        (Memo.stats memo_envs).evictions)
+    envs;
+  Alcotest.(check (option int)) "newest kept" (Some 8) (found (List.nth envs 8));
+  Alcotest.(check (option int)) "second oldest kept" (Some 1)
+    (found (List.nth envs 1));
+  (* The oldest env's table is gone: asking again starts a fresh one,
+     which in turn drops the next oldest. *)
+  Alcotest.(check (option int)) "oldest dropped" None (found (List.hd envs));
+  Alcotest.check memo_stats "counters" { hits = 2; misses = 1; evictions = 2 }
+    (Memo.stats memo_envs)
+
+let test_memo_flushes_full_table () =
+  Memo.clear memo_small;
+  Memo.reset_stats memo_small;
+  let tbl = Memo.table memo_small () in
+  List.iter (fun k -> Memo.add tbl k k) [ 0; 1; 2; 3 ];
+  check_int "full, not flushed" 0 (Memo.stats memo_small).evictions;
+  Memo.add tbl 4 4;
+  check_int "one flush" 1 (Memo.stats memo_small).evictions;
+  Alcotest.(check (option int)) "flushed entry gone" None (Memo.find tbl 0);
+  Alcotest.(check (option int)) "new entry kept" (Some 4) (Memo.find tbl 4)
+
+let test_memo_domain_local () =
+  Memo.add (Memo.table memo_small ()) 7 7;
+  ignore (Memo.find (Memo.table memo_small ()) 7);
+  let before = Memo.stats memo_small in
+  let seen, found =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let seen = Memo.stats memo_small in
+           (seen, Memo.find (Memo.table memo_small ()) 7)))
+  in
+  Alcotest.check memo_stats "spawned domain starts at zero" no_stats seen;
+  Alcotest.(check (option int)) "and with no tables" None found;
+  Alcotest.check memo_stats "caller's counters untouched" before
+    (Memo.stats memo_small)
+
+let test_memo_all () =
+  Alcotest.(check (list string))
+    "the engine's instances, in creation order"
+    [
+      "Expr.intern"; "Range.of_expr"; "Prover.goals"; "Simplify.rewrites";
+      "Simplify.results"; "Sym.ranges_of"; "test envs"; "test capacity";
+    ]
+    (List.map fst (Memo.all ()))
+
+let test_prover_reset_zeroes_memo () =
+  let prover () = List.assoc "Prover.goals" (Memo.all ()) in
+  let env = Range.env_of_list [ ("z", Range.of_extent 5) ] in
+  ignore (Prover.nonneg env (E.var "z"));
+  ignore (Prover.nonneg env (E.var "z"));
+  Alcotest.(check bool) "memo counted" true ((prover ()).hits > 0);
+  Prover.reset ();
+  Alcotest.check memo_stats "reset zeroes it" no_stats (prover ())
+
+(* --- Pinned output ---------------------------------------------------- *)
+
+(* The gallery corpus, 200 random layouts and 300 algebra terms. *)
+let digest_layouts =
+  let module C = Lego_conform in
+  List.map snd C.Corpus.all
+  @ List.init 200 (fun index -> C.Lgen.layout_of_seed ~seed:42 ~index)
+  @ List.init 300 (fun index -> C.Lgen.algebra_layout_of_seed ~seed:7 ~index)
+
+let check_digest what ~bytes ~md5 text =
+  check_int (what ^ " bytes") bytes (String.length text);
+  check_str (what ^ " md5") md5 (Digest.to_hex (Digest.string text))
+
+let test_symbolic_digest () =
+  let b = Buffer.create (1 lsl 21) in
+  List.iter
+    (fun g ->
+      Buffer.add_string b (E.to_string (Sym.apply g));
+      Buffer.add_char b '\n';
+      List.iter
+        (fun e ->
+          Buffer.add_string b (E.to_string e);
+          Buffer.add_char b '\t')
+        (Sym.inv g);
+      Buffer.add_char b '\n')
+    digest_layouts;
+  check_int "layouts" 513 (List.length digest_layouts);
+  check_digest "apply/inv text" ~bytes:2_221_196
+    ~md5:"0a763947b7071f6a469b47b10969e76f" (Buffer.contents b)
+
 let suite =
   ( "symbolic",
     [
@@ -443,4 +557,18 @@ let suite =
       Alcotest.test_case "symbolic inv == concrete" `Quick
         test_symbolic_inv_matches_concrete;
     ]
-    @ List.map (QCheck_alcotest.to_alcotest ~long:false) props )
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
+    @ [
+        Alcotest.test_case "memo: a 9th environment drops the oldest" `Quick
+          test_memo_drops_oldest_env;
+        Alcotest.test_case "memo: a full table is flushed" `Quick
+          test_memo_flushes_full_table;
+        Alcotest.test_case "memo: a spawned domain starts empty" `Quick
+          test_memo_domain_local;
+        Alcotest.test_case "memo: all lists instances in creation order"
+          `Quick test_memo_all;
+        Alcotest.test_case "memo: prover reset zeroes its memo" `Quick
+          test_prover_reset_zeroes_memo;
+        Alcotest.test_case "apply/inv text pinned over 513 layouts" `Quick
+          test_symbolic_digest;
+      ] )
