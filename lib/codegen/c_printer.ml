@@ -1,31 +1,9 @@
 module E = Lego_symbolic.Expr
 
-let rec pr prec (e : E.t) =
-  let paren p s = if prec > p then "(" ^ s ^ ")" else s in
-  match e with
-  | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
-  | Var v -> v
-  | Add xs ->
-    paren 4
-      (String.concat ""
-         (List.mapi
-            (fun k x ->
-              if k = 0 then pr 4 x
-              else
-                match E.as_linear_term x with
-                | c, fs when c < 0 -> " - " ^ pr 5 (E.of_linear_term (-c, fs))
-                | _ -> " + " ^ pr 5 x)
-            xs))
-  | Mul xs -> paren 5 (String.concat " * " (List.map (pr 6) xs))
-  | Div (a, b) -> paren 5 (pr 5 a ^ " / " ^ pr 6 b)
-  | Mod (a, b) -> paren 5 (pr 5 a ^ " % " ^ pr 6 b)
-  | Select (c, a, b) -> paren 1 (pr 2 c ^ " ? " ^ pr 2 a ^ " : " ^ pr 1 b)
-  | Le (a, b) -> paren 3 (pr 4 a ^ " <= " ^ pr 4 b)
-  | Lt (a, b) -> paren 3 (pr 4 a ^ " < " ^ pr 4 b)
-  | Eq (a, b) -> paren 3 (pr 4 a ^ " == " ^ pr 4 b)
-  | Isqrt a -> "lego_isqrt(" ^ pr 0 a ^ ")"
+let syntax =
+  { E.mul = " * "; div = " / "; select = `Ternary; isqrt = ("lego_isqrt(", ")") }
 
-let expr e = pr 0 e
+let expr e = E.render syntax e
 let define ~name e = Printf.sprintf "int %s = %s;" name (expr e)
 
 let function_def ~name ~params e =
@@ -43,33 +21,37 @@ let isqrt_helper =
    }"
 
 let guard_nonneg ~env e =
-  let module R = Lego_symbolic.Range in
   let module P = Lego_symbolic.Prover in
-  let bad = ref None in
+  (* Pre-order, skipping nodes already seen: a repeat's subtree was
+     walked in full at its first occurrence, so the first failing node
+     is the tree walk's, and each distinct node costs one prover query. *)
+  let seen = E.Tbl.create 64 in
+  let exception Bad of E.t in
   let rec go (e : E.t) =
-    (match e with
-    | Div (a, b) | Mod (a, b) ->
-      if !bad = None && not (P.nonneg env a && P.positive env b) then
-        bad := Some (E.to_string e)
-    | _ -> ());
-    match e with
-    | Const _ | Var _ -> ()
-    | Add xs | Mul xs -> List.iter go xs
-    | Div (a, b) | Mod (a, b) | Le (a, b) | Lt (a, b) | Eq (a, b) ->
-      go a;
-      go b
-    | Select (c, a, b) ->
-      go c;
-      go a;
-      go b
-    | Isqrt a -> go a
+    if not (E.Tbl.mem seen e) then begin
+      E.Tbl.add seen e ();
+      match e with
+      | Const _ | Var _ -> ()
+      | Add xs | Mul xs -> List.iter go xs
+      | Div (a, b) | Mod (a, b) ->
+        if not (P.nonneg env a && P.positive env b) then raise (Bad e);
+        go a;
+        go b
+      | Le (a, b) | Lt (a, b) | Eq (a, b) ->
+        go a;
+        go b
+      | Select (c, a, b) ->
+        go c;
+        go a;
+        go b
+      | Isqrt a -> go a
+    end
   in
-  go e;
-  match !bad with
-  | None -> Ok ()
-  | Some s ->
+  match go e with
+  | () -> Ok ()
+  | exception Bad bad ->
     Error
       (Printf.sprintf
          "C division truncates toward zero but %s is not provably \
           non-negative/positive"
-         s)
+         (E.to_string bad))

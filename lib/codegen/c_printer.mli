@@ -8,8 +8,10 @@
     engine when an environment is supplied. *)
 
 val expr : Lego_symbolic.Expr.t -> string
-(** C expression text (ternaries for selects, [lego_isqrt] for integer
-    square roots). *)
+(** C expression text ([" * "], [" / "], ternaries for selects,
+    [lego_isqrt] for integer square roots), rendered by
+    {!Lego_symbolic.Expr.render}: each distinct node of a shared
+    expression is rendered once, and the text is still the tree's. *)
 
 val define : name:string -> Lego_symbolic.Expr.t -> string
 (** [int name = <expr>;] *)
@@ -23,5 +25,7 @@ val isqrt_helper : string
 
 val guard_nonneg :
   env:Lego_symbolic.Range.env -> Lego_symbolic.Expr.t -> (unit, string) result
-(** Verify every division/modulo dividend is provably non-negative under
-    [env], so C truncation equals floor division. *)
+(** Verify every division/modulo dividend is provably non-negative (and
+    its divisor positive) under [env], so C truncation equals floor
+    division.  Each distinct node is checked once, in pre-order; the
+    error names the first failing division in the tree's pre-order. *)

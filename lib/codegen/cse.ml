@@ -49,17 +49,17 @@ let lower ?(prefix = "t") roots =
   (* Hash-consed expressions make shared subtrees physically equal, so a
      memo over nodes skips re-lowering them entirely (the instruction
      table below still dedupes structurally identical chains). *)
-  let memo : (E.t, atom) Hashtbl.t = Hashtbl.create 64 in
+  let memo : atom E.Tbl.t = E.Tbl.create 64 in
   let rec go (e : E.t) : atom =
     match e with
     | Const n -> Aconst n
     | Var v -> Avar v
     | _ -> (
-      match Hashtbl.find_opt memo e with
+      match E.Tbl.find_opt memo e with
       | Some a -> a
       | None ->
         let a = lower_node e in
-        Hashtbl.add memo e a;
+        E.Tbl.add memo e a;
         a)
   and lower_node (e : E.t) : atom =
     match e with

@@ -6,33 +6,15 @@ type index = Fix of E.t | All
 
 let arange_var k = Printf.sprintf "__arange%d" k
 
-let rec pr prec (e : E.t) =
-  let paren p s = if prec > p then "(" ^ s ^ ")" else s in
-  match e with
-  | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
-  | Var v -> v
-  | Add xs ->
-    paren 4
-      (String.concat ""
-         (List.mapi
-            (fun k x ->
-              if k = 0 then pr 4 x
-              else
-                match E.as_linear_term x with
-                | c, fs when c < 0 -> " - " ^ pr 5 (E.of_linear_term (-c, fs))
-                | _ -> " + " ^ pr 5 x)
-            xs))
-  | Mul xs -> paren 5 (String.concat " * " (List.map (pr 6) xs))
-  | Div (a, b) -> paren 5 (pr 5 a ^ " // " ^ pr 6 b)
-  | Mod (a, b) -> paren 5 (pr 5 a ^ " % " ^ pr 6 b)
-  | Select (c, a, b) ->
-    paren 1 ("tl.where(" ^ pr 0 c ^ ", " ^ pr 0 a ^ ", " ^ pr 0 b ^ ")")
-  | Le (a, b) -> paren 3 (pr 4 a ^ " <= " ^ pr 4 b)
-  | Lt (a, b) -> paren 3 (pr 4 a ^ " < " ^ pr 4 b)
-  | Eq (a, b) -> paren 3 (pr 4 a ^ " == " ^ pr 4 b)
-  | Isqrt a -> "tl.sqrt(" ^ pr 0 a ^ ").to(tl.int32)"
+let syntax =
+  {
+    E.mul = " * ";
+    div = " // ";
+    select = `Call "tl.where";
+    isqrt = ("tl.sqrt(", ").to(tl.int32)");
+  }
 
-let expr e = pr 0 e
+let expr e = E.render syntax e
 
 (* Assign arange variables to the [`All] positions, mirroring
    [slice_offset]'s numbering, and return the per-position component
@@ -138,7 +120,7 @@ let slice_mask ?(env = R.empty_env) ~group ~extents indices =
              Lego_symbolic.Simplify.simplify ~env
                (E.lt (coord k) (E.const extents_a.(k)))
            in
-           "(" ^ pr 0 guard ^ ")")
+           "(" ^ expr guard ^ ")")
   in
   match terms with
   | [] -> None

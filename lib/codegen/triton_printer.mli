@@ -13,7 +13,9 @@ type index = Fix of Lego_symbolic.Expr.t | All
 
 val expr : Lego_symbolic.Expr.t -> string
 (** Scalar Python rendering ([//] and [%] — Python floor semantics match
-    the algebra exactly). *)
+    the algebra exactly; [tl.where] for selects), rendered by
+    {!Lego_symbolic.Expr.render}: each distinct node of a shared
+    expression is rendered once, and the text is still the tree's. *)
 
 val slice_offset :
   ?simplify:bool ->

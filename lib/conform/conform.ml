@@ -38,6 +38,8 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       let apply_sym = S.Sym.apply g in
       let inv_sym = S.Sym.inv g in
       let env_p = S.Range.env_of_list [ ("p", S.Range.of_extent n) ] in
+      let eval_apply = S.Expr.evaluator apply_sym in
+      let eval_inv = List.map S.Expr.evaluator inv_sym in
       (* Semantics (c): the C backend's text under C arithmetic.  When
          the guard cannot prove truncation harmless the backend would
          refuse the expression, so the C leg is skipped and counted. *)
@@ -57,8 +59,12 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       in
       c_active := c_guard_ok;
       (* Semantics (d): the MLIR backend, run by the interpreter. *)
-      let m_apply = Mp.parse_module (Mg.layout_apply_func ~name:"apply" g) in
-      let m_inv = Mp.parse_module (Mg.layout_inv_func ~name:"inv" g) in
+      let m_apply =
+        Mp.parse_module (Mg.index_func ~name:"apply" ~params:names [ apply_sym ])
+      in
+      let m_inv =
+        Mp.parse_module (Mg.index_func ~name:"inv" ~params:[ "p" ] inv_sym)
+      in
       (* Semantics (e): the affine F₂ form, when the layout is in the
          bit-linear family.  Every layout is a bijection by
          construction, so a singular matrix here is itself a
@@ -98,17 +104,17 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
         let lookup_p v =
           if v = "p" then p else failwith ("unbound variable " ^ v)
         in
-        let sp = S.Expr.eval ~env:lookup apply_sym in
+        let sp = eval_apply ~env:lookup in
         if sp <> p then
           found "symbolic-apply" "at %s: interpreter %d, symbolic %d" pt p sp;
         List.iteri
-          (fun k (e, want) ->
-            let got = S.Expr.eval ~env:lookup_p e in
+          (fun k (eval, want) ->
+            let got = eval ~env:lookup_p in
             if got <> want then
               found "symbolic-inv"
                 "component %d at p = %d: interpreter %d, symbolic %d" k p want
                 got)
-          (List.combine inv_sym idx);
+          (List.combine eval_inv idx);
         (match c_apply with
         | Some ca ->
           let cp = Cexpr.eval ~env:lookup ca in

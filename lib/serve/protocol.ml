@@ -26,12 +26,12 @@ let read_exact fd len =
   done;
   if !eof then `Eof !off else `Full buf
 
+exception Frame_too_large of int
+
 let write_frame fd json =
   let payload = Bytes.of_string (Json.to_string json) in
   let len = Bytes.length payload in
-  if len > max_frame_bytes then
-    invalid_arg
-      (Printf.sprintf "Protocol.write_frame: %d bytes exceeds max frame" len);
+  if len > max_frame_bytes then raise (Frame_too_large len);
   let header = Bytes.create 4 in
   Bytes.set_int32_be header 0 (Int32.of_int len);
   write_all fd header;

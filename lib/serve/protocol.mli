@@ -40,8 +40,13 @@
 val max_frame_bytes : int
 (** 64 MiB. *)
 
+exception Frame_too_large of int
+(** A payload of that many bytes, over {!max_frame_bytes}. *)
+
 val write_frame : Unix.file_descr -> Json.t -> unit
-(** Serialize and send one frame (handles short writes). *)
+(** Serialize and send one frame (handles short writes).  Raises
+    {!Frame_too_large}, having sent nothing, when the payload is over
+    {!max_frame_bytes}. *)
 
 val read_frame : Unix.file_descr -> (Json.t option, string) result
 (** [Ok None] on orderly EOF before a frame starts; [Error] on a

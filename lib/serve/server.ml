@@ -470,6 +470,20 @@ let handle_batch t batch =
 
 (* ---- socket loop ------------------------------------------------------- *)
 
+(* A reply too large for one frame cannot be sent, and dropping the
+   connection would leave the client without an answer.  Each request
+   of the batch gets an error naming the size instead; what phase 2
+   stored stays stored. *)
+let oversized_reply batch bytes =
+  let error =
+    Protocol.error_response
+      (Printf.sprintf "reply of %d bytes exceeds the frame limit of %d bytes"
+         bytes Protocol.max_frame_bytes)
+  in
+  match batch with
+  | Json.List reqs -> Json.List (List.map (fun _ -> error) reqs)
+  | _ -> error
+
 let serve t ~socket =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -500,8 +514,10 @@ let serve t ~socket =
               while !continue && not t.stopped do
                 match Protocol.read_frame conn with
                 | Ok None -> continue := false
-                | Ok (Some batch) ->
-                  Protocol.write_frame conn (handle_batch t batch)
+                | Ok (Some batch) -> (
+                  try Protocol.write_frame conn (handle_batch t batch)
+                  with Protocol.Frame_too_large bytes ->
+                    Protocol.write_frame conn (oversized_reply batch bytes))
                 | Error e ->
                   (* Framing is desynchronized: answer once, hang up. *)
                   (try

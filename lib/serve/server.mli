@@ -58,8 +58,10 @@ val handle_batch : t -> Json.t -> Json.t
 val serve : t -> socket:string -> unit
 (** Bind a Unix-domain socket at [socket] (replacing a stale file),
     then accept connections one at a time, answering frame per frame,
-    until a [shutdown] request has been served.  The socket file is
-    removed on exit. *)
+    until a [shutdown] request has been served.  A reply over
+    {!Protocol.max_frame_bytes} is replaced by one error per request of
+    its batch, naming the reply's size and the limit; the store keeps
+    what the batch wrote.  The socket file is removed on exit. *)
 
 val shutdown : t -> unit
 (** Release resources: flush + close the store, stop the pool.

@@ -32,19 +32,24 @@ let key parts =
 
 (* ---- record encoding -------------------------------------------------- *)
 
+(* [None] for a payload over the record limit: load rejects such a
+   record and truncates the log there, which would lose every record
+   appended after it. *)
 let encode_record ~key value =
   let payload =
     Json.to_string (Json.Obj [ ("k", Json.Str key); ("v", value) ])
   in
-  let sum = Digest.string payload in
   let len = String.length payload in
-  let buf = Buffer.create (4 + len + 16) in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int len);
-  Buffer.add_bytes buf hdr;
-  Buffer.add_string buf payload;
-  Buffer.add_string buf sum;
-  Buffer.contents buf
+  if len > Protocol.max_frame_bytes then None
+  else begin
+    let buf = Buffer.create (4 + len + 16) in
+    let hdr = Bytes.create 4 in
+    Bytes.set_int32_be hdr 0 (Int32.of_int len);
+    Buffer.add_bytes buf hdr;
+    Buffer.add_string buf payload;
+    Buffer.add_string buf (Digest.string payload);
+    Some (Buffer.contents buf)
+  end
 
 (* One record off [ic]; [Ok None] = clean EOF at a record boundary.
    A partial read is never a clean EOF — even a 1-byte tail must be
@@ -184,8 +189,11 @@ let put t ~key value =
     Hashtbl.replace t.tbl key value;
     Option.iter
       (fun oc ->
-        output_string oc (encode_record ~key value);
-        flush oc)
+        match encode_record ~key value with
+        | Some record ->
+          output_string oc record;
+          flush oc
+        | None -> ())
       t.chan
 
 let length t = Hashtbl.length t.tbl

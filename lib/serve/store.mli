@@ -58,7 +58,9 @@ val mem : t -> string -> bool
 
 val put : t -> key:string -> Json.t -> unit
 (** Insert/overwrite, appending to the log when persistent.  A [put]
-    whose value equals the stored one is a no-op (no disk append). *)
+    whose value equals the stored one is a no-op (no disk append).  A
+    record over {!Protocol.max_frame_bytes}, which load would reject,
+    is kept in memory only, so the records after it stay loadable. *)
 
 val length : t -> int
 val iter : t -> (key:string -> Json.t -> unit) -> unit

@@ -14,16 +14,16 @@ let default_weights =
 let ops ?(weights = default_weights) e =
   (* Memoized per call: hash-consed sharing means a repeated subtree is
      costed once (its tree cost, which every occurrence contributes). *)
-  let memo : (Expr.t, int) Hashtbl.t = Hashtbl.create 64 in
+  let memo : int Expr.Tbl.t = Expr.Tbl.create 64 in
   let rec go (e : Expr.t) =
     match e with
     | Const _ | Var _ -> 0
     | _ -> (
-      match Hashtbl.find_opt memo e with
+      match Expr.Tbl.find_opt memo e with
       | Some n -> n
       | None ->
         let n = compute e in
-        Hashtbl.add memo e n;
+        Expr.Tbl.add memo e n;
         n)
   and compute (e : Expr.t) =
     match e with

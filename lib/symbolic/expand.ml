@@ -1,16 +1,16 @@
 let expand (root : Expr.t) : Expr.t =
   (* Hash-consing makes repeated subtrees physically shared, so a per-call
      memo table turns the tree traversal into a DAG traversal. *)
-  let memo : (Expr.t, Expr.t) Hashtbl.t = Hashtbl.create 64 in
+  let memo : Expr.t Expr.Tbl.t = Expr.Tbl.create 64 in
   let rec go (e : Expr.t) : Expr.t =
     match e with
     | Const _ | Var _ -> e
     | _ -> (
-      match Hashtbl.find_opt memo e with
+      match Expr.Tbl.find_opt memo e with
       | Some r -> r
       | None ->
         let r = compute e in
-        Hashtbl.add memo e r;
+        Expr.Tbl.add memo e r;
         r)
   and compute (e : Expr.t) : Expr.t =
     match e with

@@ -310,83 +310,223 @@ let rec subst bindings e =
   | Const _ -> e
   | _ -> map_children (subst bindings) e
 
-let rec eval ~env e =
-  match e with
-  | Const n -> n
-  | Var v -> env v
-  | Add xs -> List.fold_left (fun acc x -> acc + eval ~env x) 0 xs
-  | Mul xs -> List.fold_left (fun acc x -> acc * eval ~env x) 1 xs
-  | Div (a, b) ->
-    let d = eval ~env b in
-    if d = 0 then raise Division_by_zero;
-    Lego_layout.Domain.floor_div (eval ~env a) d
-  | Mod (a, b) ->
-    let d = eval ~env b in
-    if d = 0 then raise Division_by_zero;
-    Lego_layout.Domain.floor_rem (eval ~env a) d
-  | Select (c, a, b) -> if eval ~env c <> 0 then eval ~env a else eval ~env b
-  | Le (a, b) -> if eval ~env a <= eval ~env b then 1 else 0
-  | Lt (a, b) -> if eval ~env a < eval ~env b then 1 else 0
-  | Eq (a, b) -> if eval ~env a = eval ~env b then 1 else 0
-  | Isqrt a -> Lego_layout.Domain.int_isqrt (eval ~env a)
+(* ---- Walks over the DAG ---------------------------------------------- *)
 
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Add xs | Mul xs -> List.fold_left (fun acc x -> acc + size x) 1 xs
-  | Div (a, b) | Mod (a, b) | Le (a, b) | Lt (a, b) | Eq (a, b) ->
-    1 + size a + size b
-  | Select (c, a, b) -> 1 + size c + size a + size b
-  | Isqrt a -> 1 + size a
+(* Hash-consing shares repeated subterms physically, so a walk that keys
+   per-node results by physical identity visits each distinct node once
+   however often it recurs in the tree.  [Hashtbl.hash] is structural, so
+   physically equal keys always share a bucket. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
 
-(* Pretty-printing with C-like precedence. *)
-let rec pp_prec prec ppf e =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* The evaluator's numbered form of an expression: one slot per distinct
+   node, children referred to by slot. *)
+type slot =
+  | S_const of int
+  | S_var of string
+  | S_add of int array
+  | S_mul of int array
+  | S_div of int * int
+  | S_mod of int * int
+  | S_select of int * int * int
+  | S_le of int * int
+  | S_lt of int * int
+  | S_eq of int * int
+  | S_isqrt of int
+
+let evaluator e =
+  let ids = Tbl.create 64 in
+  let slots = ref [] and count = ref 0 in
+  let rec number e =
+    match Tbl.find_opt ids e with
+    | Some i -> i
+    | None ->
+      let pair a b = (number a, number b) in
+      let s =
+        match e with
+        | Const n -> S_const n
+        | Var v -> S_var v
+        | Add xs -> S_add (Array.of_list (List.map number xs))
+        | Mul xs -> S_mul (Array.of_list (List.map number xs))
+        | Div (a, b) -> let a, b = pair a b in S_div (a, b)
+        | Mod (a, b) -> let a, b = pair a b in S_mod (a, b)
+        | Select (c, a, b) ->
+          let c = number c in
+          let a, b = pair a b in
+          S_select (c, a, b)
+        | Le (a, b) -> let a, b = pair a b in S_le (a, b)
+        | Lt (a, b) -> let a, b = pair a b in S_lt (a, b)
+        | Eq (a, b) -> let a, b = pair a b in S_eq (a, b)
+        | Isqrt a -> S_isqrt (number a)
+      in
+      let i = !count in
+      incr count;
+      slots := s :: !slots;
+      Tbl.add ids e i;
+      i
   in
-  match e with
-  | Const n ->
-    if n < 0 then paren 10 (fun ppf -> Format.fprintf ppf "%d" n)
-    else Format.fprintf ppf "%d" n
-  | Var v -> Format.pp_print_string ppf v
-  | Add xs ->
-    paren 4 (fun ppf ->
-        List.iteri
-          (fun k x ->
-            if k > 0 then
-              match as_linear_term x with
-              | c, factors when c < 0 ->
-                Format.fprintf ppf " - %a" (pp_prec 5)
-                  (of_linear_term (-c, factors))
-              | _ -> Format.fprintf ppf " + %a" (pp_prec 5) x
-            else pp_prec 5 ppf x)
-          xs)
-  | Mul xs ->
-    paren 5 (fun ppf ->
-        List.iteri
-          (fun k x ->
-            if k > 0 then Format.fprintf ppf "*%a" (pp_prec 6) x
-            else pp_prec 6 ppf x)
-          xs)
-  | Div (a, b) ->
-    paren 5 (fun ppf ->
-        Format.fprintf ppf "%a / %a" (pp_prec 5) a (pp_prec 6) b)
-  | Mod (a, b) ->
-    paren 5 (fun ppf ->
-        Format.fprintf ppf "%a %% %a" (pp_prec 5) a (pp_prec 6) b)
-  | Select (c, a, b) ->
-    paren 1 (fun ppf ->
-        Format.fprintf ppf "%a ? %a : %a" (pp_prec 2) c (pp_prec 2) a
-          (pp_prec 1) b)
-  | Le (a, b) ->
-    paren 3 (fun ppf ->
-        Format.fprintf ppf "%a <= %a" (pp_prec 4) a (pp_prec 4) b)
-  | Lt (a, b) ->
-    paren 3 (fun ppf ->
-        Format.fprintf ppf "%a < %a" (pp_prec 4) a (pp_prec 4) b)
-  | Eq (a, b) ->
-    paren 3 (fun ppf ->
-        Format.fprintf ppf "%a == %a" (pp_prec 4) a (pp_prec 4) b)
-  | Isqrt a -> Format.fprintf ppf "isqrt(%a)" (pp_prec 0) a
+  let root = number e in
+  let prog = Array.of_list (List.rev !slots) in
+  fun ~env ->
+    (* Per-call state, so one evaluator serves any number of domains.
+       Each slot is computed on first demand, with the tree walk's
+       operand order and [Select]'s laziness, so a call raises exactly
+       what the tree walk would. *)
+    let n = Array.length prog in
+    let value = Array.make n 0 and known = Bytes.make n '\000' in
+    let rec get i =
+      if Bytes.unsafe_get known i <> '\000' then Array.unsafe_get value i
+      else begin
+        let v = compute prog.(i) in
+        value.(i) <- v;
+        Bytes.unsafe_set known i '\001';
+        v
+      end
+    and compute = function
+      | S_const n -> n
+      | S_var v -> env v
+      | S_add xs -> Array.fold_left (fun acc x -> acc + get x) 0 xs
+      | S_mul xs -> Array.fold_left (fun acc x -> acc * get x) 1 xs
+      | S_div (a, b) ->
+        let d = get b in
+        if d = 0 then raise Division_by_zero;
+        Lego_layout.Domain.floor_div (get a) d
+      | S_mod (a, b) ->
+        let d = get b in
+        if d = 0 then raise Division_by_zero;
+        Lego_layout.Domain.floor_rem (get a) d
+      | S_select (c, a, b) -> if get c <> 0 then get a else get b
+      | S_le (a, b) -> if get a <= get b then 1 else 0
+      | S_lt (a, b) -> if get a < get b then 1 else 0
+      | S_eq (a, b) -> if get a = get b then 1 else 0
+      | S_isqrt a -> Lego_layout.Domain.int_isqrt (get a)
+    in
+    get root
 
-let pp ppf e = pp_prec 0 ppf e
-let to_string e = Format.asprintf "%a" pp e
+let eval ~env e = evaluator e ~env
+
+(* ---- Rendering ------------------------------------------------------- *)
+
+type syntax = {
+  mul : string;
+  div : string;
+  select : [ `Ternary | `Call of string ];
+  isqrt : string * string;
+}
+
+let syntax = { mul = "*"; div = " / "; select = `Ternary; isqrt = ("isqrt(", ")") }
+
+(* The precedence a node binds at: an operand position of higher
+   precedence parenthesizes it.  Leaves and isqrt never take parens; a
+   select does in either spelling. *)
+let level = function
+  | Select _ -> 1
+  | Le _ | Lt _ | Eq _ -> 3
+  | Add _ -> 4
+  | Mul _ | Div _ | Mod _ -> 5
+  | Const _ | Var _ | Isqrt _ -> max_int
+
+(* One growable byte buffer that can append a copy of its own earlier
+   bytes, which [Buffer] cannot. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let reserve o n =
+  let cap = Bytes.length o.bytes in
+  if o.len + n > cap then begin
+    let bytes = Bytes.create (max (o.len + n) (2 * cap)) in
+    Bytes.blit o.bytes 0 bytes 0 o.len;
+    o.bytes <- bytes
+  end
+
+let add_string o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.blit_string s 0 o.bytes o.len n;
+  o.len <- o.len + n
+
+let add_copy o off n =
+  reserve o n;
+  Bytes.blit o.bytes off o.bytes o.len n;
+  o.len <- o.len + n
+
+let render sx e =
+  let o = { bytes = Bytes.create 256; len = 0 } in
+  (* Where each compound node's unparenthesized text first landed in
+     [o]; later occurrences copy it, so the work is linear in distinct
+     nodes plus output bytes, and no per-node string is kept. *)
+  let spans : (int * int) Tbl.t = Tbl.create 64 in
+  let rec node prec e =
+    match e with
+    | Const n -> add_string o (string_of_int n)
+    | Var v -> add_string o v
+    | _ ->
+      let wrap = prec > level e in
+      if wrap then add_string o "(";
+      (match Tbl.find_opt spans e with
+      | Some (off, n) -> add_copy o off n
+      | None ->
+        let off = o.len in
+        body e;
+        Tbl.add spans e (off, o.len - off));
+      if wrap then add_string o ")"
+  and binary a op b ~left ~right =
+    node left a;
+    add_string o op;
+    node right b
+  and body e =
+    match e with
+    | Const _ | Var _ -> node 0 e
+    | Add [] | Mul [] -> ()
+    | Add (x :: xs) ->
+      (* A summand is never itself a sum, so every summand binds the
+         same at precedence 4 or 5. *)
+      node 5 x;
+      List.iter
+        (fun x ->
+          match as_linear_term x with
+          | c, factors when c < 0 ->
+            add_string o " - ";
+            node 5 (of_linear_term (-c, factors))
+          | _ ->
+            add_string o " + ";
+            node 5 x)
+        xs
+    | Mul (x :: xs) ->
+      node 6 x;
+      List.iter
+        (fun x ->
+          add_string o sx.mul;
+          node 6 x)
+        xs
+    | Div (a, b) -> binary a sx.div b ~left:5 ~right:6
+    | Mod (a, b) -> binary a " % " b ~left:5 ~right:6
+    | Select (c, a, b) -> (
+      match sx.select with
+      | `Ternary ->
+        node 2 c;
+        add_string o " ? ";
+        binary a " : " b ~left:2 ~right:1
+      | `Call f ->
+        add_string o f;
+        add_string o "(";
+        node 0 c;
+        add_string o ", ";
+        binary a ", " b ~left:0 ~right:0;
+        add_string o ")")
+    | Le (a, b) -> binary a " <= " b ~left:4 ~right:4
+    | Lt (a, b) -> binary a " < " b ~left:4 ~right:4
+    | Eq (a, b) -> binary a " == " b ~left:4 ~right:4
+    | Isqrt a ->
+      add_string o (fst sx.isqrt);
+      node 0 a;
+      add_string o (snd sx.isqrt)
+  in
+  node 0 e;
+  Bytes.sub_string o.bytes 0 o.len
+
+let to_string e = render syntax e
+let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -75,22 +75,64 @@ val vars : t -> string list
 val subst : (string * t) list -> t -> t
 (** Simultaneous capture-free substitution (variables are free-only). *)
 
-val eval : env:(string -> int) -> t -> int
-(** Evaluate under a total environment.  Raises [Division_by_zero] when a
-    divisor evaluates to 0, and [Invalid_argument] on [Isqrt] of a
-    negative. *)
-
 val as_linear_term : t -> int * t list
 (** [as_linear_term e] decomposes [e] as [coeff * factors] with [factors]
     the non-constant part of a product (empty for a constant). *)
 
 val of_linear_term : int * t list -> t
 
-val size : t -> int
-(** Number of AST nodes (used by the cost model and as rewrite fuel). *)
+(** {2 Walks over the DAG}
+
+    Hash-consing shares repeated subterms physically, so an expression
+    can denote a tree exponentially larger than its distinct nodes.  The
+    walks below — and [Cost.ops], [Cse.lower], [Expand.expand] and
+    [C_printer.guard_nonneg] — key per-node work by physical identity
+    through {!Tbl}, so each visits every distinct node once.  Their
+    results are still those of the tree: rendered text is the tree's
+    text, and evaluation raises what a tree walk raises. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by physical identity ([==], hashed with
+    [Hashtbl.hash]): the one per-walk node memo.  A structurally equal
+    but physically distinct node is a different key, which costs a
+    repeat visit, never a wrong result. *)
+
+val evaluator : t -> env:(string -> int) -> int
+(** [evaluator e] numbers [e]'s distinct nodes once and returns a
+    function that evaluates [e] under a total environment, computing
+    each node at most once per call.  [Select] evaluates only the taken
+    branch, and operands are evaluated in the tree walk's order, so a
+    call raises [Division_by_zero] when a divisor evaluates to 0 and
+    [Invalid_argument] on [Isqrt] of a negative exactly where a tree
+    walk would.  Each call allocates its own state: one evaluator may
+    be shared across domains.  Prepare it once and call it per point. *)
+
+val eval : env:(string -> int) -> t -> int
+(** [eval ~env e = evaluator e ~env]: a one-shot evaluation, paying the
+    numbering each time. *)
+
+(** {2 Rendering} *)
+
+type syntax = {
+  mul : string;  (** between factors, e.g. ["*"] or [" * "] *)
+  div : string;  (** between dividend and divisor, e.g. [" / "] or [" // "] *)
+  select : [ `Ternary | `Call of string ];
+      (** [c ? a : b], or a call [f(c, a, b)] *)
+  isqrt : string * string;  (** the text before and after the operand *)
+}
+(** The spellings that differ between infix syntaxes.  Everything else
+    is shared: C-like precedence with explicit parens where needed, [%]
+    for remainder, [<=]/[<]/[==], a sum's negative-coefficient summands
+    printed as subtractions. *)
+
+val render : syntax -> t -> string
+(** The infix text of the expression tree.  Each distinct node is
+    rendered once; every later occurrence copies its bytes from the
+    output buffer, so the cost is linear in distinct nodes plus output
+    bytes. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable infix form (C-like precedence, explicit parens where
-    needed). *)
+(** Human-readable infix form: {!render} with ["*"], [" / "], ternary
+    selects and [isqrt(...)]. *)
 
 val to_string : t -> string

@@ -68,7 +68,7 @@ let inv ?(simplify = true) ?(var = "p") g =
 let check_roundtrip g ~samples =
   let dims = L.Group_by.dims g in
   let names = var_names g in
-  let sym = apply g in
+  let eval = Expr.evaluator (apply g) in
   let state = Random.State.make [| 0x1e60; List.length dims; samples |] in
   let rec go k =
     if k >= samples then Ok ()
@@ -77,7 +77,7 @@ let check_roundtrip g ~samples =
       let bindings = List.combine names idx in
       let env name = List.assoc name bindings in
       let expect = L.Group_by.apply_ints g idx in
-      let got = Expr.eval ~env sym in
+      let got = eval ~env in
       if got <> expect then
         Error
           (Printf.sprintf

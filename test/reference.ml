@@ -1,9 +1,10 @@
 (* Reference implementations kept as differential oracles: the library's
-   direct layout printers, O(n) warp-access counters and staged static
-   scorer replaced these, and the tests assert the replacements agree
-   with them byte for byte and count for count.  The F₂ swizzle-class
-   partition at the end is the reference the class tests check the
-   tuner's swizzle coverage against. *)
+   direct layout printers, O(n) warp-access counters, staged static
+   scorer, DAG renderer and prepared evaluator replaced these, and the
+   tests assert the replacements agree with them byte for byte, count
+   for count and exception for exception.  The F₂ swizzle-class
+   partition is the reference the class tests check the tuner's swizzle
+   coverage against. *)
 
 module L = Lego_layout
 module G = Lego_gpusim
@@ -307,3 +308,145 @@ let class_representatives ~rows ~cols ~elem_bytes =
       if key (c.sw_mask, c.sw_shift) = (0, 0) then None
       else Some (c.sw_mask, c.sw_shift))
     (swizzle_classes ~rows ~cols ~elem_bytes)
+
+(* ---- Tree walks over index expressions --------------------------------- *)
+
+(* These walk the expression as a tree, so a node that recurs is
+   printed or evaluated once per occurrence: exponential in depth on a
+   deeply shared expression.  Keep their inputs small. *)
+
+module E = Lego_symbolic.Expr
+
+(* [Expr.pp]: C-like precedence, a sum's first summand at precedence 5. *)
+let rec expr_pp_prec prec ppf (e : E.t) =
+  let paren p body =
+    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+  in
+  match e with
+  | Const n ->
+    if n < 0 then paren 10 (fun ppf -> Format.fprintf ppf "%d" n)
+    else Format.fprintf ppf "%d" n
+  | Var v -> Format.pp_print_string ppf v
+  | Add xs ->
+    paren 4 (fun ppf ->
+        List.iteri
+          (fun k x ->
+            if k > 0 then
+              match E.as_linear_term x with
+              | c, factors when c < 0 ->
+                Format.fprintf ppf " - %a" (expr_pp_prec 5)
+                  (E.of_linear_term (-c, factors))
+              | _ -> Format.fprintf ppf " + %a" (expr_pp_prec 5) x
+            else expr_pp_prec 5 ppf x)
+          xs)
+  | Mul xs ->
+    paren 5 (fun ppf ->
+        List.iteri
+          (fun k x ->
+            if k > 0 then Format.fprintf ppf "*%a" (expr_pp_prec 6) x
+            else expr_pp_prec 6 ppf x)
+          xs)
+  | Div (a, b) ->
+    paren 5 (fun ppf ->
+        Format.fprintf ppf "%a / %a" (expr_pp_prec 5) a (expr_pp_prec 6) b)
+  | Mod (a, b) ->
+    paren 5 (fun ppf ->
+        Format.fprintf ppf "%a %% %a" (expr_pp_prec 5) a (expr_pp_prec 6) b)
+  | Select (c, a, b) ->
+    paren 1 (fun ppf ->
+        Format.fprintf ppf "%a ? %a : %a" (expr_pp_prec 2) c (expr_pp_prec 2)
+          a (expr_pp_prec 1) b)
+  | Le (a, b) ->
+    paren 3 (fun ppf ->
+        Format.fprintf ppf "%a <= %a" (expr_pp_prec 4) a (expr_pp_prec 4) b)
+  | Lt (a, b) ->
+    paren 3 (fun ppf ->
+        Format.fprintf ppf "%a < %a" (expr_pp_prec 4) a (expr_pp_prec 4) b)
+  | Eq (a, b) ->
+    paren 3 (fun ppf ->
+        Format.fprintf ppf "%a == %a" (expr_pp_prec 4) a (expr_pp_prec 4) b)
+  | Isqrt a -> Format.fprintf ppf "isqrt(%a)" (expr_pp_prec 0) a
+
+let expr_to_string e = Format.asprintf "%a" (expr_pp_prec 0) e
+
+(* [C_printer.expr]: a sum's first summand at precedence 4. *)
+let rec c_pr prec (e : E.t) =
+  let paren p s = if prec > p then "(" ^ s ^ ")" else s in
+  match e with
+  | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
+  | Var v -> v
+  | Add xs ->
+    paren 4
+      (String.concat ""
+         (List.mapi
+            (fun k x ->
+              if k = 0 then c_pr 4 x
+              else
+                match E.as_linear_term x with
+                | c, fs when c < 0 -> " - " ^ c_pr 5 (E.of_linear_term (-c, fs))
+                | _ -> " + " ^ c_pr 5 x)
+            xs))
+  | Mul xs -> paren 5 (String.concat " * " (List.map (c_pr 6) xs))
+  | Div (a, b) -> paren 5 (c_pr 5 a ^ " / " ^ c_pr 6 b)
+  | Mod (a, b) -> paren 5 (c_pr 5 a ^ " % " ^ c_pr 6 b)
+  | Select (c, a, b) -> paren 1 (c_pr 2 c ^ " ? " ^ c_pr 2 a ^ " : " ^ c_pr 1 b)
+  | Le (a, b) -> paren 3 (c_pr 4 a ^ " <= " ^ c_pr 4 b)
+  | Lt (a, b) -> paren 3 (c_pr 4 a ^ " < " ^ c_pr 4 b)
+  | Eq (a, b) -> paren 3 (c_pr 4 a ^ " == " ^ c_pr 4 b)
+  | Isqrt a -> "lego_isqrt(" ^ c_pr 0 a ^ ")"
+
+let c_expr e = c_pr 0 e
+
+(* [Triton_printer.expr]. *)
+let rec triton_pr prec (e : E.t) =
+  let paren p s = if prec > p then "(" ^ s ^ ")" else s in
+  match e with
+  | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
+  | Var v -> v
+  | Add xs ->
+    paren 4
+      (String.concat ""
+         (List.mapi
+            (fun k x ->
+              if k = 0 then triton_pr 4 x
+              else
+                match E.as_linear_term x with
+                | c, fs when c < 0 ->
+                  " - " ^ triton_pr 5 (E.of_linear_term (-c, fs))
+                | _ -> " + " ^ triton_pr 5 x)
+            xs))
+  | Mul xs -> paren 5 (String.concat " * " (List.map (triton_pr 6) xs))
+  | Div (a, b) -> paren 5 (triton_pr 5 a ^ " // " ^ triton_pr 6 b)
+  | Mod (a, b) -> paren 5 (triton_pr 5 a ^ " % " ^ triton_pr 6 b)
+  | Select (c, a, b) ->
+    paren 1
+      ("tl.where(" ^ triton_pr 0 c ^ ", " ^ triton_pr 0 a ^ ", "
+     ^ triton_pr 0 b ^ ")")
+  | Le (a, b) -> paren 3 (triton_pr 4 a ^ " <= " ^ triton_pr 4 b)
+  | Lt (a, b) -> paren 3 (triton_pr 4 a ^ " < " ^ triton_pr 4 b)
+  | Eq (a, b) -> paren 3 (triton_pr 4 a ^ " == " ^ triton_pr 4 b)
+  | Isqrt a -> "tl.sqrt(" ^ triton_pr 0 a ^ ").to(tl.int32)"
+
+let triton_expr e = triton_pr 0 e
+
+(* [Expr.eval]: a divisor before its dividend, only the taken branch of
+   a select. *)
+let rec eval ~env (e : E.t) =
+  match e with
+  | Const n -> n
+  | Var v -> env v
+  | Add xs -> List.fold_left (fun acc x -> acc + eval ~env x) 0 xs
+  | Mul xs -> List.fold_left (fun acc x -> acc * eval ~env x) 1 xs
+  | Div (a, b) ->
+    let d = eval ~env b in
+    if d = 0 then raise Division_by_zero;
+    Lego_layout.Domain.floor_div (eval ~env a) d
+  | Mod (a, b) ->
+    let d = eval ~env b in
+    if d = 0 then raise Division_by_zero;
+    Lego_layout.Domain.floor_rem (eval ~env a) d
+  | Select (c, a, b) -> if eval ~env c <> 0 then eval ~env a else eval ~env b
+  | Le (a, b) -> if eval ~env a <= eval ~env b then 1 else 0
+  | Lt (a, b) -> if eval ~env a < eval ~env b then 1 else 0
+  | Eq (a, b) -> if eval ~env a = eval ~env b then 1 else 0
+  | Isqrt a -> Lego_layout.Domain.int_isqrt (eval ~env a)

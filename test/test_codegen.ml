@@ -317,6 +317,57 @@ let test_emitted_digest () =
   Test_symbolic.check_digest "C/Triton/MLIR text" ~bytes:961_051
     ~md5:"1de91cbcc8ebe7bf06ac146da3689ed3" (Buffer.contents b)
 
+(* --- DAG walks ----------------------------------------------------------- *)
+
+let prop_renderer_matches_tree_printers =
+  QCheck2.Test.make ~name:"renderer = tree printers in all three syntaxes"
+    ~count:300 ~print:Reference.expr_to_string Test_symbolic.gen_shared_expr
+    (fun e ->
+      E.to_string e = Reference.expr_to_string e
+      && CG.C_printer.expr e = Reference.c_expr e
+      && CG.Triton_printer.expr e = Reference.triton_expr e)
+
+(* [random:7:1113]: 153 distinct nodes, 8,389,876 tree nodes. *)
+let test_outlier_pinned () =
+  let g = Lego_conform.Lgen.layout_of_seed ~seed:7 ~index:1113 in
+  let apply = Sym.apply g in
+  let pin = Test_symbolic.check_digest in
+  pin "C" ~bytes:20_820_206 ~md5:"db6c25c7cd027ac0ee1a02a203aedabc"
+    (CG.C_printer.expr apply);
+  pin "Triton" ~bytes:26_364_694 ~md5:"6819ecd0e18c75e00b5dc6cc40025bee"
+    (CG.Triton_printer.expr apply);
+  pin "Expr.to_string" ~bytes:20_809_122
+    ~md5:"6661e1e58c41aa62c61db8dc0026efaf" (E.to_string apply);
+  let env = Range.env_of_list [ ("p", Range.of_extent (Group_by.numel g)) ] in
+  match CG.C_printer.guard_nonneg ~env (List.hd (Sym.inv g)) with
+  | Ok () -> Alcotest.fail "the first inv component passed the guard"
+  | Error msg ->
+    pin "guard message" ~bytes:694_234 ~md5:"809c69eb45b569c2de49ba7993fbcfc6"
+      msg
+
+(* 30 levels of x -> select (x < 7) (x + 1) (x / 2): four new nodes a
+   level, standing for a tree of about 3^30. *)
+let test_deep_sharing () =
+  let step x = E.(select (lt x (const 7)) (add x one) (div x (const 2))) in
+  let rec nest k e = if k = 0 then e else nest (k - 1) (step e) in
+  let e = nest 30 (E.var "x") in
+  let env = Range.env_of_list [ ("x", Range.of_extent 100) ] in
+  Alcotest.(check (result unit string))
+    "guard proves every dividend" (Ok ())
+    (CG.C_printer.guard_nonneg ~env e);
+  let rec iterate k v =
+    if k = 0 then v else iterate (k - 1) (if v < 7 then v + 1 else v / 2)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Printf.sprintf "eval at x = %d" v)
+        (iterate 30 v)
+        (E.eval ~env:(fun _ -> v) e))
+    [ 0; 6; 7; 99 ];
+  (* Each level costs 6 plus three copies of the level below. *)
+  Alcotest.(check int) "tree op count" (617_673_396_283_947 - 3) (Cost.ops e)
+
 let suite =
   ( "codegen",
     [
@@ -345,4 +396,10 @@ let suite =
     @ [
         Alcotest.test_case "emitted text pinned over 513 layouts" `Quick
           test_emitted_digest;
+        QCheck_alcotest.to_alcotest ~long:false
+          prop_renderer_matches_tree_printers;
+        Alcotest.test_case "outlier random:7:1113 text and guard pinned" `Quick
+          test_outlier_pinned;
+        Alcotest.test_case "deep sharing: guard, eval and op count return"
+          `Quick test_deep_sharing;
       ] )

@@ -730,6 +730,105 @@ let test_daemon_survives_early_hangup () =
   Alcotest.(check bool) "daemon exits 0 on shutdown" true
     (status = Unix.WEXITED 0)
 
+(* Regression: a compile whose reply (20.8 MB simplified, 20.8 MB of C,
+   26.4 MB of Triton) is over the 64 MiB frame limit made [write_frame]
+   raise, and the daemon exited with an uncaught exception.  It must
+   answer that request with an error naming the limit and go on serving
+   the same connection. *)
+let test_daemon_answers_oversized_reply () =
+  let dir = Filename.temp_dir "lego-test-oversized" "" in
+  let socket = Filename.concat dir "legoc.sock" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process legoc_exe
+      [| legoc_exe; "serve"; "--socket"; socket; "--no-db"; "-j"; "1" |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let layout =
+    "OrderBy2(GenP(swizzle[2, 2]), GenP(antidiag[8, 8])).OrderBy2(GenP(hilbert[16, \
+     16])).OrderBy2(GenP(hilbert[16, 16])).GroupBy1([256])"
+  in
+  let limit = string_of_int Sv.Protocol.max_frame_bytes in
+  (* A daemon that died mid-connection must fail this test, not kill the
+     test process with SIGPIPE on the next send. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let replies, status =
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+    @@ fun () ->
+    let kill () = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> () in
+    let replies =
+      try
+        match Sv.Client.connect ~retries:500 ~socket () with
+        | Error e -> Error e
+        | Ok c ->
+          let compile =
+            Sv.Client.batch c
+              [ Sv.Protocol.Compile { layout; emit = []; device = "a100" } ]
+          in
+          let stats = Sv.Client.batch c [ Sv.Protocol.Stats ] in
+          Sv.Client.close c;
+          Ok (compile, stats)
+      with Unix.Unix_error (e, fn, _) ->
+        Error (fn ^ ": " ^ Unix.error_message e)
+    in
+    (try
+       match Sv.Client.connect ~socket () with
+       | Ok c ->
+         ignore (Sv.Client.batch c [ Sv.Protocol.Shutdown ]);
+         Sv.Client.close c
+       | Error _ -> kill ()
+     with Unix.Unix_error _ -> kill ());
+    (replies, snd (Unix.waitpid [] pid))
+  in
+  (try Sys.remove socket with Sys_error _ -> ());
+  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  (match replies with
+  | Error e -> Alcotest.failf "daemon connection: %s" e
+  | Ok (compile, stats) ->
+    (match compile with
+    | Ok [ r ] ->
+      Alcotest.(check (option bool)) "oversized reply is ok:false" (Some false)
+        (Sv.Json.mem_bool "ok" r);
+      let error = Option.value ~default:"" (Sv.Json.mem_string "error" r) in
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names the limit" error)
+        true
+        (Str.string_match (Str.regexp (".*" ^ limit)) error 0)
+    | Ok rs -> Alcotest.failf "%d replies to one request" (List.length rs)
+    | Error e -> Alcotest.failf "compile: %s" e);
+    match stats with
+    | Ok [ r ] ->
+      Alcotest.(check (option bool)) "stats answered on the same connection"
+        (Some true) (Sv.Json.mem_bool "ok" r)
+    | Ok _ -> Alcotest.fail "malformed stats reply"
+    | Error e -> Alcotest.failf "stats: %s" e);
+  Alcotest.(check bool) "daemon exits 0 on shutdown" true
+    (status = Unix.WEXITED 0)
+
+(* Regression: a record over the frame limit was appended to the log,
+   where load rejects it and truncates the file, losing every record
+   written after it — e.g. everything a daemon stored after answering
+   an oversized compile. *)
+let test_store_keeps_oversized_record_off_the_log () =
+  with_tmp (fun path ->
+      let s, _ = Sv.Store.open_ ~path () in
+      let big = Sv.Json.Str (String.make (Sv.Protocol.max_frame_bytes + 1) 'x') in
+      Sv.Store.put s ~key:"big" big;
+      Alcotest.(check bool) "kept in memory" true (Sv.Store.get s "big" = Some big);
+      Sv.Store.put s ~key:"after" (Sv.Json.Int 1);
+      Sv.Store.close s;
+      let s', verdict = Sv.Store.open_ ~path () in
+      (match verdict with
+      | Sv.Store.Loaded 1 -> ()
+      | Sv.Store.Loaded n -> Alcotest.failf "loaded %d records" n
+      | Sv.Store.Recovered (_, why) -> Alcotest.failf "recovered: %s" why
+      | Sv.Store.Fresh -> Alcotest.fail "existing file loaded as Fresh");
+      Alcotest.(check (option int))
+        "the record after it survives" (Some 1)
+        (Option.bind (Sv.Store.get s' "after") Sv.Json.get_int);
+      Sv.Store.close s')
+
 let suite =
   ( "serve",
     [
@@ -763,4 +862,8 @@ let suite =
         test_daemon_survives_early_hangup;
       Alcotest.test_case "server: unknown or ill-typed fields rejected" `Quick
         test_server_rejects_bad_fields;
+      Alcotest.test_case "daemon answers a reply over the frame limit" `Quick
+        test_daemon_answers_oversized_reply;
+      Alcotest.test_case "store: an over-limit record stays off the log"
+        `Quick test_store_keeps_oversized_record_off_the_log;
     ] )

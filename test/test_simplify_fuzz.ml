@@ -27,13 +27,14 @@ let test_apply_semantics_preserved () =
       let names = var_names dims in
       let env = Sym.ranges_of layout in
       let raw = Sym.apply ~simplify:false layout in
-      let simplified = Simplify.simplify ~env raw in
+      let eval_raw = E.evaluator raw in
+      let eval_simplified = E.evaluator (Simplify.simplify ~env raw) in
       Seq.iter
         (fun idx ->
           let bindings = List.combine names idx in
           let lookup v = List.assoc v bindings in
-          let expect = E.eval ~env:lookup raw in
-          let got = E.eval ~env:lookup simplified in
+          let expect = eval_raw ~env:lookup in
+          let got = eval_simplified ~env:lookup in
           if got <> expect then
             Alcotest.failf "%s: apply disagrees at [%s]: raw %d, simplified %d"
               name
@@ -48,20 +49,24 @@ let test_inv_semantics_preserved () =
       let numel = L.Group_by.numel layout in
       let env = Range.env_of_list [ ("p", Range.of_extent numel) ] in
       let raw = Sym.inv ~simplify:false layout in
-      let simplified = List.map (Simplify.simplify ~env) raw in
+      let evals =
+        List.map
+          (fun r -> (E.evaluator r, E.evaluator (Simplify.simplify ~env r)))
+          raw
+      in
       for p = 0 to numel - 1 do
         let lookup v =
           if v = "p" then p else Alcotest.failf "unexpected var %s" v
         in
         List.iteri
-          (fun k (r, s) ->
-            let expect = E.eval ~env:lookup r in
-            let got = E.eval ~env:lookup s in
+          (fun k (eval_raw, eval_simplified) ->
+            let expect = eval_raw ~env:lookup in
+            let got = eval_simplified ~env:lookup in
             if got <> expect then
               Alcotest.failf
                 "%s: inv component %d disagrees at p=%d: raw %d, simplified %d"
                 name k p expect got)
-          (List.combine raw simplified)
+          evals
       done)
     corpus
 
@@ -73,15 +78,15 @@ let test_simplified_apply_matches_concrete () =
       let dims = L.Group_by.dims layout in
       let names = var_names dims in
       let env = Sym.ranges_of layout in
-      let simplified =
-        Simplify.simplify ~env (Sym.apply ~simplify:false layout)
+      let eval_simplified =
+        E.evaluator (Simplify.simplify ~env (Sym.apply ~simplify:false layout))
       in
       Seq.iter
         (fun idx ->
           let bindings = List.combine names idx in
           let lookup v = List.assoc v bindings in
           let expect = L.Group_by.apply_ints layout idx in
-          let got = E.eval ~env:lookup simplified in
+          let got = eval_simplified ~env:lookup in
           if got <> expect then
             Alcotest.failf "%s: symbolic apply disagrees at [%s]: %d vs %d"
               name

@@ -510,6 +510,86 @@ let test_symbolic_digest () =
   check_digest "apply/inv text" ~bytes:2_221_196
     ~md5:"0a763947b7071f6a469b47b10969e76f" (Buffer.contents b)
 
+(* --- DAG walks ----------------------------------------------------------- *)
+
+(* Random expressions with heavy sharing: every step combines members of
+   a growing pool of subterms — half the time among the four newest — so
+   nodes recur throughout the tree.  Ten steps of arity at most three
+   keep the tree small enough for the reference tree walks. *)
+let gen_shared_expr =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ map E.const (int_range (-6) 6); map E.var (oneofl [ "x"; "y"; "z" ]) ]
+  in
+  let step = triple (int_bound 15) (pair bool nat) (pair nat nat) in
+  let build leaves steps =
+    let pool = ref (Array.of_list leaves) in
+    let pick (recent, k) =
+      let n = Array.length !pool in
+      if recent then !pool.(n - 1 - (k mod min 4 n)) else !pool.(k mod n)
+    in
+    List.iter
+      (fun (op, a, (b, c)) ->
+        let a = pick a and b = pick (true, b) and c = pick (false, c) in
+        let e =
+          match op with
+          | 0 -> E.add a b
+          | 1 -> E.sub a b
+          | 2 -> E.mul a b
+          | 3 -> E.sum [ a; b; c ]
+          | 4 -> E.div a b
+          | 5 -> E.md a b
+          | 6 -> E.select a b c
+          | 7 -> E.select (E.lt a b) c (E.div c a)
+          | 8 -> E.le a b
+          | 9 -> E.eq a b
+          | 10 -> E.isqrt a
+          | 11 -> E.neg a
+          | 12 -> E.product [ a; E.const (-3); b ]
+          (* Two operands that may raise different exceptions: the
+             evaluation order decides which one escapes. *)
+          | 13 -> E.le (E.div a b) (E.isqrt c)
+          | 14 -> E.eq (E.isqrt a) (E.md b c)
+          | _ -> E.div (E.isqrt a) (E.sub b c)
+        in
+        pool := Array.append !pool [| e |])
+      steps;
+    !pool.(Array.length !pool - 1)
+  in
+  map2 build (list_size (int_range 1 4) leaf) (list_size (int_range 1 10) step)
+
+(* The outcome of an evaluation: its value, or the exception it raised. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception ((Division_by_zero | Invalid_argument _) as ex) ->
+    Error (Printexc.to_string ex)
+
+let prop_evaluator_matches_tree_walk =
+  QCheck2.Test.make ~name:"prepared evaluator = tree-walk eval" ~count:300
+    ~print:(fun (e, _) -> Reference.expr_to_string e)
+    QCheck2.Gen.(
+      let v = int_range (-8) 8 in
+      pair gen_shared_expr (list_size (return 4) (triple v v v)))
+    (fun (e, points) ->
+      let eval = E.evaluator e in
+      List.for_all
+        (fun (xv, yv, zv) ->
+          let env = function "x" -> xv | "y" -> yv | _ -> zv in
+          let want = outcome (fun () -> Reference.eval ~env e) in
+          outcome (fun () -> eval ~env) = want
+          && outcome (fun () -> E.eval ~env e) = want)
+        points)
+
+let test_select_laziness () =
+  let e = E.(select (lt x (const 5)) x (div x (const 0))) in
+  let eval = E.evaluator e in
+  check_int "taken branch at x = 1" 1 (eval ~env:(fun _ -> 1));
+  Alcotest.check_raises "untaken branch skipped, taken one raises"
+    Division_by_zero (fun () -> ignore (eval ~env:(fun _ -> 7)));
+  check_int "eval agrees" 1 (E.eval ~env:(fun _ -> 1) e)
+
 let suite =
   ( "symbolic",
     [
@@ -571,4 +651,7 @@ let suite =
           test_prover_reset_zeroes_memo;
         Alcotest.test_case "apply/inv text pinned over 513 layouts" `Quick
           test_symbolic_digest;
+        QCheck_alcotest.to_alcotest ~long:false prop_evaluator_matches_tree_walk;
+        Alcotest.test_case "evaluator: select evaluates the taken branch only"
+          `Quick test_select_laziness;
       ] )
