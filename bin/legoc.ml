@@ -211,23 +211,35 @@ let break_simplify_flag =
 
 let run_conform seed iters algebra max_points budget skip_gallery require_f2
     break_simplify jobs =
-  (* Flip before any pool exists: domains spawned later see the flag and
-     start with empty memo caches. *)
-  if break_simplify then Lego_symbolic.Simplify.set_test_only_break_rule true;
-  let report =
-    Lego_conform.Conform.run ~gallery:(not skip_gallery) ~random:iters
-      ~algebra ~seed ~max_points ~budget_s:budget
-      ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
-      ~jobs:(resolve_jobs jobs) ()
+  let invalid =
+    if iters < 0 then Some "--iters must be >= 0"
+    else if algebra < 0 then Some "--algebra must be >= 0"
+    else if max_points < 1 then Some "--max-points must be >= 1"
+    else None
   in
-  if break_simplify then Lego_symbolic.Simplify.set_test_only_break_rule false;
-  Format.printf "%a@." Lego_conform.Conform.pp_report report;
-  if require_f2 && report.Lego_conform.Conform.f2_covered = 0 then begin
-    Printf.eprintf "error: --require-f2 but no layout exercised the F2 leg\n";
-    1
-  end
-  else if report.Lego_conform.Conform.failures = [] then 0
-  else 1
+  match invalid with
+  | Some e ->
+    Printf.eprintf "error: %s\n" e;
+    2
+  | None ->
+    (* Flip before any pool exists: domains spawned later see the flag
+       and start with empty memo caches. *)
+    if break_simplify then Lego_symbolic.Simplify.set_test_only_break_rule true;
+    let report =
+      Lego_conform.Conform.run ~gallery:(not skip_gallery) ~random:iters
+        ~algebra ~seed ~max_points ~budget_s:budget
+        ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
+        ~jobs:(resolve_jobs jobs) ()
+    in
+    if break_simplify then
+      Lego_symbolic.Simplify.set_test_only_break_rule false;
+    Format.printf "%a@." Lego_conform.Conform.pp_report report;
+    if require_f2 && report.Lego_conform.Conform.f2_covered = 0 then begin
+      Printf.eprintf "error: --require-f2 but no layout exercised the F2 leg\n";
+      1
+    end
+    else if report.Lego_conform.Conform.failures = [] then 0
+    else 1
 
 let conform_cmd =
   let doc = conform_doc in

@@ -78,33 +78,6 @@ let lower ?(prefix = "t") roots =
   let results = List.map go roots in
   (List.rev !instrs, results)
 
-let eval ~env instrs roots =
-  let values = Hashtbl.create 64 in
-  let atom = function
-    | Aconst n -> n
-    | Avar v -> (
-      match Hashtbl.find_opt values v with Some n -> n | None -> env v)
-  in
-  List.iter
-    (fun { dst; op; args } ->
-      let a = List.map atom args in
-      let v =
-        match (op, a) with
-        | Add, [ x; y ] -> x + y
-        | Mul, [ x; y ] -> x * y
-        | Divf, [ x; y ] -> Lego_layout.Domain.floor_div x y
-        | Rem, [ x; y ] -> Lego_layout.Domain.floor_rem x y
-        | CmpLe, [ x; y ] -> if x <= y then 1 else 0
-        | CmpLt, [ x; y ] -> if x < y then 1 else 0
-        | CmpEq, [ x; y ] -> if x = y then 1 else 0
-        | Sel, [ c; x; y ] -> if c <> 0 then x else y
-        | Isqrt, [ x ] -> Lego_layout.Domain.int_isqrt x
-        | _ -> invalid_arg "Cse.eval: arity mismatch"
-      in
-      Hashtbl.replace values dst v)
-    instrs;
-  List.map atom roots
-
 let pp_atom ppf = function
   | Avar v -> Format.fprintf ppf "%%%s" v
   | Aconst n -> Format.pp_print_int ppf n

@@ -27,9 +27,4 @@ val lower :
     and one result atom per root.  Free variables become [Avar]
     arguments; constants stay inline as [Aconst]. *)
 
-val eval :
-  env:(string -> int) -> instr list -> atom list -> int list
-(** Reference interpreter for the three-address form (differential
-    testing against {!Lego_symbolic.Expr.eval}). *)
-
 val pp_instr : Format.formatter -> instr -> unit

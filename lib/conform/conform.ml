@@ -25,6 +25,7 @@ let pp_ints l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
 let default_max_points = 2048
 
 let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
+  if max_points < 1 then invalid_arg "Conform.check_layout: max_points < 1";
   let n = L.Group_by.numel g in
   let dims = L.Group_by.dims g in
   let names = List.mapi (fun k _ -> Printf.sprintf "i%d" k) dims in
@@ -37,7 +38,7 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       let env_a = S.Sym.ranges_of g in
       let apply_sym = S.Sym.apply g in
       let inv_sym = S.Sym.inv g in
-      let env_p = S.Range.env_of_list [ ("p", S.Range.of_extent n) ] in
+      let env_p = S.Sym.inv_ranges g in
       let eval_apply = S.Expr.evaluator apply_sym in
       let eval_inv = List.map S.Expr.evaluator inv_sym in
       (* Semantics (c): the C backend's text under C arithmetic.  When
@@ -84,21 +85,22 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       let seen = if n <= max_points then Some (Array.make n false) else None in
       let check_point idx =
         incr points;
-        let pt = pp_ints idx in
         (* Semantics (a): the reference interpreter. *)
         let p = L.Group_by.apply_ints g idx in
         if p < 0 || p >= n then
-          found "interp-bounds" "apply %s = %d, outside [0, %d)" pt p n;
+          found "interp-bounds" "apply %s = %d, outside [0, %d)" (pp_ints idx) p
+            n;
         (match seen with
         | Some hit ->
           if hit.(p) then
             found "interp-injective" "offset %d produced twice (again at %s)"
-              p pt;
+              p (pp_ints idx);
           hit.(p) <- true
         | None -> ());
         let back = L.Group_by.inv_ints g p in
         if back <> idx then
-          found "interp-roundtrip" "inv (apply %s) = %s" pt (pp_ints back);
+          found "interp-roundtrip" "inv (apply %s) = %s" (pp_ints idx)
+            (pp_ints back);
         let bindings = List.combine names idx in
         let lookup v = List.assoc v bindings in
         let lookup_p v =
@@ -106,7 +108,8 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
         in
         let sp = eval_apply ~env:lookup in
         if sp <> p then
-          found "symbolic-apply" "at %s: interpreter %d, symbolic %d" pt p sp;
+          found "symbolic-apply" "at %s: interpreter %d, symbolic %d"
+            (pp_ints idx) p sp;
         List.iteri
           (fun k (eval, want) ->
             let got = eval ~env:lookup_p in
@@ -119,7 +122,8 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
         | Some ca ->
           let cp = Cexpr.eval ~env:lookup ca in
           if cp <> p then
-            found "c-apply" "at %s: interpreter %d, C %d" pt p cp;
+            found "c-apply" "at %s: interpreter %d, C %d" (pp_ints idx) p
+              cp;
           List.iteri
             (fun k (e, want) ->
               let got = Cexpr.eval ~env:lookup_p e in
@@ -130,7 +134,9 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
         | None -> ());
         (match Mi.run_func m_apply "apply" (List.map (fun i -> Mi.Int i) idx) with
         | [ mp ] when mp = p -> ()
-        | [ mp ] -> found "mlir-apply" "at %s: interpreter %d, MLIR %d" pt p mp
+        | [ mp ] ->
+          found "mlir-apply" "at %s: interpreter %d, MLIR %d" (pp_ints idx) p
+            mp
         | rs ->
           found "mlir-apply" "expected one result, got %d" (List.length rs));
         let mback = Mi.run_func m_inv "inv" [ Mi.Int p ] in
@@ -143,8 +149,8 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
           let flat = L.Shape.flatten_ints dims idx in
           let fp = Lego_f2.Linear.apply lin flat in
           if fp <> p then
-            found "f2-apply" "at %s (flat %d): interpreter %d, F2 %d" pt flat p
-              fp;
+            found "f2-apply" "at %s (flat %d): interpreter %d, F2 %d"
+              (pp_ints idx) flat p fp;
           let fback = Lego_f2.Linear.apply lin_inv p in
           if fback <> flat then
             found "f2-inv" "at p = %d: flat index %d, F2 inverse %d" p flat

@@ -12,8 +12,8 @@
       with C's truncating division (skipped — and counted — when
       {!Lego_codegen.C_printer.guard_nonneg} cannot certify the
       expressions, since the backend would refuse to emit them);
-    - the MLIR backend's emitted functions, executed by
-      {!Lego_mlirsim.Minterp};
+    - the MLIR backend's emitted functions, parsed to slot form by
+      {!Lego_mlirsim.Mparser} and executed by {!Lego_mlirsim.Minterp};
     - the affine F₂ form ({!Lego_f2.Linear.of_layout}) and its matrix
       inverse, when the layout is in the bit-linear family (checked —
       and counted — only there; a singular matrix on one of these
@@ -45,7 +45,8 @@ val check_layout :
   ?max_points:int -> ?sample_seed:int -> Lego_layout.Group_by.t -> outcome
 (** Cross-check one layout.  Exhaustive (with a bijectivity check) when
     [numel <= max_points] (default 2048); otherwise [max_points] seeded
-    samples, deterministic in [sample_seed]. *)
+    samples, deterministic in [sample_seed].  Raises [Invalid_argument]
+    when [max_points < 1]. *)
 
 val gallery_sample_seed : string -> int
 (** The point-sampling seed {!run} uses for the gallery layout of that

@@ -2,61 +2,26 @@ type binop = Add | Mul | FloorDiv | Rem
 type cmp = Le | Lt | Eq
 
 type op =
-  | Constant of { dst : string; value : int }
-  | Binop of { dst : string; kind : binop; lhs : string; rhs : string }
-  | Cmpi of { dst : string; kind : cmp; lhs : string; rhs : string }
-  | Select of { dst : string; cond : string; if_true : string; if_false : string }
-  | Isqrt of { dst : string; arg : string }
-  | Load of { dst : string; mem : string; idx : string }
-  | Store of { value : string; mem : string; idx : string }
-  | For of { var : string; lb : string; ub : string; step : string; body : op list }
-  | Return of string list
+  | Constant of { dst : int; value : int }
+  | Binop of { dst : int; kind : binop; lhs : int; rhs : int }
+  | Cmpi of { dst : int; kind : cmp; lhs : int; rhs : int }
+  | Select of { dst : int; cond : int; if_true : int; if_false : int }
+  | Isqrt of { dst : int; arg : int }
+  | Load of { dst : int; mem : int; idx : int }
+  | Store of { value : int; mem : int; idx : int }
+  | For of { var : int; lb : int; ub : int; step : int; body : op list }
+  | Return of int list
 
-type param_type = Index | Memref
+type slot = Index of int | Memref of int
 
 type func = {
   fname : string;
-  params : (string * param_type) list;
+  params : slot list;
   body : op list;
+  index_names : string array;
+  mem_names : string array;
 }
 
 type modul = func list
 
 let find_func m name = List.find_opt (fun f -> f.fname = name) m
-
-let binop_name = function
-  | Add -> "addi"
-  | Mul -> "muli"
-  | FloorDiv -> "floordivsi"
-  | Rem -> "remsi"
-
-let cmp_name = function Le -> "sle" | Lt -> "slt" | Eq -> "eq"
-
-let rec pp_op ppf = function
-  | Constant { dst; value } ->
-    Format.fprintf ppf "%%%s = arith.constant %d : index" dst value
-  | Binop { dst; kind; lhs; rhs } ->
-    Format.fprintf ppf "%%%s = arith.%s %%%s, %%%s : index" dst
-      (binop_name kind) lhs rhs
-  | Cmpi { dst; kind; lhs; rhs } ->
-    Format.fprintf ppf "%%%s = arith.cmpi %s, %%%s, %%%s : index" dst
-      (cmp_name kind) lhs rhs
-  | Select { dst; cond; if_true; if_false } ->
-    Format.fprintf ppf "%%%s = arith.select %%%s, %%%s, %%%s : index" dst cond
-      if_true if_false
-  | Isqrt { dst; arg } ->
-    Format.fprintf ppf "%%%s = lego.isqrt %%%s : index" dst arg
-  | Load { dst; mem; idx } ->
-    Format.fprintf ppf "%%%s = memref.load %%%s[%%%s] : memref<?xindex>" dst
-      mem idx
-  | Store { value; mem; idx } ->
-    Format.fprintf ppf "memref.store %%%s, %%%s[%%%s] : memref<?xindex>" value
-      mem idx
-  | For { var; lb; ub; step; body } ->
-    Format.fprintf ppf "scf.for %%%s = %%%s to %%%s step %%%s { %a }" var lb ub
-      step
-      (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_op)
-      body
-  | Return names ->
-    Format.fprintf ppf "return %s"
-      (String.concat ", " (List.map (fun n -> "%" ^ n) names))

@@ -4,35 +4,22 @@ exception Runtime_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
-type env = (string, value) Hashtbl.t
-
-let lookup (env : env) name =
-  match Hashtbl.find_opt env name with
-  | Some v -> v
-  | None -> err "unbound SSA value %%%s" name
-
-let int_of env name =
-  match lookup env name with
-  | Int n -> n
-  | Mem _ -> err "%%%s is a memref, expected an index" name
-
-let mem_of env name =
-  match lookup env name with
-  | Mem a -> a
-  | Int _ -> err "%%%s is an index, expected a memref" name
-
 exception Returned of int list
 
-let rec exec_ops (env : env) ops =
-  List.iter (exec_op env) ops
+(* [s] holds the function's index slots, [mems] its memref arguments. *)
+let rec exec (f : Mast.func) s mems = function
+  | [] -> ()
+  | op :: ops ->
+    exec_op f s mems op;
+    exec f s mems ops
 
-and exec_op env (op : Mast.op) =
+and exec_op f s mems (op : Mast.op) =
   match op with
-  | Constant { dst; value } -> Hashtbl.replace env dst (Int value)
+  | Constant { dst; value } -> s.(dst) <- value
   | Binop { dst; kind; lhs; rhs } ->
-    let a = int_of env lhs and b = int_of env rhs in
-    let v =
-      match kind with
+    let a = s.(lhs) and b = s.(rhs) in
+    s.(dst) <-
+      (match kind with
       | Mast.Add -> a + b
       | Mast.Mul -> a * b
       | Mast.FloorDiv ->
@@ -40,61 +27,61 @@ and exec_op env (op : Mast.op) =
         else Lego_layout.Domain.floor_div a b
       | Mast.Rem ->
         if b = 0 then raise Division_by_zero
-        else Lego_layout.Domain.floor_rem a b
-    in
-    Hashtbl.replace env dst (Int v)
+        else Lego_layout.Domain.floor_rem a b)
   | Cmpi { dst; kind; lhs; rhs } ->
-    let a = int_of env lhs and b = int_of env rhs in
-    let v =
-      match kind with
-      | Mast.Le -> a <= b
-      | Mast.Lt -> a < b
-      | Mast.Eq -> a = b
-    in
-    Hashtbl.replace env dst (Int (Bool.to_int v))
+    let a = s.(lhs) and b = s.(rhs) in
+    s.(dst) <-
+      Bool.to_int
+        (match kind with
+        | Mast.Le -> a <= b
+        | Mast.Lt -> a < b
+        | Mast.Eq -> a = b)
   | Select { dst; cond; if_true; if_false } ->
-    let v = if int_of env cond <> 0 then if_true else if_false in
-    Hashtbl.replace env dst (Int (int_of env v))
-  | Isqrt { dst; arg } ->
-    Hashtbl.replace env dst (Int (Lego_layout.Domain.int_isqrt (int_of env arg)))
+    s.(dst) <- s.(if s.(cond) <> 0 then if_true else if_false)
+  | Isqrt { dst; arg } -> s.(dst) <- Lego_layout.Domain.int_isqrt s.(arg)
   | Load { dst; mem; idx } ->
-    let a = mem_of env mem and i = int_of env idx in
+    let a = mems.(mem) and i = s.(idx) in
     if i < 0 || i >= Array.length a then
-      err "load out of bounds: %%%s[%d] (size %d)" mem i (Array.length a);
-    Hashtbl.replace env dst (Int a.(i))
+      err "load out of bounds: %%%s[%d] (size %d)" f.mem_names.(mem) i
+        (Array.length a);
+    s.(dst) <- a.(i)
   | Store { value; mem; idx } ->
-    let a = mem_of env mem and i = int_of env idx in
+    let a = mems.(mem) and i = s.(idx) in
     if i < 0 || i >= Array.length a then
-      err "store out of bounds: %%%s[%d] (size %d)" mem i (Array.length a);
-    a.(i) <- int_of env value
+      err "store out of bounds: %%%s[%d] (size %d)" f.mem_names.(mem) i
+        (Array.length a);
+    a.(i) <- s.(value)
   | For { var; lb; ub; step; body } ->
-    let lb = int_of env lb and ub = int_of env ub and step = int_of env step in
+    let ub = s.(ub) and step = s.(step) in
     if step <= 0 then err "scf.for with non-positive step %d" step;
-    let i = ref lb in
+    let i = ref s.(lb) in
     while !i < ub do
-      Hashtbl.replace env var (Int !i);
-      exec_ops env body;
+      s.(var) <- !i;
+      exec f s mems body;
       i := !i + step
     done
-  | Return names -> raise (Returned (List.map (int_of env) names))
+  | Return slots -> raise (Returned (List.map (Array.get s) slots))
 
 let run_func m name args =
   match Mast.find_func m name with
   | None -> err "no function @%s in module" name
   | Some f ->
-    if List.length args <> List.length f.Mast.params then
-      err "@%s expects %d arguments, got %d" name
-        (List.length f.Mast.params) (List.length args);
-    let env : env = Hashtbl.create 64 in
+    if List.length args <> List.length f.params then
+      err "@%s expects %d arguments, got %d" name (List.length f.params)
+        (List.length args);
+    let s = Array.make (Array.length f.index_names) 0 in
+    let mems = Array.make (Array.length f.mem_names) [||] in
     List.iter2
-      (fun (pname, ty) arg ->
-        (match (ty, arg) with
-        | Mast.Index, Int _ | Mast.Memref, Mem _ -> ()
-        | Mast.Index, Mem _ -> err "@%s: %%%s expects an index" name pname
-        | Mast.Memref, Int _ -> err "@%s: %%%s expects a memref" name pname);
-        Hashtbl.replace env pname arg)
-      f.Mast.params args;
+      (fun (param : Mast.slot) arg ->
+        match (param, arg) with
+        | Index k, Int v -> s.(k) <- v
+        | Memref k, Mem a -> mems.(k) <- a
+        | Index k, Mem _ ->
+          err "@%s: %%%s expects an index" name f.index_names.(k)
+        | Memref k, Int _ ->
+          err "@%s: %%%s expects a memref" name f.mem_names.(k))
+      f.params args;
     (try
-       exec_ops env f.Mast.body;
+       exec f s mems f.body;
        []
      with Returned vs -> vs)

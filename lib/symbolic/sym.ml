@@ -28,28 +28,30 @@ let index_vars ?prefix g = List.map Expr.var (var_names ?prefix g)
    {e physical} env identity, so a fresh env per call starts them cold:
    every candidate in a tuning space shares the same dims — the same
    ranges — yet each rebuilt env threw the caches away.  Interning the
-   env per (prefix, dims) keeps one physical env per logical space, so
-   sub-expression rewrites shared across candidates actually hit.
-   Domain-local like every {!Memo}; at 4,096 distinct (prefix, dims) the
-   table is flushed, which only costs the next envs a cold start. *)
-let envs : (unit, string * int list, Range.env) Memo.t =
+   env by its bindings keeps one physical env per logical space, for
+   [apply]'s indices and [inv]'s offset alike, so sub-expression
+   rewrites shared across calls actually hit.  Domain-local like every
+   {!Memo}; at 4,096 distinct binding lists the table is flushed, which
+   only costs the next envs a cold start. *)
+let envs : (unit, (string * int) list, Range.env) Memo.t =
   Memo.create ~name:"Sym.ranges_of" ~capacity:4096 ~initial:16 ()
 
-let ranges_of ?(prefix = "i") g =
-  let dims = L.Group_by.dims g in
+let interned bindings =
   let tbl = Memo.table envs () in
-  let key = (prefix, dims) in
-  match Memo.find tbl key with
+  match Memo.find tbl bindings with
   | Some env -> env
   | None ->
     let env =
       Range.env_of_list
-        (List.map2
-           (fun name extent -> (name, Range.of_extent extent))
-           (var_names ~prefix g) dims)
+        (List.map (fun (v, extent) -> (v, Range.of_extent extent)) bindings)
     in
-    Memo.add tbl key env;
+    Memo.add tbl bindings env;
     env
+
+let ranges_of ?(prefix = "i") g =
+  interned (List.combine (var_names ~prefix g) (L.Group_by.dims g))
+
+let inv_ranges ?(var = "p") g = interned [ (var, L.Group_by.numel g) ]
 
 let apply_to ?(simplify = true) ?(env = Range.empty_env) g idx =
   let raw = L.Group_by.apply (module Dom) g idx in
@@ -59,9 +61,7 @@ let apply ?simplify ?prefix g =
   apply_to ?simplify ~env:(ranges_of ?prefix g) g (index_vars ?prefix g)
 
 let inv ?(simplify = true) ?(var = "p") g =
-  let env =
-    Range.env_add var (Range.of_extent (L.Group_by.numel g)) Range.empty_env
-  in
+  let env = inv_ranges ~var g in
   let raw = L.Group_by.inv (module Dom) g (Expr.var var) in
   if simplify then List.map (Simplify.simplify ~env) raw else raw
 

@@ -17,9 +17,14 @@ val ranges_of :
   ?prefix:string -> Lego_layout.Group_by.t -> Range.env
 (** Each logical index component ranges over [0 .. extent - 1]; this is
     the paper's "range information propagated through the layout".  The
-    env is interned per [(prefix, dims)] in a {!Memo} instance (capacity
-    4,096), so calls on one logical space share one physical env and
-    with it the engine's per-env memos. *)
+    env is interned by its bindings — the [(name, extent)] list — in a
+    {!Memo} instance (capacity 4,096), so calls on one logical space
+    share one physical env and with it the engine's per-env memos. *)
+
+val inv_ranges : ?var:string -> Lego_layout.Group_by.t -> Range.env
+(** The env {!inv} simplifies under: [var] (default ["p"]) ranges over
+    [0 .. numel - 1].  Interned through the same instance as
+    {!ranges_of}, so every inverse over one [numel] shares it. *)
 
 val apply :
   ?simplify:bool ->
@@ -42,7 +47,8 @@ val apply_to :
 val inv :
   ?simplify:bool -> ?var:string -> Lego_layout.Group_by.t -> Expr.t list
 (** [inv g] is the symbolic logical index of physical offset [var]
-    (default ["p"], ranged over [0 .. numel-1]). *)
+    (default ["p"]), simplified under {!inv_ranges} unless
+    [simplify:false]. *)
 
 val check_roundtrip :
   Lego_layout.Group_by.t -> samples:int -> (unit, string) result

@@ -230,9 +230,13 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   (* Outside the timed sections: sizing a drained stream is free
      ([explored] covered it); otherwise one dedicated traversal. *)
   let space_size = if !drained then explored else Space.count sp in
+  (* The winner is checked on every point, with its injectivity array. *)
   let conform =
     if options.conform then
-      Some (Lego_conform.Conform.check_layout winner.layout)
+      let g = winner.layout in
+      Some
+        (Lego_conform.Conform.check_layout
+           ~max_points:(L.Group_by.numel g) g)
     else None
   in
   let baselines = List.map (fun (n, s) -> (n, Lazy.force s)) slot.baselines in

@@ -14,8 +14,9 @@
       cheap sampled simulation, the best [top] promote;
     + {b full rung} — the promoted finalists run the slot's full
       {!Lego_gpusim.Simt} simulation and are ranked by roofline time;
-    + the winner is cross-checked through the {!Lego_conform.Conform}
-      four-semantics differential harness before being reported.
+    + the winner is cross-checked on every point through the
+      {!Lego_conform.Conform} differential harness before being
+      reported.
 
     Results are bit-identical at any [jobs]: parallelism only ever runs
     inside {!Lego_exec.Exec.map} (submission-order merge), all search
@@ -31,8 +32,9 @@ type options = {
   seed : int;  (** Space-enumeration seed; 0 = canonical order. *)
   jobs : int;  (** {!Lego_exec.Exec} pool size (default 1). *)
   conform : bool;
-      (** Four-semantics check of the winner (default on, at
-          {!Lego_conform.Conform.check_layout}'s default 2048 points). *)
+      (** Conformance check of the winner (default on): every point of
+          its space through {!Lego_conform.Conform.check_layout}, with
+          the bijectivity check. *)
   composed : bool;
       (** Include the {!Space.composed} roots (default off): candidates
           built by the prover-discharged layout algebra — masked

@@ -1,10 +1,11 @@
 (* Reference implementations kept as differential oracles: the library's
    direct layout printers, O(n) warp-access counters, staged static
-   scorer, DAG renderer and prepared evaluator replaced these, and the
-   tests assert the replacements agree with them byte for byte, count
-   for count and exception for exception.  The F₂ swizzle-class
-   partition is the reference the class tests check the tuner's swizzle
-   coverage against. *)
+   scorer, DAG renderer, prepared evaluator and slot-indexed MLIR
+   interpreter replaced these, and the tests assert the replacements
+   agree with them byte for byte, count for count and exception for
+   exception.  The F₂ swizzle-class partition is the reference the class
+   tests check the tuner's swizzle coverage against, and the
+   three-address interpreter checks [Cse.lower]'s output. *)
 
 module L = Lego_layout
 module G = Lego_gpusim
@@ -450,3 +451,131 @@ let rec eval ~env (e : E.t) =
   | Lt (a, b) -> if eval ~env a < eval ~env b then 1 else 0
   | Eq (a, b) -> if eval ~env a = eval ~env b then 1 else 0
   | Isqrt a -> Lego_layout.Domain.int_isqrt (eval ~env a)
+
+(* ---- Three-address and MLIR interpreters -------------------------------- *)
+
+module Cse = Lego_codegen.Cse
+module Mast = Lego_mlirsim.Mast
+module Mi = Lego_mlirsim.Minterp
+
+(* [Cse.eval]: every instruction in order, each value in a table under
+   its name; free variables come from [env]. *)
+let cse_eval ~env (instrs : Cse.instr list) roots =
+  let values = Hashtbl.create 64 in
+  let atom = function
+    | Cse.Aconst n -> n
+    | Cse.Avar v -> (
+      match Hashtbl.find_opt values v with Some n -> n | None -> env v)
+  in
+  List.iter
+    (fun { Cse.dst; op; args } ->
+      let a = List.map atom args in
+      let v =
+        match (op, a) with
+        | Add, [ x; y ] -> x + y
+        | Mul, [ x; y ] -> x * y
+        | Divf, [ x; y ] -> Lego_layout.Domain.floor_div x y
+        | Rem, [ x; y ] -> Lego_layout.Domain.floor_rem x y
+        | CmpLe, [ x; y ] -> if x <= y then 1 else 0
+        | CmpLt, [ x; y ] -> if x < y then 1 else 0
+        | CmpEq, [ x; y ] -> if x = y then 1 else 0
+        | Sel, [ c; x; y ] -> if c <> 0 then x else y
+        | Isqrt, [ x ] -> Lego_layout.Domain.int_isqrt x
+        | _ -> invalid_arg "Reference.cse_eval: arity mismatch"
+      in
+      Hashtbl.replace values dst v)
+    instrs;
+  List.map atom roots
+
+(* [Minterp.run_func] as it was before slots: every SSA value in a
+   string-keyed table, looked up by name at each use.  The names come
+   back from the function's slot-to-name arrays. *)
+exception Returned of int list
+
+let mlir_err fmt = Printf.ksprintf (fun s -> raise (Mi.Runtime_error s)) fmt
+
+let run_mlir_func (m : Mast.modul) name args =
+  match Mast.find_func m name with
+  | None -> mlir_err "no function @%s in module" name
+  | Some f ->
+    let index k = f.Mast.index_names.(k) and memref k = f.Mast.mem_names.(k) in
+    let env : (string, Mi.value) Hashtbl.t = Hashtbl.create 64 in
+    let lookup name =
+      match Hashtbl.find_opt env name with
+      | Some v -> v
+      | None -> mlir_err "unbound SSA value %%%s" name
+    in
+    let int_of k =
+      match lookup (index k) with
+      | Int n -> n
+      | Mem _ -> mlir_err "%%%s is a memref, expected an index" (index k)
+    in
+    let mem_of k =
+      match lookup (memref k) with
+      | Mem a -> a
+      | Int _ -> mlir_err "%%%s is an index, expected a memref" (memref k)
+    in
+    let set k v = Hashtbl.replace env (index k) (Mi.Int v) in
+    let rec exec_op (op : Mast.op) =
+      match op with
+      | Constant { dst; value } -> set dst value
+      | Binop { dst; kind; lhs; rhs } ->
+        let a = int_of lhs and b = int_of rhs in
+        set dst
+          (match kind with
+          | Add -> a + b
+          | Mul -> a * b
+          | FloorDiv ->
+            if b = 0 then raise Division_by_zero
+            else Lego_layout.Domain.floor_div a b
+          | Rem ->
+            if b = 0 then raise Division_by_zero
+            else Lego_layout.Domain.floor_rem a b)
+      | Cmpi { dst; kind; lhs; rhs } ->
+        let a = int_of lhs and b = int_of rhs in
+        set dst
+          (Bool.to_int
+             (match kind with Le -> a <= b | Lt -> a < b | Eq -> a = b))
+      | Select { dst; cond; if_true; if_false } ->
+        set dst (int_of (if int_of cond <> 0 then if_true else if_false))
+      | Isqrt { dst; arg } ->
+        set dst (Lego_layout.Domain.int_isqrt (int_of arg))
+      | Load { dst; mem; idx } ->
+        let a = mem_of mem and i = int_of idx in
+        if i < 0 || i >= Array.length a then
+          mlir_err "load out of bounds: %%%s[%d] (size %d)" (memref mem) i
+            (Array.length a);
+        set dst a.(i)
+      | Store { value; mem; idx } ->
+        let a = mem_of mem and i = int_of idx in
+        if i < 0 || i >= Array.length a then
+          mlir_err "store out of bounds: %%%s[%d] (size %d)" (memref mem) i
+            (Array.length a);
+        a.(i) <- int_of value
+      | For { var; lb; ub; step; body } ->
+        let lb = int_of lb and ub = int_of ub and step = int_of step in
+        if step <= 0 then mlir_err "scf.for with non-positive step %d" step;
+        let i = ref lb in
+        while !i < ub do
+          set var !i;
+          List.iter exec_op body;
+          i := !i + step
+        done
+      | Return slots -> raise (Returned (List.map int_of slots))
+    in
+    if List.length args <> List.length f.params then
+      mlir_err "@%s expects %d arguments, got %d" name (List.length f.params)
+        (List.length args);
+    List.iter2
+      (fun (param : Mast.slot) (arg : Mi.value) ->
+        match (param, arg) with
+        | Index k, Int _ -> Hashtbl.replace env (index k) arg
+        | Memref k, Mem _ -> Hashtbl.replace env (memref k) arg
+        | Index k, Mem _ -> mlir_err "@%s: %%%s expects an index" name (index k)
+        | Memref k, Int _ ->
+          mlir_err "@%s: %%%s expects a memref" name (memref k))
+      f.params args;
+    (try
+       List.iter exec_op f.body;
+       []
+     with Returned vs -> vs)

@@ -186,7 +186,7 @@ let prop_cse_eval =
     (fun (e, iv, jv) ->
       let env = function "i" -> iv | "j" -> jv | _ -> 0 in
       let instrs, roots = CG.Cse.lower [ e ] in
-      CG.Cse.eval ~env instrs roots = [ E.eval ~env e ])
+      Reference.cse_eval ~env instrs roots = [ E.eval ~env e ])
 
 (* --- MLIR emitter + interpreter ---------------------------------------- *)
 
@@ -368,6 +368,101 @@ let test_deep_sharing () =
   (* Each level costs 6 plus three copies of the level below. *)
   Alcotest.(check int) "tree op count" (617_673_396_283_947 - 3) (Cost.ops e)
 
+(* --- Slot-indexed MLIR interpreter --------------------------------------- *)
+
+module Mp = Lego_mlirsim.Mparser
+module Mi = Lego_mlirsim.Minterp
+
+(* Values and exceptions of the slot interpreter equal the string-keyed
+   reference's on the same text; where both return, the values are the
+   expressions' own. *)
+let prop_minterp_matches_reference =
+  QCheck2.Test.make ~name:"MLIR slot interpreter = string-keyed reference"
+    ~count:300
+    ~print:(fun (roots, _) ->
+      String.concat "; " (List.map Reference.expr_to_string roots))
+    QCheck2.Gen.(
+      let v = int_range (-8) 8 in
+      pair
+        (list_size (int_range 1 3) Test_symbolic.gen_shared_expr)
+        (list_size (return 4) (triple v v v)))
+    (fun (roots, points) ->
+      let m =
+        Mp.parse_module
+          (CG.Mlir_gen.index_func ~name:"f" ~params:[ "x"; "y"; "z" ] roots)
+      in
+      List.for_all
+        (fun (xv, yv, zv) ->
+          let args = [ Mi.Int xv; Int yv; Int zv ] in
+          let env = function "x" -> xv | "y" -> yv | _ -> zv in
+          let outcome run = Test_symbolic.outcome (fun () -> run m "f" args) in
+          let got = outcome Mi.run_func in
+          got = outcome Reference.run_mlir_func
+          &&
+          match got with
+          | Ok vs -> vs = List.map (E.eval ~env) roots
+          | Error _ -> true)
+        points)
+
+let test_minterp_copy_matches_reference () =
+  let m_ = 6 and n_ = 4 in
+  let view order = Sugar.tiled_view ?order ~group:[ [ m_; n_ ] ] () in
+  let m =
+    Mp.parse_module
+      (CG.Mlir_gen.copy_func ~name:"transpose"
+         ~src_offset:(Sym.apply (view None))
+         ~dst_offset:(Sym.apply (view (Some [ Sugar.col [ m_; n_ ] ])))
+         ~dims:[ m_; n_ ])
+  in
+  let run f =
+    let src = Array.init (m_ * n_) (fun k -> k * k mod 97) in
+    let dst = Array.make (m_ * n_) (-1) in
+    let returned = f m "transpose" [ Mi.Mem src; Mem dst ] in
+    (returned, Array.to_list dst)
+  in
+  Alcotest.(check (pair (list int) (list int)))
+    "returns and destination" (run Reference.run_mlir_func) (run Mi.run_func)
+
+(* Names resolve while the text is read.  Regression: each of these
+   used to parse, and failed, if at all, only when run. *)
+let test_mlir_parse_resolves_names () =
+  let func body =
+    "module {\n\
+    \  func.func @f(%i: index, %m: memref<?xindex>) -> (index) {\n" ^ body
+    ^ "  }\n}"
+  in
+  List.iter
+    (fun (what, body, want) ->
+      match Mp.parse_module_result (func body) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error msg -> check_str what want msg)
+    [
+      ( "use before definition",
+        "    %t = arith.addi %i, %u : index\n\
+        \    %u = arith.constant 1 : index\n\
+        \    return %t : index\n",
+        "line 3: %u is used before its definition" );
+      ( "memref as an index",
+        "    %c1 = arith.constant 1 : index\n\
+        \    %t = arith.muli %m, %c1 : index\n\
+        \    return %t : index\n",
+        "line 4: %m is a memref, expected an index" );
+      ( "index as a memref",
+        "    %t = memref.load %i[%i] : memref<?xindex>\n\
+        \    return %t : index\n",
+        "line 3: %i is an index, expected a memref" );
+      ( "redefinition",
+        "    %i = arith.constant 1 : index\n    return %i : index\n",
+        "line 3: redefinition of %i" );
+      ( "loop value after its loop",
+        "    %c1 = arith.constant 1 : index\n\
+        \    scf.for %k = %i to %c1 step %c1 {\n\
+        \      %t = arith.addi %k, %c1 : index\n\
+        \    }\n\
+        \    return %t : index\n",
+        "line 7: %t is used before its definition" );
+    ]
+
 let suite =
   ( "codegen",
     [
@@ -402,4 +497,9 @@ let suite =
           test_outlier_pinned;
         Alcotest.test_case "deep sharing: guard, eval and op count return"
           `Quick test_deep_sharing;
+        QCheck_alcotest.to_alcotest ~long:false prop_minterp_matches_reference;
+        Alcotest.test_case "MLIR copy loop: slots = string-keyed reference"
+          `Quick test_minterp_copy_matches_reference;
+        Alcotest.test_case "MLIR names resolve at parse time" `Quick
+          test_mlir_parse_resolves_names;
       ] )

@@ -380,6 +380,33 @@ let test_parallel_run_clean_stream () =
   Alcotest.(check int) "no failures" 0 (List.length r1.Conform.failures);
   Alcotest.(check bool) "-j 4 == -j 1" true (same_report r1 r4)
 
+(* --- Counts the harness cannot honour ------------------------------------ *)
+
+(* Regression: [--iters=-3] and [--algebra=-2] exited 125 with an
+   uncaught [Invalid_argument("List.init")], and [--max-points 0]
+   checked no point yet passed. *)
+let test_cli_rejects_bad_counts () =
+  List.iter
+    (fun (args, msg) ->
+      let status, out =
+        Test_tune.run_legoc (("conform" :: args) @ [ "-j"; "1" ])
+      in
+      let line = String.concat " " args in
+      Alcotest.(check bool) (line ^ " exits 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints %S:\n%s" line msg out)
+        true
+        (Test_tune.contains out msg))
+    [
+      ([ "--iters=-3" ], "error: --iters must be >= 0");
+      ([ "--algebra=-2" ], "error: --algebra must be >= 0");
+      ([ "--max-points"; "0" ], "error: --max-points must be >= 1");
+    ];
+  let g = snd (List.hd Lego_conform.Corpus.all) in
+  Alcotest.check_raises "check_layout ~max_points:0"
+    (Invalid_argument "Conform.check_layout: max_points < 1") (fun () ->
+      ignore (Conform.check_layout ~max_points:0 g))
+
 let suite =
   ( "conform",
     [
@@ -410,4 +437,6 @@ let suite =
         test_parallel_run_is_deterministic;
       Alcotest.test_case "parallel run deterministic (clean stream)" `Quick
         test_parallel_run_clean_stream;
+      Alcotest.test_case "CLI rejects counts it cannot honour" `Quick
+        test_cli_rejects_bad_counts;
     ] )

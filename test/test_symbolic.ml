@@ -590,6 +590,31 @@ let test_select_laziness () =
     Division_by_zero (fun () -> ignore (eval ~env:(fun _ -> 7)));
   check_int "eval agrees" 1 (E.eval ~env:(fun _ -> 1) e)
 
+(* Regression: [Sym.inv] built a fresh range env on every call, and the
+   simplifier's memos key on env identity, so every inverse started
+   cold.  Its env is now interned like [apply]'s. *)
+let test_inv_env_interned () =
+  let g =
+    L.Sugar.tiled_view
+      ~order:[ L.Sugar.col [ 3; 1 ]; L.Sugar.col [ 2; 5 ] ]
+      ~group:[ [ 6; 5 ] ] ()
+  in
+  let results () = List.assoc "Simplify.results" (Memo.all ()) in
+  let first = Sym.inv g in
+  let before = results () in
+  let second = Sym.inv g in
+  let after = results () in
+  Alcotest.(check bool)
+    "same expressions" true
+    (List.for_all2 E.equal first second);
+  Alcotest.(check bool) "one interned env" true
+    (Sym.inv_ranges g == Sym.inv_ranges g);
+  Alcotest.(check bool)
+    (Printf.sprintf "second inv hits (%d)" (after.hits - before.hits))
+    true
+    (after.hits > before.hits);
+  check_int "second inv misses" 0 (after.misses - before.misses)
+
 let suite =
   ( "symbolic",
     [
@@ -654,4 +679,6 @@ let suite =
         QCheck_alcotest.to_alcotest ~long:false prop_evaluator_matches_tree_walk;
         Alcotest.test_case "evaluator: select evaluates the taken branch only"
           `Quick test_select_laziness;
+        Alcotest.test_case "a second inv reuses its interned env" `Quick
+          test_inv_env_interned;
       ] )

@@ -1418,6 +1418,27 @@ let test_cli_rejects_oracle () =
     true
     (status = Unix.WEXITED 124)
 
+(* Tune winners are checked on every point, with the bijectivity
+   array: the matmul tile's 4,096, not a 2,048-point sample. *)
+let test_winner_checked_on_every_point () =
+  let r =
+    T.Tune.search
+      ~options:{ T.Tune.default_options with jobs = 1 }
+      (T.Slot.matmul_smem ())
+  in
+  Alcotest.(check string)
+    "winner"
+    "OrderBy2(GenP(swizzlex_m31_s0[128, 32])).OrderBy2(RegP([128, 32], [1, \
+     2])).GroupBy2([128, 32])"
+    r.T.Tune.winner.T.Tune.fingerprint;
+  match r.T.Tune.conform with
+  | None -> Alcotest.fail "conformance skipped"
+  | Some o ->
+    Alcotest.(check int) "points" 4096 o.Lego_conform.Conform.points;
+    Alcotest.(check bool)
+      "no mismatch" true
+      (o.Lego_conform.Conform.mismatch = None)
+
 let suite =
   ( "tune",
     [
@@ -1505,4 +1526,6 @@ let suite =
         test_stream_digests_pinned_over_domain;
       Alcotest.test_case "CLI rejects the deleted --oracle" `Quick
         test_cli_rejects_oracle;
+      Alcotest.test_case "winner conformance covers every point" `Quick
+        test_winner_checked_on_every_point;
     ] )
