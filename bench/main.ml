@@ -466,15 +466,17 @@ let tune () =
           slot
       in
       row
-        "%s --scale: %d of %d candidates (%s); funnel %d -> %d sampled -> %d \
-         simulated; %.0f cand/s -j1\n"
+        "%s --scale: %d of %d candidates (%s), %d distinct F2 maps; funnel \
+         %d -> %d sampled -> %d simulated; %.0f cand/s -j1\n"
         name rscale.T.Tune.explored rscale.T.Tune.space_size
         (if rscale.T.Tune.exhaustive then "exhaustive" else "budget-truncated")
-        rscale.T.Tune.explored rscale.T.Tune.sampled_scored
+        rscale.T.Tune.maps rscale.T.Tune.explored rscale.T.Tune.sampled_scored
         (List.length rscale.T.Tune.ranking)
         rscale.T.Tune.candidates_per_s;
       record ~experiment:"tune" ~metric:(name ^ "_scale_space_size")
         (float_of_int rscale.T.Tune.space_size);
+      record ~experiment:"tune" ~metric:(name ^ "_scale_maps")
+        (float_of_int rscale.T.Tune.maps);
       record ~experiment:"tune" ~metric:(name ^ "_cand_per_s_scaled")
         rscale.T.Tune.candidates_per_s;
       if rscale.T.Tune.space_size < min_space then

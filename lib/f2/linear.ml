@@ -23,6 +23,43 @@ let compose f g =
   { bits = f.bits; mat = Bitmat.mul f.mat g.mat; c = Bitmat.apply f.mat g.c lxor f.c }
 
 let equal a b = a.bits = b.bits && a.c = b.c && Bitmat.equal a.mat b.mat
+
+let hash t =
+  let h = ref ((t.bits * 65599) + t.c) in
+  for j = 0 to t.bits - 1 do
+    h := (!h * 1_000_003) lxor Bitmat.col t.mat j
+  done;
+  !h land max_int
+
+(* Table [k] of a half holds the xor of the columns selected by the
+   bits of [k], built one column at a time: entries [s .. 2s - 1] are
+   entries [0 .. s - 1] with column [off + log2 s] xored in. *)
+let half_table t ~off ~width ~init =
+  let tbl = Array.make (1 lsl width) init in
+  for k = 0 to width - 1 do
+    let c = Bitmat.col t.mat (off + k) and s = 1 lsl k in
+    for x = s to (2 * s) - 1 do
+      tbl.(x) <- tbl.(x - s) lxor c
+    done
+  done;
+  tbl
+
+let apply_into t xs out =
+  let n = Array.length xs in
+  if Array.length out < n then
+    invalid_arg "Linear.apply_into: output too short";
+  let lo_bits = t.bits / 2 in
+  let lo = half_table t ~off:0 ~width:lo_bits ~init:t.c
+  and hi = half_table t ~off:lo_bits ~width:(t.bits - lo_bits) ~init:0 in
+  let lo_mask = (1 lsl lo_bits) - 1 in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get xs i in
+    (* [hi]'s bounds check rejects every point outside [0, 2^bits):
+       [lsr] makes a negative point's high half huge. *)
+    Array.unsafe_set out i
+      (Array.unsafe_get lo (x land lo_mask) lxor hi.(x lsr lo_bits))
+  done
+
 let invertible t = Bitmat.rank t.mat = t.bits
 
 let inverse t =

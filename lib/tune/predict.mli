@@ -47,11 +47,62 @@ val decomposed_ops : Lego_layout.Group_by.t -> int
     {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
     printed form; the exact whole-layout count when the chain is empty.
     It drops the cross-stage glue the whole-layout count adds, so it
-    can differ from [Cost.ops (Sym.apply g)].  The chain tail's sum is
-    kept in {!score}'s one-entry tail memo, so a candidate [o :: rest]
-    whose [rest] is physically the previous candidate's tail prints and
-    looks up only [o]; every member of a swizzle grid over one base
-    tiling pays for one stage. *)
+    can differ from [Cost.ops (Sym.apply g)].  A one-entry tail memo
+    keyed on the physical identity of the chain tail holds the tail's
+    F₂ map and op sum, so a candidate [o :: rest] whose [rest] is
+    physically the previous candidate's tail prints and looks up only
+    [o]; every member of a swizzle grid over one base tiling pays for
+    one stage. *)
+
+(** {2 A score in two steps}
+
+    The memory part of a score (every field but [ops]) depends on an
+    F₂-linear candidate only through its values at the slot's distinct
+    indices, which its F₂ map fixes.  A score therefore splits into a
+    per-candidate {!step} (the op count, plus the map or, for a
+    candidate with no F₂ form, the whole score) and a per-map
+    {!memory} evaluation.  Equal maps are equal functions, so a caller
+    that evaluates each distinct map once and pairs the result with
+    every candidate's own op count gets exactly {!score}; the tuner's
+    static pass does that with one table per search. *)
+
+type prep
+(** A phase list prepared on a device for one logical shape: its
+    distinct flat indices, its shared phases as positions into them,
+    and the constant global transaction total. *)
+
+val prepare :
+  ?device:Lego_gpusim.Device.t ->
+  dims:Lego_layout.Shape.t ->
+  phase list ->
+  prep
+(** Prepares [phases] on [device] (default A100) for candidates whose
+    logical dims are [dims]. *)
+
+val indices : prep -> int array
+(** The distinct flat logical indices the shared phases touch, in
+    first-touch order: the points a map is evaluated at. *)
+
+type step =
+  | Map of { ops : int; map : Lego_f2.Linear.t }
+      (** An F₂-linear candidate: its op count and its map
+          ([Lego_f2.Linear.of_stage o] after the chain tail's map).  Its
+          score is [{ (memory prep map) with ops }]. *)
+  | Scored of score
+      (** A candidate with no F₂ form, scored in full through its
+          compiled chain ({!Compiled.compile}). *)
+
+val step : prep -> ?ops:int -> Lego_layout.Group_by.t -> step
+(** The per-candidate step.  The op count is {!decomposed_ops} unless
+    [ops] gives one.  Raises [Invalid_argument] when the layout's dims
+    are not the preparation's. *)
+
+val memory : prep -> Lego_f2.Linear.t -> score
+(** The per-map step: the memory part of every candidate whose map is
+    [map], with [ops = 0].  The map's values at {!indices} are read off
+    its bit-matrix ({!Lego_f2.Linear.apply_into}: two half tables of
+    column XORs), then gathered per phase and counted with the
+    simulator's {!Lego_gpusim.Access} arithmetic. *)
 
 val score :
   ?device:Lego_gpusim.Device.t ->
@@ -60,31 +111,14 @@ val score :
   Lego_layout.Group_by.t ->
   phase list ->
   score
-(** Scores one candidate on [device] (default A100).  Addresses are
-    evaluated in stages: a candidate [o :: rest] maps the value vector
-    of [rest] over the slot's distinct indices through [o]'s
-    {!Compiled.stage}.  A one-entry domain-local memo keyed on the
-    physical identity of [rest] holds the tail's F₂ map, its op-count
-    sum and (built on first need) that vector, so the members of a
-    swizzle grid, which share their base's chain, compile, print and
-    evaluate only their outer stage.
-
-    The memory part of the score (every field but [ops]) is memoized
-    by the candidate's F₂ map: [Lego_f2.Linear.of_stage o] composed
-    with the tail's map, keyed together with [warp_size], [smem_banks],
-    [smem_bank_bytes] and [global_txn_bytes].  The table is
-    domain-local and belongs to the phase precomputation, so it lives
-    and dies with it.  Equal maps are equal functions, so a hit is
-    exactly what an evaluation would give; candidates with no F₂ form
-    evaluate every time.  No memo ever decides a value, only whether
-    it is recomputed.  The test suite keeps two differential
-    references for this scorer: the structural interpreter and, on
-    F₂-linear candidates, a closed-form rank oracle; both must agree
-    with it exactly.
-
-    The op count is {!decomposed_ops} unless [ops] gives one; it is
-    per text and never taken from the F₂ memo.  [memoize] is accepted
-    and ignored. *)
+(** Scores one candidate on [device] (default A100): {!step}, then
+    {!memory} of the map; no memory part is kept between calls.  The
+    preparation of [phases] is kept in a one-entry domain-local cache
+    keyed on the phase list's physical identity, the device and the
+    dims.  The test suite keeps two differential references for this
+    scorer: the structural interpreter and, on F₂-linear candidates, a
+    closed-form rank oracle; both must agree with it exactly.
+    [memoize] is accepted and ignored. *)
 
 val compare_ranked : score * string -> score * string -> int
 (** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total

@@ -206,18 +206,43 @@ let sampled_swizzles sp =
       (masks (sp.cols - 1))
   end
 
-(* [base] crossed with a swizzle list: each [(mask, shift)] prepends a
-   [swizzlex] GenP as the outermost reordering. *)
-let swizzled sp pairs base =
+(* Candidates travel with their {!Fingerprint} text.  A layout is
+   printed as its stages, each followed by a dot, then its grouping
+   ([Group_by.to_buffer]), so prepending a stage prepends its text: a
+   swizzled candidate's text is assembled from its stage's and its
+   base's, each printed once per traversal. *)
+let printed g = (g, Fingerprint.of_layout g)
+
+(* The [swizzlex] stages of one traversal, with their texts: each
+   [(mask, shift)] stage is built and printed on first use and then
+   shared physically by every base it is prepended to, so a traversal
+   builds one stage per pair (and its candidates' outer stages are one
+   object per pair). *)
+let swizzle_stages sp =
+  let stages = Hashtbl.create 256 in
+  fun pair ->
+    match Hashtbl.find_opt stages pair with
+    | Some st -> st
+    | None ->
+      let mask, shift = pair in
+      let o =
+        L.Order_by.make
+          [
+            L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
+              ~shift;
+          ]
+      in
+      let st = (o, L.Order_by.to_string o ^ ".") in
+      Hashtbl.add stages pair st;
+      st
+
+(* [base] crossed with a swizzle list: each pair's stage is prepended
+   as the outermost reordering. *)
+let swizzled stage pairs (base, text) =
   Seq.map
-    (fun (mask, shift) ->
-      L.Group_by.prepend
-        (L.Order_by.make
-           [
-             L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
-               ~shift;
-           ])
-        base)
+    (fun pair ->
+      let o, prefix = stage pair in
+      (L.Group_by.prepend o base, prefix ^ text))
     (List.to_seq pairs)
 
 (* ---- Streaming enumeration (the mega-space path) ----------------------
@@ -237,22 +262,25 @@ let swizzled sp pairs base =
    tilings follow {e each} sigma root; the dedup wrapper drops the
    second copy.  A budget-truncated search scores a prefix of this
    order, so it is part of the determinism contract. *)
-let sampled sp () =
+let sampled sp stage =
   let l = List.to_seq in
   let pairs = shuffle sp ~tag:"swizzles" (sampled_swizzles sp) in
-  let swizzles g = if has_gen g then Seq.empty else swizzled sp pairs g in
-  let sigmas = shuffle sp ~tag:"roots" (sigma_roots sp) in
-  let composed = shuffle sp ~tag:"composed" (composed sp) in
-  let tilings = l (shuffle sp ~tag:"tilings" (tilings sp)) in
+  let swizzles ((g, _) as b) =
+    if has_gen g then Seq.empty else swizzled stage pairs b
+  in
+  let family tag xs = List.map printed (shuffle sp ~tag xs) in
+  let sigmas = family "roots" (sigma_roots sp) in
+  let gallery = family "gallery" (gallery_roots sp) in
+  let composed = family "composed" (composed sp) in
+  let tilings = l (family "tilings" (tilings sp)) in
   Seq.concat
     (l
        [
-         l (sigmas @ shuffle sp ~tag:"gallery" (gallery_roots sp) @ composed);
-         Seq.concat_map (fun g -> Seq.append (swizzles g) tilings) (l sigmas);
+         l (sigmas @ gallery @ composed);
+         Seq.concat_map (fun b -> Seq.append (swizzles b) tilings) (l sigmas);
          Seq.concat_map swizzles (l composed);
          Seq.concat_map swizzles tilings;
        ])
-    ()
 
 (* Ordered factorizations of [n] into exactly [k] factors, all > 1
    (level-major: the head is the outermost tile extent). *)
@@ -332,7 +360,7 @@ let vector_tilings sp =
    wrapper downstream.  Mask 0 is excluded: it prepends a stage that is
    the identity map under a new name, a structural near-duplicate with
    no cost signal. *)
-let scale_stream sp =
+let scale_stream sp stage =
   if not sp.scale then Seq.empty
   else begin
     let bases =
@@ -344,33 +372,35 @@ let scale_stream sp =
         (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp))
     in
     Seq.concat_map
-      (fun base -> Seq.cons base (swizzled sp pairs base))
+      (fun base ->
+        let b = printed base in
+        Seq.cons b (swizzled stage pairs b))
       (List.to_seq bases)
   end
 
-(* Digest-keyed deduplication.  The table lives inside the outermost
-   thunk: each traversal-from-the-start gets a fresh table (so streams
-   are re-traversable), while a partially consumed tail continues with
-   the table its traversal built.  Keys are {!Fingerprint.digest} — 16
-   bytes per distinct candidate, the only O(space)-sized state of a
-   streaming search. *)
-let dedup seq =
-  fun () ->
-    let seen = Hashtbl.create 1024 in
-    let rec go s () =
-      match s () with
-      | Seq.Nil -> Seq.Nil
-      | Seq.Cons (g, tl) ->
-        let d = Fingerprint.digest g in
-        if Hashtbl.mem seen d then go tl ()
-        else begin
-          Hashtbl.add seen d ();
-          Seq.Cons (g, go tl)
-        end
-    in
-    go seq ()
+(* Digest-keyed deduplication.  The table and the swizzle stages live
+   inside the outermost thunk: each traversal-from-the-start gets fresh
+   ones (so streams are re-traversable), while a partially consumed
+   tail continues with the state its traversal built.  Keys are the
+   16-byte MD5 of the candidate's text ({!Fingerprint.digest}), the
+   only O(space)-sized state of a streaming search; the text itself
+   goes out with the candidate as its fingerprint. *)
+let candidates sp () =
+  let stage = swizzle_stages sp in
+  let seen = Hashtbl.create 1024 in
+  let rec go s () =
+    match s () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (((_, text) as c), tl) ->
+      let d = Digest.string text in
+      if Hashtbl.mem seen d then go tl ()
+      else begin
+        Hashtbl.add seen d ();
+        Seq.Cons (c, go tl)
+      end
+  in
+  go (Seq.append (sampled sp stage) (scale_stream sp stage)) ()
 
-let stream sp = dedup (Seq.append (sampled sp) (scale_stream sp))
-
-let count sp = Seq.length (stream sp)
+let stream sp = Seq.map fst (candidates sp)
+let count sp = Seq.length (candidates sp)
 let closure sp = List.of_seq (stream sp)

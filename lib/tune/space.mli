@@ -28,7 +28,7 @@
     masked-swizzle grid (every mask >= 1 crossed with every shift)
     prepended to every swizzle-free base — which lifts the matmul shape
     from ~1.6 x 10³ to ~1.8 x 10⁵ distinct candidates.  The scale space
-    is only ever generated {e lazily} through {!stream} / {!count};
+    is only ever generated {e lazily} through {!candidates} / {!count};
     {!closure} would materialize it.
 
     Determinism contract: the generated sequence is a pure function of
@@ -62,22 +62,33 @@ val composed : t -> Lego_layout.Group_by.t list
     [Invalid_argument] if a discharge fails (a construction bug, since
     the family is admissible by design). *)
 
+val candidates : t -> (Lego_layout.Group_by.t * string) Seq.t
+(** Every candidate of the space with its {!Fingerprint.of_layout}
+    text, {e lazily}: the default space first, in the order above,
+    followed — with [~scale:true] — by the scale product axes
+    (three-level tilings, vectorization widths, every swizzle-free base
+    crossed with the full mask >= 1 swizzle grid).  De-duplicated by
+    {!Fingerprint.digest}, so no two elements of the sequence have equal
+    fingerprints and a layout reachable through two axes is generated
+    once.  The dedup prints each candidate once, and that text is the
+    fingerprint handed out, so a consumer never prints a candidate
+    again.
+
+    A traversal builds each [(mask, shift)] swizzle stage once and
+    prepends that one object to every base it crosses, so the outer
+    stages of a traversal's swizzled candidates are physically shared.
+    The only memory proportional to the space is the
+    16-byte-per-candidate dedup set, built as the consumer pulls;
+    re-traversing the sequence from the start rebuilds it (and the
+    stages), and every traversal yields the identical sequence (the
+    determinism contract above). *)
+
 val stream : t -> Lego_layout.Group_by.t Seq.t
-(** Every candidate of the space, {e lazily}: the default space first,
-    in the order above, followed — with [~scale:true] — by the scale
-    product axes (three-level tilings, vectorization widths, every
-    swizzle-free base crossed with the full mask >= 1 swizzle grid).
-    De-duplicated by {!Fingerprint.digest}, so no two elements of the
-    sequence have equal fingerprints and a layout reachable through two
-    axes is generated once.  The only memory proportional to the space
-    is the 16-byte-per-candidate dedup set, built as the consumer
-    pulls; re-traversing the stream from the start rebuilds it, and
-    every traversal yields the identical sequence (the determinism
-    contract above). *)
+(** The layouts of {!candidates}, without their fingerprints. *)
 
 val count : t -> int
-(** Number of distinct candidates — one full traversal of {!stream},
-    nothing retained beyond the dedup set. *)
+(** Number of distinct candidates — one full traversal of
+    {!candidates}, nothing retained beyond the dedup set. *)
 
 val closure : t -> Lego_layout.Group_by.t list
 (** [List.of_seq (stream t)] — every candidate, in stream order,

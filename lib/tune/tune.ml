@@ -34,6 +34,7 @@ type result = {
   winner : scored;
   ranking : scored list;
   explored : int;
+  maps : int;
   space_size : int;
   exhaustive : bool;
   sampled_scored : int;
@@ -67,6 +68,78 @@ let take_seq n seq =
 let cmp_static a b =
   Predict.compare_ranked (a.static_score, a.fingerprint)
     (b.static_score, b.fingerprint)
+
+(* The static pass of one search.  The memory part of a linear
+   candidate's score is a function of its F₂ map, and a space holds
+   far fewer maps than texts (57,725 transpose [--scale] texts, 9,398
+   maps), so the pass keeps one map -> memory table for the whole
+   search and scores each chunk in four steps:
+
+   + in parallel, each candidate's {!Predict.step}: its op count and
+     its map (or, with no F₂ form, its whole score);
+   + sequentially, a scan in chunk order for maps not yet in the table;
+   + in parallel, {!Predict.memory} of only those, each once;
+   + sequentially, the merge: the new entries into the table, then
+     each candidate's score from its map's entry and its own op count.
+
+   The table is read and written only in the sequential steps, and
+   each entry is a pure function of its map, so the scores are what
+   {!Predict.score} gives at any [jobs], and a search evaluates each
+   distinct map exactly once. *)
+module Maps = Hashtbl.Make (struct
+  type t = Lego_f2.Linear.t
+
+  let equal = Lego_f2.Linear.equal
+  let hash = Lego_f2.Linear.hash
+end)
+
+module Static = struct
+  type t = {
+    prep : Predict.prep;
+    table : Predict.score Maps.t;
+    mutable evaluations : int;
+  }
+
+  let create (slot : Slot.t) =
+    {
+      prep =
+        Predict.prepare ~device:slot.device ~dims:[ slot.rows; slot.cols ]
+          slot.phases;
+      table = Maps.create 4096;
+      evaluations = 0;
+    }
+
+  let maps t = Maps.length t.table
+  let evaluations t = t.evaluations
+
+  let score ~pool t batch =
+    let steps =
+      Exec.map ~pool batch (fun (g, _) -> Predict.step t.prep g)
+    in
+    let fresh = Maps.create 64 and todo = ref [] in
+    Array.iter
+      (function
+        | Predict.Map { map; _ }
+          when not (Maps.mem t.table map || Maps.mem fresh map) ->
+          Maps.add fresh map ();
+          todo := map :: !todo
+        | Predict.Map _ -> ()
+        | Predict.Scored _ -> t.evaluations <- t.evaluations + 1)
+      steps;
+    let todo = Array.of_list (List.rev !todo) in
+    let mems = Exec.map ~pool todo (Predict.memory t.prep) in
+    Array.iteri (fun i map -> Maps.add t.table map mems.(i)) todo;
+    t.evaluations <- t.evaluations + Array.length todo;
+    Array.mapi
+      (fun i (layout, fingerprint) ->
+        let static_score =
+          match steps.(i) with
+          | Predict.Map { ops; map } -> { (Maps.find t.table map) with ops }
+          | Predict.Scored s -> s
+        in
+        { layout; fingerprint; static_score; sim = None })
+      batch
+end
 
 (* Simulated order: roofline time first; among roofline ties (the time
    model saturates on whichever resource bounds the kernel) prefer
@@ -125,24 +198,17 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   in
   Exec.with_pool ~jobs:(max 1 options.jobs) @@ fun pool ->
   let t0 = Unix.gettimeofday () in
-  (* Stage one: stream the space through the static predictor in
-     chunks, retaining only the best [heap_cap] candidates (plus
-     counters).  Memory is O(heap_cap) + the stream's own dedup set,
-     whatever the space size. *)
+  (* Stage one: stream the space through the static pass in chunks,
+     retaining only the best [heap_cap] candidates (plus counters).
+     Memory is O(heap_cap) + the stream's own dedup set + one table
+     entry per distinct F₂ map, whatever the space size. *)
   let chunk_len =
     max 64 (min 8192 (options.budget / (4 * max 1 options.jobs)))
   in
   let heap = Topk.create ~cap:heap_cap ~cmp:cmp_static in
   let explored = ref 0 and drained = ref false in
-  let stream = ref (Space.stream sp) in
-  let score_candidate g =
-    {
-      layout = g;
-      fingerprint = Fingerprint.of_layout g;
-      static_score = Predict.score ~device:slot.device g slot.phases;
-      sim = None;
-    }
-  in
+  let stream = ref (Space.candidates sp) in
+  let static = Static.create slot in
   while (not !drained) && !explored < options.budget do
     let want = min chunk_len (options.budget - !explored) in
     let batch, rest, ended = take_seq want !stream in
@@ -150,7 +216,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     if ended then drained := true;
     if batch <> [] then begin
       (* Sequential merge: top-K retention in submission order. *)
-      let scored = Exec.map ~pool (Array.of_list batch) score_candidate in
+      let scored = Static.score ~pool static (Array.of_list batch) in
       Array.iter (Topk.add heap) scored;
       explored := !explored + Array.length scored
     end
@@ -246,6 +312,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     winner;
     ranking;
     explored;
+    maps = Static.maps static;
     space_size;
     exhaustive = !drained;
     sampled_scored;
@@ -274,10 +341,11 @@ let pp_scored ppf sc =
 let pp_result ppf r =
   Format.fprintf ppf "@[<v>slot %s: %s@," r.slot.Slot.name r.slot.Slot.descr;
   Format.fprintf ppf
-    "explored %d of %d candidates (%s), simulated %d, %.0f cand/s@," r.explored
-    r.space_size
+    "explored %d of %d candidates (%s), %d distinct F₂ maps, simulated %d, \
+     %.0f cand/s@,"
+    r.explored r.space_size
     (if r.exhaustive then "exhaustive" else "budget-truncated")
-    (List.length r.ranking) r.candidates_per_s;
+    r.maps (List.length r.ranking) r.candidates_per_s;
   if r.sampled_scored > 0 then
     Format.fprintf ppf "funnel: %d streamed -> %d sampled -> %d simulated@,"
       r.explored r.sampled_scored (List.length r.ranking);

@@ -1,14 +1,15 @@
 (** The layout autotuner: closes the loop between the layout algebra and
     the simulator's cost model (DESIGN.md sections 10 and 14).
 
-    A staged funnel over the lazy {!Space.stream} of candidates for one
-    {!Slot}:
+    A staged funnel over the lazy {!Space.candidates} of one {!Slot}:
 
-    + {b static pass} — the stream (pre-deduplicated, never
-      materialized) flows through the cheap {!Predict} pre-filter in
-      chunks scored in parallel, under a candidate budget; only a
-      bounded top-K heap of the best survivors plus counters are
-      retained, so ranking memory is O(K) at 10⁵–10⁶ candidates;
+    + {b static pass} ({!Static}) — the stream (pre-deduplicated, never
+      materialized, each candidate printed once) flows through the
+      cheap {!Predict} pre-filter in chunks, under a candidate budget:
+      each candidate's op count and F₂ map in parallel, then one memory
+      evaluation per distinct map per search; only a bounded top-K heap
+      of the best survivors, the map table and counters are retained,
+      so ranking memory is O(K) at 10⁵–10⁶ candidates;
     + {b sampled rung} (successive halving; active in scale mode when
       the slot has a [simulate_sampled]) — every heap survivor runs the
       cheap sampled simulation, the best [top] promote;
@@ -21,7 +22,8 @@
     Results are bit-identical at any [jobs]: parallelism only ever runs
     inside {!Lego_exec.Exec.map} (submission-order merge), all search
     decisions are sequential over totally ordered keys, the top-K
-    retained set is order-independent under its total comparator, and
+    retained set is order-independent under its total comparator, the
+    map table is read and written only between parallel sections, and
     the {!Cache} is read (purely) inside parallel sections but written
     only between them — a warm cache changes wall-clock, never results
     or counters. *)
@@ -64,6 +66,10 @@ type result = {
   winner : scored;  (** Best simulated time (fingerprint tie-break). *)
   ranking : scored list;  (** All fully simulated finalists, best first. *)
   explored : int;  (** Candidates statically scored. *)
+  maps : int;
+      (** Distinct F₂ maps among the explored candidates: the number of
+          memory evaluations the static pass made for them.  Candidates
+          with no F₂ form are not counted. *)
   space_size : int;
       (** Size of the full candidate space.  Free when the stream
           drained (it equals [explored]); computed by one extra
@@ -80,10 +86,43 @@ type result = {
   baselines : (string * Slot.sim) list;  (** The slot's references. *)
 }
 
+(** The static pass of one search: a map -> memory table that lives as
+    long as the search.  {!search} feeds it every chunk of the stream
+    ({!Space.candidates}) and never shares it across searches. *)
+module Static : sig
+  type t
+
+  val create : Slot.t -> t
+  (** An empty table for the slot's phases on the slot's device. *)
+
+  val score :
+    pool:Lego_exec.Exec.pool ->
+    t ->
+    (Lego_layout.Group_by.t * string) array ->
+    scored array
+  (** Scores a chunk of [(layout, fingerprint)] candidates, in order,
+      in four steps: every candidate's {!Predict.step} in parallel; a
+      sequential scan, in chunk order, for maps not yet in the table;
+      {!Predict.memory} of only those, in parallel; and a sequential
+      merge of the new entries and the scores.  Each score equals
+      [Predict.score ~device:slot.device layout slot.phases]; the
+      table is touched only in the sequential steps, so results are
+      the same at any pool size. *)
+
+  val maps : t -> int
+  (** Distinct F₂ maps scored so far (the table's size). *)
+
+  val evaluations : t -> int
+  (** Memory evaluations made so far: one per distinct map, plus one
+      per candidate with no F₂ form. *)
+end
+
 val search : ?options:options -> ?cache:Cache.t -> Slot.t -> result
-(** Runs the funnel.  Static scores come from {!Predict.score} on the
-    slot's device, with its default {!Predict.decomposed_ops} op count,
-    in every mode; sims come from the slot's {!Lego_gpusim.Fastpath}
+(** Runs the funnel.  Static scores come from {!Static.score}, which
+    equals {!Predict.score} on the slot's device with its default
+    {!Predict.decomposed_ops} op count, in every mode, and evaluates
+    each distinct F₂ map once per search; sims come from the slot's
+    {!Lego_gpusim.Fastpath}
     kernels ([simulate ~fast:true]).  [cache], when given, persists
     both rungs' sim results across searches in a run — re-tuning the
     same slot (wider budget, different [top], before/after comparisons)

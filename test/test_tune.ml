@@ -973,19 +973,26 @@ let slot_space ?(scale = false) ?(composed = false) ?(seed = 0)
 (* The Buffer printers must reproduce the Format printers they replaced
    byte for byte: fingerprints are the ranking tie-break, the dedup key
    and the store key.  Inputs: every slot's default, --scale and
-   --composed streams, plus the seed-7 random and algebra layouts. *)
+   --composed streams, plus the seed-7 random and algebra layouts.  The
+   text {!Space.candidates} hands out with each candidate (assembled
+   from its stages' texts) must be the printed layout too. *)
 let test_printers_match_format_reference () =
-  let check what g =
-    let got = L.Group_by.to_string g in
+  let check ?text what g =
     let want = Reference.group_by_to_string g in
-    if got <> want then
-      Alcotest.failf "%s: printed %S, reference %S" what got want
+    List.iter
+      (fun (how, got) ->
+        if got <> want then
+          Alcotest.failf "%s: %s %S, reference %S" what how got want)
+      (("printed", L.Group_by.to_string g)
+      :: Option.to_list (Option.map (fun t -> ("candidate text", t)) text))
   in
   List.iter
     (fun (slot : T.Slot.t) ->
       List.iter
         (fun (mode, sp) ->
-          Seq.iter (check (slot.T.Slot.name ^ " " ^ mode)) (T.Space.stream sp))
+          Seq.iter
+            (fun (g, text) -> check ~text (slot.T.Slot.name ^ " " ^ mode) g)
+            (T.Space.candidates sp))
         [
           ("default", slot_space slot);
           ("--scale", slot_space ~scale:true slot);
@@ -1070,17 +1077,28 @@ let test_precomp_keyed_on_device () =
         (Printf.sprintf "%d-byte segments" device.G.Device.global_txn_bytes)
         (T.Predict.txn_count device ~elem_bytes:4 addrs)
         (T.Predict.score ~device ~ops:0 g phases).T.Predict.gmem_txns)
-    [ wide; G.Device.a100; wide ]
+    [ wide; G.Device.a100; wide ];
+  (* A preparation is for one shape: its indices are flattened with its
+     dims, so a layout of other dims is rejected, not mis-scored. *)
+  Alcotest.(check bool) "a 16x16 layout on a 32x32 preparation" true
+    (match
+       T.Predict.step
+         (T.Predict.prepare ~dims:[ 32; 32 ] phases)
+         (T.Slot.row_major ~rows:16 ~cols:16)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
-(* The staged path (shared-tail vector memo + outer-stage lookup) must
-   score every candidate exactly as the interpreter does — in stream
-   order, where the memo hits on almost every candidate, and in a
-   seeded shuffle, where consecutive candidates rarely share a tail and
-   the memo misses; then alternating with diagonal sweeps (other
-   indices in another order) on candidates that share a tail, where a
-   memo keyed on the tail alone would serve the first list's values.
-   The interpreter costs ~4 ms a candidate, so its reference scores are
-   computed on two domains. *)
+(* {!Predict.score} is a per-candidate step (op count and F₂ map, kept
+   for the chain tail in a one-entry memo) and a per-map evaluation
+   read off the bit-matrix.  It must score every candidate exactly as
+   the interpreter does — in stream order, where the tail memo hits on
+   almost every candidate, and in a seeded shuffle, where consecutive
+   candidates rarely share a tail and it misses; then alternating with
+   diagonal sweeps (other indices in another order) on candidates that
+   share a tail, where a preparation cached without its phase list in
+   the key would serve the first list's indices.  The interpreter costs ~4 ms a
+   candidate, so its reference scores are computed on two domains. *)
 let test_staged_score_matches_interpreter () =
   let slot = T.Slot.transpose_smem () in
   let phases = slot.T.Slot.phases in
@@ -1131,7 +1149,7 @@ let test_staged_score_matches_interpreter () =
         && T.Predict.score ~ops:0 g phases = interp.(first + k)))
     window
 
-(* --- The F₂ memo: the memory part of a score, by layout map -------------- *)
+(* --- The search's F₂ map table: the memory part of a score, by map ------ *)
 
 let check_score what (want : T.Predict.score) (got : T.Predict.score) =
   if got <> want then
@@ -1142,37 +1160,65 @@ let check_score what (want : T.Predict.score) (got : T.Predict.score) =
       (Format.asprintf "%a" T.Predict.pp want)
       want.T.Predict.smem_accesses
 
-(* The phase precomputation is keyed on warp width and segment size,
-   not on bank geometry, so a memo keyed on the precomputation alone
-   would replay the A100's cycles for a 16-bank device ({!Fastpath}'s
-   summary cache once mixed devices the same way). *)
+let with_fingerprints gs =
+  Array.map (fun g -> (g, T.Fingerprint.of_layout g)) gs
+
+(* Feeds [chunks] of [(layout, fingerprint)] candidates, in order, to
+   one static pass on [slot], the way {!T.Tune.search} feeds its stream;
+   returns the pass and every candidate's static score in order. *)
+let static_pass ?(jobs = 1) slot chunks =
+  let static = T.Tune.Static.create slot in
+  let scores =
+    Lego_exec.Exec.with_pool ~jobs (fun pool ->
+        List.map (T.Tune.Static.score ~pool static) chunks)
+  in
+  ( static,
+    Array.map (fun sc -> sc.T.Tune.static_score) (Array.concat scores) )
+
+(* [xs] in consecutive chunks of [n] (the search's chunking). *)
+let chunks_of n xs =
+  let len = Array.length xs in
+  List.init
+    ((len + n - 1) / n)
+    (fun k -> Array.sub xs (k * n) (min n (len - (k * n))))
+
+(* Each search keeps its own map table on its slot's device.  Neither
+   the map nor the phase indices depend on bank geometry, so a table
+   shared across devices would replay the A100's cycles for a 16-bank
+   device ({!Fastpath}'s summary cache once mixed devices the same way).
+   Tables on alternating devices must each score as the interpreter does
+   on their own device. *)
 let test_map_memo_keyed_on_bank_geometry () =
   let module G = Lego_gpusim in
-  let phases = (T.Slot.transpose_smem ()).T.Slot.phases in
   let g =
     prepend_swizzle ~mask:31 ~shift:0
       (T.Slot.row_major ~rows:32 ~cols:32)
       ~rows:32 ~cols:32
   in
   let banks16 = { G.Device.a100 with smem_banks = 16 } in
-  let want device = Reference.interpret_score ~device g phases in
+  let want (slot : T.Slot.t) =
+    Reference.interpret_score ~device:slot.T.Slot.device g slot.T.Slot.phases
+  in
   Alcotest.(check bool) "the two geometries score differently" true
-    (want G.Device.a100 <> want banks16);
+    (want (T.Slot.transpose_smem ())
+    <> want (T.Slot.transpose_smem ~device:banks16 ()));
   List.iter
     (fun device ->
+      let slot = T.Slot.transpose_smem ~device () in
+      let static, scores = static_pass slot [ with_fingerprints [| g |] ] in
+      Alcotest.(check int) "one map" 1 (T.Tune.Static.maps static);
       check_score
         (Printf.sprintf "%d banks" device.G.Device.smem_banks)
-        (want device)
-        (T.Predict.score ~device g phases))
+        (want slot) scores.(0))
     [ G.Device.a100; banks16; G.Device.a100 ]
 
 (* Two texts of one map: the swizzle's top mask bit shifts past the
    32 rows, so m19 and m3 are one piece matrix over the same tiling,
    but the printed stages differ and so do their op counts.  Each order
-   starts from an empty memo (a fresh phase list is a fresh
-   precomputation), so the second text always hits the first's entry:
-   the memory fields must agree with the interpreter and each text must
-   keep its own ops. *)
+   starts from an empty table, in one chunk (the second text is found
+   in the scan) and in two (it hits the first chunk's entry): the map
+   is evaluated once, the memory fields agree with the interpreter and
+   each text keeps its own ops. *)
 let test_map_memo_keeps_ops_per_text () =
   let slot = T.Slot.transpose_smem () in
   let layout mask =
@@ -1196,32 +1242,44 @@ let test_map_memo_keeps_ops_per_text () =
     (T.Predict.decomposed_ops a, T.Predict.decomposed_ops b);
   let want = Reference.interpret_score ~ops:0 a slot.T.Slot.phases in
   List.iter
-    (fun order ->
-      let phases = List.map Fun.id slot.T.Slot.phases in
-      List.iter
-        (fun (name, g, ops) ->
-          check_score name { want with ops } (T.Predict.score g phases))
-        order)
+    (fun (what, order, split) ->
+      let cands =
+        with_fingerprints (Array.of_list (List.map (fun (_, g, _) -> g) order))
+      in
+      let static, scores =
+        static_pass slot
+          (if split then [ [| cands.(0) |]; [| cands.(1) |] ] else [ cands ])
+      in
+      List.iteri
+        (fun i (name, _, ops) ->
+          check_score (what ^ ": " ^ name) { want with ops } scores.(i))
+        order;
+      Alcotest.(check (pair int int))
+        (what ^ ": one map, one evaluation") (1, 1)
+        (T.Tune.Static.maps static, T.Tune.Static.evaluations static))
     [
-      [ ("m19 first", a, 142); ("m3 second", b, 148) ];
-      [ ("m3 first", b, 148); ("m19 second", a, 142) ];
+      ("one chunk", [ ("m19", a, 142); ("m3", b, 148) ], false);
+      ("one chunk, reversed", [ ("m3", b, 148); ("m19", a, 142) ], false);
+      ("two chunks", [ ("m19", a, 142); ("m3", b, 148) ], true);
+      ("two chunks, reversed", [ ("m3", b, 148); ("m19", a, 142) ], true);
     ]
 
-(* Every memo hit must be exact.  The whole transpose --scale stream is
-   scored in stream order on one domain, so both memos see the search's
-   hit pattern.  Every F₂-linear candidate's score must equal
+(* Every table hit must be exact.  The whole transpose --scale stream
+   goes through one static pass in the search's chunks at -j 2.  Every
+   F₂-linear candidate's score must equal
    {!Reference.closed_form_score}, which reads a candidate only through
    its map and its op count, so it is computed once per distinct map;
    every op count must be the sum of its stages' counts, each taken
-   alone; and a seeded sample of candidates whose map was first scored
-   under another text must equal the interpreter (~4 ms each, so the
-   references run on two domains). *)
+   alone; and a seeded sample of candidates whose map was first
+   evaluated under another text must equal the interpreter (~4 ms
+   each, so the references run on two domains).  The pass evaluates
+   memory once per distinct map and once per non-linear candidate. *)
 let test_map_memo_hits_are_exact () =
   let module F2 = Lego_f2 in
   let slot = T.Slot.transpose_smem () in
-  let phases = List.map Fun.id slot.T.Slot.phases in
-  let cands = Array.of_seq (T.Space.stream (slot_space ~scale:true slot)) in
-  let scores = Array.map (fun g -> T.Predict.score g phases) cands in
+  let fps = Array.of_seq (T.Space.candidates (slot_space ~scale:true slot)) in
+  let cands = Array.map fst fps in
+  let static, scores = static_pass ~jobs:2 slot (chunks_of 8192 fps) in
   let stage_sum g =
     List.fold_left
       (fun acc o ->
@@ -1236,11 +1294,11 @@ let test_map_memo_hits_are_exact () =
   in
   let first = Hashtbl.create 16384 in
   let map_of = Array.make (Array.length cands) (-1) in
-  let repeats = ref [] and reps = ref [] in
+  let repeats = ref [] and reps = ref [] and nonlinear = ref 0 in
   Array.iteri
     (fun i g ->
       match F2.Linear.of_layout g with
-      | None -> ()
+      | None -> incr nonlinear
       | Some lin -> (
         let k = key lin in
         match Hashtbl.find_opt first k with
@@ -1254,6 +1312,14 @@ let test_map_memo_hits_are_exact () =
           reps := i :: !reps))
     cands;
   let reps = Array.of_list (List.rev !reps) in
+  Alcotest.(check (pair int int))
+    "distinct maps, non-linear candidates" (9398, 3)
+    (Array.length reps, !nonlinear);
+  Alcotest.(check int) "table size" (Array.length reps)
+    (T.Tune.Static.maps static);
+  Alcotest.(check int) "memory evaluations = maps + non-linear"
+    (Array.length reps + !nonlinear)
+    (T.Tune.Static.evaluations static);
   let st = Random.State.make [| 17 |] in
   let sample =
     Array.of_list
@@ -1271,14 +1337,10 @@ let test_map_memo_hits_are_exact () =
           Lego_exec.Exec.map ~pool sample (fun i ->
               Reference.interpret_score ~ops:0 cands.(i) slot.T.Slot.phases) ))
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d distinct maps, %d repeats, %d sampled"
-       (Array.length reps) (List.length !repeats) (Array.length sample))
-    true
-    (Array.length reps > 1000 && Array.length sample = 256);
+  Alcotest.(check int) "sampled repeats" 256 (Array.length sample);
   Array.iteri
     (fun i g ->
-      let what = T.Fingerprint.of_layout g in
+      let what = snd fps.(i) in
       Alcotest.(check int) (what ^ ": ops") (stage_sum g) scores.(i).T.Predict.ops;
       if map_of.(i) >= 0 then
         check_score (what ^ ": closed form")
@@ -1288,13 +1350,69 @@ let test_map_memo_hits_are_exact () =
   Array.iteri
     (fun k i ->
       check_score
-        (T.Fingerprint.of_layout cands.(i) ^ ": interpreter")
+        (snd fps.(i) ^ ": interpreter")
         { (interp.(k)) with ops = scores.(i).T.Predict.ops }
         scores.(i))
     sample
 
-(* Drains the whole 57,725-candidate space: each domain's F₂ memo sees
-   a different hit pattern at each -j, and none may change a result. *)
+(* The per-map step reads a map's values off its bit-matrix through
+   half tables.  At the slot's distinct indices they must equal the
+   compiled closures, for the map {!Predict.step} builds (the outer
+   stage's after the tail's), on every linear candidate of the matmul
+   and transpose default and --composed spaces and on a seeded
+   2,000-candidate sample of each --scale stream (out of stream order,
+   so the tail memo misses).  A candidate is scored directly exactly
+   when it has no F₂ form. *)
+let test_map_values_match_compiled () =
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      let prep =
+        T.Predict.prepare ~device:slot.T.Slot.device
+          ~dims:[ slot.T.Slot.rows; slot.T.Slot.cols ]
+          slot.T.Slot.phases
+      in
+      let idx = T.Predict.indices prep in
+      let out = Array.make (Array.length idx) 0 in
+      let linear g =
+        match (T.Predict.step prep g, Lego_f2.Linear.of_layout g) with
+        | T.Predict.Scored _, None -> false
+        | T.Predict.Map { map; _ }, Some lin ->
+          let what = T.Fingerprint.of_layout g in
+          if not (Lego_f2.Linear.equal map lin) then
+            Alcotest.failf "%s: step map <> Linear.of_layout" what;
+          Lego_f2.Linear.apply_into map idx out;
+          let c = T.Compiled.compile g in
+          Array.iteri
+            (fun i x ->
+              let want = T.Compiled.apply_flat c x in
+              if out.(i) <> want then
+                Alcotest.failf "%s at %d: compiled %d, half tables %d" what x
+                  want out.(i))
+            idx;
+          true
+        | _ ->
+          Alcotest.failf "%s: step and Linear.of_layout disagree on linearity"
+            (T.Fingerprint.of_layout g)
+      in
+      let count what gs =
+        let n = Seq.fold_left (fun n g -> if linear g then n + 1 else n) 0 gs in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %d linear candidates" slot.T.Slot.name what n)
+          true (n > 500)
+      in
+      count "default" (T.Space.stream (slot_space slot));
+      count "--composed" (T.Space.stream (slot_space ~composed:true slot));
+      let scale = Array.of_seq (T.Space.stream (slot_space ~scale:true slot)) in
+      let st = Random.State.make [| 22 |] in
+      let order = Array.map (fun g -> (Random.State.bits st, g)) scale in
+      Array.stable_sort (fun (a, _) (b, _) -> compare a b) order;
+      count "--scale sample"
+        (Seq.map snd (Seq.take 2000 (Array.to_seq order))))
+    [ T.Slot.matmul_smem (); T.Slot.transpose_smem () ]
+
+(* Drains the whole 57,725-candidate space: each -j splits the
+   per-candidate and per-map steps differently between domains, and
+   none may change a result. *)
 let test_scale_search_deterministic_across_jobs () =
   let slot = T.Slot.transpose_smem () in
   let opts jobs =
@@ -1305,10 +1423,12 @@ let test_scale_search_deterministic_across_jobs () =
   Alcotest.(check bool) "-j1 = -j2 (winner, top-K, counters)" true
     (result_key r1 = result_key r2)
 
-(* The staged scorer's gain rests on stream order: a base is followed by
-   its whole swizzle grid, so consecutive candidates share their chain
-   tail (physically — the memo's key).  A space change that interleaves
-   bases must fail here rather than silently lose the gain. *)
+(* The per-candidate step's tail memo holds only the chain tail's F₂
+   map and op sum, keyed on the tail's physical identity; its hit rate
+   rests on stream order: a base is followed by its whole swizzle grid,
+   so consecutive candidates share their chain tail physically.  A
+   space change that interleaves bases must fail here rather than
+   silently recompute every tail. *)
 let test_scale_stream_tail_locality () =
   let slot = T.Slot.transpose_smem () in
   List.iter
@@ -1333,6 +1453,184 @@ let test_scale_stream_tail_locality () =
            seed !shared !pairs ratio)
         true (ratio >= 0.95))
     [ 0; 5 ]
+
+(* A traversal builds each swizzle stage once and prepends that one
+   object to every base: over the transpose --scale stream, the outer
+   swizzle stages are exactly one physical object per (mask, shift)
+   pair the space uses (every mask >= 1 with shifts 0..4).  A [Space]
+   change that rebuilds stages per base fails here. *)
+let test_swizzle_stages_shared () =
+  let slot = T.Slot.transpose_smem () in
+  List.iter
+    (fun seed ->
+      let stages = Hashtbl.create 256 in
+      Seq.iter
+        (fun g ->
+          match L.Group_by.chain g with
+          | o :: _ -> (
+            match L.Order_by.pieces o with
+            | [ L.Piece.Gen { name; _ } ] -> (
+              match L.Gallery.parse_swizzlex name with
+              | Some pair ->
+                let seen =
+                  Option.value ~default:[] (Hashtbl.find_opt stages pair)
+                in
+                if not (List.memq o seen) then
+                  Hashtbl.replace stages pair (o :: seen)
+              | None -> ())
+            | _ -> ())
+          | [] -> ())
+        (T.Space.stream (slot_space ~scale:true ~seed slot));
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: (mask, shift) pairs" seed)
+        (31 * 5) (Hashtbl.length stages);
+      Hashtbl.iter
+        (fun (mask, shift) objs ->
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d: m%d_s%d stage objects" seed mask shift)
+            1 (List.length objs))
+        stages)
+    [ 0; 5 ]
+
+(* --- Rankings and map counts pinned across the map-first static pass ---- *)
+
+(* Every finalist's fingerprint, five static fields and four sim fields
+   (floats in hex), one line each, as one MD5. *)
+let ranking_digest (r : T.Tune.result) =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (sc : T.Tune.scored) ->
+      let s = sc.T.Tune.static_score and m = Option.get sc.T.Tune.sim in
+      Printf.bprintf buf "%s %d %d %d %d %d %h %h %h %h\n" sc.T.Tune.fingerprint
+        s.T.Predict.smem_phases s.T.Predict.smem_accesses
+        s.T.Predict.smem_cycles s.T.Predict.gmem_txns s.T.Predict.ops
+        m.T.Slot.time_s m.T.Slot.s_accesses m.T.Slot.s_cycles m.T.Slot.g_txns)
+    r.T.Tune.ranking;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Computed before the map-first static pass, when each domain scored
+   through its own F₂ memo over staged compiled closures: the map
+   table must reproduce every ranking bit for bit, at seeds 0 and 3
+   and at -j 1 and -j 2.  A drained space ranks the same at every
+   seed; a budget-truncated one ranks its seed's prefix. *)
+let test_rankings_pinned () =
+  List.iter
+    (fun (name, scale, budget, explored, digests) ->
+      let slot = Option.get (T.Slot.find name) in
+      List.iter
+        (fun (seed, md5) ->
+          List.iter
+            (fun jobs ->
+              let r =
+                T.Tune.search
+                  ~options:
+                    {
+                      T.Tune.default_options with
+                      budget;
+                      scale;
+                      seed;
+                      jobs;
+                      conform = false;
+                    }
+                  slot
+              in
+              let what =
+                Printf.sprintf "%s scale %b budget %d seed %d -j %d" name scale
+                  budget seed jobs
+              in
+              Alcotest.(check int) (what ^ ": explored") explored r.T.Tune.explored;
+              Alcotest.(check string) (what ^ ": ranking") md5 (ranking_digest r))
+            [ 1; 2 ])
+        digests)
+    [
+      ( "transpose", true, 250_000, 57_725,
+        [ (0, "aafc700a6e9cee335b00e5ebe560bb6e");
+          (3, "aafc700a6e9cee335b00e5ebe560bb6e") ] );
+      ( "matmul", true, 250_000, 182_685,
+        [ (0, "18587f82c77db7c4dd5d7cbee576d42c");
+          (3, "18587f82c77db7c4dd5d7cbee576d42c") ] );
+      ( "matmul", false, 1_000_000, 1569,
+        [ (0, "0e86a76f1494e38c57e1ec0d5cb92e4e");
+          (3, "0e86a76f1494e38c57e1ec0d5cb92e4e") ] );
+      ( "transpose", false, 1_000_000, 1061,
+        [ (0, "27c2e5365944265d7a97a7ec1daec4df");
+          (3, "27c2e5365944265d7a97a7ec1daec4df") ] );
+      ( "nw", false, 1_000_000, 5,
+        [ (0, "36667417b42114ed88d58aad2b65f1bf");
+          (3, "36667417b42114ed88d58aad2b65f1bf") ] );
+      ( "matmul", false, 256, 256,
+        [ (0, "90cb68023c9dada27b364ba0e33bc8d7");
+          (3, "86a0328ac5746a8db63baada95bc5416") ] );
+      ( "transpose", false, 256, 256,
+        [ (0, "16b006b1fc978f1f8d585125499f590b");
+          (3, "05756c5b2af7757a2e701ef98f9e591e") ] );
+    ]
+
+(* [maps] counts the distinct F₂ maps among the explored candidates, at
+   any -j, and [pp_result] prints it after the explored count.  Each
+   pin is checked against a count of distinct [Linear.of_layout] maps
+   over the drained stream. *)
+let test_result_reports_distinct_maps () =
+  let own_count sp =
+    let seen = Hashtbl.create 4096 in
+    Seq.iter
+      (fun g ->
+        match Lego_f2.Linear.of_layout g with
+        | Some lin ->
+          Hashtbl.replace seen
+            ( Lego_f2.Linear.const lin,
+              List.init (Lego_f2.Linear.bits lin)
+                (Lego_f2.Bitmat.col (Lego_f2.Linear.mat lin)) )
+            ()
+        | None -> ())
+      (T.Space.stream sp);
+    Hashtbl.length seen
+  in
+  List.iter
+    (fun (slot, scale, jobs, maps) ->
+      let name = slot.T.Slot.name in
+      Alcotest.(check int)
+        (Printf.sprintf "%s scale %b: distinct maps" name scale)
+        maps
+        (own_count (slot_space ~scale slot));
+      List.iter
+        (fun jobs ->
+          let r =
+            T.Tune.search
+              ~options:
+                {
+                  T.Tune.default_options with
+                  budget = 1_000_000;
+                  scale;
+                  jobs;
+                  conform = false;
+                }
+              slot
+          in
+          let what = Printf.sprintf "%s scale %b -j %d" name scale jobs in
+          Alcotest.(check bool) (what ^ ": drained") true r.T.Tune.exhaustive;
+          Alcotest.(check int) (what ^ ": maps") maps r.T.Tune.maps;
+          let line =
+            Printf.sprintf
+              "explored %d of %d candidates (exhaustive), %d distinct F₂ maps, \
+               simulated %d,"
+              r.T.Tune.explored r.T.Tune.explored maps
+              (List.length r.T.Tune.ranking)
+          in
+          let out = Format.asprintf "%a" T.Tune.pp_result r in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: report has %S:\n%s" what line out)
+            true
+            (Str.string_match (Str.regexp_string line)
+               out
+               (String.index out '\n' + 1)))
+        jobs)
+    [
+      (T.Slot.transpose_smem (), true, [ 1; 2 ], 9398);
+      (T.Slot.matmul_smem (), false, [ 1 ], 961);
+      (T.Slot.transpose_smem (), false, [ 1 ], 548);
+      (T.Slot.nw_smem (), false, [ 1 ], 0);
+    ]
 
 (* --- legoc CLI overview ---------------------------------------------------- *)
 
@@ -1522,6 +1820,14 @@ let suite =
         test_map_memo_keeps_ops_per_text;
       Alcotest.test_case "F2 memo hits are exact" `Quick
         test_map_memo_hits_are_exact;
+      Alcotest.test_case "map values = compiled closures" `Quick
+        test_map_values_match_compiled;
+      Alcotest.test_case "swizzle stages shared across bases" `Quick
+        test_swizzle_stages_shared;
+      Alcotest.test_case "rankings pinned across -j and seeds" `Quick
+        test_rankings_pinned;
+      Alcotest.test_case "result reports distinct F2 maps" `Quick
+        test_result_reports_distinct_maps;
       Alcotest.test_case "stream digests pinned over the domain" `Quick
         test_stream_digests_pinned_over_domain;
       Alcotest.test_case "CLI rejects the deleted --oracle" `Quick
