@@ -180,8 +180,10 @@ let budget_arg =
     & opt float 30.
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:
-          "Stop generating random layouts once this much wall-clock time \
-           has elapsed (already-started layouts finish).")
+          "Wall-clock budget, > 0.  The budget is checked before every \
+           layout, gallery and random alike: once $(docv) seconds have \
+           elapsed no further layout starts (started ones finish).  A \
+           run that checked no layout fails.")
 
 let skip_gallery_flag =
   Arg.(
@@ -215,6 +217,7 @@ let run_conform seed iters algebra max_points budget skip_gallery require_f2
     if iters < 0 then Some "--iters must be >= 0"
     else if algebra < 0 then Some "--algebra must be >= 0"
     else if max_points < 1 then Some "--max-points must be >= 1"
+    else if not (budget > 0.) then Some "--budget must be > 0"
     else None
   in
   match invalid with
@@ -234,7 +237,15 @@ let run_conform seed iters algebra max_points budget skip_gallery require_f2
     if break_simplify then
       Lego_symbolic.Simplify.set_test_only_break_rule false;
     Format.printf "%a@." Lego_conform.Conform.pp_report report;
-    if require_f2 && report.Lego_conform.Conform.f2_covered = 0 then begin
+    if report.Lego_conform.Conform.layouts = 0 then begin
+      if report.Lego_conform.Conform.budget_exhausted then
+        Printf.eprintf
+          "error: no layout was checked: the --budget of %g s ran out first\n"
+          budget
+      else Printf.eprintf "error: no layout was checked: none was selected\n";
+      1
+    end
+    else if require_f2 && report.Lego_conform.Conform.f2_covered = 0 then begin
       Printf.eprintf "error: --require-f2 but no layout exercised the F2 leg\n";
       1
     end

@@ -41,15 +41,6 @@ val hash : t -> int
 (** A hash over the width, the constant and every column, consistent
     with {!equal}: the key of the tuner's map tables. *)
 
-val apply_into : t -> int array -> int array -> unit
-(** [apply_into t xs out] sets [out.(i)] to [apply t xs.(i)] for every
-    index of [xs].  It splits the input bits into a low and a high half
-    and tabulates each half's column XORs once (two tables of
-    2^⌈bits/2⌉ entries, the constant folded into the low one), so each
-    point then costs two loads and one xor.  Raises [Invalid_argument]
-    when [out] is shorter than [xs] or a point is outside
-    [0 .. 2^bits - 1]. *)
-
 val invertible : t -> bool
 (** Full rank — for a layout matrix this is exactly bijectivity. *)
 

@@ -3,6 +3,7 @@ type t = { shapes : Shape.t list; chain : Order_by.t list }
 let make ?(chain = []) shapes =
   if shapes = [] then invalid_arg "Group_by.make: empty level list";
   List.iter Shape.validate shapes;
+  Shape.validate (List.concat shapes);
   let n = List.fold_left (fun acc s -> acc * Shape.numel s) 1 shapes in
   List.iter
     (fun o ->

@@ -15,8 +15,9 @@ type t
 val make : ?chain:Order_by.t list -> Shape.t list -> t
 (** [make ~chain shapes] builds a grouping with hierarchy levels [shapes]
     (each level one shape; a plain d-dimensional view is a single level).
-    Raises [Invalid_argument] if any chained [OrderBy] covers a different
-    number of elements than the grouping. *)
+    Raises [Invalid_argument] if the levels' element counts multiply past
+    [max_int], or if any chained [OrderBy] covers a different number of
+    elements than the grouping. *)
 
 val shapes : t -> Shape.t list
 val chain : t -> Order_by.t list

@@ -2,7 +2,9 @@ type t = Piece.t list
 
 let make = function
   | [] -> invalid_arg "Order_by.make: at least one piece is required"
-  | pieces -> pieces
+  | pieces ->
+    Shape.validate (List.concat_map Piece.dims pieces);
+    pieces
 
 let pieces t = t
 let dims t = List.concat_map Piece.dims t

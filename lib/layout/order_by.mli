@@ -8,7 +8,8 @@
 type t
 
 val make : Piece.t list -> t
-(** Raises [Invalid_argument] on an empty list. *)
+(** Raises [Invalid_argument] on an empty list, or when the pieces'
+    element counts multiply past [max_int]. *)
 
 val pieces : t -> Piece.t list
 

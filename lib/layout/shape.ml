@@ -1,13 +1,5 @@
 type t = int list
 
-let validate dims =
-  if dims = [] then invalid_arg "Shape.validate: empty shape";
-  List.iter
-    (fun n ->
-      if n <= 0 then
-        invalid_arg (Printf.sprintf "Shape.validate: non-positive extent %d" n))
-    dims
-
 let numel dims = List.fold_left ( * ) 1 dims
 let rank = List.length
 let equal (a : t) (b : t) = a = b
@@ -35,6 +27,33 @@ let pp ppf dims =
   to_buffer buf dims;
   Format.pp_print_string ppf (Buffer.contents buf)
 
+(* The per-point check: [unflatten] runs it on every call, so it skips
+   the divisions of the element-count check, which construction has
+   already made. *)
+let check_extents dims =
+  if dims = [] then invalid_arg "Shape.validate: empty shape";
+  List.iter
+    (fun n ->
+      if n <= 0 then
+        invalid_arg (Printf.sprintf "Shape.validate: non-positive extent %d" n))
+    dims
+
+(* Each partial product is checked by division before it is formed, so
+   an overflow cannot wrap past the check. *)
+let validate dims =
+  check_extents dims;
+  let rec fits acc = function
+    | [] -> true
+    | n :: rest -> acc <= max_int / n && fits (acc * n) rest
+  in
+  if not (fits 1 dims) then begin
+    let buf = Buffer.create 32 in
+    Buffer.add_string buf "Shape.validate: element count of ";
+    to_buffer buf dims;
+    Buffer.add_string buf " exceeds max_int";
+    invalid_arg (Buffer.contents buf)
+  end
+
 let flatten (type a) (module D : Domain.S with type t = a) dims (idx : a list)
     : a =
   if List.length dims <> List.length idx then
@@ -53,7 +72,7 @@ let flatten (type a) (module D : Domain.S with type t = a) dims (idx : a list)
 
 let unflatten (type a) (module D : Domain.S with type t = a) dims (flat : a) :
     a list =
-  validate dims;
+  check_extents dims;
   (* Peel from the innermost dimension outwards; the outermost component
      keeps the undivided quotient, matching the paper's B^-1. *)
   let rec go acc rev_dims flat =

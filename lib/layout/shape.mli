@@ -9,7 +9,9 @@
 type t = int list
 
 val validate : t -> unit
-(** Ensure every extent is positive; raises [Invalid_argument] otherwise. *)
+(** Ensure every extent is positive and the element count is at most
+    [max_int]; raises [Invalid_argument] otherwise, naming the extents
+    when the count overflows. *)
 
 val numel : t -> int
 (** Product of the extents (the size of the flat space). *)

@@ -28,47 +28,97 @@ let txn_count (device : G.Device.t) ~elem_bytes addrs =
 (* Phase lanes are a property of the {e slot}, not the candidate: every
    candidate in a space shares the same logical dims, so each shared
    phase's active-lane logical indices flatten to the same int array
-   once, and scoring a candidate is then one evaluation per distinct
-   index.  Global phases never route through the candidate at all, so
-   their transaction total is a constant of the phase list. *)
-type shared_phase = {
-  sp_elem : int;
-  sp_pos : int array;
-      (** Positions into [p_uniq].  Phases overlap heavily (a store
-          sweep and a load sweep cover the same tile), so each distinct
-          index is evaluated through the candidate once and the phases
-          gather from the shared value buffer. *)
+   once.  Global phases never route through the candidate at all, so
+   their transaction total is a constant of the phase list.
+
+   A candidate is read through a {e view}: distinct points, and classes
+   of shared phases that gather from the candidate's values at those
+   points.  Each class's representative phase is counted once and
+   weighs as many phases as the class holds.  There are two views:
+
+   - one class per phase, over every distinct index the phases touch,
+     for a candidate evaluated through its compiled chain;
+   - translation classes, over their representatives' indices only,
+     for an F₂-affine map: phases of one element width whose lanes
+     are XOR-translates of one offset set cost any affine map the same
+     cycles when the width and the bank geometry are powers of two
+     (DESIGN.md section 12 gives the argument). *)
+type cls = {
+  c_elem : int;
+  c_weight : int;  (** Phases the class stands for. *)
+  c_pos : int array;
+      (** The representative's lanes, as positions into the view's
+          points.  Phases overlap heavily (a store sweep and a load
+          sweep cover the same tile), so each distinct point is
+          evaluated once and the classes gather from the values. *)
+}
+
+type view = {
+  v_points : int array;  (** Distinct flat logical indices. *)
+  v_classes : cls array;
 }
 
 type prep = {
   p_phases : phase list;
   p_device : G.Device.t;
   p_dims : L.Shape.t;
-  p_uniq : int array;  (** Distinct flat logical indices, all phases. *)
-  p_shared : shared_phase list;  (** Shared phases with an active lane. *)
+  p_every : view;  (** One class per active shared phase. *)
+  p_translates : view;  (** Translation classes (F₂ maps only). *)
   p_fixed : score;
       (** Every field no candidate changes: the active shared phases,
           their lanes, the global transactions; [smem_cycles] and [ops]
           are 0. *)
 }
 
-let indices pc = pc.p_uniq
+let indices pc = pc.p_translates.v_points
+let classes pc = Array.length pc.p_translates.v_classes
 
-let prepare ?(device = G.Device.a100) ~dims phases =
-  let lanes_of f =
-    List.filter_map f (List.init device.warp_size Fun.id)
-  in
-  let pos_of = Hashtbl.create 256 in
-  let uniq = ref [] and nuniq = ref 0 in
+(* A phase's class key: translates of one another share
+   [Translates (elem_bytes, lane-offset vector)]; [Alone i] is phase
+   [i] by itself. *)
+type key = Alone of int | Translates of int * int array
+
+(* The view of [shared], [(elem_bytes, flat lanes)] per active phase in
+   order, whose classes gather the phases of equal [key]: a class's
+   first phase represents it, and points are numbered in first-touch
+   order. *)
+let view_of key shared =
+  let pos_of = Hashtbl.create 256 and points = ref [] in
   let position flat =
     match Hashtbl.find_opt pos_of flat with
     | Some p -> p
     | None ->
-      let p = !nuniq in
+      let p = Hashtbl.length pos_of in
       Hashtbl.add pos_of flat p;
-      uniq := flat :: !uniq;
-      incr nuniq;
+      points := flat :: !points;
       p
+  in
+  let weights = Hashtbl.create 64 and reps = ref [] in
+  List.iteri
+    (fun i (elem, flats) ->
+      let k = key i elem flats in
+      match Hashtbl.find_opt weights k with
+      | Some weight -> incr weight
+      | None ->
+        let weight = ref 1 in
+        Hashtbl.add weights k weight;
+        reps := (elem, weight, Array.map position flats) :: !reps)
+    shared;
+  {
+    v_points = Array.of_list (List.rev !points);
+    v_classes =
+      Array.of_list
+        (List.rev_map
+           (fun (elem, weight, pos) ->
+             { c_elem = elem; c_weight = !weight; c_pos = pos })
+           !reps);
+  }
+
+let pow2 x = x > 0 && x land (x - 1) = 0
+
+let prepare ?(device = G.Device.a100) ~dims phases =
+  let lanes_of f =
+    List.filter_map f (List.init device.warp_size Fun.id)
   in
   let shared, txns =
     List.fold_left
@@ -78,11 +128,10 @@ let prepare ?(device = G.Device.a100) ~dims phases =
           match lanes_of lanes with
           | [] -> (shared, txns)
           | idxs ->
-            let flat idx = position (L.Shape.flatten_ints dims idx) in
-            let sp =
-              { sp_elem = elem_bytes; sp_pos = Array.of_list (List.map flat idxs) }
+            let flats =
+              Array.of_list (List.map (L.Shape.flatten_ints dims) idxs)
             in
-            (sp :: shared, txns))
+            ((elem_bytes, flats) :: shared, txns))
         | Global { elem_bytes; addrs } ->
           (* Global patterns never route through the candidate, so they
              are counted once here. *)
@@ -96,13 +145,20 @@ let prepare ?(device = G.Device.a100) ~dims phases =
     p_phases = phases;
     p_device = device;
     p_dims = dims;
-    p_uniq = Array.of_list (List.rev !uniq);
-    p_shared = shared;
+    p_every = view_of (fun i _ _ -> Alone i) shared;
+    p_translates =
+      (let geometry = pow2 device.smem_banks && pow2 device.smem_bank_bytes in
+       view_of
+         (fun i elem flats ->
+           if geometry && pow2 elem then
+             Translates (elem, Array.map (fun x -> x lxor flats.(0)) flats)
+           else Alone i)
+         shared);
     p_fixed =
       {
         smem_phases = List.length shared;
         smem_accesses =
-          List.fold_left (fun n sp -> n + Array.length sp.sp_pos) 0 shared;
+          List.fold_left (fun n (_, flats) -> n + Array.length flats) 0 shared;
         smem_cycles = 0;
         gmem_txns = txns;
         ops = 0;
@@ -130,9 +186,9 @@ let prep_for ~device ~dims phases =
     pc
 
 (* Scratch buffers for the scoring loop — per domain, grown to the
-   largest slot ever scored, so an evaluation allocates only its half
-   tables: [vals] holds the candidate's value at each distinct logical
-   index, [batch] one phase's gathered warp addresses. *)
+   largest slot ever scored, so an evaluation allocates nothing: [vals]
+   holds the candidate's value at each of a view's points, [batch] one
+   class's gathered warp addresses. *)
 let scratch : (int array ref * int array ref) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (ref [||], ref [||]))
 
@@ -220,17 +276,23 @@ let decomposed_ops (g : L.Group_by.t) =
   | [] -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
   | o :: rest -> (stage_of o).s_ops + (tail_of g rest).t_ops
 
-(* The memory part of a score (every field but [ops]) from the
-   candidate's value at each distinct index: only the bank cycles
-   depend on the candidate, gathered per phase and counted with the
-   simulator's own {!Lego_gpusim.Access} arithmetic. *)
-let memory_of_values pc vals =
+(* The memory part of a score (every field but [ops]) of the candidate
+   whose value at a flat index is [value]: only the bank cycles depend
+   on the candidate.  This is the one gather-and-count loop: [value] is
+   taken once at each of [view]'s points, then each class's
+   representative is gathered and counted with the simulator's own
+   {!Lego_gpusim.Access} arithmetic, once, and weighs its class's
+   phases. *)
+let count pc view value =
+  let points = view.v_points in
+  let vals = scratch_get (Array.length points) in
+  Array.iteri (fun i x -> Array.unsafe_set vals i (value x)) points;
   let device = pc.p_device in
   let batch = batch_get device.warp_size in
   let cycles = ref 0 in
-  List.iter
-    (fun sp ->
-      let pos = sp.sp_pos in
+  Array.iter
+    (fun c ->
+      let pos = c.c_pos in
       let n = Array.length pos in
       (* [n] <= warp size <= [Array.length batch]. *)
       for i = 0 to n - 1 do
@@ -238,21 +300,19 @@ let memory_of_values pc vals =
       done;
       cycles :=
         !cycles
-        + G.Access.bank_cycles_arr device ~elem_bytes:sp.sp_elem batch n)
-    pc.p_shared;
+        + c.c_weight
+          * G.Access.bank_cycles_arr device ~elem_bytes:c.c_elem batch n)
+    view.v_classes;
   { pc.p_fixed with smem_cycles = !cycles }
 
-let memory pc map =
-  let vals = scratch_get (Array.length pc.p_uniq) in
-  Lego_f2.Linear.apply_into map pc.p_uniq vals;
-  memory_of_values pc vals
+let memory pc map = count pc pc.p_translates (Lego_f2.Linear.apply map)
 
 type step = Map of { ops : int; map : Lego_f2.Linear.t } | Scored of score
 
 (* The memory part depends on a linear candidate only through its values
-   at the preparation's indices, which its F₂ map fixes, so the step
-   stops at the map; a candidate with no F₂ form is evaluated through
-   its whole compiled chain. *)
+   at the translation classes' points, which its F₂ map fixes, so the
+   step stops at the map; a candidate with no F₂ form is evaluated
+   through its whole compiled chain at every phase's points. *)
 let step pc ?ops g =
   if L.Group_by.dims g <> pc.p_dims then
     invalid_arg "Predict.step: layout dims differ from the preparation's";
@@ -273,9 +333,7 @@ let step pc ?ops g =
   | Some map -> Map { ops; map }
   | None ->
     let c = Compiled.compile g in
-    let vals = scratch_get (Array.length pc.p_uniq) in
-    Array.iteri (fun i x -> vals.(i) <- Compiled.apply_flat c x) pc.p_uniq;
-    Scored { (memory_of_values pc vals) with ops }
+    Scored { (count pc pc.p_every (Compiled.apply_flat c)) with ops }
 
 let score ?(device = G.Device.a100) ?memoize:_ ?ops g phases =
   let pc = prep_for ~device ~dims:(L.Group_by.dims g) phases in

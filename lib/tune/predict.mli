@@ -57,19 +57,29 @@ val decomposed_ops : Lego_layout.Group_by.t -> int
 (** {2 A score in two steps}
 
     The memory part of a score (every field but [ops]) depends on an
-    F₂-linear candidate only through its values at the slot's distinct
-    indices, which its F₂ map fixes.  A score therefore splits into a
+    F₂-linear candidate only through its values at the phases' indices,
+    which its F₂ map fixes.  A score therefore splits into a
     per-candidate {!step} (the op count, plus the map or, for a
     candidate with no F₂ form, the whole score) and a per-map
     {!memory} evaluation.  Equal maps are equal functions, so a caller
     that evaluates each distinct map once and pairs the result with
     every candidate's own op count gets exactly {!score}; the tuner's
-    static pass does that with one table per search. *)
+    static pass does that with one table per search.
+
+    A map is evaluated per {e translation class} of phases, not per
+    phase.  Two shared phases are translates when they have the same
+    element width and the same lane-offset vector (each lane's flat
+    logical index xor the first lane's).  When the element width, the
+    bank width and the bank count are powers of two, translates cost
+    every affine map the same cycles (DESIGN.md section 12 gives the
+    argument); under any other geometry each phase is its own class. *)
 
 type prep
-(** A phase list prepared on a device for one logical shape: its
-    distinct flat indices, its shared phases as positions into them,
-    and the constant global transaction total. *)
+(** A phase list prepared on a device for one logical shape: its shared
+    phases grouped into translation classes, each as positions into the
+    distinct flat indices its representative touches; the same phases
+    one class each over every distinct index, for candidates with no F₂
+    form; and the constant global transaction total. *)
 
 val prepare :
   ?device:Lego_gpusim.Device.t ->
@@ -77,11 +87,20 @@ val prepare :
   phase list ->
   prep
 (** Prepares [phases] on [device] (default A100) for candidates whose
-    logical dims are [dims]. *)
+    logical dims are [dims].  A class's first phase, in list order,
+    represents it. *)
 
 val indices : prep -> int array
-(** The distinct flat logical indices the shared phases touch, in
-    first-touch order: the points a map is evaluated at. *)
+(** The distinct flat logical indices the translation classes'
+    representatives touch, in first-touch order: the points a map is
+    evaluated at.  On the matmul and transpose slots that is a row
+    sweep and a column sweep, 63 points, where the 64 phases touch
+    1 024. *)
+
+val classes : prep -> int
+(** The number of translation classes: the bank counts {!memory} makes
+    per map (2 of the matmul and transpose slots' 64 shared phases, 5 of
+    nw's 8). *)
 
 type step =
   | Map of { ops : int; map : Lego_f2.Linear.t }
@@ -100,9 +119,11 @@ val step : prep -> ?ops:int -> Lego_layout.Group_by.t -> step
 val memory : prep -> Lego_f2.Linear.t -> score
 (** The per-map step: the memory part of every candidate whose map is
     [map], with [ops = 0].  The map's values at {!indices} are read off
-    its bit-matrix ({!Lego_f2.Linear.apply_into}: two half tables of
-    column XORs), then gathered per phase and counted with the
-    simulator's {!Lego_gpusim.Access} arithmetic. *)
+    its bit-matrix ({!Lego_f2.Linear.apply}), then each translation
+    class's representative is gathered and counted with the
+    simulator's {!Lego_gpusim.Access} arithmetic and weighted by the
+    phases in its class.  A candidate with no F₂ form goes through the
+    same gather-and-count loop with one class per phase. *)
 
 val score :
   ?device:Lego_gpusim.Device.t ->

@@ -384,23 +384,39 @@ let test_parallel_run_clean_stream () =
 
 (* Regression: [--iters=-3] and [--algebra=-2] exited 125 with an
    uncaught [Invalid_argument("List.init")], and [--max-points 0]
-   checked no point yet passed. *)
+   checked no point yet passed.  Likewise [--budget 0], [--budget=-1]
+   and [--budget 0.000001] reported 0 layouts and exited 0: a
+   non-positive budget is now a usage error (exit 2), and a run that
+   checked no layout fails (exit 1), naming the budget that ran out or
+   saying nothing was selected. *)
 let test_cli_rejects_bad_counts () =
   List.iter
-    (fun (args, msg) ->
+    (fun (args, code, msg) ->
       let status, out =
         Test_tune.run_legoc (("conform" :: args) @ [ "-j"; "1" ])
       in
       let line = String.concat " " args in
-      Alcotest.(check bool) (line ^ " exits 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exits %d" line code)
+        true
+        (status = Unix.WEXITED code);
       Alcotest.(check bool)
         (Printf.sprintf "%s prints %S:\n%s" line msg out)
         true
         (Test_tune.contains out msg))
     [
-      ([ "--iters=-3" ], "error: --iters must be >= 0");
-      ([ "--algebra=-2" ], "error: --algebra must be >= 0");
-      ([ "--max-points"; "0" ], "error: --max-points must be >= 1");
+      ([ "--iters=-3" ], 2, "error: --iters must be >= 0");
+      ([ "--algebra=-2" ], 2, "error: --algebra must be >= 0");
+      ([ "--max-points"; "0" ], 2, "error: --max-points must be >= 1");
+      ([ "--budget"; "0" ], 2, "error: --budget must be > 0");
+      ([ "--budget=-1" ], 2, "error: --budget must be > 0");
+      ( [ "--budget"; "0.000001" ],
+        1,
+        "error: no layout was checked: the --budget of 1e-06 s ran out first"
+      );
+      ( [ "--iters"; "0"; "--skip-gallery" ],
+        1,
+        "error: no layout was checked: none was selected" );
     ];
   let g = snd (List.hd Lego_conform.Corpus.all) in
   Alcotest.check_raises "check_layout ~max_points:0"

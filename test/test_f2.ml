@@ -327,37 +327,6 @@ let prop_oracle_matches_access =
         cyc = G.Access.bank_cycles device ~elem_bytes l
         && txn = G.Access.txn_count device ~elem_bytes l)
 
-(* --- Batch evaluation through half tables ------------------------------- *)
-
-(* The evaluator behind the tuner's per-map step: two half tables of
-   column XORs must give [Linear.apply] at every point, for odd and even
-   widths (the halves differ by one bit there), the empty width, and the
-   extreme points 0 and 2^bits - 1; a point past the top is rejected. *)
-let prop_apply_into =
-  QCheck2.Test.make ~name:"apply_into (half tables) = apply" ~count:300
-    ~print:(fun (lin, xs) ->
-      Format.asprintf "%a at [%s]" F2.Linear.pp lin
-        (String.concat ";" (Array.to_list (Array.map string_of_int xs))))
-    QCheck2.Gen.(
-      int_range 0 20 >>= fun bits ->
-      let top = (1 lsl bits) - 1 in
-      list_repeat bits (int_bound top) >>= fun cols ->
-      int_bound top >>= fun c ->
-      list_size (int_range 0 64) (int_bound top) >|= fun pts ->
-      ( F2.Linear.make ~bits ~mat:(F2.Bitmat.of_cols ~rows:bits cols) ~c,
-        Array.of_list (0 :: top :: pts) ))
-    (fun (lin, xs) ->
-      let out = Array.make (Array.length xs) (-1) in
-      F2.Linear.apply_into lin xs out;
-      let past = 1 lsl F2.Linear.bits lin in
-      Array.for_all2 (fun x y -> y = F2.Linear.apply lin x) xs out
-      && List.for_all
-           (fun bad ->
-             match F2.Linear.apply_into lin [| bad |] [| 0 |] with
-             | exception Invalid_argument _ -> true
-             | () -> false)
-           [ past; -1 ])
-
 let test_of_lanes_rejects_non_affine () =
   (* Identity on the probe basis, broken at the last lane: the verify
      sweep must catch it. *)
@@ -394,5 +363,4 @@ let suite =
           prop_layout_matrix_agrees;
           prop_layout_is_stage_composition;
           prop_oracle_matches_access;
-          prop_apply_into;
         ] )

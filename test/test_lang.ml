@@ -146,6 +146,37 @@ let gen_layout =
   let chain = List.map (fun p -> Order_by.make [ p ]) pieces in
   Group_by.make ~chain [ dims ]
 
+(* Regression: [legoc LAYOUT --check] printed "0 elements" (or "1
+   elements") and "bijection: verified" and exited 0 for a layout whose
+   element count overflowed.  It is now an elaboration error: exit 1,
+   naming the extents. *)
+let test_cli_rejects_overflowing_counts () =
+  List.iter
+    (fun (layout, msg) ->
+      let status, out = Test_tune.run_legoc [ layout; "--check"; "-j"; "1" ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exits 1:\n%s" layout out)
+        true
+        (status = Unix.WEXITED 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints %S:\n%s" layout msg out)
+        true (Test_tune.contains out msg);
+      Alcotest.(check bool) (layout ^ " verifies nothing") false
+        (Test_tune.contains out "verified"))
+    [
+      ( "GroupBy([65536,65536,65536,65536])",
+        "element count of [65536, 65536, 65536, 65536] exceeds max_int" );
+      ( "GroupBy([65536,65536],[65536,65536])",
+        "element count of [65536, 65536, 65536, 65536] exceeds max_int" );
+      ( "GroupBy([4611686018427387903,4])",
+        "element count of [4611686018427387903, 4] exceeds max_int" );
+      (* Two pieces whose product wraps to exactly 1. *)
+      ( "OrderBy(RegP([4611686018427387903],[1]), \
+         RegP([4611686018427387903],[1])).GroupBy([1])",
+        "element count of [4611686018427387903, 4611686018427387903] \
+         exceeds max_int" );
+    ]
+
 let prop_roundtrip =
   QCheck2.Test.make ~name:"pp then parse is identity" ~count:200 gen_layout
     (fun g ->
@@ -165,5 +196,7 @@ let suite =
       Alcotest.test_case "algebra errors" `Quick test_algebra_errors;
       Alcotest.test_case "arity suffixes optional" `Quick
         test_arity_suffixes_optional;
+      Alcotest.test_case "CLI rejects overflowing element counts" `Quick
+        test_cli_rejects_overflowing_counts;
     ]
     @ [ QCheck_alcotest.to_alcotest ~long:false prop_roundtrip ] )

@@ -25,6 +25,43 @@ let test_shape_validate () =
     (Invalid_argument "Shape.validate: non-positive extent 0") (fun () ->
       Shape.validate [ 2; 0 ])
 
+(* Regression: element counts multiplied without a check, so
+   GroupBy([65536, 65536, 65536, 65536]) had 0 elements and its
+   bijection check passed vacuously, across levels too, and
+   GroupBy([4611686018427387903, 4]) had -4.  Every constructor that
+   multiplies extents now rejects a count past [max_int], naming the
+   extents; a count of exactly [max_int] is still a shape. *)
+let test_element_count_overflow () =
+  let big = 65536 and top = max_int in
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "one shape"
+    "Shape.validate: element count of [65536, 65536, 65536, 65536] exceeds \
+     max_int" (fun () -> Shape.validate [ big; big; big; big ]);
+  raises "wrap to a negative count"
+    "Shape.validate: element count of [4611686018427387903, 4] exceeds \
+     max_int" (fun () -> Shape.validate [ top; 4 ]);
+  raises "across levels"
+    "Shape.validate: element count of [65536, 65536, 65536, 65536] exceeds \
+     max_int" (fun () -> Group_by.make [ [ big; big ]; [ big; big ] ]);
+  raises "across pieces"
+    "Shape.validate: element count of [4611686018427387903, \
+     4611686018427387903] exceeds max_int" (fun () ->
+      let p = Piece.reg ~dims:[ top ] ~sigma:(Sigma.identity 1) in
+      Order_by.make [ p; p ]);
+  raises "a piece"
+    "Shape.validate: element count of [65536, 65536, 65536, 65536] exceeds \
+     max_int" (fun () ->
+      Piece.reg ~dims:[ big; big; big; big ] ~sigma:(Sigma.identity 4));
+  raises "an algebra layout"
+    "Shape.validate: element count of [65536, 65536, 65536, 65536] exceeds \
+     max_int" (fun () ->
+      Algebra.make ~shape:[ big; big; big; big ] ~stride:[ 1; 1; 1; 1 ]);
+  Shape.validate [ top ];
+  Shape.validate [ 1 lsl 30; 1 lsl 31 ];
+  check_int "max_int elements" top (Group_by.numel (Group_by.make [ [ top ] ]))
+
 let test_indices_order () =
   let idx = List.of_seq (Shape.indices [ 2; 2 ]) in
   Alcotest.(check (list (list int)))
@@ -478,5 +515,7 @@ let suite =
         test_size_mismatch_rejected;
       Alcotest.test_case "parallel check matches sequential" `Quick
         test_parallel_check_matches_sequential;
+      Alcotest.test_case "element count overflow rejected" `Quick
+        test_element_count_overflow;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) props )

@@ -545,6 +545,47 @@ let test_server_out_of_range_tune () =
   | _ -> Alcotest.fail "batch response not an array");
   Sv.Server.shutdown t
 
+(* Regression: the daemon answered a compile of a layout whose element
+   count overflowed [ok:true] with ["numel": 0].  Each overflow (one
+   shape, across levels, wrapping negative) is now a request error
+   naming the extents; the well-formed compile of the same batch still
+   succeeds. *)
+let test_server_rejects_overflowing_counts () =
+  let t = Sv.Server.create ~jobs:1 () in
+  let compile layout =
+    Sv.Protocol.json_of_request
+      (Sv.Protocol.Compile { layout; emit = [ "c" ]; device = "a100" })
+  in
+  let layouts =
+    [
+      "GroupBy([65536,65536,65536,65536])";
+      "GroupBy([65536,65536],[65536,65536])";
+      "GroupBy([4611686018427387903,4])";
+      "GroupBy([4,4])";
+    ]
+  in
+  (match
+     Sv.Server.handle_batch t (Sv.Json.List (List.map compile layouts))
+   with
+  | Sv.Json.List rs ->
+    Alcotest.(check (list (option bool))) "ok flags"
+      [ Some false; Some false; Some false; Some true ]
+      (List.map (Sv.Json.mem_bool "ok") rs);
+    List.iteri
+      (fun i r ->
+        if i < 3 then
+          Alcotest.(check bool)
+            (List.nth layouts i ^ ": error names the overflow")
+            true
+            (match Sv.Json.mem_string "error" r with
+            | Some e -> Test_tune.contains e "exceeds max_int"
+            | None -> false))
+      rs;
+    Alcotest.(check (option int)) "the good compile's numel" (Some 16)
+      (Sv.Json.mem_int "numel" (List.nth rs 3))
+  | _ -> Alcotest.fail "batch response not an array");
+  Sv.Server.shutdown t
+
 (* Regression: an ill-typed or unknown request field fell back to the
    default — ["budget":"64"] searched the default 256 candidates,
    ["scale":true] ran a default search, ["device":5, "emit":"c"]
@@ -860,6 +901,8 @@ let suite =
         test_fingerprint_key_matches_server;
       Alcotest.test_case "daemon survives a client hanging up early" `Quick
         test_daemon_survives_early_hangup;
+      Alcotest.test_case "server: overflowing element counts rejected" `Quick
+        test_server_rejects_overflowing_counts;
       Alcotest.test_case "server: unknown or ill-typed fields rejected" `Quick
         test_server_rejects_bad_fields;
       Alcotest.test_case "daemon answers a reply over the frame limit" `Quick

@@ -1355,14 +1355,158 @@ let test_map_memo_hits_are_exact () =
         scores.(i))
     sample
 
-(* The per-map step reads a map's values off its bit-matrix through
-   half tables.  At the slot's distinct indices they must equal the
-   compiled closures, for the map {!Predict.step} builds (the outer
-   stage's after the tail's), on every linear candidate of the matmul
-   and transpose default and --composed spaces and on a seeded
-   2,000-candidate sample of each --scale stream (out of stream order,
-   so the tail memo misses).  A candidate is scored directly exactly
-   when it has no F₂ form. *)
+(* Translation classes are exact: {!Predict.memory} of any affine map
+   equals the count over every phase through [Access], the test
+   oracle's phase fold.  Maps are 4 to 12 bits wide with random columns
+   and constants.  A phase list mixes XOR-translates of one offset set
+   with unrelated phases; lanes may be inactive or repeat an index.
+   Widths are 1, 2, 4, 8 and 6 bytes, mostly one per list so that
+   translates meet, and the device is the A100 or one whose bank count
+   or bank width is not a power of two.  The class count must be the
+   number of distinct (width, lane-offset vector) keys when the width
+   and the bank geometry are powers of two, and one per active phase
+   otherwise. *)
+let prop_translation_classes_exact =
+  let module G = Lego_gpusim in
+  let module F2 = Lego_f2 in
+  let devices =
+    [|
+      G.Device.a100;
+      { G.Device.a100 with smem_banks = 24 };
+      { G.Device.a100 with smem_bank_bytes = 6 };
+    |]
+  in
+  let widths = [ 1; 2; 4; 8; 6 ] in
+  let pow2 x = x land (x - 1) = 0 in
+  QCheck2.Test.make ~name:"memory per class = count per phase" ~count:300
+    ~print:(fun (lin, dev, phases) ->
+      Format.asprintf "%a on device %d, phases %s" F2.Linear.pp lin dev
+        (String.concat "; "
+           (List.map
+              (fun (elem, lanes) ->
+                Printf.sprintf "%d:[%s]" elem
+                  (String.concat ","
+                     (List.map
+                        (function None -> "-" | Some x -> string_of_int x)
+                        lanes)))
+              phases)))
+    QCheck2.Gen.(
+      int_range 4 12 >>= fun bits ->
+      let top = (1 lsl bits) - 1 in
+      list_repeat bits (int_bound top) >>= fun cols ->
+      int_bound top >>= fun c ->
+      int_bound (Array.length devices - 1) >>= fun dev ->
+      oneofl widths >>= fun main ->
+      let lane =
+        frequency
+          [
+            (1, return None);
+            (1, map Option.some (int_bound 3));
+            (6, map Option.some (int_bound top));
+          ]
+      in
+      list_repeat 32 lane >>= fun offsets ->
+      let phase =
+        frequency [ (3, return main); (1, oneofl widths) ] >>= fun elem ->
+        frequency
+          [
+            ( 3,
+              int_bound top >|= fun d ->
+              List.map (Option.map (fun o -> o lxor d)) offsets );
+            (1, list_repeat 32 lane);
+          ]
+        >|= fun lanes -> (elem, lanes)
+      in
+      list_size (int_range 1 12) phase >|= fun phases ->
+      ( F2.Linear.make ~bits ~mat:(F2.Bitmat.of_cols ~rows:bits cols) ~c,
+        dev,
+        phases ))
+    (fun (lin, dev, phases) ->
+      let device = devices.(dev) in
+      let preds =
+        List.map
+          (fun (elem_bytes, lanes) ->
+            let lanes = Array.of_list lanes in
+            T.Predict.Shared
+              {
+                elem_bytes;
+                lanes = (fun t -> Option.map (fun x -> [ x ]) lanes.(t));
+              })
+          phases
+      in
+      let prep =
+        T.Predict.prepare ~device ~dims:[ 1 lsl F2.Linear.bits lin ] preds
+      in
+      let want =
+        Reference.fold_phases ~device ~ops:0 preds
+          ~shared:(fun ~elem_bytes idxs ->
+            G.Access.bank_cycles device ~elem_bytes
+              (List.map (fun idx -> F2.Linear.apply lin (List.hd idx)) idxs))
+          ~global:(fun ~elem_bytes:_ _ -> assert false)
+      in
+      let geometry =
+        pow2 device.G.Device.smem_banks && pow2 device.G.Device.smem_bank_bytes
+      in
+      let keys = Hashtbl.create 16 in
+      List.iteri
+        (fun i (elem, lanes) ->
+          match List.filter_map Fun.id lanes with
+          | [] -> ()
+          | x0 :: _ as xs ->
+            Hashtbl.replace keys
+              (if geometry && pow2 elem then
+                 `Translates (elem, List.map (fun x -> x lxor x0) xs)
+               else `Alone i)
+              ())
+        phases;
+      T.Predict.memory prep lin = want
+      && T.Predict.classes prep = Hashtbl.length keys)
+
+(* A new map costs one point evaluation per index of its translation
+   classes' representatives and one bank count per class.  On the
+   matmul and transpose slots the 32 row sweeps are translates of one
+   another, and so are the 32 column sweeps: 2 classes over 63 points
+   (the two representatives share index 0), where the 64 phases touch
+   1,024 indices.  nw's 8 wavefront phases fall into 5 classes.  Under
+   a 24-bank device nothing is grouped. *)
+let test_phase_classes_pinned () =
+  let banks24 = { Lego_gpusim.Device.a100 with smem_banks = 24 } in
+  List.iter
+    (fun ((slot : T.Slot.t), want) ->
+      let prep =
+        T.Predict.prepare ~device:slot.T.Slot.device
+          ~dims:[ slot.T.Slot.rows; slot.T.Slot.cols ]
+          slot.T.Slot.phases
+      in
+      let phases =
+        (T.Predict.score ~device:slot.T.Slot.device ~ops:0
+           (T.Slot.row_major ~rows:slot.T.Slot.rows ~cols:slot.T.Slot.cols)
+           slot.T.Slot.phases)
+          .T.Predict.smem_phases
+      in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s on %d banks: phases, classes, points"
+           slot.T.Slot.name slot.T.Slot.device.Lego_gpusim.Device.smem_banks)
+        want
+        (phases, T.Predict.classes prep, Array.length (T.Predict.indices prep)))
+    [
+      (T.Slot.matmul_smem (), (64, 2, 63));
+      (T.Slot.transpose_smem (), (64, 2, 63));
+      (T.Slot.nw_smem (), (8, 5, 51));
+      (T.Slot.matmul_smem ~device:banks24 (), (64, 64, 1024));
+    ]
+
+(* The per-map step reads a map's values off its bit-matrix, and a
+   candidate's score is right only if its map equals the candidate
+   wherever the slot's phases read, not only at the translation classes'
+   representatives.  At every flat index of the slot (the 64 phases of
+   matmul and transpose touch all 1,024) the map must equal the compiled
+   closures, for the map {!Predict.step} builds (the outer stage's after
+   the tail's), on every linear candidate of the matmul and transpose
+   default and --composed spaces and on a seeded 2,000-candidate sample
+   of each --scale stream (out of stream order, so the tail memo
+   misses).  A candidate is scored directly exactly when it has no F₂
+   form. *)
 let test_map_values_match_compiled () =
   List.iter
     (fun (slot : T.Slot.t) ->
@@ -1371,8 +1515,7 @@ let test_map_values_match_compiled () =
           ~dims:[ slot.T.Slot.rows; slot.T.Slot.cols ]
           slot.T.Slot.phases
       in
-      let idx = T.Predict.indices prep in
-      let out = Array.make (Array.length idx) 0 in
+      let numel = slot.T.Slot.rows * slot.T.Slot.cols in
       let linear g =
         match (T.Predict.step prep g, Lego_f2.Linear.of_layout g) with
         | T.Predict.Scored _, None -> false
@@ -1380,15 +1523,14 @@ let test_map_values_match_compiled () =
           let what = T.Fingerprint.of_layout g in
           if not (Lego_f2.Linear.equal map lin) then
             Alcotest.failf "%s: step map <> Linear.of_layout" what;
-          Lego_f2.Linear.apply_into map idx out;
           let c = T.Compiled.compile g in
-          Array.iteri
-            (fun i x ->
-              let want = T.Compiled.apply_flat c x in
-              if out.(i) <> want then
-                Alcotest.failf "%s at %d: compiled %d, half tables %d" what x
-                  want out.(i))
-            idx;
+          for x = 0 to numel - 1 do
+            let want = T.Compiled.apply_flat c x
+            and got = Lego_f2.Linear.apply map x in
+            if got <> want then
+              Alcotest.failf "%s at %d: compiled %d, bit-matrix %d" what x want
+                got
+          done;
           true
         | _ ->
           Alcotest.failf "%s: step and Linear.of_layout disagree on linearity"
@@ -1822,6 +1964,9 @@ let suite =
         test_map_memo_hits_are_exact;
       Alcotest.test_case "map values = compiled closures" `Quick
         test_map_values_match_compiled;
+      Alcotest.test_case "phase classes pinned per slot" `Quick
+        test_phase_classes_pinned;
+      QCheck_alcotest.to_alcotest ~long:false prop_translation_classes_exact;
       Alcotest.test_case "swizzle stages shared across bases" `Quick
         test_swizzle_stages_shared;
       Alcotest.test_case "rankings pinned across -j and seeds" `Quick
