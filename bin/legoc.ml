@@ -127,11 +127,17 @@ let run layout_text table apply_idx inv_p emit_c emit_triton emit_mlir check
       print_string (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
     if check then begin
       match L.Check.layout ~jobs:(resolve_jobs jobs) g with
-      | Ok () -> print_endline "bijection: verified"
+      | Ok () ->
+        print_endline "bijection: verified";
+        0
       | Error e ->
-        Printf.printf "bijection: FAILED (%s)\n" e
-    end;
-    0
+        Printf.printf "bijection: FAILED (%s)\n" e;
+        0
+      | exception Invalid_argument e ->
+        Printf.eprintf "error: %s\n" e;
+        1
+    end
+    else 0
 
 (* ---- legoc conform: the differential conformance harness -------------- *)
 

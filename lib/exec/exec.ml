@@ -25,13 +25,12 @@ type pool = {
   mutable busy : bool; (* a map call is in flight on the owner domain *)
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "LEGO_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> j
-    | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let jobs_of_env value =
+  match Option.bind value (fun s -> int_of_string_opt (String.trim s)) with
+  | Some j when j >= 1 -> j
+  | Some _ | None -> Domain.recommended_domain_count ()
+
+let default_jobs () = jobs_of_env (Sys.getenv_opt "LEGO_JOBS")
 
 let jobs p = p.size
 

@@ -31,9 +31,13 @@
 type pool
 
 val default_jobs : unit -> int
-(** Pool size used when [create] is given no [jobs]: the [LEGO_JOBS]
-    environment variable when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** Pool size used when [create] is given no [jobs]:
+    [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]. *)
+
+val jobs_of_env : string option -> int
+(** The pool size a [LEGO_JOBS] value names: the value when it is a
+    positive integer (surrounding blanks allowed), otherwise — unset,
+    empty, garbage or below 1 — [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> ?oversubscribe:bool -> unit -> pool
 (** [create ()] makes a pool of [jobs] (default {!default_jobs})

@@ -128,8 +128,20 @@ let check_image ?(jobs = 1) ~what ~numel ~apply ~inv () =
     merge_ranges ~what ~numel results
   end
 
+let max_elements = min Sys.max_array_length (1 lsl 32)
+
+(* Every check below allocates [numel]-sized arrays, so the count is
+   refused before anything is allocated. *)
+let guard fn numel =
+  if numel > max_elements then
+    invalid_arg
+      (Printf.sprintf
+         "Check.%s: %d elements exceed the exhaustive-check limit of %d" fn
+         numel max_elements)
+
 let piece ?jobs p =
   let dims = Piece.dims p in
+  guard "piece" (Piece.numel p);
   check_image ?jobs
     ~what:(Format.asprintf "%a" Piece.pp p)
     ~numel:(Piece.numel p)
@@ -139,6 +151,7 @@ let piece ?jobs p =
 
 let layout ?jobs g =
   let dims = Group_by.dims g in
+  guard "layout" (Group_by.numel g);
   check_image ?jobs
     ~what:(Format.asprintf "%a" Group_by.pp g)
     ~numel:(Group_by.numel g)
@@ -148,9 +161,11 @@ let layout ?jobs g =
 
 let table g =
   let dims = Group_by.dims g in
+  guard "table" (Group_by.numel g);
   Array.init (Group_by.numel g) (fun k ->
       Group_by.apply_ints g (Shape.unflatten_ints dims k))
 
 let physical_to_logical g =
+  guard "physical_to_logical" (Group_by.numel g);
   Array.init (Group_by.numel g) (fun physical ->
       Array.of_list (Group_by.inv_ints g physical))

@@ -5,6 +5,12 @@
     the claim by enumeration (intended for tests and for validating small
     user-supplied layouts at construction time). *)
 
+val max_elements : int
+(** The largest element count any function here accepts:
+    [min Sys.max_array_length 2³²].  Each allocates arrays of one entry
+    per element, so a larger count raises [Invalid_argument], naming
+    the count, before anything is allocated. *)
+
 val piece : ?jobs:int -> Piece.t -> (unit, string) result
 (** Check that a piece's [apply] is a bijection onto [0 .. numel - 1] and
     that [inv] is its exact inverse.  [jobs] (default 1) splits large

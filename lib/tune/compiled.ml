@@ -152,6 +152,13 @@ let compile g =
     apply_flat = chain (L.Group_by.chain g);
   }
 
+(* [o . g] acts as [g], then [o] on the flat result. *)
+let prepend o c =
+  if L.Order_by.numel o <> c.numel then
+    invalid_arg "Compiled.prepend: the stage's element count differs";
+  let s = stage o and inner = c.apply_flat in
+  { c with apply_flat = (fun flat -> s (inner flat)) }
+
 (* Fingerprint-keyed memo, domain-local so tuner worker domains never
    share the (mutably filled) Gen tables. *)
 let memo : (string, t) Hashtbl.t Domain.DLS.key =

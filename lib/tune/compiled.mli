@@ -20,6 +20,11 @@ val numel : t -> int
 
 val compile : Lego_layout.Group_by.t -> t
 
+val prepend : Lego_layout.Order_by.t -> t -> t
+(** [prepend o (compile g)] computes what [compile (Group_by.prepend o
+    g)] does, without building that layout.  Raises [Invalid_argument]
+    when [o] covers a different number of elements. *)
+
 val of_layout : Lego_layout.Group_by.t -> t
 (** {!compile} memoized per {!Fingerprint} in domain-local storage —
     the "compile once per fingerprint" half of the fast path. *)

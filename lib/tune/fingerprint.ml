@@ -10,11 +10,20 @@ let of_layout (g : L.Group_by.t) : string = L.Group_by.to_string g
 
 let compare = String.compare
 
-(* At mega-space scale (10^5-10^6 candidates) retaining every printed
-   fingerprint for deduplication costs ~100-200 bytes each; the 16-byte
-   MD5 of the printed form keys the same identity (collisions over a
-   10^6-candidate space are vanishingly improbable) at a tenth of the
-   memory.  [digest g = Digest.string (of_layout g)] by definition, so
-   callers that already hold the printed fingerprint can derive the key
-   without re-printing. *)
-let digest (g : L.Group_by.t) : string = Digest.string (of_layout g)
+(* Byte-wise over the virtual concatenations, then by length, exactly as
+   [String.compare] orders the concatenated strings. *)
+let compare_concat a1 a2 b1 b2 =
+  let la1 = String.length a1 and lb1 = String.length b1 in
+  let la = la1 + String.length a2 and lb = lb1 + String.length b2 in
+  let byte s1 l1 s2 i =
+    Char.code
+      (if i < l1 then String.unsafe_get s1 i else String.unsafe_get s2 (i - l1))
+  in
+  let n = min la lb in
+  let rec go i =
+    if i = n then Int.compare la lb
+    else
+      let c = Int.compare (byte a1 la1 a2 i) (byte b1 lb1 b2 i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0

@@ -1,18 +1,15 @@
 (** Stable textual fingerprints of layouts.
 
-    The tuner's memo cache, deduplication, and every deterministic
-    tie-break are keyed by this fingerprint: a pure function of the
-    layout's structure (its printed dotted notation), independent of
+    The tuner's ranking tie-breaks, the sim cache and the compile
+    store's keys are derived from this fingerprint: a pure function of
+    the layout's structure (its printed dotted notation), independent of
     physical equality, hashing seeds, or domain.  [GenP] parameters
     appear because the gallery encodes them in piece names. *)
 
 val of_layout : Lego_layout.Group_by.t -> string
 val compare : string -> string -> int
 
-val digest : Lego_layout.Group_by.t -> string
-(** The 16-byte [Digest.string] (MD5) of {!of_layout} — the
-    bounded-memory identity key the streaming enumerator and
-    {!Cache} use at 10⁵–10⁶ candidates, where retaining full printed
-    fingerprints would dominate the deduplication set.  Callers already
-    holding the printed fingerprint can compute the same key with
-    [Digest.string fp]. *)
+val compare_concat : string -> string -> string -> string -> int
+(** [compare_concat a1 a2 b1 b2] is [String.compare (a1 ^ a2) (b1 ^ b2)],
+    without building either string: the tuner's tie-break between
+    candidates held as two printed parts ({!Space.compare_text}). *)

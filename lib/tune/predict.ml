@@ -202,79 +202,33 @@ let batch_get n =
   if Array.length !r < n then r := Array.make n 0;
   !r
 
-(* Per-dimension decomposition of the symbolic op count.  A chain stage
+(* Per-stage decomposition of the symbolic op count.  A chain stage
    contributes the same index arithmetic whatever the other stages are,
    so the op cost of a candidate decomposes (up to the constant glue the
    default weights assign to composition, which is identical for every
    candidate of a family) into a sum of per-stage costs.  Candidates
    share stages heavily — every member of a swizzle grid shares its base
-   tiling, every tiling shares pieces — so memoizing per {e stage}
-   instead of per candidate turns the [Sym.apply]+[Cost.ops] cost into a
-   table hit for all but the first carrier of each stage.  It is the
-   static pass's op count in every tune mode.  The same entry keeps the
-   stage's F₂ map, so a candidate's outer stage costs one print and one
-   lookup. *)
-type stage = { s_ops : int; s_map : Lego_f2.Linear.t option }
-
-let stage_memo : (string, stage) Hashtbl.t Domain.DLS.key =
+   tiling, every tiling shares pieces — so a stage's count is memoized
+   per domain by its printed form.  It is the static pass's op count in
+   every tune mode. *)
+let stage_memo : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
-let stage_of (o : L.Order_by.t) =
+let stage_ops (o : L.Order_by.t) =
   let key = L.Order_by.to_string o in
   let tbl = Domain.DLS.get stage_memo in
   match Hashtbl.find_opt tbl key with
-  | Some st -> st
+  | Some n -> n
   | None ->
     let wrap = L.Group_by.make ~chain:[ o ] [ [ L.Order_by.numel o ] ] in
-    let st =
-      {
-        s_ops = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply wrap);
-        s_map = Lego_f2.Linear.of_stage o;
-      }
-    in
-    Hashtbl.add tbl key st;
-    st
-
-(* A candidate [o :: rest] maps a logical index through [rest] first
-   and [o] last, so its F₂ map is [o]'s stage map after [rest]'s and
-   its op count [o]'s plus [rest]'s.  Streams emit each base tiling
-   followed by its whole swizzle grid, every member sharing the base's
-   chain list physically, so both are kept for [rest] in a one-entry
-   memo keyed on the physical identity of [rest]: consecutive
-   candidates then print and look up only their outer stage.  A miss
-   recomputes, so the key decides the hit rate, never a value.  The
-   empty tail (identity map, no ops) is never stored: its map's width
-   depends on the layout. *)
-type tail = {
-  t_chain : L.Order_by.t list;
-  t_lin : Lego_f2.Linear.t option;  (** [None]: some stage is not F₂. *)
-  t_ops : int;  (** Summed stage op counts. *)
-}
-
-let tail_memo : tail option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let tail_of g rest =
-  let memo = Domain.DLS.get tail_memo in
-  match !memo with
-  | Some t when t.t_chain == rest -> t
-  | _ ->
-    let t =
-      {
-        t_chain = rest;
-        t_lin =
-          Lego_f2.Linear.of_layout
-            (L.Group_by.make ~chain:rest (L.Group_by.shapes g));
-        t_ops = List.fold_left (fun acc o -> acc + (stage_of o).s_ops) 0 rest;
-      }
-    in
-    if rest <> [] then memo := Some t;
-    t
+    let n = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply wrap) in
+    Hashtbl.add tbl key n;
+    n
 
 let decomposed_ops (g : L.Group_by.t) =
   match L.Group_by.chain g with
   | [] -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
-  | o :: rest -> (stage_of o).s_ops + (tail_of g rest).t_ops
+  | chain -> List.fold_left (fun acc o -> acc + stage_ops o) 0 chain
 
 (* The memory part of a score (every field but [ops]) of the candidate
    whose value at a flat index is [value]: only the bank cycles depend
@@ -307,53 +261,35 @@ let count pc view value =
 
 let memory pc map = count pc pc.p_translates (Lego_f2.Linear.apply map)
 
-type step = Map of { ops : int; map : Lego_f2.Linear.t } | Scored of score
-
-(* The memory part depends on a linear candidate only through its values
-   at the translation classes' points, which its F₂ map fixes, so the
-   step stops at the map; a candidate with no F₂ form is evaluated
-   through its whole compiled chain at every phase's points. *)
-let step pc ?ops g =
-  if L.Group_by.dims g <> pc.p_dims then
-    invalid_arg "Predict.step: layout dims differ from the preparation's";
-  let ops_or count = match ops with Some n -> n | None -> count () in
-  let ops, map =
-    match L.Group_by.chain g with
-    | [] ->
-      ( ops_or (fun () -> decomposed_ops g),
-        Lego_f2.Linear.of_layout g )
-    | o :: rest ->
-      let st = stage_of o and tail = tail_of g rest in
-      ( ops_or (fun () -> st.s_ops + tail.t_ops),
-        match (st.s_map, tail.t_lin) with
-        | Some s, Some t -> Some (Lego_f2.Linear.compose s t)
-        | _ -> None )
-  in
-  match map with
-  | Some map -> Map { ops; map }
-  | None ->
-    let c = Compiled.compile g in
-    Scored { (count pc pc.p_every (Compiled.apply_flat c)) with ops }
+let direct pc c =
+  if Compiled.dims c <> pc.p_dims then
+    invalid_arg "Predict.direct: layout dims differ from the preparation's";
+  count pc pc.p_every (Compiled.apply_flat c)
 
 let score ?(device = G.Device.a100) ?memoize:_ ?ops g phases =
   let pc = prep_for ~device ~dims:(L.Group_by.dims g) phases in
-  match step pc ?ops g with
-  | Map { ops; map } -> { (memory pc map) with ops }
-  | Scored s -> s
+  let ops = match ops with Some n -> n | None -> decomposed_ops g in
+  let memory =
+    match Lego_f2.Linear.of_layout g with
+    | Some map -> memory pc map
+    | None -> direct pc (Compiled.compile g)
+  in
+  { memory with ops }
 
 (* Total order used for pruning and beam survival: fewest conflict cycles
    first, then fewest global transactions, then cheapest index
    arithmetic; the fingerprint breaks remaining ties so the order never
    depends on traversal or scheduling. *)
-let compare_ranked (s1, fp1) (s2, fp2) =
-  let c = compare s1.smem_cycles s2.smem_cycles in
+let compare_score s1 s2 =
+  let c = Int.compare s1.smem_cycles s2.smem_cycles in
   if c <> 0 then c
   else
-    let c = compare s1.gmem_txns s2.gmem_txns in
-    if c <> 0 then c
-    else
-      let c = compare s1.ops s2.ops in
-      if c <> 0 then c else Fingerprint.compare fp1 fp2
+    let c = Int.compare s1.gmem_txns s2.gmem_txns in
+    if c <> 0 then c else Int.compare s1.ops s2.ops
+
+let compare_ranked (s1, fp1) (s2, fp2) =
+  let c = compare_score s1 s2 in
+  if c <> 0 then c else Fingerprint.compare fp1 fp2
 
 let pp ppf s =
   Format.fprintf ppf

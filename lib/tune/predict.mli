@@ -41,30 +41,26 @@ val bank_cycles : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 val txn_count : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
 (** {!Lego_gpusim.Access.txn_count}, likewise. *)
 
-val decomposed_ops : Lego_layout.Group_by.t -> int
-(** The static pass's op count: the sum, over the candidate's chain, of
-    each stage's {!Lego_symbolic.Cost.ops} in isolation (default
-    {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
-    printed form; the exact whole-layout count when the chain is empty.
-    It drops the cross-stage glue the whole-layout count adds, so it
-    can differ from [Cost.ops (Sym.apply g)].  A one-entry tail memo
-    keyed on the physical identity of the chain tail holds the tail's
-    F₂ map and op sum, so a candidate [o :: rest] whose [rest] is
-    physically the previous candidate's tail prints and looks up only
-    [o]; every member of a swizzle grid over one base tiling pays for
-    one stage. *)
+val stage_ops : Lego_layout.Order_by.t -> int
+(** One chain stage's op count in isolation: {!Lego_symbolic.Cost.ops}
+    (default {!Lego_symbolic.Cost.weights}) of the stage alone over its
+    element count, memoized per domain by the stage's printed form. *)
 
-(** {2 A score in two steps}
+val decomposed_ops : Lego_layout.Group_by.t -> int
+(** The static pass's op count: the sum of {!stage_ops} over the
+    candidate's chain; the exact whole-layout count when the chain is
+    empty.  It drops the cross-stage glue the whole-layout count adds,
+    so it can differ from [Cost.ops (Sym.apply g)]. *)
+
+(** {2 A score in two parts}
 
     The memory part of a score (every field but [ops]) depends on an
     F₂-linear candidate only through its values at the phases' indices,
-    which its F₂ map fixes.  A score therefore splits into a
-    per-candidate {!step} (the op count, plus the map or, for a
-    candidate with no F₂ form, the whole score) and a per-map
-    {!memory} evaluation.  Equal maps are equal functions, so a caller
-    that evaluates each distinct map once and pairs the result with
-    every candidate's own op count gets exactly {!score}; the tuner's
-    static pass does that with one table per search.
+    which its F₂ map fixes.  A caller that evaluates each distinct map
+    once ({!memory}) and pairs the result with every candidate's own op
+    count gets exactly {!score}; the tuner's static pass does that with
+    one table per search.  A candidate with no F₂ form is evaluated
+    through its compiled closure ({!direct}).
 
     A map is evaluated per {e translation class} of phases, not per
     phase.  Two shared phases are translates when they have the same
@@ -102,28 +98,20 @@ val classes : prep -> int
     per map (2 of the matmul and transpose slots' 64 shared phases, 5 of
     nw's 8). *)
 
-type step =
-  | Map of { ops : int; map : Lego_f2.Linear.t }
-      (** An F₂-linear candidate: its op count and its map
-          ([Lego_f2.Linear.of_stage o] after the chain tail's map).  Its
-          score is [{ (memory prep map) with ops }]. *)
-  | Scored of score
-      (** A candidate with no F₂ form, scored in full through its
-          compiled chain ({!Compiled.compile}). *)
-
-val step : prep -> ?ops:int -> Lego_layout.Group_by.t -> step
-(** The per-candidate step.  The op count is {!decomposed_ops} unless
-    [ops] gives one.  Raises [Invalid_argument] when the layout's dims
-    are not the preparation's. *)
-
 val memory : prep -> Lego_f2.Linear.t -> score
-(** The per-map step: the memory part of every candidate whose map is
-    [map], with [ops = 0].  The map's values at {!indices} are read off
-    its bit-matrix ({!Lego_f2.Linear.apply}), then each translation
-    class's representative is gathered and counted with the
-    simulator's {!Lego_gpusim.Access} arithmetic and weighted by the
-    phases in its class.  A candidate with no F₂ form goes through the
-    same gather-and-count loop with one class per phase. *)
+(** The memory part of every candidate whose F₂ map is [map], with
+    [ops = 0].  The map's values at {!indices} are read off its
+    bit-matrix ({!Lego_f2.Linear.apply}), then each translation class's
+    representative is gathered and counted with the simulator's
+    {!Lego_gpusim.Access} arithmetic and weighted by the phases in its
+    class. *)
+
+val direct : prep -> Compiled.t -> score
+(** The memory part of a candidate with no F₂ form, with [ops = 0]:
+    the same gather-and-count loop over its compiled closure, with one
+    class per phase over every index the phases touch.  Raises
+    [Invalid_argument] when the closure's dims are not the
+    preparation's. *)
 
 val score :
   ?device:Lego_gpusim.Device.t ->
@@ -132,18 +120,24 @@ val score :
   Lego_layout.Group_by.t ->
   phase list ->
   score
-(** Scores one candidate on [device] (default A100): {!step}, then
-    {!memory} of the map; no memory part is kept between calls.  The
-    preparation of [phases] is kept in a one-entry domain-local cache
-    keyed on the phase list's physical identity, the device and the
-    dims.  The test suite keeps two differential references for this
-    scorer: the structural interpreter and, on F₂-linear candidates, a
-    closed-form rank oracle; both must agree with it exactly.
-    [memoize] is accepted and ignored. *)
+(** Scores one candidate on [device] (default A100): {!memory} of its
+    F₂ map ({!Lego_f2.Linear.of_layout}), or {!direct} of its compiled
+    closure when it has none, with [ops] (default {!decomposed_ops}).
+    No memory part is kept between calls.  The preparation of [phases]
+    is kept in a one-entry domain-local cache keyed on the phase list's
+    physical identity, the device and the dims.  The test suite keeps
+    two differential references for this scorer: the structural
+    interpreter and, on F₂-linear candidates, a closed-form rank
+    oracle; both must agree with it exactly.  [memoize] is accepted and
+    ignored. *)
+
+val compare_score : score -> score -> int
+(** Lexicographic [(smem_cycles, gmem_txns, ops)]: the ranking before
+    any tie-break. *)
 
 val compare_ranked : score * string -> score * string -> int
-(** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total
-    order (the fingerprint tie-break makes ranking independent of
-    traversal and scheduling order). *)
+(** {!compare_score}, then the fingerprint — a total order (the
+    fingerprint tie-break makes ranking independent of traversal and
+    scheduling order). *)
 
 val pp : Format.formatter -> score -> unit

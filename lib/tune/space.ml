@@ -206,54 +206,89 @@ let sampled_swizzles sp =
       (masks (sp.cols - 1))
   end
 
-(* Candidates travel with their {!Fingerprint} text.  A layout is
-   printed as its stages, each followed by a dot, then its grouping
-   ([Group_by.to_buffer]), so prepending a stage prepends its text: a
-   swizzled candidate's text is assembled from its stage's and its
-   base's, each printed once per traversal. *)
-let printed g = (g, Fingerprint.of_layout g)
+(* ---- Candidates as (stage, base) pairs ---------------------------------
 
-(* The [swizzlex] stages of one traversal, with their texts: each
-   [(mask, shift)] stage is built and printed on first use and then
-   shared physically by every base it is prepended to, so a traversal
-   builds one stage per pair (and its candidates' outer stages are one
-   object per pair). *)
-let swizzle_stages sp =
-  let stages = Hashtbl.create 256 in
-  fun pair ->
-    match Hashtbl.find_opt stages pair with
-    | Some st -> st
-    | None ->
-      let mask, shift = pair in
-      let o =
-        L.Order_by.make
-          [
-            L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
-              ~shift;
-          ]
-      in
-      let st = (o, L.Order_by.to_string o ^ ".") in
-      Hashtbl.add stages pair st;
-      st
+   A candidate is a {e base} layout (a root or a tiling), optionally
+   behind one [swizzlex] {e stage}.  Both parts are records shared by every
+   candidate that carries them, each printed once per traversal: a
+   stage once per [(mask, shift)], a base once per occurrence in the
+   generator and then interned by its text, so two generator
+   occurrences of one base text are one record.  A layout prints as its
+   stages, each followed by a dot, then its grouping
+   ([Group_by.to_buffer]), so a candidate's text is its stage's text
+   followed by its base's, and it is built only on demand ({!text}). *)
 
-(* [base] crossed with a swizzle list: each pair's stage is prepended
-   as the outermost reordering. *)
-let swizzled stage pairs (base, text) =
-  Seq.map
-    (fun pair ->
-      let o, prefix = stage pair in
-      (L.Group_by.prepend o base, prefix ^ text))
-    (List.to_seq pairs)
+type stage = { s_id : int; s_order : L.Order_by.t; s_text : string }
+type base = { b_id : int; b_layout : L.Group_by.t; b_text : string }
+type candidate = { stage : stage option; base : base }
+
+(* The per-traversal state: stage and base records by key, and the
+   pairs already handed out, one bit per [(base, stage slot)] where slot
+   0 is "no stage" and slot [id + 1] is stage [id]. *)
+type traversal = {
+  sp : t;
+  stages : (int * int, stage option) Hashtbl.t;
+  bases : (string, base) Hashtbl.t;
+  slots : int;  (** Stage slots per base: every stage id is below [slots - 1]. *)
+  mutable seen : Bytes.t;
+}
+
+(* The [swizzlex] stage for [(mask, shift)], built and printed the first
+   time the traversal uses the pair, then shared physically by every
+   base it is prepended to (the [Some] is shared too). *)
+let stage tr ((mask, shift) as pair) =
+  match Hashtbl.find_opt tr.stages pair with
+  | Some st -> st
+  | None ->
+    let o =
+      L.Order_by.make
+        [
+          L.Gallery.xor_swizzle_masked ~rows:tr.sp.rows ~cols:tr.sp.cols ~mask
+            ~shift;
+        ]
+    in
+    let st =
+      Some
+        {
+          s_id = Hashtbl.length tr.stages;
+          s_order = o;
+          s_text = L.Order_by.to_string o ^ ".";
+        }
+    in
+    Hashtbl.add tr.stages pair st;
+    st
+
+(* The base record of layout [g]: the one already holding [g]'s text,
+   or a new one. *)
+let base tr g =
+  let text = Fingerprint.of_layout g in
+  match Hashtbl.find_opt tr.bases text with
+  | Some b -> b
+  | None ->
+    let b = { b_id = Hashtbl.length tr.bases; b_layout = g; b_text = text } in
+    Hashtbl.add tr.bases text b;
+    b
+
+let unswizzled b = { stage = None; base = b }
+
+(* [b] crossed with a swizzle list: each pair's stage is prepended as
+   the outermost reordering.  The pairs resolve to their stages once
+   per family, on first use. *)
+let swizzled tr pairs =
+  let stages = lazy (List.map (stage tr) pairs) in
+  fun b ->
+    Seq.map (fun stage -> { stage; base = b }) (List.to_seq (Lazy.force stages))
 
 (* ---- Streaming enumeration (the mega-space path) ----------------------
 
    Everything below generates candidates {e lazily}: the full scale
    product space (10^5-10^6 layouts on the matmul shape) is never
    materialized — the consumer pulls candidates one at a time, and the
-   only per-space state is the 16-byte-digest dedup set.  The sequence
-   is a pure function of the space record: re-traversing a stream from
-   the start rebuilds a fresh dedup table inside the outer thunk, so
-   every traversal yields the identical sequence. *)
+   only per-space state is one stage and one base record per part and
+   a seen-set of one bit per (base, stage) slot.  The sequence is a pure
+   function of the space record: re-traversing a stream from the start
+   rebuilds that state inside the outer thunk, so every traversal
+   yields the identical sequence. *)
 
 (* The default space: the roots, then every swizzle-free base crossed
    with the sampled swizzles, in a fixed order — each sigma root's
@@ -262,13 +297,12 @@ let swizzled stage pairs (base, text) =
    tilings follow {e each} sigma root; the dedup wrapper drops the
    second copy.  A budget-truncated search scores a prefix of this
    order, so it is part of the determinism contract. *)
-let sampled sp stage =
+let sampled tr =
+  let sp = tr.sp in
   let l = List.to_seq in
-  let pairs = shuffle sp ~tag:"swizzles" (sampled_swizzles sp) in
-  let swizzles ((g, _) as b) =
-    if has_gen g then Seq.empty else swizzled stage pairs b
-  in
-  let family tag xs = List.map printed (shuffle sp ~tag xs) in
+  let swizzle = swizzled tr (shuffle sp ~tag:"swizzles" (sampled_swizzles sp)) in
+  let swizzles b = if has_gen b.b_layout then Seq.empty else swizzle b in
+  let family tag xs = List.map (base tr) (shuffle sp ~tag xs) in
   let sigmas = family "roots" (sigma_roots sp) in
   let gallery = family "gallery" (gallery_roots sp) in
   let composed = family "composed" (composed sp) in
@@ -276,8 +310,10 @@ let sampled sp stage =
   Seq.concat
     (l
        [
-         l (sigmas @ gallery @ composed);
-         Seq.concat_map (fun b -> Seq.append (swizzles b) tilings) (l sigmas);
+         Seq.map unswizzled (l (sigmas @ gallery @ composed));
+         Seq.concat_map
+           (fun b -> Seq.append (swizzles b) (Seq.map unswizzled tilings))
+           (l sigmas);
          Seq.concat_map swizzles (l composed);
          Seq.concat_map swizzles tilings;
        ])
@@ -360,47 +396,95 @@ let vector_tilings sp =
    wrapper downstream.  Mask 0 is excluded: it prepends a stage that is
    the identity map under a new name, a structural near-duplicate with
    no cost signal. *)
-let scale_stream sp stage =
+let scale_stream tr =
+  let sp = tr.sp in
   if not sp.scale then Seq.empty
   else begin
     let bases =
       shuffle sp ~tag:"scale-bases"
         (sigma_roots sp @ tilings sp @ deep_tilings sp @ vector_tilings sp)
     in
-    let pairs =
-      shuffle sp ~tag:"scale-grid"
-        (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp))
+    let swizzle =
+      swizzled tr
+        (shuffle sp ~tag:"scale-grid"
+           (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp)))
     in
     Seq.concat_map
-      (fun base ->
-        let b = printed base in
-        Seq.cons b (swizzled stage pairs b))
+      (fun g ->
+        let b = base tr g in
+        Seq.cons (unswizzled b) (swizzle b))
       (List.to_seq bases)
   end
 
-(* Digest-keyed deduplication.  The table and the swizzle stages live
-   inside the outermost thunk: each traversal-from-the-start gets fresh
-   ones (so streams are re-traversable), while a partially consumed
-   tail continues with the state its traversal built.  Keys are the
-   16-byte MD5 of the candidate's text ({!Fingerprint.digest}), the
-   only O(space)-sized state of a streaming search; the text itself
-   goes out with the candidate as its fingerprint. *)
+(* Deduplication on the pair.  Two pairs of one traversal have equal
+   texts exactly when they are the same pair: a base's record is one
+   per text, and a stage's text has exactly one dot, at its end, so in
+   [s1 ^ b1 = s2 ^ b2] with both stages present each stage is the text
+   up to its first dot and the bases then agree too; a bare base's text
+   never starts with a stage's, because no base's outermost stage is a
+   lone [swizzlex] piece.  So this drops exactly what
+   deduplicating the texts dropped.  The state lives inside the
+   outermost thunk: each traversal from the start builds fresh stages,
+   bases and seen-set (streams are re-traversable), while a partially
+   consumed tail continues with its traversal's state. *)
 let candidates sp () =
-  let stage = swizzle_stages sp in
-  let seen = Hashtbl.create 1024 in
-  let rec go s () =
-    match s () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (((_, text) as c), tl) ->
-      let d = Digest.string text in
-      if Hashtbl.mem seen d then go tl ()
-      else begin
-        Hashtbl.add seen d ();
-        Seq.Cons (c, go tl)
-      end
+  let tr =
+    {
+      sp;
+      stages = Hashtbl.create 256;
+      bases = Hashtbl.create 256;
+      slots =
+        1
+        + List.length
+            (List.sort_uniq compare (sampled_swizzles sp @ swizzle_family sp));
+      seen = Bytes.make 64 '\000';
+    }
   in
-  go (Seq.append (sampled sp stage) (scale_stream sp stage)) ()
+  let first_time c =
+    let key =
+      (c.base.b_id * tr.slots)
+      + match c.stage with None -> 0 | Some s -> s.s_id + 1
+    in
+    let byte = key lsr 3 and bit = 1 lsl (key land 7) in
+    if byte >= Bytes.length tr.seen then begin
+      let grown = Bytes.make (max (byte + 1) (2 * Bytes.length tr.seen)) '\000' in
+      Bytes.blit tr.seen 0 grown 0 (Bytes.length tr.seen);
+      tr.seen <- grown
+    end;
+    let v = Char.code (Bytes.unsafe_get tr.seen byte) in
+    v land bit = 0
+    && begin
+         Bytes.unsafe_set tr.seen byte (Char.unsafe_chr (v lor bit));
+         true
+       end
+  in
+  Seq.filter first_time (Seq.append (sampled tr) (scale_stream tr)) ()
 
-let stream sp = Seq.map fst (candidates sp)
+(* Layouts and texts built from pairs, process-wide. *)
+let built_count = Atomic.make 0
+let built () = Atomic.get built_count
+
+let layout c =
+  Atomic.incr built_count;
+  match c.stage with
+  | None -> c.base.b_layout
+  | Some s -> L.Group_by.prepend s.s_order c.base.b_layout
+
+let text c =
+  Atomic.incr built_count;
+  match c.stage with
+  | None -> c.base.b_text
+  | Some s -> s.s_text ^ c.base.b_text
+
+let compare_text a b =
+  match (a.stage, b.stage) with
+  | None, None -> String.compare a.base.b_text b.base.b_text
+  | Some s, Some s' when s == s' -> String.compare a.base.b_text b.base.b_text
+  | _ ->
+    let prefix c = match c.stage with None -> "" | Some s -> s.s_text in
+    Fingerprint.compare_concat (prefix a) a.base.b_text (prefix b)
+      b.base.b_text
+
+let stream sp = Seq.map layout (candidates sp)
 let count sp = Seq.length (candidates sp)
 let closure sp = List.of_seq (stream sp)

@@ -62,33 +62,75 @@ val composed : t -> Lego_layout.Group_by.t list
     [Invalid_argument] if a discharge fails (a construction bug, since
     the family is admissible by design). *)
 
-val candidates : t -> (Lego_layout.Group_by.t * string) Seq.t
-(** Every candidate of the space with its {!Fingerprint.of_layout}
-    text, {e lazily}: the default space first, in the order above,
-    followed — with [~scale:true] — by the scale product axes
-    (three-level tilings, vectorization widths, every swizzle-free base
-    crossed with the full mask >= 1 swizzle grid).  De-duplicated by
-    {!Fingerprint.digest}, so no two elements of the sequence have equal
-    fingerprints and a layout reachable through two axes is generated
-    once.  The dedup prints each candidate once, and that text is the
-    fingerprint handed out, so a consumer never prints a candidate
-    again.
+(** {2 Candidates as (stage, base) pairs}
 
-    A traversal builds each [(mask, shift)] swizzle stage once and
-    prepends that one object to every base it crosses, so the outer
-    stages of a traversal's swizzled candidates are physically shared.
-    The only memory proportional to the space is the
-    16-byte-per-candidate dedup set, built as the consumer pulls;
-    re-traversing the sequence from the start rebuilds it (and the
-    stages), and every traversal yields the identical sequence (the
-    determinism contract above). *)
+    A candidate is a {e base} (a root or a tiling), optionally behind
+    one masked-swizzle {e stage} prepended as its outermost reordering.
+    Both parts are records shared by every candidate that carries them:
+    a traversal builds and prints one stage per [(mask, shift)] and one
+    base per distinct base text.  A layout prints as its stages, each
+    followed by a dot, then its grouping, so a candidate's text
+    ({!Fingerprint.of_layout} of its layout) is its stage's text
+    followed by its base's.  Neither the candidate's layout nor its text
+    is built until {!layout} or {!text} asks for it. *)
+
+type stage = private {
+  s_id : int;
+      (** Dense per traversal, from 0, in order of first use: a key for
+          per-traversal tables.  Stages of two traversals may share
+          ids. *)
+  s_order : Lego_layout.Order_by.t;  (** The [swizzlex] reordering. *)
+  s_text : string;  (** Its printed form followed by ['.']. *)
+}
+
+type base = private {
+  b_id : int;  (** Dense per traversal, like [s_id]. *)
+  b_layout : Lego_layout.Group_by.t;  (** Its chain is never empty. *)
+  b_text : string;  (** {!Fingerprint.of_layout} of [b_layout]. *)
+}
+
+type candidate = { stage : stage option; base : base }
+
+val candidates : t -> candidate Seq.t
+(** Every candidate of the space, {e lazily}: the default space first,
+    in the order above, followed — with [~scale:true] — by the scale
+    product axes (three-level tilings, vectorization widths, every
+    swizzle-free base crossed with the full mask >= 1 swizzle grid).
+    De-duplicated on the [(stage, base)] pair, which drops exactly the
+    candidates whose text repeats an earlier one: base records are one
+    per text, and a stage's text has exactly one ['.'], at its end, so
+    equal texts split into equal parts.  No two elements of the
+    sequence have equal fingerprints, and a layout reachable through
+    two axes is generated once.
+
+    The memory a traversal keeps grows with its parts (155 stages and
+    375 bases on the transpose [--scale] space), plus one bit per
+    [(base, stage)] slot for the dedup.  Re-traversing the sequence
+    from the start rebuilds all of it, and every traversal yields the
+    identical sequence (the determinism contract above). *)
+
+val layout : candidate -> Lego_layout.Group_by.t
+(** The candidate's layout: the base's, with the stage prepended
+    ([Group_by.prepend]). *)
+
+val text : candidate -> string
+(** The candidate's fingerprint text: the stage's text followed by the
+    base's. *)
+
+val built : unit -> int
+(** Calls to {!layout} and {!text} so far in this process: the layouts
+    and texts built from pairs. *)
+
+val compare_text : candidate -> candidate -> int
+(** [String.compare (text a) (text b)], without building either text
+    ({!Fingerprint.compare_concat}). *)
 
 val stream : t -> Lego_layout.Group_by.t Seq.t
-(** The layouts of {!candidates}, without their fingerprints. *)
+(** The {!layout}s of {!candidates}. *)
 
 val count : t -> int
 (** Number of distinct candidates — one full traversal of
-    {!candidates}, nothing retained beyond the dedup set. *)
+    {!candidates}, building no layout or text. *)
 
 val closure : t -> Lego_layout.Group_by.t list
 (** [List.of_seq (stream t)] — every candidate, in stream order,

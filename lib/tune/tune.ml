@@ -52,9 +52,9 @@ let rec take_prefix n = function
 
 (* Pull up to [n] elements off a sequence; returns them in order, the
    rest of the sequence, and whether the sequence ended inside the
-   pull.  Each node of {!Space.stream} is forced exactly once across
-   the whole search — the dedup state threads through the returned
-   tail. *)
+   pull.  Each node of {!Space.candidates} is forced exactly once
+   across the whole search — the traversal's state threads through the
+   returned tail. *)
 let take_seq n seq =
   let rec go n s acc =
     if n <= 0 then (List.rev acc, s, false)
@@ -69,23 +69,35 @@ let cmp_static a b =
   Predict.compare_ranked (a.static_score, a.fingerprint)
     (b.static_score, b.fingerprint)
 
-(* The static pass of one search.  The memory part of a linear
-   candidate's score is a function of its F₂ map, and a space holds
-   far fewer maps than texts (57,725 transpose [--scale] texts, 9,398
-   maps), so the pass keeps one map -> memory table for the whole
-   search and scores each chunk in four steps:
+(* The static order on [(score, candidate)] before any text is built:
+   {!cmp_static}'s order, since {!Space.compare_text} orders as the
+   fingerprints do. *)
+let cmp_candidate (s1, c1) (s2, c2) =
+  let c = Predict.compare_score s1 s2 in
+  if c <> 0 then c else Space.compare_text c1 c2
 
-   + in parallel, each candidate's {!Predict.step}: its op count and
-     its map (or, with no F₂ form, its whole score);
-   + sequentially, a scan in chunk order for maps not yet in the table;
-   + in parallel, {!Predict.memory} of only those, each once;
-   + sequentially, the merge: the new entries into the table, then
-     each candidate's score from its map's entry and its own op count.
+(* The static pass of one search.  A candidate is a pair of shared
+   parts ({!Space.candidates}): a base, optionally behind a swizzle
+   stage.  Its op count is its parts' op counts summed, and its F₂ map
+   the stage's after the base's, so the pass keeps one entry per part,
+   filled the first time the part appears.  The memory part of a linear
+   candidate's score is a function of its map, and a space holds far
+   fewer maps than candidates (57,725 transpose [--scale] candidates,
+   9,398 maps), so the pass also keeps one map -> memory table for the
+   whole search.  Each chunk is scored in three steps:
 
-   The table is read and written only in the sequential steps, and
-   each entry is a pure function of its map, so the scores are what
-   {!Predict.score} gives at any [jobs], and a search evaluates each
-   distinct map exactly once. *)
+   + sequentially, in chunk order, each candidate's op count and map
+     from its parts' entries (two table reads and one bit-matrix
+     product), its memory part from the map table, or a task: a map not
+     yet in the table, or the candidate itself when it has no F₂ map;
+   + in parallel, the tasks: {!Predict.memory} of each new map, once,
+     and {!Predict.direct} of each non-linear candidate;
+   + sequentially, the new maps into the table and the pending scores.
+
+   Every table is read and written only in the sequential steps, and
+   each entry is a pure function of its key, so the scores are what
+   {!Predict.score} gives at any [jobs], and a search computes each
+   part's entry and each distinct map's memory exactly once. *)
 module Maps = Hashtbl.Make (struct
   type t = Lego_f2.Linear.t
 
@@ -94,51 +106,144 @@ module Maps = Hashtbl.Make (struct
 end)
 
 module Static = struct
+  (* A part's entry: its op count and its map.  A base's chain is never
+     empty, so its {!Predict.decomposed_ops} is its stages' sum, and a
+     stage over it adds the stage's own count. *)
+  type part = { ops : int; map : Lego_f2.Linear.t option }
+
+  (* Entries by part id, filled on first use. *)
+  type 'a parts = { mutable slots : 'a option array; mutable filled : int }
+
+  let parts () = { slots = [||]; filled = 0 }
+  let find p id = if id < Array.length p.slots then p.slots.(id) else None
+
+  let add p id e =
+    let n = Array.length p.slots in
+    if id >= n then begin
+      let grown = Array.make (max (id + 1) (2 * n)) None in
+      Array.blit p.slots 0 grown 0 n;
+      p.slots <- grown
+    end;
+    p.slots.(id) <- Some e;
+    p.filled <- p.filled + 1;
+    e
+
   type t = {
     prep : Predict.prep;
+    dims : L.Shape.t;
+    stages : part parts;
+    bases : part parts;
     table : Predict.score Maps.t;
     mutable evaluations : int;
   }
 
   let create (slot : Slot.t) =
+    let dims = [ slot.rows; slot.cols ] in
     {
-      prep =
-        Predict.prepare ~device:slot.device ~dims:[ slot.rows; slot.cols ]
-          slot.phases;
+      prep = Predict.prepare ~device:slot.device ~dims slot.phases;
+      dims;
+      stages = parts ();
+      bases = parts ();
       table = Maps.create 4096;
       evaluations = 0;
     }
 
   let maps t = Maps.length t.table
   let evaluations t = t.evaluations
+  let stages t = t.stages.filled
+  let bases t = t.bases.filled
+
+  let stage t (s : Space.stage) =
+    match find t.stages s.s_id with
+    | Some e -> e
+    | None ->
+      add t.stages s.s_id
+        {
+          ops = Predict.stage_ops s.s_order;
+          map = Lego_f2.Linear.of_stage s.s_order;
+        }
+
+  let base t (b : Space.base) =
+    match find t.bases b.b_id with
+    | Some e -> e
+    | None ->
+      let g = b.b_layout in
+      if L.Group_by.dims g <> t.dims then
+        invalid_arg "Tune.Static: candidate dims differ from the slot's";
+      add t.bases b.b_id
+        {
+          ops = Predict.decomposed_ops g;
+          map = Lego_f2.Linear.of_layout g;
+        }
+
+  (* A candidate's op count and map from its parts' entries. *)
+  let parts_of t (c : Space.candidate) =
+    let b = base t c.base in
+    match c.stage with
+    | None -> (b.ops, b.map)
+    | Some s ->
+      let st = stage t s in
+      ( st.ops + b.ops,
+        match (st.map, b.map) with
+        | Some sm, Some bm when Lego_f2.Linear.bits sm = Lego_f2.Linear.bits bm
+          ->
+          Some (Lego_f2.Linear.compose sm bm)
+        | _ -> None )
+
+  let map t c = snd (parts_of t c)
+
+  type task = New_map of Lego_f2.Linear.t | Direct of Space.candidate
+
+  let run prep = function
+    | New_map map -> Predict.memory prep map
+    | Direct (c : Space.candidate) ->
+      let base = Compiled.compile c.base.b_layout in
+      Predict.direct prep
+        (match c.stage with
+        | None -> base
+        | Some s -> Compiled.prepend s.s_order base)
+
+  (* A candidate's score once known, or its op count and the task whose
+     result is its memory part. *)
+  type pending = Known of Predict.score | Pending of int * int
 
   let score ~pool t batch =
-    let steps =
-      Exec.map ~pool batch (fun (g, _) -> Predict.step t.prep g)
+    let fresh = Maps.create 64 and tasks = ref [] and n_tasks = ref 0 in
+    let task x =
+      tasks := x :: !tasks;
+      incr n_tasks;
+      !n_tasks - 1
     in
-    let fresh = Maps.create 64 and todo = ref [] in
-    Array.iter
+    let pending =
+      Array.map
+        (fun c ->
+          match parts_of t c with
+          | ops, Some map -> (
+            match Maps.find_opt t.table map with
+            | Some memory -> Known { memory with ops }
+            | None -> (
+              match Maps.find_opt fresh map with
+              | Some k -> Pending (ops, k)
+              | None ->
+                let k = task (New_map map) in
+                Maps.add fresh map k;
+                Pending (ops, k)))
+          | ops, None -> Pending (ops, task (Direct c)))
+        batch
+    in
+    let tasks = Array.of_list (List.rev !tasks) in
+    let results = Exec.map ~pool tasks (run t.prep) in
+    Array.iteri
+      (fun k -> function
+        | New_map map -> Maps.add t.table map results.(k)
+        | Direct _ -> ())
+      tasks;
+    t.evaluations <- t.evaluations + Array.length tasks;
+    Array.map
       (function
-        | Predict.Map { map; _ }
-          when not (Maps.mem t.table map || Maps.mem fresh map) ->
-          Maps.add fresh map ();
-          todo := map :: !todo
-        | Predict.Map _ -> ()
-        | Predict.Scored _ -> t.evaluations <- t.evaluations + 1)
-      steps;
-    let todo = Array.of_list (List.rev !todo) in
-    let mems = Exec.map ~pool todo (Predict.memory t.prep) in
-    Array.iteri (fun i map -> Maps.add t.table map mems.(i)) todo;
-    t.evaluations <- t.evaluations + Array.length todo;
-    Array.mapi
-      (fun i (layout, fingerprint) ->
-        let static_score =
-          match steps.(i) with
-          | Predict.Map { ops; map } -> { (Maps.find t.table map) with ops }
-          | Predict.Scored s -> s
-        in
-        { layout; fingerprint; static_score; sim = None })
-      batch
+        | Known s -> s
+        | Pending (ops, k) -> { (results.(k)) with ops })
+      pending
 end
 
 (* Simulated order: roofline time first; among roofline ties (the time
@@ -161,8 +266,9 @@ let cmp_sim (a, sa) (b, sb) =
      returns exactly the sequential result;
    - every {e decision} (budget truncation, top-K retention, rung
      promotion, final ranking) happens sequentially in this driver,
-     over totally ordered keys ({!Predict.compare_ranked}, and
-     [(time_s, s_cycles, static, fingerprint)] for the sim rungs) — the
+     over totally ordered keys ({!Predict.compare_ranked} or its
+     two-part form [cmp_candidate], and [(time_s, s_cycles, static,
+     fingerprint)] for the sim rungs) — the
      chunk size only groups work, never reorders it, and the top-K
      retained set is order-independent under a total comparator;
    - the {!Cache} of sim results is read inside parallel sections
@@ -200,12 +306,13 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   let t0 = Unix.gettimeofday () in
   (* Stage one: stream the space through the static pass in chunks,
      retaining only the best [heap_cap] candidates (plus counters).
-     Memory is O(heap_cap) + the stream's own dedup set + one table
-     entry per distinct F₂ map, whatever the space size. *)
+     Memory is O(heap_cap) + the stream's parts and dedup bits + one
+     table entry per part and per distinct F₂ map, whatever the space
+     size. *)
   let chunk_len =
     max 64 (min 8192 (options.budget / (4 * max 1 options.jobs)))
   in
-  let heap = Topk.create ~cap:heap_cap ~cmp:cmp_static in
+  let heap = Topk.create ~cap:heap_cap ~cmp:cmp_candidate in
   let explored = ref 0 and drained = ref false in
   let stream = ref (Space.candidates sp) in
   let static = Static.create slot in
@@ -216,9 +323,10 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     if ended then drained := true;
     if batch <> [] then begin
       (* Sequential merge: top-K retention in submission order. *)
-      let scored = Static.score ~pool static (Array.of_list batch) in
-      Array.iter (Topk.add heap) scored;
-      explored := !explored + Array.length scored
+      let batch = Array.of_list batch in
+      let scores = Static.score ~pool static batch in
+      Array.iteri (fun i s -> Topk.add heap (s, batch.(i))) scores;
+      explored := !explored + Array.length batch
     end
   done;
   (* Peek once past the budget so [exhaustive] reflects the space, not
@@ -262,7 +370,17 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   let t1 = Unix.gettimeofday () in
   (* Middle rung: sampled simulation of every heap survivor, promoting
      the best [top] to full simulation. *)
-  let promoted = Topk.sorted heap in
+  let promoted =
+    List.map
+      (fun (static_score, c) ->
+        {
+          layout = Space.layout c;
+          fingerprint = Space.text c;
+          static_score;
+          sim = None;
+        })
+      (Topk.sorted heap)
+  in
   let sampled_scored, finalists =
     match slot.simulate_sampled with
     | Some simulate when use_sampled ->

@@ -3,13 +3,15 @@
 
     A staged funnel over the lazy {!Space.candidates} of one {!Slot}:
 
-    + {b static pass} ({!Static}) — the stream (pre-deduplicated, never
-      materialized, each candidate printed once) flows through the
+    + {b static pass} ({!Static}) — the stream of (swizzle stage, base)
+      pairs (pre-deduplicated, never materialized) flows through the
       cheap {!Predict} pre-filter in chunks, under a candidate budget:
-      each candidate's op count and F₂ map in parallel, then one memory
-      evaluation per distinct map per search; only a bounded top-K heap
-      of the best survivors, the map table and counters are retained,
-      so ranking memory is O(K) at 10⁵–10⁶ candidates;
+      each candidate's op count and F₂ map from per-search part
+      tables, then one memory evaluation per distinct map per search;
+      only a bounded top-K heap of the best survivors, the tables and
+      counters are retained, so ranking memory is O(K) at 10⁵–10⁶
+      candidates, and only the survivors' layouts and texts are
+      built;
     + {b sampled rung} (successive halving; active in scale mode when
       the slot has a [simulate_sampled]) — every heap survivor runs the
       cheap sampled simulation, the best [top] promote;
@@ -23,7 +25,8 @@
     inside {!Lego_exec.Exec.map} (submission-order merge), all search
     decisions are sequential over totally ordered keys, the top-K
     retained set is order-independent under its total comparator, the
-    map table is read and written only between parallel sections, and
+    part and map tables are read and written only between parallel
+    sections, and
     the {!Cache} is read (purely) inside parallel sections but written
     only between them — a warm cache changes wall-clock, never results
     or counters. *)
@@ -86,28 +89,37 @@ type result = {
   baselines : (string * Slot.sim) list;  (** The slot's references. *)
 }
 
-(** The static pass of one search: a map -> memory table that lives as
-    long as the search.  {!search} feeds it every chunk of the stream
-    ({!Space.candidates}) and never shares it across searches. *)
+(** The static pass of one search: one entry per candidate part (each
+    swizzle stage and each base of {!Space.candidates}) and one map ->
+    memory table, living as long as the search.  {!search} feeds it
+    every chunk of one traversal of the stream and never shares it
+    across searches; candidates of two traversals must not meet in one
+    pass, since part ids repeat across traversals. *)
 module Static : sig
   type t
 
   val create : Slot.t -> t
-  (** An empty table for the slot's phases on the slot's device. *)
+  (** Empty tables for the slot's phases on the slot's device. *)
 
   val score :
-    pool:Lego_exec.Exec.pool ->
-    t ->
-    (Lego_layout.Group_by.t * string) array ->
-    scored array
-  (** Scores a chunk of [(layout, fingerprint)] candidates, in order,
-      in four steps: every candidate's {!Predict.step} in parallel; a
-      sequential scan, in chunk order, for maps not yet in the table;
-      {!Predict.memory} of only those, in parallel; and a sequential
-      merge of the new entries and the scores.  Each score equals
-      [Predict.score ~device:slot.device layout slot.phases]; the
-      table is touched only in the sequential steps, so results are
-      the same at any pool size. *)
+    pool:Lego_exec.Exec.pool -> t -> Space.candidate array -> Predict.score array
+  (** Scores a chunk of candidates, in order, in three steps: a
+      sequential scan, in chunk order, that takes each candidate's op
+      count and F₂ map from its parts' entries (filling an entry the
+      first time its part appears) and its memory part from the map
+      table, or queues a task; the tasks in parallel ({!Predict.memory}
+      of each map not yet in the table, {!Predict.direct} of each
+      candidate with no F₂ map); and a sequential merge of the new
+      entries and the pending scores.  Each score equals
+      [Predict.score ~device:slot.device (Space.layout c) slot.phases];
+      the tables are touched only in the sequential steps, so results
+      are the same at any pool size.  No candidate's layout or text is
+      built.  Raises [Invalid_argument] when a candidate's dims are not
+      the slot's. *)
+
+  val map : t -> Space.candidate -> Lego_f2.Linear.t option
+  (** The candidate's F₂ map as {!score} computes it: its stage's map
+      after its base's ({!Lego_f2.Linear.of_layout} of its layout). *)
 
   val maps : t -> int
   (** Distinct F₂ maps scored so far (the table's size). *)
@@ -115,6 +127,12 @@ module Static : sig
   val evaluations : t -> int
   (** Memory evaluations made so far: one per distinct map, plus one
       per candidate with no F₂ form. *)
+
+  val stages : t -> int
+  (** Swizzle stages met so far: the op counts and stage maps made. *)
+
+  val bases : t -> int
+  (** Bases met so far: the op counts and base maps made. *)
 end
 
 val search : ?options:options -> ?cache:Cache.t -> Slot.t -> result

@@ -4,8 +4,9 @@
    interpreter replaced these, and the tests assert the replacements
    agree with them byte for byte, count for count and exception for
    exception.  The F₂ swizzle-class partition is the reference the class
-   tests check the tuner's swizzle coverage against, and the
-   three-address interpreter checks [Cse.lower]'s output. *)
+   tests check the tuner's swizzle coverage against, the three-address
+   interpreter checks [Cse.lower]'s output, and the print-and-MD5
+   candidate stream checks the tuner's (stage, base) pairs. *)
 
 module L = Lego_layout
 module G = Lego_gpusim
@@ -579,3 +580,322 @@ let run_mlir_func (m : Mast.modul) name args =
        List.iter exec_op f.body;
        []
      with Returned vs -> vs)
+
+(* ---- Print-and-MD5 candidate stream -------------------------------------- *)
+
+(* The tuner's candidate stream as it was before candidates became
+   (stage, base) pairs: every candidate's text assembled as its stage's
+   text followed by its base's, and the stream deduplicated by the MD5
+   of that text.  [Lego_tune.Space.candidates] must hand out the same
+   texts and layouts, element for element. *)
+module Legacy_space = struct
+  type t = { rows : int; cols : int; seed : int; composed : bool; scale : bool }
+
+  let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+  let log2 n =
+    let k = ref 0 in
+    let v = ref n in
+    while !v > 1 do
+      incr k;
+      v := !v lsr 1
+    done;
+    !k
+
+  let view2 sp chain = L.Group_by.make ~chain [ [ sp.rows; sp.cols ] ]
+
+  let of_piece sp p = view2 sp [ L.Order_by.make [ p ] ]
+
+  let shuffle sp ~tag xs =
+    if sp.seed = 0 then xs
+    else begin
+      let st = Random.State.make [| sp.seed; Hashtbl.hash tag |] in
+      let arr = Array.of_list xs in
+      for i = Array.length arr - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = arr.(i) in
+        arr.(i) <- arr.(j);
+        arr.(j) <- t
+      done;
+      Array.to_list arr
+    end
+
+  let has_gen g =
+    List.exists
+      (fun o ->
+        List.exists
+          (function L.Piece.Gen _ -> true | L.Piece.Reg _ -> false)
+          (L.Order_by.pieces o))
+      (L.Group_by.chain g)
+
+  let sigma_roots sp =
+    List.map
+      (fun sigma ->
+        of_piece sp (L.Piece.reg ~dims:[ sp.rows; sp.cols ] ~sigma))
+      (L.Sigma.all 2)
+
+  let gallery_roots sp =
+    let square = sp.rows = sp.cols in
+    let pow2 = square && is_pow2 sp.rows && sp.rows > 1 in
+    List.concat
+      [
+        (if square then [ of_piece sp (L.Gallery.antidiag sp.rows) ] else []);
+        (if square then [ of_piece sp (L.Gallery.cyclic_diag sp.rows) ] else []);
+        [ of_piece sp (L.Gallery.reverse [ sp.rows; sp.cols ]) ];
+        (if pow2 then
+           let bits = ref 0 and m = ref sp.rows in
+           while !m > 1 do
+             incr bits;
+             m := !m / 2
+           done;
+           [
+             of_piece sp (L.Gallery.morton ~d:2 ~bits:!bits);
+             of_piece sp (L.Gallery.hilbert ~bits:!bits);
+           ]
+         else []);
+      ]
+
+  let composed sp =
+    if (not sp.composed) || (not (is_pow2 sp.cols)) || sp.cols = 1 then []
+    else begin
+      let module A = L.Algebra in
+      let module D = Lego_symbolic.Discharge in
+      let get what = function
+        | Ok v -> v
+        | Error e ->
+          invalid_arg
+            (Format.asprintf "Space.composed (%s): %a" what A.pp_error e)
+      in
+      let a = A.row [ sp.rows; sp.cols ] in
+      let tile_piece tile =
+        get "divide" (Result.bind (D.logical_divide a tile) D.to_piece)
+      in
+      let tiles =
+        A.make ~shape:[ sp.cols ] ~stride:[ 1 ]
+        :: List.filter_map
+             (fun ri ->
+               if ri > 1 && sp.rows mod ri = 0 then
+                 Some (A.make ~shape:[ ri ] ~stride:[ sp.cols ])
+               else None)
+             [ 2; 4 ]
+      in
+      let masks =
+        List.filter
+          (fun m -> m > 0)
+          (List.sort_uniq compare
+             [ sp.cols - 1; (sp.cols - 1) / 2; (sp.cols - 1) / 4 ])
+      in
+      List.concat_map
+        (fun tile ->
+          let tp = tile_piece tile in
+
+          of_piece sp tp
+          :: List.concat_map
+               (fun mask ->
+                 List.map
+                   (fun shift ->
+                     let swz =
+                       L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols
+                         ~mask ~shift
+                     in
+                     of_piece sp (get "compose" (D.compose_pieces swz tp)))
+                   [ 0; 1 ])
+               masks)
+        tiles
+    end
+
+  let divisor_pairs n =
+    let rec go d acc =
+      if d > n / 2 then List.rev acc
+      else go (d + 1) (if n mod d = 0 then (d, n / d) :: acc else acc)
+    in
+    go 2 []
+
+  let tilings sp =
+    let rows_splits = divisor_pairs sp.rows and cols_splits = divisor_pairs sp.cols in
+    let sigmas = L.Sigma.all 2 in
+    List.concat_map
+      (fun (ro, ri) ->
+        List.concat_map
+          (fun (co, ci) ->
+            List.concat_map
+              (fun so ->
+                List.map
+                  (fun si ->
+                    view2 sp
+                      (L.Sugar.tile_order_by
+                         [
+                           L.Piece.reg ~dims:[ ro; co ] ~sigma:so;
+                           L.Piece.reg ~dims:[ ri; ci ] ~sigma:si;
+                         ]))
+                  sigmas)
+              sigmas)
+          cols_splits)
+      rows_splits
+
+  let num_bits n = if n <= 1 then 0 else log2 (n - 1) + 1
+
+  let swizzle_family sp =
+    if (not (is_pow2 sp.cols)) || sp.cols = 1 then []
+    else begin
+      let shifts = max 1 (num_bits sp.rows) in
+      List.concat_map
+        (fun shift -> List.init sp.cols (fun mask -> (mask, shift)))
+        (List.init shifts Fun.id)
+    end
+
+  let sampled_swizzles sp =
+    if (not (is_pow2 sp.cols)) || sp.cols = 1 then []
+    else begin
+      let rec masks m = if m < 1 then [] else m :: masks (m / 2) in
+      List.concat_map
+        (fun mask -> List.map (fun shift -> (mask, shift)) [ 0; 1; 2 ])
+        (masks (sp.cols - 1))
+    end
+
+  let printed g = (g, L.Group_by.to_string g)
+
+  let swizzle_stages sp =
+    let stages = Hashtbl.create 256 in
+    fun pair ->
+      match Hashtbl.find_opt stages pair with
+      | Some st -> st
+      | None ->
+        let mask, shift = pair in
+        let o =
+          L.Order_by.make
+            [
+              L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
+                ~shift;
+            ]
+        in
+        let st = (o, L.Order_by.to_string o ^ ".") in
+        Hashtbl.add stages pair st;
+        st
+
+  let swizzled stage pairs (base, text) =
+    Seq.map
+      (fun pair ->
+        let o, prefix = stage pair in
+        (L.Group_by.prepend o base, prefix ^ text))
+      (List.to_seq pairs)
+
+  let sampled sp stage =
+    let l = List.to_seq in
+    let pairs = shuffle sp ~tag:"swizzles" (sampled_swizzles sp) in
+    let swizzles ((g, _) as b) =
+      if has_gen g then Seq.empty else swizzled stage pairs b
+    in
+    let family tag xs = List.map printed (shuffle sp ~tag xs) in
+    let sigmas = family "roots" (sigma_roots sp) in
+    let gallery = family "gallery" (gallery_roots sp) in
+    let composed = family "composed" (composed sp) in
+    let tilings = l (family "tilings" (tilings sp)) in
+    Seq.concat
+      (l
+         [
+           l (sigmas @ gallery @ composed);
+           Seq.concat_map (fun b -> Seq.append (swizzles b) tilings) (l sigmas);
+           Seq.concat_map swizzles (l composed);
+           Seq.concat_map swizzles tilings;
+         ])
+
+  let rec factorizations n k =
+    if k <= 1 then if n > 1 then [ [ n ] ] else []
+    else
+      List.concat_map
+        (fun (d, rest) ->
+          List.map (fun f -> d :: f) (factorizations rest (k - 1)))
+        (divisor_pairs n)
+
+  let deep_tilings sp =
+    let sigmas = L.Sigma.all 2 in
+    List.concat_map
+      (fun rf ->
+        List.concat_map
+          (fun cf ->
+            let levels = List.combine rf cf in
+            List.concat_map
+              (fun s1 ->
+                List.concat_map
+                  (fun s2 ->
+                    List.map
+                      (fun s3 ->
+                        view2 sp
+                          (L.Sugar.tile_order_by
+                             (List.map2
+                                (fun (r, c) s -> L.Piece.reg ~dims:[ r; c ] ~sigma:s)
+                                levels [ s1; s2; s3 ])))
+                      sigmas)
+                  sigmas)
+              sigmas)
+          (factorizations sp.cols 3))
+      (factorizations sp.rows 3)
+
+  let vector_tilings sp =
+    let sigmas = L.Sigma.all 2 in
+    let id2 = L.Sigma.identity 2 in
+    let widths n = List.map fst (divisor_pairs n) in
+    List.concat_map
+      (fun v ->
+        List.map
+          (fun so ->
+            view2 sp
+              (L.Sugar.tile_order_by
+                 [
+                   L.Piece.reg ~dims:[ sp.rows; sp.cols / v ] ~sigma:so;
+                   L.Piece.reg ~dims:[ 1; v ] ~sigma:id2;
+                 ]))
+          sigmas)
+      (widths sp.cols)
+    @ List.concat_map
+        (fun w ->
+          List.map
+            (fun so ->
+              view2 sp
+                (L.Sugar.tile_order_by
+                   [
+                     L.Piece.reg ~dims:[ sp.rows / w; sp.cols ] ~sigma:so;
+                     L.Piece.reg ~dims:[ w; 1 ] ~sigma:id2;
+                   ]))
+            sigmas)
+        (widths sp.rows)
+
+  let scale_stream sp stage =
+    if not sp.scale then Seq.empty
+    else begin
+      let bases =
+        shuffle sp ~tag:"scale-bases"
+          (sigma_roots sp @ tilings sp @ deep_tilings sp @ vector_tilings sp)
+      in
+      let pairs =
+        shuffle sp ~tag:"scale-grid"
+          (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp))
+      in
+      Seq.concat_map
+        (fun base ->
+          let b = printed base in
+          Seq.cons b (swizzled stage pairs b))
+        (List.to_seq bases)
+    end
+
+  let candidates sp () =
+    let stage = swizzle_stages sp in
+    let seen = Hashtbl.create 1024 in
+    let rec go s () =
+      match s () with
+      | Seq.Nil -> Seq.Nil
+      | Seq.Cons (((_, text) as c), tl) ->
+        let d = Digest.string text in
+        if Hashtbl.mem seen d then go tl ()
+        else begin
+          Hashtbl.add seen d ();
+          Seq.Cons (c, go tl)
+        end
+    in
+    go (Seq.append (sampled sp stage) (scale_stream sp stage)) ()
+end
+
+let space_candidates ?(seed = 0) ?(composed = false) ?(scale = false) ~rows
+    ~cols () =
+  Legacy_space.candidates { Legacy_space.rows; cols; seed; composed; scale }

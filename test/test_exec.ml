@@ -107,19 +107,30 @@ let test_hardware_clamp_preserves_semantics () =
   in
   Alcotest.(check bool) "identical results" true (clamped = oversub)
 
+(* Reads the environment and never writes it: a test that set
+   [LEGO_JOBS] could not unset it again (OCaml's [Unix] has no
+   unsetenv), and every later [legoc] run in the process would read
+   what it left. *)
 let test_default_jobs_env () =
-  let saved = Sys.getenv_opt "LEGO_JOBS" in
-  let restore () =
-    match saved with
-    | Some v -> Unix.putenv "LEGO_JOBS" v
-    | None -> Unix.putenv "LEGO_JOBS" ""
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "LEGO_JOBS" "3";
-      Alcotest.(check int) "LEGO_JOBS honoured" 3 (X.default_jobs ());
-      Unix.putenv "LEGO_JOBS" "not-a-number";
-      Alcotest.(check bool) "garbage falls back to a positive count" true
-        (X.default_jobs () >= 1))
+  let fallback = Domain.recommended_domain_count () in
+  List.iter
+    (fun (value, want) ->
+      Alcotest.(check int)
+        (match value with None -> "unset" | Some v -> Printf.sprintf "%S" v)
+        want (X.jobs_of_env value))
+    [
+      (Some "3", 3);
+      (Some " 4 ", 4);
+      (Some "not-a-number", fallback);
+      (Some "", fallback);
+      (Some "0", fallback);
+      (Some "-2", fallback);
+      (None, fallback);
+    ];
+  Alcotest.(check int)
+    "default_jobs reads LEGO_JOBS"
+    (X.jobs_of_env (Sys.getenv_opt "LEGO_JOBS"))
+    (X.default_jobs ())
 
 let suite =
   ( "exec",

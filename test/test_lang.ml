@@ -153,7 +153,7 @@ let gen_layout =
 let test_cli_rejects_overflowing_counts () =
   List.iter
     (fun (layout, msg) ->
-      let status, out = Test_tune.run_legoc [ layout; "--check"; "-j"; "1" ] in
+      let status, out = Test_tune.run_legoc [ layout; "--check" ] in
       Alcotest.(check bool)
         (Printf.sprintf "%s exits 1:\n%s" layout out)
         true
@@ -177,6 +177,31 @@ let test_cli_rejects_overflowing_counts () =
          exceeds max_int" );
     ]
 
+(* Regression: a legal element count too large to check exhaustively
+   ([max_int], 2⁴⁰) died with an uncaught [Invalid_argument] from
+   [Array.make] and exit 125, and a count just below the array limit
+   would have tried to allocate its arrays.  It is refused before any
+   allocation: exit 1, naming the count and the limit. *)
+let test_cli_refuses_huge_check () =
+  List.iter
+    (fun n ->
+      let layout = Printf.sprintf "GroupBy([%d])" n in
+      let status, out = Test_tune.run_legoc [ layout; "--check" ] in
+      let msg =
+        Printf.sprintf "%d elements exceed the exhaustive-check limit of %d" n
+          Check.max_elements
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exits 1:\n%s" layout out)
+        true
+        (status = Unix.WEXITED 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints %S:\n%s" layout msg out)
+        true (Test_tune.contains out msg);
+      Alcotest.(check bool) (layout ^ " verifies nothing") false
+        (Test_tune.contains out "verified"))
+    [ max_int; 1 lsl 40 ]
+
 let prop_roundtrip =
   QCheck2.Test.make ~name:"pp then parse is identity" ~count:200 gen_layout
     (fun g ->
@@ -198,5 +223,7 @@ let suite =
         test_arity_suffixes_optional;
       Alcotest.test_case "CLI rejects overflowing element counts" `Quick
         test_cli_rejects_overflowing_counts;
+      Alcotest.test_case "CLI refuses to check huge counts" `Quick
+        test_cli_refuses_huge_check;
     ]
     @ [ QCheck_alcotest.to_alcotest ~long:false prop_roundtrip ] )

@@ -7,6 +7,42 @@ open Lego_layout
 let check_int = Alcotest.(check int)
 let check_ints = Alcotest.(check (list int))
 
+(* Regression: [Check.layout] of a legal count too large to enumerate
+   raised [Invalid_argument("Array.make")] at [max_int], and at 2⁴⁰
+   would have tried to allocate 8 TB.  Every exhaustive function now
+   refuses such a count, naming it, before allocating anything: each
+   refusal allocates under 64 KB. *)
+let test_check_refuses_huge_counts () =
+  Alcotest.(check int) "the limit" (1 lsl 32) Check.max_elements;
+  List.iter
+    (fun n ->
+      let g = Group_by.make [ [ n ] ] in
+      let p = Piece.reg ~dims:[ n ] ~sigma:(Sigma.identity 1) in
+      List.iter
+        (fun (fn, f) ->
+          let msg =
+            Printf.sprintf
+              "Check.%s: %d elements exceed the exhaustive-check limit of %d"
+              fn n Check.max_elements
+          in
+          let before = Gc.allocated_bytes () in
+          Alcotest.check_raises
+            (Printf.sprintf "%s of %d" fn n)
+            (Invalid_argument msg)
+            (fun () -> f ());
+          let allocated = Gc.allocated_bytes () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s of %d allocated %.0f bytes" fn n allocated)
+            true (allocated < 65536.))
+        [
+          ("layout", fun () -> ignore (Check.layout g));
+          ("layout", fun () -> ignore (Check.layout ~jobs:2 g));
+          ("piece", fun () -> ignore (Check.piece p));
+          ("table", fun () -> ignore (Check.table g));
+          ("physical_to_logical", fun () -> ignore (Check.physical_to_logical g));
+        ])
+    [ max_int; 1 lsl 40 ]
+
 (* --- Shape ------------------------------------------------------------ *)
 
 let test_flatten_unflatten () =
@@ -517,5 +553,7 @@ let suite =
         test_parallel_check_matches_sequential;
       Alcotest.test_case "element count overflow rejected" `Quick
         test_element_count_overflow;
+      Alcotest.test_case "exhaustive checks refuse huge counts" `Quick
+        test_check_refuses_huge_counts;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) props )

@@ -160,6 +160,59 @@ let prop_stream_no_duplicate_fingerprints =
       List.length fps = List.length (List.sort_uniq compare fps)
       && T.Space.count sp = List.length fps)
 
+(* Every (stage, base) pair's text and layout equal the print-and-MD5
+   stream's element for element ({!Reference.space_candidates}: texts
+   assembled from printed stages and bases, deduplicated by MD5), over
+   the stream property's domain. *)
+let prop_stream_pairs_match_reference =
+  QCheck2.Test.make ~name:"stream pairs = print-and-MD5 reference" ~count:600
+    ~print:(fun (r, c, seed, scale, composed) ->
+      Printf.sprintf "rows=%d cols=%d seed=%d scale=%b composed=%b" r c seed
+        scale composed)
+    QCheck2.Gen.(
+      oneofl stream_domain_rows >>= fun rows ->
+      oneofl stream_domain_cols >>= fun cols ->
+      int_range 0 7 >>= fun seed ->
+      bool >>= fun scale ->
+      bool >>= fun composed -> pure (rows, cols, seed, scale, composed))
+    (fun (rows, cols, seed, scale, composed) ->
+      Seq.equal
+        (fun c (g, text) ->
+          T.Space.text c = text && L.Group_by.equal (T.Space.layout c) g)
+        (T.Space.candidates
+           (T.Space.make ~seed ~composed ~scale ~rows ~cols ()))
+        (Reference.space_candidates ~seed ~composed ~scale ~rows ~cols ()))
+
+(* The heap's tie-break compares two-part texts as [String.compare]
+   compares their concatenations: on unrelated parts, on one text
+   split two ways (equal texts, empty parts included), and on a text
+   against its own extension (one a prefix of the other). *)
+let prop_compare_concat =
+  let part = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '.' ]) (int_bound 5)) in
+  QCheck2.Test.make ~name:"two-part tie-break = String.compare" ~count:2000
+    ~print:(fun (a1, a2, b1, b2) -> Printf.sprintf "%S %S vs %S %S" a1 a2 b1 b2)
+    QCheck2.Gen.(
+      let split w =
+        int_bound (String.length w) >|= fun i ->
+        (String.sub w 0 i, String.sub w i (String.length w - i))
+      in
+      frequency
+        [
+          (2, quad part part part part);
+          ( 1,
+            part >>= fun w ->
+            split w >>= fun (a1, a2) ->
+            split w >|= fun (b1, b2) -> (a1, a2, b1, b2) );
+          ( 1,
+            pair part part >>= fun (w, more) ->
+            split w >>= fun (a1, a2) ->
+            split (w ^ more) >>= fun (b1, b2) ->
+            oneofl [ (a1, a2, b1, b2); (b1, b2, a1, a2) ] );
+        ])
+    (fun (a1, a2, b1, b2) ->
+      T.Fingerprint.compare_concat a1 a2 b1 b2
+      = String.compare (a1 ^ a2) (b1 ^ b2))
+
 (* Every space of the property's domain, in a fixed nesting (rows, then
    cols, seed, scale, composed; [false] before [true]), chained as
    [ctx := MD5(ctx ^ MD5(stream))] over raw 16-byte digests from
@@ -939,7 +992,8 @@ let test_oracle_search_class_space () =
           default
       in
       let classes = Hashtbl.create 4096 in
-      let add g = Hashtbl.replace classes (T.Fingerprint.digest g) g in
+      let digest g = Digest.string (T.Fingerprint.of_layout g) in
+      let add g = Hashtbl.replace classes (digest g) g in
       List.iter add unswizzled;
       List.iter
         (fun base ->
@@ -953,7 +1007,7 @@ let test_oracle_search_class_space () =
         (Hashtbl.length classes);
       let scale = Hashtbl.create (1 lsl 16) in
       Seq.iter
-        (fun g -> Hashtbl.replace scale (T.Fingerprint.digest g) ())
+        (fun g -> Hashtbl.replace scale (digest g) ())
         (T.Space.stream (T.Space.make ~scale:true ~rows ~cols ()));
       Hashtbl.iter
         (fun d g ->
@@ -991,7 +1045,10 @@ let test_printers_match_format_reference () =
       List.iter
         (fun (mode, sp) ->
           Seq.iter
-            (fun (g, text) -> check ~text (slot.T.Slot.name ^ " " ^ mode) g)
+            (fun c ->
+              check ~text:(T.Space.text c)
+                (slot.T.Slot.name ^ " " ^ mode)
+                (T.Space.layout c))
             (T.Space.candidates sp))
         [
           ("default", slot_space slot);
@@ -1045,7 +1102,7 @@ let test_fingerprint_digest_pinned () =
       Alcotest.(check string) "fingerprint" text (T.Fingerprint.of_layout g);
       Alcotest.(check string)
         "digest" hex
-        (Digest.to_hex (T.Fingerprint.digest g)))
+        (Digest.to_hex (Digest.string (T.Fingerprint.of_layout g))))
     [
       ( swizzled,
         "OrderBy2(GenP(swizzlex_m31_s0[128, 32])).OrderBy2(RegP([128, 32], \
@@ -1079,26 +1136,38 @@ let test_precomp_keyed_on_device () =
         (T.Predict.score ~device ~ops:0 g phases).T.Predict.gmem_txns)
     [ wide; G.Device.a100; wide ];
   (* A preparation is for one shape: its indices are flattened with its
-     dims, so a layout of other dims is rejected, not mis-scored. *)
+     dims, so a layout of other dims is rejected, not mis-scored, and
+     so is a candidate of another shape's space by a search's static
+     pass. *)
   Alcotest.(check bool) "a 16x16 layout on a 32x32 preparation" true
     (match
-       T.Predict.step
+       T.Predict.direct
          (T.Predict.prepare ~dims:[ 32; 32 ] phases)
-         (T.Slot.row_major ~rows:16 ~cols:16)
+         (T.Compiled.compile (T.Slot.row_major ~rows:16 ~cols:16))
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "a 16x16 candidate in a 32x32 static pass" true
+    (match
+       Lego_exec.Exec.with_pool ~jobs:1 (fun pool ->
+           T.Tune.Static.score ~pool
+             (T.Tune.Static.create (T.Slot.transpose_smem ()))
+             (Array.of_seq
+                (Seq.take 1
+                   (T.Space.candidates (T.Space.make ~rows:16 ~cols:16 ())))))
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* {!Predict.score} is a per-candidate step (op count and F₂ map, kept
-   for the chain tail in a one-entry memo) and a per-map evaluation
-   read off the bit-matrix.  It must score every candidate exactly as
-   the interpreter does — in stream order, where the tail memo hits on
-   almost every candidate, and in a seeded shuffle, where consecutive
-   candidates rarely share a tail and it misses; then alternating with
-   diagonal sweeps (other indices in another order) on candidates that
-   share a tail, where a preparation cached without its phase list in
-   the key would serve the first list's indices.  The interpreter costs ~4 ms a
-   candidate, so its reference scores are computed on two domains. *)
+(* {!Predict.score} reads a candidate's memory part off its F₂ map's
+   bit-matrix at the translation classes' points, or counts it through
+   the compiled closure when there is no map.  It must score every
+   candidate exactly as the interpreter does — in stream order and in
+   a seeded shuffle; then alternating with diagonal sweeps (other
+   indices in another order) on consecutive candidates, where a
+   preparation cached without its phase list in the key would serve
+   the first list's indices.  The interpreter costs ~4 ms a candidate,
+   so its reference scores are computed on two domains. *)
 let test_staged_score_matches_interpreter () =
   let slot = T.Slot.transpose_smem () in
   let phases = slot.T.Slot.phases in
@@ -1160,20 +1229,28 @@ let check_score what (want : T.Predict.score) (got : T.Predict.score) =
       (Format.asprintf "%a" T.Predict.pp want)
       want.T.Predict.smem_accesses
 
-let with_fingerprints gs =
-  Array.map (fun g -> (g, T.Fingerprint.of_layout g)) gs
-
-(* Feeds [chunks] of [(layout, fingerprint)] candidates, in order, to
-   one static pass on [slot], the way {!T.Tune.search} feeds its stream;
-   returns the pass and every candidate's static score in order. *)
+(* Feeds [chunks] of candidates, in order, to one static pass on
+   [slot], the way {!T.Tune.search} feeds its stream; returns the pass
+   and every candidate's static score in order. *)
 let static_pass ?(jobs = 1) slot chunks =
   let static = T.Tune.Static.create slot in
   let scores =
     Lego_exec.Exec.with_pool ~jobs (fun pool ->
         List.map (T.Tune.Static.score ~pool static) chunks)
   in
-  ( static,
-    Array.map (fun sc -> sc.T.Tune.static_score) (Array.concat scores) )
+  (static, Array.concat scores)
+
+(* The candidates of [sp] with the given texts, in that order, all
+   from one traversal. *)
+let candidates_named sp texts =
+  let all = Array.of_seq (T.Space.candidates sp) in
+  Array.of_list
+    (List.map
+       (fun text ->
+         match Array.find_opt (fun c -> T.Space.text c = text) all with
+         | Some c -> c
+         | None -> Alcotest.failf "%S is not a candidate of the space" text)
+       texts)
 
 (* [xs] in consecutive chunks of [n] (the search's chunking). *)
 let chunks_of n xs =
@@ -1195,6 +1272,11 @@ let test_map_memo_keyed_on_bank_geometry () =
       (T.Slot.row_major ~rows:32 ~cols:32)
       ~rows:32 ~cols:32
   in
+  let cand =
+    candidates_named
+      (slot_space (T.Slot.transpose_smem ()))
+      [ T.Fingerprint.of_layout g ]
+  in
   let banks16 = { G.Device.a100 with smem_banks = 16 } in
   let want (slot : T.Slot.t) =
     Reference.interpret_score ~device:slot.T.Slot.device g slot.T.Slot.phases
@@ -1205,7 +1287,7 @@ let test_map_memo_keyed_on_bank_geometry () =
   List.iter
     (fun device ->
       let slot = T.Slot.transpose_smem ~device () in
-      let static, scores = static_pass slot [ with_fingerprints [| g |] ] in
+      let static, scores = static_pass slot [ cand ] in
       Alcotest.(check int) "one map" 1 (T.Tune.Static.maps static);
       check_score
         (Printf.sprintf "%d banks" device.G.Device.smem_banks)
@@ -1221,19 +1303,21 @@ let test_map_memo_keyed_on_bank_geometry () =
    each text keeps its own ops. *)
 let test_map_memo_keeps_ops_per_text () =
   let slot = T.Slot.transpose_smem () in
-  let layout mask =
-    let text =
-      Printf.sprintf
-        "OrderBy2(GenP(swizzlex_m%d_s1[32, 32])).OrderBy2(RegP([16, 16], [1, \
-         2]), RegP([2, 2], [1, 2])).OrderBy4(RegP([16, 2, 16, 2], [1, 3, 2, \
-         4])).GroupBy2([32, 32])"
-        mask
-    in
-    match Lego_lang.Elab.layout_of_string text with
-    | Ok g -> g
-    | Error e -> Alcotest.failf "%S: %s" text e
+  let text mask =
+    Printf.sprintf
+      "OrderBy2(GenP(swizzlex_m%d_s1[32, 32])).OrderBy2(RegP([16, 16], [1, \
+       2]), RegP([2, 2], [1, 2])).OrderBy4(RegP([16, 2, 16, 2], [1, 3, 2, \
+       4])).GroupBy2([32, 32])"
+      mask
   in
-  let a = layout 19 and b = layout 3 in
+  let cands =
+    candidates_named (slot_space ~scale:true slot) [ text 19; text 3 ]
+  in
+  let cand = function 19 -> cands.(0) | _ -> cands.(1) in
+  let a = T.Space.layout cands.(0) and b = T.Space.layout cands.(1) in
+  Alcotest.(check (pair string string))
+    "the two texts" (text 19, text 3)
+    (T.Fingerprint.of_layout a, T.Fingerprint.of_layout b);
   Alcotest.(check bool) "one F2 map" true
     (match (Lego_f2.Linear.of_layout a, Lego_f2.Linear.of_layout b) with
     | Some la, Some lb -> Lego_f2.Linear.equal la lb
@@ -1244,7 +1328,7 @@ let test_map_memo_keeps_ops_per_text () =
   List.iter
     (fun (what, order, split) ->
       let cands =
-        with_fingerprints (Array.of_list (List.map (fun (_, g, _) -> g) order))
+        Array.of_list (List.map (fun (_, mask, _) -> cand mask) order)
       in
       let static, scores =
         static_pass slot
@@ -1258,10 +1342,10 @@ let test_map_memo_keeps_ops_per_text () =
         (what ^ ": one map, one evaluation") (1, 1)
         (T.Tune.Static.maps static, T.Tune.Static.evaluations static))
     [
-      ("one chunk", [ ("m19", a, 142); ("m3", b, 148) ], false);
-      ("one chunk, reversed", [ ("m3", b, 148); ("m19", a, 142) ], false);
-      ("two chunks", [ ("m19", a, 142); ("m3", b, 148) ], true);
-      ("two chunks, reversed", [ ("m3", b, 148); ("m19", a, 142) ], true);
+      ("one chunk", [ ("m19", 19, 142); ("m3", 3, 148) ], false);
+      ("one chunk, reversed", [ ("m3", 3, 148); ("m19", 19, 142) ], false);
+      ("two chunks", [ ("m19", 19, 142); ("m3", 3, 148) ], true);
+      ("two chunks, reversed", [ ("m3", 3, 148); ("m19", 19, 142) ], true);
     ]
 
 (* Every table hit must be exact.  The whole transpose --scale stream
@@ -1277,9 +1361,9 @@ let test_map_memo_keeps_ops_per_text () =
 let test_map_memo_hits_are_exact () =
   let module F2 = Lego_f2 in
   let slot = T.Slot.transpose_smem () in
-  let fps = Array.of_seq (T.Space.candidates (slot_space ~scale:true slot)) in
-  let cands = Array.map fst fps in
-  let static, scores = static_pass ~jobs:2 slot (chunks_of 8192 fps) in
+  let pairs = Array.of_seq (T.Space.candidates (slot_space ~scale:true slot)) in
+  let cands = Array.map T.Space.layout pairs in
+  let static, scores = static_pass ~jobs:2 slot (chunks_of 8192 pairs) in
   let stage_sum g =
     List.fold_left
       (fun acc o ->
@@ -1340,7 +1424,7 @@ let test_map_memo_hits_are_exact () =
   Alcotest.(check int) "sampled repeats" 256 (Array.length sample);
   Array.iteri
     (fun i g ->
-      let what = snd fps.(i) in
+      let what = T.Space.text pairs.(i) in
       Alcotest.(check int) (what ^ ": ops") (stage_sum g) scores.(i).T.Predict.ops;
       if map_of.(i) >= 0 then
         check_score (what ^ ": closed form")
@@ -1350,7 +1434,7 @@ let test_map_memo_hits_are_exact () =
   Array.iteri
     (fun k i ->
       check_score
-        (snd fps.(i) ^ ": interpreter")
+        (T.Space.text pairs.(i) ^ ": interpreter")
         { (interp.(k)) with ops = scores.(i).T.Predict.ops }
         scores.(i))
     sample
@@ -1496,57 +1580,59 @@ let test_phase_classes_pinned () =
       (T.Slot.matmul_smem ~device:banks24 (), (64, 64, 1024));
     ]
 
-(* The per-map step reads a map's values off its bit-matrix, and a
+(* The static pass reads a map's values off its bit-matrix, and a
    candidate's score is right only if its map equals the candidate
    wherever the slot's phases read, not only at the translation classes'
    representatives.  At every flat index of the slot (the 64 phases of
    matmul and transpose touch all 1,024) the map must equal the compiled
-   closures, for the map {!Predict.step} builds (the outer stage's after
-   the tail's), on every linear candidate of the matmul and transpose
-   default and --composed spaces and on a seeded 2,000-candidate sample
-   of each --scale stream (out of stream order, so the tail memo
-   misses).  A candidate is scored directly exactly when it has no F₂
-   form. *)
+   closures, for the map the static pass builds from the candidate's
+   parts (the stage's after the base's), on every linear candidate of
+   the matmul and transpose default and --composed spaces and on a
+   seeded 2,000-candidate sample of each --scale stream (out of stream
+   order, so part entries are met in another order).  The pass finds a
+   map exactly when {!Lego_f2.Linear.of_layout} does. *)
 let test_map_values_match_compiled () =
   List.iter
     (fun (slot : T.Slot.t) ->
-      let prep =
-        T.Predict.prepare ~device:slot.T.Slot.device
-          ~dims:[ slot.T.Slot.rows; slot.T.Slot.cols ]
-          slot.T.Slot.phases
-      in
       let numel = slot.T.Slot.rows * slot.T.Slot.cols in
-      let linear g =
-        match (T.Predict.step prep g, Lego_f2.Linear.of_layout g) with
-        | T.Predict.Scored _, None -> false
-        | T.Predict.Map { map; _ }, Some lin ->
-          let what = T.Fingerprint.of_layout g in
-          if not (Lego_f2.Linear.equal map lin) then
-            Alcotest.failf "%s: step map <> Linear.of_layout" what;
-          let c = T.Compiled.compile g in
-          for x = 0 to numel - 1 do
-            let want = T.Compiled.apply_flat c x
-            and got = Lego_f2.Linear.apply map x in
-            if got <> want then
-              Alcotest.failf "%s at %d: compiled %d, bit-matrix %d" what x want
-                got
-          done;
-          true
-        | _ ->
-          Alcotest.failf "%s: step and Linear.of_layout disagree on linearity"
-            (T.Fingerprint.of_layout g)
-      in
-      let count what gs =
-        let n = Seq.fold_left (fun n g -> if linear g then n + 1 else n) 0 gs in
+      let count what cands =
+        let static = T.Tune.Static.create slot in
+        let linear c =
+          let g = T.Space.layout c in
+          match (T.Tune.Static.map static c, Lego_f2.Linear.of_layout g) with
+          | None, None -> false
+          | Some map, Some lin ->
+            let what = T.Fingerprint.of_layout g in
+            if not (Lego_f2.Linear.equal map lin) then
+              Alcotest.failf "%s: parts' map <> Linear.of_layout" what;
+            let c = T.Compiled.compile g in
+            for x = 0 to numel - 1 do
+              let want = T.Compiled.apply_flat c x
+              and got = Lego_f2.Linear.apply map x in
+              if got <> want then
+                Alcotest.failf "%s at %d: compiled %d, bit-matrix %d" what x
+                  want got
+            done;
+            true
+          | _ ->
+            Alcotest.failf
+              "%s: the parts and Linear.of_layout disagree on linearity"
+              (T.Fingerprint.of_layout g)
+        in
+        let n =
+          Seq.fold_left (fun n c -> if linear c then n + 1 else n) 0 cands
+        in
         Alcotest.(check bool)
           (Printf.sprintf "%s %s: %d linear candidates" slot.T.Slot.name what n)
           true (n > 500)
       in
-      count "default" (T.Space.stream (slot_space slot));
-      count "--composed" (T.Space.stream (slot_space ~composed:true slot));
-      let scale = Array.of_seq (T.Space.stream (slot_space ~scale:true slot)) in
+      count "default" (T.Space.candidates (slot_space slot));
+      count "--composed" (T.Space.candidates (slot_space ~composed:true slot));
+      let scale =
+        Array.of_seq (T.Space.candidates (slot_space ~scale:true slot))
+      in
       let st = Random.State.make [| 22 |] in
-      let order = Array.map (fun g -> (Random.State.bits st, g)) scale in
+      let order = Array.map (fun c -> (Random.State.bits st, c)) scale in
       Array.stable_sort (fun (a, _) (b, _) -> compare a b) order;
       count "--scale sample"
         (Seq.map snd (Seq.take 2000 (Array.to_seq order))))
@@ -1565,35 +1651,49 @@ let test_scale_search_deterministic_across_jobs () =
   Alcotest.(check bool) "-j1 = -j2 (winner, top-K, counters)" true
     (result_key r1 = result_key r2)
 
-(* The per-candidate step's tail memo holds only the chain tail's F₂
-   map and op sum, keyed on the tail's physical identity; its hit rate
-   rests on stream order: a base is followed by its whole swizzle grid,
-   so consecutive candidates share their chain tail physically.  A
-   space change that interleaves bases must fail here rather than
-   silently recompute every tail. *)
-let test_scale_stream_tail_locality () =
+(* The shape of a drained transpose --scale search's work, at seeds 0
+   and 5 and -j 1 and -j 2: its static pass meets the space's 155
+   swizzle stages (every mask >= 1 with shifts 0..4) and 375 bases,
+   each once, so it makes one op count and one map per part; and of
+   the 57,725 candidates only the heap's 32 survivors (4 x top 8 for
+   the sampled rung) get a layout and a text, one each. *)
+let test_search_work_pinned () =
   let slot = T.Slot.transpose_smem () in
   List.iter
     (fun seed ->
-      let tail g =
-        match L.Group_by.chain g with [] -> [] | _ :: rest -> rest
-      in
-      let pairs = ref 0 and shared = ref 0 and prev = ref None in
-      Seq.iter
-        (fun g ->
-          let t = tail g in
-          (match !prev with
-          | Some p ->
-            incr pairs;
-            if p == t then incr shared
-          | None -> ());
-          prev := Some t)
-        (T.Space.stream (slot_space ~scale:true ~seed slot));
-      let ratio = float_of_int !shared /. float_of_int !pairs in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: %d of %d pairs share a tail (%.3f >= 0.95)"
-           seed !shared !pairs ratio)
-        true (ratio >= 0.95))
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "seed %d -j %d" seed jobs in
+          let static, _ =
+            static_pass ~jobs slot
+              (chunks_of 8192
+                 (Array.of_seq
+                    (T.Space.candidates (slot_space ~scale:true ~seed slot))))
+          in
+          Alcotest.(check (pair int int))
+            (what ^ ": stages, bases") (155, 375)
+            (T.Tune.Static.stages static, T.Tune.Static.bases static);
+          let built = T.Space.built () in
+          let r =
+            T.Tune.search
+              ~options:
+                {
+                  (search_opts jobs) with
+                  budget = 250_000;
+                  top = 8;
+                  scale = true;
+                  seed;
+                }
+              slot
+          in
+          Alcotest.(check (pair int int))
+            (what ^ ": explored, survivors") (57_725, 32)
+            (r.T.Tune.explored, r.T.Tune.sampled_scored);
+          Alcotest.(check int)
+            (what ^ ": layouts and texts built")
+            (2 * r.T.Tune.sampled_scored)
+            (T.Space.built () - built))
+        [ 1; 2 ])
     [ 0; 5 ]
 
 (* A traversal builds each swizzle stage once and prepends that one
@@ -1948,8 +2048,8 @@ let suite =
         test_staged_score_matches_interpreter;
       Alcotest.test_case "scale search deterministic across -j" `Quick
         test_scale_search_deterministic_across_jobs;
-      Alcotest.test_case "scale stream tail locality" `Quick
-        test_scale_stream_tail_locality;
+      Alcotest.test_case "search builds only its survivors" `Quick
+        test_search_work_pinned;
       Alcotest.test_case "CLI overview lists subcommands" `Quick
         test_cli_overview_lists_subcommands;
       Alcotest.test_case "CLI --scale honours an explicit --budget" `Quick
@@ -1979,4 +2079,6 @@ let suite =
         test_cli_rejects_oracle;
       Alcotest.test_case "winner conformance covers every point" `Quick
         test_winner_checked_on_every_point;
+      QCheck_alcotest.to_alcotest ~long:false prop_stream_pairs_match_reference;
+      QCheck_alcotest.to_alcotest ~long:false prop_compare_concat;
     ] )
