@@ -354,6 +354,10 @@ let tune () =
       let search jobs =
         T.Tune.search ~options:{ T.Tune.default_options with jobs } slot
       in
+      (* One untimed search first, so both timed searches run warm (the
+         domain's symbolic and op-count memos filled) and their ratio
+         compares -j settings, not a cold search against a warm one. *)
+      ignore (search 1);
       let r = search 1 in
       let r' = search jn in
       let name = slot.T.Slot.name in

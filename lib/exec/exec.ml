@@ -123,12 +123,13 @@ let map ?chunk ~pool xs f =
       match chunk with
       | Some c when c >= 1 -> c
       | Some _ -> invalid_arg "Exec.map: chunk must be >= 1"
-      (* Adaptive default: n / (8 * jobs) amortizes cursor traffic, but
+      (* Adaptive default: n / 8 / jobs amortizes cursor traffic, but
          on mega-batches an uncapped chunk lets one slow chunk strand
          the batch tail on a single worker; 1024 keeps >= 8 steals per
          worker beyond ~8k tasks while tiny batches still get chunk 1
-         (perfect balance for few expensive sims). *)
-      | None -> max 1 (min 1024 (n / (8 * pool.size)))
+         (perfect balance for few expensive sims).  Two divisions, not
+         [n / (8 * jobs)], whose product overflows for a huge [jobs]. *)
+      | None -> max 1 (min 1024 (n / 8 / pool.size))
     in
     let slots = Array.make n Pending in
     let cursor = Atomic.make 0 in

@@ -69,7 +69,7 @@ val with_pool : ?jobs:int -> ?oversubscribe:bool -> (pool -> 'a) -> 'a
 val map : ?chunk:int -> pool:pool -> 'a array -> ('a -> 'b) -> 'b array
 (** [map ~pool xs f] computes [Array.map f xs] across the pool's
     domains under the determinism contract above.  [chunk] (default:
-    [length / (8 * jobs)] clamped to [1 .. 1024]) is the number of
+    [length / 8 / jobs] clamped to [1 .. 1024]) is the number of
     consecutive indices a worker claims at a time — the cap keeps
     mega-batches stealing finely enough that one slow chunk cannot
     strand the tail, while tiny batches degrade to chunk 1 (one steal

@@ -146,7 +146,9 @@ let of_piece_uncached piece =
    ([Piece.equal] is (name, dims) equality, which the printed form
    captures), and the swizzle search instantiates hundreds of layouts
    over a few dozen pieces — so memoize per piece identity, domain-local
-   because scoring runs inside [Exec.map] workers. *)
+   because {!of_layout} runs inside [Exec.map] workers: conformance's
+   F₂ leg in [Conform.run]'s, and [Predict.score] in perfbench's exec
+   replay. *)
 let piece_memo : (string, t option) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 

@@ -115,8 +115,11 @@ let check_image ?(jobs = 1) ~what ~numel ~apply ~inv () =
     check_image_seq ~what ~numel ~apply ~inv
   else begin
     let ranges =
-      let n = jobs * 4 in
-      let step = (numel + n - 1) / n in
+      (* About four ranges per job: ceil (numel / (4 * jobs)) indices
+         each, at least one, so never more ranges than indices.  The
+         divisions are chained because [4 * jobs] overflows for a huge
+         [jobs]. *)
+      let step = ((numel - 1) / 4 / jobs) + 1 in
       Array.init ((numel + step - 1) / step) (fun i ->
           (i * step, min numel ((i + 1) * step)))
     in

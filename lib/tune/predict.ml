@@ -168,7 +168,8 @@ let prepare ?(device = G.Device.a100) ~dims phases =
 (* {!score}'s one-entry cache of the preparation, keyed on every input
    [prepare] reads: the phase list (physically: the slot record holds
    one list for the whole search), the device and the dims.
-   Domain-local because scoring runs inside [Exec.map] workers. *)
+   Domain-local because callers may score inside [Exec.map] workers:
+   perfbench's exec replay calls {!score} there. *)
 let prep_cache : prep option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

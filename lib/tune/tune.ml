@@ -50,21 +50,6 @@ let rec take_prefix n = function
   | _ when n <= 0 -> []
   | x :: xs -> x :: take_prefix (n - 1) xs
 
-(* Pull up to [n] elements off a sequence; returns them in order, the
-   rest of the sequence, and whether the sequence ended inside the
-   pull.  Each node of {!Space.candidates} is forced exactly once
-   across the whole search — the traversal's state threads through the
-   returned tail. *)
-let take_seq n seq =
-  let rec go n s acc =
-    if n <= 0 then (List.rev acc, s, false)
-    else
-      match s () with
-      | Seq.Nil -> (List.rev acc, Seq.empty, true)
-      | Seq.Cons (x, tl) -> go (n - 1) tl (x :: acc)
-  in
-  go n seq []
-
 let cmp_static a b =
   Predict.compare_ranked (a.static_score, a.fingerprint)
     (b.static_score, b.fingerprint)
@@ -84,20 +69,13 @@ let cmp_candidate (s1, c1) (s2, c2) =
    candidate's score is a function of its map, and a space holds far
    fewer maps than candidates (57,725 transpose [--scale] candidates,
    9,398 maps), so the pass also keeps one map -> memory table for the
-   whole search.  Each chunk is scored in three steps:
+   whole search, filled the first time a map appears.  A candidate with
+   no F₂ map is scored in full through its compiled chain.
 
-   + sequentially, in chunk order, each candidate's op count and map
-     from its parts' entries (two table reads and one bit-matrix
-     product), its memory part from the map table, or a task: a map not
-     yet in the table, or the candidate itself when it has no F₂ map;
-   + in parallel, the tasks: {!Predict.memory} of each new map, once,
-     and {!Predict.direct} of each non-linear candidate;
-   + sequentially, the new maps into the table and the pending scores.
-
-   Every table is read and written only in the sequential steps, and
-   each entry is a pure function of its key, so the scores are what
-   {!Predict.score} gives at any [jobs], and a search computes each
-   part's entry and each distinct map's memory exactly once. *)
+   The pass runs on the calling domain, one candidate at a time, and
+   each entry is a pure function of its key, so every score is what
+   {!Predict.score} gives, and a search computes each part's entry and
+   each distinct map's memory exactly once. *)
 module Maps = Hashtbl.Make (struct
   type t = Lego_f2.Linear.t
 
@@ -192,58 +170,28 @@ module Static = struct
 
   let map t c = snd (parts_of t c)
 
-  type task = New_map of Lego_f2.Linear.t | Direct of Space.candidate
-
-  let run prep = function
-    | New_map map -> Predict.memory prep map
-    | Direct (c : Space.candidate) ->
+  let score t (c : Space.candidate) =
+    match parts_of t c with
+    | ops, Some map ->
+      let memory =
+        match Maps.find_opt t.table map with
+        | Some memory -> memory
+        | None ->
+          let memory = Predict.memory t.prep map in
+          Maps.add t.table map memory;
+          t.evaluations <- t.evaluations + 1;
+          memory
+      in
+      { memory with ops }
+    | ops, None ->
+      t.evaluations <- t.evaluations + 1;
       let base = Compiled.compile c.base.b_layout in
-      Predict.direct prep
-        (match c.stage with
+      let chain =
+        match c.stage with
         | None -> base
-        | Some s -> Compiled.prepend s.s_order base)
-
-  (* A candidate's score once known, or its op count and the task whose
-     result is its memory part. *)
-  type pending = Known of Predict.score | Pending of int * int
-
-  let score ~pool t batch =
-    let fresh = Maps.create 64 and tasks = ref [] and n_tasks = ref 0 in
-    let task x =
-      tasks := x :: !tasks;
-      incr n_tasks;
-      !n_tasks - 1
-    in
-    let pending =
-      Array.map
-        (fun c ->
-          match parts_of t c with
-          | ops, Some map -> (
-            match Maps.find_opt t.table map with
-            | Some memory -> Known { memory with ops }
-            | None -> (
-              match Maps.find_opt fresh map with
-              | Some k -> Pending (ops, k)
-              | None ->
-                let k = task (New_map map) in
-                Maps.add fresh map k;
-                Pending (ops, k)))
-          | ops, None -> Pending (ops, task (Direct c)))
-        batch
-    in
-    let tasks = Array.of_list (List.rev !tasks) in
-    let results = Exec.map ~pool tasks (run t.prep) in
-    Array.iteri
-      (fun k -> function
-        | New_map map -> Maps.add t.table map results.(k)
-        | Direct _ -> ())
-      tasks;
-    t.evaluations <- t.evaluations + Array.length tasks;
-    Array.map
-      (function
-        | Known s -> s
-        | Pending (ops, k) -> { (results.(k)) with ops })
-      pending
+        | Some s -> Compiled.prepend s.s_order base
+      in
+      { (Predict.direct t.prep chain) with ops }
 end
 
 (* Simulated order: roofline time first; among roofline ties (the time
@@ -262,16 +210,16 @@ let cmp_sim (a, sa) (b, sb) =
    - candidate generation is a pure function of
      [(shape, seed, composed, scale)]
      ({!Space}'s contract), and the stream arrives pre-deduplicated;
-   - every parallel step is an {!Exec.map}, whose submission-order merge
-     returns exactly the sequential result;
+   - the static pass runs on the calling domain, in stream order;
    - every {e decision} (budget truncation, top-K retention, rung
      promotion, final ranking) happens sequentially in this driver,
      over totally ordered keys ({!Predict.compare_ranked} or its
      two-part form [cmp_candidate], and [(time_s, s_cycles, static,
-     fingerprint)] for the sim rungs) — the
-     chunk size only groups work, never reorders it, and the top-K
-     retained set is order-independent under a total comparator;
-   - the {!Cache} of sim results is read inside parallel sections
+     fingerprint)] for the sim rungs), and the top-K retained set is
+     order-independent under a total comparator;
+   - the only parallel step is each sim rung's {!Exec.map}, whose
+     submission-order merge returns exactly the sequential result;
+   - the {!Cache} of sim results is read inside those parallel sections
      (pure [find]) and written only between them, and every reported
      counter tallies the funnel's structure (rung sizes), not cache
      traffic — so a warm cache changes wall-clock only.
@@ -302,46 +250,30 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     min options.budget
       (if use_sampled then 4 * min options.top (max_int / 4) else options.top)
   in
-  Exec.with_pool ~jobs:(max 1 options.jobs) @@ fun pool ->
   let t0 = Unix.gettimeofday () in
-  (* Stage one: stream the space through the static pass in chunks,
-     retaining only the best [heap_cap] candidates (plus counters).
-     Memory is O(heap_cap) + the stream's parts and dedup bits + one
-     table entry per part and per distinct F₂ map, whatever the space
-     size. *)
-  let chunk_len =
-    max 64 (min 8192 (options.budget / (4 * max 1 options.jobs)))
-  in
+  (* Stage one: stream the space through the static pass, retaining
+     only the best [heap_cap] candidates (plus counters).  Memory is
+     O(heap_cap) + the stream's parts and dedup bits + one table entry
+     per part and per distinct F₂ map, whatever the space size.  At the
+     budget the pass forces one node more, so [exhaustive] reflects the
+     space, not the budget, when the budget lands exactly on the last
+     candidate. *)
   let heap = Topk.create ~cap:heap_cap ~cmp:cmp_candidate in
-  let explored = ref 0 and drained = ref false in
-  let stream = ref (Space.candidates sp) in
   let static = Static.create slot in
-  while (not !drained) && !explored < options.budget do
-    let want = min chunk_len (options.budget - !explored) in
-    let batch, rest, ended = take_seq want !stream in
-    stream := rest;
-    if ended then drained := true;
-    if batch <> [] then begin
-      (* Sequential merge: top-K retention in submission order. *)
-      let batch = Array.of_list batch in
-      let scores = Static.score ~pool static batch in
-      Array.iteri (fun i s -> Topk.add heap (s, batch.(i))) scores;
-      explored := !explored + Array.length batch
-    end
-  done;
-  (* Peek once past the budget so [exhaustive] reflects the space, not
-     the budget, when the budget lands exactly on the last candidate. *)
-  if not !drained then begin
-    match !stream () with
-    | Seq.Nil -> drained := true
-    | Seq.Cons _ -> ()
-  end;
+  let rec pass explored stream =
+    match stream () with
+    | Seq.Nil -> (explored, true)
+    | Seq.Cons _ when explored >= options.budget -> (explored, false)
+    | Seq.Cons (c, rest) ->
+      Topk.add heap (Static.score static c, c);
+      pass (explored + 1) rest
+  in
+  let explored, drained = pass 0 (Space.candidates sp) in
   let static_seconds = Unix.gettimeofday () -. t0 in
-  let explored = !explored in
   (* Sim rung helper: look up the cached sim for [sc] under [field],
      simulate on a miss (in parallel, chunk 1 — few expensive tasks),
      write back, and pair each candidate with its sim. *)
-  let run_rung ~get ~set ~simulate cands =
+  let run_rung ~pool ~get ~set ~simulate cands =
     let arr = Array.of_list cands in
     let digests =
       Array.map (fun sc -> Digest.string sc.fingerprint) arr
@@ -367,45 +299,51 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     Cache.note_misses cache (Array.length arr - !hits);
     List.mapi (fun i sc -> (sc, fst sims.(i))) cands
   in
-  let t1 = Unix.gettimeofday () in
-  (* Middle rung: sampled simulation of every heap survivor, promoting
-     the best [top] to full simulation. *)
-  let promoted =
-    List.map
-      (fun (static_score, c) ->
-        {
-          layout = Space.layout c;
-          fingerprint = Space.text c;
-          static_score;
-          sim = None;
-        })
-      (Topk.sorted heap)
+  (* The sim rungs hold the search's only parallel sections, so the pool
+     lives only around them.  Its set-up and shut-down stay outside the
+     timed sections, which time the search's own work. *)
+  let sampled_scored, ranking, sim_seconds =
+    Exec.with_pool ~jobs:(max 1 options.jobs) @@ fun pool ->
+    let t1 = Unix.gettimeofday () in
+    let promoted =
+      List.map
+        (fun (static_score, c) ->
+          {
+            layout = Space.layout c;
+            fingerprint = Space.text c;
+            static_score;
+            sim = None;
+          })
+        (Topk.sorted heap)
+    in
+    (* Middle rung: sampled simulation of every heap survivor, promoting
+       the best [top] to full simulation. *)
+    let sampled_scored, finalists =
+      match slot.simulate_sampled with
+      | Some simulate when use_sampled ->
+        let ranked =
+          List.sort cmp_sim
+            (run_rung ~pool
+               ~get:(fun e -> e.Cache.sampled)
+               ~set:(fun e s -> e.Cache.sampled <- Some s)
+               ~simulate promoted)
+        in
+        (List.length ranked, take_prefix options.top (List.map fst ranked))
+      | _ -> (0, take_prefix options.top promoted)
+    in
+    (* Final rung: full simulation, ranked by roofline time. *)
+    let ranking =
+      List.sort
+        (fun a b -> cmp_sim (a, Option.get a.sim) (b, Option.get b.sim))
+        (List.map
+           (fun (sc, sim) -> { sc with sim = Some sim })
+           (run_rung ~pool
+              ~get:(fun e -> e.Cache.full)
+              ~set:(fun e s -> e.Cache.full <- Some s)
+              ~simulate:slot.simulate finalists))
+    in
+    (sampled_scored, ranking, Unix.gettimeofday () -. t1)
   in
-  let sampled_scored, finalists =
-    match slot.simulate_sampled with
-    | Some simulate when use_sampled ->
-      let ranked =
-        List.sort cmp_sim
-          (run_rung
-             ~get:(fun e -> e.Cache.sampled)
-             ~set:(fun e s -> e.Cache.sampled <- Some s)
-             ~simulate promoted)
-      in
-      (List.length ranked, take_prefix options.top (List.map fst ranked))
-    | _ -> (0, take_prefix options.top promoted)
-  in
-  (* Final rung: full simulation, ranked by roofline time. *)
-  let ranking =
-    List.sort
-      (fun a b -> cmp_sim (a, Option.get a.sim) (b, Option.get b.sim))
-      (List.map
-         (fun (sc, sim) -> { sc with sim = Some sim })
-         (run_rung
-            ~get:(fun e -> e.Cache.full)
-            ~set:(fun e s -> e.Cache.full <- Some s)
-            ~simulate:slot.simulate finalists))
-  in
-  let sim_seconds = Unix.gettimeofday () -. t1 in
   let winner =
     match ranking with
     | w :: _ -> w
@@ -413,7 +351,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   in
   (* Outside the timed sections: sizing a drained stream is free
      ([explored] covered it); otherwise one dedicated traversal. *)
-  let space_size = if !drained then explored else Space.count sp in
+  let space_size = if drained then explored else Space.count sp in
   (* The winner is checked on every point, with its injectivity array. *)
   let conform =
     if options.conform then
@@ -432,7 +370,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     explored;
     maps = Static.maps static;
     space_size;
-    exhaustive = !drained;
+    exhaustive = drained;
     sampled_scored;
     static_seconds;
     sim_seconds;

@@ -5,13 +5,13 @@
 
     + {b static pass} ({!Static}) — the stream of (swizzle stage, base)
       pairs (pre-deduplicated, never materialized) flows through the
-      cheap {!Predict} pre-filter in chunks, under a candidate budget:
-      each candidate's op count and F₂ map from per-search part
-      tables, then one memory evaluation per distinct map per search;
-      only a bounded top-K heap of the best survivors, the tables and
-      counters are retained, so ranking memory is O(K) at 10⁵–10⁶
-      candidates, and only the survivors' layouts and texts are
-      built;
+      cheap {!Predict} pre-filter on the calling domain, under a
+      candidate budget: each candidate's op count and F₂ map from
+      per-search part tables, and one memory evaluation per distinct
+      map per search; only a bounded top-K heap of the best survivors,
+      the tables and counters are retained, so ranking memory is O(K)
+      at 10⁵–10⁶ candidates, and only the survivors' layouts and texts
+      are built;
     + {b sampled rung} (successive halving; active in scale mode when
       the slot has a [simulate_sampled]) — every heap survivor runs the
       cheap sampled simulation, the best [top] promote;
@@ -21,21 +21,23 @@
       {!Lego_conform.Conform} differential harness before being
       reported.
 
-    Results are bit-identical at any [jobs]: parallelism only ever runs
-    inside {!Lego_exec.Exec.map} (submission-order merge), all search
-    decisions are sequential over totally ordered keys, the top-K
-    retained set is order-independent under its total comparator, the
-    part and map tables are read and written only between parallel
-    sections, and
-    the {!Cache} is read (purely) inside parallel sections but written
-    only between them — a warm cache changes wall-clock, never results
-    or counters. *)
+    Results are bit-identical at any [jobs]: the static pass is
+    sequential, the only parallel step is the sim rungs'
+    {!Lego_exec.Exec.map} (submission-order merge), all search decisions
+    are sequential over totally ordered keys, the top-K retained set is
+    order-independent under its total comparator, and the {!Cache} is
+    read (purely) inside the rungs' parallel sections but written only
+    between them — a warm cache changes wall-clock, never results or
+    counters. *)
 
 type options = {
   budget : int;  (** Max candidates scored by the static pass (256). *)
   top : int;  (** Finalists fully simulated (default 8). *)
   seed : int;  (** Space-enumeration seed; 0 = canonical order. *)
-  jobs : int;  (** {!Lego_exec.Exec} pool size (default 1). *)
+  jobs : int;
+      (** {!Lego_exec.Exec} pool size for the sampled and full sim rungs
+          (default 1); the static pass runs on the calling domain at
+          any [jobs]. *)
   conform : bool;
       (** Conformance check of the winner (default on): every point of
           its space through {!Lego_conform.Conform.check_layout}, with
@@ -92,7 +94,7 @@ type result = {
 (** The static pass of one search: one entry per candidate part (each
     swizzle stage and each base of {!Space.candidates}) and one map ->
     memory table, living as long as the search.  {!search} feeds it
-    every chunk of one traversal of the stream and never shares it
+    every candidate of one traversal of the stream and never shares it
     across searches; candidates of two traversals must not meet in one
     pass, since part ids repeat across traversals. *)
 module Static : sig
@@ -101,21 +103,16 @@ module Static : sig
   val create : Slot.t -> t
   (** Empty tables for the slot's phases on the slot's device. *)
 
-  val score :
-    pool:Lego_exec.Exec.pool -> t -> Space.candidate array -> Predict.score array
-  (** Scores a chunk of candidates, in order, in three steps: a
-      sequential scan, in chunk order, that takes each candidate's op
-      count and F₂ map from its parts' entries (filling an entry the
-      first time its part appears) and its memory part from the map
-      table, or queues a task; the tasks in parallel ({!Predict.memory}
-      of each map not yet in the table, {!Predict.direct} of each
-      candidate with no F₂ map); and a sequential merge of the new
-      entries and the pending scores.  Each score equals
-      [Predict.score ~device:slot.device (Space.layout c) slot.phases];
-      the tables are touched only in the sequential steps, so results
-      are the same at any pool size.  No candidate's layout or text is
-      built.  Raises [Invalid_argument] when a candidate's dims are not
-      the slot's. *)
+  val score : t -> Space.candidate -> Predict.score
+  (** Scores one candidate on the calling domain: its op count and F₂
+      map from its parts' entries (filling an entry the first time its
+      part appears), and its memory part from the map table, or from
+      {!Predict.memory} the first time its map appears; a candidate
+      with no F₂ map is scored by {!Predict.direct} of its compiled
+      chain.  Equals
+      [Predict.score ~device:slot.device (Space.layout c) slot.phases].
+      No candidate's layout or text is built.  Raises
+      [Invalid_argument] when a candidate's dims are not the slot's. *)
 
   val map : t -> Space.candidate -> Lego_f2.Linear.t option
   (** The candidate's F₂ map as {!score} computes it: its stage's map

@@ -107,6 +107,23 @@ let test_hardware_clamp_preserves_semantics () =
   in
   Alcotest.(check bool) "identical results" true (clamped = oversub)
 
+(* Regression: the default chunk was [n / (8 * jobs)], and the product
+   wraps to 0 at [jobs] = 2⁶⁰ and 2⁶¹, so every map without a [chunk]
+   raised [Division_by_zero] ([legoc serve -j 2⁶⁰] died on its first
+   batch of more than one request).  Such a pool spawns no more domains than the
+   host has cores, reports its requested size, and maps as a one-job
+   pool does. *)
+let test_huge_jobs () =
+  let xs = Array.init 500 (fun i -> i) and f i = (i * 7) + 1 in
+  let want = X.with_pool ~jobs:1 (fun pool -> X.map ~pool xs f) in
+  List.iter
+    (fun (what, jobs) ->
+      X.with_pool ~jobs (fun pool ->
+          Alcotest.(check int) (what ^ ": requested size") jobs (X.jobs pool);
+          Alcotest.(check (array int)) (what ^ ": = -j 1") want
+            (X.map ~pool xs f)))
+    [ ("2^60", 1 lsl 60); ("2^61", 1 lsl 61) ]
+
 (* Reads the environment and never writes it: a test that set
    [LEGO_JOBS] could not unset it again (OCaml's [Unix] has no
    unsetenv), and every later [legoc] run in the process would read
@@ -148,4 +165,5 @@ let suite =
         test_hardware_clamp_preserves_semantics;
       Alcotest.test_case "default_jobs reads LEGO_JOBS" `Quick
         test_default_jobs_env;
+      Alcotest.test_case "huge jobs map as -j 1" `Quick test_huge_jobs;
     ] )

@@ -504,13 +504,18 @@ let test_parallel_check_matches_sequential () =
                 D.select (D.eq p (D.const 4500)) (D.const 4501) p) };
     ]
   in
+  (* 2⁶⁰ and 2⁶¹ are regressions: the range count was [jobs * 4], which
+     wraps there, and [--check -j 2⁶¹] raised [Division_by_zero]. *)
   List.iter
     (fun p ->
       let seq = Check.piece ~jobs:1 p in
-      let par = Check.piece ~jobs:4 p in
-      Alcotest.(check (result unit string))
-        (Format.asprintf "verdict identical for %a" Piece.pp p)
-        seq par)
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (result unit string))
+            (Format.asprintf "verdict identical for %a at -j %d" Piece.pp p
+               jobs)
+            seq (Check.piece ~jobs p))
+        [ 4; 1 lsl 60; 1 lsl 61 ])
     cases;
   (* Non-vacuity: the broken variants really do fail. *)
   match List.map (Check.piece ~jobs:4) cases with

@@ -583,10 +583,18 @@ let test_funnel_deterministic_across_jobs_and_runs () =
   let slot = T.Slot.matmul_smem () in
   let opts jobs = { (search_opts jobs) with scale = true; seed = 3 } in
   let r1 = T.Tune.search ~options:(opts 1) slot in
-  let r4 = T.Tune.search ~options:(opts 4) slot in
+  (* 2⁶⁰ and 2⁶¹ are regressions: the static pass's chunk length divided
+     the budget by [4 * jobs], which wraps to 0 at 2⁶¹, and [legoc tune
+     -j 2⁶¹] raised [Division_by_zero]. *)
+  List.iter
+    (fun jobs ->
+      let r = T.Tune.search ~options:(opts jobs) slot in
+      Alcotest.(check bool)
+        (Printf.sprintf "-j1 = -j%d (winner, top-K, counters)" jobs)
+        true
+        (result_key r1 = result_key r))
+    [ 4; 1 lsl 60; 1 lsl 61 ];
   let r1' = T.Tune.search ~options:(opts 1) slot in
-  Alcotest.(check bool) "-j1 = -j4 (winner, top-K, counters)" true
-    (result_key r1 = result_key r4);
   Alcotest.(check bool) "same seed, same run" true
     (result_key r1 = result_key r1')
 
@@ -698,6 +706,32 @@ let test_small_space_is_exhaustive () =
   in
   Alcotest.(check bool) "ranking sorted" true
     (List.sort compare times = times)
+
+(* The static pass stops at the budget and forces one node more, so
+   [exhaustive] reflects the space, not the budget, when the budget
+   lands on the last candidate.  On the 5-candidate nw and toy spaces,
+   at -j 1 and -j 2: budget 4 explores 4 and is truncated (the space
+   still counts 5), budget 5 is exhaustive, and budget 6 is exhaustive
+   with 5 explored. *)
+let test_budget_boundary () =
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun (budget, want) ->
+              let r =
+                T.Tune.search ~options:{ (search_opts jobs) with budget } slot
+              in
+              Alcotest.(check (triple int bool int))
+                (Printf.sprintf
+                   "%s budget %d -j %d: explored, exhaustive, space size"
+                   slot.T.Slot.name budget jobs)
+                want
+                (r.T.Tune.explored, r.T.Tune.exhaustive, r.T.Tune.space_size))
+            [ (4, (4, false, 5)); (5, (5, true, 5)); (6, (5, true, 5)) ])
+        [ 1; 2 ])
+    [ T.Slot.nw_smem (); toy_slot () ]
 
 (* --- Algebra-built composed candidates ------------------------------------- *)
 
@@ -1149,12 +1183,10 @@ let test_precomp_keyed_on_device () =
     | _ -> false);
   Alcotest.(check bool) "a 16x16 candidate in a 32x32 static pass" true
     (match
-       Lego_exec.Exec.with_pool ~jobs:1 (fun pool ->
-           T.Tune.Static.score ~pool
-             (T.Tune.Static.create (T.Slot.transpose_smem ()))
-             (Array.of_seq
-                (Seq.take 1
-                   (T.Space.candidates (T.Space.make ~rows:16 ~cols:16 ())))))
+       T.Tune.Static.score
+         (T.Tune.Static.create (T.Slot.transpose_smem ()))
+         (Seq.uncons (T.Space.candidates (T.Space.make ~rows:16 ~cols:16 ()))
+         |> Option.get |> fst)
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -1229,16 +1261,12 @@ let check_score what (want : T.Predict.score) (got : T.Predict.score) =
       (Format.asprintf "%a" T.Predict.pp want)
       want.T.Predict.smem_accesses
 
-(* Feeds [chunks] of candidates, in order, to one static pass on
-   [slot], the way {!T.Tune.search} feeds its stream; returns the pass
-   and every candidate's static score in order. *)
-let static_pass ?(jobs = 1) slot chunks =
+(* Scores [cands], in order, through one static pass on [slot], the
+   way {!T.Tune.search} feeds its stream; returns the pass and every
+   candidate's static score in order. *)
+let static_pass slot cands =
   let static = T.Tune.Static.create slot in
-  let scores =
-    Lego_exec.Exec.with_pool ~jobs (fun pool ->
-        List.map (T.Tune.Static.score ~pool static) chunks)
-  in
-  (static, Array.concat scores)
+  (static, Array.map (T.Tune.Static.score static) cands)
 
 (* The candidates of [sp] with the given texts, in that order, all
    from one traversal. *)
@@ -1251,13 +1279,6 @@ let candidates_named sp texts =
          | Some c -> c
          | None -> Alcotest.failf "%S is not a candidate of the space" text)
        texts)
-
-(* [xs] in consecutive chunks of [n] (the search's chunking). *)
-let chunks_of n xs =
-  let len = Array.length xs in
-  List.init
-    ((len + n - 1) / n)
-    (fun k -> Array.sub xs (k * n) (min n (len - (k * n))))
 
 (* Each search keeps its own map table on its slot's device.  Neither
    the map nor the phase indices depend on bank geometry, so a table
@@ -1287,7 +1308,7 @@ let test_map_memo_keyed_on_bank_geometry () =
   List.iter
     (fun device ->
       let slot = T.Slot.transpose_smem ~device () in
-      let static, scores = static_pass slot [ cand ] in
+      let static, scores = static_pass slot cand in
       Alcotest.(check int) "one map" 1 (T.Tune.Static.maps static);
       check_score
         (Printf.sprintf "%d banks" device.G.Device.smem_banks)
@@ -1297,10 +1318,9 @@ let test_map_memo_keyed_on_bank_geometry () =
 (* Two texts of one map: the swizzle's top mask bit shifts past the
    32 rows, so m19 and m3 are one piece matrix over the same tiling,
    but the printed stages differ and so do their op counts.  Each order
-   starts from an empty table, in one chunk (the second text is found
-   in the scan) and in two (it hits the first chunk's entry): the map
-   is evaluated once, the memory fields agree with the interpreter and
-   each text keeps its own ops. *)
+   starts from an empty table, and the second text hits the first's
+   entry: the map is evaluated once, the memory fields agree with the
+   interpreter and each text keeps its own ops. *)
 let test_map_memo_keeps_ops_per_text () =
   let slot = T.Slot.transpose_smem () in
   let text mask =
@@ -1326,13 +1346,10 @@ let test_map_memo_keeps_ops_per_text () =
     (T.Predict.decomposed_ops a, T.Predict.decomposed_ops b);
   let want = Reference.interpret_score ~ops:0 a slot.T.Slot.phases in
   List.iter
-    (fun (what, order, split) ->
-      let cands =
-        Array.of_list (List.map (fun (_, mask, _) -> cand mask) order)
-      in
+    (fun (what, order) ->
       let static, scores =
         static_pass slot
-          (if split then [ [| cands.(0) |]; [| cands.(1) |] ] else [ cands ])
+          (Array.of_list (List.map (fun (_, mask, _) -> cand mask) order))
       in
       List.iteri
         (fun i (name, _, ops) ->
@@ -1342,14 +1359,12 @@ let test_map_memo_keeps_ops_per_text () =
         (what ^ ": one map, one evaluation") (1, 1)
         (T.Tune.Static.maps static, T.Tune.Static.evaluations static))
     [
-      ("one chunk", [ ("m19", 19, 142); ("m3", 3, 148) ], false);
-      ("one chunk, reversed", [ ("m3", 3, 148); ("m19", 19, 142) ], false);
-      ("two chunks", [ ("m19", 19, 142); ("m3", 3, 148) ], true);
-      ("two chunks, reversed", [ ("m3", 3, 148); ("m19", 19, 142) ], true);
+      ("m19 first", [ ("m19", 19, 142); ("m3", 3, 148) ]);
+      ("m3 first", [ ("m3", 3, 148); ("m19", 19, 142) ]);
     ]
 
 (* Every table hit must be exact.  The whole transpose --scale stream
-   goes through one static pass in the search's chunks at -j 2.  Every
+   goes through one static pass in stream order.  Every
    F₂-linear candidate's score must equal
    {!Reference.closed_form_score}, which reads a candidate only through
    its map and its op count, so it is computed once per distinct map;
@@ -1363,7 +1378,7 @@ let test_map_memo_hits_are_exact () =
   let slot = T.Slot.transpose_smem () in
   let pairs = Array.of_seq (T.Space.candidates (slot_space ~scale:true slot)) in
   let cands = Array.map T.Space.layout pairs in
-  let static, scores = static_pass ~jobs:2 slot (chunks_of 8192 pairs) in
+  let static, scores = static_pass slot pairs in
   let stage_sum g =
     List.fold_left
       (fun acc o ->
@@ -1652,27 +1667,26 @@ let test_scale_search_deterministic_across_jobs () =
     (result_key r1 = result_key r2)
 
 (* The shape of a drained transpose --scale search's work, at seeds 0
-   and 5 and -j 1 and -j 2: its static pass meets the space's 155
-   swizzle stages (every mask >= 1 with shifts 0..4) and 375 bases,
-   each once, so it makes one op count and one map per part; and of
-   the 57,725 candidates only the heap's 32 survivors (4 x top 8 for
-   the sampled rung) get a layout and a text, one each. *)
+   and 5: its static pass meets the space's 155 swizzle stages (every
+   mask >= 1 with shifts 0..4) and 375 bases, each once, so it makes
+   one op count and one map per part; and at -j 1 and -j 2, of the
+   57,725 candidates only the heap's 32 survivors (4 x top 8 for the
+   sampled rung) get a layout and a text, one each. *)
 let test_search_work_pinned () =
   let slot = T.Slot.transpose_smem () in
   List.iter
     (fun seed ->
+      let static, _ =
+        static_pass slot
+          (Array.of_seq (T.Space.candidates (slot_space ~scale:true ~seed slot)))
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "seed %d: stages, bases" seed)
+        (155, 375)
+        (T.Tune.Static.stages static, T.Tune.Static.bases static);
       List.iter
         (fun jobs ->
           let what = Printf.sprintf "seed %d -j %d" seed jobs in
-          let static, _ =
-            static_pass ~jobs slot
-              (chunks_of 8192
-                 (Array.of_seq
-                    (T.Space.candidates (slot_space ~scale:true ~seed slot))))
-          in
-          Alcotest.(check (pair int int))
-            (what ^ ": stages, bases") (155, 375)
-            (T.Tune.Static.stages static, T.Tune.Static.bases static);
           let built = T.Space.built () in
           let r =
             T.Tune.search
@@ -2081,4 +2095,6 @@ let suite =
         test_winner_checked_on_every_point;
       QCheck_alcotest.to_alcotest ~long:false prop_stream_pairs_match_reference;
       QCheck_alcotest.to_alcotest ~long:false prop_compare_concat;
+      Alcotest.test_case "budget boundary: the one-node peek" `Quick
+        test_budget_boundary;
     ] )
