@@ -746,6 +746,29 @@ let micro () =
   in
   let raw = Lego_symbolic.Sym.apply ~simplify:false tiled in
   let env = Lego_symbolic.Sym.ranges_of tiled in
+  (* Per-node costs of the hash-consed engine.  [wide] is a 16-summand
+     sum whose summands [v_k * deep] share one 32-level div/mod chain:
+     rebuilding it is 17 intern hits (16 products, the sum), each hashed
+     and compared at the top of a deep DAG.  [shared] is a 40-level DAG
+     whose tree has about 10^12 nodes: [Cost.ops] visits its 121
+     distinct nodes in one [Expr.Tbl] walk. *)
+  let module E = Lego_symbolic.Expr in
+  let deep =
+    let rec go d e =
+      if d = 0 then e
+      else go (d - 1) E.(md (div (add e (const d)) (const 3)) (const 1024))
+    in
+    go 32 (E.var "x")
+  in
+  let summands =
+    List.init 16 (fun k -> E.(mul (var (Printf.sprintf "v%d" k)) deep))
+  in
+  let shared =
+    let rec go d e =
+      if d = 0 then e else go (d - 1) E.(md (mul e e) (const (d + 2)))
+    in
+    go 40 (E.var "x")
+  in
   let tests =
     [
       Test.make ~name:"apply_ints (fig 9)"
@@ -759,6 +782,10 @@ let micro () =
         (Staged.stage (fun () -> Lego_symbolic.Simplify.simplify ~env raw));
       Test.make ~name:"parse + elaborate notation"
         (Staged.stage (fun () -> Lego_lang.Elab.layout_of_string notation));
+      Test.make ~name:"intern hits: wide sum over a deep chain"
+        (Staged.stage (fun () -> E.sum summands));
+      Test.make ~name:"Cost.ops: shared DAG, one Tbl walk"
+        (Staged.stage (fun () -> Lego_symbolic.Cost.ops shared));
     ]
   in
   let grouped = Test.make_grouped ~name:"lego" tests in

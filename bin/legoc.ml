@@ -71,73 +71,118 @@ let jobs_arg =
            bit-identical for any $(docv); 0 selects the recommended \
            domain count for this machine.")
 
-let resolve_jobs jobs =
-  if jobs < 0 then failwith "--jobs must be >= 0"
-  else if jobs = 0 then Lego_exec.Exec.default_jobs ()
-  else jobs
+(* Every mode rejects a negative --jobs (or LEGO_JOBS) before doing
+   anything, like its other option errors: a message and exit 2.  [k]
+   gets the domain count, 0 resolved to the machine's. *)
+let with_jobs jobs k =
+  if jobs < 0 then begin
+    Printf.eprintf "error: --jobs must be >= 0\n";
+    2
+  end
+  else k (if jobs = 0 then Lego_exec.Exec.default_jobs () else jobs)
 
-let parse_index s =
-  try List.map int_of_string (String.split_on_char ',' (String.trim s))
-  with Failure _ -> failwith (Printf.sprintf "bad index %S" s)
+(* The --apply index, checked against the layout's shape: one integer
+   per logical dimension, each within its extent. *)
+let apply_index g s =
+  let dims = L.Group_by.dims g in
+  let bad fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "--apply %S: %s" s m)) fmt
+  in
+  let comps =
+    List.map
+      (fun c -> int_of_string_opt (String.trim c))
+      (String.split_on_char ',' s)
+  in
+  if List.mem None comps || List.compare_lengths comps dims <> 0 then
+    bad "expected %d comma-separated integers for the shape %s"
+      (List.length dims)
+      (Format.asprintf "%a" L.Shape.pp dims)
+  else
+    let idx = List.map Option.get comps in
+    match
+      List.find_opt
+        (fun (_, i, n) -> i < 0 || i >= n)
+        (List.mapi (fun k (i, n) -> (k, i, n)) (List.combine idx dims))
+    with
+    | Some (k, i, n) -> bad "index %d of dimension %d is outside [0, %d)" i k n
+    | None -> Ok (s, idx)
 
-let run layout_text table apply_idx inv_p emit_c emit_triton emit_mlir check
+let inv_offset g p =
+  let n = L.Group_by.numel g in
+  if p < 0 || p >= n then
+    Error (Printf.sprintf "--inv %d: the offset is outside [0, %d)" p n)
+  else Ok p
+
+let show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs =
+  let nothing_requested =
+    (not table) && apply = None && inv = None && (not emit_c)
+    && (not emit_triton) && (not emit_mlir) && not check
+  in
+  Printf.printf "layout: %s\n" (Format.asprintf "%a" L.Group_by.pp g);
+  Printf.printf "logical shape: %s, %d elements\n"
+    (Format.asprintf "%a" L.Shape.pp (L.Group_by.dims g))
+    (L.Group_by.numel g);
+  if table || nothing_requested then begin
+    print_endline "table (row-major logical order):";
+    Seq.iter
+      (fun idx ->
+        Printf.printf "  [%s] -> %d\n"
+          (String.concat ", " (List.map string_of_int idx))
+          (L.Group_by.apply_ints g idx))
+      (Seq.take (min 64 (L.Group_by.numel g))
+         (L.Shape.indices (L.Group_by.dims g)));
+    if L.Group_by.numel g > 64 then print_endline "  ... (first 64 shown)"
+  end;
+  Option.iter
+    (fun (s, idx) ->
+      Printf.printf "apply [%s] = %d\n" s (L.Group_by.apply_ints g idx))
+    apply;
+  Option.iter
+    (fun p ->
+      Printf.printf "inv %d = [%s]\n" p
+        (String.concat ", " (List.map string_of_int (L.Group_by.inv_ints g p))))
+    inv;
+  let offset = lazy (Lego_symbolic.Sym.apply g) in
+  if emit_c then
+    Printf.printf "C: %s\n" (Lego_codegen.C_printer.expr (Lazy.force offset));
+  if emit_triton then
+    Printf.printf "Triton: %s\n"
+      (Lego_codegen.Triton_printer.expr (Lazy.force offset));
+  if emit_mlir then
+    print_string (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
+  if check then begin
+    match L.Check.layout ~jobs g with
+    | Ok () ->
+      print_endline "bijection: verified";
+      0
+    | Error e ->
+      Printf.printf "bijection: FAILED (%s)\n" e;
+      0
+    | exception Invalid_argument e ->
+      Printf.eprintf "error: %s\n" e;
+      1
+  end
+  else 0
+
+let run layout_text table apply_text inv_p emit_c emit_triton emit_mlir check
     jobs =
+  with_jobs jobs @@ fun jobs ->
   match Lego_lang.Elab.layout_of_string layout_text with
   | Error e ->
     Printf.eprintf "error: %s\n" e;
     1
-  | Ok g ->
-    let nothing_requested =
-      (not table) && apply_idx = None && inv_p = None && (not emit_c)
-      && (not emit_triton) && (not emit_mlir) && not check
+  | Ok g -> (
+    (* Checked before anything is printed. *)
+    let checked f = function
+      | None -> Ok None
+      | Some x -> Result.map Option.some (f g x)
     in
-    Printf.printf "layout: %s\n" (Format.asprintf "%a" L.Group_by.pp g);
-    Printf.printf "logical shape: %s, %d elements\n"
-      (Format.asprintf "%a" L.Shape.pp (L.Group_by.dims g))
-      (L.Group_by.numel g);
-    if table || nothing_requested then begin
-      print_endline "table (row-major logical order):";
-      Seq.iter
-        (fun idx ->
-          Printf.printf "  [%s] -> %d\n"
-            (String.concat ", " (List.map string_of_int idx))
-            (L.Group_by.apply_ints g idx))
-        (Seq.take (min 64 (L.Group_by.numel g))
-           (L.Shape.indices (L.Group_by.dims g)));
-      if L.Group_by.numel g > 64 then print_endline "  ... (first 64 shown)"
-    end;
-    Option.iter
-      (fun s ->
-        let idx = parse_index s in
-        Printf.printf "apply [%s] = %d\n" s (L.Group_by.apply_ints g idx))
-      apply_idx;
-    Option.iter
-      (fun p ->
-        Printf.printf "inv %d = [%s]\n" p
-          (String.concat ", "
-             (List.map string_of_int (L.Group_by.inv_ints g p))))
-      inv_p;
-    let offset = lazy (Lego_symbolic.Sym.apply g) in
-    if emit_c then
-      Printf.printf "C: %s\n" (Lego_codegen.C_printer.expr (Lazy.force offset));
-    if emit_triton then
-      Printf.printf "Triton: %s\n"
-        (Lego_codegen.Triton_printer.expr (Lazy.force offset));
-    if emit_mlir then
-      print_string (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
-    if check then begin
-      match L.Check.layout ~jobs:(resolve_jobs jobs) g with
-      | Ok () ->
-        print_endline "bijection: verified";
-        0
-      | Error e ->
-        Printf.printf "bijection: FAILED (%s)\n" e;
-        0
-      | exception Invalid_argument e ->
-        Printf.eprintf "error: %s\n" e;
-        1
-    end
-    else 0
+    match (checked apply_index apply_text, checked inv_offset inv_p) with
+    | Error e, _ | _, Error e ->
+      Printf.eprintf "error: %s\n" e;
+      2
+    | Ok apply, Ok inv ->
+      show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs)
 
 (* ---- legoc conform: the differential conformance harness -------------- *)
 
@@ -219,6 +264,7 @@ let break_simplify_flag =
 
 let run_conform seed iters algebra max_points budget skip_gallery require_f2
     break_simplify jobs =
+  with_jobs jobs @@ fun jobs ->
   let invalid =
     if iters < 0 then Some "--iters must be >= 0"
     else if algebra < 0 then Some "--algebra must be >= 0"
@@ -238,7 +284,7 @@ let run_conform seed iters algebra max_points budget skip_gallery require_f2
       Lego_conform.Conform.run ~gallery:(not skip_gallery) ~random:iters
         ~algebra ~seed ~max_points ~budget_s:budget
         ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
-        ~jobs:(resolve_jobs jobs) ()
+        ~jobs ()
     in
     if break_simplify then
       Lego_symbolic.Simplify.set_test_only_break_rule false;
@@ -374,7 +420,7 @@ let device_arg =
 
 let run_tune slot_names device budget top seed jobs expect_cf no_conform
     composed scale =
-  let jobs = resolve_jobs jobs in
+  with_jobs jobs @@ fun jobs ->
   let device_name = String.lowercase_ascii device in
   (* --scale without an explicit --budget would silently search a tiny
      prefix of the mega-space; raise the default to cover it. *)
@@ -615,7 +661,7 @@ let run_oneshot ~socket ~db ~no_db ~jobs =
   status
 
 let run_serve socket db no_db oneshot jobs =
-  let jobs = resolve_jobs jobs in
+  with_jobs jobs @@ fun jobs ->
   if oneshot then run_oneshot ~socket ~db ~no_db ~jobs
   else
     match socket with

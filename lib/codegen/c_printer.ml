@@ -30,7 +30,7 @@ let guard_nonneg ~env e =
   let rec go (e : E.t) =
     if not (E.Tbl.mem seen e) then begin
       E.Tbl.add seen e ();
-      match e with
+      match e.node with
       | Const _ | Var _ -> ()
       | Add xs | Mul xs -> List.iter go xs
       | Div (a, b) | Mod (a, b) ->

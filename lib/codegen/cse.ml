@@ -51,7 +51,7 @@ let lower ?(prefix = "t") roots =
      table below still dedupes structurally identical chains). *)
   let memo : atom E.Tbl.t = E.Tbl.create 64 in
   let rec go (e : E.t) : atom =
-    match e with
+    match e.node with
     | Const n -> Aconst n
     | Var v -> Avar v
     | _ -> (
@@ -62,7 +62,7 @@ let lower ?(prefix = "t") roots =
         E.Tbl.add memo e a;
         a)
   and lower_node (e : E.t) : atom =
-    match e with
+    match e.node with
     | Const n -> Aconst n
     | Var v -> Avar v
     | Add xs -> chain Add (List.map go xs)

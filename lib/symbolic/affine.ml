@@ -13,13 +13,13 @@ let linearize ~vars (e : Expr.t) =
   let add_term t =
     match Expr.as_linear_term t with
     | c, [] -> offset := !offset + c
-    | c, [ Expr.Var v ] -> add_var v c
+    | c, [ { node = Expr.Var v; _ } ] -> add_var v c
     | _ -> raise Not_affine
   in
   match
-    (match e with
+    (match e.node with
     | Expr.Add ts -> List.iter add_term ts
-    | e -> add_term e)
+    | _ -> add_term e)
   with
   | () ->
     Some (!offset, List.map (fun v -> (v, Option.value ~default:0 (Hashtbl.find_opt coeffs v))) vars)

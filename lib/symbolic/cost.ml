@@ -16,7 +16,7 @@ let ops ?(weights = default_weights) e =
      costed once (its tree cost, which every occurrence contributes). *)
   let memo : int Expr.Tbl.t = Expr.Tbl.create 64 in
   let rec go (e : Expr.t) =
-    match e with
+    match e.node with
     | Const _ | Var _ -> 0
     | _ -> (
       match Expr.Tbl.find_opt memo e with
@@ -26,7 +26,7 @@ let ops ?(weights = default_weights) e =
         Expr.Tbl.add memo e n;
         n)
   and compute (e : Expr.t) =
-    match e with
+    match e.node with
     | Const _ | Var _ -> 0
     | Add xs ->
       ((List.length xs - 1) * weights.add)

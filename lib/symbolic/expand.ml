@@ -3,7 +3,7 @@ let expand (root : Expr.t) : Expr.t =
      memo table turns the tree traversal into a DAG traversal. *)
   let memo : Expr.t Expr.Tbl.t = Expr.Tbl.create 64 in
   let rec go (e : Expr.t) : Expr.t =
-    match e with
+    match e.node with
     | Const _ | Var _ -> e
     | _ -> (
       match Expr.Tbl.find_opt memo e with
@@ -13,17 +13,15 @@ let expand (root : Expr.t) : Expr.t =
         Expr.Tbl.add memo e r;
         r)
   and compute (e : Expr.t) : Expr.t =
-    match e with
+    match e.node with
     | Const _ | Var _ -> e
     | Mul factors ->
       let factors = List.map go factors in
+      let terms (e : Expr.t) = match e.node with Add xs -> xs | _ -> [ e ] in
       (* Fold factors together, distributing over any sum encountered. *)
       List.fold_left
         (fun acc f ->
-          let acc_terms =
-            match (acc : Expr.t) with Add xs -> xs | e -> [ e ]
-          in
-          let f_terms = match (f : Expr.t) with Add xs -> xs | e -> [ e ] in
+          let acc_terms = terms acc and f_terms = terms f in
           Expr.sum
             (List.concat_map
                (fun a -> List.map (fun b -> Expr.mul a b) f_terms)

@@ -1,4 +1,6 @@
-type t =
+type t = { node : node; id : int }
+
+and node =
   | Const of int
   | Var of string
   | Add of t list
@@ -27,7 +29,7 @@ let tag = function
 let rec compare a b =
   if a == b then 0
   else
-    match (a, b) with
+    match (a.node, b.node) with
     | Const x, Const y -> Int.compare x y
     | Var x, Var y -> String.compare x y
     | Add xs, Add ys | Mul xs, Mul ys -> List.compare compare xs ys
@@ -46,36 +48,87 @@ let rec compare a b =
         let c = compare x2 y2 in
         if c <> 0 then c else compare x3 y3
     | Isqrt x, Isqrt y -> compare x y
-    | _ -> Int.compare (tag a) (tag b)
+    | a, b -> Int.compare (tag a) (tag b)
 
 let equal a b = a == b || compare a b = 0
 
 (* ---- Hash-consing ----------------------------------------------------- *)
 
-(* Every freshly allocated node is routed through a unique table so that
-   structurally equal expressions are physically equal in the common case.
-   Children are interned before their parents, so both the polymorphic
-   hash (depth-bounded) and the polymorphic equality used by [Hashtbl]
-   short-circuit on physical identity, making each intern O(1).  The
-   table is a one-environment {!Memo} instance: when it fills up it is
-   flushed, after which [==] stays sound but loses completeness — which
-   is why [equal]/[compare] keep a structural fallback.
+(* Every freshly built node is routed through a unique table so that
+   structurally equal expressions are physically equal in the common
+   case.  Children are interned before their parents, so the table can
+   hash and compare a node shallowly: its constructor, its constant or
+   variable name, and its children's ids, children compared with [==].
+   Each intern is then O(arity), however deep the node.  The table is a
+   one-environment {!Memo} instance: when it fills up it is flushed,
+   after which [==] stays sound but loses completeness (a node rebuilt
+   over pre-flush children is a new node) — which is why
+   [equal]/[compare] keep a structural fallback.
 
    Like every memo, the table is domain-local, so interning is lock-free
-   and [==] completeness holds within a domain.  Nodes that cross domains
-   (e.g. built inside a worker task and returned) are still sound —
+   and [==] completeness holds within a domain.  Ids come from one
+   process-wide counter, so a node built by a worker domain and returned
+   never shares its id with another node: the id-keyed memos of
+   {!Range}, {!Prover} and {!Simplify} stay exact on any domain, and
    [equal]/[compare]'s structural fallback covers pairs interned by
    different domains. *)
 
-let memo : (unit, t, t) Memo.t =
-  Memo.create ~name:"Expr.intern" ~capacity:(1 lsl 17) ~initial:4096 ()
+(* Integer mixing (MurmurHash3's 64-bit finalizer, constants truncated to
+   OCaml's 63-bit ints), so the low bits a hash table indexes by depend
+   on every bit of the tag, payload and child ids. *)
+let mix h =
+  let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
 
-let intern e =
+module Node = struct
+  type t = node
+
+  let equal a b =
+    match (a, b) with
+    | Const x, Const y -> x = y
+    | Var x, Var y -> String.equal x y
+    | Add xs, Add ys | Mul xs, Mul ys -> List.equal ( == ) xs ys
+    | Div (x1, x2), Div (y1, y2)
+    | Mod (x1, x2), Mod (y1, y2)
+    | Le (x1, x2), Le (y1, y2)
+    | Lt (x1, x2), Lt (y1, y2)
+    | Eq (x1, x2), Eq (y1, y2) ->
+      x1 == y1 && x2 == y2
+    | Select (x1, x2, x3), Select (y1, y2, y3) ->
+      x1 == y1 && x2 == y2 && x3 == y3
+    | Isqrt x, Isqrt y -> x == y
+    | _ -> false
+
+  let hash n =
+    let child h x = mix (h + x.id) in
+    let t = tag n in
+    let h =
+      match n with
+      | Const c -> mix (t + c)
+      | Var v -> mix (t + String.hash v)
+      | Add xs | Mul xs -> List.fold_left child t xs
+      | Div (a, b) | Mod (a, b) | Le (a, b) | Lt (a, b) | Eq (a, b) ->
+        child (child t a) b
+      | Select (c, a, b) -> child (child (child t c) a) b
+      | Isqrt a -> child t a
+    in
+    h land max_int
+end
+
+let memo : (unit, node, t) Memo.t =
+  Memo.create ~name:"Expr.intern" ~key:(module Node) ~capacity:(1 lsl 17)
+    ~initial:4096 ()
+
+let next_id = Atomic.make 0
+
+let intern node =
   let tbl = Memo.table memo () in
-  match Memo.find tbl e with
-  | Some e' -> e'
+  match Memo.find tbl node with
+  | Some e -> e
   | None ->
-    Memo.add tbl e e;
+    let e = { node; id = Atomic.fetch_and_add next_id 1 } in
+    Memo.add tbl node e;
     e
 
 let const n = intern (Const n)
@@ -104,11 +157,12 @@ let mul_no_ovf a b =
   else Some (a * b)
 
 (* (coefficient, non-constant factors) view of a product. *)
-let as_linear_term = function
+let as_linear_term e =
+  match e.node with
   | Const n -> (n, [])
-  | Mul (Const n :: rest) -> (n, rest)
+  | Mul ({ node = Const n; _ } :: rest) -> (n, rest)
   | Mul factors -> (1, factors)
-  | e -> (1, [ e ])
+  | _ -> (1, [ e ])
 
 let of_linear_term (coeff, factors) =
   match (coeff, factors) with
@@ -118,19 +172,24 @@ let of_linear_term (coeff, factors) =
   | 1, fs -> mk_mul fs
   | n, fs -> mk_mul (const n :: fs)
 
+(* Like terms, keyed by their non-constant factors.  Applied once here,
+   not per [sum]: the functor's instance costs more than a small sum. *)
+module Factors = Map.Make (struct
+  type nonrec t = t list
+
+  let compare = List.compare compare
+end)
+
 let sum terms =
   (* Flatten, fold constants, collect like terms, order canonically. *)
   let flat =
-    List.concat_map (function Add xs -> xs | e -> [ e ]) terms
+    List.concat_map
+      (fun e -> match e.node with Add xs -> xs | _ -> [ e ])
+      terms
   in
   let constant = ref 0 in
   (* Constants whose fold would overflow stay as separate summands. *)
   let unfolded = ref [] in
-  let module M = Map.Make (struct
-    type nonrec t = t list
-
-    let compare = List.compare compare
-  end) in
   let by_factors =
     List.fold_left
       (fun acc e ->
@@ -142,7 +201,7 @@ let sum terms =
           acc
         end
         else
-          M.update factors
+          Factors.update factors
             (function
               | None -> Some [ coeff ]
               | Some (c :: cs) -> (
@@ -151,10 +210,10 @@ let sum terms =
                 | None -> Some (coeff :: c :: cs))
               | Some [] -> Some [ coeff ])
             acc)
-      M.empty flat
+      Factors.empty flat
   in
   let monomials =
-    M.fold
+    Factors.fold
       (fun factors coeffs acc ->
         List.fold_left
           (fun acc coeff ->
@@ -181,12 +240,15 @@ let sum_distributed c terms =
 
 let product factors =
   let flat =
-    List.concat_map (function Mul xs -> xs | e -> [ e ]) factors
+    List.concat_map
+      (fun e -> match e.node with Mul xs -> xs | _ -> [ e ])
+      factors
   in
   let constant = ref 1 in
   let rest =
     List.filter
-      (function
+      (fun e ->
+        match e.node with
         | Const n -> (
           match mul_no_ovf !constant n with
           | Some c ->
@@ -206,7 +268,7 @@ let product factors =
       match with_const with [] -> one | [ e ] -> e | es -> mk_mul es
     in
     match rest with
-    | [ Add terms ] -> (
+    | [ { node = Add terms; _ } ] -> (
       (* Distribute a constant over a lone sum so that differences of
          equal sums cancel in the Add normal form (the prover depends on
          this); skipped when a scaled coefficient would overflow. *)
@@ -221,7 +283,7 @@ let neg a = mul (const (-1)) a
 let sub a b = add a (neg b)
 
 let div a b =
-  match (a, b) with
+  match (a.node, b.node) with
   | _, Const 1 -> a
   | Const x, Const y when y <> 0 && not (x = min_int && y = -1) ->
     const (Lego_layout.Domain.floor_div x y)
@@ -229,7 +291,7 @@ let div a b =
   | _ -> intern (Div (a, b))
 
 let md a b =
-  match (a, b) with
+  match (a.node, b.node) with
   | _, Const 1 -> zero
   | Const x, Const y when y <> 0 && not (x = min_int && y = -1) ->
     const (Lego_layout.Domain.floor_rem x y)
@@ -237,7 +299,7 @@ let md a b =
   | _ -> intern (Mod (a, b))
 
 let bool_fold op a b mk =
-  match (a, b) with
+  match (a.node, b.node) with
   | Const x, Const y -> const (if op x y then 1 else 0)
   | _ when equal a b -> const (if op 0 0 then 1 else 0)
   | _ -> intern (mk (a, b))
@@ -247,14 +309,15 @@ let lt a b = bool_fold ( < ) a b (fun (a, b) -> Lt (a, b))
 let eq a b = bool_fold ( = ) a b (fun (a, b) -> Eq (a, b))
 
 let select c a b =
-  match c with
+  match c.node with
   | Const 0 -> b
   | Const _ -> a
   | _ -> if equal a b then a else intern (Select (c, a, b))
 
-let isqrt = function
+let isqrt e =
+  match e.node with
   | Const n when n >= 0 -> const (Lego_layout.Domain.int_isqrt n)
-  | e -> intern (Isqrt e)
+  | _ -> intern (Isqrt e)
 
 let same_list xs ys = List.for_all2 (fun x y -> x == y) xs ys
 
@@ -262,7 +325,7 @@ let map_children f e =
   (* When every child maps to itself the node is returned unchanged: with
      hash-consed children this makes no-op rewrite passes O(1) per node
      and lets fixpoint detection hit the physical-equality fast path. *)
-  match e with
+  match e.node with
   | Const _ | Var _ -> e
   | Add xs ->
     let xs' = List.map f xs in
@@ -293,7 +356,8 @@ let map_children f e =
     if a' == a then e else isqrt a'
 
 let vars e =
-  let rec go acc = function
+  let rec go acc e =
+    match e.node with
     | Const _ -> acc
     | Var v -> v :: acc
     | Add xs | Mul xs -> List.fold_left go acc xs
@@ -305,7 +369,7 @@ let vars e =
   List.sort_uniq String.compare (go [] e)
 
 let rec subst bindings e =
-  match e with
+  match e.node with
   | Var v -> ( match List.assoc_opt v bindings with Some e' -> e' | None -> e)
   | Const _ -> e
   | _ -> map_children (subst bindings) e
@@ -313,14 +377,21 @@ let rec subst bindings e =
 (* ---- Walks over the DAG ---------------------------------------------- *)
 
 (* Hash-consing shares repeated subterms physically, so a walk that keys
-   per-node results by physical identity visits each distinct node once
-   however often it recurs in the tree.  [Hashtbl.hash] is structural, so
-   physically equal keys always share a bucket. *)
+   per-node results by node identity visits each distinct node once
+   however often it recurs in the tree.  Ids are dense, so the id itself
+   is the hash. *)
+module Id = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end
+
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash e = e.id
 end)
 
 (* The evaluator's numbered form of an expression: one slot per distinct
@@ -347,7 +418,7 @@ let evaluator e =
     | None ->
       let pair a b = (number a, number b) in
       let s =
-        match e with
+        match e.node with
         | Const n -> S_const n
         | Var v -> S_var v
         | Add xs -> S_add (Array.of_list (List.map number xs))
@@ -423,7 +494,8 @@ let syntax = { mul = "*"; div = " / "; select = `Ternary; isqrt = ("isqrt(", ")"
 (* The precedence a node binds at: an operand position of higher
    precedence parenthesizes it.  Leaves and isqrt never take parens; a
    select does in either spelling. *)
-let level = function
+let level e =
+  match e.node with
   | Select _ -> 1
   | Le _ | Lt _ | Eq _ -> 3
   | Add _ -> 4
@@ -460,7 +532,7 @@ let render sx e =
      nodes plus output bytes, and no per-node string is kept. *)
   let spans : (int * int) Tbl.t = Tbl.create 64 in
   let rec node prec e =
-    match e with
+    match e.node with
     | Const n -> add_string o (string_of_int n)
     | Var v -> add_string o v
     | _ ->
@@ -478,7 +550,7 @@ let render sx e =
     add_string o op;
     node right b
   and body e =
-    match e with
+    match e.node with
     | Const _ | Var _ -> node 0 e
     | Add [] | Mul [] -> ()
     | Add (x :: xs) ->

@@ -11,12 +11,17 @@
     Expressions are hash-consed: every node built by a smart constructor
     is routed through a bounded unique table, so structurally equal
     expressions are physically equal in the common case and
-    {!equal}/{!compare} short-circuit on [==].  Constant folding is
-    overflow-safe: a fold that would wrap the native int is skipped and
-    the node stays symbolic (which may relax the "at most one constant"
-    invariant below in that corner case). *)
+    {!equal}/{!compare} short-circuit on [==].  Each interned node carries
+    an id that no other node in the process shares, on any domain, so
+    memos key nodes by id.  Constant folding is overflow-safe: a fold that
+    would wrap the native int is skipped and the node stays symbolic
+    (which may relax the "at most one constant" invariant below in that
+    corner case). *)
 
-type t = private
+type t = private { node : node; id : int }
+(** An interned node: its shape, and its id, unique in the process. *)
+
+and node =
   | Const of int
   | Var of string
   | Add of t list
@@ -55,15 +60,19 @@ val product : t list -> t
 
 val compare : t -> t -> int
 (** Total structural order (also the canonical argument order), with a
-    physical-equality fast path at every node. *)
+    physical-equality fast path at every node.  Ids play no part. *)
 
 val equal : t -> t -> bool
 (** [equal a b] is [a == b || compare a b = 0]; with hash-consing the
-    physical test decides almost every call in O(1). *)
+    physical test decides almost every call in O(1).  The structural
+    fallback covers nodes interned on different domains, or on both
+    sides of a flush of the unique table. *)
 
-val memo : (unit, t, t) Memo.t
+val memo : (unit, node, t) Memo.t
 (** The hash-consing unique table (capacity 2^17, flushed when full),
-    exposed for its {!Memo.stats}. *)
+    exposed for its {!Memo.stats}.  It hashes and compares a node
+    shallowly: constructor, constant or variable name, and children's
+    ids, children compared with [==]. *)
 
 val map_children : (t -> t) -> t -> t
 (** Apply [f] to immediate children and rebuild the node with smart
@@ -86,16 +95,19 @@ val of_linear_term : int * t list -> t
     Hash-consing shares repeated subterms physically, so an expression
     can denote a tree exponentially larger than its distinct nodes.  The
     walks below — and [Cost.ops], [Cse.lower], [Expand.expand] and
-    [C_printer.guard_nonneg] — key per-node work by physical identity
-    through {!Tbl}, so each visits every distinct node once.  Their
-    results are still those of the tree: rendered text is the tree's
-    text, and evaluation raises what a tree walk raises. *)
+    [C_printer.guard_nonneg] — key per-node work by node identity
+    through {!Tbl}, so each visits every distinct node once, at O(1) per
+    lookup.  Their results are still those of the tree: rendered text is
+    the tree's text, and evaluation raises what a tree walk raises. *)
 
 module Tbl : Hashtbl.S with type key = t
-(** Tables keyed by physical identity ([==], hashed with
-    [Hashtbl.hash]): the one per-walk node memo.  A structurally equal
-    but physically distinct node is a different key, which costs a
-    repeat visit, never a wrong result. *)
+(** Tables keyed by node identity ([==], hashed by id): the one per-walk
+    node memo.  A structurally equal but physically distinct node is a
+    different key, which costs a repeat visit, never a wrong result. *)
+
+module Id : Hashtbl.HashedType with type t = int
+(** Node ids as {!Memo} keys ([Int.equal], hashed by the id itself):
+    the key of the {!Range}, {!Prover} and {!Simplify} memos. *)
 
 val evaluator : t -> env:(string -> int) -> int
 (** [evaluator e] numbers [e]'s distinct nodes once and returns a

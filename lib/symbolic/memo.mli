@@ -10,6 +10,11 @@
     newer); when a table reaches [capacity] entries it is flushed before
     the next insertion.  Both count as an eviction.
 
+    Each instance names its keys' hash and equality (a
+    [Hashtbl.HashedType]), so a table hashes only what identifies a key:
+    [Expr]'s unique table hashes a node's constructor, payload and
+    children's ids, and the id-keyed memos hash one int.
+
     Tables and counters are domain-local: each domain of the execution
     layer (lib/exec) starts with no tables and zero counters, and never
     contends with another.  A memo never supplies a value of its own: it
@@ -28,13 +33,16 @@ type ('env, 'k, 'v) t
 type ('k, 'v) table
 (** One environment's table in the calling domain. *)
 
+type 'k key = (module Hashtbl.HashedType with type t = 'k)
+(** How an instance hashes and compares its keys. *)
+
 val create :
-  name:string -> ?envs:int -> capacity:int -> initial:int -> unit ->
-  ('env, 'k, 'v) t
-(** An instance keeping [envs] environments (default 1), each table
-    holding at most [capacity] entries and created with room for
-    [initial].  Call once per instance, at module initialisation: the
-    instance is registered for {!all}. *)
+  name:string -> ?envs:int -> key:'k key -> capacity:int -> initial:int ->
+  unit -> ('env, 'k, 'v) t
+(** An instance keeping [envs] environments (default 1), each table a
+    [Hashtbl.Make (key)] table holding at most [capacity] entries and
+    created with room for [initial].  Call once per instance, at module
+    initialisation: the instance is registered for {!all}. *)
 
 val table : ('env, 'k, 'v) t -> 'env -> ('k, 'v) table
 (** The calling domain's table for [env], created (and possibly dropping

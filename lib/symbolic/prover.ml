@@ -15,15 +15,25 @@ let snapshot () =
 (* ---- Query cache ------------------------------------------------------ *)
 
 (* Goal verdicts are cached per environment (physical identity, like the
-   {!Range.of_expr} cache) and keyed by (goal kind, operand pair) — the
+   {!Range.of_expr} cache) and keyed by (goal kind, operand ids) — the
    operands as given, not the normalized difference, so a cache hit skips
-   the [Expr.sub] construction entirely.  With hash-consed expressions the
-   key hashes and compares in O(1).  A cached verdict still counts as a
-   query in [global_stats] so proved/failed totals keep their meaning. *)
+   the [Expr.sub] construction entirely.  The key hashes and compares in
+   O(1).  A cached verdict still counts as a query in [global_stats] so
+   proved/failed totals keep their meaning. *)
 
-let memo : (Range.env, int * Expr.t * Expr.t, bool) Memo.t =
-  Memo.create ~name:"Prover.goals" ~envs:8 ~capacity:(1 lsl 16) ~initial:256
-    ()
+module Goal = struct
+  type t = int * int * int
+
+  let equal ((g, a, b) : t) (g', a', b') = g = g' && a = a' && b = b'
+
+  (* The odd multiplier spreads [a] over the low bits the table indexes
+     by; [b] is most often [Expr.zero]'s id. *)
+  let hash (g, a, b) = (((a * 0x2545f491) + b) * 8) + g
+end
+
+let memo : (Range.env, Goal.t, bool) Memo.t =
+  Memo.create ~name:"Prover.goals" ~envs:8 ~key:(module Goal)
+    ~capacity:(1 lsl 16) ~initial:256 ()
 
 let reset () =
   let g = global_stats () in
@@ -45,13 +55,14 @@ let goal_nonzero = 2
 let goal_le = 3
 let goal_lt = 4
 
-let query goal env a b decide =
+let query goal env (a : Expr.t) (b : Expr.t) decide =
   let tbl = Memo.table memo env in
-  match Memo.find tbl (goal, a, b) with
+  let key = (goal, a.id, b.id) in
+  match Memo.find tbl key with
   | Some ok -> record ok
   | None ->
     let ok = decide () in
-    Memo.add tbl (goal, a, b) ok;
+    Memo.add tbl key ok;
     record ok
 
 let nonneg env e =

@@ -114,28 +114,28 @@ let env_find v env = Option.value ~default:top (StringMap.find_opt v env)
 (* [of_expr] results are cached per environment, keyed by physical env
    identity (envs are persistent maps, so [env_add] yields a new identity
    and thereby invalidates).  The 8 most recent envs each own a bounded
-   table keyed by (hash-consed) expression nodes, so repeated prover
-   side-condition queries over shared subtrees are O(1). *)
+   table keyed by node id, so repeated prover side-condition queries over
+   shared subtrees are O(1). *)
 
-let memo : (env, Expr.t, t) Memo.t =
-  Memo.create ~name:"Range.of_expr" ~envs:8 ~capacity:(1 lsl 16) ~initial:256
-    ()
+let memo : (env, int, t) Memo.t =
+  Memo.create ~name:"Range.of_expr" ~envs:8 ~key:(module Expr.Id)
+    ~capacity:(1 lsl 16) ~initial:256 ()
 
 let rec cached env tbl (e : Expr.t) =
-  match e with
+  match e.node with
   | Const n -> exact n
   | Var v -> env_find v env
   | _ -> (
-    match Memo.find tbl e with
+    match Memo.find tbl e.id with
     | Some r -> r
     | None ->
       let r = compute env tbl e in
-      Memo.add tbl e r;
+      Memo.add tbl e.id r;
       r)
 
 and compute env tbl (e : Expr.t) =
   let of_expr = cached env tbl in
-  match e with
+  match e.node with
   | Const n -> exact n
   | Var v -> env_find v env
   | Add xs ->

@@ -39,5 +39,5 @@ val of_expr : env -> Expr.t -> t
     [env] (and not raising) lands in the result.
 
     Results are memoized per environment (keyed by physical env identity,
-    so any [env_add] invalidates) in a {!Memo} instance over hash-consed
-    expression nodes. *)
+    so any [env_add] invalidates) in a {!Memo} instance keyed by node
+    id. *)

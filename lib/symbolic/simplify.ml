@@ -29,7 +29,7 @@ let pp_stats ppf s =
      r5(div-split)=%d extra=%d passes=%d fuel-exhausted=%d"
     s.r1 s.r2 s.r3 s.r4 s.r5 s.extra s.passes s.fuel_exhausted
 
-let terms (e : Expr.t) = match e with Add xs -> xs | e -> [ e ]
+let terms (e : Expr.t) = match e.node with Add xs -> xs | _ -> [ e ]
 
 (* Split the summands of [e] into [d*q] and [r]: terms whose integer
    coefficient [d] divides (returned already divided) and the rest. *)
@@ -53,13 +53,13 @@ let rule_div ?stats env (a : Expr.t) (b : Expr.t) : Expr.t option =
     Some Expr.zero
   end
   else
-    match b with
+    match b.node with
     | Expr.Const d when d > 1 -> (
       match split_multiples d a with
       | [], _ -> (
         (* No multiples to pull out; try merging nested divisions. *)
-        match a with
-        | Expr.Div (x, Expr.Const d') when d' > 0 ->
+        match a.node with
+        | Expr.Div (x, { node = Expr.Const d'; _ }) when d' > 0 ->
           bump (fun s -> s.extra <- s.extra + 1);
           Some (Expr.div x (Expr.const (d * d')))
         | _ -> None)
@@ -88,7 +88,7 @@ let test_only_break_rule = Atomic.make false
 let broken_half_open env (a : Expr.t) (b : Expr.t) =
   Atomic.get test_only_break_rule
   &&
-  match b with
+  match b.node with
   | Expr.Const d when d > 1 ->
     let r = Range.of_expr env a in
     r.Range.lo >= 0 && r.Range.hi < 2 * d
@@ -102,15 +102,16 @@ let rule_mod ?stats env (a : Expr.t) (b : Expr.t) : Expr.t option =
     Some a
   end
   else
-    match b with
+    match b.node with
     | Expr.Const d when d > 1 -> (
       match split_multiples d a with
       | _ :: _, remainder ->
         bump (fun s -> s.r1 <- s.r1 + 1);
         Some (Expr.md (Expr.sum remainder) b)
       | [], _ -> (
-        match a with
-        | Expr.Mod (x, Expr.Const d') when d' > 0 && d' mod d = 0 ->
+        match a.node with
+        | Expr.Mod (x, { node = Expr.Const d'; _ })
+          when d' > 0 && d' mod d = 0 ->
           (* (x mod d') mod d = x mod d when d | d'. *)
           bump (fun s -> s.extra <- s.extra + 1);
           Some (Expr.md x b)
@@ -125,16 +126,16 @@ let rule_recombine ?stats env (summands : Expr.t list) : Expr.t list option =
   let n = Array.length arr in
   let found = ref None in
   let is_div_of x a (f : Expr.t) =
-    match f with
+    match f.node with
     | Expr.Div (x', a') -> Expr.equal x x' && Expr.equal a a'
     | _ -> false
   in
   for i = 0 to n - 1 do
     if !found = None then
       match Expr.as_linear_term arr.(i) with
-      | k, [ Expr.Mod (x, a) ] ->
+      | k, [ { node = Expr.Mod (x, a); _ } ] ->
         let divisor_ok =
-          match a with
+          match a.node with
           | Expr.Const ca -> ca <> 0
           | _ -> Prover.nonzero env a
         in
@@ -143,7 +144,7 @@ let rule_recombine ?stats env (summands : Expr.t list) : Expr.t list option =
             if j <> i && !found = None then begin
               let kj, factors = Expr.as_linear_term arr.(j) in
               let matches =
-                match (a, factors) with
+                match (a.node, factors) with
                 | Expr.Const ca, [ f ] -> is_div_of x a f && kj = k * ca
                 | _, [ f1; f2 ] ->
                   kj = k
@@ -179,7 +180,7 @@ let rule_compare ?stats env (e : Expr.t) : Expr.t option =
     end
     else None
   in
-  match e with
+  match e.node with
   | Expr.Le (a, b) -> decide (Prover.le env a b) (Prover.lt env b a)
   | Expr.Lt (a, b) -> decide (Prover.lt env a b) (Prover.le env b a)
   | Expr.Eq (a, b) ->
@@ -189,7 +190,7 @@ let rule_compare ?stats env (e : Expr.t) : Expr.t option =
   | _ -> None
 
 let rewrite_node ?stats env (e : Expr.t) : Expr.t =
-  match e with
+  match e.node with
   | Expr.Div (a, b) -> (
     match rule_div ?stats env a b with Some e' -> e' | None -> e)
   | Expr.Mod (a, b) -> (
@@ -212,18 +213,18 @@ let default_fuel = 64
 
 (* Rewriting is a pure function of (env, node), so both the single-pass
    action and the full fixpoint result are cached per environment (keyed
-   by physical env identity, like the {!Range} and {!Prover} caches).
-   The memo is bypassed when the caller asks for a [stats] record, so
-   reported rule counts stay exact and deterministic. *)
+   by physical env identity, like the {!Range} and {!Prover} caches) and
+   node id.  The memo is bypassed when the caller asks for a [stats]
+   record, so reported rule counts stay exact and deterministic. *)
 
-let rewrites : (Range.env, Expr.t, Expr.t) Memo.t =
-  Memo.create ~name:"Simplify.rewrites" ~envs:8 ~capacity:(1 lsl 16)
-    ~initial:256 ()
+let rewrites : (Range.env, int, Expr.t) Memo.t =
+  Memo.create ~name:"Simplify.rewrites" ~envs:8 ~key:(module Expr.Id)
+    ~capacity:(1 lsl 16) ~initial:256 ()
 
 (* Full fixpoints at the default fuel. *)
-let results : (Range.env, Expr.t, Expr.t) Memo.t =
-  Memo.create ~name:"Simplify.results" ~envs:8 ~capacity:(1 lsl 16)
-    ~initial:64 ()
+let results : (Range.env, int, Expr.t) Memo.t =
+  Memo.create ~name:"Simplify.results" ~envs:8 ~key:(module Expr.Id)
+    ~capacity:(1 lsl 16) ~initial:64 ()
 
 type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int }
 
@@ -240,15 +241,15 @@ let reset_cache_stats () =
   Memo.reset_stats results
 
 let rec rewrite_memo env tbl (e : Expr.t) =
-  match e with
+  match e.node with
   | Expr.Const _ | Expr.Var _ -> e
   | _ -> (
-    match Memo.find tbl e with
+    match Memo.find tbl e.id with
     | Some r -> r
     | None ->
       let e' = Expr.map_children (rewrite_memo env tbl) e in
       let r = rewrite_node env e' in
-      Memo.add tbl e r;
+      Memo.add tbl e.id r;
       r)
 
 let run_fixpoint ?stats ~fuel ~pass e =
@@ -275,11 +276,11 @@ let simplify ?stats ?(fuel = default_fuel) ~env e =
     (* Taken at every fuel, so both memos see the same environments. *)
     let fixpoints = Memo.table results env in
     if fuel = default_fuel then
-      match Memo.find fixpoints e with
+      match Memo.find fixpoints e.id with
       | Some r -> r
       | None ->
         let r = run_fixpoint ~fuel ~pass e in
-        Memo.add fixpoints e r;
+        Memo.add fixpoints e.id r;
         r
     else run_fixpoint ~fuel ~pass e
 

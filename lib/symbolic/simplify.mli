@@ -47,8 +47,8 @@ val simplify : ?stats:stats -> ?fuel:int -> env:Range.env -> Expr.t -> Expr.t
     [stats.fuel_exhausted].
 
     When no [stats] record is passed, per-pass rewrites and full fixpoint
-    results are memoized per environment in two {!Memo} instances
-    (physical env identity, like the {!Range} cache); passing [stats]
+    results are memoized per environment in two {!Memo} instances keyed
+    by node id (physical env identity, like the {!Range} cache); passing [stats]
     bypasses them so the reported rule counts stay exact. *)
 
 type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int }

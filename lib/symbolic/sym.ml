@@ -33,8 +33,16 @@ let index_vars ?prefix g = List.map Expr.var (var_names ?prefix g)
    rewrites shared across calls actually hit.  Domain-local like every
    {!Memo}; at 4,096 distinct binding lists the table is flushed, which
    only costs the next envs a cold start. *)
-let envs : (unit, (string * int) list, Range.env) Memo.t =
-  Memo.create ~name:"Sym.ranges_of" ~capacity:4096 ~initial:16 ()
+module Bindings = struct
+  type t = (string * int) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end
+
+let envs : (unit, Bindings.t, Range.env) Memo.t =
+  Memo.create ~name:"Sym.ranges_of" ~key:(module Bindings) ~capacity:4096
+    ~initial:16 ()
 
 let interned bindings =
   let tbl = Memo.table envs () in

@@ -324,7 +324,7 @@ let rec expr_pp_prec prec ppf (e : E.t) =
   let paren p body =
     if prec > p then Format.fprintf ppf "(%t)" body else body ppf
   in
-  match e with
+  match e.node with
   | Const n ->
     if n < 0 then paren 10 (fun ppf -> Format.fprintf ppf "%d" n)
     else Format.fprintf ppf "%d" n
@@ -374,7 +374,7 @@ let expr_to_string e = Format.asprintf "%a" (expr_pp_prec 0) e
 (* [C_printer.expr]: a sum's first summand at precedence 4. *)
 let rec c_pr prec (e : E.t) =
   let paren p s = if prec > p then "(" ^ s ^ ")" else s in
-  match e with
+  match e.node with
   | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
   | Var v -> v
   | Add xs ->
@@ -402,7 +402,7 @@ let c_expr e = c_pr 0 e
 (* [Triton_printer.expr]. *)
 let rec triton_pr prec (e : E.t) =
   let paren p s = if prec > p then "(" ^ s ^ ")" else s in
-  match e with
+  match e.node with
   | Const n -> if n < 0 then paren 10 (string_of_int n) else string_of_int n
   | Var v -> v
   | Add xs ->
@@ -434,7 +434,7 @@ let triton_expr e = triton_pr 0 e
 (* [Expr.eval]: a divisor before its dividend, only the taken branch of
    a select. *)
 let rec eval ~env (e : E.t) =
-  match e with
+  match e.node with
   | Const n -> n
   | Var v -> env v
   | Add xs -> List.fold_left (fun acc x -> acc + eval ~env x) 0 xs

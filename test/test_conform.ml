@@ -423,6 +423,9 @@ let test_cli_rejects_bad_counts () =
     (Invalid_argument "Conform.check_layout: max_points < 1") (fun () ->
       ignore (Conform.check_layout ~max_points:0 g))
 
+let test_cli_rejects_negative_jobs () =
+  Test_tune.check_negative_jobs_rejected [ "conform"; "--budget"; "1" ]
+
 let suite =
   ( "conform",
     [
@@ -455,4 +458,6 @@ let suite =
         test_parallel_run_clean_stream;
       Alcotest.test_case "CLI rejects counts it cannot honour" `Quick
         test_cli_rejects_bad_counts;
+      Alcotest.test_case "CLI conform rejects a negative --jobs" `Quick
+        test_cli_rejects_negative_jobs;
     ] )

@@ -202,6 +202,57 @@ let test_cli_refuses_huge_check () =
         (Test_tune.contains out "verified"))
     [ max_int; 1 lsl 40 ]
 
+(* Regression: [--apply] with the wrong number of components, an empty
+   or unparsable one died with an uncaught [Invalid_argument]/[Failure]
+   (exit 125) after the header was printed, and an out-of-range index
+   or offset printed a wrong answer ([--apply=4,0] gave 16, [--inv=16]
+   gave [4, 0]).  Both are now checked before anything is printed. *)
+let test_cli_checks_apply_and_inv () =
+  let layout = "GroupBy([4,4])" in
+  List.iter
+    (fun (arg, msg) ->
+      let status, out = Test_tune.run_legoc [ layout; arg ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exits 2:\n%s" arg out)
+        true
+        (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints %S:\n%s" arg msg out)
+        true (Test_tune.contains out msg);
+      Alcotest.(check bool) (arg ^ " prints no header") false
+        (Test_tune.contains out "layout:"))
+    [
+      ( "--apply=1",
+        "error: --apply \"1\": expected 2 comma-separated integers" );
+      ("--apply=1,2,3", "error: --apply \"1,2,3\": expected 2");
+      ("--apply=", "error: --apply \"\": expected 2");
+      ( "--apply=99999999999999999999,0",
+        "error: --apply \"99999999999999999999,0\": expected 2" );
+      ( "--apply=4,0",
+        "error: --apply \"4,0\": index 4 of dimension 0 is outside [0, 4)" );
+      ("--apply=-1,0", "error: --apply \"-1,0\": index -1 of dimension 0");
+      ("--apply=0,4", "error: --apply \"0,4\": index 4 of dimension 1");
+      ("--inv=16", "error: --inv 16: the offset is outside [0, 16)");
+      ("--inv=-1", "error: --inv -1: the offset is outside [0, 16)");
+    ];
+  List.iter
+    (fun (args, line) ->
+      let status, out = Test_tune.run_legoc (layout :: args) in
+      let what = String.concat " " args in
+      Alcotest.(check bool) (what ^ " exits 0") true (status = Unix.WEXITED 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints %S:\n%s" what line out)
+        true (Test_tune.contains out line))
+    [
+      ([ "--apply=0,0" ], "apply [0,0] = 0");
+      ([ "--apply=3,3" ], "apply [3,3] = 15");
+      ([ "--apply=1,2"; "--inv=6" ], "apply [1,2] = 6\ninv 6 = [1, 2]");
+      ([ "--inv=15" ], "inv 15 = [3, 3]");
+    ]
+
+let test_cli_check_rejects_negative_jobs () =
+  Test_tune.check_negative_jobs_rejected [ "GroupBy([4,4])"; "--check" ]
+
 let prop_roundtrip =
   QCheck2.Test.make ~name:"pp then parse is identity" ~count:200 gen_layout
     (fun g ->
@@ -225,5 +276,9 @@ let suite =
         test_cli_rejects_overflowing_counts;
       Alcotest.test_case "CLI refuses to check huge counts" `Quick
         test_cli_refuses_huge_check;
+      Alcotest.test_case "CLI checks --apply and --inv" `Quick
+        test_cli_checks_apply_and_inv;
+      Alcotest.test_case "CLI --check rejects a negative --jobs" `Quick
+        test_cli_check_rejects_negative_jobs;
     ]
     @ [ QCheck_alcotest.to_alcotest ~long:false prop_roundtrip ] )

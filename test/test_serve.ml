@@ -878,6 +878,9 @@ let test_store_keeps_oversized_record_off_the_log () =
         (Option.bind (Sv.Store.get s' "after") Sv.Json.get_int);
       Sv.Store.close s')
 
+let test_cli_rejects_negative_jobs () =
+  Test_tune.check_negative_jobs_rejected [ "serve"; "--oneshot" ]
+
 let suite =
   ( "serve",
     [
@@ -917,4 +920,6 @@ let suite =
         test_daemon_answers_oversized_reply;
       Alcotest.test_case "store: an over-limit record stays off the log"
         `Quick test_store_keeps_oversized_record_off_the_log;
+      Alcotest.test_case "CLI serve rejects a negative --jobs" `Quick
+        test_cli_rejects_negative_jobs;
     ] )

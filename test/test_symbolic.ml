@@ -32,22 +32,22 @@ let test_distribute_const_over_sum () =
 
 let test_overflow_safe_folding () =
   (* max_int * 2 used to wrap to Const (-2); it must stay symbolic. *)
-  (match E.(mul (const max_int) (const 2)) with
+  (match E.(mul (const max_int) (const 2)).E.node with
   | E.Const n -> Alcotest.failf "max_int * 2 folded to constant %d" n
   | _ -> ());
-  (match E.(add (const max_int) (const max_int)) with
+  (match E.(add (const max_int) (const max_int)).E.node with
   | E.Const n -> Alcotest.failf "max_int + max_int folded to constant %d" n
   | _ -> ());
   (* min_int / -1 is the one constant floor_div that overflows. *)
-  (match E.(div (const min_int) (const (-1))) with
+  (match E.(div (const min_int) (const (-1))).E.node with
   | E.Const n -> Alcotest.failf "min_int / -1 folded to constant %d" n
   | _ -> ());
-  (match E.(md (const min_int) (const (-1))) with
+  (match E.(md (const min_int) (const (-1))).E.node with
   | E.Const n -> Alcotest.failf "min_int mod -1 folded to constant %d" n
   | _ -> ());
   (* Distribution over a sum is skipped when a coefficient would wrap. *)
   let e = E.(mul (const max_int) (add x (const 3))) in
-  (match e with
+  (match e.E.node with
   | E.Const n -> Alcotest.failf "max_int * (x+3) folded to constant %d" n
   | _ -> ());
   (* In-range folds still happen. *)
@@ -400,10 +400,12 @@ let props = [ prop_simplify_sound; prop_expand_sound; prop_range_sound ]
 
 (* Test instances, created at module initialisation like the engine's. *)
 let memo_envs : (int ref, int, int) Memo.t =
-  Memo.create ~name:"test envs" ~envs:8 ~capacity:16 ~initial:4 ()
+  Memo.create ~name:"test envs" ~envs:8 ~key:(module Int) ~capacity:16
+    ~initial:4 ()
 
 let memo_small : (unit, int, int) Memo.t =
-  Memo.create ~name:"test capacity" ~capacity:4 ~initial:4 ()
+  Memo.create ~name:"test capacity" ~key:(module Int) ~capacity:4
+    ~initial:4 ()
 
 let memo_stats =
   Alcotest.testable
@@ -479,6 +481,120 @@ let test_prover_reset_zeroes_memo () =
   Alcotest.(check bool) "memo counted" true ((prover ()).hits > 0);
   Prover.reset ();
   Alcotest.check memo_stats "reset zeroes it" no_stats (prover ())
+
+(* --- Node ids ------------------------------------------------------------ *)
+
+(* Distinct subnodes of [e], in pre-order. *)
+let subnodes e =
+  let seen = E.Tbl.create 64 and acc = ref [] in
+  let rec go (e : E.t) =
+    if not (E.Tbl.mem seen e) then begin
+      E.Tbl.add seen e ();
+      acc := e :: !acc;
+      match e.node with
+      | Const _ | Var _ -> ()
+      | Add xs | Mul xs -> List.iter go xs
+      | Div (a, b) | Mod (a, b) | Le (a, b) | Lt (a, b) | Eq (a, b) ->
+        go a;
+        go b
+      | Select (c, a, b) ->
+        go c;
+        go a;
+        go b
+      | Isqrt a -> go a
+    end
+  in
+  go e;
+  List.rev !acc
+
+(* What the engine says of every distinct subnode of [es] under [env]:
+   its text, simplified text, range, two prover goals and op count. *)
+let verdicts env es =
+  let bound = E.const 1000 in
+  List.concat_map subnodes es
+  |> List.map (fun s ->
+         let r = Range.of_expr env s in
+         Printf.sprintf "%s => %s [%d, %d] %b %b %d" (E.to_string s)
+           (E.to_string (Simplify.simplify ~env s))
+           r.Range.lo r.Range.hi (Prover.le env s bound)
+           (Prover.le env E.zero s) (Cost.ops s))
+  |> List.sort_uniq String.compare
+
+(* Two layouts over one shape, so one interned env each for apply and
+   inv. *)
+let tiled = L.Sugar.tiled_view ~group:[ [ 8; 4 ]; [ 16; 32 ] ] ()
+
+let tiled_t =
+  L.Sugar.tiled_view
+    ~order:[ L.Sugar.col [ 128; 128 ] ]
+    ~group:[ [ 8; 4 ]; [ 16; 32 ] ]
+    ()
+
+let raw_apply_inv g = (Sym.apply ~simplify:false g, Sym.inv ~simplify:false g)
+
+let layout_verdicts g (apply, inv) =
+  verdicts (Sym.ranges_of g) [ apply ] @ verdicts (Sym.inv_ranges g) inv
+
+(* Nodes built by execution-layer workers and returned reach memos keyed
+   by id on the calling domain.  The calling domain is fresh and warms
+   its memos with its own nodes of [tiled_t] first, then checks the
+   workers' nodes of [tiled]; a barrier makes each of the pool's three
+   domains build one copy.  With ids drawn per domain, the workers'
+   first ids would be the caller's first ids, and its memos would answer
+   for the wrong nodes. *)
+let test_ids_unique_across_domains () =
+  let want = layout_verdicts tiled (raw_apply_inv tiled) in
+  let got =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (layout_verdicts tiled_t (raw_apply_inv tiled_t));
+           let jobs = 3 and started = Atomic.make 0 in
+           let built =
+             Lego_exec.Exec.with_pool ~jobs ~oversubscribe:true (fun pool ->
+                 Lego_exec.Exec.map ~chunk:1 ~pool (Array.make jobs ())
+                   (fun () ->
+                     Atomic.incr started;
+                     while Atomic.get started < jobs do
+                       Domain.cpu_relax ()
+                     done;
+                     (Domain.self (), raw_apply_inv tiled)))
+           in
+           let caller = Domain.self () in
+           Array.to_list built
+           |> List.filter (fun (d, _) -> d <> caller)
+           |> List.map (fun (_, es) -> layout_verdicts tiled es)))
+  in
+  check_int "copies built off the calling domain" 2 (List.length got);
+  List.iter
+    (Alcotest.(check (list string)) "worker-built nodes: one-domain results"
+       want)
+    got
+
+(* A full unique table is flushed: nodes rebuilt afterwards are new
+   nodes with new ids, so every id-keyed memo misses on them, and
+   [equal] falls back to structure. *)
+let test_intern_flush_keeps_results () =
+  let text () =
+    ( E.to_string (Sym.apply tiled),
+      List.map E.to_string (Sym.inv tiled) )
+  in
+  let before = text () in
+  let build () = E.(add (mul (const 3) x) (div y (const 7))) in
+  let a = build () in
+  let flushes () = (Memo.stats E.memo).evictions in
+  let flushed = flushes () in
+  for k = 1 to 140_000 do
+    ignore (E.const (max_int - k))
+  done;
+  Alcotest.(check bool) "the unique table was flushed" true
+    (flushes () > flushed);
+  let b = build () in
+  Alcotest.(check bool) "rebuilt: a new node" false (a == b);
+  Alcotest.(check bool) "rebuilt: equal" true (E.equal a b);
+  check_int "rebuilt: compare" 0 (E.compare a b);
+  check_str "a - b cancels" "0" (E.to_string (E.sub a b));
+  Alcotest.(check (pair string (list string)))
+    "apply/inv text unchanged" before (text ())
 
 (* --- Pinned output ---------------------------------------------------- *)
 
@@ -681,4 +797,8 @@ let suite =
           `Quick test_select_laziness;
         Alcotest.test_case "a second inv reuses its interned env" `Quick
           test_inv_env_interned;
+        Alcotest.test_case "ids: worker-built nodes on a warm caller" `Quick
+          test_ids_unique_across_domains;
+        Alcotest.test_case "ids: an intern flush keeps every result" `Quick
+          test_intern_flush_keeps_results;
       ] )

@@ -1896,8 +1896,12 @@ let legoc_exe =
      the build tree. *)
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/legoc.exe"
 
-let run_legoc args =
-  let cmd = Filename.quote_command legoc_exe args in
+(* [env] adds variables to the command's environment. *)
+let run_legoc ?(env = []) args =
+  let cmd =
+    Filename.quote_command "env"
+      (List.map (fun (k, v) -> k ^ "=" ^ v) env @ (legoc_exe :: args))
+  in
   let ic = Unix.open_process_in (cmd ^ " 2>&1") in
   let buf = Buffer.create 256 in
   (try
@@ -1960,6 +1964,30 @@ let test_cli_rejects_non_positive_top_and_budget () =
         (Printf.sprintf "%s 0 prints %S:\n%s" flag msg out)
         true (contains out msg))
     [ "--top"; "--budget" ]
+
+(* Regression: a negative [--jobs] or [LEGO_JOBS] reached a [failwith]
+   that nothing caught, so every mode exited 125 with "internal error".
+   Each mode now rejects it before doing anything, as its other option
+   errors: a message and exit 2. *)
+let check_negative_jobs_rejected args =
+  List.iter
+    (fun (env, args) ->
+      let status, out = run_legoc ~env args in
+      let what =
+        String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) env @ args)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s exits 2:\n%s" what out)
+        true
+        (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names --jobs:\n%s" what out)
+        true
+        (contains out "error: --jobs must be >= 0"))
+    [ ([], args @ [ "--jobs=-1" ]); ([ ("LEGO_JOBS", "-1") ], args) ]
+
+let test_cli_tune_rejects_negative_jobs () =
+  check_negative_jobs_rejected [ "tune"; "nw"; "--no-conform" ]
 
 (* F₂ class mode is gone: [--oracle] is an unknown option, a usage
    error (cmdliner's exit code 124), not a silent default search. *)
@@ -2091,6 +2119,8 @@ let suite =
         test_stream_digests_pinned_over_domain;
       Alcotest.test_case "CLI rejects the deleted --oracle" `Quick
         test_cli_rejects_oracle;
+      Alcotest.test_case "CLI tune rejects a negative --jobs" `Quick
+        test_cli_tune_rejects_negative_jobs;
       Alcotest.test_case "winner conformance covers every point" `Quick
         test_winner_checked_on_every_point;
       QCheck_alcotest.to_alcotest ~long:false prop_stream_pairs_match_reference;
