@@ -518,12 +518,11 @@ let serve_bench () =
   let dir = Filename.temp_dir "lego-bench-serve" "" in
   let socket = Filename.concat dir "legoc.sock" in
   let db = Filename.concat dir "store.db" in
-  let sjobs = max 2 !jobs in
-  (* The server owns its Exec pool, so the whole server lives in the
-     spawned domain; this domain plays a real client over the socket. *)
+  (* [serve] blocks until shutdown, so the server lives in a spawned
+     domain; this domain plays a real client over the socket. *)
   let server =
     Domain.spawn (fun () ->
-        let t = Sv.Server.create ~db ~jobs:sjobs () in
+        let t = Sv.Server.create ~db ~jobs:!jobs () in
         Fun.protect
           ~finally:(fun () -> Sv.Server.shutdown t)
           (fun () -> Sv.Server.serve t ~socket))

@@ -421,7 +421,6 @@ let device_arg =
 let run_tune slot_names device budget top seed jobs expect_cf no_conform
     composed scale =
   with_jobs jobs @@ fun jobs ->
-  let device_name = String.lowercase_ascii device in
   (* --scale without an explicit --budget would silently search a tiny
      prefix of the mega-space; raise the default to cover it. *)
   let budget =
@@ -431,14 +430,11 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
     | None -> T.Tune.default_options.T.Tune.budget
   in
   let slots =
-    match Lego_gpusim.Device.find device_name with
+    match Lego_gpusim.Device.resolve device with
     | _ when budget < 1 -> Error "--budget must be >= 1"
     | _ when top < 1 -> Error "--top must be >= 1"
-    | None ->
-      Error
-        (Printf.sprintf "unknown device %S (known: %s)" device
-           (String.concat ", " (List.map fst Lego_gpusim.Device.presets)))
-    | Some device -> (
+    | Error e -> Error e
+    | Ok (_, device) -> (
       match slot_names with
       | [] -> Ok (T.Slot.all ~device ())
       | names ->
@@ -482,22 +478,9 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
         (match T.Tune.conform_ok r with
         | Some false -> ok := false
         | Some true | None -> ());
-        if expect_cf then begin
-          let pred_cf =
-            T.Predict.conflict_free r.T.Tune.winner.T.Tune.static_score
-          in
-          let sim_cf =
-            (not s.T.Slot.full_warps)
-            ||
-            match r.T.Tune.winner.T.Tune.sim with
-            | Some sim -> T.Slot.sim_conflict_free ~device:s.T.Slot.device sim
-            | None -> false
-          in
-          if not (pred_cf && sim_cf) then begin
-            Printf.eprintf "slot %s: winner is not conflict-free\n"
-              s.T.Slot.name;
-            ok := false
-          end
+        if expect_cf && not (T.Tune.conflict_free r) then begin
+          Printf.eprintf "slot %s: winner is not conflict-free\n" s.T.Slot.name;
+          ok := false
         end)
       slots;
     if T.Cache.hits cache > 0 then
@@ -571,9 +554,8 @@ let run_oneshot ~socket ~db ~no_db ~jobs =
     if no_db then None
     else Some (Option.value ~default:(Filename.concat dir "store.db") db)
   in
-  (* The Exec pool must be created (lazily) by the domain that serves,
-     so the whole server lives in the spawned domain; the main domain
-     plays client over the real socket. *)
+  (* [serve] blocks until shutdown, so the server lives in a spawned
+     domain; the main domain plays client over the real socket. *)
   let server =
     Domain.spawn (fun () ->
         let t = S.Server.create ?db ~jobs () in
@@ -700,8 +682,10 @@ let serve_cmd =
          tune, fingerprint, stats, shutdown).  Results are addressed by a \
          digest of their inputs in an append-only on-disk store, which \
          also warm-starts the autotuner's simulation cache across \
-         restarts.  Identical batches get byte-identical response frames \
-         at any --jobs.";
+         restarts.  Each batch is handled sequentially, one request at \
+         a time; --jobs sizes only a cold tune search's simulation pool, \
+         and identical batches get byte-identical response frames at any \
+         --jobs.";
     ]
   in
   Cmd.v
@@ -801,13 +785,11 @@ let client_cmd =
       $ client_shutdown_flag)
 
 let run_fingerprint layout_text device =
-  let device = String.lowercase_ascii device in
-  match Lego_gpusim.Device.find device with
-  | None ->
-    Printf.eprintf "error: unknown device %S (known: %s)\n" device
-      (String.concat ", " (List.map fst Lego_gpusim.Device.presets));
+  match Lego_gpusim.Device.resolve device with
+  | Error e ->
+    Printf.eprintf "error: %s\n" e;
     2
-  | Some _ -> (
+  | Ok (device, _) -> (
     match Lego_lang.Elab.layout_of_string layout_text with
     | Error e ->
       Printf.eprintf "error: %s\n" e;

@@ -4,24 +4,27 @@ let atom_name const_names = function
   | Cse.Avar v -> "%" ^ v
   | Cse.Aconst n -> Hashtbl.find const_names n
 
-(* Emit the arith ops for [instrs], interning constants; returns the
-   rendered lines.  Comparison results are i1 and may only feed selects;
-   Cse's typing guarantees that for expressions built by the algebra. *)
-let emit_instrs b ~indent const_names instrs =
-  let pad = String.make indent ' ' in
-  let ensure_const n =
+(* The first time a constant atom is met, emit its [arith.constant] at
+   [pad] and name it [%c<n>] ([%cm<-n>] below 0); a variable needs
+   nothing. *)
+let intern_const b pad const_names = function
+  | Cse.Avar _ -> ()
+  | Cse.Aconst n ->
     if not (Hashtbl.mem const_names n) then begin
       let name =
         if n < 0 then Printf.sprintf "%%cm%d" (-n) else Printf.sprintf "%%c%d" n
       in
       Hashtbl.add const_names n name;
-      Buffer.add_string b
-        (Printf.sprintf "%s%s = arith.constant %d : index\n" pad name n)
+      Printf.bprintf b "%s%s = arith.constant %d : index\n" pad name n
     end
-  in
+
+(* Emit the arith ops for [instrs] into [b], interning constants.
+   Comparison results are i1 and may only feed selects; Cse's typing
+   guarantees that for expressions built by the algebra. *)
+let emit_instrs b ~indent const_names instrs =
+  let pad = String.make indent ' ' in
   List.iter
-    (fun { Cse.dst = _; op = _; args } ->
-      List.iter (function Cse.Aconst n -> ensure_const n | _ -> ()) args)
+    (fun i -> List.iter (intern_const b pad const_names) i.Cse.args)
     instrs;
   let name = atom_name const_names in
   List.iter
@@ -69,20 +72,7 @@ let index_func ~name ~params exprs =
        (String.concat ", " (List.map (fun p -> "%" ^ p ^ ": index") params))
        (String.concat ", " (List.map (fun _ -> "index") results)));
   (* Roots that are plain constants still need materialization. *)
-  List.iter
-    (function
-      | Cse.Aconst n ->
-        if not (Hashtbl.mem const_names n) then begin
-          let cname =
-            if n < 0 then Printf.sprintf "%%cm%d" (-n)
-            else Printf.sprintf "%%c%d" n
-          in
-          Hashtbl.add const_names n cname;
-          Buffer.add_string b
-            (Printf.sprintf "    %s = arith.constant %d : index\n" cname n)
-        end
-      | Cse.Avar _ -> ())
-    results;
+  List.iter (intern_const b "    " const_names) results;
   emit_instrs b ~indent:4 const_names instrs;
   Buffer.add_string b
     (Printf.sprintf "    return %s : %s\n"
@@ -110,16 +100,9 @@ let copy_func ~name ~src_offset ~dst_offset ~dims =
        "  func.func @%s(%%src: memref<?xindex>, %%dst: memref<?xindex>) {\n"
        name);
   (* Loop-bound and step constants. *)
-  let need = 0 :: 1 :: dims in
   List.iter
-    (fun n ->
-      if not (Hashtbl.mem const_names n) then begin
-        let cname = Printf.sprintf "%%c%d" n in
-        Hashtbl.add const_names n cname;
-        Buffer.add_string b
-          (Printf.sprintf "    %s = arith.constant %d : index\n" cname n)
-      end)
-    need;
+    (fun n -> intern_const b "    " const_names (Cse.Aconst n))
+    (0 :: 1 :: dims);
   let rec loops k indent =
     let pad = String.make indent ' ' in
     if k = d then begin
@@ -136,8 +119,8 @@ let copy_func ~name ~src_offset ~dst_offset ~dims =
     end
     else begin
       Buffer.add_string b
-        (Printf.sprintf "%sscf.for %%i%d = %%c0 to %%c%d step %%c1 {\n" pad k
-           (List.nth dims k));
+        (Printf.sprintf "%sscf.for %%i%d = %%c0 to %s step %%c1 {\n" pad k
+           (Hashtbl.find const_names (List.nth dims k)));
       loops (k + 1) (indent + 2);
       Buffer.add_string b (pad ^ "}\n")
     end

@@ -109,7 +109,15 @@ let scale d f =
    these keys are stable identifiers (lowercase, no spaces) safe to bake
    into content addresses. *)
 let presets = [ ("a100", a100); ("h100", h100); ("rtx4090", rtx4090) ]
-let find name = List.assoc_opt (String.lowercase_ascii name) presets
+
+let resolve name =
+  let key = String.lowercase_ascii name in
+  match List.assoc_opt key presets with
+  | Some d -> Ok (key, d)
+  | None ->
+    Error
+      (Printf.sprintf "unknown device %S (known: %s)" name
+         (String.concat ", " (List.map fst presets)))
 
 let preset_name d =
   List.find_map (fun (k, p) -> if p == d || p = d then Some k else None) presets

@@ -57,8 +57,10 @@ val presets : (string * t) list
     compile service's requests and the content-addressed store keys use
     (never [t.name], whose marketing string is free to change). *)
 
-val find : string -> t option
-(** Preset by key, case-insensitive. *)
+val resolve : string -> (string * t, string) result
+(** The preset a name denotes, case-insensitively, with its key; or, for
+    any other name, the one error every surface reports:
+    [unknown device "NAME" (known: a100, h100, rtx4090)]. *)
 
 val preset_name : t -> string option
 (** The preset key of a device, when it is one of {!presets} (a

@@ -1,17 +1,15 @@
 (* The daemon core.  handle_batch is the entire service; everything
    else (socket loop, oneshot self-test, bench) is plumbing around it.
 
-   Determinism discipline (the byte-identity contract of the .mli):
-   phase 1 fans the pure requests (compile, fingerprint) over the Exec
-   pool — store reads only, no mutation anywhere; phase 2 walks the
-   drafts sequentially in submission order and is the only place that
-   touches counters, the store, the tune cache, or runs a search.
-   Tune.search spins up its own pool, so it must run here in the
-   sequential walk, never inside a pool task. *)
+   Determinism discipline (the byte-identity contract of the .mli): a
+   batch is served in one pass, each request parsed, handled and counted
+   in submission order, so every counter, store write and tune-cache
+   update of a request lands before the next request is read.  The only
+   parallel work is inside Tune.search, whose results do not depend on
+   its pool's width. *)
 
 module G = Lego_gpusim
 module T = Lego_tune
-module Exec = Lego_exec.Exec
 
 type counters = {
   mutable requests : int;
@@ -30,13 +28,11 @@ type t = {
   load : Store.load;
   cache : T.Cache.t;
   jobs : int;
-  pool : Exec.pool Lazy.t;  (* forced in the serving domain *)
   slots : (string, (T.Slot.t, string) result) Hashtbl.t;
       (* (name@preset) -> constructed slot; transpose slots carry
          multi-MB arenas, so build each at most once per server *)
   c : counters;
   mutable stopped : bool;
-  mutable released : bool;
 }
 
 (* ---- store record shapes ---------------------------------------------- *)
@@ -116,7 +112,6 @@ let create ?db ?(jobs = 1) () =
     load;
     cache;
     jobs;
-    pool = lazy (Exec.create ~jobs ());
     slots = Hashtbl.create 8;
     c =
       {
@@ -131,93 +126,66 @@ let create ?db ?(jobs = 1) () =
         errors = 0;
       };
     stopped = false;
-    released = false;
   }
 
 let load t = t.load
-let jobs t = t.jobs
 let store t = t.store
 let stopped t = t.stopped
-
-let shutdown t =
-  if not t.released then begin
-    t.released <- true;
-    Store.close t.store;
-    if Lazy.is_val t.pool then Exec.shutdown (Lazy.force t.pool)
-  end
+let shutdown t = Store.close t.store
 
 (* ---- request helpers --------------------------------------------------- *)
 
-let device_key name =
-  let k = String.lowercase_ascii name in
-  if G.Device.find k = None then
-    Error
-      (Printf.sprintf "unknown device %S (known: %s)" name
-         (String.concat ", " (List.map fst G.Device.presets)))
-  else Ok k
+let fail t e =
+  t.c.errors <- t.c.errors + 1;
+  Protocol.error_response e
+
+(* A compile or fingerprint request's device preset key, layout and
+   fingerprint. *)
+let target (layout : string) (device : string) =
+  match G.Device.resolve device with
+  | Error e -> Error e
+  | Ok (device, _) -> (
+    match Lego_lang.Elab.layout_of_string layout with
+    | Error e -> Error (Printf.sprintf "layout: %s" e)
+    | Ok g -> Ok (device, g, T.Fingerprint.of_layout g))
 
 let slot_for t ~name ~device =
-  let memo_key = name ^ "@" ^ device in
-  match Hashtbl.find_opt t.slots memo_key with
-  | Some r -> r
-  | None ->
-    let r =
-      match G.Device.find device with
-      | None -> Error (Printf.sprintf "unknown device %S" device)
-      | Some d -> (
+  match G.Device.resolve device with
+  | Error e -> Error e
+  | Ok (device, d) -> (
+    let memo_key = name ^ "@" ^ device in
+    match Hashtbl.find_opt t.slots memo_key with
+    | Some r -> r
+    | None ->
+      let r =
         match T.Slot.find ~device:d name with
         | Some s -> Ok s
         | None ->
           Error
             (Printf.sprintf "unknown slot %S (known: %s)" name
                (String.concat ", "
-                  (List.map (fun s -> s.T.Slot.name) (T.Slot.all ())))))
-    in
-    Hashtbl.replace t.slots memo_key r;
-    r
+                  (List.map (fun s -> s.T.Slot.name) (T.Slot.all ()))))
+      in
+      Hashtbl.replace t.slots memo_key r;
+      r)
 
 let compile_key ~fp ~device = Store.key [ "compile"; fp; device ]
 
 (* The full compile artifact, as stored.  Pure. *)
-let compile_value ~device g =
-  let fp = T.Fingerprint.of_layout g in
+let compile_value ~device ~fp g =
   let offset = Lego_symbolic.Sym.apply g in
-  ( fp,
-    Json.Obj
-      [
-        ("kind", Json.Str "compile");
-        ("fingerprint", Json.Str fp);
-        ("digest", Json.Str (Digest.to_hex (Digest.string fp)));
-        ("device", Json.Str device);
-        ("numel", Json.Int (Lego_layout.Group_by.numel g));
-        ("simplified", Json.Str (Lego_symbolic.Expr.to_string offset));
-        ("c", Json.Str (Lego_codegen.C_printer.expr offset));
-        ("triton", Json.Str (Lego_codegen.Triton_printer.expr offset));
-        ("mlir", Json.Str (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g));
-      ] )
-
-type compile_draft =
-  | C_hit of string * Json.t  (* store key, stored value *)
-  | C_new of string * Json.t  (* store key, freshly computed value *)
-  | C_err of string
-
-(* Phase-1 work: parse, validate, look up or compute.  Store reads
-   only — a second identical compile in the same batch also computes
-   C_new here; the sequential walk converts it to a hit. *)
-let compile_draft t (layout : string) (device : string) =
-  match device_key device with
-  | Error e -> C_err e
-  | Ok device -> (
-    match Lego_lang.Elab.layout_of_string layout with
-    | Error e -> C_err (Printf.sprintf "layout: %s" e)
-    | Ok g -> (
-      let fp = T.Fingerprint.of_layout g in
-      let key = compile_key ~fp ~device in
-      match Store.get t.store key with
-      | Some v -> C_hit (key, v)
-      | None ->
-        let _, v = compile_value ~device g in
-        C_new (key, v)))
+  Json.Obj
+    [
+      ("kind", Json.Str "compile");
+      ("fingerprint", Json.Str fp);
+      ("digest", Json.Str (Digest.to_hex (Digest.string fp)));
+      ("device", Json.Str device);
+      ("numel", Json.Int (Lego_layout.Group_by.numel g));
+      ("simplified", Json.Str (Lego_symbolic.Expr.to_string offset));
+      ("c", Json.Str (Lego_codegen.C_printer.expr offset));
+      ("triton", Json.Str (Lego_codegen.Triton_printer.expr offset));
+      ("mlir", Json.Str (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g));
+    ]
 
 (* Project the stored artifact into a response, honouring "emit". *)
 let compile_response ~emit ~key ~cached value =
@@ -238,23 +206,30 @@ let compile_response ~emit ~key ~cached value =
      ]
     @ List.filter (fun (n, _) -> want n) fields)
 
-let fingerprint_response (layout : string) (device : string) =
-  match device_key device with
-  | Error e -> Protocol.error_response e
-  | Ok device -> (
-    match Lego_lang.Elab.layout_of_string layout with
-    | Error e -> Protocol.error_response (Printf.sprintf "layout: %s" e)
-    | Ok g ->
-      let fp = T.Fingerprint.of_layout g in
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("op", Json.Str "fingerprint");
-          ("fingerprint", Json.Str fp);
-          ("digest", Json.Str (Digest.to_hex (Digest.string fp)));
-          ("device", Json.Str device);
-          ("key", Json.Str (compile_key ~fp ~device));
-        ])
+(* A store hit, or a miss computed and stored at once: an in-batch
+   duplicate reads as a hit because its first copy stored it. *)
+let handle_compile t ~emit ~device g fp =
+  let key = compile_key ~fp ~device in
+  match Store.get t.store key with
+  | Some v ->
+    t.c.compile_hits <- t.c.compile_hits + 1;
+    compile_response ~emit ~key ~cached:true v
+  | None ->
+    let v = compile_value ~device ~fp g in
+    Store.put t.store ~key v;
+    t.c.compile_misses <- t.c.compile_misses + 1;
+    compile_response ~emit ~key ~cached:false v
+
+let fingerprint_response ~device fp =
+  Json.Obj
+    [
+      ("ok", Json.Bool true);
+      ("op", Json.Str "fingerprint");
+      ("fingerprint", Json.Str fp);
+      ("digest", Json.Str (Digest.to_hex (Digest.string fp)));
+      ("device", Json.Str device);
+      ("key", Json.Str (compile_key ~fp ~device));
+    ]
 
 (* ---- tune -------------------------------------------------------------- *)
 
@@ -283,7 +258,7 @@ let tune_store_key slot (o : T.Tune.options) =
         o.T.Tune.scale o.T.Tune.conform;
     ]
 
-let tune_value slot (r : T.Tune.result) =
+let tune_value (r : T.Tune.result) =
   let w = r.T.Tune.winner in
   let sim_fields =
     match w.T.Tune.sim with
@@ -296,23 +271,15 @@ let tune_value slot (r : T.Tune.result) =
         ("g_txns", Json.Float s.T.Slot.g_txns);
       ]
   in
-  let conflict_free =
-    T.Predict.conflict_free w.T.Tune.static_score
-    && ((not slot.T.Slot.full_warps)
-       ||
-       match w.T.Tune.sim with
-       | Some s -> T.Slot.sim_conflict_free ~device:slot.T.Slot.device s
-       | None -> false)
-  in
   Json.Obj
     ([
        ("kind", Json.Str "tune");
-       ("slot", Json.Str (T.Slot.identity slot));
+       ("slot", Json.Str (T.Slot.identity r.T.Tune.slot));
        ("winner", Json.Str w.T.Tune.fingerprint);
      ]
     @ sim_fields
     @ [
-        ("conflict_free", Json.Bool conflict_free);
+        ("conflict_free", Json.Bool (T.Tune.conflict_free r));
         ("explored", Json.Int r.T.Tune.explored);
         ("space_size", Json.Int r.T.Tune.space_size);
         ("exhaustive", Json.Bool r.T.Tune.exhaustive);
@@ -334,12 +301,9 @@ let tune_payload ~key ~cached value =
      ]
     @ List.filter (fun (n, _) -> n <> "kind") fields)
 
-(* Sequential phase only: runs the tuner (which builds its own pool). *)
 let handle_tune t (p : Protocol.tune_params) =
-  match slot_for t ~name:p.Protocol.slot ~device:(String.lowercase_ascii p.Protocol.device) with
-  | Error e ->
-    t.c.errors <- t.c.errors + 1;
-    Protocol.error_response e
+  match slot_for t ~name:p.Protocol.slot ~device:p.Protocol.device with
+  | Error e -> fail t e
   | Ok slot -> (
     let options = tune_options t p in
     let key = tune_store_key slot options in
@@ -353,7 +317,7 @@ let handle_tune t (p : Protocol.tune_params) =
       t.c.tune_misses <- t.c.tune_misses + 1;
       t.c.searches <- t.c.searches + 1;
       let r = T.Tune.search ~options ~cache:t.cache slot in
-      let v = tune_value slot r in
+      let v = tune_value r in
       Store.put t.store ~key v;
       flush_sims t;
       tune_payload ~key ~cached:false v)
@@ -363,7 +327,7 @@ let handle_tune t (p : Protocol.tune_params) =
 (* Deliberately wall-clock-free, path-free and jobs-free: a stats
    response is a pure function of the request history, so it cannot
    break the byte-identity contract (responses must match across -j,
-   so even the pool width stays out). *)
+   so even [jobs] stays out). *)
 let stats_json t =
   Json.Obj
     [
@@ -385,61 +349,23 @@ let stats_json t =
 
 (* ---- batch ------------------------------------------------------------- *)
 
-type draft =
-  | D_compile of string list * compile_draft  (* emit selection, draft *)
-  | D_fingerprint of Json.t  (* finished response (pure) *)
-  | D_seq of Protocol.request  (* tune / stats / shutdown: phase 2 *)
-  | D_error of string
-
-let phase1 t = function
-  | Error e -> D_error e
-  | Ok (Protocol.Compile { layout; emit; device }) ->
-    D_compile (emit, compile_draft t layout device)
-  | Ok (Protocol.Fingerprint { layout; device }) ->
-    D_fingerprint (fingerprint_response layout device)
-  | Ok r -> D_seq r
-
-let phase2 t = function
-  | D_error e ->
-    t.c.requests <- t.c.requests + 1;
-    t.c.errors <- t.c.errors + 1;
-    Protocol.error_response e
-  | D_fingerprint j ->
-    t.c.requests <- t.c.requests + 1;
-    if Json.mem_bool "ok" j = Some true then
-      t.c.fingerprints <- t.c.fingerprints + 1
-    else t.c.errors <- t.c.errors + 1;
-    j
-  | D_compile (emit, draft) -> (
-    t.c.requests <- t.c.requests + 1;
-    match draft with
-    | C_err e ->
-      t.c.errors <- t.c.errors + 1;
-      Protocol.error_response e
-    | C_hit (key, v) ->
-      t.c.compile_hits <- t.c.compile_hits + 1;
-      compile_response ~emit ~key ~cached:true v
-    | C_new (key, v) -> (
-      (* An earlier request in this batch (or a racing draft of the
-         same layout) may have stored it already — re-check now that
-         we are sequential, so duplicates inside one batch read as
-         hits regardless of -j. *)
-      match Store.get t.store key with
-      | Some stored ->
-        t.c.compile_hits <- t.c.compile_hits + 1;
-        compile_response ~emit ~key ~cached:true stored
-      | None ->
-        Store.put t.store ~key v;
-        t.c.compile_misses <- t.c.compile_misses + 1;
-        compile_response ~emit ~key ~cached:false v))
-  | D_seq (Protocol.Tune p) ->
-    t.c.requests <- t.c.requests + 1;
-    handle_tune t p
-  | D_seq Protocol.Stats ->
-    t.c.requests <- t.c.requests + 1;
-    stats_json t
-  | D_seq Protocol.Shutdown ->
-    t.c.requests <- t.c.requests + 1;
+let handle t request =
+  t.c.requests <- t.c.requests + 1;
+  match request with
+  | Error e -> fail t e
+  | Ok (Protocol.Compile { layout; emit; device }) -> (
+    match target layout device with
+    | Error e -> fail t e
+    | Ok (device, g, fp) -> handle_compile t ~emit ~device g fp)
+  | Ok (Protocol.Fingerprint { layout; device }) -> (
+    match target layout device with
+    | Error e -> fail t e
+    | Ok (device, _, fp) ->
+      t.c.fingerprints <- t.c.fingerprints + 1;
+      fingerprint_response ~device fp)
+  | Ok (Protocol.Tune p) -> handle_tune t p
+  | Ok Protocol.Stats -> stats_json t
+  | Ok Protocol.Shutdown ->
     t.stopped <- true;
     Json.Obj
       [
@@ -447,32 +373,23 @@ let phase2 t = function
         ("op", Json.Str "shutdown");
         ("stopping", Json.Bool true);
       ]
-  | D_seq (Protocol.Compile _) | D_seq (Protocol.Fingerprint _) ->
-    assert false (* handled in phase 1 *)
 
 let handle_batch t batch =
   match batch with
   | Json.List reqs ->
     t.c.batches <- t.c.batches + 1;
-    let parsed = Array.of_list (List.map Protocol.request_of_json reqs) in
-    let drafts =
-      if Array.length parsed <= 1 then Array.map (phase1 t) parsed
-      else Exec.map ~pool:(Lazy.force t.pool) parsed (phase1 t)
+    let out =
+      List.map (fun r -> handle t (Protocol.request_of_json r)) reqs
     in
-    let n = Array.length drafts in
-    let out = Array.make n Json.Null in
-    for i = 0 to n - 1 do
-      out.(i) <- phase2 t drafts.(i)
-    done;
     Store.flush t.store;
-    Json.List (Array.to_list out)
+    Json.List out
   | _ -> Protocol.error_response "batch must be a JSON array of requests"
 
 (* ---- socket loop ------------------------------------------------------- *)
 
 (* A reply too large for one frame cannot be sent, and dropping the
    connection would leave the client without an answer.  Each request
-   of the batch gets an error naming the size instead; what phase 2
+   of the batch gets an error naming the size instead; what the batch
    stored stays stored. *)
 let oversized_reply batch bytes =
   let error =
@@ -502,9 +419,9 @@ let serve t ~socket =
       Unix.listen srv 16;
       while not t.stopped do
         let conn, _ = Unix.accept srv in
-        (* One client at a time: batches are the concurrency unit, the
-           pool is the parallelism.  A broken connection (EPIPE, reset,
-           bad framing) drops that client and keeps serving. *)
+        (* One client at a time, one batch at a time.  A broken
+           connection (EPIPE, reset, bad framing) drops that client and
+           keeps serving. *)
         Fun.protect
           ~finally:(fun () ->
             try Unix.close conn with Unix.Unix_error _ -> ())

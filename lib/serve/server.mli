@@ -1,20 +1,19 @@
 (** The layout-compile daemon (DESIGN.md §15).
 
-    One {!t} owns the content-addressed {!Store}, a persistent
-    {!Lego_tune.Cache} warm-started from it, and a lazy
-    {!Lego_exec.Exec} pool.  {!handle_batch} is the whole service as a
-    function — the socket loop ({!serve}), the [--oneshot] self-test,
-    the bench harness and the tests all drive the same entry point.
+    One {!t} owns the content-addressed {!Store} and a persistent
+    {!Lego_tune.Cache} warm-started from it.  {!handle_batch} is the
+    whole service as a function — the socket loop ({!serve}), the
+    [--oneshot] self-test, the bench harness and the tests all drive
+    the same entry point.
 
     {b Determinism contract.}  Identical request batches produce
     byte-identical response batches at any [jobs], against servers in
-    identical states: pure requests (compile, fingerprint) fan out over
-    the pool via [Exec.map] (submission-order merge), all state
-    mutation — store writes, counters, the tune cache — happens in a
-    sequential walk in submission order, and no response field carries
-    wall-clock.  The store is read inside the parallel section and
-    written only in the sequential walk, mirroring the tune cache's
-    discipline.
+    identical states: a batch is served sequentially, each request
+    parsed, handled and counted in submission order, its store writes,
+    counters and tune-cache updates done before the next request is
+    read; a tune search's result does not depend on [jobs]; and no
+    response field carries wall-clock.  A compile that misses the store
+    is stored at once, so an in-batch duplicate reads as a hit.
 
     {b Warm path.}  A [tune] request whose content address is already
     stored is answered from the store without invoking the tuner (zero
@@ -23,24 +22,24 @@
     from persisted per-layout [sim] records injected into the tune
     cache at startup and flushed after every cold search.
 
-    {b Threading.}  [handle_batch]/[serve] must run in one domain —
-    the one that first calls them (the pool is created there); [create]
-    may run anywhere. *)
+    {b Threading.}  A {!t} is not synchronized: call [handle_batch],
+    [serve] and [shutdown] from one domain at a time, which need not be
+    the domain that created it. *)
 
 type t
 
 val create : ?db:string -> ?jobs:int -> unit -> t
 (** [db]: the store's backing file ({!Store.default_path} is the
     daemon's conventional location; omit for a memory-only store).
-    [jobs] (default 1) sizes the request fan-out pool and every tune
-    search. *)
+    [jobs] (default 1) sizes each cold tune search's sim-rung pool
+    ({!Lego_tune.Tune.options}[.jobs]); requests are served on the
+    calling domain. *)
 
 val load : t -> Store.load
 (** How the store came up (clean / recovered / fresh) — the server
     keeps running on a recovered or fresh store (cold start), it never
     refuses to boot over a damaged cache. *)
 
-val jobs : t -> int
 val store : t -> Store.t
 val stopped : t -> bool
 (** A [shutdown] request was served. *)
@@ -64,9 +63,9 @@ val serve : t -> socket:string -> unit
     what the batch wrote.  The socket file is removed on exit. *)
 
 val shutdown : t -> unit
-(** Release resources: flush + close the store, stop the pool.
-    Idempotent.  ({!serve} does not call this — the owner does, so a
-    oneshot run can still inspect the store after serving.) *)
+(** Release resources: flush + close the store.  Idempotent.  ({!serve}
+    does not call this — the owner does, so a oneshot run can still
+    inspect the store after serving.) *)
 
 val stats_json : t -> Json.t
 (** The same deterministic counter object a [stats] request returns. *)

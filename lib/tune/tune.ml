@@ -384,6 +384,14 @@ let conform_ok r =
   | None -> None
   | Some o -> Some (o.Lego_conform.Conform.mismatch = None)
 
+let conflict_free { slot; winner; _ } =
+  Predict.conflict_free winner.static_score
+  && ((not slot.Slot.full_warps)
+     ||
+     match winner.sim with
+     | Some s -> Slot.sim_conflict_free ~device:slot.Slot.device s
+     | None -> false)
+
 let pp_scored ppf sc =
   Format.fprintf ppf "@[<v 2>%s@,static: %a" sc.fingerprint Predict.pp
     sc.static_score;

@@ -150,4 +150,10 @@ val conform_ok : result -> bool option
 (** [Some true] = checked clean, [Some false] = mismatch found, [None] =
     check disabled. *)
 
+val conflict_free : result -> bool
+(** The winner is predicted conflict-free and, on a slot whose shared
+    rounds all use full warps, its full simulation ran conflict-free
+    too.  [legoc tune --expect-conflict-free] and the compile service's
+    [conflict_free] field both report this. *)
+
 val pp_result : Format.formatter -> result -> unit

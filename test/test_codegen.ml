@@ -227,6 +227,10 @@ let test_mlir_copy_transpose () =
       ~src_offset:(Sym.apply src_l) ~dst_offset:(Sym.apply dst_l)
       ~dims:[ m_; n_ ]
   in
+  (* The text itself is pinned: loop bounds and the body's constants
+     are materialized once each, in first-use order. *)
+  check_str "copy_func text md5" "f9f1c708ac7502fb4e16d44a9e10dd95"
+    (Digest.to_hex (Digest.string text));
   let m = Lego_mlirsim.Mparser.parse_module text in
   let src = Array.init (m_ * n_) Fun.id in
   let dst = Array.make (m_ * n_) (-1) in

@@ -2,7 +2,8 @@
    frame framing, store durability (QCheck2 round-trip plus truncation /
    corruption recovery), the (slot, device) cache-identity regression,
    the warm-path contract (zero tuner invocations, >= 10x latency),
-   batch byte-identity across pool widths, and a spawned daemon that
+   batch byte-identity at any -j and pinned reply digests, and a
+   spawned daemon that
    outlives a client hanging up early and a tune request with [top] 0. *)
 
 module Sv = Lego_serve
@@ -523,6 +524,73 @@ let test_server_batch_semantics () =
   | _ -> Alcotest.fail "batch response not an array");
   Sv.Server.shutdown t
 
+(* The exact reply bytes of one batch that takes every path of
+   [handle_batch]: an in-batch duplicate compile, a layout parse error,
+   an unknown op, a non-object request, a compile for an unknown
+   device, a fingerprint, a small nw tune and a stats mid-batch and
+   last.  The cold and warm replies and a [shutdown]+[stats] batch's are
+   each pinned by MD5, recorded when the server still drafted compiles
+   and fingerprints on a domain pool. *)
+let test_server_reply_digests_pinned () =
+  let parse s = Result.get_ok (Sv.Json.of_string s) in
+  let batch =
+    parse
+      {|[{"op":"compile","layout":"TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])","emit":["c","mlir"]},
+         {"op":"compile","layout":"OrderBy(GenP(antidiag[4,4])).GroupBy([4,4])","device":"H100"},
+         {"op":"compile","layout":"TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])","emit":["c","mlir"]},
+         {"op":"compile","layout":"Tile((("},
+         {"op":"frobnicate"},
+         42,
+         {"op":"stats"},
+         {"op":"compile","layout":"GroupBy([4,4])","device":"volta"},
+         {"op":"fingerprint","layout":"OrderBy(GenP(antidiag[3,3])).GroupBy([3,3])","device":"rtx4090"},
+         {"op":"tune","slot":"nw","budget":12,"top":2},
+         {"op":"stats"}]|}
+  in
+  let closing = parse {|[{"op":"shutdown"},{"op":"stats"}]|} in
+  let md5 j = Digest.to_hex (Digest.string (Sv.Json.to_string j)) in
+  List.iter
+    (fun jobs ->
+      let t = Sv.Server.create ~jobs () in
+      let cold = md5 (Sv.Server.handle_batch t batch) in
+      let warm = md5 (Sv.Server.handle_batch t batch) in
+      let last = md5 (Sv.Server.handle_batch t closing) in
+      Sv.Server.shutdown t;
+      List.iter
+        (fun (what, want, got) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s reply at -j%d" what jobs)
+            want got)
+        [
+          ("cold", "1a406e233b84207d2c6fc9fdbc47feaf", cold);
+          ("warm", "ceb62c2331ecaf6b4e9dbdeeadf15bd0", warm);
+          ("shutdown+stats", "20cd13ea948d83ec65514cd6bc20a67c", last);
+        ])
+    [ 1; 3; 1 lsl 60 ]
+
+(* Regression: a tune for an unknown device answered [unknown device
+   "volta"] without the preset list that a compile for the same device
+   names. *)
+let test_server_unknown_device_tune () =
+  let t = Sv.Server.create () in
+  let batch =
+    Sv.Json.of_string
+      {|[{"op":"tune","slot":"matmul","device":"volta"},
+         {"op":"compile","layout":"GroupBy([4,4])","device":"volta"},
+         {"op":"stats"}]|}
+  in
+  (match Sv.Server.handle_batch t (Result.get_ok batch) with
+  | Sv.Json.List [ tune; compile; stats ] ->
+    let known = {|unknown device "volta" (known: a100, h100, rtx4090)|} in
+    Alcotest.(check (option string)) "tune error" (Some known)
+      (Sv.Json.mem_string "error" tune);
+    Alcotest.(check (option string)) "compile error" (Some known)
+      (Sv.Json.mem_string "error" compile);
+    Alcotest.(check (option int)) "stats counts both" (Some 2)
+      (Sv.Json.mem_int "errors" stats)
+  | _ -> Alcotest.fail "batch response shape");
+  Sv.Server.shutdown t
+
 (* Regression: a tune request with [top] 0 raised [Invalid_argument]
    out of [handle_batch], killing the daemon, and [top] 2⁴⁰ raised
    [Out_of_memory] from the heap's up-front allocation.  A [top] or
@@ -906,6 +974,10 @@ let suite =
         test_server_byte_identical_across_jobs;
       Alcotest.test_case "server: batch semantics (dup, emit, errors)" `Quick
         test_server_batch_semantics;
+      Alcotest.test_case "server: reply bytes pinned by digest at any -j"
+        `Quick test_server_reply_digests_pinned;
+      Alcotest.test_case "server: unknown device tune names the presets"
+        `Quick test_server_unknown_device_tune;
       Alcotest.test_case "server: out-of-range tune top/budget" `Quick
         test_server_out_of_range_tune;
       Alcotest.test_case "fingerprint op key = server store key" `Quick
