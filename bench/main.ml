@@ -768,6 +768,17 @@ let micro () =
     in
     go 40 (E.var "x")
   in
+  (* One fast-path slot simulation each: matmul's row-major tile (one
+     launch of 4 blocks) and nw's anti-diagonal baseline (63 launches
+     through one summary table).  Each run compiles the layout and
+     fills a fresh table, as a tuner rung does. *)
+  let matmul = T.Slot.matmul_smem () and nw = T.Slot.nw_smem () in
+  let matmul_rm = T.Slot.row_major ~rows:128 ~cols:32 in
+  let nw_antidiag =
+    L.Group_by.make
+      ~chain:[ L.Order_by.make [ L.Gallery.antidiag 17 ] ]
+      [ [ 17; 17 ] ]
+  in
   let tests =
     [
       Test.make ~name:"apply_ints (fig 9)"
@@ -785,6 +796,10 @@ let micro () =
         (Staged.stage (fun () -> E.sum summands));
       Test.make ~name:"Cost.ops: shared DAG, one Tbl walk"
         (Staged.stage (fun () -> Lego_symbolic.Cost.ops shared));
+      Test.make ~name:"slot sim: matmul row-major (fast)"
+        (Staged.stage (fun () -> matmul.T.Slot.simulate ~fast:true matmul_rm));
+      Test.make ~name:"slot sim: nw antidiag baseline (fast)"
+        (Staged.stage (fun () -> nw.T.Slot.simulate ~fast:true nw_antidiag));
     ]
   in
   let grouped = Test.make_grouped ~name:"lego" tests in

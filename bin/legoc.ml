@@ -445,8 +445,7 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
             | Ok _, None ->
               Error
                 (Printf.sprintf "unknown slot %S (known: %s)" n
-                   (String.concat ", "
-                      (List.map (fun s -> s.T.Slot.name) (T.Slot.all ()))))
+                   (String.concat ", " T.Slot.names))
             | Ok ss, Some s -> Ok (s :: ss))
           names (Ok []))
   in

@@ -31,12 +31,11 @@ let () =
       let name =
         match kind with Nw.RowMajor -> "row-major  " | Nw.AntiDiagonal -> "antidiag   "
       in
+      let index = Nw.buff_index kind ~b in
       let addrs =
         List.init b (fun tx ->
             let i = tx + 1 and j = 8 - tx + 1 in
-            if j >= 1 && j <= b then
-              Some (Nw.buff_index kind ~b (i - 1) (j - 1))
-            else None)
+            if j >= 1 && j <= b then Some (index (i - 1) (j - 1)) else None)
         |> List.filter_map Fun.id
       in
       Printf.printf "%s %s\n" name

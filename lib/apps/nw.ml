@@ -30,25 +30,12 @@ type result = {
   scores : Mem.buffer;
 }
 
-(* Domain-local: [buff_index] is called from execution-layer worker
-   domains (one bench configuration per task), so the memo must not be
-   shared mutable state. *)
-let antidiag_piece = Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let buff_index kind ~b i j =
+let buff_index kind ~b =
   match kind with
-  | RowMajor -> (i * (b + 1)) + j
+  | RowMajor -> fun i j -> (i * (b + 1)) + j
   | AntiDiagonal ->
-    let memo = Domain.DLS.get antidiag_piece in
-    let piece =
-      match Hashtbl.find_opt memo (b + 1) with
-      | Some p -> p
-      | None ->
-        let p = L.Gallery.antidiag (b + 1) in
-        Hashtbl.add memo (b + 1) p;
-        p
-    in
-    L.Piece.apply_ints piece [ i; j ]
+    let piece = L.Gallery.antidiag (b + 1) in
+    fun i j -> L.Piece.apply_ints piece [ i; j ]
 
 (* Deterministic pseudo-random similarity matrix, as Rodinia's generator. *)
 let reference_entry i j = ((i * 7919) + (j * 104729)) mod 21 - 10

@@ -31,9 +31,11 @@ type result = {
 }
 
 val buff_index : layout_kind -> b:int -> int -> int -> int
-(** The shared-buffer offset of logical [(i, j)] under the chosen layout
-    (the [Arr2D] operator of the paper, LEGO-generated in the
-    anti-diagonal case). *)
+(** [buff_index kind ~b] is the shared-buffer offset of logical [(i, j)]
+    under the chosen layout (the [Arr2D] operator of the paper,
+    LEGO-generated in the anti-diagonal case).  The anti-diagonal piece
+    is built once, when [kind] and [b] are applied; apply those once
+    and reuse the closure. *)
 
 val run :
   ?device:Lego_gpusim.Device.t -> layout_kind -> config -> result

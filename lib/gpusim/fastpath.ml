@@ -51,46 +51,25 @@ let interpret prog =
 
 (* --- The vectorized runner --------------------------------------------- *)
 
-(* Per-(key, op index, warp) summary: for shared ops the active-lane
-   count and bank cycles; for [Alu]/[Flops] the active-lane count alone
+(* One op's summary for one warp: for shared ops the active-lane count
+   and bank cycles; for [Alu]/[Flops] the active-lane count alone
    ([s_cyc] unused).  [s_active = 0] marks a fully-masked warp (the op
-   costs nothing for it).  Sound for the same reason shared summaries
-   are: the caching contract requires block-independent masks, so a
-   warp's surviving-lane count is a constant of (key, op, warp).  The
-   cache lives in domain-local storage so concurrent tuner domains
-   never contend or mix entries mid-update. *)
+   costs nothing for it). *)
 type summary = { s_active : int; s_cyc : int }
 
-(* The key string carries a layout fingerprint, so it is long; intern it
-   to an int once per [run] call and pack (id, op, warp) into a single
-   int key ([id lsl 20 lor oi lsl 6 lor w]) so cache hits hash an
-   immediate and allocate nothing.  Programs of 2^14 ops or more do not
-   fit the packing and simply run uncached; warps per block are bounded
-   by [max_threads_per_block / warp_size <= 64] at validation. *)
-type cache_state = {
-  key_ids : (string, int) Hashtbl.t;
-  summaries : (int, summary) Hashtbl.t;
-}
+(* The slot of a table not summarized yet, compared physically. *)
+let unfilled = { s_active = -1; s_cyc = 0 }
 
-let cache : cache_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { key_ids = Hashtbl.create 64; summaries = Hashtbl.create 4096 })
+(* Summaries indexed by [op index * warps + warp], valid under
+   [geometry]: the op count, warp width, bank count and width, element
+   size and block shape they were costed with. *)
+type summaries = { mutable geometry : int array; mutable table : summary array }
 
-let key_id st k =
-  match Hashtbl.find_opt st.key_ids k with
-  | Some id -> id
-  | None ->
-    let id = Hashtbl.length st.key_ids in
-    Hashtbl.add st.key_ids k id;
-    id
-
-let clear_cache () =
-  let st = Domain.DLS.get cache in
-  Hashtbl.reset st.key_ids;
-  Hashtbl.reset st.summaries
+let summaries () = { geometry = [||]; table = [||] }
 
 let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
-    ?counters ?key ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words prog =
+    ?counters ?summaries:given ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words
+    prog =
   if gdx <= 0 || gdy <= 0 then invalid_arg "Simt.run: empty grid";
   if bdx <= 0 || bdy <= 0 then invalid_arg "Simt.run: empty block";
   if bdx * bdy > device.Device.max_threads_per_block then
@@ -109,19 +88,28 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
   let nthreads = bdx * bdy in
   let ws = device.Device.warp_size in
   let nwarps = (nthreads + ws - 1) / ws in
-  let st = Domain.DLS.get cache in
-  (* A summary also depends on what the run costs it with: the warp
-     width, the bank geometry, the element size and the block shape
-     (which threads share a warp), so the interned key covers them. *)
-  let kid =
-    match key with
-    | Some k when Array.length prog < 16384 && nwarps <= 64 ->
-      Some
-        (key_id st
-           (Printf.sprintf "%s|%d/%d/%d/%d/%dx%d" k ws device.Device.smem_banks
-              device.Device.smem_bank_bytes elem_bytes bdx bdy))
-    | _ -> None
+  (* A caller's table starts over when this run's geometry differs from
+     the one it was filled under.  Without one, a private table is
+     emptied before every block, so each block is summarized afresh and
+     its masks and shared addresses may depend on the block. *)
+  let own = Option.is_none given in
+  let t = match given with Some t -> t | None -> summaries () in
+  let geometry =
+    [|
+      Array.length prog;
+      ws;
+      device.Device.smem_banks;
+      device.Device.smem_bank_bytes;
+      elem_bytes;
+      bdx;
+      bdy;
+    |]
   in
+  if t.geometry <> geometry then begin
+    t.geometry <- geometry;
+    t.table <- Array.make (Array.length prog * nwarps) unfilled
+  end;
+  let table = t.table in
   let sbuf = Array.make ws 0 in
   let guard_shared a =
     if a < 0 || a >= smem_words then
@@ -146,6 +134,7 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
   in
   List.iter
     (fun b ->
+      if own then Array.fill table 0 (Array.length table) unfilled;
       let bx = b mod gdx and by = b / gdx in
       let ctxs =
         Array.init nthreads (fun tid ->
@@ -160,10 +149,9 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
               gdy;
             })
       in
-      (* The per-warp workers are allocated once per block, and cache
-         hits touch nothing but the packed int key: the op loop
-         allocates only when it actually computes a summary or a
-         global batch. *)
+      (* The per-warp workers are allocated once per block, and a
+         summary already in the table is one array read: the op loop
+         allocates only when it computes a summary or a global batch. *)
       (* Lanes of this warp surviving every mask, ascending tid. *)
       let active masks lo hi =
         let acc = ref [] in
@@ -198,38 +186,33 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
         done;
         { s_active = !k; s_cyc = 0 }
       in
-      let cached_shared masks lo hi a oi w =
-        match kid with
-        | None -> shared_summary masks lo hi a
-        | Some k -> (
-          let ck = (k lsl 20) lor (oi lsl 6) lor w in
-          match Hashtbl.find_opt st.summaries ck with
-          | Some s -> s
-          | None ->
-            let s = shared_summary masks lo hi a in
-            Hashtbl.add st.summaries ck s;
-            s)
+      let cached_shared masks lo hi a i =
+        let s = table.(i) in
+        if s != unfilled then s
+        else begin
+          let s = shared_summary masks lo hi a in
+          table.(i) <- s;
+          s
+        end
       in
-      let cached_activity masks lo hi oi w =
-        match kid with
-        | None -> activity masks lo hi
-        | Some k -> (
-          let ck = (k lsl 20) lor (oi lsl 6) lor w in
-          match Hashtbl.find_opt st.summaries ck with
-          | Some s -> s
-          | None ->
-            let s = activity masks lo hi in
-            Hashtbl.add st.summaries ck s;
-            s)
+      let cached_activity masks lo hi i =
+        let s = table.(i) in
+        if s != unfilled then s
+        else begin
+          let s = activity masks lo hi in
+          table.(i) <- s;
+          s
+        end
       in
       Array.iteri
         (fun oi wrapped ->
           let op, masks = unwrap [] wrapped in
           for w = 0 to nwarps - 1 do
             let lo = w * ws and hi = min nthreads ((w + 1) * ws) - 1 in
+            let i = (oi * nwarps) + w in
             match op with
             | Sload a | Sstore a ->
-              let s = cached_shared masks lo hi a oi w in
+              let s = cached_shared masks lo hi a i in
               if s.s_active > 0 then bump_shared s.s_active s.s_cyc
             | Gload (buf, a) | Gstore (buf, a) -> (
               match active masks lo hi with
@@ -245,10 +228,10 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
                 in
                 Simt.cost_global device l2 c pairs)
             | Flops (dt, tensor, n) ->
-              let s = cached_activity masks lo hi oi w in
+              let s = cached_activity masks lo hi i in
               if s.s_active > 0 then Simt.record_flops c dt tensor n s.s_active
             | Alu n ->
-              let s = cached_activity masks lo hi oi w in
+              let s = cached_activity masks lo hi i in
               if s.s_active > 0 then
                 c.Simt.insn_warp <- c.Simt.insn_warp +. float_of_int n
             | Sync ->

@@ -8,9 +8,9 @@
     per-warp access batch is exactly [{addr ctx | lane in warp, masks
     hold}] — so {!run} evaluates all lanes of a warp in one call and
     costs the batch directly, with no fibers, no memory traffic, and an
-    optional per-warp summary cache.  Kernels with genuinely divergent
-    control flow (data-dependent loops, per-lane trip counts) stay on
-    the effect-handler interpreter.
+    optional caller-owned table of per-warp summaries.  Kernels with
+    genuinely divergent control flow (data-dependent loops, per-lane
+    trip counts) stay on the effect-handler interpreter.
 
     {2 Equivalence contract}
 
@@ -24,19 +24,22 @@
     rounding skew.  The conformance suite checks this differentially
     over the gallery and seeded random layouts.
 
-    {2 Caching contract}
+    {2 Summary tables}
 
-    When [~key] is passed to {!run}, shared-memory summaries and the
-    active-lane counts of predicated [Alu]/[Flops] ops are cached per
-    [(key, op index, warp)] in domain-local storage, where the key is
-    extended with the run's warp width, bank geometry, element size and
-    block shape, so runs on different devices never share a summary.
-    This is sound only if the program's shared addresses and masks are
-    {e block-independent} (functions of [tx]/[ty] alone) and [key]
-    uniquely identifies the program's shared-access and predication
-    structure (e.g. ["slot:" ^ layout fingerprint]).  Global addresses
-    may depend on the block freely — they are never cached because the
-    L2 state is launch-wide. *)
+    A {!summaries} table passed to {!run} holds, per (op index, warp),
+    each shared op's active-lane count and bank cycles and each
+    predicated [Alu]/[Flops] op's active-lane count.  Each entry is
+    filled on first use and read back by later blocks and later runs.
+    The table starts over when a run's op count or geometry (warp
+    width, bank count and width, element size, block shape) differs
+    from the one it was filled under, so runs on different devices
+    never share a summary.  Sharing a table is sound only among runs of
+    the {e same} program whose shared addresses and masks are
+    {e block-independent} (functions of [tx]/[ty] alone); the caller
+    owns that condition.  Global addresses may depend on the block
+    freely: they are never summarized, because the L2 state is
+    launch-wide.  A run without a table summarizes each block afresh,
+    so its masks and shared addresses may depend on the block. *)
 
 type addr = Simt.ctx -> int
 type mask = Simt.ctx -> bool
@@ -62,22 +65,26 @@ val interpret : program -> Simt.ctx -> unit
     lanes park a {!Simt.noop} round.  This is the reference semantics
     {!run} is checked against. *)
 
+type summaries
+(** A table of per-warp summaries (see above).  Mutable and unlocked:
+    a table belongs to one simulation on one domain. *)
+
+val summaries : unit -> summaries
+(** An empty table. *)
+
 val run :
   ?device:Device.t ->
   ?smem_dtype:Mem.dtype ->
   ?sample_blocks:int ->
   ?counters:Simt.counters ->
-  ?key:string ->
+  ?summaries:summaries ->
   grid:int * int ->
   block:int * int ->
   smem_words:int ->
   program ->
   Simt.report
 (** Vectorized evaluation; same signature, validation, sampling,
-    guards, and report as {!Simt.run} (plus [?key], see the caching
-    contract above).  Addresses are validated before any cost is
-    recorded, and accumulation into [?counters] happens only after the
-    launch completes. *)
-
-val clear_cache : unit -> unit
-(** Drop this domain's per-warp summary cache (tests / benchmarks). *)
+    guards, and report as {!Simt.run}, plus [?summaries], a table the
+    run reads and fills (see above).  Addresses are validated before
+    any cost is recorded, and accumulation into [?counters] happens
+    only after the launch completes. *)

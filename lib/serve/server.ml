@@ -28,9 +28,10 @@ type t = {
   load : Store.load;
   cache : T.Cache.t;
   jobs : int;
-  slots : (string, (T.Slot.t, string) result) Hashtbl.t;
+  slots : (string, T.Slot.t) Hashtbl.t;
       (* (name@preset) -> constructed slot; transpose slots carry
-         multi-MB arenas, so build each at most once per server *)
+         multi-MB arenas, so build each at most once per server.  An
+         unknown name builds nothing and is not kept. *)
   c : counters;
   mutable stopped : bool;
 }
@@ -155,19 +156,16 @@ let slot_for t ~name ~device =
   | Ok (device, d) -> (
     let memo_key = name ^ "@" ^ device in
     match Hashtbl.find_opt t.slots memo_key with
-    | Some r -> r
-    | None ->
-      let r =
-        match T.Slot.find ~device:d name with
-        | Some s -> Ok s
-        | None ->
-          Error
-            (Printf.sprintf "unknown slot %S (known: %s)" name
-               (String.concat ", "
-                  (List.map (fun s -> s.T.Slot.name) (T.Slot.all ()))))
-      in
-      Hashtbl.replace t.slots memo_key r;
-      r)
+    | Some s -> Ok s
+    | None -> (
+      match T.Slot.find ~device:d name with
+      | Some s ->
+        Hashtbl.replace t.slots memo_key s;
+        Ok s
+      | None ->
+        Error
+          (Printf.sprintf "unknown slot %S (known: %s)" name
+             (String.concat ", " T.Slot.names))))
 
 let compile_key ~fp ~device = Store.key [ "compile"; fp; device ]
 

@@ -158,18 +158,3 @@ let prepend o c =
     invalid_arg "Compiled.prepend: the stage's element count differs";
   let s = stage o and inner = c.apply_flat in
   { c with apply_flat = (fun flat -> s (inner flat)) }
-
-(* Fingerprint-keyed memo, domain-local so tuner worker domains never
-   share the (mutably filled) Gen tables. *)
-let memo : (string, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let of_layout g =
-  let tbl = Domain.DLS.get memo in
-  let fp = Fingerprint.of_layout g in
-  match Hashtbl.find_opt tbl fp with
-  | Some c -> c
-  | None ->
-    let c = compile g in
-    Hashtbl.add tbl fp c;
-    c

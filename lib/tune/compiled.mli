@@ -25,10 +25,6 @@ val prepend : Lego_layout.Order_by.t -> t -> t
     g)] does, without building that layout.  Raises [Invalid_argument]
     when [o] covers a different number of elements. *)
 
-val of_layout : Lego_layout.Group_by.t -> t
-(** {!compile} memoized per {!Fingerprint} in domain-local storage —
-    the "compile once per fingerprint" half of the fast path. *)
-
 val apply_flat : t -> int -> int
 (** [apply_flat c flat] = [Group_by.apply_ints g (unflatten (dims g) flat)]. *)
 

@@ -86,26 +86,31 @@ let row_major ~rows ~cols =
 (* The candidate's (i, j) -> shared-word map; the slot kernels accept
    any layout whose logical view is [rows x cols] (hierarchy
    regroupings included — only the concatenated dims matter).
-   [fast:true] evaluates through the compiled closure; [fast:false]
-   through the structural interpreter, reproducing the pre-fast-path
-   per-access cost — the values are identical either way (the
-   {!Compiled} contract), so counters stay bit-identical. *)
+   [fast:true] compiles the layout once per simulation and evaluates
+   through the closure; [fast:false] through the structural
+   interpreter, reproducing the pre-fast-path per-access cost — the
+   values are identical either way (the {!Compiled} contract), so
+   counters stay bit-identical. *)
 let layout_addr ~fast ~name ~rows ~cols g =
-  let c = Compiled.of_layout g in
-  if Compiled.dims c <> [ rows; cols ] then
+  if L.Group_by.dims g <> [ rows; cols ] then
     invalid_arg
       (Printf.sprintf "%s slot: layout must view [%d; %d]" name rows cols);
-  if fast then fun i j -> Compiled.apply_flat c ((i * cols) + j)
+  if fast then
+    let c = Compiled.compile g in
+    fun i j -> Compiled.apply_flat c ((i * cols) + j)
   else fun i j -> L.Group_by.apply_ints g [ i; j ]
 
 (* Run one launch of a warp program on the selected path.  [fast:false]
    is the effect-handler reference: the {e same} program interpreted
    through {!Lego_gpusim.Simt} fibers — counters are bit-identical by
-   the {!Lego_gpusim.Fastpath} contract, only the wall-clock differs. *)
-let launch ~fast ~device ?smem_dtype ?sample_blocks ?key ~grid ~block
+   the {!Lego_gpusim.Fastpath} contract, only the wall-clock differs.
+   [summaries] is the simulation's own table: the fast path fills it
+   and reads it back across blocks and launches. *)
+let launch ~fast ~device ?smem_dtype ?sample_blocks ~summaries ~grid ~block
     ~smem_words prog =
   if fast then
-    F.run ~device ?smem_dtype ?sample_blocks ?key ~grid ~block ~smem_words prog
+    F.run ~device ?smem_dtype ?sample_blocks ~summaries ~grid ~block
+      ~smem_words prog
   else
     G.Simt.run ~device ?smem_dtype ?sample_blocks ~grid ~block ~smem_words
       (F.interpret prog)
@@ -145,14 +150,13 @@ let matmul_smem ?(device = G.Device.a100) () =
   in
   (* All four blocks run the identical program (no block-dependent
      address anywhere), so the sampled rung simulates one block — same
-     per-warp rounds, a quarter of the work, and it may share the full
-     run's summary-cache key because the cache is per (key, op, warp). *)
+     per-warp rounds, a quarter of the work.  A full run summarizes the
+     warps of its first block, and the other three read them back. *)
   let simulate_blocks ?sample_blocks ~fast g =
     let r =
       launch ~fast ~device ~smem_dtype:G.Mem.F16 ?sample_blocks
-        ~key:("matmul:" ^ Fingerprint.of_layout g)
-        ~grid:(4, 1) ~block:(32, 8) ~smem_words:(rows * cols)
-        (program ~fast g)
+        ~summaries:(F.summaries ()) ~grid:(4, 1) ~block:(32, 8)
+        ~smem_words:(rows * cols) (program ~fast g)
     in
     sim_of_reports [ r ]
   in
@@ -260,8 +264,7 @@ let transpose_smem ?(device = G.Device.a100) () =
      candidates on the same structure at a quarter of the work. *)
   let simulate_blocks ~sample_blocks ~fast g =
     let r =
-      launch ~fast ~device ~sample_blocks
-        ~key:("transpose:" ^ Fingerprint.of_layout g)
+      launch ~fast ~device ~sample_blocks ~summaries:(F.summaries ())
         ~grid:(size / t, size / t)
         ~block:(t, rows_per_iter) ~smem_words:(rows * cols)
         (program ~fast g)
@@ -308,8 +311,8 @@ let transpose_smem ?(device = G.Device.a100) () =
    warp program: the [tx = 0] corner staging and the shrinking wavefront
    fronts become [Masked] ops, so the warp stays converged and the fast
    path applies.  All 2nb-1 diagonal launches share one op structure
-   (only global offsets shift with the diagonal), which is exactly what
-   the per-warp summary cache exploits across launches. *)
+   (only global offsets shift with the diagonal), so one summary table
+   serves a simulation's whole sweep. *)
 let nw_smem ?(device = G.Device.a100) () =
   let b = 16 in
   let rows = b + 1 and cols = b + 1 in
@@ -325,7 +328,7 @@ let nw_smem ?(device = G.Device.a100) () =
      2nb-1 diagonal launches: only the global base offsets shift with
      the diagonal, so they read the [d]/[ti_lo] refs the launch loop
      updates.  Shared addresses and masks never touch the refs, which
-     is what makes the one-key-per-candidate summary cache sound. *)
+     is what makes one summary table per sweep sound. *)
   let program ~sbuff ~ac ~d ~ti_lo =
     let base_i (ctx : G.Simt.ctx) = (!ti_lo + ctx.bx) * b
     and base_j (ctx : G.Simt.ctx) = (!d - !ti_lo - ctx.bx) * b in
@@ -410,9 +413,10 @@ let nw_smem ?(device = G.Device.a100) () =
      structure is identical on every diagonal (addresses are
      block-independent), so one launch ranks candidates on the same
      signal at 1/(2nb-1) of the work. *)
-  let simulate_with ~fast ~key ~sbuff ~ac diags =
+  let simulate_with ~fast ~sbuff ~ac diags =
     let d = ref 0 and ti_lo = ref 0 in
     let prog = program ~sbuff ~ac ~d ~ti_lo in
+    let summaries = F.summaries () in
     let reports = ref [] in
     List.iter
       (fun dv ->
@@ -421,7 +425,7 @@ let nw_smem ?(device = G.Device.a100) () =
         let ti_hi = min dv (nb - 1) in
         let blocks = ti_hi - !ti_lo + 1 in
         let r =
-          launch ~fast ~device ~sample_blocks:2 ~key ~grid:(blocks, 1)
+          launch ~fast ~device ~sample_blocks:2 ~summaries ~grid:(blocks, 1)
             ~block:(b, 1) ~smem_words prog
         in
         reports := r :: !reports)
@@ -429,16 +433,12 @@ let nw_smem ?(device = G.Device.a100) () =
     sim_of_reports (List.rev !reports)
   in
   let all_diags = List.init ((2 * nb) - 1) Fun.id in
-  let simulate ~fast g =
+  let simulate_diags diags ~fast g =
     let sbuff = layout_addr ~fast ~name:"nw" ~rows ~cols g in
-    simulate_with ~fast ~key:("nw:" ^ Fingerprint.of_layout g) ~sbuff
-      ~ac:(addr_ops g) all_diags
+    simulate_with ~fast ~sbuff ~ac:(addr_ops g) diags
   in
-  let simulate_sampled ~fast g =
-    let sbuff = layout_addr ~fast ~name:"nw" ~rows ~cols g in
-    simulate_with ~fast ~key:("nw:" ^ Fingerprint.of_layout g) ~sbuff
-      ~ac:(addr_ops g) [ nb - 1 ]
-  in
+  let simulate = simulate_diags all_diags in
+  let simulate_sampled = simulate_diags [ nb - 1 ] in
   (* Wavefront step [s]: active lane [t] updates cell (t+1, s-t+1) from
      its west, north and north-west neighbours.  Sample a mid and a full
      diagonal. *)
@@ -486,8 +486,13 @@ let nw_smem ?(device = G.Device.a100) () =
     full_warps = false;
   }
 
-let all ?device () =
-  [ matmul_smem ?device (); transpose_smem ?device (); nw_smem ?device () ]
+(* The slots by name, in listing order.  Each is built only when
+   asked for: building one allocates its arenas and views. *)
+let registry =
+  [ ("matmul", matmul_smem); ("transpose", transpose_smem); ("nw", nw_smem) ]
+
+let names = List.map fst registry
+let all ?device () = List.map (fun (_, make) -> make ?device ()) registry
 
 let find ?device name =
-  List.find_opt (fun s -> s.name = name) (all ?device ())
+  Option.map (fun make -> make ?device ()) (List.assoc_opt name registry)

@@ -7,8 +7,9 @@
     and a full simulation returning the roofline time (the stage-two
     ground truth).  Each slot's kernel is a single
     {!Lego_gpusim.Fastpath.program} — [simulate ~fast:true] runs it on
-    the warp-vectorized fast path (compiled layout closures, per-warp
-    summary cache), [simulate ~fast:false] interprets the {e same}
+    the warp-vectorized fast path (the layout compiled once, one table
+    of per-warp summaries per simulation), [simulate ~fast:false]
+    interprets the {e same}
     program through the {!Lego_gpusim.Simt} effect handler; the two
     produce bit-identical counters, only the wall-clock differs.  The
     three slots below are the paper's three hand-tuned layout decisions
@@ -87,5 +88,10 @@ val nw_smem : ?device:Lego_gpusim.Device.t -> unit -> t
     fronts become [Masked] ops, so the warp stays converged); the
     anti-diagonal gallery layout is the paper's fix. *)
 
+val names : string list
+(** The slots' names, in {!all}'s order: [matmul], [transpose], [nw]. *)
+
 val all : ?device:Lego_gpusim.Device.t -> unit -> t list
+
 val find : ?device:Lego_gpusim.Device.t -> string -> t option
+(** Builds only the named slot; [None] builds nothing. *)

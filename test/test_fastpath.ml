@@ -22,10 +22,10 @@ let check_counters msg (a : Simt.counters) (b : Simt.counters) =
   f "flops_tensor_fp8" a.Simt.flops_tensor_fp8 b.Simt.flops_tensor_fp8;
   f "syncs" a.Simt.syncs b.Simt.syncs
 
-let differential ?device ?smem_dtype ?sample_blocks ?key ~msg ~grid ~block
-    ~smem_words prog =
+let differential ?device ?smem_dtype ?sample_blocks ?summaries ~msg ~grid
+    ~block ~smem_words prog =
   let fast =
-    Fastpath.run ?device ?smem_dtype ?sample_blocks ?key ~grid ~block
+    Fastpath.run ?device ?smem_dtype ?sample_blocks ?summaries ~grid ~block
       ~smem_words prog
   in
   let slow =
@@ -66,10 +66,15 @@ let test_masked_ops () =
         (lane_lt 7, Fastpath.Gload (buf, fun ctx -> tid ctx * 9 mod 1024));
       Fastpath.Masked (lane_lt 20, Fastpath.Sstore (fun ctx -> tid ctx * 2));
       Fastpath.Sync;
-      (* mask depending on the block: legal when no cache key is used *)
+      (* masks and shared addresses depending on the block: legal in a
+         run without a table, which summarizes each block afresh *)
       Fastpath.Masked
         ( (fun ctx -> (ctx.Simt.bx + ctx.Simt.tx) mod 2 = 0),
           Fastpath.Sload (fun ctx -> tid ctx) );
+      Fastpath.Masked
+        ( (fun ctx -> ctx.Simt.tx < 8 * (ctx.Simt.bx + 1)),
+          Fastpath.Sstore (fun ctx -> tid ctx) );
+      Fastpath.Sload (fun ctx -> tid ctx * (ctx.Simt.bx + 1) mod 128);
       Fastpath.Masked (lane_lt 5, Fastpath.Flops (Mem.F32, false, 6));
       (* fully-masked: must cost nothing on either path *)
       Fastpath.Masked ((fun _ -> false), Fastpath.Sstore (fun _ -> 0));
@@ -177,19 +182,20 @@ let test_lgen_layouts () =
   done
 
 let test_summary_cache_consistent () =
-  (* A keyed run must produce the same counters as an uncached one, on
-     the first (cold) and second (fully cached) evaluation alike. *)
+  (* A run through a summary table must produce the same counters as
+     one without, on the first (cold) and second (filled) evaluation
+     alike. *)
   let g = snd (List.hd Lego_conform.Corpus.all) in
   let n = L.Group_by.numel g in
   let prog = layout_program g in
-  let run ?key () =
-    (Fastpath.run ?key ~grid:(4, 1) ~block:(32, 2) ~smem_words:n prog)
+  let run ?summaries () =
+    (Fastpath.run ?summaries ~grid:(4, 1) ~block:(32, 2) ~smem_words:n prog)
       .Simt.counters
   in
-  Fastpath.clear_cache ();
+  let table = Fastpath.summaries () in
   let plain = run () in
-  let cold = run ~key:"test:cache" () in
-  let warm = run ~key:"test:cache" () in
+  let cold = run ~summaries:table () in
+  let warm = run ~summaries:table () in
   check_counters "cold = plain" cold plain;
   check_counters "warm = plain" warm plain;
   (* and the effect path still agrees *)
@@ -200,21 +206,55 @@ let test_summary_cache_consistent () =
   in
   check_counters "warm = slow" warm slow
 
-(* Regression: summaries were cached per key alone, so a keyed run on a
-   16-bank device replayed the bank cycles an A100 run had cached for
-   the same key (and vice versa). *)
+(* Regression: summaries were once kept per program alone, so a run on
+   a 16-bank device replayed the bank cycles an A100 run had summarized
+   for the same program (and vice versa).  One table serves every run
+   here, and must start over whenever the geometry changes.  The 16x4
+   block puts the same threads in the same two warps as 32x2, but
+   every lane passes the program's [tx < 16] mask. *)
 let test_summary_cache_keyed_on_device () =
   let g = snd (List.hd Lego_conform.Corpus.all) in
   let n = L.Group_by.numel g in
   let prog = layout_program g in
   let narrow = { Device.a100 with smem_banks = 16 } in
-  Fastpath.clear_cache ();
+  let table = Fastpath.summaries () in
   List.iter
-    (fun (name, device) ->
+    (fun (name, device, block) ->
       ignore
-        (differential ~device ~key:"test:device" ~msg:name ~grid:(4, 1)
-           ~block:(32, 2) ~smem_words:n prog))
-    [ ("a100", Device.a100); ("16 banks", narrow); ("a100 again", Device.a100) ]
+        (differential ~device ~summaries:table ~msg:name ~grid:(4, 1) ~block
+           ~smem_words:n prog))
+    [
+      ("a100", Device.a100, (32, 2));
+      ("16 banks", narrow, (32, 2));
+      ("a100 again", Device.a100, (32, 2));
+      ("a100, 16x4 block", Device.a100, (16, 4));
+    ]
+
+(* A table holds one entry per (op, warp) whatever the program's
+   length: a program of more than 2^14 ops, run twice through one
+   table, costs exactly what the effect path does. *)
+let test_summary_table_long_program () =
+  let ops = (1 lsl 14) + 64 in
+  let prog =
+    List.init ops (fun k ->
+        if k mod 2 = 0 then
+          Fastpath.Sstore (fun ctx -> (tid ctx * ((k mod 7) + 1)) mod 256)
+        else
+          Fastpath.Masked
+            ( (fun ctx -> ctx.Simt.tx < k mod 32),
+              Fastpath.Sload (fun ctx -> (tid ctx * 33) mod 256) ))
+  in
+  let table = Fastpath.summaries () in
+  let first =
+    differential ~summaries:table ~msg:"long program, cold" ~grid:(2, 1)
+      ~block:(32, 1) ~smem_words:256 prog
+  in
+  let again =
+    Fastpath.run ~summaries:table ~grid:(2, 1) ~block:(32, 1) ~smem_words:256
+      prog
+  in
+  check_counters "long program, warm" again.Simt.counters
+    first.Simt.counters
 
 let test_masked_sync_rejected () =
   Alcotest.check_raises "masked sync"
@@ -252,6 +292,8 @@ let suite =
         test_summary_cache_consistent;
       Alcotest.test_case "summary cache keyed on device" `Quick
         test_summary_cache_keyed_on_device;
+      Alcotest.test_case "summary table covers 2^14+ op programs" `Quick
+        test_summary_table_long_program;
       Alcotest.test_case "masked sync rejected" `Quick test_masked_sync_rejected;
       Alcotest.test_case "oob rejected before costing" `Quick
         test_oob_rejected_before_costing;

@@ -591,6 +591,23 @@ let test_server_unknown_device_tune () =
   | _ -> Alcotest.fail "batch response shape");
   Sv.Server.shutdown t
 
+(* Regression: a tune naming an unknown slot built all three slots to
+   look it up and all three again for its message (about 38 MB), and
+   the server kept the error for its lifetime. *)
+let test_server_unknown_slot_tune () =
+  let t = Sv.Server.create ~jobs:1 () in
+  let batch =
+    Result.get_ok (Sv.Json.of_string {|[{"op":"tune","slot":"x"}]|})
+  in
+  let before = Gc.allocated_bytes () in
+  let reply = Sv.Json.to_string (Sv.Server.handle_batch t batch) in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Alcotest.(check string) "reply"
+    {|[{"ok":false,"error":"unknown slot \"x\" (known: matmul, transpose, nw)"}]|}
+    reply;
+  if mb >= 1.0 then Alcotest.failf "unknown-slot tune allocated %.1f MB" mb;
+  Sv.Server.shutdown t
+
 (* Regression: a tune request with [top] 0 raised [Invalid_argument]
    out of [handle_batch], killing the daemon, and [top] 2⁴⁰ raised
    [Out_of_memory] from the heap's up-front allocation.  A [top] or
@@ -978,6 +995,8 @@ let suite =
         `Quick test_server_reply_digests_pinned;
       Alcotest.test_case "server: unknown device tune names the presets"
         `Quick test_server_unknown_device_tune;
+      Alcotest.test_case "server: unknown slot tune builds no slot" `Quick
+        test_server_unknown_slot_tune;
       Alcotest.test_case "server: out-of-range tune top/budget" `Quick
         test_server_out_of_range_tune;
       Alcotest.test_case "fingerprint op key = server store key" `Quick

@@ -354,7 +354,7 @@ let test_predict_arithmetic_matches_simt_costs () =
   let buf, _ = G.Mem.create_arena ~label:"diff" G.Mem.F32 4096 ~cap:4096 in
   List.iter
     (fun (name, g) ->
-      let c = T.Compiled.of_layout g in
+      let c = T.Compiled.compile g in
       let n = T.Compiled.numel c in
       List.iteri
         (fun p stride ->
@@ -1822,6 +1822,75 @@ let test_rankings_pinned () =
           (3, "05756c5b2af7757a2e701ef98f9e591e") ] );
     ]
 
+(* Each sim's four fields (floats in hex) after its label, one line
+   each, as one MD5. *)
+let sims_digest sims =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (label, (m : T.Slot.sim)) ->
+      Printf.bprintf buf "%s %h %h %h %h\n" label m.T.Slot.time_s
+        m.T.Slot.s_accesses m.T.Slot.s_cycles m.T.Slot.g_txns)
+    sims;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* What [rankings pinned] leaves out: every slot's baseline sims, and
+   the sampled-rung sims a drained transpose --scale search leaves in
+   its cache, in fingerprint-digest order.  Both digests were recorded
+   when the fast path still kept its summaries in one process-wide
+   cache keyed by fingerprint; per-simulation tables must reproduce
+   them at -j 1 and -j 2. *)
+let test_sim_pins () =
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "-j %d" jobs in
+      let options =
+        {
+          T.Tune.default_options with
+          budget = 8;
+          top = 2;
+          jobs;
+          conform = false;
+        }
+      in
+      let baselines =
+        List.concat_map
+          (fun (slot : T.Slot.t) ->
+            List.map
+              (fun (name, sim) -> (slot.T.Slot.name ^ "/" ^ name, sim))
+              (T.Tune.search ~options slot).T.Tune.baselines)
+          (T.Slot.all ())
+      in
+      Alcotest.(check string) (what ^ ": baseline sims")
+        "1b8f016528b4f2bcc31da207aca0ae95" (sims_digest baselines);
+      let cache = T.Cache.create () in
+      ignore
+        (T.Tune.search ~cache
+           ~options:{ options with budget = 250_000; top = 8; scale = true }
+           (T.Slot.transpose_smem ()));
+      let sampled = ref [] in
+      T.Cache.iter cache (fun ~slot:_ ~fp_digest e ->
+          Option.iter
+            (fun sim -> sampled := (Digest.to_hex fp_digest, sim) :: !sampled)
+            e.T.Cache.sampled);
+      Alcotest.(check int) (what ^ ": sampled sims") 32 (List.length !sampled);
+      Alcotest.(check string) (what ^ ": sampled-rung sims")
+        "7a074e8d24c207825808fd0269bb8537"
+        (sims_digest (List.sort compare !sampled)))
+    [ 1; 2 ]
+
+(* Regression: [Slot.find] built all three slots to return one, about
+   20 MB for "nw", whose own slot is about 2 MB. *)
+let test_slot_find_builds_one () =
+  let before = Gc.allocated_bytes () in
+  let slot = T.Slot.find "nw" in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Alcotest.(check (option string)) "found" (Some "nw")
+    (Option.map (fun s -> s.T.Slot.name) slot);
+  if mb >= 8.0 then Alcotest.failf "Slot.find \"nw\" allocated %.1f MB" mb;
+  Alcotest.(check (list string)) "names" [ "matmul"; "transpose"; "nw" ]
+    T.Slot.names;
+  Alcotest.(check bool) "unknown" true (Option.is_none (T.Slot.find "x"))
+
 (* [maps] counts the distinct F₂ maps among the explored candidates, at
    any -j, and [pp_result] prints it after the explored count.  Each
    pin is checked against a count of distinct [Linear.of_layout] maps
@@ -2113,6 +2182,10 @@ let suite =
         test_swizzle_stages_shared;
       Alcotest.test_case "rankings pinned across -j and seeds" `Quick
         test_rankings_pinned;
+      Alcotest.test_case "baseline and sampled-rung sims pinned" `Quick
+        test_sim_pins;
+      Alcotest.test_case "Slot.find builds only the named slot" `Quick
+        test_slot_find_builds_one;
       Alcotest.test_case "result reports distinct F2 maps" `Quick
         test_result_reports_distinct_maps;
       Alcotest.test_case "stream digests pinned over the domain" `Quick
