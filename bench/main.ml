@@ -25,10 +25,10 @@ let row fmt = Printf.printf fmt
 (* ---- Execution layer --------------------------------------------------- *)
 
 (* Figure sweeps fan independent gpusim configurations out across the
-   pool: each task builds (and simulates) its own kernel run, so the
-   effect-handler simulator state is domain-local by construction.
-   Results are merged in submission order — rows print identically at
-   any -j. *)
+   pool the experiments run in (at -j 2 and above): each task builds
+   (and simulates) its own kernel run, so the effect-handler simulator
+   state is domain-local by construction.  Results are merged in
+   submission order — rows print identically at any -j. *)
 
 let jobs = ref 1
 let the_pool : X.pool option ref = ref None
@@ -349,8 +349,9 @@ let tune () =
   let jn = max 2 !jobs in
   List.iter
     (fun (slot : T.Slot.t) ->
-      (* Tune.search builds its own pool; it must run from the main
-         domain (never inside [pmap]) because pools don't nest. *)
+      (* Tune.search makes its own pool; it runs on the main domain,
+         never inside [pmap], so its rungs' helper domains do not
+         multiply with the sweep's. *)
       let search jobs =
         T.Tune.search ~options:{ T.Tune.default_options with jobs } slot
       in
@@ -870,15 +871,8 @@ let () =
   let names = parse [] args in
   (* at_exit so results are flushed even when an experiment exits 1. *)
   at_exit write_json;
-  if !jobs > 1 then the_pool := Some (X.create ~jobs:!jobs ());
-  let shutdown () =
-    match !the_pool with
-    | Some pool ->
-      X.shutdown pool;
-      the_pool := None
-    | None -> ()
-  in
-  Fun.protect ~finally:shutdown (fun () ->
+  X.with_pool ~jobs:!jobs (fun pool ->
+      if !jobs > 1 then the_pool := Some pool;
       match names with
       | [] ->
         List.iter (fun (_, f) -> f ())

@@ -1,4 +1,4 @@
-(** Deterministic multicore fan-out over an OCaml 5 domain pool.
+(** Deterministic multicore fan-out over OCaml 5 domains, fork-join.
 
     The hot loops of this repository — differential conformance, the
     figure sweeps of the benchmark harness, and exhaustive bijectivity
@@ -19,19 +19,23 @@
       index chunks from a shared atomic cursor, so cheap items amortize
       the cursor traffic while expensive items still balance.
 
+    Each [map] spawns its helper domains (up to [jobs - 1]; the calling
+    domain is the remaining worker) and joins them before it returns,
+    so no domain outlives its map, and a helper's domain-local tables
+    (the symbolic engine's memos, for one) start empty on every map.
+    [jobs = 1] degrades to an inline sequential loop with the same
+    semantics and no domain spawned.
+
     Tasks must be self-contained: any task-visible mutable state has to
     be owned by the task (or be domain-local, as the symbolic engine's
     memo tables are).  A task must not call [map] on the pool that is
-    running it — that is detected and rejected.
-
-    The pool spawns [jobs - 1] worker domains; the calling domain is the
-    remaining worker, so [jobs = 1] degrades to an inline sequential
-    loop with the same semantics (and no domains spawned). *)
+    running it — that is rejected, so fan-outs never multiply past the
+    pool's width. *)
 
 type pool
 
 val default_jobs : unit -> int
-(** Pool size used when [create] is given no [jobs]:
+(** Pool size used when [with_pool] is given no [jobs]:
     [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]. *)
 
 val jobs_of_env : string option -> int
@@ -39,10 +43,17 @@ val jobs_of_env : string option -> int
     positive integer (surrounding blanks allowed), otherwise — unset,
     empty, garbage or below 1 — [Domain.recommended_domain_count ()]. *)
 
-val create : ?jobs:int -> ?oversubscribe:bool -> unit -> pool
-(** [create ()] makes a pool of [jobs] (default {!default_jobs})
-    workers, including the caller.  The number of domains actually
-    {e spawned} is clamped to [Domain.recommended_domain_count () - 1]:
+val jobs : pool -> int
+(** The pool's {e requested} worker count (>= 1), counting the calling
+    domain — not reduced by the hardware clamp, so callers can key
+    determinism-relevant decisions (none exist today) and reporting on
+    the configured [-j]. *)
+
+val with_pool : ?jobs:int -> ?oversubscribe:bool -> (pool -> 'a) -> 'a
+(** [with_pool f] runs [f] with a pool of [jobs] (default
+    {!default_jobs}) workers, including the caller; once [f] returns
+    (or raises), {!map} refuses the pool.  The domains a map actually
+    {e spawns} are clamped to [Domain.recommended_domain_count () - 1]:
     oversubscribing a host strictly loses here, because OCaml 5 minor
     collections are stop-the-world handshakes across all running
     domains, so extra domains add GC synchronization and timeslicing
@@ -52,27 +63,14 @@ val create : ?jobs:int -> ?oversubscribe:bool -> unit -> pool
     multi-domain interleavings on small hosts).  Raises
     [Invalid_argument] when [jobs < 1]. *)
 
-val jobs : pool -> int
-(** The pool's {e requested} worker count (>= 1), counting the calling
-    domain — not reduced by the hardware clamp, so callers can key
-    determinism-relevant decisions (none exist today) and reporting on
-    the configured [-j]. *)
-
-val shutdown : pool -> unit
-(** Join every worker domain.  Idempotent.  The pool must not be used
-    afterwards. *)
-
-val with_pool : ?jobs:int -> ?oversubscribe:bool -> (pool -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool, shutting it down on exit
-    (normal or exceptional). *)
-
 val map : ?chunk:int -> pool:pool -> 'a array -> ('a -> 'b) -> 'b array
-(** [map ~pool xs f] computes [Array.map f xs] across the pool's
-    domains under the determinism contract above.  [chunk] (default:
-    [length / 8 / jobs] clamped to [1 .. 1024]) is the number of
-    consecutive indices a worker claims at a time — the cap keeps
-    mega-batches stealing finely enough that one slow chunk cannot
-    strand the tail, while tiny batches degrade to chunk 1 (one steal
-    per expensive task).  Only the domain that created the pool may
-    call [map], and not from inside a task of the same pool (both
-    raise [Invalid_argument]). *)
+(** [map ~pool xs f] computes [Array.map f xs] under the determinism
+    contract above, on the caller and at most one helper domain per
+    chunk beyond the first, joined before it returns.  [chunk]
+    (default: [length / 8 / jobs] clamped to [1 .. 1024]) is the
+    number of consecutive indices a worker claims at a time — the cap
+    keeps mega-batches stealing finely enough that one slow chunk
+    cannot strand the tail, while tiny batches degrade to chunk 1 (one
+    steal per expensive task).  Only the domain that made the pool may
+    call [map], not from inside a task of the same pool and not after
+    {!with_pool} returned (all raise [Invalid_argument]). *)

@@ -116,7 +116,7 @@ let of_probe piece numel =
     if !ok then Some lin else None
   end
 
-let of_piece_uncached piece =
+let of_piece piece =
   let dims = L.Piece.dims piece in
   if not (List.for_all is_pow2 dims) then None
   else
@@ -141,26 +141,6 @@ let of_piece_uncached piece =
         | Some (mask, shift) -> Some (of_swizzlex ~rows ~cols ~mask ~shift)
         | None -> None)
       | _ -> None)
-
-(* Piece matrices are shared by every layout embedding the piece
-   ([Piece.equal] is (name, dims) equality, which the printed form
-   captures), and the swizzle search instantiates hundreds of layouts
-   over a few dozen pieces — so memoize per piece identity, domain-local
-   because {!of_layout} runs inside [Exec.map] workers: conformance's
-   F₂ leg in [Conform.run]'s, and [Predict.score] in perfbench's exec
-   replay. *)
-let piece_memo : (string, t option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let of_piece piece =
-  let tbl = Domain.DLS.get piece_memo in
-  let key = L.Piece.to_string piece in
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r
-  | None ->
-    let r = of_piece_uncached piece in
-    Hashtbl.add tbl key r;
-    r
 
 (* One [Order_by] stage: the flat input decomposes over the suffix
    products [flat = sum_i c_i * D_i], each piece maps its own bit field

@@ -50,8 +50,7 @@ val of_piece : Lego_layout.Piece.t -> t option
 (** The piece's flat-to-flat map as an affine form, when the piece is in
     the linear family (all extents powers of two and the piece one of:
     any [RegP]; [swizzle]; [swizzlex_m<mask>_s<shift>]; [reverse];
-    [morton]).  Results are memoized per piece identity and per
-    domain. *)
+    [morton]). *)
 
 val of_stage : Lego_layout.Order_by.t -> t option
 (** One [Order_by] stage's flat-to-flat map: the block-diagonal assembly

@@ -70,20 +70,10 @@ let summaries () = { geometry = [||]; table = [||] }
 let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
     ?counters ?summaries:given ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words
     prog =
-  if gdx <= 0 || gdy <= 0 then invalid_arg "Simt.run: empty grid";
-  if bdx <= 0 || bdy <= 0 then invalid_arg "Simt.run: empty block";
-  if bdx * bdy > device.Device.max_threads_per_block then
-    invalid_arg "Simt.run: block exceeds device thread limit";
-  let total_blocks = gdx * gdy in
-  let simulated =
-    match sample_blocks with
-    | None -> total_blocks
-    | Some n when n <= 0 -> invalid_arg "Simt.run: sample_blocks must be > 0"
-    | Some n -> min n total_blocks
-  in
+  Simt.launch ~device ?sample_blocks ?counters ~grid:(gdx, gdy)
+    ~block:(bdx, bdy)
+  @@ fun l2 c ->
   let prog = Array.of_list (normalize prog) in
-  let c = Simt.fresh_counters () in
-  let l2 = L2.create device in
   let elem_bytes = Mem.dtype_bytes smem_dtype in
   let nthreads = bdx * bdy in
   let ws = device.Device.warp_size in
@@ -132,130 +122,109 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
     c.Simt.s_cycles <- c.Simt.s_cycles +. float_of_int cyc;
     c.Simt.insn_warp <- c.Simt.insn_warp +. 1.0
   in
-  List.iter
-    (fun b ->
-      if own then Array.fill table 0 (Array.length table) unfilled;
-      let bx = b mod gdx and by = b / gdx in
-      let ctxs =
-        Array.init nthreads (fun tid ->
-            {
-              Simt.bx;
-              by;
-              tx = tid mod bdx;
-              ty = tid / bdx;
-              bdx;
-              bdy;
-              gdx;
-              gdy;
-            })
-      in
-      (* The per-warp workers are allocated once per block, and a
-         summary already in the table is one array read: the op loop
-         allocates only when it computes a summary or a global batch. *)
-      (* Lanes of this warp surviving every mask, ascending tid. *)
-      let active masks lo hi =
-        let acc = ref [] in
-        for tid = hi downto lo do
-          let ctx = ctxs.(tid) in
-          if List.for_all (fun m -> m ctx) masks then acc := ctx :: !acc
-        done;
-        !acc
-      in
-      let shared_summary masks lo hi a =
-        let n = ref 0 in
-        for tid = lo to hi do
-          let ctx = ctxs.(tid) in
-          if List.for_all (fun m -> m ctx) masks then begin
-            let addr = a ctx in
-            guard_shared addr;
-            sbuf.(!n) <- addr;
-            incr n
-          end
-        done;
-        if !n = 0 then { s_active = 0; s_cyc = 0 }
-        else
-          {
-            s_active = !n;
-            s_cyc = Access.bank_cycles_arr device ~elem_bytes sbuf !n;
-          }
-      in
-      let activity masks lo hi =
-        let k = ref 0 in
-        for tid = lo to hi do
-          if List.for_all (fun m -> m ctxs.(tid)) masks then incr k
-        done;
-        { s_active = !k; s_cyc = 0 }
-      in
-      let cached_shared masks lo hi a i =
-        let s = table.(i) in
-        if s != unfilled then s
-        else begin
-          let s = shared_summary masks lo hi a in
-          table.(i) <- s;
-          s
-        end
-      in
-      let cached_activity masks lo hi i =
-        let s = table.(i) in
-        if s != unfilled then s
-        else begin
-          let s = activity masks lo hi in
-          table.(i) <- s;
-          s
-        end
-      in
-      Array.iteri
-        (fun oi wrapped ->
-          let op, masks = unwrap [] wrapped in
-          for w = 0 to nwarps - 1 do
-            let lo = w * ws and hi = min nthreads ((w + 1) * ws) - 1 in
-            let i = (oi * nwarps) + w in
-            match op with
-            | Sload a | Sstore a ->
-              let s = cached_shared masks lo hi a i in
-              if s.s_active > 0 then bump_shared s.s_active s.s_cyc
-            | Gload (buf, a) | Gstore (buf, a) -> (
-              match active masks lo hi with
-              | [] -> ()
-              | lanes ->
-                let pairs =
-                  List.map
-                    (fun ctx ->
-                      let addr = a ctx in
-                      guard_global buf addr;
-                      (buf, addr))
-                    lanes
-                in
-                Simt.cost_global device l2 c pairs)
-            | Flops (dt, tensor, n) ->
-              let s = cached_activity masks lo hi i in
-              if s.s_active > 0 then Simt.record_flops c dt tensor n s.s_active
-            | Alu n ->
-              let s = cached_activity masks lo hi i in
-              if s.s_active > 0 then
-                c.Simt.insn_warp <- c.Simt.insn_warp +. float_of_int n
-            | Sync ->
-              c.Simt.syncs <- c.Simt.syncs +. 1.0;
-              c.Simt.insn_warp <- c.Simt.insn_warp +. 1.0
-            | Masked _ -> assert false
-          done)
-        prog)
-    (Simt.sample_indices ~total:total_blocks ~simulated);
-  if simulated < total_blocks then
-    Simt.scale_counters c
-      (float_of_int total_blocks /. float_of_int simulated);
-  let c =
-    match counters with
-    | None -> c
-    | Some t ->
-      Simt.accumulate ~into:t c;
-      t
+  fun ~bx ~by ->
+  if own then Array.fill table 0 (Array.length table) unfilled;
+  let ctxs =
+    Array.init nthreads (fun tid ->
+        {
+          Simt.bx;
+          by;
+          tx = tid mod bdx;
+          ty = tid / bdx;
+          bdx;
+          bdy;
+          gdx;
+          gdy;
+        })
   in
-  {
-    Simt.device;
-    grid = (gdx, gdy);
-    block = (bdx, bdy);
-    blocks_simulated = simulated;
-    launches = 1;
-    counters = c;
-  }
+  (* The per-warp workers are allocated once per block, and a
+     summary already in the table is one array read: the op loop
+     allocates only when it computes a summary or a global batch. *)
+  (* Lanes of this warp surviving every mask, ascending tid. *)
+  let active masks lo hi =
+    let acc = ref [] in
+    for tid = hi downto lo do
+      let ctx = ctxs.(tid) in
+      if List.for_all (fun m -> m ctx) masks then acc := ctx :: !acc
+    done;
+    !acc
+  in
+  let shared_summary masks lo hi a =
+    let n = ref 0 in
+    for tid = lo to hi do
+      let ctx = ctxs.(tid) in
+      if List.for_all (fun m -> m ctx) masks then begin
+        let addr = a ctx in
+        guard_shared addr;
+        sbuf.(!n) <- addr;
+        incr n
+      end
+    done;
+    if !n = 0 then { s_active = 0; s_cyc = 0 }
+    else
+      {
+        s_active = !n;
+        s_cyc = Access.bank_cycles_arr device ~elem_bytes sbuf !n;
+      }
+  in
+  let activity masks lo hi =
+    let k = ref 0 in
+    for tid = lo to hi do
+      if List.for_all (fun m -> m ctxs.(tid)) masks then incr k
+    done;
+    { s_active = !k; s_cyc = 0 }
+  in
+  let cached_shared masks lo hi a i =
+    let s = table.(i) in
+    if s != unfilled then s
+    else begin
+      let s = shared_summary masks lo hi a in
+      table.(i) <- s;
+      s
+    end
+  in
+  let cached_activity masks lo hi i =
+    let s = table.(i) in
+    if s != unfilled then s
+    else begin
+      let s = activity masks lo hi in
+      table.(i) <- s;
+      s
+    end
+  in
+  Array.iteri
+    (fun oi wrapped ->
+      let op, masks = unwrap [] wrapped in
+      for w = 0 to nwarps - 1 do
+        let lo = w * ws and hi = min nthreads ((w + 1) * ws) - 1 in
+        let i = (oi * nwarps) + w in
+        match op with
+        | Sload a | Sstore a ->
+          let s = cached_shared masks lo hi a i in
+          if s.s_active > 0 then bump_shared s.s_active s.s_cyc
+        | Gload (buf, a) | Gstore (buf, a) -> (
+          match active masks lo hi with
+          | [] -> ()
+          | lanes ->
+            let pairs =
+              List.map
+                (fun ctx ->
+                  let addr = a ctx in
+                  guard_global buf addr;
+                  (buf, addr))
+                lanes
+            in
+            Simt.cost_global device l2 c pairs)
+        | Flops (dt, tensor, n) ->
+          let s = cached_activity masks lo hi i in
+          if s.s_active > 0 then Simt.record_flops c dt tensor n s.s_active
+        | Alu n ->
+          let s = cached_activity masks lo hi i in
+          if s.s_active > 0 then
+            c.Simt.insn_warp <- c.Simt.insn_warp +. float_of_int n
+        | Sync ->
+          c.Simt.syncs <- c.Simt.syncs +. 1.0;
+          c.Simt.insn_warp <- c.Simt.insn_warp +. 1.0
+        | Masked _ -> assert false
+      done)
+    prog

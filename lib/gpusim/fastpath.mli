@@ -16,10 +16,11 @@
 
     [run p] and [Simt.run (interpret p)] produce {e bit-identical}
     counters: both paths share one implementation of the cost arithmetic
-    ({!Access}, [Simt.cost_global], [Simt.record_flops]), drive the
-    per-launch {!L2} over the same canonical order (program order,
-    warps ascending, segments ascending), and scale sampled grids with
-    the same float operations.  All counter increments are
+    ({!Access}, [Simt.cost_global], [Simt.record_flops]) and one launch
+    frame ({!Simt.launch}: validation, block sample, per-launch {!L2},
+    extrapolation, accumulation), and drive the L2 over the same
+    canonical order (program order, warps ascending, segments
+    ascending).  All counter increments are
     integer-valued, so sums are exact and grouping cannot introduce
     rounding skew.  The conformance suite checks this differentially
     over the gallery and seeded random layouts.
@@ -83,8 +84,9 @@ val run :
   smem_words:int ->
   program ->
   Simt.report
-(** Vectorized evaluation; same signature, validation, sampling,
-    guards, and report as {!Simt.run}, plus [?summaries], a table the
-    run reads and fills (see above).  Addresses are validated before
-    any cost is recorded, and accumulation into [?counters] happens
-    only after the launch completes. *)
+(** Vectorized evaluation in {!Simt.launch}'s frame: the same
+    signature, validation, sampling, guards, and report as {!Simt.run},
+    plus [?summaries], a table the run reads and fills (see above).
+    Addresses are validated before any cost is recorded, and
+    accumulation into [?counters] happens only after the launch
+    completes. *)

@@ -345,8 +345,8 @@ let scale_counters c scale =
   c.flops_tensor_fp8 <- c.flops_tensor_fp8 *. scale;
   c.syncs <- c.syncs *. scale
 
-let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
-    ?counters ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words body =
+let launch ~device ?sample_blocks ?counters ~grid:(gdx, gdy)
+    ~block:(bdx, bdy) start =
   if gdx <= 0 || gdy <= 0 then invalid_arg "Simt.run: empty grid";
   if bdx <= 0 || bdy <= 0 then invalid_arg "Simt.run: empty block";
   if bdx * bdy > device.Device.max_threads_per_block then
@@ -358,24 +358,18 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
     | Some n when n <= 0 -> invalid_arg "Simt.run: sample_blocks must be > 0"
     | Some n -> min n total_blocks
   in
-  let target = counters in
-  let counters = fresh_counters () in
-  let l2 = L2.create device in
-  let smem_elem_bytes = Mem.dtype_bytes smem_dtype in
+  let c = fresh_counters () in
+  let block = start (L2.create device) c in
   List.iter
-    (fun b ->
-      let bx = b mod gdx and by = b / gdx in
-      run_block ~device ~l2 ~counters ~smem_elem_bytes ~block:(bdx, bdy)
-        ~grid:(gdx, gdy) ~smem_words ~bx ~by body)
+    (fun b -> block ~bx:(b mod gdx) ~by:(b / gdx))
     (sample_indices ~total:total_blocks ~simulated);
   if simulated < total_blocks then
-    scale_counters counters
-      (float_of_int total_blocks /. float_of_int simulated);
-  let counters =
-    match target with
-    | None -> counters
+    scale_counters c (float_of_int total_blocks /. float_of_int simulated);
+  let c =
+    match counters with
+    | None -> c
     | Some t ->
-      accumulate ~into:t counters;
+      accumulate ~into:t c;
       t
   in
   {
@@ -384,5 +378,13 @@ let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
     block = (bdx, bdy);
     blocks_simulated = simulated;
     launches = 1;
-    counters;
+    counters = c;
   }
+
+let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
+    ?counters ~grid ~block ~smem_words body =
+  let smem_elem_bytes = Mem.dtype_bytes smem_dtype in
+  launch ~device ?sample_blocks ?counters ~grid ~block
+    (fun l2 counters ~bx ~by ->
+      run_block ~device ~l2 ~counters ~smem_elem_bytes ~block ~grid
+        ~smem_words ~bx ~by body)

@@ -110,19 +110,28 @@ val cost_shared : Device.t -> elem_bytes:int -> counters -> int list -> unit
 
 val record_flops : counters -> Mem.dtype -> bool -> int -> int -> unit
 
-val scale_counters : counters -> float -> unit
-(** Multiply every counter in place (sampled-grid extrapolation).
-    Shared with {!Fastpath} so both paths scale with the identical
-    float operations. *)
-
-val accumulate : into:counters -> counters -> unit
-(** Add every counter of the second record into [into]. *)
-
 val sample_indices : total:int -> simulated:int -> int list
 (** The block ids simulated by a sampled run: [s * total / simulated]
     for [s] in [0 .. simulated-1] — proportionally strided, so the
     sample spans the whole grid (no stranded tail) with no duplicates
     whenever [simulated <= total]. *)
+
+val launch :
+  device:Device.t ->
+  ?sample_blocks:int ->
+  ?counters:counters ->
+  grid:int * int ->
+  block:int * int ->
+  (L2.t -> counters -> bx:int -> by:int -> unit) ->
+  report
+(** The launch frame {!run} and {!Fastpath.run} share.  [launch ~grid
+    ~block start] validates the grid, the block and [sample_blocks],
+    applies [start] to the launch's one {!L2} and a fresh counter
+    record, runs the resulting per-block function on every sampled
+    block ({!sample_indices}), scales the counters to the whole grid,
+    adds them into [?counters] and returns the report.  Both runners
+    therefore validate, sample and extrapolate with the identical code
+    and float operations. *)
 
 val run :
   ?device:Device.t ->

@@ -15,16 +15,6 @@ type score = {
 
 let conflict_free s = s.smem_phases > 0 && s.smem_cycles = s.smem_phases
 
-(* The warp-access arithmetic is {!Lego_gpusim.Access} — the {e same}
-   code the simulator's [cost_shared]/[cost_global] run, so predictor
-   and simulator cannot drift (the conformance suite checks the
-   agreement differentially anyway). *)
-let bank_cycles (device : G.Device.t) ~elem_bytes addrs =
-  G.Access.bank_cycles device ~elem_bytes addrs
-
-let txn_count (device : G.Device.t) ~elem_bytes addrs =
-  G.Access.txn_count device ~elem_bytes addrs
-
 (* Phase lanes are a property of the {e slot}, not the candidate: every
    candidate in a space shares the same logical dims, so each shared
    phase's active-lane logical indices flatten to the same int array
@@ -137,7 +127,7 @@ let prepare ?(device = G.Device.a100) ~dims phases =
              are counted once here. *)
           let addrs = lanes_of addrs in
           if addrs = [] then (shared, txns)
-          else (shared, txns + txn_count device ~elem_bytes addrs))
+          else (shared, txns + G.Access.txn_count device ~elem_bytes addrs))
       ([], 0) phases
   in
   let shared = List.rev shared in

@@ -33,14 +33,6 @@ type score = {
 val conflict_free : score -> bool
 (** Every sampled shared phase ran at degree 1. *)
 
-val bank_cycles : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
-(** {!Lego_gpusim.Access.bank_cycles} — re-exported so callers (and the
-    Predict-vs-Simt differential tests) see one name for the arithmetic
-    both stages share. *)
-
-val txn_count : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
-(** {!Lego_gpusim.Access.txn_count}, likewise. *)
-
 val stage_ops : Lego_layout.Order_by.t -> int
 (** One chain stage's op count in isolation: {!Lego_symbolic.Cost.ops}
     (default {!Lego_symbolic.Cost.weights}) of the stage alone over its

@@ -300,8 +300,8 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     List.mapi (fun i sc -> (sc, fst sims.(i))) cands
   in
   (* The sim rungs hold the search's only parallel sections, so the pool
-     lives only around them.  Its set-up and shut-down stay outside the
-     timed sections, which time the search's own work. *)
+     lives only around them.  Each rung's map spawns and joins its own
+     helper domains, so [sim_seconds] includes both. *)
   let sampled_scored, ranking, sim_seconds =
     Exec.with_pool ~jobs:(max 1 options.jobs) @@ fun pool ->
     let t1 = Unix.gettimeofday () in

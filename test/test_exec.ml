@@ -1,6 +1,7 @@
 (* Tests for the execution layer (lib/exec): deterministic order of the
    merged results, per-task exception capture with lowest-index re-raise,
-   pool reuse, the jobs=1 degenerate pool, and misuse guards. *)
+   many maps on one pool, helpers spawned and joined per map, the jobs=1
+   degenerate pool, and misuse guards. *)
 
 module X = Lego_exec.Exec
 
@@ -69,10 +70,12 @@ let test_pool_reuse_across_batches () =
       done)
 
 let test_misuse_guards () =
-  X.with_pool ~jobs:2 (fun pool ->
-      (* Nested map on the same pool would deadlock; it must raise. *)
+  X.with_pool ~jobs:2 ~oversubscribe:true (fun pool ->
+      (* A task's map on the pool running it must raise, on the calling
+         domain (nested) and on a helper (foreign), so fan-outs never
+         multiply past the pool's width. *)
       (match
-         X.map ~pool [| 0 |] (fun _ ->
+         X.map ~chunk:1 ~pool [| 0; 1 |] (fun _ ->
              X.map ~pool [| 1 |] (fun i -> i))
        with
       | _ -> Alcotest.fail "nested map must be rejected"
@@ -80,15 +83,42 @@ let test_misuse_guards () =
       match X.map ~chunk:0 ~pool [| 1 |] (fun i -> i) with
       | _ -> Alcotest.fail "chunk 0 must be rejected"
       | exception Invalid_argument _ -> ());
-  (match X.create ~jobs:0 () with
-  | _ -> Alcotest.fail "jobs 0 must be rejected"
+  (match X.with_pool ~jobs:0 (fun _ -> ()) with
+  | () -> Alcotest.fail "jobs 0 must be rejected"
   | exception Invalid_argument _ -> ());
-  (* A shut-down pool refuses further batches. *)
-  let pool = X.create ~jobs:2 () in
-  X.shutdown pool;
+  (* A pool kept past its [with_pool] refuses further batches. *)
+  let pool = X.with_pool ~jobs:2 Fun.id in
   match X.map ~pool [| 1 |] (fun i -> i) with
-  | _ -> Alcotest.fail "map after shutdown must be rejected"
+  | _ -> Alcotest.fail "map after with_pool must be rejected"
   | exception Invalid_argument _ -> ()
+
+(* Each map spawns its own helper domains and joins them before it
+   returns, so two successive maps on one pool run on two different
+   helpers (a pool that parked its domains between maps reused one).
+   A two-party barrier holds each map's first task until a second
+   domain has taken the other. *)
+let test_fork_join_per_map () =
+  X.with_pool ~jobs:2 ~oversubscribe:true (fun pool ->
+      let helper () =
+        let arrived = Atomic.make 0 in
+        let ran =
+          X.map ~chunk:1 ~pool [| (); () |] (fun () ->
+              Atomic.incr arrived;
+              while Atomic.get arrived < 2 do
+                Domain.cpu_relax ()
+              done;
+              Domain.self ())
+        in
+        match
+          List.filter (fun d -> d <> Domain.self ()) (Array.to_list ran)
+        with
+        | [ d ] -> d
+        | _ -> Alcotest.fail "each map runs on the caller and one helper"
+      in
+      let first = helper () in
+      let second = helper () in
+      Alcotest.(check bool) "a fresh helper domain per map" true
+        (first <> second))
 
 let test_hardware_clamp_preserves_semantics () =
   (* A pool far wider than any host still reports its requested size,
@@ -161,6 +191,8 @@ let suite =
       Alcotest.test_case "pool reuse across batches" `Quick
         test_pool_reuse_across_batches;
       Alcotest.test_case "misuse guards" `Quick test_misuse_guards;
+      Alcotest.test_case "fork-join: fresh helpers per map" `Quick
+        test_fork_join_per_map;
       Alcotest.test_case "hardware clamp preserves semantics" `Quick
         test_hardware_clamp_preserves_semantics;
       Alcotest.test_case "default_jobs reads LEGO_JOBS" `Quick

@@ -344,10 +344,11 @@ let test_compiled_matches_interpreter () =
 
 (* --- Predictor arithmetic vs simulator counters ---------------------------- *)
 
-(* [Predict.bank_cycles] / [Predict.txn_count] must agree {e exactly}
-   with what one [Simt.cost_shared] / [cost_global] warp round adds to
-   the counters, for warp access patterns drawn from real layouts — the
-   soundness condition that lets stage one prune for stage two. *)
+(* [Access.bank_cycles] / [Access.txn_count], the arithmetic [Predict]
+   scores with, must agree {e exactly} with what one [Simt.cost_shared] /
+   [cost_global] warp round adds to the counters, for warp access
+   patterns drawn from real layouts — the soundness condition that lets
+   stage one prune for stage two. *)
 let test_predict_arithmetic_matches_simt_costs () =
   let module G = Lego_gpusim in
   let device = G.Device.a100 in
@@ -367,7 +368,7 @@ let test_predict_arithmetic_matches_simt_costs () =
           G.Simt.cost_shared device ~elem_bytes:4 cnt addrs;
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: bank cycles" name stride)
-            (T.Predict.bank_cycles device ~elem_bytes:4 addrs)
+            (G.Access.bank_cycles device ~elem_bytes:4 addrs)
             (int_of_float cnt.G.Simt.s_cycles);
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: accesses" name stride)
@@ -380,7 +381,7 @@ let test_predict_arithmetic_matches_simt_costs () =
             (List.map (fun a -> (buf, a mod 4096)) addrs);
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: txns" name stride)
-            (T.Predict.txn_count device ~elem_bytes:4
+            (G.Access.txn_count device ~elem_bytes:4
                (List.map (fun a -> a mod 4096) addrs))
             (int_of_float cnt.G.Simt.g_txns))
         [ 1; 2; 17; 32 ])
@@ -1166,7 +1167,7 @@ let test_precomp_keyed_on_device () =
     (fun device ->
       Alcotest.(check int)
         (Printf.sprintf "%d-byte segments" device.G.Device.global_txn_bytes)
-        (T.Predict.txn_count device ~elem_bytes:4 addrs)
+        (G.Access.txn_count device ~elem_bytes:4 addrs)
         (T.Predict.score ~device ~ops:0 g phases).T.Predict.gmem_txns)
     [ wide; G.Device.a100; wide ];
   (* A preparation is for one shape: its indices are flattened with its
