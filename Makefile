@@ -1,7 +1,7 @@
 # Tier-1 gate: the repo must build and its test suite must pass.
 .PHONY: check build test conform conform-serial f2-conform algebra-conform \
 	tune-smoke tune-scale serve-smoke bench bench-json bench-check \
-	perfbench-check clean
+	perfbench-check size clean
 
 check: build test conform f2-conform algebra-conform tune-smoke tune-scale \
 	serve-smoke bench-check perfbench-check
@@ -88,6 +88,12 @@ bench-check:
 # and passing.
 perfbench-check:
 	python3 perfbench/test_perfbench.py
+
+# The two code-size numbers ROADMAP tracks: lines of lib/ .ml/.mli and
+# optional parameters declared in lib/*.mli.  Both should go down.
+size:
+	@echo "lib lines: $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@echo "optional parameters: $$(grep -ho '?[a-z_]*:' lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

@@ -252,18 +252,8 @@ let require_f2_flag =
            layout (guards against the bit-linear family silently \
            vanishing from the corpus).")
 
-let break_simplify_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "break-simplify" ]
-        ~doc:
-          "TEST ONLY: enable a deliberately wrong simplifier rule to \
-           verify the harness catches and shrinks it (the run is expected \
-           to fail).")
-
 let run_conform seed iters algebra max_points budget skip_gallery require_f2
-    break_simplify jobs =
+    jobs =
   with_jobs jobs @@ fun jobs ->
   let invalid =
     if iters < 0 then Some "--iters must be >= 0"
@@ -277,17 +267,12 @@ let run_conform seed iters algebra max_points budget skip_gallery require_f2
     Printf.eprintf "error: %s\n" e;
     2
   | None ->
-    (* Flip before any pool exists: domains spawned later see the flag
-       and start with empty memo caches. *)
-    if break_simplify then Lego_symbolic.Simplify.set_test_only_break_rule true;
     let report =
       Lego_conform.Conform.run ~gallery:(not skip_gallery) ~random:iters
         ~algebra ~seed ~max_points ~budget_s:budget
         ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
         ~jobs ()
     in
-    if break_simplify then
-      Lego_symbolic.Simplify.set_test_only_break_rule false;
     Format.printf "%a@." Lego_conform.Conform.pp_report report;
     if report.Lego_conform.Conform.layouts = 0 then begin
       if report.Lego_conform.Conform.budget_exhausted then
@@ -323,8 +308,7 @@ let conform_cmd =
     (Cmd.info "conform" ~doc ~man)
     Term.(
       const run_conform $ seed_arg $ iters_arg $ algebra_arg $ max_points_arg
-      $ budget_arg $ skip_gallery_flag $ require_f2_flag $ break_simplify_flag
-      $ jobs_arg)
+      $ budget_arg $ skip_gallery_flag $ require_f2_flag $ jobs_arg)
 
 (* ---- legoc tune: the layout autotuner --------------------------------- *)
 

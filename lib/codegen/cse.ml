@@ -15,18 +15,7 @@ type opcode =
 
 type instr = { dst : string; op : opcode; args : atom list }
 
-let opcode_name = function
-  | Add -> "add"
-  | Mul -> "mul"
-  | Divf -> "divf"
-  | Rem -> "rem"
-  | CmpLe -> "cmple"
-  | CmpLt -> "cmplt"
-  | CmpEq -> "cmpeq"
-  | Sel -> "select"
-  | Isqrt -> "isqrt"
-
-let lower ?(prefix = "t") roots =
+let lower roots =
   let table : (opcode * atom list, atom) Hashtbl.t = Hashtbl.create 64 in
   let instrs = ref [] in
   let counter = ref 0 in
@@ -34,7 +23,7 @@ let lower ?(prefix = "t") roots =
     match Hashtbl.find_opt table (op, args) with
     | Some atom -> atom
     | None ->
-      let dst = Printf.sprintf "%s%d" prefix !counter in
+      let dst = Printf.sprintf "t%d" !counter in
       incr counter;
       instrs := { dst; op; args } :: !instrs;
       let atom = Avar dst in
@@ -77,14 +66,3 @@ let lower ?(prefix = "t") roots =
   in
   let results = List.map go roots in
   (List.rev !instrs, results)
-
-let pp_atom ppf = function
-  | Avar v -> Format.fprintf ppf "%%%s" v
-  | Aconst n -> Format.pp_print_int ppf n
-
-let pp_instr ppf { dst; op; args } =
-  Format.fprintf ppf "%%%s = %s %a" dst (opcode_name op)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_atom)
-    args

@@ -21,10 +21,8 @@ type opcode =
 
 type instr = { dst : string; op : opcode; args : atom list }
 
-val lower :
-  ?prefix:string -> Lego_symbolic.Expr.t list -> instr list * atom list
-(** [lower roots] returns the instruction sequence (dependencies first)
-    and one result atom per root.  Free variables become [Avar]
-    arguments; constants stay inline as [Aconst]. *)
-
-val pp_instr : Format.formatter -> instr -> unit
+val lower : Lego_symbolic.Expr.t list -> instr list * atom list
+(** [lower roots] returns the instruction sequence (dependencies first,
+    destinations named [t0, t1, ...]) and one result atom per root.
+    Free variables become [Avar] arguments; constants stay inline as
+    [Aconst]. *)

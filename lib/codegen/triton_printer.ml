@@ -127,7 +127,7 @@ let slice_mask ?(env = R.empty_env) ~group ~extents indices =
   | terms ->
     Some (render_with_aranges ~slice_info (String.concat " & " terms))
 
-let slice_offset ?(simplify = true) ?(env = R.empty_env) layout indices =
+let slice_offset ?(env = R.empty_env) layout indices =
   let dims = L.Group_by.dims layout in
   if List.length indices <> List.length dims then
     invalid_arg "Triton_printer.slice_offset: index rank mismatch";
@@ -140,9 +140,9 @@ let slice_offset ?(simplify = true) ?(env = R.empty_env) layout indices =
       (fun env (v, extent) -> R.env_add v (R.of_extent extent) env)
       env slice_info
   in
-  let raw = L.Group_by.apply (module Lego_symbolic.Sym.Dom) layout components in
   let offset =
-    if simplify then Lego_symbolic.Simplify.simplify ~env raw else raw
+    Lego_symbolic.Simplify.simplify ~env
+      (L.Group_by.apply (module Lego_symbolic.Sym.Dom) layout components)
   in
   (* Synthetic names are unique words; plain textual substitution is safe
      because they cannot occur in user variables. *)

@@ -18,16 +18,13 @@ val expr : Lego_symbolic.Expr.t -> string
     expression is rendered once, and the text is still the tree's. *)
 
 val slice_offset :
-  ?simplify:bool ->
-  ?env:Lego_symbolic.Range.env ->
-  Lego_layout.Group_by.t ->
-  index list ->
-  string
-(** The tensor offset expression for the given mixed indexing.  Sliced
-    dimensions are ranged over their full extent during simplification,
-    so tile-local bound proofs still fire.  Raises [Invalid_argument] if
-    the index list's length differs from the layout rank or more than two
-    positions are sliced (Triton tensors in this template are <= 2-D). *)
+  ?env:Lego_symbolic.Range.env -> Lego_layout.Group_by.t -> index list -> string
+(** The tensor offset expression for the given mixed indexing, simplified
+    under [env] (default empty).  Sliced dimensions are ranged over their
+    full extent during simplification, so tile-local bound proofs still
+    fire.  Raises [Invalid_argument] if the index list's length differs
+    from the layout rank or more than two positions are sliced (Triton
+    tensors in this template are <= 2-D). *)
 
 val slice_mask :
   ?env:Lego_symbolic.Range.env ->

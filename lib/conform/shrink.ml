@@ -43,7 +43,10 @@ let candidates g =
   in
   drop_order_by @ flatten_group @ simplify_piece
 
-let minimize ?(budget = 200) still_fails g =
+(* Predicate evaluations one shrink may spend. *)
+let budget = 200
+
+let minimize still_fails g =
   let left = ref budget in
   let try_candidate c =
     !left > 0

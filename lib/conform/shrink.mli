@@ -9,10 +9,9 @@
     user. *)
 
 val minimize :
-  ?budget:int ->
   (Lego_layout.Group_by.t -> bool) ->
   Lego_layout.Group_by.t ->
   Lego_layout.Group_by.t
 (** [minimize still_fails g] greedily shrinks [g] while [still_fails]
-    holds, evaluating the predicate at most [budget] (default 200) times.
-    [still_fails g] itself is assumed true and is not re-checked. *)
+    holds, evaluating the predicate at most 200 times.  [still_fails g]
+    itself is assumed true and is not re-checked. *)

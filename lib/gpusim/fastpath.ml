@@ -68,10 +68,8 @@ type summaries = { mutable geometry : int array; mutable table : summary array }
 let summaries () = { geometry = [||]; table = [||] }
 
 let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
-    ?counters ?summaries:given ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words
-    prog =
-  Simt.launch ~device ?sample_blocks ?counters ~grid:(gdx, gdy)
-    ~block:(bdx, bdy)
+    ?summaries:given ~grid:(gdx, gdy) ~block:(bdx, bdy) ~smem_words prog =
+  Simt.launch ~device ?sample_blocks ~grid:(gdx, gdy) ~block:(bdx, bdy)
   @@ fun l2 c ->
   let prog = Array.of_list (normalize prog) in
   let elem_bytes = Mem.dtype_bytes smem_dtype in

@@ -18,11 +18,10 @@
     counters: both paths share one implementation of the cost arithmetic
     ({!Access}, [Simt.cost_global], [Simt.record_flops]) and one launch
     frame ({!Simt.launch}: validation, block sample, per-launch {!L2},
-    extrapolation, accumulation), and drive the L2 over the same
-    canonical order (program order, warps ascending, segments
-    ascending).  All counter increments are
-    integer-valued, so sums are exact and grouping cannot introduce
-    rounding skew.  The conformance suite checks this differentially
+    extrapolation), and drive the L2 over the same canonical order
+    (program order, warps ascending, segments ascending).  All counter
+    increments are integer-valued, so sums are exact and grouping cannot
+    introduce rounding skew.  The conformance suite checks this differentially
     over the gallery and seeded random layouts.
 
     {2 Summary tables}
@@ -77,7 +76,6 @@ val run :
   ?device:Device.t ->
   ?smem_dtype:Mem.dtype ->
   ?sample_blocks:int ->
-  ?counters:Simt.counters ->
   ?summaries:summaries ->
   grid:int * int ->
   block:int * int ->
@@ -87,6 +85,5 @@ val run :
 (** Vectorized evaluation in {!Simt.launch}'s frame: the same
     signature, validation, sampling, guards, and report as {!Simt.run},
     plus [?summaries], a table the run reads and fills (see above).
-    Addresses are validated before any cost is recorded, and
-    accumulation into [?counters] happens only after the launch
-    completes. *)
+    Addresses are validated before any cost is recorded, with
+    {!Simt.run}'s [Invalid_argument] messages. *)

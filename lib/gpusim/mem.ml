@@ -13,16 +13,12 @@ let next_id = Atomic.make 0
 let create ?(label = "buf") dtype n =
   { id = 1 + Atomic.fetch_and_add next_id 1; label; dtype; data = Array.make n 0.0 }
 
-let of_array ?(label = "buf") dtype data =
-  { id = 1 + Atomic.fetch_and_add next_id 1; label; dtype; data = Array.copy data }
-
 let init ?(label = "buf") dtype n f =
   { id = 1 + Atomic.fetch_and_add next_id 1; label; dtype; data = Array.init n f }
 
 let length b = Array.length b.data
 let get b i = b.data.(i)
 let set b i v = b.data.(i) <- v
-let to_array b = Array.copy b.data
 
 let fill_random ?(seed = 42) b =
   let state = Random.State.make [| seed; b.id |] in

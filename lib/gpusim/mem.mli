@@ -17,12 +17,10 @@ type buffer = private {
 }
 
 val create : ?label:string -> dtype -> int -> buffer
-val of_array : ?label:string -> dtype -> float array -> buffer
 val init : ?label:string -> dtype -> int -> (int -> float) -> buffer
 val length : buffer -> int
 val get : buffer -> int -> float
 val set : buffer -> int -> float -> unit
-val to_array : buffer -> float array
 val fill_random : ?seed:int -> buffer -> unit
 (** Uniform values in [-1, 1] (deterministic per seed). *)
 

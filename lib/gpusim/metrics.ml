@@ -76,10 +76,3 @@ let time_s r = (breakdown r).total_s
 let sum_times_s rs = List.fold_left (fun acc r -> acc +. time_s r) 0.0 rs
 let gflops ~useful_flops t = useful_flops /. t /. 1e9
 let gbps ~useful_bytes t = useful_bytes /. t /. 1e9
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "total=%.3gus (launch=%.3g compute=%.3g dram=%.3g l2=%.3g smem=%.3g \
-     issue=%.3g)"
-    (b.total_s *. 1e6) (b.launch_s *. 1e6) (b.compute_s *. 1e6)
-    (b.dram_s *. 1e6) (b.l2_s *. 1e6) (b.smem_s *. 1e6) (b.issue_s *. 1e6)

@@ -42,5 +42,3 @@ val gflops : useful_flops:float -> float -> float
     algorithmic (not simulated) operation count, as the paper plots. *)
 
 val gbps : useful_bytes:float -> float -> float
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -69,7 +69,6 @@ type report = {
   grid : int * int;
   block : int * int;
   blocks_simulated : int;
-  launches : int;
   counters : counters;
 }
 
@@ -317,20 +316,6 @@ let run_block ~device ~l2 ~counters ~smem_elem_bytes ~block:(bdx, bdy)
 let sample_indices ~total ~simulated =
   List.init simulated (fun s -> s * total / simulated)
 
-let accumulate ~into:t c =
-  t.insn_warp <- t.insn_warp +. c.insn_warp;
-  t.g_txns <- t.g_txns +. c.g_txns;
-  t.g_bytes <- t.g_bytes +. c.g_bytes;
-  t.l2_hits <- t.l2_hits +. c.l2_hits;
-  t.s_accesses <- t.s_accesses +. c.s_accesses;
-  t.s_cycles <- t.s_cycles +. c.s_cycles;
-  t.flops_fp32 <- t.flops_fp32 +. c.flops_fp32;
-  t.flops_fp16 <- t.flops_fp16 +. c.flops_fp16;
-  t.flops_fp8 <- t.flops_fp8 +. c.flops_fp8;
-  t.flops_tensor_fp16 <- t.flops_tensor_fp16 +. c.flops_tensor_fp16;
-  t.flops_tensor_fp8 <- t.flops_tensor_fp8 +. c.flops_tensor_fp8;
-  t.syncs <- t.syncs +. c.syncs
-
 let scale_counters c scale =
   c.insn_warp <- c.insn_warp *. scale;
   c.g_txns <- c.g_txns *. scale;
@@ -345,8 +330,7 @@ let scale_counters c scale =
   c.flops_tensor_fp8 <- c.flops_tensor_fp8 *. scale;
   c.syncs <- c.syncs *. scale
 
-let launch ~device ?sample_blocks ?counters ~grid:(gdx, gdy)
-    ~block:(bdx, bdy) start =
+let launch ~device ?sample_blocks ~grid:(gdx, gdy) ~block:(bdx, bdy) start =
   if gdx <= 0 || gdy <= 0 then invalid_arg "Simt.run: empty grid";
   if bdx <= 0 || bdy <= 0 then invalid_arg "Simt.run: empty block";
   if bdx * bdy > device.Device.max_threads_per_block then
@@ -365,26 +349,18 @@ let launch ~device ?sample_blocks ?counters ~grid:(gdx, gdy)
     (sample_indices ~total:total_blocks ~simulated);
   if simulated < total_blocks then
     scale_counters c (float_of_int total_blocks /. float_of_int simulated);
-  let c =
-    match counters with
-    | None -> c
-    | Some t ->
-      accumulate ~into:t c;
-      t
-  in
   {
     device;
     grid = (gdx, gdy);
     block = (bdx, bdy);
     blocks_simulated = simulated;
-    launches = 1;
     counters = c;
   }
 
-let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks
-    ?counters ~grid ~block ~smem_words body =
+let run ?(device = Device.a100) ?(smem_dtype = Mem.F32) ?sample_blocks ~grid
+    ~block ~smem_words body =
   let smem_elem_bytes = Mem.dtype_bytes smem_dtype in
-  launch ~device ?sample_blocks ?counters ~grid ~block
+  launch ~device ?sample_blocks ~grid ~block
     (fun l2 counters ~bx ~by ->
       run_block ~device ~l2 ~counters ~smem_elem_bytes ~block ~grid
         ~smem_words ~bx ~by body)

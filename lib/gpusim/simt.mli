@@ -18,9 +18,8 @@
     - control rounds cost one issued warp-instruction each.
 
     Addresses are validated when an op parks, {e before} any cost is
-    recorded, so a failed launch cannot leave partially-mutated counters
-    behind (accumulation into a caller-supplied [?counters] record only
-    happens after the launch completes).
+    recorded: an out-of-bounds access raises [Invalid_argument] naming
+    the address and the valid range, and the launch returns no report.
 
     Large grids can be sampled: only a representative subset of blocks is
     executed and the counters are scaled — block interactions do not
@@ -92,7 +91,6 @@ type report = {
   grid : int * int;
   block : int * int;
   blocks_simulated : int;
-  launches : int;
   counters : counters;
 }
 
@@ -119,7 +117,6 @@ val sample_indices : total:int -> simulated:int -> int list
 val launch :
   device:Device.t ->
   ?sample_blocks:int ->
-  ?counters:counters ->
   grid:int * int ->
   block:int * int ->
   (L2.t -> counters -> bx:int -> by:int -> unit) ->
@@ -128,16 +125,14 @@ val launch :
     ~block start] validates the grid, the block and [sample_blocks],
     applies [start] to the launch's one {!L2} and a fresh counter
     record, runs the resulting per-block function on every sampled
-    block ({!sample_indices}), scales the counters to the whole grid,
-    adds them into [?counters] and returns the report.  Both runners
-    therefore validate, sample and extrapolate with the identical code
-    and float operations. *)
+    block ({!sample_indices}), scales the counters to the whole grid and
+    returns them in the report.  Both runners therefore validate, sample
+    and extrapolate with the identical code and float operations. *)
 
 val run :
   ?device:Device.t ->
   ?smem_dtype:Mem.dtype ->
   ?sample_blocks:int ->
-  ?counters:counters ->
   grid:int * int ->
   block:int * int ->
   smem_words:int ->
@@ -148,10 +143,8 @@ val run :
     report.  [smem_dtype] (default [F32]) is the element type behind
     {!sload}/{!sstore} indices: bank conflicts are computed on byte
     addresses ([index * element bytes]), so sub-word dtypes (F16/F8) pack
-    several elements into one [Device.smem_bank_bytes] bank word.  When
-    [?counters] is given, the launch's (scaled) counters are added into
-    it after the launch completes and the same record is returned in the
-    report; a launch that raises leaves it untouched.  Raises
-    [Invalid_argument] for out-of-range shared accesses, out-of-bounds
-    buffer accesses, or block sizes beyond the device limit — at the
-    moment the offending op parks, before it is costed. *)
+    several elements into one [Device.smem_bank_bytes] bank word.  Each
+    launch counts into a fresh record.  Raises [Invalid_argument] for
+    out-of-range shared accesses, out-of-bounds buffer accesses, or
+    block sizes beyond the device limit — at the moment the offending op
+    parks, before it is costed. *)

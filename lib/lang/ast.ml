@@ -19,43 +19,3 @@ type block =
   | Tile_order_by of aexpr list
 
 type chain = block list
-
-let pp_ints ppf l =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    l
-
-let pp_perm ppf = function
-  | Reg_p (dims, sigma) ->
-    Format.fprintf ppf "RegP(%a, %a)" pp_ints dims pp_ints sigma
-  | Gen_p (name, dims) -> Format.fprintf ppf "GenP(%s%a)" name pp_ints dims
-  | Row dims -> Format.fprintf ppf "Row(%a)" pp_ints dims
-  | Col dims -> Format.fprintf ppf "Col(%a)" pp_ints dims
-
-let rec pp_aexpr ppf = function
-  | Atom p -> pp_perm ppf p
-  | Strided (shape, stride) ->
-    Format.fprintf ppf "Strided(%a, %a)" pp_ints shape pp_ints stride
-  | Compose (a, b) -> Format.fprintf ppf "(%a o %a)" pp_aexpr a pp_aexpr b
-  | Complement (a, m) -> Format.fprintf ppf "complement(%a, %d)" pp_aexpr a m
-  | Divide (a, b) -> Format.fprintf ppf "divide(%a, %a)" pp_aexpr a pp_aexpr b
-  | Product (a, b) -> Format.fprintf ppf "product(%a, %a)" pp_aexpr a pp_aexpr b
-
-let pp_list pp ppf l =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    pp ppf l
-
-let pp_block ppf = function
-  | Order_by exprs -> Format.fprintf ppf "OrderBy(%a)" (pp_list pp_aexpr) exprs
-  | Group_by shapes -> Format.fprintf ppf "GroupBy(%a)" (pp_list pp_ints) shapes
-  | Tile_by shapes -> Format.fprintf ppf "TileBy(%a)" (pp_list pp_ints) shapes
-  | Tile_order_by exprs ->
-    Format.fprintf ppf "TileOrderBy(%a)" (pp_list pp_aexpr) exprs
-
-let pp_chain ppf chain =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ".")
-    pp_block ppf chain

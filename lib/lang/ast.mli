@@ -28,5 +28,3 @@ type block =
 type chain = block list
 (** Written order: the final block is the grouping ([GroupBy]/[TileBy]),
     preceding blocks are reorderings applied right-to-left. *)
-
-val pp_chain : Format.formatter -> chain -> unit

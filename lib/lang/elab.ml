@@ -13,7 +13,7 @@ let elab_perm = function
         (List.length sigma);
     L.Piece.reg ~dims ~sigma:(L.Sigma.of_one_based sigma)
   | Ast.Gen_p (name, dims) -> (
-    match L.Gallery.lookup name dims ~args:[] with
+    match L.Gallery.lookup name dims with
     | Some piece -> piece
     | None ->
       err "GenP: no gallery bijection %S at %s (known: %s)" name

@@ -416,7 +416,7 @@ let to_piece ?(op = "to_piece") ~prove t =
   let sigma = Sigma.of_list (List.map (fun (i, _, _) -> i) order) in
   Piece.reg ~dims:t.shape ~sigma
 
-let compose_pieces ?name ~prove a b =
+let compose_pieces ~prove a b =
   run @@ fun () ->
   let na = Piece.numel a and nb = Piece.numel b in
   require prove
@@ -441,11 +441,7 @@ let compose_pieces ?name ~prove a b =
   match strided with
   | Some p -> p
   | None ->
-      let cname =
-        match name with
-        | Some n -> n
-        | None -> Format.asprintf "(%a o %a)" Piece.pp a Piece.pp b
-      in
+      let cname = Format.asprintf "(%a o %a)" Piece.pp a Piece.pp b in
       let dims_a = Piece.dims a in
       let bij =
         {

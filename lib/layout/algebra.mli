@@ -175,12 +175,12 @@ val to_piece : ?op:string -> prove:discharge -> t -> (Piece.t, error) result
     [op] labels errors (default ["to_piece"]). *)
 
 val compose_pieces :
-  ?name:string -> prove:discharge -> Piece.t -> Piece.t -> (Piece.t, error) result
+  prove:discharge -> Piece.t -> Piece.t -> (Piece.t, error) result
 (** Function composition [a o b] at the piece level (equal element
     counts — the ["size"] obligation).  When both pieces are strided and
     the strided composition's side conditions hold, the result is again
     a [RegP]; otherwise it is a composite [GenP] whose
     {!Domain.S}-polymorphic bijection evaluates [b], reinterprets the
     flat offset in [a]'s logical space, and evaluates [a] — so the
-    composite works in every backend (C / Triton / MLIR / symbolic).
-    [name] overrides the generated composite name. *)
+    composite works in every backend (C / Triton / MLIR / symbolic),
+    named [(a o b)] after the two pieces' printed forms. *)

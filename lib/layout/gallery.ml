@@ -348,8 +348,7 @@ let parse_swizzlex name =
     | _ -> None)
   | _ -> None
 
-let lookup name dims ~args =
-  ignore args;
+let lookup name dims =
   match parse_swizzlex name with
   | Some (mask, shift) -> (
     match dims with

@@ -62,12 +62,10 @@ val parse_swizzlex : string -> (int * int) option
     would alias a canonical name under a different string, breaking
     name-keyed piece identity). *)
 
-val lookup :
-  string -> Shape.t -> args:int list -> Piece.t option
-(** Registry used by the surface-syntax elaborator: [lookup name dims
-    ~args] returns the gallery piece called [name] instantiated at [dims],
-    if any.  [args] carries extra static parameters (currently unused by
-    the built-ins). *)
+val lookup : string -> Shape.t -> Piece.t option
+(** Registry used by the surface-syntax elaborator: [lookup name dims]
+    returns the gallery piece called [name] instantiated at [dims], if
+    any. *)
 
 val names : unit -> string list
 (** Names understood by {!lookup}. *)

@@ -47,8 +47,6 @@ val full_dims : Shape.t list -> Shape.t
 (** The untiled extents: dimension [k]'s extent is the product over levels
     of level-shape component [k].  All level shapes must share a rank. *)
 
-val ceil_div : int -> int -> int
-
 val padded_tiled_view :
   ?order:Piece.t list ->
   dims:Shape.t ->

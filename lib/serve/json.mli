@@ -36,17 +36,14 @@ val member : string -> t -> t option
 
 val get_string : t -> string option
 val get_int : t -> int option
-val get_float : t -> float option
-(** [get_float] accepts [Int] too (widening). *)
-
-val get_bool : t -> bool option
 val get_list : t -> t list option
 
 val mem_string : string -> t -> string option
 val mem_int : string -> t -> int option
 val mem_float : string -> t -> float option
 val mem_bool : string -> t -> bool option
-(** [mem_* f j] = [member f j |> get_*] — field accessors. *)
+(** [mem_* f j] = [member f j |> get_*] — field accessors.
+    [mem_float] accepts [Int] too (widening). *)
 
 val equal : t -> t -> bool
 (** Structural equality (field order significant, like printing). *)

@@ -131,7 +131,6 @@ let create ?db ?(jobs = 1) () =
 
 let load t = t.load
 let store t = t.store
-let stopped t = t.stopped
 let shutdown t = Store.close t.store
 
 (* ---- request helpers --------------------------------------------------- *)

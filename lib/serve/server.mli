@@ -41,8 +41,6 @@ val load : t -> Store.load
     refuses to boot over a damaged cache. *)
 
 val store : t -> Store.t
-val stopped : t -> bool
-(** A [shutdown] request was served. *)
 
 val compile_key : fp:string -> device:string -> string
 (** The store key of a compile artifact: {!Store.key} over the layout's

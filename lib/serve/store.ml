@@ -9,7 +9,6 @@ let header_line = "LEGO-STORE v1\n"
 
 type t = {
   tbl : (string, Json.t) Hashtbl.t;
-  path : string option;
   mutable chan : out_channel option;  (* open for append iff persistent *)
   mutable closed : bool;
 }
@@ -144,7 +143,7 @@ let load_file path tbl =
 let open_ ?path () =
   let tbl = Hashtbl.create 256 in
   match path with
-  | None -> ({ tbl; path = None; chan = None; closed = false }, Fresh)
+  | None -> ({ tbl; chan = None; closed = false }, Fresh)
   | Some p ->
     mkdir_p (Filename.dirname p);
     let verdict =
@@ -174,12 +173,11 @@ let open_ ?path () =
       end
     in
     let chan = open_out_gen [ Open_append; Open_binary ] 0o644 p in
-    ({ tbl; path = Some p; chan = Some chan; closed = false }, verdict)
+    ({ tbl; chan = Some chan; closed = false }, verdict)
 
 (* ---- operations ------------------------------------------------------- *)
 
 let get t k = Hashtbl.find_opt t.tbl k
-let mem t k = Hashtbl.mem t.tbl k
 
 let put t ~key value =
   if t.closed then invalid_arg "Store.put: store is closed";
@@ -198,7 +196,6 @@ let put t ~key value =
 
 let length t = Hashtbl.length t.tbl
 let iter t f = Hashtbl.iter (fun key v -> f ~key v) t.tbl
-let path t = t.path
 let flush t = Option.iter Stdlib.flush t.chan
 
 let close t =

@@ -54,7 +54,6 @@ val key : string list -> string
     collide by concatenation. *)
 
 val get : t -> string -> Json.t option
-val mem : t -> string -> bool
 
 val put : t -> key:string -> Json.t -> unit
 (** Insert/overwrite, appending to the log when persistent.  A [put]
@@ -64,7 +63,6 @@ val put : t -> key:string -> Json.t -> unit
 
 val length : t -> int
 val iter : t -> (key:string -> Json.t -> unit) -> unit
-val path : t -> string option
 
 val flush : t -> unit
 (** Flush buffered appends to the OS. *)

@@ -30,5 +30,5 @@ let complement a m = A.complement ~prove:prover a m
 let tiler b m = A.tiler ~prove:prover b m
 let logical_divide a b = A.logical_divide ~prove:prover a b
 let logical_product a b = A.logical_product ~prove:prover a b
-let to_piece ?op t = A.to_piece ?op ~prove:prover t
-let compose_pieces ?name a b = A.compose_pieces ?name ~prove:prover a b
+let to_piece t = A.to_piece ~prove:prover t
+let compose_pieces a b = A.compose_pieces ~prove:prover a b

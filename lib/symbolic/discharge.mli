@@ -49,12 +49,13 @@ val logical_product :
   (Lego_layout.Algebra.t, Lego_layout.Algebra.error) result
 
 val to_piece :
-  ?op:string ->
   Lego_layout.Algebra.t ->
   (Lego_layout.Piece.t, Lego_layout.Algebra.error) result
+(** {!Lego_layout.Algebra.to_piece}, its errors labelled ["to_piece"]. *)
 
 val compose_pieces :
-  ?name:string ->
   Lego_layout.Piece.t ->
   Lego_layout.Piece.t ->
   (Lego_layout.Piece.t, Lego_layout.Algebra.error) result
+(** {!Lego_layout.Algebra.compose_pieces}: a composite [GenP] is named
+    [(a o b)] after the two pieces' printed forms. *)

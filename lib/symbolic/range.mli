@@ -14,7 +14,6 @@ val pinf : int
 val ninf : int
 
 val top : t
-val exact : int -> t
 val make : lo:int -> hi:int -> t
 (** Raises [Invalid_argument] when [lo > hi]. *)
 
@@ -30,13 +29,12 @@ type env
 val empty_env : env
 val env_of_list : (string * t) list -> env
 val env_add : string -> t -> env -> env
-val env_find : string -> env -> t
-(** Unknown variables get {!top}. *)
 
 val of_expr : env -> Expr.t -> t
-(** Range of an expression under variable ranges [env].  Sound
-    over-approximation: evaluation under any environment consistent with
-    [env] (and not raising) lands in the result.
+(** Range of an expression under variable ranges [env] (a variable
+    [env] does not bind gets {!top}).  Sound over-approximation:
+    evaluation under any environment consistent with [env] (and not
+    raising) lands in the result.
 
     Results are memoized per environment (keyed by physical env identity,
     so any [env_add] invalidates) in a {!Memo} instance keyed by node

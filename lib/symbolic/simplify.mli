@@ -36,15 +36,10 @@ val total : stats -> int
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val default_fuel : int
-
-val rewrite_once : ?stats:stats -> Range.env -> Expr.t -> Expr.t
-(** One bottom-up pass applying every rule at every node. *)
-
 val simplify : ?stats:stats -> ?fuel:int -> env:Range.env -> Expr.t -> Expr.t
-(** Iterate {!rewrite_once} to a fixpoint, bounded by [fuel]
-    (default {!default_fuel}) passes; exhaustion is observable via
-    [stats.fuel_exhausted].
+(** Iterate one bottom-up pass, applying every rule at every node, to a
+    fixpoint, bounded by [fuel] (default 64) passes; exhaustion is
+    observable via [stats.fuel_exhausted].
 
     When no [stats] record is passed, per-pass rewrites and full fixpoint
     results are memoized per environment in two {!Memo} instances keyed

@@ -17,12 +17,10 @@ module Dom = struct
   let pp = Expr.pp
 end
 
-let var_names ?(prefix = "i") g =
-  List.mapi
-    (fun k _ -> Printf.sprintf "%s%d" prefix k)
-    (L.Group_by.dims g)
+let var_names g =
+  List.mapi (fun k _ -> Printf.sprintf "i%d" k) (L.Group_by.dims g)
 
-let index_vars ?prefix g = List.map Expr.var (var_names ?prefix g)
+let index_vars g = List.map Expr.var (var_names g)
 
 (* The {!Simplify} / {!Range} / {!Prover} memo caches are keyed by
    {e physical} env identity, so a fresh env per call starts them cold:
@@ -56,17 +54,14 @@ let interned bindings =
     Memo.add tbl bindings env;
     env
 
-let ranges_of ?(prefix = "i") g =
-  interned (List.combine (var_names ~prefix g) (L.Group_by.dims g))
+let ranges_of g = interned (List.combine (var_names g) (L.Group_by.dims g))
 
 let inv_ranges ?(var = "p") g = interned [ (var, L.Group_by.numel g) ]
 
-let apply_to ?(simplify = true) ?(env = Range.empty_env) g idx =
-  let raw = L.Group_by.apply (module Dom) g idx in
+let apply ?(simplify = true) g =
+  let env = ranges_of g in
+  let raw = L.Group_by.apply (module Dom) g (index_vars g) in
   if simplify then Simplify.simplify ~env raw else raw
-
-let apply ?simplify ?prefix g =
-  apply_to ?simplify ~env:(ranges_of ?prefix g) g (index_vars ?prefix g)
 
 let inv ?(simplify = true) ?(var = "p") g =
   let env = inv_ranges ~var g in

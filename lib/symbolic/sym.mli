@@ -9,13 +9,12 @@
 
 module Dom : Lego_layout.Domain.S with type t = Expr.t
 
-val index_vars : ?prefix:string -> Lego_layout.Group_by.t -> Expr.t list
-(** Fresh symbolic index components [i0, i1, ...] (or [prefix0, ...]) for
-    each logical dimension of the layout. *)
+val index_vars : Lego_layout.Group_by.t -> Expr.t list
+(** Fresh symbolic index components [i0, i1, ...], one for each logical
+    dimension of the layout. *)
 
-val ranges_of :
-  ?prefix:string -> Lego_layout.Group_by.t -> Range.env
-(** Each logical index component ranges over [0 .. extent - 1]; this is
+val ranges_of : Lego_layout.Group_by.t -> Range.env
+(** Each index component [ik] ranges over [0 .. extent - 1]; this is
     the paper's "range information propagated through the layout".  The
     env is interned by its bindings — the [(name, extent)] list — in a
     {!Memo} instance (capacity 4,096), so calls on one logical space
@@ -26,23 +25,10 @@ val inv_ranges : ?var:string -> Lego_layout.Group_by.t -> Range.env
     [0 .. numel - 1].  Interned through the same instance as
     {!ranges_of}, so every inverse over one [numel] shares it. *)
 
-val apply :
-  ?simplify:bool ->
-  ?prefix:string ->
-  Lego_layout.Group_by.t ->
-  Expr.t
+val apply : ?simplify:bool -> Lego_layout.Group_by.t -> Expr.t
 (** [apply g] is the symbolic physical offset of the logical index
-    [prefix0, ..., prefix(d-1)], simplified under {!ranges_of} unless
+    [i0, ..., i(d-1)], simplified under {!ranges_of} unless
     [simplify:false]. *)
-
-val apply_to :
-  ?simplify:bool ->
-  ?env:Range.env ->
-  Lego_layout.Group_by.t ->
-  Expr.t list ->
-  Expr.t
-(** Apply to caller-supplied symbolic components (e.g. a mix of variables
-    and constants); the environment defaults to empty. *)
 
 val inv :
   ?simplify:bool -> ?var:string -> Lego_layout.Group_by.t -> Expr.t list

@@ -196,7 +196,7 @@ let batch_get n =
 (* Per-stage decomposition of the symbolic op count.  A chain stage
    contributes the same index arithmetic whatever the other stages are,
    so the op cost of a candidate decomposes (up to the constant glue the
-   default weights assign to composition, which is identical for every
+   cost model charges for composition, which is identical for every
    candidate of a family) into a sum of per-stage costs.  Candidates
    share stages heavily — every member of a swizzle grid shares its base
    tiling, every tiling shares pieces — so a stage's count is memoized

@@ -35,8 +35,8 @@ val conflict_free : score -> bool
 
 val stage_ops : Lego_layout.Order_by.t -> int
 (** One chain stage's op count in isolation: {!Lego_symbolic.Cost.ops}
-    (default {!Lego_symbolic.Cost.weights}) of the stage alone over its
-    element count, memoized per domain by the stage's printed form. *)
+    of the stage alone over its element count, memoized per domain by
+    the stage's printed form. *)
 
 val decomposed_ops : Lego_layout.Group_by.t -> int
 (** The static pass's op count: the sum of {!stage_ops} over the

@@ -22,7 +22,6 @@ let create ~cap ~cmp =
   if cap < 1 then invalid_arg "Topk.create: cap must be >= 1";
   { cmp; cap; heap = Array.make (min cap 16) None; size = 0 }
 
-let capacity t = t.cap
 let size t = t.size
 
 let get t i =

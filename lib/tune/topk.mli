@@ -19,7 +19,6 @@ val create : cap:int -> cmp:('a -> 'a -> int) -> 'a t
 
 val add : 'a t -> 'a -> unit
 val size : 'a t -> int
-val capacity : 'a t -> int
 
 val sorted : 'a t -> 'a list
 (** The retained elements, best ([cmp]-smallest) first.  O(size log

@@ -264,18 +264,14 @@ let test_masked_sync_rejected () =
            [ Fastpath.Masked ((fun _ -> true), Fastpath.Sync) ]))
 
 let test_oob_rejected_before_costing () =
-  let c = Simt.fresh_counters () in
-  (try
-     ignore
-       (Fastpath.run ~counters:c ~grid:(1, 1) ~block:(32, 1) ~smem_words:8
-          [
-            Fastpath.Sstore (fun ctx -> ctx.Simt.tx mod 8);
-            Fastpath.Sload (fun ctx -> ctx.Simt.tx) (* lanes 8.. go OOB *);
-          ]);
-     Alcotest.fail "should have raised"
-   with Invalid_argument _ -> ());
-  Alcotest.(check (float 0.0)) "counters untouched" 0.0
-    (c.Simt.insn_warp +. c.Simt.s_accesses +. c.Simt.s_cycles)
+  Alcotest.check_raises "park-time OOB"
+    (Invalid_argument "Simt: shared access 8 outside 0..7") (fun () ->
+      ignore
+        (Fastpath.run ~grid:(1, 1) ~block:(32, 1) ~smem_words:8
+           [
+             Fastpath.Sstore (fun ctx -> ctx.Simt.tx mod 8);
+             Fastpath.Sload (fun ctx -> ctx.Simt.tx) (* lanes 8.. go OOB *);
+           ]))
 
 let suite =
   ( "fastpath",

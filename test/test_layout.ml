@@ -362,13 +362,13 @@ let test_of_table () =
 
 let test_gallery_lookup () =
   Alcotest.(check bool) "antidiag found" true
-    (Gallery.lookup "antidiag" [ 4; 4 ] ~args:[] <> None);
+    (Gallery.lookup "antidiag" [ 4; 4 ] <> None);
   Alcotest.(check bool) "antidiag needs square" true
-    (Gallery.lookup "antidiag" [ 4; 5 ] ~args:[] = None);
+    (Gallery.lookup "antidiag" [ 4; 5 ] = None);
   Alcotest.(check bool) "morton needs powers of two" true
-    (Gallery.lookup "morton" [ 6; 6 ] ~args:[] = None);
+    (Gallery.lookup "morton" [ 6; 6 ] = None);
   Alcotest.(check bool) "unknown name" true
-    (Gallery.lookup "nope" [ 4; 4 ] ~args:[] = None)
+    (Gallery.lookup "nope" [ 4; 4 ] = None)
 
 (* --- Validation errors ------------------------------------------------ *)
 

@@ -266,6 +266,28 @@ let test_expand () =
 let test_cost_model () =
   check_int "ops of x" 0 (Cost.ops x);
   check_int "ops of x+y" 1 (Cost.ops E.(add x y));
+  (* One node of each kind over leaves, so each count is that node's
+     own charge: n-1 for an n-ary sum, 1 for a cheap ALU op, 3 for
+     division, modulo and square root. *)
+  let c = E.var "c" in
+  List.iter
+    (fun (name, charge, e) ->
+      (match e.E.node with
+      | E.Const _ | E.Var _ -> Alcotest.failf "%s folded to a leaf" name
+      | _ -> ());
+      check_int name charge (Cost.ops e))
+    E.
+      [
+        ("3-ary sum", 2, sum [ x; y; c ]);
+        ("product", 1, mul x y);
+        ("select", 1, select c x y);
+        ("le", 1, le x y);
+        ("lt", 1, lt x y);
+        ("eq", 1, eq x y);
+        ("div", 3, div x y);
+        ("mod", 3, md x y);
+        ("isqrt", 3, isqrt x);
+      ];
   Alcotest.(check bool) "div costs more than add" true
     (Cost.ops E.(div x y) > Cost.ops E.(add x y));
   let cheap = E.(add x y) and pricey = E.(add (mul x y) (div x y)) in

@@ -51,12 +51,12 @@ let test_masked_swizzle_name_round_trip () =
   (* The printed name re-resolves through the gallery registry (this is
      what makes tuner winners re-parseable as notation). *)
   let piece = L.Gallery.xor_swizzle_masked ~rows:16 ~cols:8 ~mask:5 ~shift:1 in
-  (match L.Gallery.lookup "swizzlex_m5_s1" [ 16; 8 ] ~args:[] with
+  (match L.Gallery.lookup "swizzlex_m5_s1" [ 16; 8 ] with
   | Some p -> Alcotest.(check bool) "lookup equals constructor" true
       (L.Piece.equal p piece)
   | None -> Alcotest.fail "swizzlex_m5_s1 not found in gallery");
   (* Out-of-range mask for the given dims must not resolve. *)
-  (match L.Gallery.lookup "swizzlex_m8_s0" [ 16; 8 ] ~args:[] with
+  (match L.Gallery.lookup "swizzlex_m8_s0" [ 16; 8 ] with
   | None -> ()
   | Some _ -> Alcotest.fail "mask 8 must be rejected for 8 columns");
   let g = swizzle_layout ~rows:16 ~cols:8 ~mask:5 ~shift:1 in
@@ -818,10 +818,10 @@ let test_parse_swizzlex_decimal_only () =
       "swizzlex_m3_s" (* empty shift *);
     ];
   (* The registry path agrees: aliases do not resolve to pieces. *)
-  (match L.Gallery.lookup "swizzlex_m0x1f_s0" [ 128; 32 ] ~args:[] with
+  (match L.Gallery.lookup "swizzlex_m0x1f_s0" [ 128; 32 ] with
   | None -> ()
   | Some _ -> Alcotest.fail "hex alias must not resolve in the gallery");
-  match L.Gallery.lookup "swizzlex_m1_0_s0" [ 128; 32 ] ~args:[] with
+  match L.Gallery.lookup "swizzlex_m1_0_s0" [ 128; 32 ] with
   | None -> ()
   | Some _ -> Alcotest.fail "underscore alias must not resolve in the gallery"
 
