@@ -521,12 +521,13 @@ let serve_bench () =
   let db = Filename.concat dir "store.db" in
   (* [serve] blocks until shutdown, so the server lives in a spawned
      domain; this domain plays a real client over the socket. *)
+  let t = Sv.Server.create ~db ~jobs:!jobs () in
+  let listener = Sv.Server.listen ~socket in
   let server =
     Domain.spawn (fun () ->
-        let t = Sv.Server.create ~db ~jobs:!jobs () in
         Fun.protect
           ~finally:(fun () -> Sv.Server.shutdown t)
-          (fun () -> Sv.Server.serve t ~socket))
+          (fun () -> Sv.Server.serve t listener))
   in
   let c =
     match Sv.Client.connect ~socket () with

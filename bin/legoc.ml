@@ -21,8 +21,7 @@ let conform_doc =
 let tune_doc = "autotune shared-memory layouts against the SIMT cost model"
 
 let serve_doc =
-  "run the persistent layout-compile service (content-addressed store, \
-   warm-start cache)"
+  "run the persistent layout-compile service (content-addressed store)"
 
 let client_doc = "send request batches to a running compile service"
 
@@ -449,14 +448,10 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
         scale;
       }
     in
-    (* One cache for the whole invocation: re-tuned slots (repeated on
-       the command line, or shared across modes) reuse sim results
-       instead of re-simulating. *)
-    let cache = T.Cache.create () in
     let ok = ref true in
     List.iter
       (fun s ->
-        let r = T.Tune.search ~options ~cache s in
+        let r = T.Tune.search ~options s in
         Format.printf "%a@." T.Tune.pp_result r;
         (match T.Tune.conform_ok r with
         | Some false -> ok := false
@@ -466,9 +461,6 @@ let run_tune slot_names device budget top seed jobs expect_cf no_conform
           ok := false
         end)
       slots;
-    if T.Cache.hits cache > 0 then
-      Printf.printf "cache: %d hits / %d misses (%d entries)\n"
-        (T.Cache.hits cache) (T.Cache.misses cache) (T.Cache.length cache);
     if !ok then 0 else 1
 
 let tune_cmd =
@@ -530,22 +522,24 @@ let oneshot_flag =
 
 exception Oneshot_failure of string
 
-let run_oneshot ~socket ~db ~no_db ~jobs =
-  let dir = Filename.temp_dir "lego-serve" "" in
-  let socket = Option.value ~default:(Filename.concat dir "legoc.sock") socket in
-  let db =
-    if no_db then None
-    else Some (Option.value ~default:(Filename.concat dir "store.db") db)
-  in
-  (* [serve] blocks until shutdown, so the server lives in a spawned
-     domain; the main domain plays client over the real socket. *)
-  let server =
-    Domain.spawn (fun () ->
-        let t = S.Server.create ?db ~jobs () in
-        Fun.protect
-          ~finally:(fun () -> S.Server.shutdown t)
-          (fun () -> S.Server.serve t ~socket))
-  in
+(* The server on its db and its bound socket, or one line naming the
+   path that could not be used and why. *)
+let start_service ?db ~socket ~jobs () =
+  match S.Server.create ?db ~jobs () with
+  | exception Sys_error e -> Error ("db " ^ e)
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "db %s: %s" (Option.get db) (Unix.error_message e))
+  | t -> (
+    match S.Server.listen ~socket with
+    | exception Unix.Unix_error (e, fn, _) ->
+      S.Server.shutdown t;
+      Error (Printf.sprintf "%s %s: %s" fn socket (Unix.error_message e))
+    | listener -> Ok (t, listener))
+
+(* Drives the scripted cold/warm batches through a real client
+   connection, then asks the server to stop; 0 when every expectation
+   holds. *)
+let oneshot_client ~socket ~jobs =
   let expect b msg = if not b then raise (Oneshot_failure msg) in
   let ok r = S.Json.mem_bool "ok" r = Some true in
   let cached r = S.Json.mem_bool "cached" r in
@@ -567,63 +561,87 @@ let run_oneshot ~socket ~db ~no_db ~jobs =
       }
   in
   let script = [ compile l1; compile l2; compile l1; tune; S.Protocol.Stats ] in
-  let status =
-    match S.Client.connect ~socket () with
-    | Error e ->
-      Printf.eprintf "oneshot: cannot connect: %s\n" e;
-      1
-    | Ok c -> (
-      let finish () =
-        (match S.Client.batch c [ S.Protocol.Shutdown ] with
-        | Ok [ r ] -> expect (ok r) "shutdown acknowledged"
-        | Ok _ | Error _ -> raise (Oneshot_failure "shutdown round-trip"));
-        S.Client.close c
-      in
-      try
-        (match S.Client.batch c script with
-        | Error e -> raise (Oneshot_failure ("cold batch: " ^ e))
-        | Ok rs ->
-          expect (List.length rs = List.length script) "cold batch length";
-          expect (List.for_all ok rs) "cold batch all ok";
-          let nth = List.nth rs in
-          expect (cached (nth 0) = Some false) "cold compile is a miss";
-          expect
-            (cached (nth 2) = Some true)
-            "duplicate compile in one batch reads as a hit";
-          expect (cached (nth 3) = Some false) "cold tune is a miss";
-          expect
-            (S.Json.mem_int "searches" (nth 4) = Some 1)
-            "one tuner invocation after the cold batch");
-        (match S.Client.batch c script with
-        | Error e -> raise (Oneshot_failure ("warm batch: " ^ e))
-        | Ok rs ->
-          expect (List.for_all ok rs) "warm batch all ok";
-          expect
-            (List.for_all
-               (fun r -> cached r <> Some false)
-               (List.filteri (fun i _ -> i < 4) rs))
-            "warm batch serves every request from the store";
-          expect
-            (S.Json.mem_int "searches" (List.nth rs 4) = Some 1)
-            "warm tune ran zero additional searches");
-        finish ();
-        Printf.printf
-          "oneshot: OK (cold misses, warm hits, 1 tuner run, clean shutdown; \
-           jobs=%d)\n"
-          jobs;
-        0
-      with Oneshot_failure msg ->
-        Printf.eprintf "oneshot: FAIL: %s\n" msg;
-        (try finish () with _ -> ());
-        1)
+  match S.Client.connect ~socket () with
+  | Error e ->
+    Printf.eprintf "oneshot: cannot connect: %s\n" e;
+    1
+  | Ok c -> (
+    let finish () =
+      (match S.Client.batch c [ S.Protocol.Shutdown ] with
+      | Ok [ r ] -> expect (ok r) "shutdown acknowledged"
+      | Ok _ | Error _ -> raise (Oneshot_failure "shutdown round-trip"));
+      S.Client.close c
+    in
+    try
+      (match S.Client.batch c script with
+      | Error e -> raise (Oneshot_failure ("cold batch: " ^ e))
+      | Ok rs ->
+        expect (List.length rs = List.length script) "cold batch length";
+        expect (List.for_all ok rs) "cold batch all ok";
+        let nth = List.nth rs in
+        expect (cached (nth 0) = Some false) "cold compile is a miss";
+        expect
+          (cached (nth 2) = Some true)
+          "duplicate compile in one batch reads as a hit";
+        expect (cached (nth 3) = Some false) "cold tune is a miss";
+        expect
+          (S.Json.mem_int "searches" (nth 4) = Some 1)
+          "one tuner invocation after the cold batch");
+      (match S.Client.batch c script with
+      | Error e -> raise (Oneshot_failure ("warm batch: " ^ e))
+      | Ok rs ->
+        expect (List.for_all ok rs) "warm batch all ok";
+        expect
+          (List.for_all
+             (fun r -> cached r <> Some false)
+             (List.filteri (fun i _ -> i < 4) rs))
+          "warm batch serves every request from the store";
+        expect
+          (S.Json.mem_int "searches" (List.nth rs 4) = Some 1)
+          "warm tune ran zero additional searches");
+      finish ();
+      Printf.printf
+        "oneshot: OK (cold misses, warm hits, 1 tuner run, clean shutdown; \
+         jobs=%d)\n"
+        jobs;
+      0
+    with Oneshot_failure msg ->
+      Printf.eprintf "oneshot: FAIL: %s\n" msg;
+      (try finish () with _ -> ());
+      1)
+
+let run_oneshot ~socket ~db ~no_db ~jobs =
+  let dir = Filename.temp_dir "lego-serve" "" in
+  let scratch name = Filename.concat dir name in
+  let socket = Option.value ~default:(scratch "legoc.sock") socket in
+  let db =
+    if no_db then None else Some (Option.value ~default:(scratch "store.db") db)
   in
-  Domain.join server;
-  (* Best-effort scratch cleanup. *)
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    (Option.to_list db @ [ socket ]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  status
+  (* Only the scratch files go: a --db given is the caller's. *)
+  let cleanup () =
+    List.iter
+      (fun f -> try Sys.remove (scratch f) with Sys_error _ -> ())
+      [ "store.db"; "legoc.sock" ];
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  in
+  match start_service ?db ~socket ~jobs () with
+  | Error e ->
+    Printf.eprintf "error: %s\n" e;
+    cleanup ();
+    1
+  | Ok (t, listener) ->
+    (* [serve] blocks until shutdown, so the server lives in a spawned
+       domain; the main domain plays client over the real socket. *)
+    let server =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> S.Server.shutdown t)
+            (fun () -> S.Server.serve t listener))
+    in
+    let status = oneshot_client ~socket ~jobs in
+    Domain.join server;
+    cleanup ();
+    status
 
 let run_serve socket db no_db oneshot jobs =
   with_jobs jobs @@ fun jobs ->
@@ -633,27 +651,32 @@ let run_serve socket db no_db oneshot jobs =
     | None ->
       Printf.eprintf "error: serve needs --socket PATH (or --oneshot)\n";
       2
-    | Some socket ->
+    | Some socket -> (
       let db =
         if no_db then None
         else Some (Option.value ~default:(S.Store.default_path ()) db)
       in
-      let t = S.Server.create ?db ~jobs () in
-      (match S.Server.load t with
-      | S.Store.Recovered (n, why) ->
-        Printf.eprintf
-          "warning: store damaged (%s); recovered %d entries, truncated the \
-           rest\n"
-          why n
-      | S.Store.Loaded n ->
-        Printf.eprintf "store: %d entries (warm start)\n" n
-      | S.Store.Fresh -> ());
-      Printf.printf "legoc serve: listening on %s (db: %s, jobs=%d)\n%!" socket
-        (match db with Some p -> p | None -> "none")
-        jobs;
-      S.Server.serve t ~socket;
-      S.Server.shutdown t;
-      0
+      match start_service ?db ~socket ~jobs () with
+      | Error e ->
+        Printf.eprintf "error: %s\n" e;
+        1
+      | Ok (t, listener) ->
+        (match S.Server.load t with
+        | S.Store.Recovered (n, why) ->
+          Printf.eprintf
+            "warning: store damaged (%s); recovered %d entries, truncated \
+             the rest\n"
+            why n
+        | S.Store.Loaded n ->
+          Printf.eprintf "store: %d entries (warm start)\n" n
+        | S.Store.Fresh -> ());
+        Printf.printf "legoc serve: listening on %s (db: %s, jobs=%d)\n%!"
+          socket
+          (match db with Some p -> p | None -> "none")
+          jobs;
+        S.Server.serve t listener;
+        S.Server.shutdown t;
+        0)
 
 let serve_cmd =
   let man =
@@ -662,13 +685,15 @@ let serve_cmd =
       `P
         "Keeps the compiler hot: a long-running daemon on a Unix-domain \
          socket, answering length-prefixed JSON request batches (compile, \
-         tune, fingerprint, stats, shutdown).  Results are addressed by a \
-         digest of their inputs in an append-only on-disk store, which \
-         also warm-starts the autotuner's simulation cache across \
-         restarts.  Each batch is handled sequentially, one request at \
-         a time; --jobs sizes only a cold tune search's simulation pool, \
-         and identical batches get byte-identical response frames at any \
-         --jobs.";
+         tune, fingerprint, stats, shutdown).  Compile results and tune \
+         winners are addressed by a digest of their inputs in an \
+         append-only on-disk store; simulator results stay in the \
+         process that computed them.  Each batch is handled \
+         sequentially, one request at a time; --jobs sizes only a cold \
+         tune search's simulation pool, and identical batches get \
+         byte-identical response frames at any --jobs.  A --db or \
+         --socket path that cannot be used exits 1 with one error line \
+         naming it.";
     ]
   in
   Cmd.v

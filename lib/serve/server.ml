@@ -36,82 +36,15 @@ type t = {
   mutable stopped : bool;
 }
 
-(* ---- store record shapes ---------------------------------------------- *)
-
-let sim_key ~identity ~fp_hex ~rung = Store.key [ "sim"; identity; fp_hex; rung ]
-
-let sim_value ~identity ~fp_hex ~rung (s : T.Slot.sim) =
-  Json.Obj
-    [
-      ("kind", Json.Str "sim");
-      ("slot", Json.Str identity);
-      ("fp", Json.Str fp_hex);
-      ("rung", Json.Str rung);
-      ("time_s", Json.Float s.T.Slot.time_s);
-      ("s_accesses", Json.Float s.T.Slot.s_accesses);
-      ("s_cycles", Json.Float s.T.Slot.s_cycles);
-      ("g_txns", Json.Float s.T.Slot.g_txns);
-    ]
-
-(* Re-inflate persisted sim records into the tune cache, so even a tune
-   request with a never-seen search shape reuses every simulator result
-   a previous run paid for. *)
-let warm_start store cache =
-  Store.iter store (fun ~key:_ v ->
-      if Json.mem_string "kind" v = Some "sim" then
-        match
-          ( Json.mem_string "slot" v,
-            Json.mem_string "fp" v,
-            Json.mem_string "rung" v,
-            Json.mem_float "time_s" v,
-            Json.mem_float "s_accesses" v,
-            Json.mem_float "s_cycles" v,
-            Json.mem_float "g_txns" v )
-        with
-        | ( Some slot,
-            Some fp_hex,
-            Some rung,
-            Some time_s,
-            Some s_accesses,
-            Some s_cycles,
-            Some g_txns ) -> (
-          match Digest.from_hex fp_hex with
-          | exception _ -> ()  (* unreadable key: skip, never crash *)
-          | fp_digest ->
-            let e = T.Cache.ensure cache ~slot ~fp_digest in
-            let sim =
-              { T.Slot.time_s; s_accesses; s_cycles; g_txns }
-            in
-            (match rung with
-            | "sampled" -> if e.T.Cache.sampled = None then e.T.Cache.sampled <- Some sim
-            | "full" -> if e.T.Cache.full = None then e.T.Cache.full <- Some sim
-            | _ -> ()))
-        | _ -> ())
-
-(* Persist every sim result the cache holds; Store.put drops identical
-   re-puts, so warm-started entries cost nothing on disk. *)
-let flush_sims t =
-  T.Cache.iter t.cache (fun ~slot ~fp_digest e ->
-      let fp_hex = Digest.to_hex fp_digest in
-      let put rung s =
-        Store.put t.store
-          ~key:(sim_key ~identity:slot ~fp_hex ~rung)
-          (sim_value ~identity:slot ~fp_hex ~rung s)
-      in
-      Option.iter (put "sampled") e.T.Cache.sampled;
-      Option.iter (put "full") e.T.Cache.full)
-
 (* ---- create ------------------------------------------------------------ *)
 
 let create ?db ?(jobs = 1) () =
   if jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
   let store, load = Store.open_ ?path:db () in
-  let cache = T.Cache.create () in
-  warm_start store cache;
   {
     store;
     load;
-    cache;
+    cache = T.Cache.create ();
     jobs;
     slots = Hashtbl.create 8;
     c =
@@ -316,7 +249,6 @@ let handle_tune t (p : Protocol.tune_params) =
       let r = T.Tune.search ~options ~cache:t.cache slot in
       let v = tune_value r in
       Store.put t.store ~key v;
-      flush_sims t;
       tune_payload ~key ~cached:false v)
 
 (* ---- stats ------------------------------------------------------------- *)
@@ -398,9 +330,20 @@ let oversized_reply batch bytes =
   | Json.List reqs -> Json.List (List.map (fun _ -> error) reqs)
   | _ -> error
 
-let serve t ~socket =
+type listener = { srv : Unix.file_descr; socket : string }
+
+let listen ~socket =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try
+    Unix.bind srv (Unix.ADDR_UNIX socket);
+    Unix.listen srv 16;
+    { srv; socket }
+  with e ->
+    Unix.close srv;
+    raise e
+
+let serve t { srv; socket } =
   (* A client that hangs up before reading its reply must not kill the
      process: with SIGPIPE ignored, the write fails with EPIPE instead,
      which the per-connection handler below treats as a dropped
@@ -412,8 +355,6 @@ let serve t ~socket =
       (try Unix.close srv with Unix.Unix_error _ -> ());
       try Unix.unlink socket with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.bind srv (Unix.ADDR_UNIX socket);
-      Unix.listen srv 16;
       while not t.stopped do
         let conn, _ = Unix.accept srv in
         (* One client at a time, one batch at a time.  A broken

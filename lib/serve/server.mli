@@ -1,10 +1,9 @@
 (** The layout-compile daemon (DESIGN.md §15).
 
-    One {!t} owns the content-addressed {!Store} and a persistent
-    {!Lego_tune.Cache} warm-started from it.  {!handle_batch} is the
-    whole service as a function — the socket loop ({!serve}), the
-    [--oneshot] self-test, the bench harness and the tests all drive
-    the same entry point.
+    One {!t} owns the content-addressed {!Store} and an in-process
+    {!Lego_tune.Cache}.  {!handle_batch} is the whole service as a
+    function — the socket loop ({!serve}), the [--oneshot] self-test,
+    the bench harness and the tests all drive the same entry point.
 
     {b Determinism contract.}  Identical request batches produce
     byte-identical response batches at any [jobs], against servers in
@@ -18,9 +17,10 @@
     {b Warm path.}  A [tune] request whose content address is already
     stored is answered from the store without invoking the tuner (zero
     simulator invocations — the [searches] counter stands still); a
-    near-miss (same slot, different search shape) still warm-starts
-    from persisted per-layout [sim] records injected into the tune
-    cache at startup and flushed after every cold search.
+    near-miss (same slot, different search shape) reuses the sims that
+    this process's earlier searches left in the tune cache.  Sims are
+    never stored: the cache starts empty and dies with the process, so
+    no sim outlives the code that computed it.
 
     {b Threading.}  A {!t} is not synchronized: call [handle_batch],
     [serve] and [shutdown] from one domain at a time, which need not be
@@ -33,7 +33,8 @@ val create : ?db:string -> ?jobs:int -> unit -> t
     daemon's conventional location; omit for a memory-only store).
     [jobs] (default 1) sizes each cold tune search's sim-rung pool
     ({!Lego_tune.Tune.options}[.jobs]); requests are served on the
-    calling domain. *)
+    calling domain.  A db path that cannot be used raises as
+    {!Store.open_} says. *)
 
 val load : t -> Store.load
 (** How the store came up (clean / recovered / fresh) — the server
@@ -52,9 +53,14 @@ val handle_batch : t -> Json.t -> Json.t
     array, same length, submission order.  A non-array input yields a
     single error object. *)
 
-val serve : t -> socket:string -> unit
-(** Bind a Unix-domain socket at [socket] (replacing a stale file),
-    then accept connections one at a time, answering frame per frame,
+type listener
+
+val listen : socket:string -> listener
+(** Bind and listen on a Unix-domain socket at [socket], replacing a
+    stale file.  Raises [Unix.Unix_error] if the path cannot be bound. *)
+
+val serve : t -> listener -> unit
+(** Accept connections one at a time, answering frame per frame,
     until a [shutdown] request has been served.  A reply over
     {!Protocol.max_frame_bytes} is replaced by one error per request of
     its batch, naming the reply's size and the limit; the store keeps

@@ -146,6 +146,10 @@ let open_ ?path () =
   | None -> ({ tbl; chan = None; closed = false }, Fresh)
   | Some p ->
     mkdir_p (Filename.dirname p);
+    (* A directory opens for reading and fails at its first read, with a
+       reason that does not name it. *)
+    if Sys.file_exists p && Sys.is_directory p then
+      raise (Sys_error (p ^ ": " ^ Unix.error_message Unix.EISDIR));
     let verdict =
       if not (Sys.file_exists p) then begin
         (* Fresh db: write the header so the first load validates. *)

@@ -3,13 +3,12 @@
     The compile pipeline is a pure function of its inputs, so its
     results are addressed by a digest of those inputs: {!key} hashes a
     canonical part list — always implicitly prefixed by the format
-    {!version} — into a hex MD5 that names the entry.  Three entry
-    kinds share the namespace (disambiguated by a kind tag inside the
-    key parts {e and} the value): [compile] results (simplified form +
-    generated code per backend), [tune] winners (layout, cost, search
-    shape), and [sim] records (one simulator rung result for one
-    (slot identity, layout) pair — the persistent half of
-    {!Lego_tune.Cache}, warm-starting it across runs).
+    {!version} — into a hex MD5 that names the entry.  Two entry kinds
+    share the namespace (disambiguated by a kind tag inside the key
+    parts {e and} the value): [compile] results (simplified form +
+    generated code per backend) and [tune] winners (layout, cost,
+    search shape).  An older db's [sim] records (simulator rung results)
+    still load and count in {!length}, but nothing reads them.
 
     {b On disk}: an append-only log — a fixed header line, then
     records of [4-byte big-endian length | payload | 16-byte MD5 of
@@ -22,9 +21,8 @@
     never a crash.  A foreign or damaged header degrades to an empty
     store (cold start), rewriting the file.
 
-    In memory it is a hash table; [get] is safe from parallel readers
-    {e while no writer runs} (the server writes only between its
-    parallel sections, the same discipline as {!Lego_tune.Cache}). *)
+    In memory it is a hash table, not synchronized: the server reads
+    and writes it from one domain at a time. *)
 
 type t
 
@@ -46,7 +44,8 @@ type load = Fresh | Loaded of int | Recovered of int * string
 val open_ : ?path:string -> unit -> t * load
 (** No [path] = memory-only (tests, ephemeral servers).  With [path],
     loads (or creates) the db file; the directory must exist or be
-    creatable. *)
+    creatable.  A path that cannot be used raises [Sys_error "PATH:
+    reason"] (or [Unix.Unix_error] from creating its directory). *)
 
 val key : string list -> string
 (** Hex MD5 of the canonical encoding of [version :: parts].  Parts

@@ -1,12 +1,11 @@
-(* Reusable simulation cache, persisting across slot searches in one run.
+(* Reusable simulation cache, shared by the searches of one process.
 
    Keys are (slot identity, fingerprint digest), where the identity is
    [Slot.identity] — name plus device preset plus smem dtype: the sims
    depend on the slot's kernel, device model and element width, so
    identical layouts under different slots (or the same slot under a
    different device/dtype) must not collide, while repeated searches of
-   the same slot (re-tuning with different budgets, the CLI tuning
-   several shapes that share a slot) hit.
+   the same slot (re-tuning with a different budget or top) hit.
 
    Concurrency contract (the tuner's): [find] is a pure read and is
    the only operation a parallel section may call; [ensure] and the
@@ -21,36 +20,22 @@ type entry = {
 
 type t = {
   tbl : (string * string, entry) Hashtbl.t;
-  max_entries : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(max_entries = 1 lsl 18) () =
-  if max_entries < 0 then invalid_arg "Cache.create: max_entries < 0";
-  { tbl = Hashtbl.create 1024; max_entries; hits = 0; misses = 0 }
-
+let create () = { tbl = Hashtbl.create 1024; hits = 0; misses = 0 }
 let find t ~slot ~fp_digest = Hashtbl.find_opt t.tbl (slot, fp_digest)
 
-let fresh () = { sampled = None; full = None }
-
-(* At capacity the returned entry is transient (filled by the caller,
-   then dropped): the cache degrades to a no-op rather than growing
-   without bound. *)
 let ensure t ~slot ~fp_digest =
   match Hashtbl.find_opt t.tbl (slot, fp_digest) with
   | Some e -> e
   | None ->
-    let e = fresh () in
-    if Hashtbl.length t.tbl < t.max_entries then
-      Hashtbl.add t.tbl (slot, fp_digest) e;
+    let e = { sampled = None; full = None } in
+    Hashtbl.add t.tbl (slot, fp_digest) e;
     e
 
-(* Persistence hook for the compile service: walk every entry so sims
-   can be flushed to (or injected from) the on-disk store.  Sequential
-   sections only, like every other mutator-adjacent operation. *)
 let iter t f = Hashtbl.iter (fun (slot, fp_digest) e -> f ~slot ~fp_digest e) t.tbl
-
 let note_hits t n = t.hits <- t.hits + n
 let note_misses t n = t.misses <- t.misses + n
 let hits t = t.hits

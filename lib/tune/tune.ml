@@ -228,9 +228,6 @@ let cmp_sim (a, sa) (b, sb) =
 let search ?(options = default_options) ?cache (slot : Slot.t) =
   if options.budget < 1 then invalid_arg "Tune.search: budget must be >= 1";
   if options.top < 1 then invalid_arg "Tune.search: top must be >= 1";
-  let cache =
-    match cache with Some c -> c | None -> Cache.create ~max_entries:0 ()
-  in
   (* Cache keys carry the full slot identity (name, device preset, smem
      dtype): sims depend on the device model and element width, so
      "matmul" tuned under a100 must never satisfy a lookup for the same
@@ -270,33 +267,33 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   in
   let explored, drained = pass 0 (Space.candidates sp) in
   let static_seconds = Unix.gettimeofday () -. t0 in
-  (* Sim rung helper: look up the cached sim for [sc] under [field],
-     simulate on a miss (in parallel, chunk 1 — few expensive tasks),
-     write back, and pair each candidate with its sim. *)
+  (* Sim rung helper: simulate each candidate (in parallel, chunk 1 —
+     few expensive tasks) and pair it with its sim.  Given a [cache],
+     a candidate whose sim is cached under [get] is read instead, and
+     each fresh sim is written back after the map. *)
   let run_rung ~pool ~get ~set ~simulate cands =
-    let arr = Array.of_list cands in
-    let digests =
-      Array.map (fun sc -> Digest.string sc.fingerprint) arr
+    let key sc = Digest.string sc.fingerprint in
+    let cached sc =
+      Option.bind cache (fun c ->
+          Option.bind (Cache.find c ~slot:cache_slot ~fp_digest:(key sc)) get)
     in
     let sims =
-      Exec.map ~chunk:1 ~pool
-        (Array.mapi (fun i sc -> (sc, digests.(i))) arr)
-        (fun (sc, dg) ->
-          match Cache.find cache ~slot:cache_slot ~fp_digest:dg with
-          | Some e when get e <> None -> (Option.get (get e), true)
-          | _ -> (simulate ~fast:true sc.layout, false))
+      Exec.map ~chunk:1 ~pool (Array.of_list cands) (fun sc ->
+          match cached sc with
+          | Some sim -> (sim, true)
+          | None -> (simulate ~fast:true sc.layout, false))
     in
-    let hits = ref 0 in
-    Array.iteri
-      (fun i (sim, hit) ->
-        if hit then incr hits
-        else begin
-          let e = Cache.ensure cache ~slot:cache_slot ~fp_digest:digests.(i) in
-          set e sim
-        end)
-      sims;
-    Cache.note_hits cache !hits;
-    Cache.note_misses cache (Array.length arr - !hits);
+    Option.iter
+      (fun c ->
+        List.iteri
+          (fun i sc ->
+            match sims.(i) with
+            | _, true -> Cache.note_hits c 1
+            | sim, false ->
+              Cache.note_misses c 1;
+              set (Cache.ensure c ~slot:cache_slot ~fp_digest:(key sc)) sim)
+          cands)
+      cache;
     List.mapi (fun i sc -> (sc, fst sims.(i))) cands
   in
   (* The sim rungs hold the search's only parallel sections, so the pool

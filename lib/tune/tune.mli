@@ -137,14 +137,13 @@ val search : ?options:options -> ?cache:Cache.t -> Slot.t -> result
     equals {!Predict.score} on the slot's device with its default
     {!Predict.decomposed_ops} op count, in every mode, and evaluates
     each distinct F₂ map once per search; sims come from the slot's
-    {!Lego_gpusim.Fastpath}
-    kernels ([simulate ~fast:true]).  [cache], when given, persists
-    both rungs' sim results across searches in a run — re-tuning the
-    same slot (wider budget, different [top], before/after comparisons)
-    reuses instead of re-simulating; see {!Cache} for the reuse and
-    soundness rules.  Any [top] >= 1 is accepted (the retained heap
-    never exceeds [budget]); raises [Invalid_argument] when [budget]
-    or [top] is < 1. *)
+    {!Lego_gpusim.Fastpath} kernels ([simulate ~fast:true]).  [cache],
+    when given, keeps both rungs' sim results for later searches in the
+    same process — a re-tune of the same slot (another budget or [top])
+    reads them instead of re-simulating; without one the rungs make no
+    lookups.  See {!Cache} for the reuse and soundness rules.  Any
+    [top] >= 1 is accepted (the retained heap never exceeds [budget]);
+    raises [Invalid_argument] when [budget] or [top] is < 1. *)
 
 val conform_ok : result -> bool option
 (** [Some true] = checked clean, [Some false] = mismatch found, [None] =

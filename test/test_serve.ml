@@ -406,16 +406,21 @@ let test_server_warm_path_zero_searches () =
            (cold_t *. 1e3) (warm_t *. 1e3))
         true
         (warm_t *. 10.0 < cold_t);
+      let kinds = ref [] in
+      Sv.Store.iter (Sv.Server.store t) (fun ~key:_ v ->
+          kinds := Sv.Json.mem_string "kind" v :: !kinds);
+      Alcotest.(check bool) "the cold tune stored no sim record" false
+        (List.mem (Some "sim") !kinds);
       Sv.Server.shutdown t;
       (* Restart on the same db: the tune answer survives (store hit,
-         still zero searches) and the per-layout sim records warm-start
-         the cache for near-miss searches. *)
+         still zero searches), and the new process's tune cache starts
+         empty. *)
       let t2 = Sv.Server.create ~db ~jobs:1 () in
       (match Sv.Server.load t2 with
       | Sv.Store.Loaded n -> Alcotest.(check bool) "entries persisted" true (n > 0)
       | _ -> Alcotest.fail "restart did not load the db");
-      Alcotest.(check bool) "cache warm-started from sim records" true
-        (stat "cache_entries" t2 > 0);
+      Alcotest.(check int) "restarted tune cache is empty" 0
+        (stat "cache_entries" t2);
       let r2 = Sv.Server.handle_batch t2 batch in
       Alcotest.(check (option bool)) "post-restart tune is a store hit"
         (Some true)
@@ -423,6 +428,53 @@ let test_server_warm_path_zero_searches () =
       Alcotest.(check int) "zero tuner invocations after restart" 0
         (stat "searches" t2);
       Sv.Server.shutdown t2)
+
+(* Regression: the daemon re-injected stored per-layout [sim] records
+   into its tune cache at startup, so a record that no longer matched
+   the simulator decided later searches.  One planted record, in the
+   format those daemons wrote, gave nw's runner-up a 1 ns full-rung
+   time, and a never-stored tune returned it as the winner at 1e-9 s.
+   Such a record must not change any reply. *)
+let test_server_ignores_stored_sim_records () =
+  with_tmp (fun db ->
+      let planted = "OrderBy2(GenP(antidiag[17, 17])).GroupBy2([17, 17])" in
+      let fp_hex = Digest.to_hex (Digest.string planted) in
+      let s, _ = Sv.Store.open_ ~path:db () in
+      Sv.Store.put s
+        ~key:(Sv.Store.key [ "sim"; "nw@a100/fp32"; fp_hex; "full" ])
+        (Sv.Json.Obj
+           [
+             ("kind", Sv.Json.Str "sim");
+             ("slot", Sv.Json.Str "nw@a100/fp32");
+             ("fp", Sv.Json.Str fp_hex);
+             ("rung", Sv.Json.Str "full");
+             ("time_s", Sv.Json.Float 1e-9);
+             ("s_accesses", Sv.Json.Float 1.0);
+             ("s_cycles", Sv.Json.Float 1.0);
+             ("g_txns", Sv.Json.Float 1.0);
+           ]);
+      Sv.Store.close s;
+      let batch =
+        Result.get_ok
+          (Sv.Json.of_string {|[{"op":"tune","slot":"nw","budget":12,"top":2}]|})
+      in
+      let reply t =
+        let r = Sv.Server.handle_batch t batch in
+        Sv.Server.shutdown t;
+        match r with
+        | Sv.Json.List [ r ] -> r
+        | _ -> Alcotest.fail "batch shape"
+      in
+      let fresh = reply (Sv.Server.create ()) in
+      let planted_db = reply (Sv.Server.create ~db ()) in
+      Alcotest.(check (option string)) "fresh winner"
+        (Some "OrderBy2(GenP(cyclicdiag[17, 17])).GroupBy2([17, 17])")
+        (Sv.Json.mem_string "winner" fresh);
+      Alcotest.(check (option (float 1e-15))) "fresh time_s" (Some 3.402e-4)
+        (Sv.Json.mem_float "time_s" fresh);
+      Alcotest.(check string) "reply with the planted record = fresh reply"
+        (Sv.Json.to_string fresh)
+        (Sv.Json.to_string planted_db))
 
 let mixed_batch =
   lazy
@@ -529,8 +581,10 @@ let test_server_batch_semantics () =
    an unknown op, a non-object request, a compile for an unknown
    device, a fingerprint, a small nw tune and a stats mid-batch and
    last.  The cold and warm replies and a [shutdown]+[stats] batch's are
-   each pinned by MD5, recorded when the server still drafted compiles
-   and fingerprints on a domain pool. *)
+   each pinned by MD5, first recorded when the server still drafted
+   compiles and fingerprints on a domain pool, and re-recorded when the
+   tune stopped storing two sim records: only the four [stats] replies'
+   [store_entries] moved, from 5 to 3. *)
 let test_server_reply_digests_pinned () =
   let parse s = Result.get_ok (Sv.Json.of_string s) in
   let batch =
@@ -562,9 +616,9 @@ let test_server_reply_digests_pinned () =
             (Printf.sprintf "%s reply at -j%d" what jobs)
             want got)
         [
-          ("cold", "1a406e233b84207d2c6fc9fdbc47feaf", cold);
-          ("warm", "ceb62c2331ecaf6b4e9dbdeeadf15bd0", warm);
-          ("shutdown+stats", "20cd13ea948d83ec65514cd6bc20a67c", last);
+          ("cold", "8153e277df5cd078000864f8fa2ab015", cold);
+          ("warm", "d65c791e682b768aa92e2c1d8cf6664a", warm);
+          ("shutdown+stats", "3fb9186875ed3545f8e3a4bd3ba4a0a4", last);
         ])
     [ 1; 3; 1 lsl 60 ]
 
@@ -966,6 +1020,41 @@ let test_store_keeps_oversized_record_off_the_log () =
 let test_cli_rejects_negative_jobs () =
   Test_tune.check_negative_jobs_rejected [ "serve"; "--oneshot" ]
 
+(* Regression: a db or socket path the daemon cannot use died with an
+   uncaught exception and exit 125: a directory as the db, a db under a
+   regular file, and a socket in a missing directory (after printing
+   "listening on").  [--oneshot] failed only once its client's connect
+   retries ran out.  Each must exit 1 with one line naming the path and
+   the OS reason, before any connect attempt. *)
+let test_cli_serve_rejects_unusable_paths () =
+  let dir = Filename.temp_dir "lego-test-paths" "" in
+  let sub = Filename.concat dir in
+  Unix.mkdir (sub "dir") 0o755;
+  close_out (open_out (sub "file"));
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove (sub "file");
+      Unix.rmdir (sub "dir");
+      Unix.rmdir dir)
+  @@ fun () ->
+  List.iter
+    (fun (args, want) ->
+      let status, out = Test_tune.run_legoc ("serve" :: args @ [ "-j"; "1" ]) in
+      let what = String.concat " " args in
+      Alcotest.(check string) (what ^ ": output") (want ^ "\n") out;
+      Alcotest.(check bool) (what ^ ": exits 1") true (status = Unix.WEXITED 1))
+    [
+      ( [ "--socket"; sub "s.sock"; "--db"; sub "dir" ],
+        Printf.sprintf "error: db %s: Is a directory" (sub "dir") );
+      ( [ "--socket"; sub "s.sock"; "--db"; sub "file/x.db" ],
+        Printf.sprintf "error: db %s: Not a directory" (sub "file/x.db") );
+      ( [ "--socket"; sub "missing/s.sock"; "--no-db" ],
+        Printf.sprintf "error: bind %s: No such file or directory"
+          (sub "missing/s.sock") );
+      ( [ "--oneshot"; "--db"; sub "dir" ],
+        Printf.sprintf "error: db %s: Is a directory" (sub "dir") );
+    ]
+
 let suite =
   ( "serve",
     [
@@ -987,6 +1076,8 @@ let suite =
         `Quick test_cache_identity_no_cross_device_contamination;
       Alcotest.test_case "server: warm path = store hit, zero searches, 10x"
         `Quick test_server_warm_path_zero_searches;
+      Alcotest.test_case "server: a stored sim record changes no reply"
+        `Quick test_server_ignores_stored_sim_records;
       Alcotest.test_case "server: byte-identical batches at any -j" `Quick
         test_server_byte_identical_across_jobs;
       Alcotest.test_case "server: batch semantics (dup, emit, errors)" `Quick
@@ -1013,4 +1104,6 @@ let suite =
         `Quick test_store_keeps_oversized_record_off_the_log;
       Alcotest.test_case "CLI serve rejects a negative --jobs" `Quick
         test_cli_rejects_negative_jobs;
+      Alcotest.test_case "CLI serve rejects unusable --db/--socket" `Quick
+        test_cli_serve_rejects_unusable_paths;
     ] )

@@ -1287,7 +1287,7 @@ let candidates_named sp texts =
    device ({!Fastpath}'s summary cache once mixed devices the same way).
    Tables on alternating devices must each score as the interpreter does
    on their own device. *)
-let test_map_memo_keyed_on_bank_geometry () =
+let test_map_table_on_slot_device () =
   let module G = Lego_gpusim in
   let g =
     prepend_swizzle ~mask:31 ~shift:0
@@ -1322,7 +1322,7 @@ let test_map_memo_keyed_on_bank_geometry () =
    starts from an empty table, and the second text hits the first's
    entry: the map is evaluated once, the memory fields agree with the
    interpreter and each text keeps its own ops. *)
-let test_map_memo_keeps_ops_per_text () =
+let test_map_table_keeps_ops_per_text () =
   let slot = T.Slot.transpose_smem () in
   let text mask =
     Printf.sprintf
@@ -1374,7 +1374,7 @@ let test_map_memo_keeps_ops_per_text () =
    evaluated under another text must equal the interpreter (~4 ms
    each, so the references run on two domains).  The pass evaluates
    memory once per distinct map and once per non-linear candidate. *)
-let test_map_memo_hits_are_exact () =
+let test_map_table_hits_are_exact () =
   let module F2 = Lego_f2 in
   let slot = T.Slot.transpose_smem () in
   let pairs = Array.of_seq (T.Space.candidates (slot_space ~scale:true slot)) in
@@ -2168,12 +2168,12 @@ let suite =
         test_cli_scale_explicit_budget;
       Alcotest.test_case "CLI rejects --top 0 and --budget 0" `Quick
         test_cli_rejects_non_positive_top_and_budget;
-      Alcotest.test_case "F2 memo keyed on bank geometry" `Quick
-        test_map_memo_keyed_on_bank_geometry;
-      Alcotest.test_case "F2 memo keeps ops per text" `Quick
-        test_map_memo_keeps_ops_per_text;
-      Alcotest.test_case "F2 memo hits are exact" `Quick
-        test_map_memo_hits_are_exact;
+      Alcotest.test_case "map table scores on its slot's device" `Quick
+        test_map_table_on_slot_device;
+      Alcotest.test_case "map table keeps ops per text" `Quick
+        test_map_table_keeps_ops_per_text;
+      Alcotest.test_case "map table hits are exact" `Quick
+        test_map_table_hits_are_exact;
       Alcotest.test_case "map values = compiled closures" `Quick
         test_map_values_match_compiled;
       Alcotest.test_case "phase classes pinned per slot" `Quick
