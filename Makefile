@@ -93,7 +93,7 @@ perfbench-check:
 # optional parameters declared in lib/*.mli.  Both should go down.
 size:
 	@echo "lib lines: $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
-	@echo "optional parameters: $$(grep -ho '?[a-z_]*:' lib/*/*.mli | wc -l)"
+	@echo "optional parameters: $$(grep -ho '?[a-z_][a-z0-9_]*:' lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

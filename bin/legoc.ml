@@ -66,13 +66,13 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~env ~docv:"N"
         ~doc:
-          "Worker-domain count for parallel checking.  Results are \
-           bit-identical for any $(docv); 0 selects the recommended \
+          "Worker-domain count for this mode's parallel work.  Results \
+           are bit-identical for any $(docv); 0 selects the recommended \
            domain count for this machine.")
 
-(* Every mode rejects a negative --jobs (or LEGO_JOBS) before doing
-   anything, like its other option errors: a message and exit 2.  [k]
-   gets the domain count, 0 resolved to the machine's. *)
+(* Every mode that takes --jobs rejects a negative one (or LEGO_JOBS)
+   before doing anything, like its other option errors: a message and
+   exit 2.  [k] gets the domain count, 0 resolved to the machine's. *)
 let with_jobs jobs k =
   if jobs < 0 then begin
     Printf.eprintf "error: --jobs must be >= 0\n";
@@ -112,7 +112,7 @@ let inv_offset g p =
     Error (Printf.sprintf "--inv %d: the offset is outside [0, %d)" p n)
   else Ok p
 
-let show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs =
+let show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check =
   let nothing_requested =
     (not table) && apply = None && inv = None && (not emit_c)
     && (not emit_triton) && (not emit_mlir) && not check
@@ -150,7 +150,7 @@ let show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs =
   if emit_mlir then
     print_string (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
   if check then begin
-    match L.Check.layout ~jobs g with
+    match L.Check.layout g with
     | Ok () ->
       print_endline "bijection: verified";
       0
@@ -163,9 +163,7 @@ let show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs =
   end
   else 0
 
-let run layout_text table apply_text inv_p emit_c emit_triton emit_mlir check
-    jobs =
-  with_jobs jobs @@ fun jobs ->
+let run layout_text table apply_text inv_p emit_c emit_triton emit_mlir check =
   match Lego_lang.Elab.layout_of_string layout_text with
   | Error e ->
     Printf.eprintf "error: %s\n" e;
@@ -181,7 +179,7 @@ let run layout_text table apply_text inv_p emit_c emit_triton emit_mlir check
       Printf.eprintf "error: %s\n" e;
       2
     | Ok apply, Ok inv ->
-      show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check ~jobs)
+      show g ~table ~apply ~inv ~emit_c ~emit_triton ~emit_mlir ~check)
 
 (* ---- legoc conform: the differential conformance harness -------------- *)
 
@@ -841,7 +839,7 @@ let layout_cmd =
     (Cmd.info "legoc" ~version:"1.0.0" ~doc ~man)
     Term.(
       const run $ layout_arg $ table_flag $ apply_arg $ inv_arg $ c_flag
-      $ triton_flag $ mlir_flag $ check_flag $ jobs_arg)
+      $ triton_flag $ mlir_flag $ check_flag)
 
 let subcommand_cmds =
   [ conform_cmd; tune_cmd; serve_cmd; client_cmd; fingerprint_cmd ]

@@ -26,8 +26,7 @@ let jobs p = p.size
 (* The hardware clamp (see the interface) bounds the domains a map
    spawns, not the pool's reported width: results never depend on how
    many domains actually run. *)
-let with_pool ?jobs ?(oversubscribe = false) f =
-  let size = match jobs with Some j -> j | None -> default_jobs () in
+let with_pool ~jobs:size ?(oversubscribe = false) f =
   if size < 1 then invalid_arg "Exec.with_pool: jobs must be >= 1";
   let helpers =
     if oversubscribe then size - 1

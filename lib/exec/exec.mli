@@ -1,10 +1,10 @@
 (** Deterministic multicore fan-out over OCaml 5 domains, fork-join.
 
     The hot loops of this repository — differential conformance, the
-    figure sweeps of the benchmark harness, and exhaustive bijectivity
-    checking — are embarrassingly parallel: every layout, kernel
-    configuration, and index range is independent.  This module gives
-    them a shared work-distribution layer with a strict determinism
+    tuner's simulation rungs, and the figure sweeps of the benchmark
+    harness — are embarrassingly parallel: every layout, candidate and
+    kernel configuration is independent.  This module gives them a
+    shared work-distribution layer with a strict determinism
     contract:
 
     - {b Submission-order merge.}  [map ~pool xs f] returns exactly
@@ -35,8 +35,8 @@
 type pool
 
 val default_jobs : unit -> int
-(** Pool size used when [with_pool] is given no [jobs]:
-    [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]. *)
+(** [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]: the worker count
+    [legoc]'s [-j 0] selects, and [bench/main.exe]'s default. *)
 
 val jobs_of_env : string option -> int
 (** The pool size a [LEGO_JOBS] value names: the value when it is a
@@ -49,11 +49,10 @@ val jobs : pool -> int
     determinism-relevant decisions (none exist today) and reporting on
     the configured [-j]. *)
 
-val with_pool : ?jobs:int -> ?oversubscribe:bool -> (pool -> 'a) -> 'a
-(** [with_pool f] runs [f] with a pool of [jobs] (default
-    {!default_jobs}) workers, including the caller; once [f] returns
-    (or raises), {!map} refuses the pool.  The domains a map actually
-    {e spawns} are clamped to [Domain.recommended_domain_count () - 1]:
+val with_pool : jobs:int -> ?oversubscribe:bool -> (pool -> 'a) -> 'a
+(** [with_pool ~jobs f] runs [f] with a pool of [jobs] workers,
+    including the caller; once [f] returns (or raises), {!map} refuses
+    the pool.  The domains a map actually {e spawns} are clamped to [Domain.recommended_domain_count () - 1]:
     oversubscribing a host strictly loses here, because OCaml 5 minor
     collections are stop-the-world handshakes across all running
     domains, so extra domains add GC synchronization and timeslicing

@@ -9,11 +9,6 @@ let check_dim what n =
 let rows m = m.rows
 let cols m = m.cols
 
-let zero ~rows ~cols =
-  check_dim "rows" rows;
-  check_dim "cols" cols;
-  { rows; cols; col = Array.make cols 0 }
-
 let identity n =
   check_dim "size" n;
   { rows = n; cols = n; col = Array.init n (fun j -> 1 lsl j) }

@@ -12,15 +12,11 @@ type t
 val rows : t -> int
 val cols : t -> int
 
-val zero : rows:int -> cols:int -> t
 val identity : int -> t
 
 val of_cols : rows:int -> int list -> t
 (** Columns as bitmasks, leftmost first.  Raises [Invalid_argument] when
     a mask has bits at or above [rows]. *)
-
-val of_fun : rows:int -> cols:int -> (int -> int -> bool) -> t
-(** [of_fun ~rows ~cols f] has entry [(i, j)] = [f i j]. *)
 
 val col : t -> int -> int
 (** Column [j] as a bitmask. *)

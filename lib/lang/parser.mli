@@ -25,10 +25,5 @@
     The arity annotation on [OrderByN] applies to atoms and [Strided]
     literals; operator results have no syntactic rank and are exempt. *)
 
-exception Parse_error of Token.pos * string
-
-val parse_chain : string -> Ast.chain
-(** Raises {!Parse_error} or {!Lexer.Lex_error}. *)
-
 val parse : string -> (Ast.chain, string) result
 (** Error message includes the position. *)

@@ -3,30 +3,21 @@
     LEGO layouts are bijections by construction only when their pieces are;
     [GenP] pieces carry arbitrary user functions, so these checkers verify
     the claim by enumeration (intended for tests and for validating small
-    user-supplied layouts at construction time). *)
+    user-supplied layouts at construction time).  Each is one sequential
+    scan of the logical space in row-major order that stops at the first
+    violation: at each index, bounds, then a repeated offset, then the
+    [inv] roundtrip. *)
 
 val max_elements : int
-(** The largest element count any function here accepts:
-    [min Sys.max_array_length 2³²].  Each allocates arrays of one entry
+(** The largest element count either function accepts:
+    [min Sys.max_array_length 2³²].  Each allocates an array of one entry
     per element, so a larger count raises [Invalid_argument], naming
     the count, before anything is allocated. *)
 
-val piece : ?jobs:int -> Piece.t -> (unit, string) result
+val piece : Piece.t -> (unit, string) result
 (** Check that a piece's [apply] is a bijection onto [0 .. numel - 1] and
-    that [inv] is its exact inverse.  [jobs] (default 1) splits large
-    index spaces into ranges checked in parallel on a {!Lego_exec.Exec}
-    pool, with a sequential occupancy merge: the verdict — including the
-    first violation reported and its message — is byte-identical at any
-    [jobs]. *)
+    that [inv] is its exact inverse.  The error names the first
+    violation. *)
 
-val layout : ?jobs:int -> Group_by.t -> (unit, string) result
-(** Same check (and the same [jobs] contract) for a whole ensemble. *)
-
-val table : Group_by.t -> int array
-(** [table g] tabulates [apply] over the logical space in row-major order:
-    element [k] is the physical offset of the logical index with flat
-    position [k] — e.g. the contents of the paper's figure 9 pictures. *)
-
-val physical_to_logical : Group_by.t -> int array array
-(** [physical_to_logical g] lists, for each physical offset, the logical
-    multi-index stored there (the inverse picture). *)
+val layout : Group_by.t -> (unit, string) result
+(** Same check for a whole ensemble. *)

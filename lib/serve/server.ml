@@ -332,8 +332,22 @@ let oversized_reply batch bytes =
 
 type listener = { srv : Unix.file_descr; socket : string }
 
+(* A socket file that refuses connections is a dead daemon's leftover,
+   safe to replace.  Anything else at the path stays, a live daemon's
+   socket or a regular file, and [bind] fails on it. *)
+let stale socket =
+  match Unix.lstat socket with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close probe) @@ fun () ->
+    match Unix.connect probe (Unix.ADDR_UNIX socket) with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+    | exception Unix.Unix_error _ -> false)
+  | _ | (exception Unix.Unix_error _) -> false
+
 let listen ~socket =
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  if stale socket then Unix.unlink socket;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   try
     Unix.bind srv (Unix.ADDR_UNIX socket);

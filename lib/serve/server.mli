@@ -56,8 +56,11 @@ val handle_batch : t -> Json.t -> Json.t
 type listener
 
 val listen : socket:string -> listener
-(** Bind and listen on a Unix-domain socket at [socket], replacing a
-    stale file.  Raises [Unix.Unix_error] if the path cannot be bound. *)
+(** Bind and listen on a Unix-domain socket at [socket].  A socket file
+    there that refuses connections, a killed daemon's leftover, is
+    replaced; anything else stays, so a live daemon's socket or a
+    regular file makes the bind fail with [EADDRINUSE].  Raises
+    [Unix.Unix_error] if the path cannot be bound. *)
 
 val serve : t -> listener -> unit
 (** Accept connections one at a time, answering frame per frame,

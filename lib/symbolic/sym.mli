@@ -9,10 +9,6 @@
 
 module Dom : Lego_layout.Domain.S with type t = Expr.t
 
-val index_vars : Lego_layout.Group_by.t -> Expr.t list
-(** Fresh symbolic index components [i0, i1, ...], one for each logical
-    dimension of the layout. *)
-
 val ranges_of : Lego_layout.Group_by.t -> Range.env
 (** Each index component [ik] ranges over [0 .. extent - 1]; this is
     the paper's "range information propagated through the layout".  The

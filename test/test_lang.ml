@@ -250,8 +250,29 @@ let test_cli_checks_apply_and_inv () =
       ([ "--inv=15" ], "inv 15 = [3, 3]");
     ]
 
-let test_cli_check_rejects_negative_jobs () =
-  Test_tune.check_negative_jobs_rejected [ "GroupBy([4,4])"; "--check" ]
+(* The layout mode runs on one domain: --jobs is an unknown option, a
+   usage error (cmdliner's exit code 124), and LEGO_JOBS, which only
+   the modes with a --jobs read, cannot fail it. *)
+let test_cli_check_takes_no_jobs () =
+  let status, out =
+    Test_tune.run_legoc [ "GroupBy([4,4])"; "--check"; "--jobs=2" ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "--check --jobs=2 exits 124:\n%s" out)
+    true
+    (status = Unix.WEXITED 124);
+  let status, out =
+    Test_tune.run_legoc ~env:[ ("LEGO_JOBS", "-1") ]
+      [ "GroupBy([4,4])"; "--check" ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "LEGO_JOBS=-1 --check exits 0:\n%s" out)
+    true
+    (status = Unix.WEXITED 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "LEGO_JOBS=-1 --check verifies:\n%s" out)
+    true
+    (Test_tune.contains out "bijection: verified")
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"pp then parse is identity" ~count:200 gen_layout
@@ -278,7 +299,7 @@ let suite =
         test_cli_refuses_huge_check;
       Alcotest.test_case "CLI checks --apply and --inv" `Quick
         test_cli_checks_apply_and_inv;
-      Alcotest.test_case "CLI --check rejects a negative --jobs" `Quick
-        test_cli_check_rejects_negative_jobs;
+      Alcotest.test_case "CLI --check takes no --jobs" `Quick
+        test_cli_check_takes_no_jobs;
     ]
     @ [ QCheck_alcotest.to_alcotest ~long:false prop_roundtrip ] )

@@ -9,9 +9,9 @@ let check_ints = Alcotest.(check (list int))
 
 (* Regression: [Check.layout] of a legal count too large to enumerate
    raised [Invalid_argument("Array.make")] at [max_int], and at 2⁴⁰
-   would have tried to allocate 8 TB.  Every exhaustive function now
-   refuses such a count, naming it, before allocating anything: each
-   refusal allocates under 64 KB. *)
+   would have tried to allocate 8 TB.  Both checks now refuse such a
+   count, naming it, before allocating anything: each refusal allocates
+   under 64 KB. *)
 let test_check_refuses_huge_counts () =
   Alcotest.(check int) "the limit" (1 lsl 32) Check.max_elements;
   List.iter
@@ -36,10 +36,7 @@ let test_check_refuses_huge_counts () =
             true (allocated < 65536.))
         [
           ("layout", fun () -> ignore (Check.layout g));
-          ("layout", fun () -> ignore (Check.layout ~jobs:2 g));
           ("piece", fun () -> ignore (Check.piece p));
-          ("table", fun () -> ignore (Check.table g));
-          ("physical_to_logical", fun () -> ignore (Check.physical_to_logical g));
         ])
     [ max_int; 1 lsl 40 ]
 
@@ -445,12 +442,12 @@ let prop_tile_by_is_strip_mining =
            (fun i -> List.init k (fun j -> (i, j)))
            (List.init m Fun.id)))
 
-(* --- Parallel bijectivity checking ------------------------------------- *)
+(* --- Bijectivity checking ---------------------------------------------- *)
 
-(* A 80x80 GenP (6400 elements, past the parallel threshold) whose flat
-   map is parameterized by a tweak expressed in pure domain arithmetic,
-   so each broken variant exercises one error kind of the checker.  The
-   tweaks live in a record so they stay polymorphic across domains. *)
+(* An 80x80 GenP (6400 elements) whose flat map is parameterized by a
+   tweak expressed in pure domain arithmetic, so each broken variant
+   exercises one error kind of the checker.  The tweaks live in a record
+   so they stay polymorphic across domains. *)
 type tweak = { tw : 'a. (module Domain.S with type t = 'a) -> 'a -> 'a }
 
 let big_piece ~name ~tweak_apply ~tweak_inv =
@@ -474,7 +471,7 @@ let big_piece ~name ~tweak_apply ~tweak_inv =
 
 let id_tweak = { tw = (fun (type a) (module _ : Domain.S with type t = a) x -> x) }
 
-let test_parallel_check_matches_sequential () =
+let test_check_reports_first_violation () =
   let cases =
     [
       (* Clean: a rotation by 13 is a bijection. *)
@@ -504,23 +501,17 @@ let test_parallel_check_matches_sequential () =
                 D.select (D.eq p (D.const 4500)) (D.const 4501) p) };
     ]
   in
-  (* 2⁶⁰ and 2⁶¹ are regressions: the range count was [jobs * 4], which
-     wraps there, and [--check -j 2⁶¹] raised [Division_by_zero]. *)
-  List.iter
-    (fun p ->
-      let seq = Check.piece ~jobs:1 p in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (result unit string))
-            (Format.asprintf "verdict identical for %a at -j %d" Piece.pp p
-               jobs)
-            seq (Check.piece ~jobs p))
-        [ 4; 1 lsl 60; 1 lsl 61 ])
-    cases;
-  (* Non-vacuity: the broken variants really do fail. *)
-  match List.map (Check.piece ~jobs:4) cases with
-  | [ Ok (); Error _; Error _; Error _ ] -> ()
-  | _ -> Alcotest.fail "expected one clean and three failing pieces"
+  (* The scan stops at the first violation, and at one index checks
+     bounds, then a repeated offset, then the roundtrip. *)
+  Alcotest.(check (list (result unit string)))
+    "first violation of each piece"
+    [
+      Ok ();
+      Error "GenP(dup[80, 80]): physical offset 4999 hit twice (at logical 5000)";
+      Error "GenP(oob[80, 80]): logical 6000 maps to 7000, outside 0..6399";
+      Error "GenP(badinv[80, 80]): inv (apply 4500) = 4501, expected identity";
+    ]
+    (List.map Check.piece cases)
 
 let props = [ prop_layout_bijective; prop_inv_apply_id; prop_tile_by_is_strip_mining ]
 
@@ -554,8 +545,8 @@ let suite =
       Alcotest.test_case "gallery lookup" `Quick test_gallery_lookup;
       Alcotest.test_case "size mismatch rejected" `Quick
         test_size_mismatch_rejected;
-      Alcotest.test_case "parallel check matches sequential" `Quick
-        test_parallel_check_matches_sequential;
+      Alcotest.test_case "check reports the first violation" `Quick
+        test_check_reports_first_violation;
       Alcotest.test_case "element count overflow rejected" `Quick
         test_element_count_overflow;
       Alcotest.test_case "exhaustive checks refuse huge counts" `Quick

@@ -2,9 +2,10 @@
    frame framing, store durability (QCheck2 round-trip plus truncation /
    corruption recovery), the (slot, device) cache-identity regression,
    the warm-path contract (zero tuner invocations, >= 10x latency),
-   batch byte-identity at any -j and pinned reply digests, and a
-   spawned daemon that
-   outlives a client hanging up early and a tune request with [top] 0. *)
+   batch byte-identity at any -j and pinned reply digests, a spawned
+   daemon that outlives a client hanging up early and a tune request
+   with [top] 0, and daemons started where a file or a live daemon's
+   socket already is. *)
 
 module Sv = Lego_serve
 module T = Lego_tune
@@ -823,6 +824,55 @@ let test_fingerprint_key_matches_server () =
 let legoc_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/legoc.exe"
 
+(* Starts [legoc serve --socket SOCKET --no-db -j 1] with its stdout and
+   stderr in the file [out]. *)
+let spawn_daemon ~socket ~out =
+  let fd =
+    Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let pid =
+    Unix.create_process legoc_exe
+      [| legoc_exe; "serve"; "--socket"; socket; "--no-db"; "-j"; "1" |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  pid
+
+(* [pid]'s exit status, or [None] if it was still running after
+   [seconds] and had to be killed: a daemon that should have refused
+   to start must fail its test, not hang it. *)
+let wait_for ~seconds pid =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      go ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, status -> Some status
+  in
+  go ()
+
+(* One request to the daemon at [socket] on a fresh connection: [Ok]
+   when it answers ok:true.  [retries] as {!Sv.Client.connect}'s. *)
+let request ?retries ~socket req =
+  match Sv.Client.connect ?retries ~socket () with
+  | Error e -> Error e
+  | Ok c -> (
+    let r =
+      try Sv.Client.batch c [ req ]
+      with Unix.Unix_error (e, fn, _) ->
+        Error (fn ^ ": " ^ Unix.error_message e)
+    in
+    Sv.Client.close c;
+    match r with
+    | Ok [ r ] when Sv.Json.mem_bool "ok" r = Some true -> Ok ()
+    | Ok _ -> Error "malformed reply"
+    | Error e -> Error e)
+
 (* Regression: a client that sends a batch and hangs up before reading
    the reply killed [legoc serve] with SIGPIPE, and so did a tune
    request with [top] 0 (an uncaught [Invalid_argument]).  The daemon
@@ -831,24 +881,8 @@ let legoc_exe =
 let test_daemon_survives_early_hangup () =
   let dir = Filename.temp_dir "lego-test-hangup" "" in
   let socket = Filename.concat dir "legoc.sock" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process legoc_exe
-      [| legoc_exe; "serve"; "--socket"; socket; "--no-db"; "-j"; "1" |]
-      Unix.stdin devnull devnull
-  in
-  Unix.close devnull;
-  let stats_ok () =
-    match Sv.Client.connect ~retries:500 ~socket () with
-    | Error e -> Error e
-    | Ok c ->
-      let r = Sv.Client.batch c [ Sv.Protocol.Stats ] in
-      Sv.Client.close c;
-      (match r with
-      | Ok [ r ] when Sv.Json.mem_bool "ok" r = Some true -> Ok ()
-      | Ok _ -> Error "malformed stats reply"
-      | Error e -> Error e)
-  in
+  let pid = spawn_daemon ~socket ~out:"/dev/null" in
+  let stats_ok () = request ~retries:500 ~socket Sv.Protocol.Stats in
   let finish () =
     (match Sv.Client.connect ~socket () with
     | Ok c ->
@@ -926,13 +960,7 @@ let test_daemon_survives_early_hangup () =
 let test_daemon_answers_oversized_reply () =
   let dir = Filename.temp_dir "lego-test-oversized" "" in
   let socket = Filename.concat dir "legoc.sock" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process legoc_exe
-      [| legoc_exe; "serve"; "--socket"; socket; "--no-db"; "-j"; "1" |]
-      Unix.stdin devnull devnull
-  in
-  Unix.close devnull;
+  let pid = spawn_daemon ~socket ~out:"/dev/null" in
   let layout =
     "OrderBy2(GenP(swizzle[2, 2]), GenP(antidiag[8, 8])).OrderBy2(GenP(hilbert[16, \
      16])).OrderBy2(GenP(hilbert[16, 16])).GroupBy1([256])"
@@ -1055,6 +1083,91 @@ let test_cli_serve_rejects_unusable_paths () =
         Printf.sprintf "error: db %s: Is a directory" (sub "dir") );
     ]
 
+(* ---- what is already at --socket ------------------------------------- *)
+
+(* Runs [f] on a function naming files in a fresh directory, with
+   SIGPIPE ignored (a daemon that dies mid-connection must fail the
+   test, not kill it); the directory and its files go afterwards. *)
+let with_dir name f =
+  let dir = Filename.temp_dir name "" in
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f (Filename.concat dir))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let check_refused ~socket ~out status =
+  Alcotest.(check bool) "the daemon exits 1" true
+    (status = Some (Unix.WEXITED 1));
+  Alcotest.(check string) "its output"
+    (Printf.sprintf "error: bind %s: Address already in use\n" socket)
+    (read_file out)
+
+(* Regression: the daemon unlinked whatever was at [--socket] before it
+   bound, so a regular file there was replaced by the socket and gone
+   after shutdown. *)
+let test_cli_serve_keeps_a_file_at_socket () =
+  with_dir "lego-test-file-socket" @@ fun path ->
+  let notes = path "notes.txt" in
+  Out_channel.with_open_bin notes (fun oc ->
+      output_string oc "notes kept here\n");
+  let status =
+    wait_for ~seconds:10. (spawn_daemon ~socket:notes ~out:(path "out"))
+  in
+  check_refused ~socket:notes ~out:(path "out") status;
+  Alcotest.(check string) "the file's bytes" "notes kept here\n"
+    (read_file notes)
+
+(* Regression: a second daemon on a live daemon's socket unlinked it,
+   bound its own, and took the next client's shutdown, leaving the
+   first daemon running with no socket to reach it. *)
+let test_cli_serve_leaves_a_live_socket () =
+  with_dir "lego-test-live-socket" @@ fun path ->
+  let socket = path "live.sock" in
+  let first = spawn_daemon ~socket ~out:(path "first") in
+  let up = request ~retries:500 ~socket Sv.Protocol.Stats in
+  let second =
+    if up = Ok () then
+      Some (wait_for ~seconds:10. (spawn_daemon ~socket ~out:(path "second")))
+    else None
+  in
+  let stats = request ~socket Sv.Protocol.Stats in
+  let shutdown = request ~socket Sv.Protocol.Shutdown in
+  let status = wait_for ~seconds:10. first in
+  Alcotest.(check (result unit string)) "the first daemon is up" (Ok ()) up;
+  Option.iter (check_refused ~socket ~out:(path "second")) second;
+  Alcotest.(check (result unit string)) "the first daemon answers --stats"
+    (Ok ()) stats;
+  Alcotest.(check (result unit string)) "the first daemon takes --shutdown"
+    (Ok ()) shutdown;
+  Alcotest.(check bool) "the first daemon exits 0" true
+    (status = Some (Unix.WEXITED 0))
+
+(* A killed daemon leaves its socket file behind; the next daemon on
+   that path must still start. *)
+let test_cli_serve_reuses_a_stale_socket () =
+  with_dir "lego-test-stale-socket" @@ fun path ->
+  let socket = path "stale.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.close fd;
+  let pid = spawn_daemon ~socket ~out:(path "out") in
+  let stats = request ~retries:500 ~socket Sv.Protocol.Stats in
+  let shutdown = request ~socket Sv.Protocol.Shutdown in
+  let status = wait_for ~seconds:10. pid in
+  Alcotest.(check (result unit string)) "the daemon answers --stats" (Ok ())
+    stats;
+  Alcotest.(check (result unit string)) "the daemon takes --shutdown" (Ok ())
+    shutdown;
+  Alcotest.(check bool) "the daemon exits 0" true
+    (status = Some (Unix.WEXITED 0))
+
 let suite =
   ( "serve",
     [
@@ -1106,4 +1219,10 @@ let suite =
         test_cli_rejects_negative_jobs;
       Alcotest.test_case "CLI serve rejects unusable --db/--socket" `Quick
         test_cli_serve_rejects_unusable_paths;
+      Alcotest.test_case "CLI serve keeps a file at --socket" `Quick
+        test_cli_serve_keeps_a_file_at_socket;
+      Alcotest.test_case "CLI serve leaves a live daemon's socket" `Quick
+        test_cli_serve_leaves_a_live_socket;
+      Alcotest.test_case "CLI serve reuses a stale socket" `Quick
+        test_cli_serve_reuses_a_stale_socket;
     ] )

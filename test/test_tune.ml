@@ -2037,8 +2037,8 @@ let test_cli_rejects_non_positive_top_and_budget () =
 
 (* Regression: a negative [--jobs] or [LEGO_JOBS] reached a [failwith]
    that nothing caught, so every mode exited 125 with "internal error".
-   Each mode now rejects it before doing anything, as its other option
-   errors: a message and exit 2. *)
+   Each mode that takes [--jobs] now rejects it before doing anything,
+   as its other option errors: a message and exit 2. *)
 let check_negative_jobs_rejected args =
   List.iter
     (fun (env, args) ->
