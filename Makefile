@@ -1,16 +1,26 @@
 # Tier-1 gate: the repo must build and its test suite must pass.
-.PHONY: check build test conform conform-serial f2-conform algebra-conform \
-	tune-smoke tune-scale serve-smoke bench bench-json bench-check \
-	perfbench-check size clean
+.PHONY: check build test examples conform conform-serial f2-conform \
+	algebra-conform tune-smoke tune-scale serve-smoke bench bench-json \
+	bench-check perfbench-check size clean
 
-check: build test conform f2-conform algebra-conform tune-smoke tune-scale \
-	serve-smoke bench-check perfbench-check
+check: build test examples conform f2-conform algebra-conform tune-smoke \
+	tune-scale serve-smoke bench-check perfbench-check
 
 build:
 	dune build
 
 test:
 	dune runtest
+
+# The five examples must run to the end: each exits non-zero on a
+# failure (nw_layout when its DP scores differ from the sequential
+# reference).  Their output is discarded; errors reach the terminal.
+examples:
+	dune exec examples/quickstart.exe > /dev/null
+	dune exec examples/matmul_codegen.exe > /dev/null
+	dune exec examples/nw_layout.exe > /dev/null
+	dune exec examples/mlir_transpose.exe > /dev/null
+	dune exec examples/layout_explorer.exe > /dev/null
 
 # Differential conformance: interpreter vs symbolic vs C vs MLIR over the
 # gallery corpus plus seeded random layouts.  Bounded by a wall-clock

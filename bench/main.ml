@@ -192,7 +192,7 @@ let fig12c () =
   let sizes = [ 128; 256; 512; 1024; 2048 ] in
   let results =
     pmap sizes (fun size ->
-        let cfg = Group_gemm.default_config ~gemms:8 size in
+        let cfg = Group_gemm.default_config size in
         (Group_gemm.run_individual cfg, Group_gemm.run_grouped cfg))
   in
   List.iter2

@@ -78,7 +78,7 @@ let with_jobs jobs k =
     Printf.eprintf "error: --jobs must be >= 0\n";
     2
   end
-  else k (if jobs = 0 then Lego_exec.Exec.default_jobs () else jobs)
+  else k (if jobs = 0 then Domain.recommended_domain_count () else jobs)
 
 (* The --apply index, checked against the layout's shape: one integer
    per logical dimension, each within its extent. *)

@@ -56,4 +56,6 @@ let () =
   (* The layout change preserves the computed alignment scores. *)
   match Nw.check_numerics Nw.AntiDiagonal (Nw.default_config 64) with
   | Ok () -> print_endline "\nDP scores identical to the sequential reference"
-  | Error e -> print_endline e
+  | Error e ->
+    prerr_endline e;
+    exit 1

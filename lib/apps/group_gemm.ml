@@ -2,16 +2,15 @@ module L = Lego_layout
 
 type config = { gemms : int; base : Matmul.config }
 
-let default_config ?(gemms = 8) size =
-  { gemms; base = Matmul.default_config size }
+let default_config size = { gemms = 8; base = Matmul.default_config size }
 
 let pid_layout cfg =
   let npm = cfg.base.Matmul.m / cfg.base.Matmul.bm in
   let npn = cfg.base.Matmul.n / cfg.base.Matmul.bn in
   L.Sugar.tiled_view ~group:[ [ cfg.gemms; npm; npn ] ] ()
 
-let run_individual ?device cfg =
-  let one = Matmul.run_lego ?device cfg.base Matmul.NN in
+let run_individual cfg =
+  let one = Matmul.run_lego cfg.base Matmul.NN in
   let time_s = float_of_int cfg.gemms *. one.Matmul.time_s in
   let useful =
     2.0
@@ -25,14 +24,14 @@ let run_individual ?device cfg =
     reports = one.Matmul.reports;
   }
 
-let run_grouped ?device cfg =
+let run_grouped cfg =
   (* One launch whose grid covers every tile of every member; for
      same-shaped members this is cost-equivalent to a single GEMM with
      [gemms]-times as many M tiles (the pid mapping is {!pid_layout}),
      which is how we simulate it. *)
   let base = cfg.base in
   let stacked = { base with Matmul.m = base.Matmul.m * cfg.gemms } in
-  let r = Matmul.run_lego ?device stacked Matmul.NN in
+  let r = Matmul.run_lego stacked Matmul.NN in
   let useful =
     2.0
     *. float_of_int (cfg.gemms * base.Matmul.m)

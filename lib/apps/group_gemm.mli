@@ -12,17 +12,15 @@ type config = {
   base : Matmul.config;  (** shape shared by the group members *)
 }
 
-val default_config : ?gemms:int -> int -> config
-(** [default_config size] — [gemms] (default 8) square GEMMs. *)
+val default_config : int -> config
+(** [default_config size] — 8 square GEMMs of that size. *)
 
 val pid_layout : config -> Lego_layout.Group_by.t
 (** Logical [(gemm, pid_m, pid_n)] view of the grouped kernel's flat
     program-id space. *)
 
-val run_individual :
-  ?device:Lego_gpusim.Device.t -> config -> Matmul.result
+val run_individual : config -> Matmul.result
 (** One launch per GEMM; times add. *)
 
-val run_grouped :
-  ?device:Lego_gpusim.Device.t -> config -> Matmul.result
+val run_grouped : config -> Matmul.result
 (** Single launch covering the whole group. *)

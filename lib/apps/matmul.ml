@@ -22,7 +22,6 @@ type config = {
   bk : int;
   gm : int;
   dtype : Mem.dtype;
-  tensor : bool;
   compute_values : bool;
 }
 
@@ -36,7 +35,6 @@ let default_config ?(dtype = Mem.F16) size =
     bk = 32;
     gm = 8;
     dtype;
-    tensor = true;
     compute_values = false;
   }
 
@@ -206,7 +204,7 @@ let kernel ~cfg ~ls ~majors:(a_major, b_major) ~alu_a ~alu_b ~alu_c ~k_tiles
         (Simt.sload
            (cfg.bm * cfg.bk + (((ctx.tx * fn) + f) mod (cfg.bk * cfg.bn))))
     done;
-    Simt.flops ~tensor:cfg.tensor cfg.dtype (2 * fm * fn * cfg.bk);
+    Simt.flops ~tensor:true cfg.dtype (2 * fm * fn * cfg.bk);
     if cfg.compute_values then
       for fi = 0 to fm - 1 do
         let row = (ctx.ty * fm) + fi in
@@ -240,8 +238,8 @@ let majors_of = function
 
 let arena_cap = 1 lsl 22
 
-let run_generic ?(device = Device.a100) ?sample_blocks ~alu ~cfg ~variant
-    ?(wraps = (Fun.id, Fun.id, Fun.id)) ~a_buf ~b_buf ~c_buf () =
+let run_generic ~alu ~cfg ~variant ?(wraps = (Fun.id, Fun.id, Fun.id)) ~a_buf
+    ~b_buf ~c_buf () =
   let ls = layouts cfg variant in
   let alu_a, alu_b, alu_c = alu in
   let full_k_tiles = cfg.k / cfg.bk in
@@ -250,13 +248,13 @@ let run_generic ?(device = Device.a100) ?sample_blocks ~alu ~cfg ~variant
     if cfg.compute_values then full_k_tiles else min full_k_tiles 8
   in
   let grid = ((cfg.m / cfg.bm) * (cfg.n / cfg.bn), 1) in
-  let sample_blocks = if cfg.compute_values then None else sample_blocks in
+  let sample_blocks = if cfg.compute_values then None else Some 2 in
   let sa = Array.make (cfg.bm * cfg.bk) 0.0
   and sb = Array.make (cfg.bk * cfg.bn) 0.0 in
   let smem_words = (cfg.bm * cfg.bk) + (cfg.bk * cfg.bn) in
   let wrap_a, wrap_b, wrap_c = wraps in
   let report =
-    Simt.run ~device ?sample_blocks ~grid ~block:(16, 16) ~smem_words
+    Simt.run ?sample_blocks ~grid ~block:(16, 16) ~smem_words
       (kernel ~cfg ~ls ~majors:(majors_of variant) ~alu_a ~alu_b ~alu_c
          ~k_tiles ~a_buf ~b_buf ~c_buf ~wrap_a ~wrap_b ~wrap_c ~sa ~sb)
   in
@@ -274,10 +272,10 @@ let dummy_buffers cfg =
   let c, wc = Mem.create_arena ~label:"C" cfg.dtype (cfg.m * cfg.n) ~cap:arena_cap in
   ((a, b, c), (wa, wb, wc))
 
-let run_lego ?device ?(sample_blocks = 2) cfg variant =
+let run_lego cfg variant =
   let (a_buf, b_buf, c_buf), wraps = dummy_buffers cfg in
-  run_generic ?device ~sample_blocks ~alu:(addr_costs cfg variant) ~cfg
-    ~variant ~wraps ~a_buf ~b_buf ~c_buf ()
+  run_generic ~alu:(addr_costs cfg variant) ~cfg ~variant ~wraps ~a_buf ~b_buf
+    ~c_buf ()
 
 (* The hand-written reference of figure 1 strength-reduces its pointers
    (a_ptrs += BK * stride per iteration), so its per-address arithmetic is
@@ -290,14 +288,14 @@ let triton_addr_cost variant =
   | TN -> (5, 3, 4)
   | TT -> (4, 4, 4)
 
-let run_triton_ref ?device ?(sample_blocks = 2) cfg variant =
+let run_triton_ref cfg variant =
   let (a_buf, b_buf, c_buf), wraps = dummy_buffers cfg in
-  run_generic ?device ~sample_blocks ~alu:(triton_addr_cost variant) ~cfg
-    ~variant ~wraps ~a_buf ~b_buf ~c_buf ()
+  run_generic ~alu:(triton_addr_cost variant) ~cfg ~variant ~wraps ~a_buf
+    ~b_buf ~c_buf ()
 
 let cublas_palette = [ (64, 64, 32); (128, 128, 32); (256, 128, 32) ]
 
-let run_cublas ?device ?(sample_blocks = 2) cfg variant =
+let run_cublas cfg variant =
   (* Library heuristics: try a small palette of tile shapes, keep the
      fastest legal one. *)
   let candidates =
@@ -314,8 +312,8 @@ let run_cublas ?device ?(sample_blocks = 2) cfg variant =
     List.map
       (fun cfg' ->
         let (a_buf, b_buf, c_buf), wraps = dummy_buffers cfg' in
-        run_generic ?device ~sample_blocks ~alu:(3, 3, 3) ~cfg:cfg' ~variant
-          ~wraps ~a_buf ~b_buf ~c_buf ())
+        run_generic ~alu:(3, 3, 3) ~cfg:cfg' ~variant ~wraps ~a_buf ~b_buf
+          ~c_buf ())
       candidates
   in
   List.fold_left

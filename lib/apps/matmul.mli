@@ -5,7 +5,10 @@
     program-id ordering) and the data layouts of A, B and C are LEGO
     layouts supplied separately, so the four transpose variants of
     figures 12a/12b differ {e only} in the [Row]/[Col] pieces handed to
-    the template — the paper's headline usability claim. *)
+    the template — the paper's headline usability claim.
+
+    Runs simulate an A100 at tensor-core rates, over 2 sampled blocks
+    unless [compute_values] is set. *)
 
 type variant = NN | NT | TN | TT
 (** Whether A and B are row-major (N) or column-major (T): [NT] computes
@@ -23,14 +26,14 @@ type config = {
   bk : int;
   gm : int;  (** program-id group size (Triton's GROUP_SIZE_M) *)
   dtype : Lego_gpusim.Mem.dtype;
-  tensor : bool;  (** use tensor-core rates *)
   compute_values : bool;
       (** run the real arithmetic (numerics checks; keep sizes small) *)
 }
 
 val default_config : ?dtype:Lego_gpusim.Mem.dtype -> int -> config
 (** Square problem of the given size with the paper's tile setup
-    (128x128x32 tiles, GM=8, tensor cores, values off). *)
+    (128x128x32 tiles, GM=8, values off), in F16 unless [dtype] says
+    otherwise. *)
 
 type layouts = {
   cl : Lego_layout.Group_by.t;  (** program-id (computation) layout *)
@@ -64,29 +67,14 @@ type result = {
   reports : Lego_gpusim.Simt.report list;
 }
 
-val run_lego :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  config ->
-  variant ->
-  result
+val run_lego : config -> variant -> result
 (** The LEGO-generated kernel. *)
 
-val run_triton_ref :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  config ->
-  variant ->
-  result
+val run_triton_ref : config -> variant -> result
 (** The hand-written Triton reference (figure 1): same tiling, pointer
     arithmetic modeled after the reference kernel's incremental updates. *)
 
-val run_cublas :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  config ->
-  variant ->
-  result
+val run_cublas : config -> variant -> result
 (** Library baseline: autotunes the tile configuration per problem size
     from a small palette, as cuBLAS heuristics do. *)
 

@@ -4,12 +4,10 @@ open G
 
 type layout_kind = RowMajor | AntiDiagonal
 
-type config = {
-  length : int;
-  b : int;
-  penalty : int;
-  compute_values : bool;
-}
+type config = { length : int; b : int; compute_values : bool }
+
+(* Rodinia's gap penalty. *)
+let penalty = 10
 
 let check cfg =
   let fail fmt = Printf.ksprintf invalid_arg ("Nw: " ^^ fmt) in
@@ -18,8 +16,8 @@ let check cfg =
   if cfg.length mod cfg.b <> 0 then
     fail "length (%d) must be a multiple of b (%d)" cfg.length cfg.b
 
-let default_config ?(b = 16) ?(penalty = 10) length =
-  let cfg = { length; b; penalty; compute_values = false } in
+let default_config length =
+  let cfg = { length; b = 16; compute_values = false } in
   check cfg;
   cfg
 
@@ -44,14 +42,14 @@ let cpu_reference cfg =
   let n = cfg.length + 1 in
   let f = Array.make (n * n) 0 in
   for i = 0 to cfg.length do
-    f.(i * n) <- -i * cfg.penalty;
-    f.(i) <- -i * cfg.penalty
+    f.(i * n) <- -i * penalty;
+    f.(i) <- -i * penalty
   done;
   for i = 1 to cfg.length do
     for j = 1 to cfg.length do
       let diag = f.(((i - 1) * n) + (j - 1)) + reference_entry i j in
-      let up = f.(((i - 1) * n) + j) - cfg.penalty in
-      let left = f.((i * n) + (j - 1)) - cfg.penalty in
+      let up = f.(((i - 1) * n) + j) - penalty in
+      let left = f.((i * n) + (j - 1)) - penalty in
       f.((i * n) + j) <- max diag (max up left)
     done
   done;
@@ -95,8 +93,8 @@ let tile_kernel cfg ~sbuff ~addr_cost scores ~wrap ~d ~ti_lo (ctx : Simt.ctx)
       let v =
         Float.max
           (diag +. r)
-          (Float.max (up -. float_of_int cfg.penalty)
-             (left -. float_of_int cfg.penalty))
+          (Float.max (up -. float_of_int penalty)
+             (left -. float_of_int penalty))
       in
       Simt.sstore (sbuff i j) v
     end;
@@ -111,7 +109,7 @@ let tile_kernel cfg ~sbuff ~addr_cost scores ~wrap ~d ~ti_lo (ctx : Simt.ctx)
     Simt.gstore scores (wrap (((base_i + i) * n) + base_j + j)) v
   done
 
-let run ?(device = Device.a100) kind cfg =
+let run kind cfg =
   check cfg;
   (* [sbuff] maps logical [(i, j)] of the [(b+1) x (b+1)] score buffer
      to a shared-memory word; [addr_cost] is the per-access ALU charge of
@@ -123,8 +121,8 @@ let run ?(device = Device.a100) kind cfg =
   let cap = if cfg.compute_values then n * n else 1 lsl 22 in
   let scores, wrap = Mem.create_arena ~label:"scores" Mem.I32 (n * n) ~cap in
   for i = 0 to cfg.length do
-    Mem.set scores (wrap (i * n)) (float_of_int (-i * cfg.penalty));
-    Mem.set scores (wrap i) (float_of_int (-i * cfg.penalty))
+    Mem.set scores (wrap (i * n)) (float_of_int (-i * penalty));
+    Mem.set scores (wrap i) (float_of_int (-i * penalty))
   done;
   let smem_words = ((cfg.b + 1) * (cfg.b + 1)) + (cfg.b * cfg.b) in
   let reports = ref [] in
@@ -133,8 +131,7 @@ let run ?(device = Device.a100) kind cfg =
     let blocks = ti_hi - ti_lo + 1 in
     let sample_blocks = if cfg.compute_values then None else Some 2 in
     let r =
-      Simt.run ~device ?sample_blocks ~grid:(blocks, 1) ~block:(cfg.b, 1)
-        ~smem_words
+      Simt.run ?sample_blocks ~grid:(blocks, 1) ~block:(cfg.b, 1) ~smem_words
         (tile_kernel cfg ~sbuff ~addr_cost scores ~wrap ~d ~ti_lo)
     in
     reports := r :: !reports

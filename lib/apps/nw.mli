@@ -8,20 +8,20 @@
     indexing LEGO generates), making wavefront accesses unit-stride and
     gaining 1.4-2.1x.  [run] reproduces both variants on the simulator;
     the kernels also compute the real DP scores so small instances can be
-    validated against {!cpu_reference}. *)
+    validated against a sequential reference ({!check_numerics}). *)
 
 type layout_kind = RowMajor | AntiDiagonal
 
 type config = {
   length : int;  (** sequence length; a positive multiple of [b] *)
   b : int;  (** CUDA block edge (Rodinia uses 16) *)
-  penalty : int;
   compute_values : bool;
 }
 
-val default_config : ?b:int -> ?penalty:int -> int -> config
-(** Raises [Invalid_argument] naming the field unless [b] and [length]
-    are positive and [b] divides [length]. *)
+val default_config : int -> config
+(** [default_config length]: b = 16 with gap penalty 10, as in Rodinia,
+    values off.  Raises [Invalid_argument] naming the field unless
+    [length] is a positive multiple of 16. *)
 
 type result = {
   time_s : float;
@@ -37,15 +37,13 @@ val buff_index : layout_kind -> b:int -> int -> int -> int
     is built once, when [kind] and [b] are applied; apply those once
     and reuse the closure. *)
 
-val run :
-  ?device:Lego_gpusim.Device.t -> layout_kind -> config -> result
-(** The score buffer is indexed through {!buff_index}, charged 2 ALU ops
-    per access row-major and 8 anti-diagonal.  The autotuner's NW slot
-    ([Lego_tune.Slot]) searches arbitrary buffer layouts with its own
-    warp program of this kernel.  Raises [Invalid_argument] naming the
-    field, as {!default_config} does. *)
-
-val cpu_reference : config -> int array
-(** Sequential DP over the same random inputs. *)
+val run : layout_kind -> config -> result
+(** Simulated on an A100, 2 sampled blocks per launch unless
+    [compute_values] is set.  The score buffer is indexed through
+    {!buff_index}, charged 2 ALU ops per access row-major and 8
+    anti-diagonal.  The autotuner's NW slot ([Lego_tune.Slot]) searches
+    arbitrary buffer layouts with its own warp program of this kernel.
+    Raises [Invalid_argument] naming the field, as {!default_config}
+    does. *)
 
 val check_numerics : layout_kind -> config -> (unit, string) Stdlib.result

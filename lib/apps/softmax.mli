@@ -5,7 +5,8 @@
     eager baseline executes one kernel per algebraic step, re-reading the
     operand from global memory each time; at large row lengths both
     fused versions beat it by the traffic ratio, which is the effect the
-    paper's figure shows. *)
+    paper's figure shows.  Launches simulate 4 sampled blocks on an A100;
+    the fused kernel runs every block under [compute_values]. *)
 
 type config = {
   rows : int;
@@ -14,7 +15,7 @@ type config = {
   compute_values : bool;
 }
 
-val default_config : ?rows:int -> int -> config
+val default_config : int -> config
 (** [default_config cols] with 4096 rows, FP32, values off. *)
 
 type result = {
@@ -23,24 +24,11 @@ type result = {
   reports : Lego_gpusim.Simt.report list;
 }
 
-val row_layout : config -> Lego_layout.Group_by.t
-(** Row-major [rows x cols] LEGO view used for the offsets. *)
-
-val run_fused :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  ?input:Lego_gpusim.Mem.buffer ->
-  ?output:Lego_gpusim.Mem.buffer ->
-  config ->
-  result
+val run_fused : config -> result
 (** The LEGO-generated (and, identically, Triton reference) fused kernel:
-    one block per row. *)
+    one block per row, offsets from a row-major [rows x cols] LEGO view. *)
 
-val run_eager :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  config ->
-  result
+val run_eager : config -> result
 (** PyTorch eager baseline: max, subtract+exp, sum, divide as four
     separate kernel launches. *)
 

@@ -6,8 +6,8 @@ type smem_layout = Unpadded | Padded | Swizzled
 
 type config = { m : int; n : int; tile : int; compute_values : bool }
 
-let default_config ?(tile = 32) size =
-  { m = size; n = size; tile; compute_values = false }
+let default_config size =
+  { m = size; n = size; tile = 32; compute_values = false }
 
 type result = {
   time_s : float;
@@ -70,10 +70,9 @@ let buffers cfg =
     done;
   (inp, wi, out, wo)
 
-let blocks cfg sample_blocks =
-  if cfg.compute_values then None else Some sample_blocks
+let sample_blocks cfg = if cfg.compute_values then None else Some 4
 
-let run_naive ?(device = Device.a100) ?(sample_blocks = 4) cfg =
+let run_naive ?device cfg =
   check cfg;
   let inp, wi, out, wo = buffers cfg in
   let li = in_layout cfg and lo = out_layout cfg in
@@ -91,8 +90,7 @@ let run_naive ?(device = Device.a100) ?(sample_blocks = 4) cfg =
     done
   in
   let report =
-    Simt.run ~device
-      ?sample_blocks:(blocks cfg sample_blocks)
+    Simt.run ?device ?sample_blocks:(sample_blocks cfg)
       ~grid:(cfg.n / t, cfg.m / t)
       ~block:(t, 256 / t) ~smem_words:0 kern
   in
@@ -110,8 +108,7 @@ let smem_view cfg layout =
     ((fun i j -> L.Piece.apply_ints piece [ i; j ]), t * t)
 
 (* The shared-tile kernel, with the buffers it moved. *)
-let shared ?(device = Device.a100) ?(sample_blocks = 4)
-    ?(smem_layout = Swizzled) cfg =
+let shared ?(smem_layout = Swizzled) cfg =
   check cfg;
   let inp, wi, out, wo = buffers cfg in
   let li = in_layout cfg and lo = out_layout cfg in
@@ -141,15 +138,14 @@ let shared ?(device = Device.a100) ?(sample_blocks = 4)
     done
   in
   let report =
-    Simt.run ~device
-      ?sample_blocks:(blocks cfg sample_blocks)
+    Simt.run ?sample_blocks:(sample_blocks cfg)
       ~grid:(cfg.n / t, cfg.m / t)
       ~block:(t, rows_per_iter) ~smem_words:swords kern
   in
   (finish cfg [ report ], inp, out)
 
-let run_shared ?device ?sample_blocks ?smem_layout cfg =
-  let r, _, _ = shared ?device ?sample_blocks ?smem_layout cfg in
+let run_shared ?smem_layout cfg =
+  let r, _, _ = shared ?smem_layout cfg in
   r
 
 let check_numerics ?smem_layout cfg =

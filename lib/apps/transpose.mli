@@ -16,14 +16,16 @@ type smem_layout = Unpadded | Padded | Swizzled
 type config = {
   m : int;
   n : int;
-  tile : int;  (** square tile edge, default 32: one of 16, 32, 64, 128, 256 *)
+  tile : int;  (** square tile edge: one of 16, 32, 64, 128, 256 *)
   compute_values : bool;
       (** full-size buffers and every block simulated, for
-          {!check_numerics}; otherwise a few sampled blocks over folded
+          {!check_numerics}; otherwise 4 sampled blocks over folded
           buffers *)
 }
 
-val default_config : ?tile:int -> int -> config
+val default_config : int -> config
+(** [default_config size]: a [size x size] transpose in 32-wide tiles,
+    values off. *)
 
 type result = {
   time_s : float;
@@ -31,20 +33,16 @@ type result = {
   reports : Lego_gpusim.Simt.report list;
 }
 
-val run_naive :
-  ?device:Lego_gpusim.Device.t -> ?sample_blocks:int -> config -> result
-(** Direct [out[j][i] = in[i][j]]: reads coalesce, writes do not.
+val run_naive : ?device:Lego_gpusim.Device.t -> config -> result
+(** Direct [out[j][i] = in[i][j]] on [device] (default A100): reads
+    coalesce, writes do not.
     Raises [Invalid_argument] naming the field when [m] or [n] is not
     positive, or [tile] is not one of 16, 32, 64, 128, 256 dividing
     both (as do {!run_shared} and {!check_numerics}). *)
 
-val run_shared :
-  ?device:Lego_gpusim.Device.t ->
-  ?sample_blocks:int ->
-  ?smem_layout:smem_layout ->
-  config ->
-  result
-(** Tile staged through shared memory; both global accesses coalesce. *)
+val run_shared : ?smem_layout:smem_layout -> config -> result
+(** Tile staged through shared memory (default [Swizzled]); both global
+    accesses coalesce. *)
 
 val check_numerics : ?smem_layout:smem_layout -> config -> (unit, string) Stdlib.result
 (** Run {!run_shared}'s kernel under [compute_values] and compare every

@@ -70,7 +70,7 @@ let render_with_aranges ~slice_info text =
     text
     (List.mapi (fun k b -> (k, b)) slice_info)
 
-let slice_mask ?(env = R.empty_env) ~group ~extents indices =
+let slice_mask ~group ~extents indices =
   let dims = List.concat group in
   if List.length indices <> List.length dims then
     invalid_arg "Triton_printer.slice_mask: index rank mismatch";
@@ -87,7 +87,7 @@ let slice_mask ?(env = R.empty_env) ~group ~extents indices =
   let env =
     List.fold_left
       (fun env (v, extent) -> R.env_add v (R.of_extent extent) env)
-      env slice_info
+      R.empty_env slice_info
   in
   let q = List.length group in
   (* Random access below runs per dimension inside the guard loop;

@@ -27,7 +27,6 @@ val slice_offset :
     tensors in this template are <= 2-D). *)
 
 val slice_mask :
-  ?env:Lego_symbolic.Range.env ->
   group:Lego_layout.Shape.t list ->
   extents:Lego_layout.Shape.t ->
   index list ->
@@ -37,8 +36,9 @@ val slice_mask :
     extents are [extents], produce the boolean tensor expression guarding
     a load/store at the given mixed indexing — one [coord < extent]
     conjunct per dimension whose padded extent exceeds the true one
-    ([None] when no padding, so no mask is needed).  Broadcast suffixes
-    match {!slice_offset} for the same index list. *)
+    ([None] when no padding, so no mask is needed).  Each guard is
+    simplified with only the sliced dimensions' ranges in scope.
+    Broadcast suffixes match {!slice_offset} for the same index list. *)
 
 val arange_var : int -> string
 (** Name of the synthetic variable standing for slice number [k] (exposed

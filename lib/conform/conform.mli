@@ -48,20 +48,10 @@ val check_layout :
     samples, deterministic in [sample_seed].  Raises [Invalid_argument]
     when [max_points < 1]. *)
 
-val gallery_sample_seed : string -> int
-(** The point-sampling seed {!run} uses for the gallery layout of that
-    name — a pure function of the name, so a re-run (with or without the
-    gallery, at any [jobs]) samples identical points. *)
-
 val random_sample_seed : seed:int -> index:int -> int
 (** The point-sampling seed {!run} uses for random layout [index] of
     stream [seed] — a pure function of [(seed, index)], matching what a
     [CONFORM_SEED=seed CONFORM_ITERS=index+1] reproduction samples. *)
-
-val algebra_sample_seed : seed:int -> index:int -> int
-(** The point-sampling seed {!run} uses for algebra term [index] of
-    stream [seed] ({!Lgen.algebra_layout_of_seed}), matching a
-    [CONFORM_SEED=seed CONFORM_ALGEBRA=index+1] reproduction. *)
 
 type failure = {
   origin : string;  (** ["gallery: <name>"] or ["random layout #k"]. *)
@@ -105,7 +95,7 @@ val run :
     [jobs] (default 1) fans layouts out across that many domains of a
     {!Lego_exec.Exec} pool.  Each layout is generated, checked, and
     shrunk entirely within one domain, seeded purely by its identity
-    ({!gallery_sample_seed} / {!random_sample_seed}), and results are
+    (a gallery name, or a stream seed and index), and results are
     merged in submission order — so the report (counts, failures, their
     order, shrunk layouts, repro lines) is bit-identical for any [jobs].
     Only [seconds], and which layouts a too-small [budget_s] cuts, can

@@ -35,8 +35,8 @@
 type pool
 
 val default_jobs : unit -> int
-(** [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]: the worker count
-    [legoc]'s [-j 0] selects, and [bench/main.exe]'s default. *)
+(** [jobs_of_env (Sys.getenv_opt "LEGO_JOBS")]: [bench/main.exe]'s
+    default worker count. *)
 
 val jobs_of_env : string option -> int
 (** The pool size a [LEGO_JOBS] value names: the value when it is a

@@ -92,18 +92,6 @@ let rtx4090 =
     max_warps_per_sm = 48;
   }
 
-let scale d f =
-  {
-    d with
-    dram_bw_gbps = d.dram_bw_gbps *. f;
-    l2_bw_gbps = d.l2_bw_gbps *. f;
-    fp32_tflops = d.fp32_tflops *. f;
-    fp16_tflops = d.fp16_tflops *. f;
-    fp8_tflops = d.fp8_tflops *. f;
-    tensor_fp16_tflops = d.tensor_fp16_tflops *. f;
-    tensor_fp8_tflops = d.tensor_fp8_tflops *. f;
-  }
-
 (* Preset registry: the short names the CLI, the compile service and the
    store keys use.  [t.name] is the human-readable marketing string;
    these keys are stable identifiers (lowercase, no spaces) safe to bake

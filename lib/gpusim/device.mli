@@ -47,10 +47,6 @@ val rtx4090 : t
 (** Ada consumer part: 48 resident warps per SM (vs 64 on A100/H100),
     i.e. a lower block-fill saturation point. *)
 
-val scale : t -> float -> t
-(** [scale d f] multiplies every throughput of [d] by [f] (for
-    what-if/ablation experiments). *)
-
 val presets : (string * t) list
 (** The named device presets (["a100"]; ["h100"]; ["rtx4090"]) under
     stable lowercase keys — the identifiers the CLI's [--device], the
@@ -64,4 +60,4 @@ val resolve : string -> (string * t, string) result
 
 val preset_name : t -> string option
 (** The preset key of a device, when it is one of {!presets} (a
-    [scale]d or hand-built device has none). *)
+    hand-built device has none). *)

@@ -20,8 +20,8 @@ let length b = Array.length b.data
 let get b i = b.data.(i)
 let set b i v = b.data.(i) <- v
 
-let fill_random ?(seed = 42) b =
-  let state = Random.State.make [| seed; b.id |] in
+let fill_random b =
+  let state = Random.State.make [| 7; b.id |] in
   Array.iteri
     (fun i _ -> b.data.(i) <- (Random.State.float state 2.0) -. 1.0)
     b.data

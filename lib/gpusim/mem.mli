@@ -21,8 +21,8 @@ val init : ?label:string -> dtype -> int -> (int -> float) -> buffer
 val length : buffer -> int
 val get : buffer -> int -> float
 val set : buffer -> int -> float -> unit
-val fill_random : ?seed:int -> buffer -> unit
-(** Uniform values in [-1, 1] (deterministic per seed). *)
+val fill_random : buffer -> unit
+(** Uniform values in [-1, 1], a fixed function of the buffer's id. *)
 
 val max_abs_diff : buffer -> float array -> float
 

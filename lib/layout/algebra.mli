@@ -38,9 +38,6 @@ val stride : t -> int list
 val size : t -> int
 (** Product of the extents: the domain is [0 .. size - 1]. *)
 
-val cosize : t -> int
-(** [1 + sum_k (n_k - 1) * stride_k]: one past the largest image point. *)
-
 val id : int -> t
 (** [id n] is [(n):(1)] — the identity layout on [0 .. n - 1].
     [id 1] is the canonical trivial layout [(1):(0)]. *)
@@ -154,7 +151,8 @@ val logical_divide : prove:discharge -> t -> t -> (t, error) result
 
 val logical_product : prove:discharge -> t -> t -> (t, error) result
 (** [logical_product ~prove a b] is
-    [concat ((complement a (size a * cosize b)) o b) a]: one copy of [a]
+    [concat ((complement a (size a * cosize b)) o b) a], where [cosize b]
+    is one past the largest image point of [b]: one copy of [a]
     in the inner modes, replicated across the image of [b] applied to
     [a]'s complement in the outer modes. *)
 

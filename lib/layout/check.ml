@@ -1,7 +1,7 @@
 (* Scan the logical space in order, stopping at the first violation.  At
    each index the checks run bounds, then duplicate, then roundtrip. *)
 let check_image ~what ~numel ~apply ~inv =
-  let seen = Array.make numel false in
+  let seen = Bytes.make numel '\000' in
   let result = ref (Ok ()) in
   (try
      for k = 0 to numel - 1 do
@@ -13,14 +13,14 @@ let check_image ~what ~numel ~apply ~inv =
                 physical (numel - 1));
          raise Exit
        end;
-       if seen.(physical) then begin
+       if Bytes.get seen physical <> '\000' then begin
          result :=
            Error
              (Printf.sprintf "%s: physical offset %d hit twice (at logical %d)"
                 what physical k);
          raise Exit
        end;
-       seen.(physical) <- true;
+       Bytes.set seen physical '\001';
        let back = inv physical in
        if back <> k then begin
          result :=
@@ -33,10 +33,10 @@ let check_image ~what ~numel ~apply ~inv =
    with Exit -> ());
   !result
 
-let max_elements = min Sys.max_array_length (1 lsl 32)
+let max_elements = min Sys.max_string_length (1 lsl 32)
 
-(* The scan allocates a [numel]-sized array, so the count is refused
-   before anything is allocated. *)
+(* The scan allocates [numel] bytes, so the count is refused before
+   anything is allocated. *)
 let guard fn numel =
   if numel > max_elements then
     invalid_arg

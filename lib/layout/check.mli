@@ -10,9 +10,9 @@
 
 val max_elements : int
 (** The largest element count either function accepts:
-    [min Sys.max_array_length 2³²].  Each allocates an array of one entry
-    per element, so a larger count raises [Invalid_argument], naming
-    the count, before anything is allocated. *)
+    [min Sys.max_string_length 2³²].  Each allocates one byte per element
+    (4 GiB at the limit), so a larger count raises [Invalid_argument],
+    naming the count, before anything is allocated. *)
 
 val piece : Piece.t -> (unit, string) result
 (** Check that a piece's [apply] is a bijection onto [0 .. numel - 1] and

@@ -63,8 +63,8 @@ let tiled_view ?order ~group () =
   in
   Group_by.make ~chain:(tile_order_by order @ [ tiling ]) group
 
-let padded_tiled_view ?order ~dims ~tile () =
+let padded_tiled_view ~dims ~tile =
   if List.length dims <> List.length tile then
     invalid_arg "Sugar.padded_tiled_view: dims/tile rank mismatch";
   let outer = List.map2 ceil_div dims tile in
-  (tiled_view ?order ~group:[ outer; tile ] (), dims)
+  (tiled_view ~group:[ outer; tile ] (), dims)

@@ -47,16 +47,11 @@ val full_dims : Shape.t list -> Shape.t
 (** The untiled extents: dimension [k]'s extent is the product over levels
     of level-shape component [k].  All level shapes must share a rank. *)
 
-val padded_tiled_view :
-  ?order:Piece.t list ->
-  dims:Shape.t ->
-  tile:Shape.t ->
-  unit ->
-  Group_by.t * Shape.t
+val padded_tiled_view : dims:Shape.t -> tile:Shape.t -> Group_by.t * Shape.t
 (** When tile sizes do not divide the extents, LEGO conceptually pads the
     dimensions (the CuTe oversampling approach the paper references in
     section 3.3) and the indices stay correct; accesses to the pad must
-    then be masked.  [padded_tiled_view ~dims ~tile ()] rounds each
-    extent up to a tile multiple and returns the two-level tiled view of
-    the padded space together with the {e true} extents, from which
+    then be masked.  [padded_tiled_view ~dims ~tile] rounds each extent
+    up to a tile multiple and returns the row-major two-level tiled view
+    of the padded space together with the {e true} extents, from which
     {!Lego_codegen.Triton_printer.slice_mask} derives the masks. *)

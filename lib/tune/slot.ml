@@ -28,8 +28,8 @@ type t = {
    device model and the shared-memory element width, not just the slot
    name — "matmul" tuned on an A100 must never satisfy a lookup for
    "matmul" on an H100 (the regression the (name, fingerprint)-only key
-   had).  Device identity prefers the stable preset key; a scaled or
-   hand-built device falls back to its free-form name. *)
+   had).  Device identity prefers the stable preset key; a hand-built
+   device falls back to its free-form name. *)
 let identity t =
   let dev =
     match G.Device.preset_name t.device with
@@ -194,7 +194,7 @@ let transpose_smem ?(device = G.Device.a100) () =
   let size = 1024 in
   let t = 32 in
   let rows_per_iter = 256 / t in
-  let cfg = Lego_apps.Transpose.default_config ~tile:t size in
+  let cfg = Lego_apps.Transpose.default_config size in
   let arena_cap = 1 lsl 22 in
   let inp, wi =
     G.Mem.create_arena ~label:"in" G.Mem.F32 (size * size) ~cap:arena_cap

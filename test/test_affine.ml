@@ -65,7 +65,7 @@ let prop_affine_strides_correct =
 (* --- Partial tiles and masks ------------------------------------------ *)
 
 let test_padded_view () =
-  let view, extents = Sugar.padded_tiled_view ~dims:[ 100; 50 ] ~tile:[ 32; 16 ] () in
+  let view, extents = Sugar.padded_tiled_view ~dims:[ 100; 50 ] ~tile:[ 32; 16 ] in
   Alcotest.(check (list int)) "true extents kept" [ 100; 50 ] extents;
   Alcotest.(check (list int))
     "padded tiled dims" [ 4; 4; 32; 16 ]
@@ -77,9 +77,7 @@ let test_padded_view () =
     (Group_by.apply_ints view [ 33 / 32; 17 / 16; 33 mod 32; 17 mod 16 ])
 
 let test_slice_mask () =
-  let _view, extents =
-    Sugar.padded_tiled_view ~dims:[ 100; 50 ] ~tile:[ 32; 16 ] ()
-  in
+  let _view, extents = Sugar.padded_tiled_view ~dims:[ 100; 50 ] ~tile:[ 32; 16 ] in
   let group = [ [ 4; 4 ]; [ 32; 16 ] ] in
   let mask =
     T.slice_mask ~group ~extents
@@ -95,9 +93,7 @@ let test_slice_mask () =
       [ "< 100"; "< 50"; "tl.arange(0, 32)[:, None]"; "tl.arange(0, 16)[None, :]"; " & " ]
 
 let test_no_mask_when_divisible () =
-  let _view, extents =
-    Sugar.padded_tiled_view ~dims:[ 128; 64 ] ~tile:[ 32; 16 ] ()
-  in
+  let _view, extents = Sugar.padded_tiled_view ~dims:[ 128; 64 ] ~tile:[ 32; 16 ] in
   Alcotest.(check bool) "no padding, no mask" true
     (T.slice_mask ~group:[ [ 4; 4 ]; [ 32; 16 ] ] ~extents
        [ T.Fix (E.var "pid_m"); T.Fix (E.var "k"); T.All; T.All ]

@@ -93,7 +93,7 @@ let test_softmax_fused_beats_eager () =
 
 let test_group_gemm_shape () =
   (* Figure 12c: grouping many small GEMMs into one launch wins. *)
-  let cfg = Group_gemm.default_config ~gemms:8 256 in
+  let cfg = Group_gemm.default_config 256 in
   let individual = Group_gemm.run_individual cfg in
   let grouped = Group_gemm.run_grouped cfg in
   Alcotest.(check bool) "grouped faster" true
@@ -177,7 +177,7 @@ let test_apps_reject_bad_configs () =
   in
   List.iter
     (fun (tile, size) ->
-      let cfg = Transpose.default_config ~tile size in
+      let cfg = { (Transpose.default_config size) with tile } in
       let name what = Printf.sprintf "transpose tile %d: %s" tile what in
       rejected "Transpose" (name "naive") (fun () -> Transpose.run_naive cfg);
       rejected "Transpose" (name "shared") (fun () -> Transpose.run_shared cfg);
@@ -186,7 +186,6 @@ let test_apps_reject_bad_configs () =
     [ (0, 64); (8, 64); (12, 96); (512, 1024); (32, 48) ];
   rejected "Transpose" "negative extent" (fun () ->
       Transpose.run_shared { (Transpose.default_config 64) with m = -64 });
-  rejected "Nw" "b = 0" (fun () -> Nw.default_config ~b:0 64);
   rejected "Nw" "negative length" (fun () -> Nw.default_config (-16));
   rejected "Nw" "hand-built b = 0" (fun () ->
       Nw.run Nw.RowMajor { (Nw.default_config 64) with b = 0 });
@@ -194,9 +193,11 @@ let test_apps_reject_bad_configs () =
       Nw.check_numerics Nw.AntiDiagonal
         { (Nw.default_config 64) with length = -16 });
   (* The boundary cases stay accepted. *)
-  ok "transpose tile 16" (Transpose.check_numerics (Transpose.default_config ~tile:16 32));
-  ok "transpose tile 256" (Transpose.check_numerics (Transpose.default_config ~tile:256 256));
-  ok "nw b = length" (Nw.check_numerics Nw.AntiDiagonal (Nw.default_config ~b:16 16))
+  ok "transpose tile 16"
+    (Transpose.check_numerics { (Transpose.default_config 32) with tile = 16 });
+  ok "transpose tile 256"
+    (Transpose.check_numerics { (Transpose.default_config 256) with tile = 256 });
+  ok "nw b = length" (Nw.check_numerics Nw.AntiDiagonal (Nw.default_config 16))
 
 let suite =
   ( "apps",

@@ -40,6 +40,18 @@ let test_check_refuses_huge_counts () =
         ])
     [ max_int; 1 lsl 40 ]
 
+(* The occupancy set of an exhaustive check is one byte per element: a
+   [bool array] made [Check.layout] of 2²⁰ elements allocate 1,048,576
+   major-heap words, and 32 GiB at [Check.max_elements]. *)
+let test_check_occupancy_is_bytes () =
+  let g = Group_by.make [ [ 1024; 1024 ] ] in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  Alcotest.(check (result unit string)) "bijective" (Ok ()) (Check.layout g);
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words < 524288" words)
+    true (words < 524288.)
+
 (* --- Shape ------------------------------------------------------------ *)
 
 let test_flatten_unflatten () =
@@ -551,5 +563,7 @@ let suite =
         test_element_count_overflow;
       Alcotest.test_case "exhaustive checks refuse huge counts" `Quick
         test_check_refuses_huge_counts;
+      Alcotest.test_case "check occupancy is one byte per element" `Quick
+        test_check_occupancy_is_bytes;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) props )

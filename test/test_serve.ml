@@ -1048,6 +1048,25 @@ let test_store_keeps_oversized_record_off_the_log () =
 let test_cli_rejects_negative_jobs () =
   Test_tune.check_negative_jobs_rejected [ "serve"; "--oneshot" ]
 
+(* Regression: [-j 0] resolved through [LEGO_JOBS], so with LEGO_JOBS=5
+   [legoc serve --oneshot -j 0] ran at jobs=5 on a 2-core machine.  An
+   explicit 0 selects the machine's recommended domain count, whatever
+   LEGO_JOBS says; without [-j], LEGO_JOBS still sets the count. *)
+let test_cli_jobs_zero_ignores_env () =
+  let recommended = Domain.recommended_domain_count () in
+  let env = [ ("LEGO_JOBS", string_of_int (recommended + 3)) ] in
+  List.iter
+    (fun (args, jobs) ->
+      let status, out = Test_tune.run_legoc ~env ("serve" :: "--oneshot" :: args) in
+      let what = String.concat " " args in
+      Alcotest.(check bool) (Printf.sprintf "%s exits 0:\n%s" what out) true
+        (status = Unix.WEXITED 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prints jobs=%d:\n%s" what jobs out)
+        true
+        (Test_tune.contains out (Printf.sprintf "jobs=%d)" jobs)))
+    [ ([ "-j"; "0" ], recommended); ([], recommended + 3) ]
+
 (* Regression: a db or socket path the daemon cannot use died with an
    uncaught exception and exit 125: a directory as the db, a db under a
    regular file, and a socket in a missing directory (after printing
@@ -1217,6 +1236,8 @@ let suite =
         `Quick test_store_keeps_oversized_record_off_the_log;
       Alcotest.test_case "CLI serve rejects a negative --jobs" `Quick
         test_cli_rejects_negative_jobs;
+      Alcotest.test_case "CLI serve -j 0 ignores LEGO_JOBS" `Quick
+        test_cli_jobs_zero_ignores_env;
       Alcotest.test_case "CLI serve rejects unusable --db/--socket" `Quick
         test_cli_serve_rejects_unusable_paths;
       Alcotest.test_case "CLI serve keeps a file at --socket" `Quick
