@@ -41,9 +41,9 @@ f2-conform:
 	dune exec bin/legoc.exe -- conform --budget 10 --iters 50 -j 2 --require-f2
 
 # Random layout-algebra terms (compose / complement / divide / product,
-# side conditions discharged by the prover) through all five conformance
-# legs.  The stream is power-of-two throughout, so the F2 leg must
-# engage; --require-f2 enforces that.
+# admissible by construction) through all five conformance legs.  The
+# stream is power-of-two throughout, so the F2 leg must engage;
+# --require-f2 enforces that.
 algebra-conform:
 	dune exec bin/legoc.exe -- conform --algebra 120 --iters 0 --skip-gallery --budget 20 -j 2 --require-f2
 

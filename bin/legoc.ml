@@ -209,8 +209,8 @@ let algebra_arg =
     & info [ "algebra" ] ~env ~docv:"N"
         ~doc:
           "Number of seeded random layout-algebra terms (compose / \
-           complement / divide / product, side conditions discharged by \
-           the prover) to cross-check.")
+           complement / divide / product, admissible by construction) to \
+           cross-check.")
 
 let max_points_arg =
   Arg.(
@@ -386,8 +386,7 @@ let composed_flag =
         ~doc:
           "Include the algebra-built composite candidates (masked \
            swizzles composed with logical divides of the row-major \
-           space, side conditions discharged by the prover) as extra \
-           search roots.")
+           space) as extra search roots.")
 
 let device_arg =
   let doc =

@@ -85,7 +85,7 @@ val run :
   report
 (** [run ()] checks the {!Corpus} gallery (unless [gallery:false]), then
     [random] (default 200) generated layouts from [seed] (default 42),
-    then [algebra] (default 0) prover-discharged layout-algebra terms
+    then [algebra] (default 0) layout-algebra terms
     ({!Lgen.algebra_layout_of_seed}) from the same seed, stopping
     early — with [budget_exhausted] set — once [budget_s] seconds
     (default unlimited) have elapsed.  The budget is checked before

@@ -1,9 +1,8 @@
 module L = Lego_layout
 module A = L.Algebra
-module D = Lego_symbolic.Discharge
 
-(* Corpus construction is static, so a prover refusal here is a build
-   bug: fail loudly rather than silently dropping the entry. *)
+(* Corpus construction is static, so a failed side condition here is a
+   build bug: fail loudly rather than silently dropping the entry. *)
 let get_ok what = function
   | Ok v -> v
   | Error e ->
@@ -14,15 +13,15 @@ let get_ok what = function
 let divide_tiled =
   let a = A.row [ 8; 4 ] in
   let b = A.make ~shape:[ 4 ] ~stride:[ 4 ] in
-  let l = get_ok "divide_tiled" (D.logical_divide a b) in
-  let p = get_ok "divide_tiled" (D.to_piece l) in
+  let l = get_ok "divide_tiled" (A.logical_divide a b) in
+  let p = get_ok "divide_tiled" (A.to_piece l) in
   L.Group_by.make ~chain:[ L.Order_by.make [ p ] ] [ L.Piece.dims p ]
 
 (* An 8-element column order repeated across 4 tiles by logical product. *)
 let product_repeated =
   let b = A.make ~shape:[ 4; 2 ] ~stride:[ 2; 1 ] in
-  let l = get_ok "product_repeated" (D.logical_product b (A.id 4)) in
-  let p = get_ok "product_repeated" (D.to_piece l) in
+  let l = get_ok "product_repeated" (A.logical_product b (A.id 4)) in
+  let p = get_ok "product_repeated" (A.to_piece l) in
   L.Group_by.make ~chain:[ L.Order_by.make [ p ] ] [ L.Piece.dims p ]
 
 (* A gallery swizzle composed (at the piece level) with a strided
@@ -33,7 +32,7 @@ let swizzle_of_tile =
   let tile =
     L.Piece.reg ~dims:[ 8; 16 ] ~sigma:(L.Sigma.of_one_based [ 2; 1 ])
   in
-  let p = get_ok "swizzle_of_tile" (D.compose_pieces swz tile) in
+  let p = get_ok "swizzle_of_tile" (A.compose_pieces swz tile) in
   L.Group_by.make ~chain:[ L.Order_by.make [ p ] ] [ L.Piece.dims p ]
 
 let all =

@@ -119,7 +119,6 @@ let layout_of_seed ~seed ~index =
 (* ---- random layout-algebra terms ---------------------------------- *)
 
 module A = L.Algebra
-module D = Lego_symbolic.Discharge
 
 (* Split [bits] into exactly [rank] positive exponents. *)
 let rec split_bits rng bits rank =
@@ -155,16 +154,16 @@ let sub_tile rng a =
   | _ -> A.make ~shape:(List.map fst modes) ~stride:(List.map snd modes)
 
 (* One rewriting step.  Every candidate keeps the term a power-of-two
-   bijection, so the prover discharges each operator's side conditions by
-   construction; the [Error] fallbacks are defensive only. *)
+   bijection, so each operator's side conditions hold by construction;
+   the [Error] fallbacks are defensive only. *)
 let algebra_step rng a =
   match Random.State.int rng 3 with
   | 0 -> (
     (* Re-tile: divide by a sub-layout of [a]'s own modes. *)
-    match D.logical_divide a (sub_tile rng a) with Ok l -> l | Error _ -> a)
+    match A.logical_divide a (sub_tile rng a) with Ok l -> l | Error _ -> a)
   | 1 when A.size a <= 128 -> (
     (* Repeat the whole term across a fresh outer dimension. *)
-    match D.logical_product a (A.id (pick rng [ 2; 4 ])) with
+    match A.logical_product a (A.id (pick rng [ 2; 4 ])) with
     | Ok l -> l
     | Error _ -> a)
   | 1 -> a
@@ -172,7 +171,7 @@ let algebra_step rng a =
     (* Permute the domain by composing with a fresh bijection. *)
     match log2_exact (A.size a) with
     | Some bits -> (
-      match D.compose a (gen_pow2_bijection rng bits) with
+      match A.compose a (gen_pow2_bijection rng bits) with
       | Ok l -> l
       | Error _ -> a)
     | None -> a)
@@ -189,7 +188,7 @@ let algebra_layout_of_seed ~seed ~index =
       (List.init steps Fun.id)
   in
   let piece =
-    match D.to_piece l with
+    match A.to_piece l with
     | Ok p -> p
     | Error e ->
       (* Every step preserves bijectivity, so this cannot fire. *)
@@ -200,7 +199,7 @@ let algebra_layout_of_seed ~seed ~index =
      the piece level, exercising the composite (GenP) fallback. *)
   let piece =
     if Random.State.int rng 3 = 0 then
-      match D.compose_pieces (gen_piece rng (L.Piece.numel piece)) piece with
+      match A.compose_pieces (gen_piece rng (L.Piece.numel piece)) piece with
       | Ok p -> p
       | Error _ -> piece
     else piece

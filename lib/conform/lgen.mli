@@ -23,8 +23,8 @@ val algebra_layout_of_seed : seed:int -> index:int -> Lego_layout.Group_by.t
     starts from a random power-of-two strided bijection and applies up
     to two algebra operators (logical divide by a sub-tile of its own
     modes, logical product with an identity, composition with a fresh
-    bijection), every side condition discharged by the prover; the terms
-    are admissible by construction because all extents and strides stay
-    powers of two.  A third of the stream additionally composes with a
-    random gallery piece, exercising the composite (GenP) fallback of
-    {!Lego_symbolic.Discharge.compose_pieces}. *)
+    bijection); the terms are admissible by construction, every side
+    condition holding because all extents and strides stay powers of
+    two.  A third of the stream additionally composes with a random
+    gallery piece, exercising the composite (GenP) fallback of
+    {!Lego_layout.Algebra.compose_pieces}. *)

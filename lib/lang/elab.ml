@@ -1,6 +1,5 @@
 module L = Lego_layout
 module A = L.Algebra
-module D = Lego_symbolic.Discharge
 
 exception Elab_error of string
 
@@ -24,9 +23,9 @@ let elab_perm = function
 
 (* Algebra expressions elaborate to either a strided layout (kept
    strided so further operators stay in the exact algebra) or a piece
-   (once a gallery bijection is involved).  Every operator's side
-   conditions are discharged by the prover; a failed discharge surfaces
-   as the positioned error Algebra.pp_error renders. *)
+   (once a gallery bijection is involved).  Every operator checks its
+   side conditions on the operands' integers; a failed one surfaces as
+   the positioned error Algebra.pp_error renders. *)
 type aval = Strided_v of A.t | Piece_v of L.Piece.t
 
 let algebra_err (e : A.error) = err "%s" (Format.asprintf "%a" A.pp_error e)
@@ -38,7 +37,7 @@ let layout_of = function
 
 let piece_of = function
   | Piece_v p -> p
-  | Strided_v l -> get (D.to_piece l)
+  | Strided_v l -> get (A.to_piece l)
 
 let rec elab_aexpr = function
   | Ast.Atom p -> Piece_v (elab_perm p)
@@ -47,18 +46,18 @@ let rec elab_aexpr = function
     let va = elab_aexpr ea and vb = elab_aexpr eb in
     match (layout_of va, layout_of vb) with
     | Some la, Some lb -> (
-      match D.compose la lb with
+      match A.compose la lb with
       | Ok l -> Strided_v l
       | Error e ->
         (* Bijective operands that fail the strided divisibility can
            still compose as a general (GenP) bijection. *)
         if A.is_bijection la && A.is_bijection lb then
-          Piece_v (get (D.compose_pieces (piece_of va) (piece_of vb)))
+          Piece_v (get (A.compose_pieces (piece_of va) (piece_of vb)))
         else algebra_err e)
-    | _ -> Piece_v (get (D.compose_pieces (piece_of va) (piece_of vb))))
+    | _ -> Piece_v (get (A.compose_pieces (piece_of va) (piece_of vb))))
   | Ast.Complement (ea, m) -> (
     match layout_of (elab_aexpr ea) with
-    | Some la -> Strided_v (get (D.complement la m))
+    | Some la -> Strided_v (get (A.complement la m))
     | None -> err "complement: operand is not a strided layout")
   | Ast.Divide (ea, eb) -> (
     let va = elab_aexpr ea in
@@ -67,15 +66,15 @@ let rec elab_aexpr = function
     | None -> err "divide: the tile operand must be a strided layout"
     | Some lb -> (
       match layout_of va with
-      | Some la -> Strided_v (get (D.logical_divide la lb))
+      | Some la -> Strided_v (get (A.logical_divide la lb))
       | None ->
         (* General left operand: A o tiler(B, |A|) at the piece level. *)
         let pa = piece_of va in
-        let t = get (D.tiler lb (L.Piece.numel pa)) in
-        Piece_v (get (D.compose_pieces pa (get (D.to_piece t))))))
+        let t = get (A.tiler lb (L.Piece.numel pa)) in
+        Piece_v (get (A.compose_pieces pa (get (A.to_piece t))))))
   | Ast.Product (ea, eb) -> (
     match (layout_of (elab_aexpr ea), layout_of (elab_aexpr eb)) with
-    | Some la, Some lb -> Strided_v (get (D.logical_product la lb))
+    | Some la, Some lb -> Strided_v (get (A.logical_product la lb))
     | _ -> err "product: operands must be strided layouts")
 
 let elab_piece e = piece_of (elab_aexpr e)

@@ -6,16 +6,31 @@
    [(extent, stride)] pairs ([ff]): the CuTe formulations (stride
    peeling, complement chains) are naturally stated innermost-out.
 
-   Side conditions are never checked inline: each one is emitted as an
-   [obligation] through the caller's [discharge] function and a failed
-   discharge aborts the operator with the obligation's positioned
-   [error].  [Lego_symbolic.Discharge.prover] discharges these goals
-   with the range prover; [concrete] checks them directly. *)
+   Side conditions are closed facts about the integers of the operands
+   (divisibility, bounds, equalities), so each is checked directly; the
+   first one that fails aborts the operator with its positioned [error].
+   The checks are exact because no value wraps: [make] admits a layout
+   only if every mode's extent * stride and its cosize fit in an int,
+   and every value an operator forms below is bounded by one of those
+   (see DESIGN.md §13). *)
 
 type t = { shape : int list; stride : int list }
 
 let shape t = t.shape
 let stride t = t.stride
+
+let size t = Shape.numel t.shape
+
+let cosize t =
+  List.fold_left2 (fun acc e d -> acc + ((e - 1) * d)) 1 t.shape t.stride
+
+let pp_ints ppf l =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+    Format.pp_print_int ppf l
+
+let pp ppf t = Format.fprintf ppf "(%a):(%a)" pp_ints t.shape pp_ints t.stride
+let to_string t = Format.asprintf "%a" pp t
 
 let make ~shape ~stride =
   if shape = [] then invalid_arg "Algebra.make: empty shape";
@@ -25,12 +40,23 @@ let make ~shape ~stride =
   List.iter
     (fun s -> if s < 0 then invalid_arg "Algebra.make: negative stride")
     stride;
-  { shape; stride }
-
-let size t = Shape.numel t.shape
-
-let cosize t =
-  List.fold_left2 (fun acc e d -> acc + ((e - 1) * d)) 1 t.shape t.stride
+  (* Each mode's extent * stride and each partial cosize are checked by
+     division or subtraction before they are formed, so an overflow
+     cannot wrap past the check. *)
+  let rec fits cosize = function
+    | [] -> true
+    | (e, d) :: rest ->
+        (d = 0 || e <= max_int / d)
+        &&
+        let span = (e - 1) * d in
+        cosize <= max_int - span && fits (cosize + span) rest
+  in
+  let t = { shape; stride } in
+  if not (fits 1 (List.combine shape stride)) then
+    invalid_arg
+      (Printf.sprintf "Algebra.make: the image of %s exceeds the int range"
+         (to_string t));
+  t
 
 let trivial = { shape = [ 1 ]; stride = [ 0 ] }
 let id n = if n = 1 then trivial else make ~shape:[ n ] ~stride:[ 1 ]
@@ -54,8 +80,7 @@ let col shape =
   in
   make ~shape ~stride:(List.rev rev_strides)
 
-let concat a b =
-  { shape = a.shape @ b.shape; stride = a.stride @ b.stride }
+let concat a b = make ~shape:(a.shape @ b.shape) ~stride:(a.stride @ b.stride)
 
 (* Fastest-first [(extent, stride)] modes and back. *)
 let ff t = List.rev (List.combine t.shape t.stride)
@@ -82,13 +107,11 @@ let coalesce t =
   | [] -> trivial
   | repo -> make ~shape:(List.map fst repo) ~stride:(List.map snd repo)
 
-let apply (type x) (module D : Domain.S with type t = x) t (i : x) : x =
-  let digits = Shape.unflatten (module D) t.shape i in
+let apply_int t i =
   List.fold_left2
-    (fun acc digit s -> D.add acc (D.mul digit (D.const s)))
-    (D.const 0) digits t.stride
+    (fun acc digit s -> acc + (digit * s))
+    0 (Shape.unflatten_ints t.shape i) t.stride
 
-let apply_int t i = apply (module Domain.Int) t i
 let equal a b = a.shape = b.shape && a.stride = b.stride
 
 let equivalent a b =
@@ -107,45 +130,24 @@ let is_bijection t =
   in
   chain 1 sorted
 
-let pp_ints ppf l =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-    Format.pp_print_int ppf l
-
-let pp ppf t = Format.fprintf ppf "(%a):(%a)" pp_ints t.shape pp_ints t.stride
-let to_string t = Format.asprintf "%a" pp t
-
 (* ------------------------------------------------------------------ *)
-(* Obligations                                                         *)
+(* Side conditions                                                     *)
 (* ------------------------------------------------------------------ *)
-
-type goal =
-  | Divides of { divisor : int; value : int }
-  | Le of { lhs : int; rhs : int }
-  | Eq of { lhs : int; rhs : int }
-  | Image_bounded of { layout : t; bound : int }
 
 type error = { op : string; cond : string; detail : string }
-type obligation = { goal : goal; on_fail : error }
-type discharge = obligation -> bool
-
-let concrete { goal; _ } =
-  match goal with
-  | Divides { divisor; value } -> divisor <> 0 && value mod divisor = 0
-  | Le { lhs; rhs } -> lhs <= rhs
-  | Eq { lhs; rhs } -> lhs = rhs
-  | Image_bounded { layout; bound } ->
-      (* Strides are non-negative, so the image maximum is [cosize - 1]. *)
-      cosize layout <= bound
 
 let pp_error ppf { op; cond; detail } =
   Format.fprintf ppf "%s: unproven side condition %S: %s" op cond detail
 
 exception Unproven of error
 
-let require prove goal on_fail =
-  if not (prove { goal; on_fail }) then raise (Unproven on_fail)
+(* [fail op cond fmt ...] aborts the operator with the formatted error;
+   callers test a condition first, so the detail is formatted only when
+   it fails. *)
+let fail op cond fmt =
+  Printf.ksprintf (fun detail -> raise (Unproven { op; cond; detail })) fmt
 
+let divides d v = d <> 0 && v mod d = 0
 let run f = try Ok (f ()) with Unproven e -> Error e
 let get = function Ok v -> v | Error e -> raise (Unproven e)
 
@@ -153,17 +155,12 @@ let get = function Ok v -> v | Error e -> raise (Unproven e)
 (* Composition                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compose ~prove a b =
+let compose a b =
   run @@ fun () ->
-  require prove
-    (Image_bounded { layout = b; bound = size a })
-    {
-      op = "o";
-      cond = "size";
-      detail =
-        Printf.sprintf "image of %s must lie within the domain [0,%d) of %s"
-          (to_string b) (size a) (to_string a);
-    };
+  (* Strides are non-negative, so [b]'s image is [0, cosize b). *)
+  if cosize b > size a then
+    fail "o" "size" "image of %s must lie within the domain [0,%d) of %s"
+      (to_string b) (size a) (to_string a);
   let a_ff = ff a in
   (* [peel c modes] divides the layout [modes] (fastest-first) by the
      offset multiplier [c]: consumed extents must divide [c] exactly so
@@ -175,29 +172,17 @@ let compose ~prove a b =
       | [] -> []
       | (s, d) :: rest ->
           if c >= s then (
-            require prove
-              (Divides { divisor = s; value = c })
-              {
-                op = "o";
-                cond = "left-divisibility";
-                detail =
-                  Printf.sprintf
-                    "mode extent %d of %s must divide the stride %d it is \
-                     peeled by"
-                    s (to_string a) c;
-              };
+            if not (divides s c) then
+              fail "o" "left-divisibility"
+                "mode extent %d of %s must divide the stride %d it is peeled \
+                 by"
+                s (to_string a) c;
             peel (c / s) rest)
           else (
-            require prove
-              (Divides { divisor = c; value = s })
-              {
-                op = "o";
-                cond = "left-divisibility";
-                detail =
-                  Printf.sprintf
-                    "stride %d must divide the mode extent %d of %s it splits"
-                    c s (to_string a);
-              };
+            if not (divides c s) then
+              fail "o" "left-divisibility"
+                "stride %d must divide the mode extent %d of %s it splits" c s
+                (to_string a);
             (s / c, d * c) :: rest)
   in
   (* [take r modes] keeps the first [r] elements of the peeled layout:
@@ -207,29 +192,14 @@ let compose ~prove a b =
     else
       match modes with
       | [] ->
-          require prove
-            (Eq { lhs = r; rhs = 1 })
-            {
-              op = "o";
-              cond = "size";
-              detail =
-                Printf.sprintf
-                  "extent %d walks past the end of the domain of %s" r
-                  (to_string a);
-            };
-          []
+          fail "o" "size" "extent %d walks past the end of the domain of %s" r
+            (to_string a)
       | (s, d) :: rest ->
           if r >= s then (
-            require prove
-              (Divides { divisor = s; value = r })
-              {
-                op = "o";
-                cond = "left-divisibility";
-                detail =
-                  Printf.sprintf
-                    "mode extent %d of %s must divide the remaining extent %d"
-                    s (to_string a) r;
-              };
+            if not (divides s r) then
+              fail "o" "left-divisibility"
+                "mode extent %d of %s must divide the remaining extent %d" s
+                (to_string a) r;
             (s, d) :: take (r / s) rest)
           else [ (r, d) ]
   in
@@ -244,64 +214,36 @@ let compose ~prove a b =
 (* Complement                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let complement ~prove a m =
+let complement a m =
   run @@ fun () ->
-  require prove
-    (Le { lhs = 1; rhs = m })
-    {
-      op = "complement";
-      cond = "coverage";
-      detail = Printf.sprintf "codomain size %d must be positive" m;
-    };
+  if m < 1 then
+    fail "complement" "coverage" "codomain size %d must be positive" m;
   let modes = List.filter (fun (e, _) -> e > 1) (ff a) in
   List.iter
     (fun (_, d) ->
-      require prove
-        (Le { lhs = 1; rhs = d })
-        {
-          op = "complement";
-          cond = "injectivity";
-          detail =
-            Printf.sprintf "stride %d of %s is not positive" d (to_string a);
-        })
+      if d < 1 then
+        fail "complement" "injectivity" "stride %d of %s is not positive" d
+          (to_string a))
     modes;
   let sorted = List.sort (fun (_, d1) (_, d2) -> compare d1 d2) modes in
   let cur, acc =
     List.fold_left
       (fun (cur, acc) (e, d) ->
-        require prove
-          (Divides { divisor = cur; value = d })
-          {
-            op = "complement";
-            cond = "disjointness";
-            detail =
-              Printf.sprintf
-                "accumulated block size %d must divide the next stride %d of \
-                 %s"
-                cur d (to_string a);
-          };
+        if not (divides cur d) then
+          fail "complement" "disjointness"
+            "accumulated block size %d must divide the next stride %d of %s"
+            cur d (to_string a);
         let acc = if d / cur > 1 then (d / cur, cur) :: acc else acc in
         (d * e, acc))
       (1, []) sorted
   in
-  require prove
-    (Image_bounded { layout = a; bound = m })
-    {
-      op = "complement";
-      cond = "coverage";
-      detail =
-        Printf.sprintf "image of %s must lie within [0,%d)" (to_string a) m;
-    };
-  require prove
-    (Divides { divisor = cur; value = m })
-    {
-      op = "complement";
-      cond = "coverage";
-      detail =
-        Printf.sprintf
-          "final block size %d of %s must divide the codomain size %d" cur
-          (to_string a) m;
-    };
+  if cosize a > m then
+    fail "complement" "coverage" "image of %s must lie within [0,%d)"
+      (to_string a) m;
+  if not (divides cur m) then
+    fail "complement" "coverage"
+      "final block size %d of %s must divide the codomain size %d" cur
+      (to_string a) m;
   let acc = if m / cur > 1 then (m / cur, cur) :: acc else acc in
   (* [acc] was consed in ascending-stride order, so its head is the
      largest stride: it is already the repo (outermost-first) order. *)
@@ -309,27 +251,27 @@ let complement ~prove a m =
   | [] -> trivial
   | repo -> make ~shape:(List.map fst repo) ~stride:(List.map snd repo)
 
-let tiler ~prove b m =
-  Result.map (fun c -> concat c b) (complement ~prove b m)
+let tiler b m = Result.map (fun c -> concat c b) (complement b m)
 
-let logical_divide ~prove a b =
+let logical_divide a b =
   run @@ fun () ->
-  require prove
-    (Divides { divisor = size b; value = size a })
-    {
-      op = "divide";
-      cond = "size";
-      detail =
-        Printf.sprintf "tile size %d of %s must divide the size %d of %s"
-          (size b) (to_string b) (size a) (to_string a);
-    };
-  let t = get (tiler ~prove b (size a)) in
-  get (compose ~prove a t)
+  if not (divides (size b) (size a)) then
+    fail "divide" "size" "tile size %d of %s must divide the size %d of %s"
+      (size b) (to_string b) (size a) (to_string a);
+  let t = get (tiler b (size a)) in
+  get (compose a t)
 
-let logical_product ~prove a b =
+let logical_product a b =
   run @@ fun () ->
-  let c = get (complement ~prove a (size a * cosize b)) in
-  let cb = get (compose ~prove c b) in
+  (* The codomain is the one value an operator forms from two layouts'
+     sizes, so it is checked by division before it is formed. *)
+  if cosize b > max_int / size a then
+    fail "product" "coverage"
+      "codomain %d * %d (the size of %s times the cosize of %s) exceeds the \
+       int range"
+      (size a) (cosize b) (to_string a) (to_string b);
+  let c = get (complement a (size a * cosize b)) in
+  let cb = get (compose c b) in
   concat cb a
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +312,7 @@ let of_piece = function
         done;
         Some (make ~shape:dims ~stride:(Array.to_list lstr))
 
-let to_piece ?(op = "to_piece") ~prove t =
+let to_piece t =
   run @@ fun () ->
   let modes =
     List.mapi (fun i (e, d) -> (i, e, d)) (List.combine t.shape t.stride)
@@ -382,28 +324,16 @@ let to_piece ?(op = "to_piece") ~prove t =
   let cur =
     List.fold_left
       (fun cur (_, e, d) ->
-        require prove
-          (Eq { lhs = d; rhs = cur })
-          {
-            op;
-            cond = "bijectivity";
-            detail =
-              Printf.sprintf
-                "stride %d of %s must equal the accumulated block size %d" d
-                (to_string t) cur;
-          };
+        if d <> cur then
+          fail "to_piece" "bijectivity"
+            "stride %d of %s must equal the accumulated block size %d" d
+            (to_string t) cur;
         cur * e)
       1 sorted
   in
-  require prove
-    (Eq { lhs = cur; rhs = size t })
-    {
-      op;
-      cond = "bijectivity";
-      detail =
-        Printf.sprintf "strides of %s cover %d of %d elements" (to_string t)
-          cur (size t);
-    };
+  if cur <> size t then
+    fail "to_piece" "bijectivity" "strides of %s cover %d of %d elements"
+      (to_string t) cur (size t);
   (* Physical order: strides descending (largest outermost), original
      position as the deterministic tie-break; extent-1 modes may land
      anywhere without changing the denoted function. *)
@@ -416,26 +346,17 @@ let to_piece ?(op = "to_piece") ~prove t =
   let sigma = Sigma.of_list (List.map (fun (i, _, _) -> i) order) in
   Piece.reg ~dims:t.shape ~sigma
 
-let compose_pieces ~prove a b =
+let compose_pieces a b =
   run @@ fun () ->
   let na = Piece.numel a and nb = Piece.numel b in
-  require prove
-    (Eq { lhs = nb; rhs = na })
-    {
-      op = "o";
-      cond = "size";
-      detail =
-        Printf.sprintf "piece element counts must agree (%d vs %d)" na nb;
-    };
+  if nb <> na then
+    fail "o" "size" "piece element counts must agree (%d vs %d)" na nb;
+  (* A failed strided composition is not an error: it falls back to the
+     composite below. *)
   let strided =
     match (of_piece a, of_piece b) with
-    | Some la, Some lb -> (
-        match compose ~prove la lb with
-        | Ok lc -> (
-            match to_piece ~op:"o" ~prove lc with
-            | Ok p -> Some p
-            | Error _ -> None)
-        | Error _ -> None)
+    | Some la, Some lb ->
+        Result.to_option (Result.bind (compose la lb) to_piece)
     | _ -> None
   in
   match strided with

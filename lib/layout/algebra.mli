@@ -12,25 +12,22 @@
     on the domain [0 .. size - 1].  The four operators of the CuTe
     algebra — composition [A o B], complement [complement(A, M)], logical
     division [A / B] and logical product [A * B] — are partial: each has
-    divisibility / disjointness / size side conditions.  Rather than
-    checking those conditions internally, every operator {e emits} them
-    as {!obligation}s through a caller-supplied {!discharge} function, so
-    the conditions can be proven symbolically (see
-    {!Lego_symbolic.Discharge}, which routes each goal through the
-    prover) or checked concretely ({!concrete}).  An operator application
-    either returns the proven layout or an {!error} naming the operator
-    and the failed condition.
-
-    This module deliberately depends only on the layout core: obligations
-    carry {!Domain.S}-polymorphic data ({!apply} on a symbolic domain),
-    never prover types, keeping the dependency order
-    [layout -> symbolic] intact. *)
+    divisibility / disjointness / size side conditions.  These are
+    closed facts about the integers of the operands' shape:stride pairs,
+    so every operator checks them directly, in a fixed order, and either
+    returns the layout or an {!error} naming the operator and the first
+    failed condition.  The checks are exact because nothing wraps:
+    {!make} admits only layouts whose every mode's extent * stride and
+    whose cosize fit in an int, and every value an operator forms is
+    bounded by one of those (DESIGN.md §13). *)
 
 type t = private { shape : int list; stride : int list }
 
 val make : shape:int list -> stride:int list -> t
-(** Validates: non-empty equal-length lists, positive extents,
-    non-negative strides.  Raises [Invalid_argument] otherwise. *)
+(** Validates: non-empty equal-length lists, positive extents whose
+    product fits in an int, non-negative strides, and an image that fits
+    in an int (each mode's extent * stride, and the cosize
+    [1 + sum_k (n_k - 1) * s_k]).  Raises [Invalid_argument] otherwise. *)
 
 val shape : t -> int list
 val stride : t -> int list
@@ -51,18 +48,16 @@ val col : int list -> t
 val concat : t -> t -> t
 (** [concat a b] juxtaposes mode lists, [a] outermost.  The denoted
     function of the concatenation is [x -> a(outer digits) + b(inner
-    digits)] — mode contributions are additive. *)
+    digits)] — mode contributions are additive.  Validated as by
+    {!make}. *)
 
 val coalesce : t -> t
 (** Drop extent-1 modes and merge adjacent modes whose strides chain
     ([outer.stride = inner.stride * inner.extent]); the denoted function
     is unchanged.  Normal form used by the equality tests. *)
 
-val apply : (module Domain.S with type t = 'a) -> t -> 'a -> 'a
-(** The denoted function, generic in the index domain (symbolic
-    evaluation of this is how image-bound obligations are proven). *)
-
 val apply_int : t -> int -> int
+(** The denoted function. *)
 
 val equal : t -> t -> bool
 (** Structural equality of shape and stride lists. *)
@@ -81,19 +76,12 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-(** {1 Side conditions as obligations} *)
-
-type goal =
-  | Divides of { divisor : int; value : int }
-      (** [divisor] divides [value] (the stride-divisibility goals). *)
-  | Le of { lhs : int; rhs : int }
-  | Eq of { lhs : int; rhs : int }
-  | Image_bounded of { layout : t; bound : int }
-      (** [forall x in [0, size layout): 0 <= layout x < bound] — proven
-          symbolically by evaluating {!apply} over an interval domain. *)
+(** {1 Side conditions} *)
 
 type error = {
-  op : string;  (** Operator whose application failed ("o", "divide", ...). *)
+  op : string;
+      (** Operator whose application failed: ["o"], ["complement"],
+          ["divide"], ["product"] or ["to_piece"]. *)
   cond : string;
       (** The violated side condition: ["left-divisibility"],
           ["disjointness"], ["coverage"], ["size"], ["injectivity"] or
@@ -101,60 +89,51 @@ type error = {
   detail : string;  (** Human-readable instance of the condition. *)
 }
 
-type obligation = { goal : goal; on_fail : error }
-(** One emitted side condition: the goal to prove, and the positioned
-    error the operator reports if the discharge fails. *)
-
-type discharge = obligation -> bool
-(** A prover for obligations.  Must be {e sound} (never accept a false
-    goal); incompleteness only makes operators fail more often. *)
-
-val concrete : discharge
-(** Direct integer checking of each goal — the reference discharge the
-    symbolic prover is tested against. *)
-
 val pp_error : Format.formatter -> error -> unit
+(** [op: unproven side condition "cond": detail]. *)
 
 (** {1 Operators}
 
-    Every operator takes the discharge function used to prove its side
-    conditions and returns either the resulting layout or the first
-    failed condition. *)
+    Every operator checks its side conditions in order and returns
+    either the resulting layout or the first failed condition. *)
 
-val compose : prove:discharge -> t -> t -> (t, error) result
-(** [compose ~prove a b] is the strided layout of [a o b] (apply [b],
-    then [a]).  Side conditions: [b]'s image must lie in [a]'s domain
-    (["size"]), and [b]'s strides and extents must peel through [a]'s
-    modes by the left-divisibility discipline
+val compose : t -> t -> (t, error) result
+(** [compose a b] is the strided layout of [a o b] (apply [b], then
+    [a]).  Side conditions: [b]'s image must lie in [a]'s domain
+    (["size"]: [cosize b <= size a]), and [b]'s strides and extents must
+    peel through [a]'s modes by the left-divisibility discipline
     (["left-divisibility"]). *)
 
-val complement : prove:discharge -> t -> int -> (t, error) result
-(** [complement ~prove a m] is the layout [a*] covering exactly the
-    offsets of [0 .. m - 1] that [a] misses, ordered ascending.  Side
-    conditions: strides positive (["injectivity"]), sorted modes
-    pairwise disjoint by the divisibility chain (["disjointness"]), and
-    [a]'s image contained in [0 .. m - 1] with the chain dividing [m]
-    (["coverage"]).  [concat a* a] restricted-sorts into a bijection on
-    [0 .. m - 1] — the property the QCheck suite asserts. *)
+val complement : t -> int -> (t, error) result
+(** [complement a m] is the layout [a*] covering exactly the offsets of
+    [0 .. m - 1] that [a] misses, ordered ascending.  Side conditions:
+    [m] positive (["coverage"]), strides positive (["injectivity"]),
+    sorted modes pairwise disjoint by the divisibility chain
+    (["disjointness"]), and [a]'s image contained in [0 .. m - 1] with
+    the chain dividing [m] (["coverage"]).  [concat a* a]
+    restricted-sorts into a bijection on [0 .. m - 1] — the property the
+    QCheck suite asserts. *)
 
-val tiler : prove:discharge -> t -> int -> (t, error) result
-(** [tiler ~prove b m] is [concat (complement b m) b] — the bijection on
+val tiler : t -> int -> (t, error) result
+(** [tiler b m] is [concat (complement b m) b] — the bijection on
     [0 .. m - 1] that enumerates [b]'s tile fastest, then the complement
     (tile-grid) positions.  Equals [logical_product b (id (m / size b))]
     up to coalescing. *)
 
-val logical_divide : prove:discharge -> t -> t -> (t, error) result
-(** [logical_divide ~prove a b] is [a o (tiler b (size a))]: [a]
-    re-expressed in the tile basis of [b] — inner modes walk one [b]
-    tile through [a], outer modes walk the complement (the tile grid).
-    Adds the side condition [size b | size a] (["size"]). *)
+val logical_divide : t -> t -> (t, error) result
+(** [logical_divide a b] is [a o (tiler b (size a))]: [a] re-expressed
+    in the tile basis of [b] — inner modes walk one [b] tile through
+    [a], outer modes walk the complement (the tile grid).  Adds the side
+    condition [size b | size a] (["size"]), checked first. *)
 
-val logical_product : prove:discharge -> t -> t -> (t, error) result
-(** [logical_product ~prove a b] is
+val logical_product : t -> t -> (t, error) result
+(** [logical_product a b] is
     [concat ((complement a (size a * cosize b)) o b) a], where [cosize b]
     is one past the largest image point of [b]: one copy of [a]
     in the inner modes, replicated across the image of [b] applied to
-    [a]'s complement in the outer modes. *)
+    [a]'s complement in the outer modes.  Adds the side condition that
+    the codomain [size a * cosize b] fits in an int (["coverage"]),
+    checked first. *)
 
 val inverse : t -> t option
 (** The strided layout of the inverse function, when [t] is a bijection
@@ -166,16 +145,15 @@ val of_piece : Piece.t -> t option
 (** The strided layout denoting the same flat function as a [RegP]
     piece; [None] for [GenP] (not strided in general). *)
 
-val to_piece : ?op:string -> prove:discharge -> t -> (Piece.t, error) result
-(** Package a layout as a [RegP] piece.  Emits the ["bijectivity"]
-    obligations (the sorted strides must chain exactly to [size]); on
-    success the piece's [apply] agrees pointwise with {!apply_int}.
-    [op] labels errors (default ["to_piece"]). *)
+val to_piece : t -> (Piece.t, error) result
+(** Package a layout as a [RegP] piece.  Side condition: the sorted
+    strides must chain exactly to [size] (["bijectivity"], op
+    ["to_piece"]); on success the piece's [apply] agrees pointwise with
+    {!apply_int}. *)
 
-val compose_pieces :
-  prove:discharge -> Piece.t -> Piece.t -> (Piece.t, error) result
+val compose_pieces : Piece.t -> Piece.t -> (Piece.t, error) result
 (** Function composition [a o b] at the piece level (equal element
-    counts — the ["size"] obligation).  When both pieces are strided and
+    counts — the ["size"] condition).  When both pieces are strided and
     the strided composition's side conditions hold, the result is again
     a [RegP]; otherwise it is a composite [GenP] whose
     {!Domain.S}-polymorphic bijection evaluates [b], reinterprets the

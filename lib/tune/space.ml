@@ -91,18 +91,17 @@ let gallery_roots sp =
     ]
 
 (* Algebra-built composite roots: a masked XOR swizzle composed — at the
-   piece level, through the prover-discharged layout algebra — with the
-   logical divide of the row-major space by a column tile.  The row tile
-   [(cols):(1)] divides to the identity, so its composites are the plain
-   swizzles routed through the algebra; the column tiles [(ri):(cols)]
-   interleave sub-columns under the swizzle.  A bare divided layout
+   piece level, through the layout algebra — with the logical divide of
+   the row-major space by a column tile.  The row tile [(cols):(1)]
+   divides to the identity, so its composites are the plain swizzles
+   routed through the algebra; the column tiles [(ri):(cols)] interleave
+   sub-columns under the swizzle.  A bare divided layout
    without a GenP piece is a base like any other, and {!sampled} crosses
    it with the sampled swizzles; no swizzle stacks on the rest. *)
 let composed sp =
   if (not sp.composed) || (not (is_pow2 sp.cols)) || sp.cols = 1 then []
   else begin
     let module A = L.Algebra in
-    let module D = Lego_symbolic.Discharge in
     let get what = function
       | Ok v -> v
       | Error e ->
@@ -111,7 +110,7 @@ let composed sp =
     in
     let a = A.row [ sp.rows; sp.cols ] in
     let tile_piece tile =
-      get "divide" (Result.bind (D.logical_divide a tile) D.to_piece)
+      get "divide" (Result.bind (A.logical_divide a tile) A.to_piece)
     in
     let tiles =
       A.make ~shape:[ sp.cols ] ~stride:[ 1 ]
@@ -141,7 +140,7 @@ let composed sp =
                      L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols
                        ~mask ~shift
                    in
-                   of_piece sp (get "compose" (D.compose_pieces swz tp)))
+                   of_piece sp (get "compose" (A.compose_pieces swz tp)))
                  [ 0; 1 ])
              masks)
       tiles

@@ -56,11 +56,10 @@ val composed : t -> Lego_layout.Group_by.t list
     row tile [(cols):(1)], whose divide is the identity, and the column
     tiles [(2):(cols)], [(4):(cols)] where they divide [rows]), the bare
     logical divide of the row-major space plus its compositions with
-    masked XOR swizzles (prefix masks, shifts 0 and 1), every side
-    condition discharged by the prover.  Empty unless the space was made
-    with [~composed:true] and [cols] is a power of two [> 1]; raises
-    [Invalid_argument] if a discharge fails (a construction bug, since
-    the family is admissible by design). *)
+    masked XOR swizzles (prefix masks, shifts 0 and 1).  Empty unless
+    the space was made with [~composed:true] and [cols] is a power of
+    two [> 1]; raises [Invalid_argument] if a side condition fails (a
+    construction bug, since the family is admissible by design). *)
 
 (** {2 Candidates as (stage, base) pairs}
 

@@ -44,9 +44,8 @@ type options = {
           the bijectivity check. *)
   composed : bool;
       (** Include the {!Space.composed} roots (default off): candidates
-          built by the prover-discharged layout algebra — masked
-          swizzles composed with logical divides of the row-major
-          space. *)
+          built by the layout algebra — masked swizzles composed with
+          logical divides of the row-major space. *)
   scale : bool;
       (** Mega-space mode (default off): the {!Space} crosses its scale
           product axes (three-level tilings x vectorization widths x

@@ -659,7 +659,6 @@ module Legacy_space = struct
     if (not sp.composed) || (not (is_pow2 sp.cols)) || sp.cols = 1 then []
     else begin
       let module A = L.Algebra in
-      let module D = Lego_symbolic.Discharge in
       let get what = function
         | Ok v -> v
         | Error e ->
@@ -668,7 +667,7 @@ module Legacy_space = struct
       in
       let a = A.row [ sp.rows; sp.cols ] in
       let tile_piece tile =
-        get "divide" (Result.bind (D.logical_divide a tile) D.to_piece)
+        get "divide" (Result.bind (A.logical_divide a tile) A.to_piece)
       in
       let tiles =
         A.make ~shape:[ sp.cols ] ~stride:[ 1 ]
@@ -698,7 +697,7 @@ module Legacy_space = struct
                        L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols
                          ~mask ~shift
                      in
-                     of_piece sp (get "compose" (D.compose_pieces swz tp)))
+                     of_piece sp (get "compose" (A.compose_pieces swz tp)))
                    [ 0; 1 ])
                masks)
         tiles

@@ -1,6 +1,7 @@
 (* The CuTe-style layout algebra: operator semantics, algebraic laws as
-   QCheck2 properties, prover/concrete discharge agreement, and one
-   deterministic rejection per side condition.
+   QCheck2 properties, one deterministic rejection per side condition
+   (pinned to its whole message), and [make]'s validation, including
+   the image-range rule that keeps every side-condition check exact.
 
    The literal CuTe round-trip ((A / B) * B ~ A) is false in general —
    logical product replicates over the complement's order, not A's — so
@@ -11,7 +12,6 @@
 
 open Lego_layout
 module A = Algebra
-module D = Lego_symbolic.Discharge
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -24,13 +24,13 @@ let ok_piece = function
   | Ok p -> p
   | Error e -> Alcotest.failf "unexpected failure: %a" A.pp_error e
 
-let check_cond name expected = function
-  | Ok _ -> Alcotest.failf "%s: expected %S failure, got a layout" name expected
-  | Error (e : A.error) -> Alcotest.(check string) name expected e.A.cond
-
-(* Both discharges must agree on every emitted obligation, so run each
-   rejection through both. *)
-let discharges = [ ("concrete", A.concrete); ("prover", D.prover) ]
+let check_rejection name cond message = function
+  | Ok _ -> Alcotest.failf "%s: expected %S failure, got a layout" name cond
+  | Error (e : A.error) ->
+      Alcotest.(check string) name cond e.A.cond;
+      Alcotest.(check string)
+        (name ^ " message") message
+        (Format.asprintf "%a" A.pp_error e)
 
 (* --- generators ------------------------------------------------------- *)
 
@@ -94,7 +94,7 @@ let test_worked_example () =
   let a = A.row [ 8; 4 ] in
   let b = A.make ~shape:[ 4 ] ~stride:[ 4 ] in
   check_int "size" 32 (A.size a);
-  let d = ok_layout (D.logical_divide a b) in
+  let d = ok_layout (A.logical_divide a b) in
   check_int "divide preserves size" 32 (A.size d);
   (* The inner mode walks one column of A (stride 4 in the row-major
      image); the outer modes enumerate the remaining columns and rows. *)
@@ -106,10 +106,10 @@ let test_worked_example () =
 
 let test_complement_example () =
   let a = A.make ~shape:[ 4 ] ~stride:[ 8 ] in
-  let c = ok_layout (D.complement a 32) in
+  let c = ok_layout (A.complement a 32) in
   check_bool "complement of (4):(8) in 32" true
     (A.equal c (A.make ~shape:[ 8 ] ~stride:[ 1 ]));
-  let t = ok_layout (D.tiler a 32) in
+  let t = ok_layout (A.tiler a 32) in
   check_bool "tiler is a bijection" true (A.is_bijection t)
 
 let test_product_transpose () =
@@ -117,7 +117,7 @@ let test_product_transpose () =
      column-major 2x2 layout — the worked example of the summary docs. *)
   let a = A.make ~shape:[ 2 ] ~stride:[ 2 ] in
   let b = A.id 2 in
-  let p = ok_layout (D.logical_product a b) in
+  let p = ok_layout (A.logical_product a b) in
   check_bool "product is the transpose" true
     (A.equal p (A.make ~shape:[ 2; 2 ] ~stride:[ 1; 2 ]))
 
@@ -130,7 +130,7 @@ let test_coalesce () =
 
 let prop_right_identity =
   prop "A o id(size A) = A" gen_layout (fun a ->
-      let c = ok_layout (A.compose ~prove:A.concrete a (A.id (A.size a))) in
+      let c = ok_layout (A.compose a (A.id (A.size a))) in
       A.equivalent a c)
 
 let prop_compose_assoc =
@@ -142,10 +142,10 @@ let prop_compose_assoc =
         (gen_bijection_of_shape shape)
         (gen_bijection_of_shape shape))
     (fun (a, b, c) ->
-      let ab = ok_layout (D.compose a b) in
-      let bc = ok_layout (D.compose b c) in
-      let l = ok_layout (D.compose ab c) in
-      let r = ok_layout (D.compose a bc) in
+      let ab = ok_layout (A.compose a b) in
+      let bc = ok_layout (A.compose b c) in
+      let l = ok_layout (A.compose ab c) in
+      let r = ok_layout (A.compose a bc) in
       A.equivalent l r)
 
 let prop_compose_semantics =
@@ -154,7 +154,7 @@ let prop_compose_semantics =
       gen_shape >>= fun shape ->
       pair (gen_bijection_of_shape shape) (gen_bijection_of_shape shape))
     (fun (a, b) ->
-      let ab = ok_layout (D.compose a b) in
+      let ab = ok_layout (A.compose a b) in
       A.size ab = A.size b
       && List.for_all
            (fun x -> A.apply_int ab x = A.apply_int a (A.apply_int b x))
@@ -163,7 +163,7 @@ let prop_compose_semantics =
 let prop_complement_exact_cover =
   prop "complement is disjoint from A and covers [0, m)" gen_complementable
     (fun (a, m) ->
-      let c = ok_layout (D.complement a m) in
+      let c = ok_layout (A.complement a m) in
       let seen = Array.make m false in
       let ok = ref (A.size a * A.size c = m) in
       for i = 0 to A.size a - 1 do
@@ -177,7 +177,7 @@ let prop_complement_exact_cover =
 
 let prop_tiler_bijection =
   prop "tiler B m is a bijection on [0, m)" gen_complementable (fun (b, m) ->
-      let t = ok_layout (D.tiler b m) in
+      let t = ok_layout (A.tiler b m) in
       A.is_bijection t
       &&
       let seen = Array.make m false in
@@ -195,8 +195,8 @@ let prop_divide_is_compose_tiler =
       gen_bijection_of_shape bshape >>= fun b -> pure (a, b))
     (fun (a, b) ->
       QCheck2.assume (A.size a mod A.size b = 0);
-      let d = ok_layout (D.logical_divide a b) in
-      let t = ok_layout (D.tiler b (A.size a)) in
+      let d = ok_layout (A.logical_divide a b) in
+      let t = ok_layout (A.tiler b (A.size a)) in
       List.for_all
         (fun x -> A.apply_int d x = A.apply_int a (A.apply_int t x))
         (List.init (A.size a) Fun.id)
@@ -204,15 +204,15 @@ let prop_divide_is_compose_tiler =
       match A.inverse t with
       | None -> false
       | Some t_inv ->
-          let back = ok_layout (D.compose d t_inv) in
+          let back = ok_layout (A.compose d t_inv) in
           A.equivalent back a)
 
 let prop_product_replicates =
   prop "tiler B n = logical_product B (id (n / size B))" gen_complementable
     (fun (b, m) ->
       QCheck2.assume (A.size b >= 1 && m mod A.size b = 0);
-      let t = ok_layout (D.tiler b m) in
-      let p = ok_layout (D.logical_product b (A.id (m / A.size b))) in
+      let t = ok_layout (A.tiler b m) in
+      let p = ok_layout (A.logical_product b (A.id (m / A.size b))) in
       A.equivalent t p)
 
 let prop_inverse =
@@ -226,7 +226,7 @@ let prop_inverse =
 
 let prop_piece_roundtrip =
   prop "to_piece / of_piece preserve the flat function" gen_bijection (fun l ->
-      let p = match D.to_piece l with
+      let p = match A.to_piece l with
         | Ok p -> p
         | Error e -> Alcotest.failf "to_piece: %a" A.pp_error e
       in
@@ -247,8 +247,8 @@ let prop_compose_pieces =
       gen_shape >>= fun shape ->
       pair (gen_bijection_of_shape shape) (gen_bijection_of_shape shape))
     (fun (la, lb) ->
-      let a = ok_piece (D.to_piece la) and b = ok_piece (D.to_piece lb) in
-      let c = ok_piece (D.compose_pieces a b) in
+      let a = ok_piece (A.to_piece la) and b = ok_piece (A.to_piece lb) in
+      let c = ok_piece (A.compose_pieces a b) in
       Piece.numel c = Piece.numel b
       && List.for_all
            (fun x ->
@@ -260,54 +260,51 @@ let prop_compose_pieces =
              && Shape.flatten_ints (Piece.dims c) (Piece.inv_ints c expect) = x)
            (List.init (Piece.numel b) Fun.id))
 
-let prop_discharge_agreement =
-  prop "prover and concrete discharges agree"
-    QCheck2.Gen.(pair gen_layout gen_layout)
-    (fun (a, b) ->
-      let same r1 r2 =
-        match (r1, r2) with
-        | Ok l1, Ok l2 -> A.equal l1 l2
-        | Error (e1 : A.error), Error e2 -> e1.A.cond = e2.A.cond
-        | _ -> false
-      in
-      same (A.compose ~prove:A.concrete a b) (D.compose a b)
-      && same
-           (A.complement ~prove:A.concrete a (A.size a * 2))
-           (D.complement a (A.size a * 2)))
-
 (* --- rejection per side condition ------------------------------------- *)
 
 let test_rejections () =
-  List.iter
-    (fun (dname, prove) ->
-      let name cond = Printf.sprintf "%s/%s" dname cond in
-      (* Left-divisibility: B's stride 2 cannot split the extent-3 mode. *)
-      check_cond (name "left-divisibility") "left-divisibility"
-        (A.compose ~prove (A.row [ 2; 3 ]) (A.make ~shape:[ 2 ] ~stride:[ 2 ]));
-      (* Size: B's image walks outside A's domain. *)
-      check_cond (name "compose size") "size"
-        (A.compose ~prove (A.id 4) (A.make ~shape:[ 2 ] ~stride:[ 4 ]));
-      (* Injectivity: stride-0 mode with extent > 1 has no complement. *)
-      check_cond (name "injectivity") "injectivity"
-        (A.complement ~prove (A.make ~shape:[ 2 ] ~stride:[ 0 ]) 4);
-      (* Disjointness: block of size 2 at stride 1 overlaps stride 3. *)
-      check_cond (name "disjointness") "disjointness"
-        (A.complement ~prove (A.make ~shape:[ 2; 2 ] ~stride:[ 3; 1 ]) 12);
-      (* Coverage: a block of 4 cannot tile a codomain of 6. *)
-      check_cond (name "coverage") "coverage"
-        (A.complement ~prove (A.id 4) 6);
-      (* Bijectivity: (2):(2) misses every odd offset. *)
-      check_cond (name "bijectivity") "bijectivity"
-        (A.to_piece ~prove (A.make ~shape:[ 2 ] ~stride:[ 2 ]));
-      (* Divide size: a tile of 3 cannot divide 8 elements. *)
-      check_cond (name "divide size") "size"
-        (A.logical_divide ~prove (A.row [ 4; 2 ]) (A.id 3));
-      (* Piece composition: element counts must agree. *)
-      check_cond (name "piece size") "size"
-        (A.compose_pieces ~prove
-           (Piece.reg ~dims:[ 4 ] ~sigma:(Sigma.identity 1))
-           (Piece.reg ~dims:[ 2 ] ~sigma:(Sigma.identity 1))))
-    discharges
+  (* Left-divisibility: B's stride 2 cannot split the extent-3 mode. *)
+  check_rejection "left-divisibility" "left-divisibility"
+    "o: unproven side condition \"left-divisibility\": stride 2 must divide \
+     the mode extent 3 of (2,3):(3,1) it splits"
+    (A.compose (A.row [ 2; 3 ]) (A.make ~shape:[ 2 ] ~stride:[ 2 ]));
+  (* Size: B's image walks outside A's domain. *)
+  check_rejection "compose size" "size"
+    "o: unproven side condition \"size\": image of (2):(4) must lie within \
+     the domain [0,4) of (4):(1)"
+    (A.compose (A.id 4) (A.make ~shape:[ 2 ] ~stride:[ 4 ]));
+  (* Injectivity: stride-0 mode with extent > 1 has no complement. *)
+  check_rejection "injectivity" "injectivity"
+    "complement: unproven side condition \"injectivity\": stride 0 of \
+     (2):(0) is not positive"
+    (A.complement (A.make ~shape:[ 2 ] ~stride:[ 0 ]) 4);
+  (* Disjointness: block of size 2 at stride 1 overlaps stride 3. *)
+  check_rejection "disjointness" "disjointness"
+    "complement: unproven side condition \"disjointness\": accumulated block \
+     size 2 must divide the next stride 3 of (2,2):(3,1)"
+    (A.complement (A.make ~shape:[ 2; 2 ] ~stride:[ 3; 1 ]) 12);
+  (* Coverage: a block of 4 cannot tile a codomain of 6. *)
+  check_rejection "coverage" "coverage"
+    "complement: unproven side condition \"coverage\": final block size 4 of \
+     (4):(1) must divide the codomain size 6"
+    (A.complement (A.id 4) 6);
+  (* Bijectivity: (2):(2) misses every odd offset. *)
+  check_rejection "bijectivity" "bijectivity"
+    "to_piece: unproven side condition \"bijectivity\": stride 2 of (2):(2) \
+     must equal the accumulated block size 1"
+    (A.to_piece (A.make ~shape:[ 2 ] ~stride:[ 2 ]));
+  (* Divide size: a tile of 3 cannot divide 8 elements. *)
+  check_rejection "divide size" "size"
+    "divide: unproven side condition \"size\": tile size 3 of (3):(1) must \
+     divide the size 8 of (4,2):(2,1)"
+    (A.logical_divide (A.row [ 4; 2 ]) (A.id 3));
+  (* Piece composition: element counts must agree. *)
+  check_rejection "piece size" "size"
+    "o: unproven side condition \"size\": piece element counts must agree (4 \
+     vs 2)"
+    (A.compose_pieces
+       (Piece.reg ~dims:[ 4 ] ~sigma:(Sigma.identity 1))
+       (Piece.reg ~dims:[ 2 ] ~sigma:(Sigma.identity 1)))
 
 let test_gen_fallback () =
   (* Composing through a gallery GenP cannot stay strided: the result is
@@ -315,7 +312,7 @@ let test_gen_fallback () =
   let sw = Gallery.xor_swizzle ~rows:4 ~cols:4 in
   let tile = Piece.reg ~dims:[ 4; 4 ] ~sigma:(Sigma.reversal 2) in
   let c =
-    match D.compose_pieces sw tile with
+    match A.compose_pieces sw tile with
     | Ok p -> p
     | Error e -> Alcotest.failf "compose_pieces: %a" A.pp_error e
   in
@@ -339,7 +336,29 @@ let test_make_validation () =
       ignore (A.make ~shape:[ 2 ] ~stride:[ -1 ]));
   Alcotest.check_raises "rank mismatch"
     (Invalid_argument "Algebra.make: shape/stride rank mismatch") (fun () ->
-      ignore (A.make ~shape:[ 2 ] ~stride:[ 1; 2 ]))
+      ignore (A.make ~shape:[ 2 ] ~stride:[ 1; 2 ]));
+  (* Regression: operators formed products of a mode's extent and stride
+     that wrapped, so a layout with no negative stride was refused as
+     having one, and side conditions were checked on wrapped values.
+     [make] refuses an image outside the int range: a mode's extent *
+     stride (8 * 2^60 = 2^63), or a cosize (1 + 2 * 2^60 + 2 * 2^60 =
+     2^62 + 1) whose every mode fits. *)
+  let big = 1 lsl 60 in
+  Alcotest.check_raises "mode past the int range"
+    (Invalid_argument
+       "Algebra.make: the image of (8):(1152921504606846976) exceeds the int \
+        range") (fun () -> ignore (A.make ~shape:[ 8 ] ~stride:[ big ]));
+  Alcotest.check_raises "cosize past the int range"
+    (Invalid_argument
+       "Algebra.make: the image of (3,3):(1152921504606846976,\
+        1152921504606846976) exceeds the int range") (fun () ->
+      ignore (A.make ~shape:[ 3; 3 ] ~stride:[ big; big ]));
+  Alcotest.check_raises "concat past the int range"
+    (Invalid_argument
+       "Algebra.make: the image of (3,3):(1152921504606846976,\
+        1152921504606846976) exceeds the int range") (fun () ->
+      let a = A.make ~shape:[ 3 ] ~stride:[ big ] in
+      ignore (A.concat a a))
 
 let suite =
   ( "algebra",
@@ -365,5 +384,4 @@ let suite =
           prop_inverse;
           prop_piece_roundtrip;
           prop_compose_pieces;
-          prop_discharge_agreement;
         ] )

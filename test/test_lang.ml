@@ -113,13 +113,66 @@ let test_algebra_errors () =
              msg 0)
       then Alcotest.failf "%S: error %S lacks %S" text msg fragment
   in
-  (* A failed side condition surfaces as the prover's positioned error. *)
+  (* A failed side condition surfaces as the operator's positioned
+     error. *)
   expect_error "OrderBy(Row(2,3) o Strided([2],[2])).GroupBy([6])"
     "left-divisibility";
   expect_error "OrderBy(Strided([2],[2])).GroupBy([2])" "bijectivity";
   expect_error "OrderBy(divide(Row(4,2), Strided([3],[1]))).GroupBy([8])" "size";
   expect_error "OrderBy(complement(GenP(antidiag[3,3]), 81)).GroupBy([9,9])"
-    "not a strided layout"
+    "not a strided layout";
+  (* Regression: an operand whose image leaves the int range, or a
+     product whose codomain does, had its side conditions checked on
+     wrapped values, printing "negative stride" (a stride 2^60 peeled
+     by 4), "codomain size 0" or negative block sizes.  Each is now
+     refused, naming the overflow. *)
+  expect_error
+    "OrderBy(Strided([8],[1152921504606846976]) o \
+     Strided([2],[4])).GroupBy([2])"
+    "Algebra.make: the image of (8):(1152921504606846976) exceeds the int \
+     range";
+  expect_error
+    "OrderBy(product(Strided([2147483648],[1]), \
+     Strided([4294967296],[1]))).GroupBy([4])"
+    "product: unproven side condition \"coverage\": codomain 2147483648 * \
+     4294967296 (the size of (2147483648):(1) times the cosize of \
+     (4294967296):(1)) exceeds the int range";
+  expect_error
+    "OrderBy(complement(Strided([2,2],[3458764513820540928,\
+     3458764513820540928]), 8)).GroupBy([8])"
+    "Algebra.make: the image of \
+     (2,2):(3458764513820540928,3458764513820540928) exceeds the int range";
+  expect_error
+    "OrderBy(complement(Strided([2],[2305843009213693952]), \
+     4611686018427387903)).GroupBy([2])"
+    "Algebra.make: the image of (2):(2305843009213693952) exceeds the int \
+     range";
+  expect_error
+    "OrderBy(Row(2,2) o \
+     Strided([2,2],[3458764513820540928,3458764513820540928])).GroupBy([4])"
+    "Algebra.make: the image of \
+     (2,2):(3458764513820540928,3458764513820540928) exceeds the int range";
+  expect_error
+    "OrderBy(divide(Row(4,2), \
+     Strided([2],[4611686018427387903]))).GroupBy([8])"
+    "Algebra.make: the image of (2):(4611686018427387903) exceeds the int \
+     range"
+
+(* The README's inadmissible term, byte for byte: exit 1 with one error
+   line naming the operator and the failed side condition. *)
+let test_cli_algebra_error () =
+  let status, out =
+    Test_tune.run_legoc
+      [ "OrderBy(divide(Row(8,4), Strided([3],[4]))).GroupBy([24])" ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "exits 1:\n%s" out)
+    true
+    (status = Unix.WEXITED 1);
+  Alcotest.(check string) "error line"
+    "error: divide: unproven side condition \"size\": tile size 3 of \
+     (3):(4) must divide the size 32 of (8,4):(4,1)\n"
+    out
 
 let test_arity_suffixes_optional () =
   let with_suffix = parse_ok "OrderBy2(Row(6, 6)).GroupBy2([6,6])" in
@@ -291,6 +344,8 @@ let suite =
       Alcotest.test_case "errors are reported" `Quick test_parse_errors;
       Alcotest.test_case "algebra operators" `Quick test_parse_algebra;
       Alcotest.test_case "algebra errors" `Quick test_algebra_errors;
+      Alcotest.test_case "CLI prints an algebra error" `Quick
+        test_cli_algebra_error;
       Alcotest.test_case "arity suffixes optional" `Quick
         test_arity_suffixes_optional;
       Alcotest.test_case "CLI rejects overflowing element counts" `Quick

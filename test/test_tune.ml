@@ -737,7 +737,7 @@ let test_budget_boundary () =
 (* --- Algebra-built composed candidates ------------------------------------- *)
 
 (* The composed family (masked swizzles composed with logical divides
-   through the prover-discharged algebra) must contain a member that
+   through the layout algebra) must contain a member that
    costs exactly the known conflict-free full-mask swizzle, and a search
    over the composed-extended space must still land on a conflict-free
    winner for the matmul slot. *)
