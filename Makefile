@@ -74,17 +74,21 @@ serve-smoke:
 bench:
 	dune exec bench/main.exe
 
-# Autotune + compile-service benchmarks with machine-readable output,
-# written to $(1)/BENCH_tune.json (candidates/s per slot at -j 1 and
-# -j 2, winner timings, the --scale space and rate) and
-# $(1)/BENCH_serve.json (daemon req/s, cold/warm hit rates, batch
-# p50/p99, warm-tune speedup), enforcing each harness's assertions — the
-# warm-tune >= 10x floor among them.
+# Autotune, compile-service and conformance benchmarks with
+# machine-readable output, written to $(1)/BENCH_tune.json (candidates/s
+# per slot at -j 1 and -j 2, winner timings, the --scale space and
+# rate), $(1)/BENCH_serve.json (daemon req/s, cold/warm hit rates, batch
+# p50/p99, warm-tune speedup) and $(1)/BENCH_conform.json (points/s at
+# -j 1 and -j 2), enforcing each harness's assertions — the warm-tune
+# >= 10x floor among them, and conformance's clean, -j-independent
+# report.
 bench_harnesses = \
 	dune exec bench/main.exe -- tune -j 2 --json $(1)/BENCH_tune.json && \
-	dune exec bench/main.exe -- serve -j 2 --json $(1)/BENCH_serve.json
+	dune exec bench/main.exe -- serve -j 2 --json $(1)/BENCH_serve.json && \
+	dune exec bench/main.exe -- conform -j 2 --json $(1)/BENCH_conform.json
 
-# Refreshes the tracked BENCH_tune.json and BENCH_serve.json.
+# Refreshes the tracked BENCH_tune.json, BENCH_serve.json and
+# BENCH_conform.json.
 bench-json:
 	$(call bench_harnesses,.)
 

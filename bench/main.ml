@@ -305,9 +305,13 @@ let ablation () =
 let conform () =
   header "Conformance: interpreter vs symbolic vs C vs MLIR";
   let open Lego_conform.Conform in
-  (* Serial and parallel runs of the same corpus: identical reports
-     (asserted by the test suite), differing only in wall clock.  Both
-     points/sec figures land in BENCH_*.json so the speedup is tracked. *)
+  (* Throughputs only compare between hosts with the same core count. *)
+  let cores = Domain.recommended_domain_count () in
+  row "host cores: %d\n" cores;
+  record ~experiment:"conform" ~metric:"host_cores" (float_of_int cores);
+  (* Serial and parallel runs of the same corpus: identical reports,
+     differing only in wall clock.  Both points/sec figures land in
+     BENCH_*.json so the speedup is tracked. *)
   let serial = run ~random:100 ~seed:42 ~jobs:1 () in
   let par_jobs = max 2 !jobs in
   let parallel = run ~random:100 ~seed:42 ~jobs:par_jobs () in
@@ -327,7 +331,21 @@ let conform () =
     (pps parallel);
   List.iter
     (fun f -> row "%s\n" (Format.asprintf "%a" pp_failure f))
-    serial.failures
+    (serial.failures @ parallel.failures);
+  (* Reports hold layouts, whose GenP pieces are closures, so they are
+     compared only once both are known to have no failures. *)
+  let problem =
+    if serial.failures <> [] || parallel.failures <> [] then
+      Some "a run has mismatches"
+    else if { serial with seconds = 0. } <> { parallel with seconds = 0. } then
+      Some (Printf.sprintf "the -j 1 and -j %d reports differ" par_jobs)
+    else None
+  in
+  Option.iter
+    (fun why ->
+      Printf.eprintf "conform: %s\n" why;
+      exit 1)
+    problem
 
 (* ---- Autotuner: rediscovering the paper's layouts ----------------------- *)
 

@@ -24,11 +24,120 @@ let pp_ints l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
 
 let default_max_points = 2048
 
+(* Points go through the legs in blocks of at most this many lanes, so
+   each lane column (one word per lane) stays small enough for the minor
+   heap. *)
+let block_lanes = 256
+
+(* The interpreter's lane domain: a value is one int per lane, or a
+   constant shared by every lane.  Every operation is {!Domain.Int}'s,
+   applied lane by lane, so the generic [Group_by.apply]/[inv] compute
+   exactly what [apply_ints]/[inv_ints] compute at each point.  A lane
+   keeps the first exception one of its operations raised, which is the
+   exception [Domain.Int]'s eager evaluation raises at that point; its
+   later values are meaningless. *)
+type lane = K of int | V of int array
+
+module Lanes (X : sig
+  val raised : exn option array
+end) : L.Domain.S with type t = lane = struct
+  module I = L.Domain.Int
+
+  type t = lane
+
+  let n = Array.length X.raised
+  let fail l ex = if X.raised.(l) = None then X.raised.(l) <- Some ex
+
+  (* [f] at every lane: one pass while no lane raises, then lane by
+     lane, each lane's exception recorded. *)
+  let lanes f =
+    let r = Array.make n 0 in
+    (try
+       for l = 0 to n - 1 do
+         Array.unsafe_set r l (f l)
+       done
+     with _ ->
+       for l = 0 to n - 1 do
+         match f l with v -> r.(l) <- v | exception ex -> fail l ex
+       done);
+    V r
+
+  (* A constant operation raises at every point or at none. *)
+  let scalar f =
+    match f () with
+    | v -> K v
+    | exception ex ->
+      for l = 0 to n - 1 do
+        fail l ex
+      done;
+      K 0
+
+  let map2 f a b =
+    match (a, b) with
+    | K x, K y -> scalar (fun () -> f x y)
+    | V x, V y ->
+      lanes (fun l -> f (Array.unsafe_get x l) (Array.unsafe_get y l))
+    | K x, V y -> lanes (fun l -> f x (Array.unsafe_get y l))
+    | V x, K y -> lanes (fun l -> f (Array.unsafe_get x l) y)
+
+  let get x l = match x with K k -> k | V a -> Array.unsafe_get a l
+  let const k = K k
+  let add = map2 I.add
+  let sub = map2 I.sub
+  let mul = map2 I.mul
+  let div = map2 I.div
+  let rem = map2 I.rem
+  let le = map2 I.le
+  let lt = map2 I.lt
+  let eq = map2 I.eq
+
+  let select c a b =
+    match (c, a, b) with
+    | K c, K a, K b -> K (I.select c a b)
+    | _ -> lanes (fun l -> I.select (get c l) (get a l) (get b l))
+
+  let isqrt = function
+    | K x -> scalar (fun () -> I.isqrt x)
+    | V x -> lanes (fun l -> I.isqrt (Array.unsafe_get x l))
+
+  let pp ppf x =
+    Format.pp_print_string ppf (pp_ints (List.init n (get x)))
+end
+
+(* [Group_by.apply] and [inv] over one block: the offsets and the
+   round-tripped coordinates, each with its own lane errors, because
+   bounds and injectivity are checked between the two.  An exception
+   that escapes a whole call is every remaining lane's error: it is the
+   one each of those points raises. *)
+let interp_block g ~len cols =
+  let column = function K k -> Array.make len k | V a -> a in
+  let run ~default f =
+    let raised = Array.make len None in
+    let module D = Lanes (struct let raised = raised end) in
+    match f (module D : L.Domain.S with type t = lane) with
+    | r -> (r, raised)
+    | exception ex ->
+      Array.iteri (fun l e -> if e = None then raised.(l) <- Some ex) raised;
+      (default, raised)
+  in
+  let p, apply_raised =
+    run ~default:(Array.make len 0) (fun d ->
+        let idx = Array.to_list (Array.map (fun c -> V c) cols) in
+        column (L.Group_by.apply d g idx))
+  in
+  let back, inv_raised =
+    run ~default:[||] (fun d ->
+        Array.of_list (List.map column (L.Group_by.inv d g (V p))))
+  in
+  (p, apply_raised, back, inv_raised)
+
 let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
   if max_points < 1 then invalid_arg "Conform.check_layout: max_points < 1";
   let n = L.Group_by.numel g in
   let dims = L.Group_by.dims g in
+  let rank = List.length dims in
   let names = List.mapi (fun k _ -> Printf.sprintf "i%d" k) dims in
+  let var_names = Array.of_list names in
   let points = ref 0 in
   let c_active = ref false in
   let f2_active = ref false in
@@ -39,8 +148,8 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       let apply_sym = S.Sym.apply g in
       let inv_sym = S.Sym.inv g in
       let env_p = S.Sym.inv_ranges g in
-      let eval_apply = S.Expr.evaluator apply_sym in
-      let eval_inv = List.map S.Expr.evaluator inv_sym in
+      let eval_apply = S.Expr.evaluator ~params:names apply_sym in
+      let eval_inv = List.map (S.Expr.evaluator ~params:[ "p" ]) inv_sym in
       (* Semantics (c): the C backend's text under C arithmetic.  When
          the guard cannot prove truncation harmless the backend would
          refuse the expression, so the C leg is skipped and counted. *)
@@ -61,10 +170,15 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
       c_active := c_guard_ok;
       (* Semantics (d): the MLIR backend, run by the interpreter. *)
       let m_apply =
-        Mp.parse_module (Mg.index_func ~name:"apply" ~params:names [ apply_sym ])
+        Mi.prepare
+          (Mp.parse_module
+             (Mg.index_func ~name:"apply" ~params:names [ apply_sym ]))
+          "apply"
       in
       let m_inv =
-        Mp.parse_module (Mg.index_func ~name:"inv" ~params:[ "p" ] inv_sym)
+        Mi.prepare
+          (Mp.parse_module (Mg.index_func ~name:"inv" ~params:[ "p" ] inv_sym))
+          "inv"
       in
       (* Semantics (e): the affine F₂ form, when the layout is in the
          bit-linear family.  Every layout is a bijection by
@@ -82,87 +196,145 @@ let check_layout ?(max_points = default_max_points) ?(sample_seed = 0) g =
               (Lego_f2.Linear.bits lin))
       in
       f2_active := f2 <> None;
-      let seen = if n <= max_points then Some (Array.make n false) else None in
-      let check_point idx =
-        incr points;
-        (* Semantics (a): the reference interpreter. *)
-        let p = L.Group_by.apply_ints g idx in
-        if p < 0 || p >= n then
-          found "interp-bounds" "apply %s = %d, outside [0, %d)" (pp_ints idx) p
-            n;
-        (match seen with
-        | Some hit ->
-          if hit.(p) then
-            found "interp-injective" "offset %d produced twice (again at %s)"
-              p (pp_ints idx);
-          hit.(p) <- true
-        | None -> ());
-        let back = L.Group_by.inv_ints g p in
-        if back <> idx then
-          found "interp-roundtrip" "inv (apply %s) = %s" (pp_ints idx)
-            (pp_ints back);
-        let bindings = List.combine names idx in
-        let lookup v = List.assoc v bindings in
-        let lookup_p v =
-          if v = "p" then p else failwith ("unbound variable " ^ v)
+      (* The point set: every flat index in order, or [max_points]
+         seeded draws, one coordinate column per dimension. *)
+      let exhaustive = n <= max_points in
+      let total = if exhaustive then n else max_points in
+      let seen = if exhaustive then Some (Array.make n false) else None in
+      let rng = Random.State.make [| 0x5A11; sample_seed |] in
+      let extents = Array.of_list dims in
+      let start = ref 0 in
+      while !start < total do
+        let first = !start in
+        let len = min block_lanes (total - first) in
+        let cols = Array.init rank (fun _ -> Array.make len 0) in
+        for l = 0 to len - 1 do
+          if exhaustive then
+            List.iteri
+              (fun d x -> cols.(d).(l) <- x)
+              (L.Shape.unflatten_ints dims (first + l))
+          else
+            Array.iteri
+              (fun d e -> cols.(d).(l) <- Random.State.int rng e)
+              extents
+        done;
+        (* Semantics (a) and (b) over the whole block. *)
+        let p_col, apply_raised, back, inv_raised = interp_block g ~len cols in
+        let sym_apply = eval_apply ~lanes:len cols in
+        let sym_inv = List.map (fun ev -> ev ~lanes:len [| p_col |]) eval_inv in
+        (* Semantics (d) too: a call that raises outright raises at every
+           point. *)
+        let mlir f args =
+          try f ~lanes:len args
+          with ex -> { Mi.results = [||]; raised = Array.make len (Some ex) }
         in
-        let sp = eval_apply ~env:lookup in
-        if sp <> p then
-          found "symbolic-apply" "at %s: interpreter %d, symbolic %d"
-            (pp_ints idx) p sp;
-        List.iteri
-          (fun k (eval, want) ->
-            let got = eval ~env:lookup_p in
-            if got <> want then
-              found "symbolic-inv"
-                "component %d at p = %d: interpreter %d, symbolic %d" k p want
-                got)
-          (List.combine eval_inv idx);
-        (match c_apply with
-        | Some ca ->
-          let cp = Cexpr.eval ~env:lookup ca in
-          if cp <> p then
-            found "c-apply" "at %s: interpreter %d, C %d" (pp_ints idx) p
-              cp;
+        let mlir_apply = mlir m_apply cols in
+        let mlir_inv = mlir m_inv [| p_col |] in
+        (* Then every check at each point, in order. *)
+        let lane = ref 0 in
+        let lookup v =
+          let rec find k =
+            if k = rank then raise Not_found
+            else if String.equal v var_names.(k) then cols.(k).(!lane)
+            else find (k + 1)
+          in
+          find 0
+        in
+        for l = 0 to len - 1 do
+          incr points;
+          lane := l;
+          let coord d = cols.(d).(l) in
+          let idx () = List.init rank coord in
+          let rethrow raised = Option.iter raise raised.(l) in
+          rethrow apply_raised;
+          let p = p_col.(l) in
+          if p < 0 || p >= n then
+            found "interp-bounds" "apply %s = %d, outside [0, %d)"
+              (pp_ints (idx ())) p n;
+          (match seen with
+          | Some hit ->
+            if hit.(p) then
+              found "interp-injective" "offset %d produced twice (again at %s)"
+                p (pp_ints (idx ()));
+            hit.(p) <- true
+          | None -> ());
+          (* [get] gives back this point's coordinates. *)
+          let matches get =
+            let rec go d = d = rank || (get d = coord d && go (d + 1)) in
+            go 0
+          in
+          rethrow inv_raised;
+          if not (matches (fun d -> back.(d).(l))) then
+            found "interp-roundtrip" "inv (apply %s) = %s" (pp_ints (idx ()))
+              (pp_ints (List.init rank (fun d -> back.(d).(l))));
+          rethrow sym_apply.raised;
+          let sp = sym_apply.values.(l) in
+          if sp <> p then
+            found "symbolic-apply" "at %s: interpreter %d, symbolic %d"
+              (pp_ints (idx ())) p sp;
           List.iteri
-            (fun k (e, want) ->
-              let got = Cexpr.eval ~env:lookup_p e in
+            (fun k (r : S.Expr.column) ->
+              rethrow r.raised;
+              let got = r.values.(l) and want = coord k in
               if got <> want then
-                found "c-inv" "component %d at p = %d: interpreter %d, C %d" k
-                  p want got)
-            (List.combine c_inv idx)
-        | None -> ());
-        (match Mi.run_func m_apply "apply" (List.map (fun i -> Mi.Int i) idx) with
-        | [ mp ] when mp = p -> ()
-        | [ mp ] ->
-          found "mlir-apply" "at %s: interpreter %d, MLIR %d" (pp_ints idx) p
-            mp
-        | rs ->
-          found "mlir-apply" "expected one result, got %d" (List.length rs));
-        let mback = Mi.run_func m_inv "inv" [ Mi.Int p ] in
-        if mback <> idx then
-          found "mlir-inv" "at p = %d: interpreter %s, MLIR %s" p (pp_ints idx)
-            (pp_ints mback);
-        match f2 with
-        | None -> ()
-        | Some (lin, lin_inv) ->
-          let flat = L.Shape.flatten_ints dims idx in
-          let fp = Lego_f2.Linear.apply lin flat in
-          if fp <> p then
-            found "f2-apply" "at %s (flat %d): interpreter %d, F2 %d"
-              (pp_ints idx) flat p fp;
-          let fback = Lego_f2.Linear.apply lin_inv p in
-          if fback <> flat then
-            found "f2-inv" "at p = %d: flat index %d, F2 inverse %d" p flat
-              fback
-      in
-      (match seen with
-      | Some _ -> Seq.iter check_point (L.Shape.indices dims)
-      | None ->
-        let rng = Random.State.make [| 0x5A11; sample_seed |] in
-        for _ = 1 to max_points do
-          check_point (List.map (fun e -> Random.State.int rng e) dims)
-        done);
+                found "symbolic-inv"
+                  "component %d at p = %d: interpreter %d, symbolic %d" k p
+                  want got)
+            sym_inv;
+          let lookup_p v =
+            if v = "p" then p else failwith ("unbound variable " ^ v)
+          in
+          (match c_apply with
+          | Some ca ->
+            let cp = Cexpr.eval ~env:lookup ca in
+            if cp <> p then
+              found "c-apply" "at %s: interpreter %d, C %d" (pp_ints (idx ()))
+                p cp;
+            List.iteri
+              (fun k e ->
+                let got = Cexpr.eval ~env:lookup_p e and want = coord k in
+                if got <> want then
+                  found "c-inv" "component %d at p = %d: interpreter %d, C %d"
+                    k p want got)
+              c_inv
+          | None -> ());
+          rethrow mlir_apply.raised;
+          (match mlir_apply.results with
+          | [| mp |] when mp.(l) = p -> ()
+          | [| mp |] ->
+            found "mlir-apply" "at %s: interpreter %d, MLIR %d"
+              (pp_ints (idx ())) p mp.(l)
+          | rs ->
+            found "mlir-apply" "expected one result, got %d" (Array.length rs));
+          rethrow mlir_inv.raised;
+          let mback = mlir_inv.results in
+          if not (Array.length mback = rank && matches (fun d -> mback.(d).(l)))
+          then
+            found "mlir-inv" "at p = %d: interpreter %s, MLIR %s" p
+              (pp_ints (idx ()))
+              (pp_ints (List.map (fun c -> c.(l)) (Array.to_list mback)));
+          match f2 with
+          | None -> ()
+          | Some (lin, lin_inv) ->
+            let flat =
+              if exhaustive then first + l
+              else begin
+                let acc = ref 0 in
+                Array.iteri (fun d e -> acc := (!acc * e) + coord d) extents;
+                !acc
+              end
+            in
+            let fp = Lego_f2.Linear.apply lin flat in
+            if fp <> p then
+              found "f2-apply" "at %s (flat %d): interpreter %d, F2 %d"
+                (pp_ints (idx ())) flat p fp;
+            let fback = Lego_f2.Linear.apply lin_inv p in
+            if fback <> flat then
+              found "f2-inv" "at p = %d: flat index %d, F2 inverse %d" p flat
+                fback
+        done;
+        start := first + len
+      done;
       None
     with
     | Found m -> Some m

@@ -1,28 +1,36 @@
 (** Differential conformance across the four executable layout semantics.
 
     For each layout, the harness evaluates every point (exhaustively when
-    the space is small, seeded random samples otherwise) through:
+    the space is small, seeded random samples otherwise), in blocks of at
+    most 256 points with one [int] column per dimension, through:
 
-    - the reference integer interpreter
-      ({!Lego_layout.Group_by.apply_ints} / [inv_ints]);
+    - the reference integer interpreter: the generic
+      {!Lego_layout.Group_by.apply} / [inv] run once per block in a lane
+      domain whose every operation is {!Lego_layout.Domain.Int}'s,
+      applied lane by lane;
     - the simplified symbolic expressions
       ({!Lego_symbolic.Sym.apply} / [inv] under the layout's range
-      environment), evaluated with floor semantics;
+      environment), evaluated with floor semantics by one
+      {!Lego_symbolic.Expr.evaluator} call per block;
     - the C backend's emitted text, re-parsed by {!Cexpr} and evaluated
       with C's truncating division (skipped — and counted — when
       {!Lego_codegen.C_printer.guard_nonneg} cannot certify the
       expressions, since the backend would refuse to emit them);
     - the MLIR backend's emitted functions, parsed to slot form by
-      {!Lego_mlirsim.Mparser} and executed by {!Lego_mlirsim.Minterp};
+      {!Lego_mlirsim.Mparser} and run over each block by
+      {!Lego_mlirsim.Minterp.prepare};
     - the affine F₂ form ({!Lego_f2.Linear.of_layout}) and its matrix
       inverse, when the layout is in the bit-linear family (checked —
       and counted — only there; a singular matrix on one of these
       always-bijective layouts is reported as a mismatch in its own
       right).
 
-    All semantics must agree, the forward map must be bijective, and
-    [inv] must invert [apply].  Any disagreement is minimized with
-    {!Shrink} and reported with a copy-pasteable reproduction. *)
+    The C and F₂ legs run point by point.  Every leg gives each point
+    its value or the exception it raises there; one pass then walks the
+    points in order.  All semantics must agree, the forward map must be
+    bijective, and [inv] must invert [apply].  Any disagreement is
+    minimized with {!Shrink} and reported with a copy-pasteable
+    reproduction. *)
 
 type mismatch = {
   stage : string;
@@ -44,9 +52,16 @@ type outcome = {
 val check_layout :
   ?max_points:int -> ?sample_seed:int -> Lego_layout.Group_by.t -> outcome
 (** Cross-check one layout.  Exhaustive (with a bijectivity check) when
-    [numel <= max_points] (default 2048); otherwise [max_points] seeded
-    samples, deterministic in [sample_seed].  Raises [Invalid_argument]
-    when [max_points < 1]. *)
+    [numel <= max_points] (default 2048): point [k] is flat index [k];
+    otherwise [max_points] seeded samples, deterministic in
+    [sample_seed].  The first failing check is reported in per-point
+    order: at each point, [interp-bounds], [interp-injective],
+    [interp-roundtrip], [symbolic-apply], [symbolic-inv] per component,
+    [c-apply], [c-inv], [mlir-apply], [mlir-inv], [f2-apply], [f2-inv].
+    An exception raised at a point is reported there, at its leg's
+    place, as stage ["exception"], and [points] counts the points up to
+    and including the failing one.  Raises [Invalid_argument] when
+    [max_points < 1]. *)
 
 val random_sample_seed : seed:int -> index:int -> int
 (** The point-sampling seed {!run} uses for random layout [index] of

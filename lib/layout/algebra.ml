@@ -270,6 +270,12 @@ let logical_product a b =
       "codomain %d * %d (the size of %s times the cosize of %s) exceeds the \
        int range"
       (size a) (cosize b) (to_string a) (to_string b);
+  (* A stride-0 mode of [b] makes its size exceed its cosize, so the
+     product's element count is checked on its own. *)
+  if size b > max_int / size a then
+    fail "product" "size"
+      "element count %d * %d (the sizes of %s and %s) exceeds the int range"
+      (size a) (size b) (to_string a) (to_string b);
   let c = get (complement a (size a * cosize b)) in
   let cb = get (compose c b) in
   concat cb a

@@ -395,10 +395,11 @@ module Tbl = Hashtbl.Make (struct
 end)
 
 (* The evaluator's numbered form of an expression: one slot per distinct
-   node, children referred to by slot. *)
+   node, children before their parents, children and variables referred
+   to by position. *)
 type slot =
   | S_const of int
-  | S_var of string
+  | S_var of int
   | S_add of int array
   | S_mul of int array
   | S_div of int * int
@@ -409,30 +410,34 @@ type slot =
   | S_eq of int * int
   | S_isqrt of int
 
-let evaluator e =
+(* [param v] is variable [v]'s column. *)
+let number ~param e =
   let ids = Tbl.create 64 in
   let slots = ref [] and count = ref 0 in
-  let rec number e =
+  let rec go e =
     match Tbl.find_opt ids e with
     | Some i -> i
     | None ->
-      let pair a b = (number a, number b) in
+      let pair a b =
+        let a = go a in
+        (a, go b)
+      in
       let s =
         match e.node with
         | Const n -> S_const n
-        | Var v -> S_var v
-        | Add xs -> S_add (Array.of_list (List.map number xs))
-        | Mul xs -> S_mul (Array.of_list (List.map number xs))
+        | Var v -> S_var (param v)
+        | Add xs -> S_add (Array.of_list (List.map go xs))
+        | Mul xs -> S_mul (Array.of_list (List.map go xs))
         | Div (a, b) -> let a, b = pair a b in S_div (a, b)
         | Mod (a, b) -> let a, b = pair a b in S_mod (a, b)
         | Select (c, a, b) ->
-          let c = number c in
+          let c = go c in
           let a, b = pair a b in
           S_select (c, a, b)
         | Le (a, b) -> let a, b = pair a b in S_le (a, b)
         | Lt (a, b) -> let a, b = pair a b in S_lt (a, b)
         | Eq (a, b) -> let a, b = pair a b in S_eq (a, b)
-        | Isqrt a -> S_isqrt (number a)
+        | Isqrt a -> S_isqrt (go a)
       in
       let i = !count in
       incr count;
@@ -440,45 +445,143 @@ let evaluator e =
       Tbl.add ids e i;
       i
   in
-  let root = number e in
-  let prog = Array.of_list (List.rev !slots) in
-  fun ~env ->
-    (* Per-call state, so one evaluator serves any number of domains.
-       Each slot is computed on first demand, with the tree walk's
-       operand order and [Select]'s laziness, so a call raises exactly
-       what the tree walk would. *)
-    let n = Array.length prog in
-    let value = Array.make n 0 and known = Bytes.make n '\000' in
-    let rec get i =
-      if Bytes.unsafe_get known i <> '\000' then Array.unsafe_get value i
-      else begin
-        let v = compute prog.(i) in
-        value.(i) <- v;
-        Bytes.unsafe_set known i '\001';
-        v
-      end
-    and compute = function
-      | S_const n -> n
-      | S_var v -> env v
-      | S_add xs -> Array.fold_left (fun acc x -> acc + get x) 0 xs
-      | S_mul xs -> Array.fold_left (fun acc x -> acc * get x) 1 xs
-      | S_div (a, b) ->
-        let d = get b in
-        if d = 0 then raise Division_by_zero;
-        Lego_layout.Domain.floor_div (get a) d
-      | S_mod (a, b) ->
-        let d = get b in
-        if d = 0 then raise Division_by_zero;
-        Lego_layout.Domain.floor_rem (get a) d
-      | S_select (c, a, b) -> if get c <> 0 then get a else get b
-      | S_le (a, b) -> if get a <= get b then 1 else 0
-      | S_lt (a, b) -> if get a < get b then 1 else 0
-      | S_eq (a, b) -> if get a = get b then 1 else 0
-      | S_isqrt a -> Lego_layout.Domain.int_isqrt (get a)
-    in
-    get root
+  ignore (go e);
+  Array.of_list (List.rev !slots)
 
-let eval ~env e = evaluator e ~env
+type column = { values : int array; raised : exn option array }
+
+(* Every slot is computed for every lane, children first.  A lane's
+   slot either holds a value or is poisoned with the exception the tree
+   walk raises there, and a parent takes the first poison in the tree
+   walk's operand order: sums and products left to right, a divisor
+   before its zero test and then its dividend, a comparison's right
+   operand before its left (OCaml evaluates [eval a <= eval b] right to
+   left), a select's condition and then its taken branch only.  That
+   first error is what a memoizing tree walk meets, because a node
+   computed earlier without error contributes none.  Poisoned lanes hold
+   0, so an untaken branch computes but never raises. *)
+let run prog ~lanes:n cols =
+  let ns = Array.length prog in
+  let v = Array.make ns [||] and p = Array.make ns [||] in
+  let raised s l =
+    let ps = Array.unsafe_get p s in
+    if Array.length ps = 0 then None else Array.unsafe_get ps l
+  in
+  let poison s l ex =
+    if Array.length p.(s) = 0 then p.(s) <- Array.make n None;
+    p.(s).(l) <- Some ex
+  in
+  (* Lane [l] of slot [s] is poisoned by child [c]'s poison, if any. *)
+  let take s c l =
+    match raised c l with
+    | Some ex ->
+      poison s l ex;
+      true
+    | None -> false
+  in
+  let nary s xs ~sum =
+    let r = Array.copy v.(xs.(0)) in
+    for j = 1 to Array.length xs - 1 do
+      let c = v.(xs.(j)) in
+      for l = 0 to n - 1 do
+        let x = Array.unsafe_get r l and y = Array.unsafe_get c l in
+        Array.unsafe_set r l (if sum then x + y else x * y)
+      done
+    done;
+    if Array.exists (fun x -> Array.length p.(x) > 0) xs then
+      for l = 0 to n - 1 do
+        ignore (Array.exists (fun x -> take s x l) xs)
+      done;
+    r
+  in
+  let divide s a b op =
+    let va = v.(a) and vb = v.(b) and r = Array.make n 0 in
+    for l = 0 to n - 1 do
+      if not (take s b l) then begin
+        let d = Array.unsafe_get vb l in
+        if d = 0 then poison s l Division_by_zero
+        else if not (take s a l) then
+          Array.unsafe_set r l (op (Array.unsafe_get va l) d)
+      end
+    done;
+    r
+  in
+  let cmp s a b op =
+    let va = v.(a) and vb = v.(b) and r = Array.make n 0 in
+    for l = 0 to n - 1 do
+      if op (Array.unsafe_get va l) (Array.unsafe_get vb l) then
+        Array.unsafe_set r l 1
+    done;
+    if Array.length p.(a) > 0 || Array.length p.(b) > 0 then
+      for l = 0 to n - 1 do
+        if not (take s b l) then ignore (take s a l)
+      done;
+    r
+  in
+  for s = 0 to ns - 1 do
+    v.(s) <-
+      (match prog.(s) with
+      | S_const c -> Array.make n c
+      | S_var k -> cols.(k)
+      | S_add xs -> nary s xs ~sum:true
+      | S_mul xs -> nary s xs ~sum:false
+      | S_div (a, b) -> divide s a b Lego_layout.Domain.floor_div
+      | S_mod (a, b) -> divide s a b Lego_layout.Domain.floor_rem
+      | S_select (c, a, b) ->
+        let vc = v.(c) and va = v.(a) and vb = v.(b) and r = Array.make n 0 in
+        for l = 0 to n - 1 do
+          if not (take s c l) then
+            if Array.unsafe_get vc l <> 0 then begin
+              if not (take s a l) then
+                Array.unsafe_set r l (Array.unsafe_get va l)
+            end
+            else if not (take s b l) then
+              Array.unsafe_set r l (Array.unsafe_get vb l)
+        done;
+        r
+      | S_le (a, b) -> cmp s a b (fun (x : int) y -> x <= y)
+      | S_lt (a, b) -> cmp s a b (fun (x : int) y -> x < y)
+      | S_eq (a, b) -> cmp s a b (fun (x : int) y -> x = y)
+      | S_isqrt a ->
+        let va = v.(a) and r = Array.make n 0 in
+        for l = 0 to n - 1 do
+          if not (take s a l) then
+            match Lego_layout.Domain.int_isqrt (Array.unsafe_get va l) with
+            | x -> Array.unsafe_set r l x
+            | exception ex -> poison s l ex
+        done;
+        r)
+  done;
+  let root = ns - 1 in
+  {
+    values = v.(root);
+    raised =
+      (if Array.length p.(root) = 0 then Array.make n None else p.(root));
+  }
+
+let evaluator ~params e =
+  let index = Hashtbl.create 8 in
+  List.iteri (fun k v -> Hashtbl.replace index v k) params;
+  let param v =
+    match Hashtbl.find_opt index v with
+    | Some k -> k
+    | None -> invalid_arg ("Expr.evaluator: unbound variable " ^ v)
+  in
+  let prog = number ~param e in
+  fun ~lanes cols -> run prog ~lanes cols
+
+let eval ~env e =
+  (* Each variable node gets its own column: a name interned twice (on
+     both sides of a unique-table flush) is read twice, to one value. *)
+  let cols = ref [] and count = ref 0 in
+  let param v =
+    cols := [| env v |] :: !cols;
+    incr count;
+    !count - 1
+  in
+  let prog = number ~param e in
+  let r = run prog ~lanes:1 (Array.of_list (List.rev !cols)) in
+  match r.raised.(0) with Some ex -> raise ex | None -> r.values.(0)
 
 (* ---- Rendering ------------------------------------------------------- *)
 

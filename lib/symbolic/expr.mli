@@ -109,19 +109,31 @@ module Id : Hashtbl.HashedType with type t = int
 (** Node ids as {!Memo} keys ([Int.equal], hashed by the id itself):
     the key of the {!Range}, {!Prover} and {!Simplify} memos. *)
 
-val evaluator : t -> env:(string -> int) -> int
-(** [evaluator e] numbers [e]'s distinct nodes once and returns a
-    function that evaluates [e] under a total environment, computing
-    each node at most once per call.  [Select] evaluates only the taken
-    branch, and operands are evaluated in the tree walk's order, so a
-    call raises [Division_by_zero] when a divisor evaluates to 0 and
-    [Invalid_argument] on [Isqrt] of a negative exactly where a tree
-    walk would.  Each call allocates its own state: one evaluator may
-    be shared across domains.  Prepare it once and call it per point. *)
+type column = { values : int array; raised : exn option array }
+(** One evaluation per lane: lane [l] raised [ex] when [raised.(l) =
+    Some ex], and evaluated to [values.(l)] otherwise. *)
+
+val evaluator :
+  params:string list -> t -> lanes:int -> int array array -> column
+(** [evaluator ~params e] numbers [e]'s distinct nodes once, each
+    variable resolved to its position in [params], and returns a
+    function that evaluates [e] over [lanes] points at once: [cols.(k)]
+    holds parameter [k]'s value in every lane.  Each node is computed
+    column by column, once per call, so a node that recurs in the tree
+    costs one pass over the lanes.  Every lane gets what a tree walk at
+    that point gives: its value, or the first exception the walk raises
+    there ([Division_by_zero] when a divisor evaluates to 0,
+    [Invalid_argument] on [Isqrt] of a negative), with operands in the
+    tree walk's order and only [Select]'s taken branch able to raise.
+    Each call allocates its own state: one evaluator may be shared
+    across domains.  Raises [Invalid_argument] when [e] has a variable
+    outside [params]. *)
 
 val eval : env:(string -> int) -> t -> int
-(** [eval ~env e = evaluator e ~env]: a one-shot evaluation, paying the
-    numbering each time. *)
+(** A one-shot, one-lane {!evaluator}, paying the numbering each time:
+    [env] is read once for each of [e]'s variables, whichever branches
+    the evaluation takes, and the lane's exception, if any, is
+    raised. *)
 
 (** {2 Rendering} *)
 

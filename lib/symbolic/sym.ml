@@ -67,27 +67,3 @@ let inv ?(simplify = true) ?(var = "p") g =
   let env = inv_ranges ~var g in
   let raw = L.Group_by.inv (module Dom) g (Expr.var var) in
   if simplify then List.map (Simplify.simplify ~env) raw else raw
-
-let check_roundtrip g ~samples =
-  let dims = L.Group_by.dims g in
-  let names = var_names g in
-  let eval = Expr.evaluator (apply g) in
-  let state = Random.State.make [| 0x1e60; List.length dims; samples |] in
-  let rec go k =
-    if k >= samples then Ok ()
-    else begin
-      let idx = List.map (fun n -> Random.State.int state n) dims in
-      let bindings = List.combine names idx in
-      let env name = List.assoc name bindings in
-      let expect = L.Group_by.apply_ints g idx in
-      let got = eval ~env in
-      if got <> expect then
-        Error
-          (Printf.sprintf
-             "symbolic apply disagrees at [%s]: symbolic %d, concrete %d"
-             (String.concat ", " (List.map string_of_int idx))
-             got expect)
-      else go (k + 1)
-    end
-  in
-  go 0

@@ -31,9 +31,3 @@ val inv :
 (** [inv g] is the symbolic logical index of physical offset [var]
     (default ["p"]), simplified under {!inv_ranges} unless
     [simplify:false]. *)
-
-val check_roundtrip :
-  Lego_layout.Group_by.t -> samples:int -> (unit, string) result
-(** Cross-validate: the simplified symbolic [apply] evaluated on [samples]
-    random concrete indices must agree with the integer-domain [apply]
-    (a differential test of engine + simplifier + prover). *)

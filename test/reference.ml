@@ -898,3 +898,242 @@ end
 let space_candidates ?(seed = 0) ?(composed = false) ?(scale = false) ~rows
     ~cols () =
   Legacy_space.candidates { Legacy_space.rows; cols; seed; composed; scale }
+
+(* ---- Per-point conformance check ----------------------------------------- *)
+
+(* [Expr.evaluator] as it was before columns: the slot program evaluated
+   at one point under a string environment, each slot computed on first
+   demand in the tree walk's order, [Select] taking one branch. *)
+type eval_slot =
+  | S_const of int
+  | S_var of string
+  | S_add of int array
+  | S_mul of int array
+  | S_div of int * int
+  | S_mod of int * int
+  | S_select of int * int * int
+  | S_le of int * int
+  | S_lt of int * int
+  | S_eq of int * int
+  | S_isqrt of int
+
+let evaluator e =
+  let ids = E.Tbl.create 64 in
+  let slots = ref [] and count = ref 0 in
+  let rec number (e : E.t) =
+    match E.Tbl.find_opt ids e with
+    | Some i -> i
+    | None ->
+      let pair a b = (number a, number b) in
+      let s =
+        match e.node with
+        | Const n -> S_const n
+        | Var v -> S_var v
+        | Add xs -> S_add (Array.of_list (List.map number xs))
+        | Mul xs -> S_mul (Array.of_list (List.map number xs))
+        | Div (a, b) -> let a, b = pair a b in S_div (a, b)
+        | Mod (a, b) -> let a, b = pair a b in S_mod (a, b)
+        | Select (c, a, b) ->
+          let c = number c in
+          let a, b = pair a b in
+          S_select (c, a, b)
+        | Le (a, b) -> let a, b = pair a b in S_le (a, b)
+        | Lt (a, b) -> let a, b = pair a b in S_lt (a, b)
+        | Eq (a, b) -> let a, b = pair a b in S_eq (a, b)
+        | Isqrt a -> S_isqrt (number a)
+      in
+      let i = !count in
+      incr count;
+      slots := s :: !slots;
+      E.Tbl.add ids e i;
+      i
+  in
+  let root = number e in
+  let prog = Array.of_list (List.rev !slots) in
+  fun ~env ->
+    let n = Array.length prog in
+    let value = Array.make n 0 and known = Bytes.make n '\000' in
+    let rec get i =
+      if Bytes.get known i <> '\000' then value.(i)
+      else begin
+        let v = compute prog.(i) in
+        value.(i) <- v;
+        Bytes.set known i '\001';
+        v
+      end
+    and compute = function
+      | S_const n -> n
+      | S_var v -> env v
+      | S_add xs -> Array.fold_left (fun acc x -> acc + get x) 0 xs
+      | S_mul xs -> Array.fold_left (fun acc x -> acc * get x) 1 xs
+      | S_div (a, b) ->
+        let d = get b in
+        if d = 0 then raise Division_by_zero;
+        Lego_layout.Domain.floor_div (get a) d
+      | S_mod (a, b) ->
+        let d = get b in
+        if d = 0 then raise Division_by_zero;
+        Lego_layout.Domain.floor_rem (get a) d
+      | S_select (c, a, b) -> if get c <> 0 then get a else get b
+      | S_le (a, b) -> if get a <= get b then 1 else 0
+      | S_lt (a, b) -> if get a < get b then 1 else 0
+      | S_eq (a, b) -> if get a = get b then 1 else 0
+      | S_isqrt a -> Lego_layout.Domain.int_isqrt (get a)
+    in
+    get root
+
+(* [Conform.check_layout] as it was before blocks of lanes: every point
+   through every leg in turn, each leg building its index lists and
+   string environments at that point. *)
+module Conform = Lego_conform.Conform
+module Cexpr = Lego_conform.Cexpr
+module Cp = Lego_codegen.C_printer
+module Mg = Lego_codegen.Mlir_gen
+module Mp = Lego_mlirsim.Mparser
+module S = Lego_symbolic
+
+exception Found of Conform.mismatch
+
+let found stage fmt =
+  Printf.ksprintf (fun detail -> raise (Found { stage; detail })) fmt
+
+let pp_ints l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
+
+let check_layout ?(max_points = 2048) ?(sample_seed = 0) g :
+    Conform.outcome =
+  if max_points < 1 then invalid_arg "Conform.check_layout: max_points < 1";
+  let n = L.Group_by.numel g in
+  let dims = L.Group_by.dims g in
+  let names = List.mapi (fun k _ -> Printf.sprintf "i%d" k) dims in
+  let points = ref 0 in
+  let c_active = ref false in
+  let f2_active = ref false in
+  let mismatch =
+    try
+      let env_a = S.Sym.ranges_of g in
+      let apply_sym = S.Sym.apply g in
+      let inv_sym = S.Sym.inv g in
+      let env_p = S.Sym.inv_ranges g in
+      let eval_apply = evaluator apply_sym in
+      let eval_inv = List.map evaluator inv_sym in
+      let c_guard_ok =
+        Cp.guard_nonneg ~env:env_a apply_sym = Ok ()
+        && List.for_all (fun e -> Cp.guard_nonneg ~env:env_p e = Ok ()) inv_sym
+      in
+      let reparse e =
+        let src = Cp.expr e in
+        match Cexpr.parse src with
+        | Ok t -> t
+        | Error msg -> found "c-reparse" "cannot reparse %S: %s" src msg
+      in
+      let c_apply, c_inv =
+        if c_guard_ok then (Some (reparse apply_sym), List.map reparse inv_sym)
+        else (None, [])
+      in
+      c_active := c_guard_ok;
+      let m_apply =
+        Mp.parse_module
+          (Mg.index_func ~name:"apply" ~params:names [ apply_sym ])
+      in
+      let m_inv =
+        Mp.parse_module (Mg.index_func ~name:"inv" ~params:[ "p" ] inv_sym)
+      in
+      let f2 =
+        match Lego_f2.Linear.of_layout g with
+        | None -> None
+        | Some lin -> (
+          match Lego_f2.Linear.inverse lin with
+          | Some lin_inv -> Some (lin, lin_inv)
+          | None ->
+            found "f2-rank"
+              "layout is bijective but its F2 matrix is singular (rank < %d)"
+              (Lego_f2.Linear.bits lin))
+      in
+      f2_active := f2 <> None;
+      let seen = if n <= max_points then Some (Array.make n false) else None in
+      let check_point idx =
+        incr points;
+        let p = L.Group_by.apply_ints g idx in
+        if p < 0 || p >= n then
+          found "interp-bounds" "apply %s = %d, outside [0, %d)" (pp_ints idx) p
+            n;
+        (match seen with
+        | Some hit ->
+          if hit.(p) then
+            found "interp-injective" "offset %d produced twice (again at %s)"
+              p (pp_ints idx);
+          hit.(p) <- true
+        | None -> ());
+        let back = L.Group_by.inv_ints g p in
+        if back <> idx then
+          found "interp-roundtrip" "inv (apply %s) = %s" (pp_ints idx)
+            (pp_ints back);
+        let bindings = List.combine names idx in
+        let lookup v = List.assoc v bindings in
+        let lookup_p v =
+          if v = "p" then p else failwith ("unbound variable " ^ v)
+        in
+        let sp = eval_apply ~env:lookup in
+        if sp <> p then
+          found "symbolic-apply" "at %s: interpreter %d, symbolic %d"
+            (pp_ints idx) p sp;
+        List.iteri
+          (fun k (eval, want) ->
+            let got = eval ~env:lookup_p in
+            if got <> want then
+              found "symbolic-inv"
+                "component %d at p = %d: interpreter %d, symbolic %d" k p want
+                got)
+          (List.combine eval_inv idx);
+        (match c_apply with
+        | Some ca ->
+          let cp = Cexpr.eval ~env:lookup ca in
+          if cp <> p then
+            found "c-apply" "at %s: interpreter %d, C %d" (pp_ints idx) p
+              cp;
+          List.iteri
+            (fun k (e, want) ->
+              let got = Cexpr.eval ~env:lookup_p e in
+              if got <> want then
+                found "c-inv" "component %d at p = %d: interpreter %d, C %d" k
+                  p want got)
+            (List.combine c_inv idx)
+        | None -> ());
+        let args = List.map (fun i -> Mi.Int i) idx in
+        (match Mi.run_func m_apply "apply" args with
+        | [ mp ] when mp = p -> ()
+        | [ mp ] ->
+          found "mlir-apply" "at %s: interpreter %d, MLIR %d" (pp_ints idx) p
+            mp
+        | rs ->
+          found "mlir-apply" "expected one result, got %d" (List.length rs));
+        let mback = Mi.run_func m_inv "inv" [ Mi.Int p ] in
+        if mback <> idx then
+          found "mlir-inv" "at p = %d: interpreter %s, MLIR %s" p (pp_ints idx)
+            (pp_ints mback);
+        match f2 with
+        | None -> ()
+        | Some (lin, lin_inv) ->
+          let flat = L.Shape.flatten_ints dims idx in
+          let fp = Lego_f2.Linear.apply lin flat in
+          if fp <> p then
+            found "f2-apply" "at %s (flat %d): interpreter %d, F2 %d"
+              (pp_ints idx) flat p fp;
+          let fback = Lego_f2.Linear.apply lin_inv p in
+          if fback <> flat then
+            found "f2-inv" "at p = %d: flat index %d, F2 inverse %d" p flat
+              fback
+      in
+      (match seen with
+      | Some _ -> Seq.iter check_point (L.Shape.indices dims)
+      | None ->
+        let rng = Random.State.make [| 0x5A11; sample_seed |] in
+        for _ = 1 to max_points do
+          check_point (List.map (fun e -> Random.State.int rng e) dims)
+        done);
+      None
+    with
+    | Found m -> Some m
+    | exn -> Some { stage = "exception"; detail = Printexc.to_string exn }
+  in
+  { points = !points; c_checked = !c_active; f2_checked = !f2_active; mismatch }

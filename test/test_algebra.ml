@@ -298,6 +298,16 @@ let test_rejections () =
     "divide: unproven side condition \"size\": tile size 3 of (3):(1) must \
      divide the size 8 of (4,2):(2,1)"
     (A.logical_divide (A.row [ 4; 2 ]) (A.id 3));
+  (* Regression: a stride-0 mode keeps the codomain 2^31 * 1 in range,
+     but the product's element count 2^31 * 2^32 is not; it raised
+     [Invalid_argument] out of the operator. *)
+  check_rejection "product element count" "size"
+    "product: unproven side condition \"size\": element count 2147483648 * \
+     4294967296 (the sizes of (2147483648):(1) and (4294967296):(0)) exceeds \
+     the int range"
+    (A.logical_product
+       (A.make ~shape:[ 2147483648 ] ~stride:[ 1 ])
+       (A.make ~shape:[ 4294967296 ] ~stride:[ 0 ]));
   (* Piece composition: element counts must agree. *)
   check_rejection "piece size" "size"
     "o: unproven side condition \"size\": piece element counts must agree (4 \

@@ -250,6 +250,81 @@ let with_broken_rule f =
     ~finally:(fun () -> Lego_symbolic.Simplify.set_test_only_break_rule false)
     f
 
+(* --- The per-point check as the oracle ------------------------------------ *)
+
+let outcome_to_string (o : Conform.outcome) =
+  Printf.sprintf "points %d, c_checked %b, f2_checked %b, %s" o.points
+    o.c_checked o.f2_checked
+    (match o.mismatch with
+    | None -> "no mismatch"
+    | Some m -> Printf.sprintf "%s: %s" m.stage m.detail)
+
+(* Blocks of lanes report exactly what the point-by-point loop reports:
+   the same points, legs and first failing check, byte for byte, on
+   clean layouts and on the mismatches the broken rule plants. *)
+let test_check_matches_reference () =
+  let layouts =
+    List.map
+      (fun i ->
+        (Printf.sprintf "random:7:%d" i, Lgen.layout_of_seed ~seed:7 ~index:i))
+      (List.init 400 Fun.id @ [ 1336 ])
+    @ List.init 100 (fun i ->
+          ( Printf.sprintf "algebra:7:%d" i,
+            Lgen.algebra_layout_of_seed ~seed:7 ~index:i ))
+  in
+  let compare_all ~broken =
+    List.iter
+      (fun (max_points, sample_seed) ->
+        List.iter
+          (fun (name, g) ->
+            let want = Reference.check_layout ~max_points ~sample_seed g in
+            let got = Conform.check_layout ~max_points ~sample_seed g in
+            if got <> want then
+              Alcotest.failf
+                "%s (max_points %d, broken rule %b):\n  got  %s\n  want %s" name
+                max_points broken (outcome_to_string got)
+                (outcome_to_string want))
+          layouts)
+      [ (2048, 1001); (32, 77) ]
+  in
+  compare_all ~broken:false;
+  with_broken_rule (fun () -> compare_all ~broken:true)
+
+(* A GenP whose integer evaluation divides by zero at index [bad] only:
+   [i + 0 * (1 / (i - bad))], which is [i] everywhere else, and whose
+   symbolic form folds the product away. *)
+let raising_layout ~bad =
+  let bij =
+    {
+      L.Piece.gb_apply =
+        (fun (type a) (module D : L.Domain.S with type t = a) (idx : a list) ->
+          let i = List.hd idx in
+          let quotient = D.div (D.const 1) (D.sub i (D.const bad)) in
+          D.add i (D.mul (D.const 0) quotient));
+      gb_inv =
+        (fun (type a) (module D : L.Domain.S with type t = a) (p : a) -> [ p ]);
+    }
+  in
+  L.Group_by.make
+    ~chain:[ L.Order_by.make [ L.Piece.gen ~name:"raise_at" ~dims:[ 16 ] bij ] ]
+    [ [ 16 ] ]
+
+let test_exception_reported_at_its_point () =
+  let bad = 4 in
+  let g = raising_layout ~bad in
+  let check label (o : Conform.outcome) ~points =
+    Alcotest.(check int) (label ^ ": points") points o.points;
+    match o.mismatch with
+    | Some { stage = "exception"; detail = "Division_by_zero" } -> ()
+    | _ -> Alcotest.failf "%s: %s" label (outcome_to_string o)
+  in
+  check "exhaustive" (Conform.check_layout g) ~points:(bad + 1);
+  (* Seed 10's first twelve draws over [0, 16) are 10 0 0 12 4 …: the
+     first draw of index 4 is the fifth point. *)
+  check "sampled" (Conform.check_layout ~max_points:12 ~sample_seed:10 g)
+    ~points:(bad + 1)
+
+
 (* Small [max_points] forces sampling on most generated layouts, so these
    tests exercise the seed path rather than the exhaustive one. *)
 let sampled_max_points = 32
@@ -458,6 +533,10 @@ let suite =
         test_parallel_run_clean_stream;
       Alcotest.test_case "CLI rejects counts it cannot honour" `Quick
         test_cli_rejects_bad_counts;
+      Alcotest.test_case "check = per-point reference (oracle)" `Quick
+        test_check_matches_reference;
+      Alcotest.test_case "an exception is reported at its point" `Quick
+        test_exception_reported_at_its_point;
       Alcotest.test_case "CLI conform rejects a negative --jobs" `Quick
         test_cli_rejects_negative_jobs;
     ] )

@@ -137,6 +137,15 @@ let test_algebra_errors () =
     "product: unproven side condition \"coverage\": codomain 2147483648 * \
      4294967296 (the size of (2147483648):(1) times the cosize of \
      (4294967296):(1)) exceeds the int range";
+  (* Regression: a stride-0 mode keeps the codomain in range while the
+     product's element count leaves it; [concat] raised past the
+     operator's result type. *)
+  expect_error
+    "OrderBy(product(Strided([2147483648],[1]), \
+     Strided([4294967296],[0]))).GroupBy([4])"
+    "product: unproven side condition \"size\": element count 2147483648 * \
+     4294967296 (the sizes of (2147483648):(1) and (4294967296):(0)) exceeds \
+     the int range";
   expect_error
     "OrderBy(complement(Strided([2,2],[3458764513820540928,\
      3458764513820540928]), 8)).GroupBy([8])"

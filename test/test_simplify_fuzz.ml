@@ -20,27 +20,45 @@ let test_gallery_bijections () =
       | Error e -> Alcotest.failf "%s: not a bijection: %s" name e)
     corpus
 
+(* Lane [l]'s value; a raising lane fails the test. *)
+let value name (r : E.column) l =
+  match r.raised.(l) with
+  | Some ex ->
+    Alcotest.failf "%s: lane %d raised %s" name l (Printexc.to_string ex)
+  | None -> r.values.(l)
+
+(* Every index of [dims] in order, and the same points as one column
+   per dimension: the lanes of one evaluator call. *)
+let lanes_of dims =
+  let points = Array.of_seq (L.Shape.indices dims) in
+  ( points,
+    Array.of_list
+      (List.mapi (fun d _ -> Array.map (fun idx -> List.nth idx d) points) dims)
+  )
+
 let test_apply_semantics_preserved () =
   List.iter
     (fun (name, layout) ->
       let dims = L.Group_by.dims layout in
-      let names = var_names dims in
+      let params = var_names dims in
       let env = Sym.ranges_of layout in
       let raw = Sym.apply ~simplify:false layout in
-      let eval_raw = E.evaluator raw in
-      let eval_simplified = E.evaluator (Simplify.simplify ~env raw) in
-      Seq.iter
-        (fun idx ->
-          let bindings = List.combine names idx in
-          let lookup v = List.assoc v bindings in
-          let expect = eval_raw ~env:lookup in
-          let got = eval_simplified ~env:lookup in
+      let points, cols = lanes_of dims in
+      let lanes = Array.length points in
+      let r_raw = E.evaluator ~params raw ~lanes cols in
+      let r_simplified =
+        E.evaluator ~params (Simplify.simplify ~env raw) ~lanes cols
+      in
+      Array.iteri
+        (fun l idx ->
+          let expect = value name r_raw l in
+          let got = value name r_simplified l in
           if got <> expect then
             Alcotest.failf "%s: apply disagrees at [%s]: raw %d, simplified %d"
               name
               (String.concat ", " (List.map string_of_int idx))
               expect got)
-        (L.Shape.indices dims))
+        points)
     corpus
 
 let test_inv_semantics_preserved () =
@@ -49,19 +67,16 @@ let test_inv_semantics_preserved () =
       let numel = L.Group_by.numel layout in
       let env = Range.env_of_list [ ("p", Range.of_extent numel) ] in
       let raw = Sym.inv ~simplify:false layout in
+      let ps = [| Array.init numel Fun.id |] in
+      let eval e = E.evaluator ~params:[ "p" ] e ~lanes:numel ps in
       let evals =
-        List.map
-          (fun r -> (E.evaluator r, E.evaluator (Simplify.simplify ~env r)))
-          raw
+        List.map (fun r -> (eval r, eval (Simplify.simplify ~env r))) raw
       in
       for p = 0 to numel - 1 do
-        let lookup v =
-          if v = "p" then p else Alcotest.failf "unexpected var %s" v
-        in
         List.iteri
-          (fun k (eval_raw, eval_simplified) ->
-            let expect = eval_raw ~env:lookup in
-            let got = eval_simplified ~env:lookup in
+          (fun k (r_raw, r_simplified) ->
+            let expect = value name r_raw p in
+            let got = value name r_simplified p in
             if got <> expect then
               Alcotest.failf
                 "%s: inv component %d disagrees at p=%d: raw %d, simplified %d"
@@ -76,23 +91,23 @@ let test_simplified_apply_matches_concrete () =
   List.iter
     (fun (name, layout) ->
       let dims = L.Group_by.dims layout in
-      let names = var_names dims in
       let env = Sym.ranges_of layout in
-      let eval_simplified =
-        E.evaluator (Simplify.simplify ~env (Sym.apply ~simplify:false layout))
+      let points, cols = lanes_of dims in
+      let r =
+        E.evaluator ~params:(var_names dims)
+          (Simplify.simplify ~env (Sym.apply ~simplify:false layout))
+          ~lanes:(Array.length points) cols
       in
-      Seq.iter
-        (fun idx ->
-          let bindings = List.combine names idx in
-          let lookup v = List.assoc v bindings in
+      Array.iteri
+        (fun l idx ->
           let expect = L.Group_by.apply_ints layout idx in
-          let got = eval_simplified ~env:lookup in
+          let got = value name r l in
           if got <> expect then
             Alcotest.failf "%s: symbolic apply disagrees at [%s]: %d vs %d"
               name
               (String.concat ", " (List.map string_of_int idx))
               got expect)
-        (L.Shape.indices dims))
+        points)
     corpus
 
 let suite =

@@ -349,10 +349,44 @@ let roundtrip_layouts =
         [ [ 8; 8 ] ] );
   ]
 
+(* The simplified symbolic [apply] against the integer-domain [apply] on
+   [samples] seeded random indices, evaluated as the lanes of one
+   call: a differential test of engine + simplifier + prover. *)
+let check_roundtrip g ~samples =
+  let dims = L.Group_by.dims g in
+  let names = List.mapi (fun k _ -> Printf.sprintf "i%d" k) dims in
+  let state = Random.State.make [| 0x1e60; List.length dims; samples |] in
+  let points =
+    Array.init samples (fun _ ->
+        List.map (fun n -> Random.State.int state n) dims)
+  in
+  let cols =
+    Array.of_list
+      (List.mapi (fun d _ -> Array.map (fun idx -> List.nth idx d) points) dims)
+  in
+  let r = E.evaluator ~params:names (Sym.apply g) ~lanes:samples cols in
+  let rec go l =
+    if l >= samples then Ok ()
+    else begin
+      let idx = points.(l) in
+      let expect = L.Group_by.apply_ints g idx in
+      Option.iter raise r.raised.(l);
+      let got = r.values.(l) in
+      if got <> expect then
+        Error
+          (Printf.sprintf
+             "symbolic apply disagrees at [%s]: symbolic %d, concrete %d"
+             (String.concat ", " (List.map string_of_int idx))
+             got expect)
+      else go (l + 1)
+    end
+  in
+  go 0
+
 let test_symbolic_matches_concrete () =
   List.iter
     (fun (name, g) ->
-      match Sym.check_roundtrip g ~samples:200 with
+      match check_roundtrip g ~samples:200 with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" name e)
     roundtrip_layouts
@@ -704,6 +738,12 @@ let outcome f =
   | exception ((Division_by_zero | Invalid_argument _) as ex) ->
     Error (Printexc.to_string ex)
 
+(* Lane [l] of a column evaluation, as an {!outcome}. *)
+let lane_outcome (r : E.column) l =
+  match r.raised.(l) with
+  | Some ex -> Error (Printexc.to_string ex)
+  | None -> Ok r.values.(l)
+
 let prop_evaluator_matches_tree_walk =
   QCheck2.Test.make ~name:"prepared evaluator = tree-walk eval" ~count:300
     ~print:(fun (e, _) -> Reference.expr_to_string e)
@@ -711,21 +751,34 @@ let prop_evaluator_matches_tree_walk =
       let v = int_range (-8) 8 in
       pair gen_shared_expr (list_size (return 4) (triple v v v)))
     (fun (e, points) ->
-      let eval = E.evaluator e in
-      List.for_all
-        (fun (xv, yv, zv) ->
+      let points = Array.of_list points in
+      let col f = Array.map f points in
+      let lanes =
+        E.evaluator ~params:[ "x"; "y"; "z" ] e ~lanes:(Array.length points)
+          [|
+            col (fun (x, _, _) -> x); col (fun (_, y, _) -> y);
+            col (fun (_, _, z) -> z);
+          |]
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun l (xv, yv, zv) ->
           let env = function "x" -> xv | "y" -> yv | _ -> zv in
           let want = outcome (fun () -> Reference.eval ~env e) in
-          outcome (fun () -> eval ~env) = want
-          && outcome (fun () -> E.eval ~env e) = want)
-        points)
+          ok :=
+            !ok
+            && lane_outcome lanes l = want
+            && outcome (fun () -> E.eval ~env e) = want)
+        points;
+      !ok)
 
 let test_select_laziness () =
   let e = E.(select (lt x (const 5)) x (div x (const 0))) in
-  let eval = E.evaluator e in
-  check_int "taken branch at x = 1" 1 (eval ~env:(fun _ -> 1));
-  Alcotest.check_raises "untaken branch skipped, taken one raises"
-    Division_by_zero (fun () -> ignore (eval ~env:(fun _ -> 7)));
+  let r = E.evaluator ~params:[ "x" ] e ~lanes:2 [| [| 1; 7 |] |] in
+  check_int "taken branch at x = 1" 1 r.values.(0);
+  Alcotest.(check bool)
+    "untaken branch skipped, taken one raises" true
+    (r.raised = [| None; Some Division_by_zero |]);
   check_int "eval agrees" 1 (E.eval ~env:(fun _ -> 1) e)
 
 (* Regression: [Sym.inv] built a fresh range env on every call, and the
