@@ -94,14 +94,17 @@ let table1 () =
     (fun (name, layout) ->
       let stats = S.Simplify.stats () in
       let before = S.Prover.snapshot () in
-      let process roots =
-        List.map
-          (fun e -> S.Simplify.simplify ~stats ~env:(S.Sym.ranges_of layout) e)
-          roots
+      (* Each root under the env [Sym.apply] or [Sym.inv] simplifies it
+         in: the inverse's offset [p] is unbound in the forward map's. *)
+      let process env roots =
+        List.map (fun e -> S.Simplify.simplify ~stats ~env e) roots
       in
       let raw_apply = S.Sym.apply ~simplify:false layout in
       let raw_inv = S.Sym.inv ~simplify:false layout in
-      let simplified = process (raw_apply :: raw_inv) in
+      let simplified =
+        process (S.Sym.ranges_of layout) [ raw_apply ]
+        @ process (S.Sym.inv_ranges layout) raw_inv
+      in
       let prover = S.Prover.(diff (snapshot ()) before) in
       let raw_ops =
         List.fold_left (fun a e -> a + S.Cost.ops e) 0 (raw_apply :: raw_inv)
@@ -135,12 +138,13 @@ let table1 () =
   for _ = 1 to reps do
     List.iter
       (fun (_, layout) ->
-        let env = S.Sym.ranges_of layout in
         let raw_apply = S.Sym.apply ~simplify:false layout in
         let raw_inv = S.Sym.inv ~simplify:false layout in
+        ignore (S.Simplify.simplify ~env:(S.Sym.ranges_of layout) raw_apply);
         List.iter
-          (fun e -> ignore (S.Simplify.simplify ~env e))
-          (raw_apply :: raw_inv))
+          (fun e ->
+            ignore (S.Simplify.simplify ~env:(S.Sym.inv_ranges layout) e))
+          raw_inv)
       corpus
   done;
   let t1 = Unix.gettimeofday () in
@@ -788,6 +792,26 @@ let micro () =
     in
     go 40 (E.var "x")
   in
+  (* A cold constant-bound goal, rules 3-5's [x < d]: a fresh env each
+     run, so neither the goal memo nor the range memo answers it, over a
+     16-summand dividend [sum_k 2^k * (b_k mod 2)].  And the C text of a
+     13-level DAG of the [shared] shape, 106 KB, rendered from its 40
+     distinct nodes. *)
+  let bits =
+    List.init 16 (fun k ->
+        E.(mul (const (1 lsl k)) (md (var (Printf.sprintf "b%d" k)) (const 2))))
+  in
+  let dividend = E.sum bits and bound = E.const (1 lsl 16) in
+  let bit_ranges =
+    List.init 16 (fun k ->
+        (Printf.sprintf "b%d" k, Lego_symbolic.Range.of_extent 4))
+  in
+  let printed =
+    let rec go d e =
+      if d = 0 then e else go (d - 1) E.(md (mul e e) (const (d + 2)))
+    in
+    go 13 (E.var "x")
+  in
   (* One fast-path slot simulation each: matmul's row-major tile (one
      launch of 4 blocks) and nw's anti-diagonal baseline (63 launches
      through one summary table).  Each run compiles the layout and
@@ -816,6 +840,13 @@ let micro () =
         (Staged.stage (fun () -> E.sum summands));
       Test.make ~name:"Cost.ops: shared DAG, one Tbl walk"
         (Staged.stage (fun () -> Lego_symbolic.Cost.ops shared));
+      Test.make ~name:"Prover.lt: cold, constant bound, 16 summands"
+        (Staged.stage (fun () ->
+             Lego_symbolic.Prover.lt
+               (Lego_symbolic.Range.env_of_list bit_ranges)
+               dividend bound));
+      Test.make ~name:"C_printer.expr: shared DAG, 106 KB"
+        (Staged.stage (fun () -> Lego_codegen.C_printer.expr printed));
       Test.make ~name:"slot sim: matmul row-major (fast)"
         (Staged.stage (fun () -> matmul.T.Slot.simulate ~fast:true matmul_rm));
       Test.make ~name:"slot sim: nw antidiag baseline (fast)"

@@ -605,38 +605,40 @@ let level e =
   | Mul _ | Div _ | Mod _ -> 5
   | Const _ | Var _ | Isqrt _ -> max_int
 
-(* One growable byte buffer that can append a copy of its own earlier
-   bytes, which [Buffer] cannot. *)
-type out = { mutable bytes : Bytes.t; mutable len : int }
-
-let reserve o n =
-  let cap = Bytes.length o.bytes in
-  if o.len + n > cap then begin
-    let bytes = Bytes.create (max (o.len + n) (2 * cap)) in
-    Bytes.blit o.bytes 0 bytes 0 o.len;
-    o.bytes <- bytes
-  end
+(* A byte buffer that can append a copy of its own earlier bytes, which
+   [Buffer] cannot.  Over [Bytes.empty] it only counts: [len] is then
+   the length the text will have. *)
+type out = { bytes : Bytes.t; mutable len : int }
 
 let add_string o s =
   let n = String.length s in
-  reserve o n;
-  Bytes.blit_string s 0 o.bytes o.len n;
+  if Bytes.length o.bytes > 0 then Bytes.blit_string s 0 o.bytes o.len n;
   o.len <- o.len + n
 
 let add_copy o off n =
-  reserve o n;
-  Bytes.blit o.bytes off o.bytes o.len n;
+  if Bytes.length o.bytes > 0 then Bytes.blit o.bytes off o.bytes o.len n;
   o.len <- o.len + n
 
-let render sx e =
-  let o = { bytes = Bytes.create 256; len = 0 } in
-  (* Where each compound node's unparenthesized text first landed in
-     [o]; later occurrences copy it, so the work is linear in distinct
-     nodes plus output bytes, and no per-node string is kept. *)
+(* The counting pass counts [string_of_int n]'s characters instead of
+   building it. *)
+let add_int o n =
+  if Bytes.length o.bytes > 0 then add_string o (string_of_int n)
+  else begin
+    let rec digits k n =
+      if n > -10 && n < 10 then k else digits (k + 1) (n / 10)
+    in
+    o.len <- o.len + digits (if n < 0 then 2 else 1) n
+  end
+
+(* Appends [e]'s text to [o].  Where each compound node's
+   unparenthesized text first landed is recorded, and later occurrences
+   copy it, so the work is linear in distinct nodes plus output bytes,
+   and no per-node string is kept. *)
+let emit sx o e =
   let spans : (int * int) Tbl.t = Tbl.create 64 in
   let rec node prec e =
     match e.node with
-    | Const n -> add_string o (string_of_int n)
+    | Const n -> add_int o n
     | Var v -> add_string o v
     | _ ->
       let wrap = prec > level e in
@@ -700,8 +702,16 @@ let render sx e =
       node 0 a;
       add_string o (snd sx.isqrt)
   in
-  node 0 e;
-  Bytes.sub_string o.bytes 0 o.len
+  node 0 e
+
+(* Measure, then write once: the counting pass sizes the one buffer the
+   writing pass fills, and that buffer becomes the string. *)
+let render sx e =
+  let size = { bytes = Bytes.empty; len = 0 } in
+  emit sx size e;
+  let o = { bytes = Bytes.create size.len; len = 0 } in
+  emit sx o e;
+  Bytes.unsafe_to_string o.bytes
 
 let to_string e = render syntax e
 let pp ppf e = Format.pp_print_string ppf (to_string e)

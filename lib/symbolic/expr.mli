@@ -150,9 +150,11 @@ type syntax = {
     printed as subtractions. *)
 
 val render : syntax -> t -> string
-(** The infix text of the expression tree.  Each distinct node is
-    rendered once; every later occurrence copies its bytes from the
-    output buffer, so the cost is linear in distinct nodes plus output
+(** The infix text of the expression tree.  A first walk measures it,
+    each distinct node once; a second writes it into one buffer of
+    exactly that length, returned without a copy.  Each distinct node
+    is rendered once and every later occurrence copies its bytes from
+    the buffer, so the cost is linear in distinct nodes plus output
     bytes. *)
 
 val pp : Format.formatter -> t -> unit

@@ -78,13 +78,52 @@ let nonzero env e =
       let r = Range.of_expr env e in
       r.Range.lo > 0 || r.Range.hi < 0)
 
-let le env a b =
-  query goal_le env a b (fun () ->
-      (* Decide on the normalized difference so common terms cancel. *)
-      (Range.of_expr env (Expr.sub b a)).Range.lo >= 0)
+(* A goal against a constant [c] reads the other side's interval, when
+   [|c| + 1] plus the magnitudes of that side's summands stays below
+   [Range.pinf]: then no partial sum of the normalized difference
+   saturates and negating an interval is exact, so [hi(a) < c] is the
+   verdict [lo(c - (a + 1)) >= 0] gives, without building that
+   difference.  [Range.of_expr e] has already memoized the summands'
+   intervals. *)
+let bounded env c (e : Expr.t) =
+  let magnitude (r : Range.t) = max (abs r.lo) (abs r.hi) in
+  let rec below total = function
+    | [] -> true
+    | x :: xs ->
+      let total = total + magnitude (Range.of_expr env x) in
+      total < Range.pinf && below total xs
+  in
+  if c <= Range.ninf || c >= Range.pinf then None
+  else
+    let r = Range.of_expr env e in
+    let fits =
+      match e.node with
+      | Add xs -> below (abs c + 1) xs
+      | _ -> abs c + 1 + magnitude r < Range.pinf
+    in
+    if fits then Some r else None
 
-let lt env a b =
-  query goal_lt env a b (fun () ->
-      (Range.of_expr env (Expr.sub b (Expr.add a Expr.one))).Range.lo >= 0)
+(* [a <= b], or [a < b] when [strict]. *)
+let ordered ~strict env (a : Expr.t) (b : Expr.t) =
+  let difference () =
+    (* Decide on the normalized difference so common terms cancel. *)
+    let d =
+      if strict then Expr.sub b (Expr.add a Expr.one) else Expr.sub b a
+    in
+    (Range.of_expr env d).Range.lo >= 0
+  in
+  match (a.node, b.node) with
+  | _, Const c -> (
+    match bounded env c a with
+    | Some r -> if strict then r.hi < c else r.hi <= c
+    | None -> difference ())
+  | Const c, _ -> (
+    match bounded env c b with
+    | Some r -> if strict then r.lo > c else r.lo >= c
+    | None -> difference ())
+  | _ -> difference ()
+
+let le env a b = query goal_le env a b (fun () -> ordered ~strict:false env a b)
+let lt env a b = query goal_lt env a b (fun () -> ordered ~strict:true env a b)
 
 let in_half_open env x a = nonneg env x && lt env x a

@@ -39,9 +39,15 @@ val nonzero : Range.env -> Expr.t -> bool
 
 val le : Range.env -> Expr.t -> Expr.t -> bool
 (** [le env a b]: is [a <= b] valid?  Decided as [nonneg (b - a)] so that
-    common terms cancel. *)
+    common terms cancel.  When one side is a constant [c] and [|c| + 1]
+    plus the magnitudes [max (|lo|, |hi|)] of the other side's summands
+    stays below {!Range.pinf}, the difference is not built: the other
+    side's interval decides ([hi(a) <= c], or [c <= lo(b)]), with the
+    verdict the difference would give. *)
 
 val lt : Range.env -> Expr.t -> Expr.t -> bool
+(** [lt env a b]: is [a < b] valid?  Decided as [nonneg (b - (a + 1))],
+    or against a constant from the other side's interval, as {!le}. *)
 
 val in_half_open : Range.env -> Expr.t -> Expr.t -> bool
 (** [in_half_open env x a]: is [0 <= x < a] valid — the guard shared by

@@ -30,7 +30,7 @@ let of_extent n =
   if n <= 0 then invalid_arg "Range.of_extent: extent must be positive";
   make ~lo:0 ~hi:(n - 1)
 
-let contains r v = r.lo <= v && v <= r.hi
+let contains r v = (r.lo <= ninf || r.lo <= v) && (r.hi >= pinf || v <= r.hi)
 
 let pp ppf r =
   let bound v =
@@ -39,7 +39,14 @@ let pp ppf r =
   Format.fprintf ppf "[%s, %s]" (bound r.lo) (bound r.hi)
 
 let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-let add a b = { lo = sat_add a.lo b.lo; hi = sat_add a.hi b.hi }
+(* A lower bound at [ninf] and an upper bound at [pinf] are unbounded:
+   [pinf + ninf] is no bound at all, so an unbounded side stays
+   unbounded instead of being added to. *)
+let add a b =
+  {
+    lo = (if a.lo <= ninf || b.lo <= ninf then ninf else sat_add a.lo b.lo);
+    hi = (if a.hi >= pinf || b.hi >= pinf then pinf else sat_add a.hi b.hi);
+  }
 
 let mul a b =
   let products =
@@ -56,17 +63,23 @@ let fdiv = Lego_layout.Domain.floor_div
 let div a b =
   if b.lo > 0 || b.hi < 0 then begin
     (* Divisor sign is known; floor division is monotone in the dividend,
-       antitone in the divisor, so endpoints suffice.  Infinite endpoints
-       stay infinite (dividing by the smallest magnitude only shrinks). *)
+       and in the divisor for a dividend of known sign, so the corners
+       suffice.  An unbounded corner stands for its limit: an infinite
+       dividend gives an infinite quotient, and a finite dividend over
+       an infinite divisor tends to 0 from one side.  Every other
+       endpoint, saturated or not, is a true bound and divides as a
+       number. *)
+    let quotient (x, x_inf) (y, y_inf) =
+      if x_inf then if x > 0 = (y > 0) then pinf else ninf
+      else if y_inf then if x = 0 || x > 0 = (y > 0) then 0 else -1
+      else fdiv x y
+    in
+    let lo r = (r.lo, r.lo <= ninf) and hi r = (r.hi, r.hi >= pinf) in
     let quotients =
-      List.concat_map
-        (fun x ->
-          List.map
-            (fun y -> if x >= pinf then (if y > 0 then pinf else ninf)
-              else if x <= ninf then (if y > 0 then ninf else pinf)
-              else fdiv x y)
-            [ b.lo; b.hi ])
-        [ a.lo; a.hi ]
+      [
+        quotient (lo a) (lo b); quotient (lo a) (hi b); quotient (hi a) (lo b);
+        quotient (hi a) (hi b);
+      ]
     in
     {
       lo = clamp (List.fold_left min pinf quotients);
@@ -78,20 +91,28 @@ let div a b =
 let rem a b =
   if b.lo > 0 then
     if a.lo >= 0 && a.hi < b.lo then a (* the mod is the identity *)
-    else { lo = 0; hi = clamp (b.hi - 1) }
-  else if b.hi < 0 then { lo = clamp (b.lo + 1); hi = 0 }
+    else { lo = 0; hi = (if b.hi >= pinf then pinf else b.hi - 1) }
+  else if b.hi < 0 then
+    { lo = (if b.lo <= ninf then ninf else b.lo + 1); hi = 0 }
   else top
 
 let boolean = { lo = 0; hi = 1 }
 
+(* No verdict is read from an unbounded side: [a.hi = pinf] may exceed
+   any [b.lo], and [b.lo = ninf] may lie below any [a.hi]. *)
 let le a b =
-  if a.hi <= b.lo then exact 1 else if a.lo > b.hi then exact 0 else boolean
+  if a.hi <= b.lo && a.hi < pinf && b.lo > ninf then exact 1
+  else if a.lo > b.hi then exact 0
+  else boolean
 
 let lt a b =
-  if a.hi < b.lo then exact 1 else if a.lo >= b.hi then exact 0 else boolean
+  if a.hi < b.lo then exact 1
+  else if a.lo >= b.hi && a.lo > ninf && b.hi < pinf then exact 0
+  else boolean
 
 let eq a b =
-  if a.lo = a.hi && b.lo = b.hi && a.lo = b.lo then exact 1
+  let known r = r.lo = r.hi && r.lo > ninf && r.hi < pinf in
+  if known a && known b && a.lo = b.lo then exact 1
   else if a.hi < b.lo || b.hi < a.lo then exact 0
   else boolean
 

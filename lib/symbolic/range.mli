@@ -7,8 +7,11 @@
     domain. *)
 
 type t = { lo : int; hi : int }
-(** Inclusive bounds.  Values at or beyond {!pinf}/{!ninf} mean "unknown in
-    that direction"; all arithmetic saturates there. *)
+(** Inclusive bounds.  A lower bound at {!ninf} and an upper bound at
+    {!pinf} mean "unbounded in that direction": arithmetic keeps them
+    unbounded, and no comparison is decided from them.  Every other
+    bound is a true one; arithmetic saturates a bound that passes a
+    sentinel, which only widens the interval. *)
 
 val pinf : int
 val ninf : int

@@ -1,8 +1,9 @@
 (* Reference implementations kept as differential oracles: the library's
    direct layout printers, O(n) warp-access counters, staged static
-   scorer, DAG renderer, prepared evaluator and slot-indexed MLIR
-   interpreter replaced these, and the tests assert the replacements
-   agree with them byte for byte, count for count and exception for
+   scorer, DAG renderer, exact-size renderer, constant-bound prover
+   goals, prepared evaluator and slot-indexed MLIR interpreter replaced
+   these, and the tests assert the replacements agree with them byte
+   for byte, verdict for verdict, count for count and exception for
    exception.  The F₂ swizzle-class partition is the reference the class
    tests check the tuner's swizzle coverage against, the three-address
    interpreter checks [Cse.lower]'s output, and the print-and-MD5
@@ -452,6 +453,118 @@ let rec eval ~env (e : E.t) =
   | Lt (a, b) -> if eval ~env a < eval ~env b then 1 else 0
   | Eq (a, b) -> if eval ~env a = eval ~env b then 1 else 0
   | Isqrt a -> Lego_layout.Domain.int_isqrt (eval ~env a)
+
+(* ---- Growing-buffer renderer and difference-building prover ------------- *)
+
+(* [Expr.render] before it measured: each compound node's text written
+   once into a buffer that doubles when full, later occurrences copied
+   from the buffer, and the text copied out at the end. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let reserve o n =
+  let cap = Bytes.length o.bytes in
+  if o.len + n > cap then begin
+    let bytes = Bytes.create (max (o.len + n) (2 * cap)) in
+    Bytes.blit o.bytes 0 bytes 0 o.len;
+    o.bytes <- bytes
+  end
+
+let add_string o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.blit_string s 0 o.bytes o.len n;
+  o.len <- o.len + n
+
+let add_copy o off n =
+  reserve o n;
+  Bytes.blit o.bytes off o.bytes o.len n;
+  o.len <- o.len + n
+
+let level (e : E.t) =
+  match e.node with
+  | Select _ -> 1
+  | Le _ | Lt _ | Eq _ -> 3
+  | Add _ -> 4
+  | Mul _ | Div _ | Mod _ -> 5
+  | Const _ | Var _ | Isqrt _ -> max_int
+
+let render (sx : E.syntax) e =
+  let o = { bytes = Bytes.create 256; len = 0 } in
+  let spans : (int * int) E.Tbl.t = E.Tbl.create 64 in
+  let rec node prec (e : E.t) =
+    match e.node with
+    | Const n -> add_string o (string_of_int n)
+    | Var v -> add_string o v
+    | _ ->
+      let wrap = prec > level e in
+      if wrap then add_string o "(";
+      (match E.Tbl.find_opt spans e with
+      | Some (off, n) -> add_copy o off n
+      | None ->
+        let off = o.len in
+        body e;
+        E.Tbl.add spans e (off, o.len - off));
+      if wrap then add_string o ")"
+  and binary a op b ~left ~right =
+    node left a;
+    add_string o op;
+    node right b
+  and body (e : E.t) =
+    match e.node with
+    | Const _ | Var _ -> node 0 e
+    | Add [] | Mul [] -> ()
+    | Add (x :: xs) ->
+      node 5 x;
+      List.iter
+        (fun x ->
+          match E.as_linear_term x with
+          | c, factors when c < 0 ->
+            add_string o " - ";
+            node 5 (E.of_linear_term (-c, factors))
+          | _ ->
+            add_string o " + ";
+            node 5 x)
+        xs
+    | Mul (x :: xs) ->
+      node 6 x;
+      List.iter
+        (fun x ->
+          add_string o sx.mul;
+          node 6 x)
+        xs
+    | Div (a, b) -> binary a sx.div b ~left:5 ~right:6
+    | Mod (a, b) -> binary a " % " b ~left:5 ~right:6
+    | Select (c, a, b) -> (
+      match sx.select with
+      | `Ternary ->
+        node 2 c;
+        add_string o " ? ";
+        binary a " : " b ~left:2 ~right:1
+      | `Call f ->
+        add_string o f;
+        add_string o "(";
+        node 0 c;
+        add_string o ", ";
+        binary a ", " b ~left:0 ~right:0;
+        add_string o ")")
+    | Le (a, b) -> binary a " <= " b ~left:4 ~right:4
+    | Lt (a, b) -> binary a " < " b ~left:4 ~right:4
+    | Eq (a, b) -> binary a " == " b ~left:4 ~right:4
+    | Isqrt a ->
+      add_string o (fst sx.isqrt);
+      node 0 a;
+      add_string o (snd sx.isqrt)
+  in
+  node 0 e;
+  Bytes.sub_string o.bytes 0 o.len
+
+module Range = Lego_symbolic.Range
+
+(* [Prover.le]/[lt] before they read intervals against a constant: build
+   the normalized difference [b - a] or [b - (a + 1)], so common terms
+   cancel, and read its interval's lower bound. *)
+let prover_le env a b = (Range.of_expr env (E.sub b a)).lo >= 0
+let prover_lt env a b = (Range.of_expr env (E.sub b (E.add a E.one))).lo >= 0
 
 (* ---- Three-address and MLIR interpreters -------------------------------- *)
 

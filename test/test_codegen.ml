@@ -331,6 +331,51 @@ let prop_renderer_matches_tree_printers =
       && CG.C_printer.expr e = Reference.c_expr e
       && CG.Triton_printer.expr e = Reference.triton_expr e)
 
+(* The exact-size renderer prints the growing-buffer renderer's bytes in
+   every spelling, on every layout's apply and inverse components (the
+   gallery, 400 random layouts and 100 algebra terms) and on constants
+   of every width. *)
+let test_renderer_matches_growing_buffer () =
+  let module C = Lego_conform in
+  let layouts =
+    List.map snd C.Corpus.all
+    @ List.init 400 (fun index -> C.Lgen.layout_of_seed ~seed:7 ~index)
+    @ List.init 100 (fun index -> C.Lgen.algebra_layout_of_seed ~seed:7 ~index)
+  in
+  let spelling mul div select isqrt =
+    Reference.render { E.mul; div; select; isqrt }
+  in
+  let spellings =
+    [
+      ("default", E.to_string, spelling "*" " / " `Ternary ("isqrt(", ")"));
+      ( "C",
+        CG.C_printer.expr,
+        spelling " * " " / " `Ternary ("lego_isqrt(", ")") );
+      ( "Triton",
+        CG.Triton_printer.expr,
+        spelling " * " " // " (`Call "tl.where")
+          ("tl.sqrt(", ").to(tl.int32)") );
+    ]
+  in
+  (* Constants at every digit count's edges, as terms and factors. *)
+  let constants =
+    List.map
+      (fun c -> E.(add (mul (const c) (var "x")) (const c)))
+      [ 0; 9; 10; -9; -10; 99; 100; -100; max_int; min_int; min_int + 1 ]
+  in
+  let bytes = ref 0 in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (name, render, reference) ->
+          let want = reference e in
+          bytes := !bytes + String.length want;
+          if render e <> want then
+            Alcotest.failf "%s text of %s differs" name want)
+        spellings)
+    (constants @ List.concat_map (fun g -> Sym.apply g :: Sym.inv g) layouts);
+  Alcotest.(check bool) "texts compared" true (!bytes > 0)
+
 (* [random:7:1113]: 153 distinct nodes, 8,389,876 tree nodes. *)
 let test_outlier_pinned () =
   let g = Lego_conform.Lgen.layout_of_seed ~seed:7 ~index:1113 in
@@ -506,4 +551,6 @@ let suite =
           `Quick test_minterp_copy_matches_reference;
         Alcotest.test_case "MLIR names resolve at parse time" `Quick
           test_mlir_parse_resolves_names;
+        Alcotest.test_case "exact-size renderer = growing buffer" `Quick
+          test_renderer_matches_growing_buffer;
       ] )

@@ -124,6 +124,172 @@ let test_prover () =
   Alcotest.(check bool) "x - 10 not nonneg" false
     (Prover.nonneg env_xy E.(sub x (const 10)))
 
+(* Regression: [Range.add] took [pinf + ninf] for 0, and the comparisons
+   decided from an upper bound at [pinf], which means unbounded, so the
+   prover proved [p < pinf + 10] for [p] ranging up to [pinf + 99] and
+   simplify rewrote [p / (pinf + 10)] to 0 and [p mod (pinf + 10)] to
+   [p]. *)
+let test_range_sentinels () =
+  let env = Range.env_of_list [ ("p", Range.of_extent (Range.pinf + 100)) ] in
+  let p = E.var "p" and d = E.const (Range.pinf + 10) in
+  let at v e = E.eval ~env:(fun _ -> v) e in
+  let v = Range.pinf + 50 in
+  Alcotest.(check bool) "p < pinf + 10 not proved" false (Prover.lt env p d);
+  check_int "p / (pinf + 10) at pinf + 50" 1
+    (at v (Simplify.simplify ~env (E.div p d)));
+  check_int "p mod (pinf + 10) at pinf + 50" 40
+    (at v (Simplify.simplify ~env (E.md p d)));
+  let r = Range.of_expr env E.(sub (const (Range.pinf + 9)) p) in
+  check_int "(pinf + 9) - p is unbounded below" Range.ninf r.Range.lo;
+  let r = Range.of_expr env E.(le p (const Range.pinf)) in
+  Alcotest.(check (pair int int))
+    "p <= pinf undecided" (0, 1) (r.Range.lo, r.Range.hi);
+  let r = Range.of_expr env E.(lt (const (Range.pinf + 20)) p) in
+  Alcotest.(check (pair int int))
+    "pinf + 20 < p undecided" (0, 1) (r.Range.lo, r.Range.hi);
+  let big = E.const (Range.pinf + 9) in
+  let r = Range.of_expr env E.(eq (add p big) big) in
+  Alcotest.(check (pair int int))
+    "p + pinf + 9 == pinf + 9 undecided" (0, 1) (r.Range.lo, r.Range.hi);
+  (* A saturated lower bound divides as a number, and a divisor without
+     an upper bound leaves the remainder without one. *)
+  let contains e v = Range.contains (Range.of_expr env e) (at v e) in
+  Alcotest.(check bool) "(p + pinf + 9) / 3 bounded by its value" true
+    (contains E.(div (add p (const (Range.pinf + 9))) (const 3)) 0);
+  Alcotest.(check bool) "p mod (p + 1) bounded by its value" true
+    (contains E.(md p (add p one)) v);
+  Alcotest.(check bool) "(p - 7) mod (p + 1) bounded by its value" true
+    (contains E.(md (sub p (const 7)) (add p one)) v)
+
+(* Queries for the prover's reading of intervals against a constant: a
+   sum of [Div]/[Mod]/[Mul]/[Select] terms with coefficients up to
+   ±2^61, over variables whose extents reach [pinf + 8] or which are
+   unbound ([w] always is), against a constant on the right, on the
+   left, on neither side or on both.  A constant side is also asked at
+   the other side's bounds and one past them. *)
+let gen_bound_query =
+  let open QCheck2.Gen in
+  let near_pinf = map (fun k -> Range.pinf + k) (int_range (-8) 8) in
+  let two61 = 1 lsl 61 in
+  let extent =
+    oneof [ int_range 1 64; int_range 1 (1 lsl 40); near_pinf ]
+  in
+  let bindings =
+    map3
+      (fun ex ey ez ->
+        ("x", Range.of_extent ex)
+        :: List.filter_map
+             (fun (v, e) -> Option.map (fun e -> (v, Range.of_extent e)) e)
+             [ ("y", ey); ("z", ez) ])
+      extent (opt extent) (opt extent)
+  in
+  let var = map E.var (oneofl [ "x"; "y"; "z"; "w" ]) in
+  let divisor =
+    map E.const (oneof [ int_range 1 16; int_range (-16) (-1); near_pinf ])
+  in
+  let atom =
+    oneof
+      [
+        var;
+        map2 E.div var divisor;
+        map2 E.md var divisor;
+        map2 E.mul var var;
+        map3 (fun c a b -> E.select (E.lt c (E.const 8)) a b) var var var;
+      ]
+  in
+  let coeff =
+    oneof
+      [
+        int_range (-8) 8;
+        int_range (-two61) two61;
+        oneofl [ two61; -two61; two61 - 1; 1 - two61 ];
+      ]
+  in
+  let constant =
+    oneof
+      [
+        int_range (-64) 64;
+        near_pinf;
+        map (fun k -> Range.ninf + k) (int_range (-8) 8);
+        int_range (-two61) two61;
+      ]
+  in
+  let sum =
+    map2
+      (fun k terms -> E.sum (E.const k :: terms))
+      constant
+      (list_size (int_range 1 4)
+         (map2 (fun k a -> E.mul (E.const k) a) coeff atom))
+  in
+  let c = map E.const constant in
+  let sides =
+    oneof [ pair sum c; pair c sum; pair sum sum; pair c c ]
+  in
+  pair bindings sides
+
+let prop_prover_bound_matches_difference =
+  QCheck2.Test.make ~name:"constant-bound le/lt = the built difference"
+    ~count:1000
+    ~print:(fun (_, (a, b)) ->
+      Printf.sprintf "%s vs %s" (E.to_string a) (E.to_string b))
+    gen_bound_query
+    (fun (bindings, (a, b)) ->
+      (* A fresh env per query, so no goal memo answers it. *)
+      let fresh () = Range.env_of_list bindings in
+      (* Constants at the other side's bounds, and one past them, too. *)
+      let near e side =
+        let r = Range.of_expr (fresh ()) e in
+        List.map side [ r.lo - 1; r.lo; r.hi; r.hi + 1 ]
+      in
+      let queries =
+        match (a.node, b.node) with
+        | _, Const _ -> near a (fun k -> (a, E.const k))
+        | Const _, _ -> near b (fun k -> (E.const k, b))
+        | _ -> []
+      in
+      List.for_all
+        (fun (a, b) ->
+          Prover.lt (fresh ()) a b = Reference.prover_lt (fresh ()) a b
+          && Prover.le (fresh ()) a b = Reference.prover_le (fresh ()) a b)
+        ((a, b) :: queries))
+
+(* [3u + v - 5] has summand magnitudes 21, 2 and 5: against a constant
+   [c], the prover reads its interval while [|c| + 1 + 28] stays below
+   [pinf], and builds the difference from [|c| = pinf - 29] on.  Both
+   give the difference's verdict; only the second interns nodes. *)
+let test_prover_bound_guard () =
+  let misses () = (Memo.stats E.memo).misses in
+  List.iter
+    (fun (name, c, left, read) ->
+      let u = E.var (name ^ "_u") and v = E.var (name ^ "_v") in
+      let env () =
+        Range.env_of_list
+          [ (name ^ "_u", Range.of_extent 8); (name ^ "_v", Range.of_extent 3) ]
+      in
+      let s = E.(sum [ mul (const 3) u; v; const (-5) ]) and c = E.const c in
+      let a, b = if left then (c, s) else (s, c) in
+      List.iter
+        (fun (goal, prover, reference) ->
+          let before = misses () in
+          let verdict = prover (env ()) a b in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s reads the interval" name goal)
+            read
+            (misses () = before);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s verdict" name goal)
+            (reference (env ()) a b) verdict)
+        [
+          ("lt", Prover.lt, Reference.prover_lt);
+          ("le", Prover.le, Reference.prover_le);
+        ])
+    [
+      ("right_in", Range.pinf - 30, false, true);
+      ("right_out", Range.pinf - 29, false, false);
+      ("left_in", 30 - Range.pinf, true, true);
+      ("left_out", 29 - Range.pinf, true, false);
+    ]
+
 (* --- Table 1 rules ---------------------------------------------------- *)
 
 let env_qr =
@@ -876,4 +1042,10 @@ let suite =
           test_ids_unique_across_domains;
         Alcotest.test_case "ids: an intern flush keeps every result" `Quick
           test_intern_flush_keeps_results;
+        Alcotest.test_case "range sentinels stay unbounded" `Quick
+          test_range_sentinels;
+        QCheck_alcotest.to_alcotest ~long:false
+          prop_prover_bound_matches_difference;
+        Alcotest.test_case "prover: the constant-bound guard's edge" `Quick
+          test_prover_bound_guard;
       ] )
